@@ -5,7 +5,7 @@
 // bounds on transaction bodies, and the domain commit walk order. See
 // DESIGN.md §9 and §14.
 //
-// Stand-alone (the usual way):
+// Usage:
 //
 //	go run ./cmd/parthtm-vet ./...
 //	go run ./cmd/parthtm-vet -json ./...
@@ -17,10 +17,9 @@
 //	go run ./cmd/parthtm-bench -exp heatmap -prof-out profile.json
 //	go run ./cmd/parthtm-vet -prof profile.json ./internal/harness
 //
-// Under the standard vet driver (also covers files go vet selects):
-//
-//	go build -o /tmp/parthtm-vet ./cmd/parthtm-vet
-//	go vet -vettool=/tmp/parthtm-vet ./...
+// The tool analyses the whole module as one program (htmregion's window
+// walks and txfootprint's callee summaries cross package boundaries), so
+// it does not run as a per-package `go vet -vettool`.
 //
 // Exit status: 0 when no diagnostics, 2 when the analyzers found
 // violations (or reconciliation found an underestimate), 1 on
@@ -32,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -42,28 +40,16 @@ func main() {
 }
 
 func run(args []string) int {
-	// The two vet-driver protocol queries arrive before normal flag
-	// parsing ever could (cmd/go passes them as the sole argument).
-	if len(args) == 1 {
-		switch args[0] {
-		case "-flags":
-			return printFlagsJSON()
-		case "-V=full":
-			fmt.Println("parthtm-vet version 1 (repro static-analysis suite)")
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("parthtm-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	sarifOut := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file (stand-alone mode)")
-	profIn := fs.String("prof", "", "reconcile static footprint bounds against this tmprof JSON series (stand-alone mode)")
+	sarifOut := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
+	profIn := fs.String("prof", "", "reconcile static footprint bounds against this tmprof JSON series")
 	enabled := map[string]*bool{}
 	for _, a := range analysis.All() {
 		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: parthtm-vet [flags] [package patterns | file.cfg]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: parthtm-vet [flags] [package patterns]\n\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(fs.Output(), "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -81,20 +67,7 @@ func run(args []string) int {
 		}
 	}
 
-	rest := fs.Args()
-
-	// Vet-driver mode: the single operand is a .cfg file.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		diags, err := analysis.RunUnitchecker(analyzers, rest[0])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-vet: %v\n", err)
-			return 1
-		}
-		return emit(diags, *jsonOut)
-	}
-
-	// Stand-alone mode.
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
@@ -173,25 +146,5 @@ func emit(diags []analysis.Diagnostic, jsonOut bool) int {
 	if len(diags) > 0 {
 		return 2
 	}
-	return 0
-}
-
-// printFlagsJSON answers cmd/go's -flags query: the JSON list of flags
-// the tool accepts, so `go vet -vettool` knows what it may forward.
-func printFlagsJSON() int {
-	type vetFlag struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	flags := []vetFlag{{Name: "json", Bool: true, Usage: "emit diagnostics as JSON"}}
-	for _, a := range analysis.All() {
-		flags = append(flags, vetFlag{Name: a.Name, Bool: true, Usage: "enable " + a.Name})
-	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		return 1
-	}
-	fmt.Println(string(data))
 	return 0
 }

@@ -15,9 +15,8 @@
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
 // analyzers read like standard vet checks — but it is built entirely on
 // the standard library, because this module carries no third-party
-// dependencies. Packages are loaded either by the stand-alone driver
-// (load.go, via `go list -export`) or under `go vet -vettool=` through
-// the unitchecker protocol (unitchecker.go).
+// dependencies. Packages are loaded by load.go (via `go list -export`)
+// and analysed together as one whole-module Program.
 //
 // # Annotations
 //
@@ -75,16 +74,14 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the whole-module view the pass runs inside; This is the
-	// pass's own package within it. Under the stand-alone driver Prog
-	// spans every matched package (cross-package walks reach real
-	// declarations); under the unitchecker protocol it holds only This,
-	// so interprocedural reach degrades gracefully to same-package.
+	// Prog is the whole-module view the pass runs inside — every matched
+	// package, so cross-package walks reach real declarations; This is
+	// the pass's own package within it.
 	Prog *Program
 	This *Package
 
-	// IncludeTests, when false (the default for every driver in this
-	// repository), makes the pass skip files whose name ends in _test.go:
+	// IncludeTests, when false (the default), makes the pass skip files
+	// whose name ends in _test.go:
 	// the TM discipline binds production paths, while tests deliberately
 	// poke at edges (aborted bodies, torn state) in ways every analyzer
 	// would otherwise flag.
@@ -140,17 +137,6 @@ func (p *Pass) SourceFiles() []*ast.File {
 	return out
 }
 
-// RunAnalyzers applies every analyzer to one loaded package and returns
-// the findings sorted by position. The package is wrapped in a
-// single-package Program, so interprocedural reach is same-package only —
-// the unitchecker driver's view. Multi-package callers use RunAnalyzersIn.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info) []Diagnostic {
-
-	target := &Package{PkgPath: pkg.Path(), Fset: fset, Files: files, Types: pkg, Info: info}
-	return RunAnalyzersIn(NewProgram(target), analyzers, target)
-}
-
 // RunAnalyzersIn applies every analyzer to one target package inside a
 // whole-module Program, returning the findings sorted and deduplicated.
 func RunAnalyzersIn(prog *Program, analyzers []*Analyzer, target *Package) []Diagnostic {
@@ -175,8 +161,8 @@ func RunAnalyzersIn(prog *Program, analyzers []*Analyzer, target *Package) []Dia
 // message, and drops exact repeats — a site can be reached twice within
 // one pass (a function shared by two hardware-transaction windows) or
 // across passes (a helper package walked from two analyzed roots). The
-// canonical order makes -json, -sarif, and vettool output byte-stable
-// across runs, so CI pins can diff them directly.
+// canonical order makes text, -json, and -sarif output byte-stable across
+// runs, so CI pins can diff them directly.
 func sortDiagnostics(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

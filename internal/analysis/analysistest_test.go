@@ -69,7 +69,7 @@ func runAnalyzerTest(t *testing.T, a *Analyzer, pkgPath string) {
 
 // runSuiteTest loads runPaths from testdata/src, builds one Program over
 // every testdata package the load touched (so cross-package walks reach
-// real declarations, as under the stand-alone driver), applies the
+// real declarations, as under cmd/parthtm-vet), applies the
 // analyzers to each package in runPaths, and diffs the combined
 // diagnostics against `// want` comments in runPaths ∪ wantPaths.
 func runSuiteTest(t *testing.T, analyzers []*Analyzer, runPaths, wantPaths []string) {

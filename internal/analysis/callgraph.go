@@ -30,10 +30,9 @@ type FuncNode struct {
 }
 
 // A Program is the whole-module view of one load: every analyzed package,
-// with a cross-package function-declaration index. The stand-alone driver
-// builds one Program for all matched packages, giving the analyzers
-// module-wide reach; the unitchecker driver sees one package per
-// invocation, so its Program degrades gracefully to same-package reach.
+// with a cross-package function-declaration index. The driver builds one
+// Program for all matched packages, giving the analyzers module-wide
+// reach.
 type Program struct {
 	pkgs   []*Package
 	byPath map[string]*Package
@@ -42,9 +41,9 @@ type Program struct {
 }
 
 // NewProgram indexes pkgs into a Program. Function declarations in
-// _test.go files are not indexed: every driver in this repository runs
-// with IncludeTests=false, and walking into test-only helpers would
-// reintroduce the torn-state noise the passes deliberately skip.
+// _test.go files are not indexed: the driver runs with IncludeTests=false,
+// and walking into test-only helpers would reintroduce the torn-state
+// noise the passes deliberately skip.
 func NewProgram(pkgs ...*Package) *Program {
 	pr := &Program{
 		byPath: map[string]*Package{},

@@ -1,9 +1,9 @@
-// Package loading for the stand-alone driver. The module carries no
-// third-party dependencies, so instead of golang.org/x/tools/go/packages
-// the loader shells out to `go list -export`, parses the target packages
-// with go/parser, and type-checks them against the compiler's export data
-// via go/importer — the same artifacts the build itself produces, so the
-// analyzers always see exactly the types the compiler saw.
+// Package loading. The module carries no third-party dependencies, so
+// instead of golang.org/x/tools/go/packages the loader shells out to
+// `go list -export`, parses the target packages with go/parser, and
+// type-checks them against the compiler's export data via go/importer — the
+// same artifacts the build itself produces, so the analyzers always see
+// exactly the types the compiler saw.
 package analysis
 
 import (
@@ -44,8 +44,8 @@ type listedPackage struct {
 
 // Load lists patterns (in dir, "" for the current directory), compiles
 // export data for every dependency, and returns the matched packages
-// parsed and type-checked. Test files are not loaded — the stand-alone
-// driver checks production sources; `go vet -vettool=` covers tests.
+// parsed and type-checked. Test files are not loaded: the TM discipline
+// binds production sources.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error", "-deps"}, patterns...)

@@ -158,7 +158,7 @@ func collectTxBodies(pkg *Package) []txBody {
 }
 
 // sourceFilesOf yields pkg's production files (the IncludeTests=false
-// view shared by every driver).
+// view).
 func sourceFilesOf(pkg *Package) []*ast.File {
 	var out []*ast.File
 	for _, f := range pkg.Files {

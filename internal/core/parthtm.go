@@ -40,7 +40,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/governor"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -284,31 +283,12 @@ func (s *System) Name() string {
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
-// SetTrace attaches a trace sink (nil detaches). Beyond the kernel's
-// lifecycle events, Part-HTM records its protocol events: sub-HTM
-// begin/commit, write-lock publication/release, and ring publication.
-// Attach before starting workers.
-func (s *System) SetTrace(sink *trace.Sink) { s.run.SetTrace(sink) }
-
-// SetGovernor attaches the resource governor to the execution kernel (nil
-// detaches): admission budgets, load shedding, and the per-thread HTM
-// circuit breaker. Attach before starting workers.
-func (s *System) SetGovernor(g *governor.Governor) { s.run.SetGovernor(g) }
-
-// SetProfile attaches the abort-attribution profiler (nil detaches): the
-// engine records conflict lines, capacity overflows, and per-window
-// footprints (fast windows as prof.ClassFast, sub-HTM windows as
-// prof.ClassSub), and the kernel registers as the time-series source.
-// Attach before starting workers.
-func (s *System) SetProfile(p *prof.Profile) {
-	s.run.SetProfile(p)
-	s.eng.SetProfile(p)
-}
-
-// BumpPressure raises the kernel's degradation pressure by n — the progress
-// watchdog's forced-recovery hook: enough pressure serializes the system so
-// stalled work completes on the guaranteed path.
-func (s *System) BumpPressure(n int64) { s.run.BumpPressure(n) }
+// Kernel returns the system's execution kernel, the one attach-and-inspect
+// seam for trace, governor, profiler, and degradation state (see
+// exec.Runner). With a trace sink attached Part-HTM records, beyond the
+// kernel's lifecycle events, its protocol events: sub-HTM begin/commit,
+// write-lock publication/release, and ring publication.
+func (s *System) Kernel() *exec.Runner { return s.run }
 
 // Memory implements tm.System.
 func (s *System) Memory() *mem.Memory { return s.m }
@@ -530,8 +510,6 @@ func (t *thread) markSegment() {
 	t.attemptWLines += t.segWCount
 }
 
-var debugSegLearn = false
-
 // Control-flow sentinels for the partitioned path.
 type globalAbortPanic struct{}
 
@@ -564,14 +542,6 @@ func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t.body = nil
 }
 
-// ---------------------------------------------------------------------------
-// Contention manager (forwarders into the exec kernel)
-
-// SetEscalateHook installs f to be called on every contention-manager
-// escalation with the escalating thread and its age ticket (nil to remove).
-// Test instrumentation; not safe to flip while transactions run.
-func SetEscalateHook(f func(threadID int, ticket uint64)) { exec.SetEscalateHook(f) }
-
 // Degradation pressure: ring rollovers mean validators cannot keep up with
 // the commit rate; a near-saturated write-locks signature means almost every
 // validation is a (false) conflict. Both are metadata-pressure conditions
@@ -590,21 +560,6 @@ const (
 // genuine sample is microseconds; samples beyond the cap are a descheduled
 // publisher wall-clocking the host scheduler, not the protocol.
 const serialSampleCap = 10 * time.Microsecond
-
-// bumpPressure raises the degradation pressure by n, tripping degraded mode
-// at the threshold.
-func (s *System) bumpPressure(n int64) { s.run.BumpPressure(n) }
-
-// Degraded reports whether the system is currently in degraded serialized
-// mode (observability and tests).
-func (s *System) Degraded() bool { return s.run.Degraded() }
-
-// Pressure returns the current degradation-pressure level.
-func (s *System) Pressure() int64 { return s.run.Pressure() }
-
-// PriorityTicket returns the age ticket currently holding eldest priority
-// (0 = none).
-func (s *System) PriorityTicket() uint64 { return s.run.PriorityTicket() }
 
 // ---------------------------------------------------------------------------
 // Fast path (Figure 1 lines 1–15; Figure 2 lines 1–13 when opaque)
@@ -750,11 +705,6 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 			t.ht = nil
 			t.et.NoteHWAbort(res)
 			if s.cfg.AutoPartition && (res.Reason == htm.Capacity || res.Reason == htm.Other) {
-				if debugSegLearn {
-					fmt.Printf("learn: reason=%v cycles=%d rlines=%d wlines=%d limits=(%d,%d,%d)\n",
-						res.Reason, t.segCycles, t.segRCount, t.segWCount,
-						t.cycleLimit, t.rlineLimit, t.wlineLimit)
-				}
 				t.learnSegLimit(res.Reason)
 			}
 			s.truncateSegment(t)
@@ -958,7 +908,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 					pop += bits.OnesCount64(w)
 				}
 				if pop >= wlocksSaturationBits {
-					s.bumpPressure(degradeBumpSaturate)
+					s.run.BumpPressure(degradeBumpSaturate)
 				}
 			}
 			for i := range wl {
@@ -1045,7 +995,7 @@ func (s *System) inFlightValidate(t *thread) bool {
 	ok, rollover := s.doms.Validate(t.ds)
 	if !ok {
 		if rollover {
-			s.bumpPressure(degradeBumpRollover)
+			s.run.BumpPressure(degradeBumpRollover)
 			if s.nd > 1 {
 				t.sh.DomainRingRollovers.Inc()
 			}
@@ -1102,7 +1052,7 @@ func (s *System) globalCommit(t *thread) bool {
 		myts, ok, rollover := s.doms.ClaimTimestamp(d, &ds.Read[d], &ds.Start[d])
 		if !ok {
 			if rollover {
-				s.bumpPressure(degradeBumpRollover)
+				s.run.BumpPressure(degradeBumpRollover)
 				if s.nd > 1 {
 					t.sh.DomainRingRollovers.Inc()
 				}
@@ -1140,7 +1090,7 @@ func (s *System) globalCommit(t *thread) bool {
 		ok, rollover := s.doms.Validate(ds)
 		if !ok {
 			if rollover {
-				s.bumpPressure(degradeBumpRollover)
+				s.run.BumpPressure(degradeBumpRollover)
 				t.sh.DomainRingRollovers.Inc()
 			}
 			return false
@@ -1387,18 +1337,23 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		// write in place (buffered until the sub-HTM commit).
 		old := ht.Read(a)
 		t.undo = append(t.undo, undoRec{addr: a, old: old})
-		t.ds.Write[d].Add(uint32(a))
 		if s.cfg.LockPerWrite {
 			// Ablation: publish the lock bit immediately instead of at the
 			// sub-HTM commit — every touched signature word becomes a false
-			// conflict with all concurrent hardware transactions.
+			// conflict with all concurrent hardware transactions. A bit
+			// already set by someone else is their lock and must be
+			// honoured here: the pre-commit check subtracts this segment's
+			// own write signature and would no longer see it.
 			b := sig.HashBit(uint32(a))
 			w := s.doms.Wlocks(d) + mem.Addr(b>>6)
 			cur := ht.Read(w)
 			if cur&(1<<(b&63)) == 0 {
 				ht.Write(w, cur|1<<(b&63))
+			} else if !t.ds.Write[d].Test(uint32(a)) && !t.ds.Agg[d].Test(uint32(a)) {
+				ht.Abort(codeLockConflict)
 			}
 		}
+		t.ds.Write[d].Add(uint32(a))
 		ht.Write(a, v)
 		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 		t.ds.Wrote |= 1 << uint(d)
@@ -1480,7 +1435,3 @@ func (x *tx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
 	}
 	return rec.val
 }
-
-// DebugSegLearn toggles verbose logging of adaptive-partition learning
-// events (development aid).
-func DebugSegLearn(on bool) { debugSegLearn = on }

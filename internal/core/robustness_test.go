@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -112,12 +113,12 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 func TestMutualInvalidationNoLivelock(t *testing.T) {
 	var mu sync.Mutex
 	var order []uint64
-	SetEscalateHook(func(_ int, ticket uint64) {
+	exec.SetEscalateHook(func(_ int, ticket uint64) {
 		mu.Lock()
 		order = append(order, ticket)
 		mu.Unlock()
 	})
-	defer SetEscalateHook(nil)
+	defer exec.SetEscalateHook(nil)
 
 	fcfg := &fault.Config{Seed: 1, Threads: 2, Scripts: map[int][]fault.ScriptEvent{
 		0: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
@@ -178,8 +179,8 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 	if order[0] != 1 {
 		t.Fatalf("escalation order %v: the eldest (ticket 1) must escalate first", order)
 	}
-	if s.PriorityTicket() != 0 {
-		t.Fatalf("priority ticket %d still held after both commits", s.PriorityTicket())
+	if s.Kernel().PriorityTicket() != 0 {
+		t.Fatalf("priority ticket %d still held after both commits", s.Kernel().PriorityTicket())
 	}
 }
 
@@ -193,8 +194,8 @@ func TestDegradedModeTripsAndRecovers(t *testing.T) {
 	body := func(x tm.Tx) { x.Write(a, x.Read(a)+1) }
 
 	thr := s.cfg.DegradeThreshold
-	s.bumpPressure(int64(thr))
-	if !s.Degraded() {
+	s.Kernel().BumpPressure(int64(thr))
+	if !s.Kernel().Degraded() {
 		t.Fatal("not degraded at threshold pressure")
 	}
 	st := s.Stats()
@@ -202,13 +203,13 @@ func TestDegradedModeTripsAndRecovers(t *testing.T) {
 		t.Fatalf("DegradedEnter = %d", got)
 	}
 	for i := 0; i < thr; i++ {
-		if !s.Degraded() {
+		if !s.Kernel().Degraded() {
 			t.Fatalf("degraded mode exited after only %d of %d drain commits", i, thr)
 		}
 		s.Atomic(0, body)
 	}
-	if s.Degraded() {
-		t.Fatalf("degraded mode did not recover (pressure %d)", s.Pressure())
+	if s.Kernel().Degraded() {
+		t.Fatalf("degraded mode did not recover (pressure %d)", s.Kernel().Pressure())
 	}
 	snap := st.Snapshot()
 	if snap.DegradedExit != 1 || snap.DegradedCommits != uint64(thr) || snap.CommitsGL != uint64(thr) {

@@ -30,7 +30,7 @@ func TestTraceProtocolEvents(t *testing.T) {
 		c.WriteSets = 1
 	}, nil)
 	sink := trace.NewSink(512)
-	s.SetTrace(sink)
+	s.Kernel().SetTrace(sink)
 	m := s.Memory()
 	base := m.AllocLines(12)
 	s.Atomic(0, func(x tm.Tx) {
@@ -79,7 +79,7 @@ func TestTraceProtocolEvents(t *testing.T) {
 func TestTraceFastPathRingPub(t *testing.T) {
 	s := newSystem(1, 1<<17, nil, nil)
 	sink := trace.NewSink(64)
-	s.SetTrace(sink)
+	s.Kernel().SetTrace(sink)
 	a := s.Memory().Alloc(1)
 	s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
 	evs := sink.Events()

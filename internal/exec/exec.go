@@ -235,7 +235,13 @@ func (t *Thread) budgetExhausted() bool {
 
 // Runner drives transactions through a Policy's levels. One Runner per
 // system instance; it owns the system's contention-manager state and writes
-// all level outcomes into the system's tm.Stats.
+// all level outcomes into the system's tm.Stats. It is also the one
+// attach-and-inspect seam: systems expose it through a Kernel() accessor
+// and add no forwarding methods of their own, so trace, governor, and
+// profiler attach here (SetTrace/SetGovernor/SetProfile), are read back
+// here (TraceSink/Governor/Profile), and the degradation state is driven
+// and observed here (BumpPressure/Degraded/Pressure). A new instrument is
+// one edit in this type.
 type Runner struct {
 	pol   Policy
 	stats *tm.Stats
@@ -363,9 +369,10 @@ func (r *Runner) Governor() *governor.Governor {
 // lifecycle (nil detaches): the runner registers itself as the profile's
 // time-series source, so the periodic sampler snapshots this system's
 // tm.Stats shards and governor state for the duration of the attachment.
-// The address-level capture planes are fed by the htm engine (systems with
-// an engine attach it too); the runner owns the counters the time series
-// is made of. Like SetTrace it must not be flipped while transactions run.
+// The address-level capture planes are fed by the htm engine, which takes
+// the profile separately (htm.Engine.SetProfile; harness.Build makes both
+// calls); the runner owns the counters the time series is made of. Like
+// SetTrace it must not be flipped while transactions run.
 func (r *Runner) SetProfile(p *prof.Profile) {
 	r.mu.Lock()
 	old := r.prof

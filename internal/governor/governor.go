@@ -146,7 +146,7 @@ func (st *State) NoteHWAbort() { st.sawHW = true }
 
 // Governor is one system's resource-governance state: the shared admission
 // gauge plus per-thread breaker/budget cells. Attach via the system's
-// SetGovernor (which forwards to exec.Runner); one Governor serves one
+// execution kernel (exec.Runner.SetGovernor); one Governor serves one
 // system instance.
 type Governor struct {
 	cfg Config

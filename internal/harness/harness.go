@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/htm"
@@ -63,28 +64,27 @@ type BuildOptions struct {
 	// hardware engine of every engine-backed system (chaos experiments).
 	// Pure-software systems ignore it.
 	Fault *fault.Config
-	// Trace, when non-nil, attaches the event sink to the built system so
-	// its runner records transaction lifecycle events and latency
-	// histograms. Every system implements SetTrace.
+	// Trace, when non-nil, attaches the event sink to the built system's
+	// execution kernel so it records transaction lifecycle events and
+	// latency histograms.
 	Trace *trace.Sink
 	// Governor, when non-nil, attaches a fresh resource governor built from
-	// this config to the system's execution kernel: admission budgets, load
-	// shedding, and the per-thread HTM circuit breaker. Every system
-	// implements SetGovernor.
+	// this config to the kernel: admission budgets, load shedding, and the
+	// per-thread HTM circuit breaker. Read it back with
+	// KernelOf(sys).Governor().
 	Governor *governor.Config
-	// Profile, when non-nil, attaches the abort-attribution profiler to the
-	// built system: engine-backed systems record conflict hot lines,
-	// capacity overflows, and footprints into it, and the execution kernel
-	// registers as the time-series sampler source. Every system implements
-	// SetProfile.
+	// Profile, when non-nil, attaches the abort-attribution profiler: the
+	// kernel registers as the time-series sampler source, and engine-backed
+	// systems' hardware engine records conflict hot lines, capacity
+	// overflows, and footprints into it.
 	Profile *prof.Profile
 	// Obs, when non-nil, registers the built system's telemetry sources —
-	// its tm.Stats, the governor built here (if any), the attached trace
-	// sink and profiler, and the kernel's degraded/pressure gauges — with
-	// the live telemetry registry under the system's name. Registration is
-	// boundary-only (it runs here, before workers start); re-building the
-	// same system name replaces its registration, so sweeps keep the live
-	// instance current.
+	// its tm.Stats plus whatever the kernel has attached after the three
+	// options above (governor, trace sink, profiler) and the kernel's own
+	// degraded/pressure gauges — with the live telemetry registry under the
+	// system's name. Registration is boundary-only (it runs in Build,
+	// before workers start); re-building the same system name replaces its
+	// registration, so sweeps keep the live instance current.
 	Obs *obs.Registry
 }
 
@@ -138,52 +138,61 @@ func (o BuildOptions) buildEngine(words int) *htm.Engine {
 }
 
 // Build constructs the named system over a fresh memory sized for the
-// options.
+// options and attaches the instruments they carry. This is the one attach
+// site: every instrument goes on through the system's execution kernel
+// (KernelOf), and the profiler's address-level half additionally onto the
+// hardware engine (EngineOf) — the engine records conflict lines, capacity
+// overflows, and per-window footprints, the kernel feeds the time series.
+// A system without a kernel that is not the Sequential baseline is a
+// wiring bug and panics rather than running uninstrumented.
 func Build(name string, o BuildOptions) tm.System {
 	sys := build(name, o)
-	if o.Trace != nil {
-		if ts, ok := sys.(interface{ SetTrace(*trace.Sink) }); ok {
-			ts.SetTrace(o.Trace)
+	k := KernelOf(sys)
+	if k == nil {
+		if _, isSeq := sys.(*seq.System); !isSeq {
+			panic(fmt.Sprintf("harness: system %q exposes no execution kernel to attach to", name))
+		}
+	} else {
+		k.SetTrace(o.Trace)
+		if o.Governor != nil {
+			k.SetGovernor(governor.New(*o.Governor))
+		}
+		if o.Profile != nil {
+			k.SetProfile(o.Profile)
+			if eng := EngineOf(sys); eng != nil {
+				eng.SetProfile(o.Profile)
+			}
+			// Sharded-domain topologies key abort heat by memory domain too.
+			if cs, ok := sys.(*core.System); ok && cs.Domains() > 1 {
+				ds := cs.DomainSet()
+				o.Profile.SetDomainRouter(cs.Domains(), func(line uint32) int {
+					return ds.Of(mem.Addr(line) * mem.LineWords)
+				})
+			} else {
+				o.Profile.SetDomainRouter(0, nil)
+			}
 		}
 	}
-	var gov *governor.Governor
-	if o.Governor != nil {
-		if gs, ok := sys.(interface{ SetGovernor(*governor.Governor) }); ok {
-			gov = governor.New(*o.Governor)
-			gs.SetGovernor(gov)
+	if o.Obs != nil {
+		// Read back what is attached rather than threading it through: the
+		// registry sees exactly what the kernel runs with.
+		src := obs.Source{Stats: sys.Stats()}
+		if k != nil {
+			src.Gov, src.Sink, src.Prof, src.Kernel = k.Governor(), k.TraceSink(), k.Profile(), k
 		}
+		o.Obs.Register(name, src)
 	}
-	if o.Profile != nil {
-		if ps, ok := sys.(interface{ SetProfile(*prof.Profile) }); ok {
-			ps.SetProfile(o.Profile)
-		}
-		// Sharded-domain topologies key abort heat by memory domain too.
-		if cs, ok := sys.(*core.System); ok && cs.Domains() > 1 {
-			ds := cs.DomainSet()
-			o.Profile.SetDomainRouter(cs.Domains(), func(line uint32) int {
-				return ds.Of(mem.Addr(line) * mem.LineWords)
-			})
-		} else {
-			o.Profile.SetDomainRouter(0, nil)
-		}
-	}
-	RegisterObs(o.Obs, name, sys, gov, o.Trace, o.Profile)
 	return sys
 }
 
-// RegisterObs registers sys's telemetry sources with reg under name (nil
-// reg is a no-op). Callers that attach their own governor after Build —
-// the soak campaigns do — use it directly so the registry sees the
-// governor actually driving the run. Boundary-only.
-func RegisterObs(reg *obs.Registry, name string, sys tm.System, gov *governor.Governor, sink *trace.Sink, p *prof.Profile) {
-	if reg == nil {
-		return
+// KernelOf returns the execution kernel behind a system — the seam every
+// instrument attaches to and the degradation state is read from — or nil
+// for the Sequential baseline, the only system that runs without one.
+func KernelOf(sys tm.System) *exec.Runner {
+	if k, ok := sys.(interface{ Kernel() *exec.Runner }); ok {
+		return k.Kernel()
 	}
-	src := obs.Source{Stats: sys.Stats(), Gov: gov, Sink: sink, Prof: p}
-	if kg, ok := sys.(obs.KernelGauges); ok {
-		src.Kernel = kg
-	}
-	reg.Register(name, src)
+	return nil
 }
 
 func build(name string, o BuildOptions) tm.System {

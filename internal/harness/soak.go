@@ -5,7 +5,7 @@
 // the progress watchdog attached, and reports per-phase throughput,
 // commit-path splits, and the governor/watchdog counters. The liveness
 // invariants themselves (every transaction commits, no stall past the
-// watchdog deadline, post-storm throughput recovers) are asserted by
+// watchdog deadline, the hardware path recovers post-storm) are asserted by
 // soak_test.go; the experiment is the observable version of the same run.
 package harness
 
@@ -15,15 +15,12 @@ import (
 	"time"
 
 	"repro/internal/bench/nrmw"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
-
-// SoakCampaigns lists the chaos-campaign presets the soak experiment
-// accepts (the -campaign flag).
-func SoakCampaigns() []string { return []string{"storm", "ramp"} }
 
 // SoakFaultConfig builds the fault campaign for a preset. Phases carry no
 // Begins budget: the harness advances them manually at wall-clock
@@ -92,16 +89,16 @@ func runSoak(o Options) (*Result, error) {
 		if o.Governor != nil {
 			gcfg = *o.Governor
 		}
-		gov := governor.New(gcfg)
 		sys := Build(name, BuildOptions{
 			DataWords: cfg.MemWords(), Threads: threads,
 			PhysCores: o.PhysCores, Seed: o.Seed,
 			Fault: fcfg, Trace: o.Trace, Profile: o.Profile,
+			Governor: &gcfg, Obs: o.Obs,
 		})
-		sys.(interface{ SetGovernor(*governor.Governor) }).SetGovernor(gov)
-		// Registered manually (Build was not given Obs) so the registry
-		// sees the governor built here, not a Build-internal one.
-		RegisterObs(o.Obs, name, sys, gov, o.Trace, o.Profile)
+		k := KernelOf(sys)
+		if k == nil {
+			return nil, fmt.Errorf("soak: system %q has no execution kernel to govern", name)
+		}
 		var inj *fault.Injector
 		if eng := EngineOf(sys); eng != nil {
 			inj = eng.Injector()
@@ -119,7 +116,7 @@ func runSoak(o Options) (*Result, error) {
 				o.Trace.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
 			}
 			o.Profile.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
-			wd := soakWatchdog(wcfg, sys, gov, threads, o.Trace)
+			wd := soakWatchdog(wcfg, sys, k, threads, o.Trace)
 			if o.Flight != nil {
 				wd.OnAlarm(o.Flight.NoteAlarm)
 			}
@@ -135,7 +132,7 @@ func runSoak(o Options) (*Result, error) {
 			// quiesce point, so an armed flight dump may read the trace
 			// rings. A phase that ends still degraded is itself a trigger.
 			if o.Flight != nil {
-				if d, ok := sys.(interface{ Degraded() bool }); ok && d.Degraded() {
+				if k.Degraded() {
 					o.Flight.ArmPhaseDegraded(name, phase)
 				}
 				if dump, err := o.Flight.Flush(fmt.Sprintf("%s-%s", name, phase)); err != nil {
@@ -195,17 +192,15 @@ func soakProgress(o *Options, sys tm.System, name, phase string) func() {
 	}
 }
 
-// soakWatchdog builds one phase's watchdog: governor gauge attached, trace
-// sink shared with the workers (the watchdog writes its own slot), forced
-// recovery enabled when the system exposes the degradation-pressure hook.
-func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, gov *governor.Governor, threads int, sink *trace.Sink) *governor.Watchdog {
-	d, canRecover := sys.(governor.Degrader)
-	cfg.RecoverStall = canRecover
+// soakWatchdog builds one phase's watchdog over the system's kernel: its
+// governor's inflight gauge attached, forced recovery through its
+// degradation pressure, and the trace sink shared with the workers (the
+// watchdog writes its own slot).
+func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, k *exec.Runner, threads int, sink *trace.Sink) *governor.Watchdog {
+	cfg.RecoverStall = true
 	wd := governor.NewWatchdog(cfg, sys.Stats(), threads)
-	wd.AttachGovernor(gov)
-	if canRecover {
-		wd.SetDegrader(d)
-	}
+	wd.AttachGovernor(k.Governor())
+	wd.SetDegrader(k)
 	if sink != nil {
 		wd.SetTrace(sink)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/governor"
+	"repro/internal/obs"
 	"repro/internal/tm"
 )
 
@@ -15,8 +16,12 @@ import (
 // experiment's acceptance invariant: under a 100%-hardware-begin-failure
 // storm, every system — governed, watchdog attached — keeps committing
 // through its software/lock fallback (no hardware commits, no stall longer
-// than the watchdog deadline), and once the storm clears, throughput
-// recovers to within 1.5× of the pre-storm run of the same fixed workload.
+// than the watchdog deadline), and once the storm clears, the hardware path
+// recovers: the same fixed workload commits at least two thirds as many
+// transactions in hardware as its pre-storm run did. Recovery is gated on
+// that counter, not on wall-clock — one pass is ~7 ms, and on a shared host
+// its duration swings 2× with how the scheduler happens to interleave the
+// four workers.
 func TestSoakStormLiveness(t *testing.T) {
 	const threads = 4
 	const txnsPerThread = 800
@@ -32,13 +37,13 @@ func TestSoakStormLiveness(t *testing.T) {
 			ccfg := core.DefaultConfig()
 			ccfg.RetryBudget = 4
 			ccfg.MaxBackoff = 0
+			gcfg := governor.DefaultConfig()
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
 				Core:  &ccfg,
-				Fault: fcfg,
+				Fault: fcfg, Governor: &gcfg,
 			})
-			gov := governor.New(governor.DefaultConfig())
-			sys.(interface{ SetGovernor(*governor.Governor) }).SetGovernor(gov)
+			gov := KernelOf(sys).Governor()
 			inj := (*fault.Injector)(nil)
 			if eng := EngineOf(sys); eng != nil {
 				inj = eng.Injector()
@@ -46,8 +51,7 @@ func TestSoakStormLiveness(t *testing.T) {
 
 			a := sys.Memory().Alloc(1)
 			total := 0
-			runPhase := func() time.Duration {
-				start := time.Now()
+			runPhase := func() {
 				var wg sync.WaitGroup
 				for th := 0; th < threads; th++ {
 					wg.Add(1)
@@ -60,7 +64,6 @@ func TestSoakStormLiveness(t *testing.T) {
 				}
 				wg.Wait()
 				total += threads * txnsPerThread
-				return time.Since(start)
 			}
 			nextPhase := func() {
 				if inj != nil {
@@ -79,10 +82,11 @@ func TestSoakStormLiveness(t *testing.T) {
 				return wd, c
 			}
 
-			// Pre-storm: one warm-up pass, then the timed reference pass.
+			// Pre-storm: one warm-up pass, then the reference pass.
 			runPhase()
 			sys.Stats().Reset()
-			pre := runPhase()
+			runPhase()
+			pre := sys.Stats().Snapshot()
 
 			// Storm: every hardware begin fails for the whole phase.
 			nextPhase()
@@ -104,20 +108,21 @@ func TestSoakStormLiveness(t *testing.T) {
 				t.Fatal("storm phase injected nothing")
 			}
 
-			// Clear: the breaker must let hardware back in and throughput
-			// must recover. One warm-up pass absorbs the probe ramp.
+			// Clear: the breaker must let hardware back in and the commit
+			// mix must recover. One warm-up pass absorbs the probe ramp.
 			nextPhase()
 			runPhase()
 			sys.Stats().Reset()
-			post := runPhase()
+			runPhase()
 			if inj != nil {
 				clear := sys.Stats().Snapshot()
 				if clear.CommitsHTM == 0 {
 					t.Fatalf("no hardware commits after the storm cleared (breaker stuck open?): %+v", clear)
 				}
-			}
-			if limit := 3 * pre / 2; post > limit {
-				t.Fatalf("post-storm phase took %v, more than 1.5× the pre-storm %v", post, pre)
+				if 3*clear.CommitsHTM < 2*pre.CommitsHTM {
+					t.Fatalf("post-storm pass committed %d in hardware, under 2/3 of the pre-storm %d: %+v",
+						clear.CommitsHTM, pre.CommitsHTM, clear)
+				}
 			}
 
 			if got := sys.Memory().Load(a); got != uint64(total) {
@@ -161,14 +166,32 @@ func TestSoakExperimentRuns(t *testing.T) {
 		t.Fatal("soak experiment not registered")
 	}
 	systems := []string{"HTM-GL", "Part-HTM"}
+	gcfg := governor.DefaultConfig()
+	gcfg.TimeBudget = time.Hour + 7 // never exceeded; marks the soak's governor in the sample
+	reg := obs.NewRegistry()
 	res, err := exp.Execute(Options{
 		Threads:  []int{2},
 		Duration: 40 * time.Millisecond,
 		Systems:  systems,
 		Seed:     1,
+		Governor: &gcfg,
+		Obs:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The registry must see the governor the soak ran with (not a default
+	// one), and the kernel whose degradation the watchdog drives.
+	var snap obs.Snapshot
+	reg.Sample(&snap)
+	if len(snap.Systems) != len(systems) {
+		t.Fatalf("registry holds %d systems, want %d", len(snap.Systems), len(systems))
+	}
+	for _, s := range snap.Systems {
+		if !s.HasGov || !s.HasKernel || s.TimeBudgetNanos != int64(gcfg.TimeBudget) {
+			t.Fatalf("%s registered without the soak's governor: gov=%v kernel=%v budget=%d",
+				s.Name, s.HasGov, s.HasKernel, s.TimeBudgetNanos)
+		}
 	}
 	_, phases, _ := SoakFaultConfig("storm", 1)
 	if want := len(systems) * len(phases); len(res.Reports) != want {

@@ -5,19 +5,71 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/governor"
+	"repro/internal/obs"
+	"repro/internal/prof"
+	"repro/internal/tm"
 	"repro/internal/trace"
 )
 
-// TestBuildAttachesTrace: every buildable system accepts the sink via
-// BuildOptions.Trace (the Sequential baseline has no runner and is allowed
-// to ignore it).
-func TestBuildAttachesTrace(t *testing.T) {
+// TestBuildAttachesInstruments pins the one attach seam: for every buildable
+// system, Build leaves exactly the instruments it was given attached to the
+// system's kernel (and the profiler's address-level half to its engine),
+// the registry sample reads them back, and a short run records through
+// them. Only the Sequential baseline has no kernel.
+func TestBuildAttachesInstruments(t *testing.T) {
 	for _, name := range AllSystemNames {
-		sink := trace.NewSink(64)
-		sys := Build(name, BuildOptions{DataWords: 1 << 12, Threads: 2, Trace: sink})
-		if _, ok := sys.(interface{ SetTrace(*trace.Sink) }); !ok {
-			t.Fatalf("%s does not implement SetTrace", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			sink := trace.NewSink(64)
+			p := prof.New(prof.Config{})
+			gcfg := governor.DefaultConfig()
+			gcfg.TimeBudget = time.Hour + 7 // never exceeded; marks this governor in the sample
+			reg := obs.NewRegistry()
+			sys := Build(name, BuildOptions{
+				DataWords: 1 << 12, Threads: 2,
+				Trace: sink, Governor: &gcfg, Profile: p, Obs: reg,
+			})
+			k := KernelOf(sys)
+			if k == nil {
+				t.Fatal("no kernel")
+			}
+			if k.TraceSink() != sink || k.Profile() != p || k.Governor() == nil {
+				t.Fatalf("kernel attachments: sink=%p profile=%p governor=%p",
+					k.TraceSink(), k.Profile(), k.Governor())
+			}
+			if eng := EngineOf(sys); eng != nil && eng.Profile() != p {
+				t.Fatal("engine half of the profiler not attached")
+			}
+			var snap obs.Snapshot
+			reg.Sample(&snap)
+			if len(snap.Systems) != 1 || snap.Systems[0].Name != name {
+				t.Fatalf("registry sample = %+v", snap.Systems)
+			}
+			if s := snap.Systems[0]; !s.HasGov || !s.HasSink || !s.HasProf || !s.HasKernel {
+				t.Fatalf("registry sample lost a source: gov=%v sink=%v prof=%v kernel=%v",
+					s.HasGov, s.HasSink, s.HasProf, s.HasKernel)
+			} else if s.TimeBudgetNanos != int64(gcfg.TimeBudget) || k.Governor().TimeBudget() != gcfg.TimeBudget {
+				t.Fatalf("registry samples a governor with budget %d, kernel runs %v, built from %v",
+					s.TimeBudgetNanos, k.Governor().TimeBudget(), gcfg.TimeBudget)
+			}
+			a := sys.Memory().Alloc(1)
+			for i := 0; i < 4; i++ {
+				sys.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+			}
+			if len(sink.Events()) == 0 {
+				t.Fatal("a run through an attached sink recorded no events")
+			}
+		})
+	}
+	reg := obs.NewRegistry()
+	seq := Build("Sequential", BuildOptions{DataWords: 1 << 12, Threads: 1, Obs: reg})
+	if KernelOf(seq) != nil {
+		t.Fatal("Sequential grew a kernel")
+	}
+	var snap obs.Snapshot
+	reg.Sample(&snap)
+	if s := snap.Systems[0]; s.HasGov || s.HasSink || s.HasProf || s.HasKernel {
+		t.Fatalf("Sequential registers counters only: %+v", s)
 	}
 }
 

@@ -5,10 +5,11 @@
 //
 // A classic ElidedLock executes the critical section as a hardware
 // transaction that subscribes to the lock word; any abort acquires the
-// real lock. A PartHTMLock instead routes the critical section through a
-// Part-HTM system — so a section that is merely too big or too long for
-// the hardware still runs concurrently as a partitioned transaction, and
-// only Part-HTM's slow path ever serializes everything.
+// real lock — which is HTM-GL with a single hardware attempt, so that is
+// how it is built. A PartHTMLock instead routes the critical section
+// through a Part-HTM system — so a section that is merely too big or too
+// long for the hardware still runs concurrently as a partitioned
+// transaction, and only Part-HTM's slow path ever serializes everything.
 //
 // Locks are domain-oblivious: an elided critical section's addresses take
 // domain-0 semantics (the single-domain topology of internal/domain)
@@ -18,87 +19,45 @@
 package hle
 
 import (
-	"runtime"
-	"sync/atomic"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/governor"
 	"repro/internal/htm"
-	"repro/internal/mem"
-	"repro/internal/prof"
+	"repro/internal/htmgl"
 	"repro/internal/tm"
-	"repro/internal/trace"
 )
-
-const codeLocked uint8 = 1
 
 // ElidedLock is a mutual-exclusion lock whose critical sections are
 // speculated in hardware: the classic HLE discipline of one hardware trial
-// subscribed to the lock word, then acquiring the word for real. The zero
-// value is not usable; create instances with New.
+// subscribed to the lock word (with lemming avoidance on it), then acquiring
+// the word for real. That schedule is HTM-GL's with Retries = 1; the lock is
+// a lock-shaped view of one such system. The zero value is not usable;
+// create instances with New.
 type ElidedLock struct {
-	eng  *htm.Engine
-	m    *mem.Memory
-	word mem.Addr
-
-	stats tm.Stats
-	run   *exec.Runner
-
-	// Elisions / Acquisitions count how critical sections completed:
-	// speculated in hardware or under the real lock.
-	Elisions     atomic.Uint64
-	Acquisitions atomic.Uint64
+	gl *htmgl.System
 }
 
 // New creates an elided lock on the engine's memory.
 func New(eng *htm.Engine) *ElidedLock {
-	l := &ElidedLock{
-		eng:  eng,
-		m:    eng.Memory(),
-		word: eng.Memory().AllocLines(1),
-	}
-	// One speculative trial gated on the lock word, then the real lock:
-	// the HLE hardware discipline as an exec policy.
-	l.run = exec.New(exec.Policy{FastAttempts: 1},
-		&l.stats, func() bool { return l.m.Load(l.word) == 0 })
-	return l
+	return &ElidedLock{gl: htmgl.New(eng, htmgl.Config{Retries: 1})}
 }
 
-// Stats returns the lock's commit/abort counters (elisions count as
-// hardware commits, real acquisitions as global-lock commits).
-func (l *ElidedLock) Stats() *tm.Stats { return &l.stats }
+// Stats returns the lock's commit/abort counters: elisions count as
+// hardware commits (CommitsHTM), real acquisitions as global-lock commits
+// (CommitsGL).
+func (l *ElidedLock) Stats() *tm.Stats { return l.gl.Stats() }
 
-// SetTrace attaches a trace sink to the execution kernel (nil detaches).
-// Attach before starting workers.
-func (l *ElidedLock) SetTrace(sink *trace.Sink) { l.run.SetTrace(sink) }
+// Kernel returns the underlying HTM-GL system's execution kernel, the one
+// attach-and-inspect seam (see exec.Runner).
+func (l *ElidedLock) Kernel() *exec.Runner { return l.gl.Kernel() }
 
-// SetGovernor attaches the resource governor to the execution kernel (nil
-// detaches): admission budgets, load shedding, and the per-thread HTM
-// circuit breaker. Attach before starting workers.
-func (l *ElidedLock) SetGovernor(g *governor.Governor) { l.run.SetGovernor(g) }
-
-// SetProfile attaches the abort-attribution profiler (nil detaches): the
-// engine records conflict lines, capacity overflows, and elision-window
-// footprints; the kernel registers as the time-series source. Attach
-// before starting workers.
-func (l *ElidedLock) SetProfile(p *prof.Profile) {
-	l.run.SetProfile(p)
-	l.eng.SetProfile(p)
+// Critical runs body with the atomicity and mutual-exclusion guarantees of
+// a lock-protected critical section, eliding the lock when possible.
+// thread identifies the hardware context, as in tm.System.Atomic. An
+// oversized section capacity-aborts its one trial into the real lock, which
+// is exactly HLE.
+func (l *ElidedLock) Critical(thread int, body func(x tm.Tx)) {
+	l.gl.Atomic(thread, body)
 }
-
-// BumpPressure raises the kernel's degradation pressure by n — the progress
-// watchdog's forced-recovery hook: enough pressure serializes the system so
-// stalled work completes on the guaranteed path.
-func (l *ElidedLock) BumpPressure(n int64) { l.run.BumpPressure(n) }
-
-// Degraded reports whether the kernel is currently in degraded serialized
-// mode (observability and tests).
-func (l *ElidedLock) Degraded() bool { return l.run.Degraded() }
-
-// Pressure returns the current degradation-pressure level.
-func (l *ElidedLock) Pressure() int64 { return l.run.Pressure() }
 
 // PartHTMLock is the paper's §2 extension: a lock-shaped API whose critical
 // sections run through Part-HTM. The speculative trial is Part-HTM's
@@ -121,103 +80,3 @@ func NewPartHTM(part *core.System) *PartHTMLock {
 func (l *PartHTMLock) Critical(thread int, body func(x tm.Tx)) {
 	l.part.Atomic(thread, body)
 }
-
-// Critical runs body with the atomicity and mutual-exclusion guarantees of
-// a lock-protected critical section, eliding the lock when possible.
-// thread identifies the hardware context, as in tm.System.Atomic. The exec
-// kernel drives the schedule: one speculative trial (with lemming
-// avoidance on the lock word), then the real lock.
-func (l *ElidedLock) Critical(thread int, body func(x tm.Tx)) {
-	txn := exec.Txn{
-		// Kernel dispatch: the elided section runs the caller's critical-
-		// section body, unbounded at this site; an oversized section
-		// capacity-aborts into the real lock, which is exactly HLE.
-		// parthtm:bigtx — dispatch wrapper, bounded at the workload site
-		Fast:          func() htm.Result { return l.elideAttempt(thread, body) },
-		FastCommitted: func() { l.Elisions.Add(1) },
-		Slow:          func() { l.lockedSection(thread, body) },
-	}
-	l.run.Run(thread, &txn)
-}
-
-// lockedSection acquires the lock word for real (classic HLE fallback).
-func (l *ElidedLock) lockedSection(thread int, body func(x tm.Tx)) {
-	for !l.m.CAS(l.word, 0, 1) {
-		runtime.Gosched()
-	}
-	start := time.Now()
-	body(&lockedTx{l: l, thread: thread})
-	l.m.Store(l.word, 0)
-	l.stats.Shard(thread).AddSerial(time.Since(start))
-	l.Acquisitions.Add(1)
-}
-
-// elideAttempt runs body as one hardware transaction subscribed to the lock
-// word.
-func (l *ElidedLock) elideAttempt(thread int, body func(x tm.Tx)) (res htm.Result) {
-	defer func() {
-		r := recover()
-		if ar, isAbort := htm.AsAbort(r); isAbort {
-			res = ar
-			return
-		}
-		if r != nil {
-			panic(r)
-		}
-	}()
-	// Allocate the Tx view before the window opens: on real hardware a
-	// heap allocation inside the transaction drags allocator metadata
-	// lines into the footprint (enforced by parthtm-vet's htmregion).
-	x := &elidedTx{l: l, thread: thread}
-	ht := l.eng.Begin(thread)
-	x.ht = ht
-	if ht.Read(l.word) != 0 {
-		ht.Abort(codeLocked)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isAbort := htm.AsAbort(r); !isAbort {
-					ht.Cancel() // workload panic: tear down, re-raise
-				}
-				panic(r)
-			}
-		}()
-		body(x)
-	}()
-	ht.Commit()
-	return htm.Result{Committed: true}
-}
-
-// elidedTx is the tm.Tx view of a speculated critical section.
-type elidedTx struct {
-	l      *ElidedLock
-	ht     *htm.Txn
-	thread int
-}
-
-var _ tm.Tx = (*elidedTx)(nil)
-
-func (x *elidedTx) Thread() int                     { return x.thread }
-func (x *elidedTx) Pause()                          {}
-func (x *elidedTx) Read(a mem.Addr) uint64          { return x.ht.Read(a) }
-func (x *elidedTx) Write(a mem.Addr, v uint64)      { x.ht.Write(a, v) }
-func (x *elidedTx) WriteLocal(a mem.Addr, v uint64) { x.ht.WriteLocal(a, v) }
-func (x *elidedTx) Work(c int64)                    { x.ht.Work(c); tm.Spin(c) }
-func (x *elidedTx) NonTxWork(c int64)               { x.ht.Work(c); tm.Spin(c) }
-
-// lockedTx is the tm.Tx view of a critical section under the acquired lock.
-type lockedTx struct {
-	l      *ElidedLock
-	thread int
-}
-
-var _ tm.Tx = (*lockedTx)(nil)
-
-func (x *lockedTx) Thread() int                     { return x.thread }
-func (x *lockedTx) Pause()                          {}
-func (x *lockedTx) Read(a mem.Addr) uint64          { return x.l.m.Load(a) }
-func (x *lockedTx) Write(a mem.Addr, v uint64)      { x.l.m.Store(a, v) }
-func (x *lockedTx) WriteLocal(a mem.Addr, v uint64) { x.l.m.Store(a, v) }
-func (x *lockedTx) Work(c int64)                    { tm.Spin(c) }
-func (x *lockedTx) NonTxWork(c int64)               { tm.Spin(c) }

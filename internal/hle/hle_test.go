@@ -30,8 +30,8 @@ func TestElisionForSmallSections(t *testing.T) {
 	if got := eng.Memory().Load(a); got != 50 {
 		t.Fatalf("counter = %d", got)
 	}
-	if l.Elisions.Load() != 50 || l.Acquisitions.Load() != 0 {
-		t.Fatalf("elisions=%d acquisitions=%d", l.Elisions.Load(), l.Acquisitions.Load())
+	if st := l.Stats().Snapshot(); st.CommitsHTM != 50 || st.CommitsGL != 0 {
+		t.Fatalf("elisions=%d acquisitions=%d", st.CommitsHTM, st.CommitsGL)
 	}
 }
 
@@ -48,9 +48,8 @@ func TestAcquisitionForOversizedSections(t *testing.T) {
 			x.Write(base+mem.Addr(i*mem.LineWords), 9)
 		}
 	})
-	if l.Acquisitions.Load() != 1 {
-		t.Fatalf("oversized section did not acquire the lock: elisions=%d acquisitions=%d",
-			l.Elisions.Load(), l.Acquisitions.Load())
+	if st := l.Stats().Snapshot(); st.CommitsGL != 1 || st.CommitsHTM != 0 || st.AbortsCapacity != 1 {
+		t.Fatalf("oversized section must acquire the lock after exactly one capacity-aborted trial: %+v", st)
 	}
 	for i := 0; i < 4; i++ {
 		if got := eng.Memory().Load(base + mem.Addr(i*mem.LineWords)); got != 9 {
@@ -78,8 +77,18 @@ func TestElisionConcurrentCounter(t *testing.T) {
 	if got := eng.Memory().Load(a); got != 4*per {
 		t.Fatalf("counter = %d, want %d", got, 4*per)
 	}
+	if st := l.Stats().Snapshot(); st.CommitsHTM+st.CommitsGL != 4*per || st.CommitsSW != 0 {
+		t.Fatalf("every section is an elision or an acquisition: %+v", st)
+	}
 }
 
+// TestPartHTMLockAvoidsSerialization: critical sections three times the
+// hardware write budget partition instead of serialising. The commit-path
+// split is asserted on sections that do not overlap — each thread slot
+// rewrites its own 12 lines, one slot at a time — because overlapping
+// sections conflict on the shared write-locks signature even when their
+// data is disjoint, and the starvation escalator may then legitimately take
+// the lock. A concurrent round on shared lines checks atomicity.
 func TestPartHTMLockAvoidsSerialization(t *testing.T) {
 	eng := newEngine(func(c *htm.Config) {
 		c.WriteLines = 4
@@ -89,37 +98,44 @@ func TestPartHTMLockAvoidsSerialization(t *testing.T) {
 	part := core.New(eng, 4, core.DefaultConfig())
 	l := NewPartHTM(part)
 	m := eng.Memory()
-	base := m.AllocLines(12)
+	const lines, threads, per = 12, 4, 25
+	sections := func(id int, base mem.Addr) {
+		for i := 0; i < per; i++ {
+			l.Critical(id, func(x tm.Tx) {
+				v := x.Read(base)
+				for k := 0; k < lines; k++ {
+					x.Write(base+mem.Addr(k*mem.LineWords), v+1)
+					if k%3 == 2 {
+						x.Pause()
+					}
+				}
+			})
+		}
+	}
+
+	own := m.AllocLines(threads * lines)
+	for id := 0; id < threads; id++ {
+		sections(id, own+mem.Addr(id*lines*mem.LineWords))
+	}
+	st := part.Stats().Snapshot()
+	if st.CommitsGL != 0 || st.CommitsSW != threads*per || st.AbortsCapacity == 0 {
+		t.Fatalf("oversized sections must all partition (want GL=0 SW=%d capacity>0): %+v",
+			threads*per, st)
+	}
+
+	shared := m.AllocLines(lines)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				l.Critical(id, func(x tm.Tx) {
-					v := x.Read(base)
-					for k := 0; k < 12; k++ {
-						x.Write(base+mem.Addr(k*mem.LineWords), v+1)
-						if k%3 == 2 {
-							x.Pause()
-						}
-					}
-				})
-			}
+			sections(id, shared)
 		}(w)
 	}
 	wg.Wait()
-	st := part.Stats().Snapshot()
-	if st.CommitsSW == 0 {
-		t.Fatalf("oversized critical sections never partitioned: %+v", st)
-	}
-	if st.CommitsGL > st.Commits()/4 {
-		t.Fatalf("too many global-lock commits: %+v", st)
-	}
-	v := m.Load(base)
-	for k := 1; k < 12; k++ {
-		if got := m.Load(base + mem.Addr(k*mem.LineWords)); got != v {
-			t.Fatalf("line %d = %d, want %d (atomicity broken)", k, got, v)
+	for k := 0; k < lines; k++ {
+		if got := m.Load(shared + mem.Addr(k*mem.LineWords)); got != threads*per {
+			t.Fatalf("line %d = %d, want %d (atomicity broken)", k, got, threads*per)
 		}
 	}
 }
@@ -136,9 +152,13 @@ func TestWorkloadPanicPropagatesFromElision(t *testing.T) {
 		}()
 		l.Critical(0, func(x tm.Tx) { panic("bug") })
 	}()
-	// The engine slot must still be usable.
+	// The engine slot must still be usable, and the panicking section
+	// counted as neither an elision nor an acquisition.
 	l.Critical(0, func(x tm.Tx) { x.Write(a, 1) })
 	if eng.Memory().Load(a) != 1 {
 		t.Fatal("lock unusable after panic")
+	}
+	if st := l.Stats().Snapshot(); st.CommitsHTM != 1 || st.CommitsGL != 0 {
+		t.Fatalf("after a body panic and one small section: %+v", st)
 	}
 }

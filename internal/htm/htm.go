@@ -269,9 +269,6 @@ func fromFault(r fault.Reason) AbortReason {
 	return Conflict
 }
 
-// Active returns the number of hardware transactions currently running.
-func (e *Engine) Active() int { return int(e.nActive.Load()) }
-
 // abortPanic is the sentinel carried by the internal panic that unwinds an
 // aborting transaction body back to Execute.
 type abortPanic struct {
@@ -328,8 +325,8 @@ const localCacheSize = 256
 // (0 <= slot < MaxSlots; one slot per thread). From this point every
 // transactional operation may abort the transaction by panicking with an
 // internal sentinel; the caller must either use Execute (which handles the
-// unwinding) or run the transactional region inside a function protected by
-// Recover.
+// unwinding) or run the transactional region inside a function whose
+// deferred recover dispatches on AsAbort.
 func (e *Engine) Begin(slot int) *Txn {
 	if slot < 0 || slot >= len(e.slots) {
 		panic(fmt.Sprintf("htm: slot %d out of range [0,%d)", slot, len(e.slots)))
@@ -406,27 +403,10 @@ func (t *Txn) finish() {
 	t.eng.nActive.Add(-1)
 }
 
-// Recover converts an in-flight abort panic into a Result. Call it from a
-// deferred function wrapping a transactional region used via Begin:
-//
-//	defer func() {
-//	    if res, ok := htm.Recover(recover()); ok { ... aborted ... }
-//	}()
-//
-// Non-abort panics are re-raised after the transaction is torn down.
-func Recover(r any) (Result, bool) {
-	if r == nil {
-		return Result{}, false
-	}
-	if ap, ok := r.(abortPanic); ok {
-		return Result{Committed: false, Reason: ap.reason, Code: ap.code, Injected: ap.injected}, true
-	}
-	panic(r)
-}
-
-// AsAbort reports whether r is an abort panic and, if so, its Result. Unlike
-// Recover it never re-raises: callers that multiplex abort panics with their
-// own control-flow sentinels use it to dispatch.
+// AsAbort reports whether r is an abort panic and, if so, its Result. Call it
+// on recover() from a deferred function wrapping a transactional region
+// used via Begin. It never re-raises: callers multiplex abort panics with
+// workload panics and their own control-flow sentinels, and dispatch on it.
 func AsAbort(r any) (Result, bool) {
 	if ap, ok := r.(abortPanic); ok {
 		return Result{Committed: false, Reason: ap.reason, Code: ap.code, Injected: ap.injected}, true

@@ -217,8 +217,8 @@ func TestBeginCommitHandleAPI(t *testing.T) {
 	a := m.Alloc(1)
 	func() {
 		defer func() {
-			if _, ok := Recover(recover()); ok {
-				t.Fatal("unexpected abort")
+			if r := recover(); r != nil {
+				t.Fatalf("unexpected abort or panic: %v", r)
 			}
 		}()
 		tx := e.Begin(0)

@@ -22,12 +22,9 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/governor"
 	"repro/internal/htm"
 	"repro/internal/mem"
-	"repro/internal/prof"
 	"repro/internal/tm"
-	"repro/internal/trace"
 )
 
 const codeSeqLocked uint8 = 1
@@ -115,35 +112,10 @@ func (s *System) Name() string { return "NOrecRH" }
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
-// SetTrace attaches a trace sink to the execution kernel (nil detaches).
-// Attach before starting workers.
-func (s *System) SetTrace(sink *trace.Sink) { s.run.SetTrace(sink) }
-
-// SetGovernor attaches the resource governor to the execution kernel (nil
-// detaches): admission budgets, load shedding, and the per-thread HTM
-// circuit breaker. Attach before starting workers.
-func (s *System) SetGovernor(g *governor.Governor) { s.run.SetGovernor(g) }
-
-// SetProfile attaches the abort-attribution profiler (nil detaches): the
-// engine records conflict lines, capacity overflows, and hardware-run
-// footprints; the kernel registers as the time-series source. Attach
-// before starting workers.
-func (s *System) SetProfile(p *prof.Profile) {
-	s.run.SetProfile(p)
-	s.eng.SetProfile(p)
-}
-
-// BumpPressure raises the kernel's degradation pressure by n — the progress
-// watchdog's forced-recovery hook: enough pressure serializes the system so
-// stalled work completes on the guaranteed path.
-func (s *System) BumpPressure(n int64) { s.run.BumpPressure(n) }
-
-// Degraded reports whether the system is currently in degraded serialized
-// mode (observability and tests).
-func (s *System) Degraded() bool { return s.run.Degraded() }
-
-// Pressure returns the current degradation-pressure level.
-func (s *System) Pressure() int64 { return s.run.Pressure() }
+// Kernel returns the system's execution kernel, the one attach-and-inspect
+// seam for trace, governor, profiler, and degradation state (see
+// exec.Runner).
+func (s *System) Kernel() *exec.Runner { return s.run }
 
 // Memory implements tm.System.
 func (s *System) Memory() *mem.Memory { return s.m }

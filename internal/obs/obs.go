@@ -46,8 +46,9 @@ import (
 	"repro/internal/trace"
 )
 
-// KernelGauges is the execution kernel's live degradation view. Every
-// system satisfies it by forwarding to its exec.Runner.
+// KernelGauges is the execution kernel's live degradation view;
+// *exec.Runner satisfies it. It stays an interface so registry tests can
+// substitute a fake.
 type KernelGauges interface {
 	Degraded() bool
 	Pressure() int64
