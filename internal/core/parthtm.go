@@ -1337,23 +1337,18 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		// write in place (buffered until the sub-HTM commit).
 		old := ht.Read(a)
 		t.undo = append(t.undo, undoRec{addr: a, old: old})
+		t.ds.Write[d].Add(uint32(a))
 		if s.cfg.LockPerWrite {
 			// Ablation: publish the lock bit immediately instead of at the
 			// sub-HTM commit — every touched signature word becomes a false
-			// conflict with all concurrent hardware transactions. A bit
-			// already set by someone else is their lock and must be
-			// honoured here: the pre-commit check subtracts this segment's
-			// own write signature and would no longer see it.
+			// conflict with all concurrent hardware transactions.
 			b := sig.HashBit(uint32(a))
 			w := s.doms.Wlocks(d) + mem.Addr(b>>6)
 			cur := ht.Read(w)
 			if cur&(1<<(b&63)) == 0 {
 				ht.Write(w, cur|1<<(b&63))
-			} else if !t.ds.Write[d].Test(uint32(a)) && !t.ds.Agg[d].Test(uint32(a)) {
-				ht.Abort(codeLockConflict)
 			}
 		}
-		t.ds.Write[d].Add(uint32(a))
 		ht.Write(a, v)
 		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 		t.ds.Wrote |= 1 << uint(d)

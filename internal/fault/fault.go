@@ -410,7 +410,7 @@ func (in *Injector) AdvancePhase() int {
 func (in *Injector) advancePhases(ps *phaseState, tick uint64) *phaseState {
 	for {
 		ph := &in.cfg.Campaign[ps.idx]
-		if ph.Begins == 0 || tick <= ps.start+ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
+		if ph.Begins == 0 || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
 			return ps
 		}
 		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins}
@@ -470,21 +470,8 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 		tick := in.clock.Add(1)
 		if ps := in.phase.Load(); ps != nil {
 			ps = in.advancePhases(ps, tick)
-			idx, start := ps.idx, ps.start
-			// A thread overtaken between drawing its tick and reading the
-			// phase holds a tick at or before the published phase's start:
-			// it belongs to an earlier phase. Budget-advanced phases have
-			// deterministic bounds, so walk back to the one containing it.
-			for idx > 0 && tick <= start {
-				b := in.cfg.Campaign[idx-1].Begins
-				if b == 0 || b > start {
-					break // advanced manually: the earlier bounds are unknown
-				}
-				idx--
-				start -= b
-			}
-			ph := &in.cfg.Campaign[idx]
-			rates, storms, base = &ph.Rates, ph.Storms, start
+			ph := &in.cfg.Campaign[ps.idx]
+			rates, storms, base = &ph.Rates, ph.Storms, ps.start
 		}
 		// A manual AdvancePhase can set base at the current clock while a
 		// slower thread still holds an earlier tick; such stragglers fall

@@ -20,12 +20,6 @@ import (
 // projected throughput.
 func measure(t *testing.T, name string, words, threads int,
 	bind func(sys tm.System) OpFunc) float64 {
-	return measureBoth(t, name, words, threads, bind).Projected
-}
-
-// measureBoth is measure returning raw and projected throughput.
-func measureBoth(t *testing.T, name string, words, threads int,
-	bind func(sys tm.System) OpFunc) ThroughputResult {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("shape assertions are calibrated without race instrumentation")
@@ -34,7 +28,7 @@ func measureBoth(t *testing.T, name string, words, threads int,
 		DataWords: words, Threads: threads, PhysCores: 4, Seed: 1,
 	})
 	op := bind(sys)
-	return Throughput(sys, op, threads, 200*time.Millisecond, 1)
+	return Throughput(sys, op, threads, 200*time.Millisecond, 1).Projected
 }
 
 // TestShapeFig3aHTMWinsSmallTransactions: with small hardware-friendly
@@ -51,12 +45,6 @@ func TestShapeFig3aHTMWinsSmallTransactions(t *testing.T) {
 	parthtm := measure(t, "Part-HTM", cfg.MemWords(), 2, bind)
 	if htmgl < 1.2*ringstm {
 		t.Errorf("HTM-GL (%.0f) must clearly beat RingSTM (%.0f) on small transactions", htmgl, ringstm)
-	}
-	if parthtm < htmgl/3 {
-		// The usual ratio is 0.5–0.75; one 200 ms window disturbed by the
-		// packages testing in parallel on a shared host can halve a reading.
-		// A real regression reads low twice.
-		parthtm = measure(t, "Part-HTM", cfg.MemWords(), 2, bind)
 	}
 	if parthtm < htmgl/3 {
 		t.Errorf("Part-HTM (%.0f) fell too far behind HTM-GL (%.0f) on its worst case", parthtm, htmgl)
@@ -88,10 +76,8 @@ func TestShapeFig4bPartHTMWinsBigLists(t *testing.T) {
 // survive in hardware only while shared-cache pressure is low; beyond the
 // physical cores (the paper's >8-thread regime, 12 threads here) they
 // thrash under HTM-GL while Part-HTM's partitioned path keeps committing.
-// The window holds only ~45 of these 100k-read transactions, and with 12
-// threads on a 2-core host the Amdahl projection compresses the raw lead
-// (1.4–1.8×) to 1.1–1.5×, so the ordering is accepted on either metric at
-// the 1.2× margin Fig4b uses.
+// The margin is Fig4b's 1.2×: with 12 threads on a 2-core host the Amdahl
+// projection compresses a raw lead of 1.5–1.8× to 1.2–1.5×.
 func TestShapeFig3bPartHTMWinsBigReads(t *testing.T) {
 	cfg := nrmw.Fig3b()
 	const threads = 12
@@ -99,11 +85,10 @@ func TestShapeFig3bPartHTMWinsBigReads(t *testing.T) {
 		b := nrmw.New(sys, threads, cfg)
 		return func(th int, rng *rand.Rand) { b.Op(th, rng) }
 	}
-	htmgl := measureBoth(t, "HTM-GL", cfg.MemWords(), threads, bind)
-	parthtm := measureBoth(t, "Part-HTM", cfg.MemWords(), threads, bind)
-	if parthtm.Projected < 1.2*htmgl.Projected && parthtm.OpsPerSec < 1.2*htmgl.OpsPerSec {
-		t.Errorf("Part-HTM (projected %.2f, raw %.2f) must beat HTM-GL (projected %.2f, raw %.2f) on huge read sets under pressure",
-			parthtm.Projected, parthtm.OpsPerSec, htmgl.Projected, htmgl.OpsPerSec)
+	htmgl := measure(t, "HTM-GL", cfg.MemWords(), threads, bind)
+	parthtm := measure(t, "Part-HTM", cfg.MemWords(), threads, bind)
+	if parthtm < 1.2*htmgl {
+		t.Errorf("Part-HTM (%.2f) must beat HTM-GL (%.2f) on huge read sets under pressure", parthtm, htmgl)
 	}
 }
 

@@ -183,13 +183,7 @@ func TestLabyrinthResourceProfile(t *testing.T) {
 	if phStats.CommitsSW == 0 {
 		t.Fatalf("Part-HTM labyrinth: partitioned path unused: %+v", phStats)
 	}
-	// HTM-GL locks a steady 41–46 of the 96 routes here. Part-HTM locks none
-	// on an idle host and up to 11 when the four routers are descheduled
-	// mid-transaction (starvation and lemming escalations); if partitioning
-	// stopped absorbing the resource failures it would lock as many as
-	// HTM-GL does. Half of HTM-GL's count separates the two.
-	if 2*phStats.CommitsGL > glStats.CommitsGL {
-		t.Fatalf("Part-HTM labyrinth: %d global-lock commits, more than half of HTM-GL's %d: %+v",
-			phStats.CommitsGL, glStats.CommitsGL, phStats)
+	if phStats.CommitsGL > phStats.Commits()/10 {
+		t.Fatalf("Part-HTM labyrinth: too many global-lock commits: %+v", phStats)
 	}
 }
