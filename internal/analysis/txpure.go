@@ -80,8 +80,8 @@ func runTxPure(pass *Pass) {
 }
 
 // isTxBody reports whether lit takes a tm.Tx parameter — the signature of
-// every workload transaction body (func(x tm.Tx)) and of the bodies the
-// hle locks accept.
+// every workload transaction body (func(x tm.Tx)) and of the bodies
+// hle.PartHTMLock accepts.
 func isTxBody(info *types.Info, lit *ast.FuncLit) bool {
 	sig, ok := info.Types[lit].Type.(*types.Signature)
 	if !ok {

@@ -13,7 +13,8 @@
 // mem.Alloc data, the Part-HTM-O lock-cell shadow — takes domain-0
 // semantics. AllocLinesIn carves chunk-aligned arenas per domain
 // (mem.AllocLinesAligned), so a cache line never straddles two domains and
-// the routing table is exact.
+// the routing table is exact. Only Part-HTM (internal/core) routes per
+// domain; every other system keeps one global lock, sequence lock or ring.
 //
 // # Single-domain identity
 //

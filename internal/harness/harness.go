@@ -211,7 +211,7 @@ func build(name string, o BuildOptions) tm.System {
 	case "HTM-GL":
 		return htmgl.New(o.buildEngine(words), htmgl.DefaultConfig())
 	case "NOrecRH":
-		return norecrh.New(o.buildEngine(words), o.Threads, norecrh.DefaultConfig())
+		return norecrh.New(o.buildEngine(words), o.Threads)
 	case "Part-HTM":
 		return core.New(o.buildEngine(words), o.Threads, coreCfg)
 	case "Part-HTM-no-fast":

@@ -20,68 +20,6 @@ func newEngine(mut func(*htm.Config)) *htm.Engine {
 	return htm.New(mem.New(1<<18), cfg)
 }
 
-func TestElisionForSmallSections(t *testing.T) {
-	eng := newEngine(nil)
-	l := New(eng)
-	a := eng.Memory().Alloc(1)
-	for i := 0; i < 50; i++ {
-		l.Critical(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
-	}
-	if got := eng.Memory().Load(a); got != 50 {
-		t.Fatalf("counter = %d", got)
-	}
-	if st := l.Stats().Snapshot(); st.CommitsHTM != 50 || st.CommitsGL != 0 {
-		t.Fatalf("elisions=%d acquisitions=%d", st.CommitsHTM, st.CommitsGL)
-	}
-}
-
-func TestAcquisitionForOversizedSections(t *testing.T) {
-	eng := newEngine(func(c *htm.Config) {
-		c.WriteLines = 2
-		c.WriteWays = 64
-		c.WriteSets = 1
-	})
-	l := New(eng)
-	base := eng.Memory().AllocLines(4)
-	l.Critical(0, func(x tm.Tx) {
-		for i := 0; i < 4; i++ {
-			x.Write(base+mem.Addr(i*mem.LineWords), 9)
-		}
-	})
-	if st := l.Stats().Snapshot(); st.CommitsGL != 1 || st.CommitsHTM != 0 || st.AbortsCapacity != 1 {
-		t.Fatalf("oversized section must acquire the lock after exactly one capacity-aborted trial: %+v", st)
-	}
-	for i := 0; i < 4; i++ {
-		if got := eng.Memory().Load(base + mem.Addr(i*mem.LineWords)); got != 9 {
-			t.Fatalf("line %d = %d", i, got)
-		}
-	}
-}
-
-func TestElisionConcurrentCounter(t *testing.T) {
-	eng := newEngine(nil)
-	l := New(eng)
-	a := eng.Memory().Alloc(1)
-	var wg sync.WaitGroup
-	const per = 300
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				l.Critical(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := eng.Memory().Load(a); got != 4*per {
-		t.Fatalf("counter = %d, want %d", got, 4*per)
-	}
-	if st := l.Stats().Snapshot(); st.CommitsHTM+st.CommitsGL != 4*per || st.CommitsSW != 0 {
-		t.Fatalf("every section is an elision or an acquisition: %+v", st)
-	}
-}
-
 // TestPartHTMLockAvoidsSerialization: critical sections three times the
 // hardware write budget partition instead of serialising. Each thread slot
 // rewrites its own 12 lines. One slot at a time, the commit-path split is
@@ -154,28 +92,5 @@ func TestPartHTMLockAvoidsSerialization(t *testing.T) {
 		if got := m.Load(shared + mem.Addr(k*mem.LineWords)); got != threads*per {
 			t.Fatalf("line %d = %d, want %d (atomicity broken)", k, got, threads*per)
 		}
-	}
-}
-
-func TestWorkloadPanicPropagatesFromElision(t *testing.T) {
-	eng := newEngine(nil)
-	l := New(eng)
-	a := eng.Memory().Alloc(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic lost")
-			}
-		}()
-		l.Critical(0, func(x tm.Tx) { panic("bug") })
-	}()
-	// The engine slot must still be usable, and the panicking section
-	// counted as neither an elision nor an acquisition.
-	l.Critical(0, func(x tm.Tx) { x.Write(a, 1) })
-	if eng.Memory().Load(a) != 1 {
-		t.Fatal("lock unusable after panic")
-	}
-	if st := l.Stats().Snapshot(); st.CommitsHTM != 1 || st.CommitsGL != 0 {
-		t.Fatalf("after a body panic and one small section: %+v", st)
 	}
 }

@@ -418,7 +418,8 @@ func AsAbort(r any) (Result, bool) {
 // whether the transaction committed and, if not, the abort reason —
 // mirroring the control flow of _xbegin. The body may be discarded mid-run:
 // any panic raised by the engine's own operations must be allowed to
-// propagate out of it.
+// propagate out of it. A panic of the body's own cancels the transaction
+// (counted as one Explicit abort) and propagates.
 func (e *Engine) Execute(slot int, body func(*Txn)) (res Result) {
 	var t *Txn
 	defer func() {
@@ -431,7 +432,7 @@ func (e *Engine) Execute(slot int, body func(*Txn)) (res Result) {
 			return
 		}
 		if t != nil {
-			t.finish()
+			t.Cancel()
 		}
 		panic(r)
 	}()

@@ -481,14 +481,37 @@ func TestNestingPanics(t *testing.T) {
 	})
 }
 
+// TestUserPanicPropagates: a panic of the body's own propagates out of
+// Execute, and the attempt is cancelled exactly as a Begin caller's
+// Cancel would: one Explicit abort, nothing written, the slot free.
 func TestUserPanicPropagates(t *testing.T) {
 	e := newTestEngine(1024, nil)
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("want user panic to propagate, got %v", r)
-		}
+	a := e.Memory().Alloc(1)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("want user panic to propagate, got %v", r)
+			}
+		}()
+		e.Execute(0, func(tx *Txn) {
+			tx.Write(a, 7)
+			panic("boom")
+		})
 	}()
-	e.Execute(0, func(*Txn) { panic("boom") })
+	s := e.Stats()
+	if s.AbortsExplicit.Load() != 1 || s.Aborts() != 1 || s.Commits.Load() != 0 {
+		t.Fatalf("panicking body: explicit=%d aborts=%d commits=%d, want 1/1/0",
+			s.AbortsExplicit.Load(), s.Aborts(), s.Commits.Load())
+	}
+	if got := e.Memory().Load(a); got != 0 {
+		t.Fatalf("cancelled transaction's write reached memory: %d", got)
+	}
+	if res := e.Execute(0, func(tx *Txn) { tx.Write(a, 1) }); !res.Committed {
+		t.Fatalf("slot not reusable after a body panic: %+v", res)
+	}
+	if got := e.Memory().Load(a); got != 1 {
+		t.Fatalf("a = %d, want 1", got)
+	}
 }
 
 func TestOversubscribedHalvesBudgets(t *testing.T) {

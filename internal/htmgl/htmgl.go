@@ -7,10 +7,8 @@
 // global lock. The lemming effect is avoided as in the paper: an aborted
 // transaction does not retry in hardware until the global lock is free.
 //
-// HTM-GL is domain-oblivious: it keeps exactly one global lock however the
-// memory substrate is sharded, so every address takes domain-0 semantics
-// (the single-domain topology of internal/domain). Only Part-HTM
-// (internal/core) routes its commit metadata per domain.
+// Hardware Lock Elision is this schedule with Retries = 1: one speculative
+// trial subscribed to the lock word, then the lock itself.
 package htmgl
 
 import (
@@ -40,7 +38,6 @@ type System struct {
 	m     *mem.Memory
 	eng   *htm.Engine
 	glock mem.Addr
-	cfg   Config
 	stats tm.Stats
 	run   *exec.Runner
 }
@@ -54,7 +51,6 @@ func New(eng *htm.Engine, cfg Config) *System {
 		m:     eng.Memory(),
 		eng:   eng,
 		glock: eng.Memory().AllocLines(1),
-		cfg:   cfg,
 	}
 	// Fast (hardware) attempts gated on the global lock, then the lock
 	// itself: the paper's default fallback schedule, with no mid level.
@@ -161,25 +157,15 @@ func (s *System) lockAttempt(thread int, body func(tm.Tx)) {
 	s.stats.Shard(thread).AddSerial(time.Since(start))
 }
 
-func (s *System) hwAttempt(thread int, body func(tm.Tx)) (res htm.Result) {
+// hwAttempt runs the body as one hardware transaction subscribed to the
+// global lock.
+func (s *System) hwAttempt(thread int, body func(tm.Tx)) htm.Result {
 	x := &tx{s: s, thread: thread}
-	defer func() {
-		r := recover()
-		if ar, ok := htm.AsAbort(r); ok {
-			res = ar
-		} else if r != nil {
-			if x.ht != nil {
-				x.ht.Cancel()
-			}
-			panic(r)
+	return s.eng.Execute(thread, func(ht *htm.Txn) {
+		x.ht = ht
+		if ht.Read(s.glock) != 0 {
+			ht.Abort(codeGLock)
 		}
-	}()
-	ht := s.eng.Begin(thread)
-	x.ht = ht
-	if ht.Read(s.glock) != 0 {
-		ht.Abort(codeGLock)
-	}
-	body(x)
-	ht.Commit()
-	return htm.Result{Committed: true}
+		body(x)
+	})
 }

@@ -10,15 +10,21 @@ import (
 	"repro/internal/tm"
 )
 
-func newSys(mut func(*htm.Config)) *System {
+func newEngine(mut func(*htm.Config)) *htm.Engine {
 	cfg := htm.DefaultConfig()
 	cfg.Quantum = 0
 	cfg.ReadEvictProb = 0
 	if mut != nil {
 		mut(&cfg)
 	}
-	return New(htm.New(mem.New(1<<16), cfg), DefaultConfig())
+	return htm.New(mem.New(1<<16), cfg)
 }
+
+func newSys(mut func(*htm.Config)) *System { return New(newEngine(mut), DefaultConfig()) }
+
+// newHLE builds Hardware Lock Elision: one hardware trial subscribed to the
+// lock word, then the lock itself.
+func newHLE(mut func(*htm.Config)) *System { return New(newEngine(mut), Config{Retries: 1}) }
 
 func TestSmallTxCommitsInHardware(t *testing.T) {
 	s := newSys(nil)
@@ -130,5 +136,65 @@ func TestPauseIsNoOp(t *testing.T) {
 	}
 	if got := s.Memory().Load(a); got != 2 {
 		t.Fatalf("a = %d", got)
+	}
+}
+
+func TestHLEElidesSmallSections(t *testing.T) {
+	s := newHLE(nil)
+	a := s.Memory().Alloc(1)
+	for i := 0; i < 50; i++ {
+		s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	}
+	if got := s.Memory().Load(a); got != 50 {
+		t.Fatalf("counter = %d", got)
+	}
+	if st := s.Stats().Snapshot(); st.CommitsHTM != 50 || st.CommitsGL != 0 {
+		t.Fatalf("elisions=%d acquisitions=%d", st.CommitsHTM, st.CommitsGL)
+	}
+}
+
+func TestHLEAcquiresForOversizedSections(t *testing.T) {
+	s := newHLE(func(c *htm.Config) {
+		c.WriteLines = 2
+		c.WriteWays = 64
+		c.WriteSets = 1
+	})
+	m := s.Memory()
+	base := m.AllocLines(4)
+	s.Atomic(0, func(x tm.Tx) {
+		for i := 0; i < 4; i++ {
+			x.Write(base+mem.Addr(i*mem.LineWords), 9)
+		}
+	})
+	if st := s.Stats().Snapshot(); st.CommitsGL != 1 || st.CommitsHTM != 0 || st.AbortsCapacity != 1 {
+		t.Fatalf("oversized section must acquire the lock after exactly one capacity-aborted trial: %+v", st)
+	}
+	for i := 0; i < 4; i++ {
+		if got := m.Load(base + mem.Addr(i*mem.LineWords)); got != 9 {
+			t.Fatalf("line %d = %d", i, got)
+		}
+	}
+}
+
+func TestHLEConcurrentCounter(t *testing.T) {
+	s := newHLE(nil)
+	a := s.Memory().Alloc(1)
+	var wg sync.WaitGroup
+	const per = 300
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s.Atomic(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := s.Memory().Load(a); got != 4*per {
+		t.Fatalf("counter = %d, want %d", got, 4*per)
+	}
+	if st := s.Stats().Snapshot(); st.CommitsHTM+st.CommitsGL != 4*per || st.CommitsSW != 0 {
+		t.Fatalf("every section is an elision or an acquisition: %+v", st)
 	}
 }

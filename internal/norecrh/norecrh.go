@@ -4,104 +4,78 @@
 // NOrecRH first tries the whole transaction in hardware (5 attempts,
 // subscribing to NOrec's sequence lock so hardware and software
 // transactions stay mutually consistent). Transactions that fail in
-// hardware run the NOrec software protocol, but their commit — validation
-// against the sequence number plus the write-back — executes as one small
-// ("reduced") hardware transaction, eliding the sequence lock. If even the
-// reduced transaction cannot commit in hardware (e.g. the write-back
-// exceeds capacity), the commit falls back to NOrec's original CAS-locked
-// write-back.
-//
-// NOrecRH inherits NOrec's single global sequence lock and is likewise
-// domain-oblivious: every address takes domain-0 semantics (the
-// single-domain topology of internal/domain); sharded memory domains are a
-// Part-HTM (internal/core) mechanism.
+// hardware run the NOrec software protocol — internal/norec's own
+// transaction — but their commit — validation against the sequence number
+// plus the write-back — executes as one small ("reduced") hardware
+// transaction, eliding the sequence lock. If even the reduced transaction
+// cannot commit in hardware (e.g. the write-back exceeds capacity), the
+// commit falls back to NOrec's original CAS-locked write-back.
 package norecrh
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/norec"
+	"repro/internal/stm"
 	"repro/internal/tm"
 )
 
 const codeSeqLocked uint8 = 1
 const codeSeqMoved uint8 = 2
 
-type retryPanic struct{}
-
-// Config tunes NOrecRH.
-type Config struct {
-	// HWRetries is the number of full-hardware attempts before switching
-	// to the software path (5 in the paper's evaluation).
-	HWRetries int
-}
-
-// DefaultConfig matches the paper's evaluation.
-func DefaultConfig() Config { return Config{HWRetries: 5} }
+// hwRetries is the number of full-hardware attempts before switching to the
+// software path (5 in the paper's evaluation).
+const hwRetries = 5
 
 // System is a NOrecRH instance.
 type System struct {
 	m       *mem.Memory
 	eng     *htm.Engine
 	seq     mem.Addr
-	cfg     Config
 	threads []*thread
 	stats   tm.Stats
 	run     *exec.Runner
 }
 
-type readRec struct {
-	addr mem.Addr
-	val  uint64
-}
-
 type thread struct {
-	id        int
-	ts        uint64
-	readLog   []readRec
-	redo      map[mem.Addr]uint64
-	redoOrder []mem.Addr
-	sh        *tm.Shard
-	xtxn      exec.Txn
-	body      func(tm.Tx)
+	body func(tm.Tx)
+	xtxn exec.Txn
 }
 
 // New creates a NOrecRH system over the engine's memory.
-func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
-	if cfg.HWRetries <= 0 {
-		cfg.HWRetries = 5
-	}
+func New(eng *htm.Engine, maxThreads int) *System {
 	s := &System{
 		m:       eng.Memory(),
 		eng:     eng,
 		seq:     eng.Memory().AllocLines(1),
-		cfg:     cfg,
 		threads: make([]*thread, maxThreads),
 	}
-	// HWRetries full-hardware attempts gated on the sequence lock being
+	// hwRetries full-hardware attempts gated on the sequence lock being
 	// even (resource aborts stop retrying early), then the unbounded NOrec
 	// software loop with the reduced-hardware commit.
 	s.run = exec.New(exec.Policy{
-		FastAttempts:       cfg.HWRetries,
+		FastAttempts:       hwRetries,
 		StopFastOnResource: true,
 	}, &s.stats, func() bool { return s.m.Load(s.seq)&1 == 0 })
 	for i := range s.threads {
-		t := &thread{id: i, redo: make(map[mem.Addr]uint64, 16)}
-		t.sh = s.stats.Shard(i)
-		x := &swTx{s: s, t: t}
+		t := &thread{}
+		s.threads[i] = t
+		et := s.run.Thread(i)
+		hw := &hwTx{s: s, thread: i}
+		nt := norec.NewTxn(s.m, s.seq, et.Shard())
+		sw := stm.NewTx(i, s.m, &swTxn{Txn: nt, s: s, et: et, id: i})
 		t.xtxn = exec.Txn{
 			// Kernel dispatch: the level runs the caller's body, unbounded at
 			// this site; a capacity abort stops hardware retries
 			// (StopFastOnResource) and falls to the NOrec software path.
 			// parthtm:bigtx — dispatch wrapper, bounded at the workload site
-			Fast: func() htm.Result { return s.hwAttempt(t.id, t.body) },
-			Mid:  func() bool { return s.swAttempt(t, x, t.body) },
+			Fast: func() htm.Result { return hw.attempt(t.body) },
+			Mid:  func() bool { return sw.Attempt(t.body) },
 			Slow: func() { panic("norecrh: unbounded software loop cannot fall through") },
 		}
-		s.threads[i] = t
 	}
 	return s
 }
@@ -123,9 +97,20 @@ func (s *System) Memory() *mem.Memory { return s.m }
 // Engine returns the underlying HTM engine.
 func (s *System) Engine() *htm.Engine { return s.eng }
 
+// Atomic implements tm.System. The exec kernel drives the schedule —
+// gated hardware attempts, then the unbounded software loop — and records
+// all commit/abort outcomes.
+func (s *System) Atomic(thread int, body func(tm.Tx)) {
+	t := s.threads[thread]
+	t.body = body
+	s.run.Run(thread, &t.xtxn)
+	t.body = nil
+}
+
 // ---------------------------------------------------------------------------
 // Full-hardware fast path
 
+// hwTx is a thread's tm.Tx view of its current full-hardware attempt.
 type hwTx struct {
 	s      *System
 	thread int
@@ -148,194 +133,69 @@ func (x *hwTx) WriteLocal(a mem.Addr, v uint64) { x.ht.WriteLocal(a, v) }
 func (x *hwTx) Work(c int64)                    { x.ht.Work(c); tm.Spin(c) }
 func (x *hwTx) NonTxWork(c int64)               { x.ht.Work(c); tm.Spin(c) }
 
-func (s *System) hwAttempt(thread int, body func(tm.Tx)) (res htm.Result) {
-	x := &hwTx{s: s, thread: thread}
-	defer func() {
-		r := recover()
-		if ar, ok := htm.AsAbort(r); ok {
-			res = ar
-		} else if r != nil {
-			if x.ht != nil {
-				x.ht.Cancel()
-			}
-			panic(r)
+func (x *hwTx) attempt(body func(tm.Tx)) htm.Result {
+	return x.s.eng.Execute(x.thread, func(ht *htm.Txn) {
+		x.ht, x.wrote = ht, false
+		seq := ht.Read(x.s.seq)
+		if seq&1 != 0 {
+			ht.Abort(codeSeqLocked)
 		}
-	}()
-	ht := s.eng.Begin(thread)
-	x.ht = ht
-	seq := ht.Read(s.seq)
-	if seq&1 != 0 {
-		ht.Abort(codeSeqLocked)
-	}
-	body(x)
-	if x.wrote {
-		// Bump the sequence number (staying even) inside the hardware
-		// transaction so software readers revalidate against our writes.
-		ht.Write(s.seq, seq+2)
-	}
-	ht.Commit()
-	return htm.Result{Committed: true}
+		body(x)
+		if x.wrote {
+			// Bump the sequence number (staying even) inside the hardware
+			// transaction so software readers revalidate against our writes.
+			ht.Write(x.s.seq, seq+2)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
 // Software path: NOrec with a reduced-hardware commit
 
-func (t *thread) reset() {
-	t.readLog = t.readLog[:0]
-	for _, a := range t.redoOrder {
-		delete(t.redo, a)
-	}
-	t.redoOrder = t.redoOrder[:0]
+// swTxn is norec's transaction with Commit replaced.
+type swTxn struct {
+	*norec.Txn
+	s  *System
+	et *exec.Thread
+	id int
 }
 
-func (s *System) begin(t *thread) {
-	for {
-		ts := s.m.Load(s.seq)
-		if ts&1 == 0 {
-			t.ts = ts
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-func (s *System) revalidate(t *thread) {
-	for {
-		ts := s.m.Load(s.seq)
-		if ts&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		for _, r := range t.readLog {
-			if s.m.Load(r.addr) != r.val {
-				panic(retryPanic{})
-			}
-		}
-		if s.m.Load(s.seq) == ts {
-			t.ts = ts
-			return
-		}
-	}
-}
-
-func (s *System) read(t *thread, a mem.Addr) uint64 {
-	if v, ok := t.redo[a]; ok {
-		return v
-	}
-	for {
-		v := s.m.Load(a)
-		if s.m.Load(s.seq) == t.ts {
-			t.readLog = append(t.readLog, readRec{addr: a, val: v})
-			return v
-		}
-		s.revalidate(t)
-	}
-}
-
-func (t *thread) write(a mem.Addr, v uint64) {
-	if _, dup := t.redo[a]; !dup {
-		t.redoOrder = append(t.redoOrder, a)
-	}
-	t.redo[a] = v
-}
-
-// commit performs the reduced hardware transaction: check the sequence
+// Commit performs the reduced hardware transaction: check the sequence
 // number is still the snapshot, write everything back, and bump the
 // sequence, all atomically in hardware. Capacity failures fall back to the
 // original NOrec locked write-back.
-func (s *System) commit(t *thread) {
-	if len(t.redoOrder) == 0 {
+func (t *swTxn) Commit() {
+	redo := t.Redo.Entries()
+	if len(redo) == 0 {
 		return
 	}
 	for {
 		start := time.Now()
-		res := s.eng.Execute(t.id, func(ht *htm.Txn) {
-			if ht.Read(s.seq) != t.ts {
+		ts := t.Snapshot()
+		res := t.s.eng.Execute(t.id, func(ht *htm.Txn) {
+			if ht.Read(t.s.seq) != ts {
 				ht.Abort(codeSeqMoved)
 			}
-			for _, a := range t.redoOrder {
-				ht.Write(a, t.redo[a])
+			for _, e := range redo {
+				ht.Write(e.Addr, e.Val)
 			}
-			ht.Write(s.seq, t.ts+2)
+			ht.Write(t.s.seq, ts+2)
 		})
 		if res.Committed {
 			// Writers serialize on the sequence word even in hardware.
-			t.sh.AddSerial(time.Since(start))
+			t.et.Shard().AddSerial(time.Since(start))
 			return
 		}
-		t.sh.RecordAbort(res.Reason)
-		if res.Injected {
-			t.sh.FaultsInjected.Inc()
-		}
+		t.et.Shard().RecordAbort(res.Reason)
+		t.et.NoteHWAbort(res)
 		if res.Reason == htm.Capacity || res.Reason == htm.Other {
 			// The reduced transaction itself does not fit: software
 			// write-back under the sequence lock.
-			for !s.m.CAS(s.seq, t.ts, t.ts+1) {
-				s.revalidate(t)
-			}
-			wb := time.Now()
-			for _, a := range t.redoOrder {
-				s.m.Store(a, t.redo[a])
-			}
-			s.m.Store(s.seq, t.ts+2)
-			t.sh.AddSerial(time.Since(wb))
+			t.Txn.Commit()
 			return
 		}
 		// Conflict or a moved sequence number: revalidate (which may abort
 		// the transaction) and try the reduced commit again.
-		s.revalidate(t)
+		t.Revalidate()
 	}
-}
-
-type swTx struct {
-	s *System
-	t *thread
-}
-
-var _ tm.Tx = (*swTx)(nil)
-
-func (x *swTx) Thread() int { return x.t.id }
-func (x *swTx) Pause()      {}
-func (x *swTx) Read(a mem.Addr) uint64 {
-	tm.Spin(tm.SWReadBarrier) // modelled barrier cost (see tm package docs)
-	return x.s.read(x.t, a)
-}
-
-func (x *swTx) Write(a mem.Addr, v uint64) {
-	tm.Spin(tm.SWWriteBarrier)
-	x.t.write(a, v)
-}
-
-// WriteLocal stores thread-private data directly, outside the redo log.
-func (x *swTx) WriteLocal(a mem.Addr, v uint64) { x.s.m.Store(a, v) }
-func (x *swTx) Work(c int64)                    { tm.Spin(c) }
-func (x *swTx) NonTxWork(c int64)               { tm.Spin(c) }
-
-// Atomic implements tm.System. The exec kernel drives the schedule —
-// gated hardware attempts, then the unbounded software loop — and records
-// all commit/abort outcomes.
-func (s *System) Atomic(thread int, body func(tm.Tx)) {
-	t := s.threads[thread]
-	t.body = body
-	s.run.Run(thread, &t.xtxn)
-	t.body = nil
-}
-
-func (s *System) swAttempt(t *thread, x *swTx, body func(tm.Tx)) (ok bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, isRetry := r.(retryPanic); isRetry {
-			ok = false
-			return
-		}
-		panic(r)
-	}()
-	t.reset()
-	s.begin(t)
-	body(x)
-	s.commit(t)
-	return true
 }

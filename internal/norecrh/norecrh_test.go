@@ -7,6 +7,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
+	"repro/internal/trace"
 )
 
 func newSys(threads int, mut func(*htm.Config)) *System {
@@ -16,7 +17,7 @@ func newSys(threads int, mut func(*htm.Config)) *System {
 	if mut != nil {
 		mut(&cfg)
 	}
-	return New(htm.New(mem.New(1<<16), cfg), threads, DefaultConfig())
+	return New(htm.New(mem.New(1<<16), cfg), threads)
 }
 
 func TestSmallTxUsesHardware(t *testing.T) {
@@ -66,21 +67,29 @@ func TestResourceFailureUsesSoftwarePathWithReducedCommit(t *testing.T) {
 	}
 }
 
-func TestReducedCommitCapacityFallsBackToLockedWriteback(t *testing.T) {
-	// Write set too large even for the reduced commit: the software
-	// fallback write-back (CAS on the sequence lock) must complete it.
-	s := newSys(1, func(c *htm.Config) {
-		c.WriteLines = 2
-		c.WriteWays = 64
-		c.WriteSets = 1
-	})
-	m := s.Memory()
-	base := m.AllocLines(6)
+// tinyWriteBuffer leaves room for two written lines, so a six-line
+// write-back fits neither the full-hardware attempt nor the reduced commit.
+func tinyWriteBuffer(c *htm.Config) {
+	c.WriteLines = 2
+	c.WriteWays = 64
+	c.WriteSets = 1
+}
+
+func writeSixLines(s *System, base mem.Addr) {
 	s.Atomic(0, func(x tm.Tx) {
 		for l := 0; l < 6; l++ {
 			x.Write(base+mem.Addr(l*mem.LineWords), uint64(l+1))
 		}
 	})
+}
+
+func TestReducedCommitCapacityFallsBackToLockedWriteback(t *testing.T) {
+	// Write set too large even for the reduced commit: the software
+	// fallback write-back (CAS on the sequence lock) must complete it.
+	s := newSys(1, tinyWriteBuffer)
+	m := s.Memory()
+	base := m.AllocLines(6)
+	writeSixLines(s, base)
 	for l := 0; l < 6; l++ {
 		if got := m.Load(base + mem.Addr(l*mem.LineWords)); got != uint64(l+1) {
 			t.Fatalf("line %d = %d", l, got)
@@ -91,6 +100,30 @@ func TestReducedCommitCapacityFallsBackToLockedWriteback(t *testing.T) {
 	}
 	if got := m.Load(s.seq); got != 2 {
 		t.Fatalf("sequence = %d, want 2", got)
+	}
+}
+
+// TestReducedCommitAbortReachesKernel: the reduced commit's hardware aborts
+// go through the kernel like every other hardware abort, so an attached
+// sink sees the capacity abort between the switch to the software path and
+// the software commit.
+func TestReducedCommitAbortReachesKernel(t *testing.T) {
+	s := newSys(1, tinyWriteBuffer)
+	sink := trace.NewSink(64)
+	s.Kernel().SetTrace(sink)
+	writeSixLines(s, s.Memory().AllocLines(6))
+	var onSW []trace.Event
+	for _, e := range sink.Events() {
+		if e.Kind == trace.EvPathPart || len(onSW) > 0 {
+			onSW = append(onSW, e)
+		}
+	}
+	if len(onSW) != 3 || onSW[1].Kind != trace.EvHWAbort || onSW[1].Cause != trace.CauseCapacity ||
+		onSW[2].Kind != trace.EvCommit || onSW[2].Path != trace.PathSW {
+		t.Fatalf("software path events = %+v, want [path-part, hw-abort(capacity), commit(sw)]", onSW)
+	}
+	if got := sink.Latency().Abort[trace.CauseCapacity].Count; got != 2 {
+		t.Fatalf("capacity abort-latency samples = %d, want 2 (full-hardware attempt + reduced commit)", got)
 	}
 }
 

@@ -50,7 +50,7 @@ func factories() []sysFactory {
 		{"NOrec", func(w, n int) tm.System { return norec.New(mem.New(w), n) }},
 		{"RingSTM", func(w, n int) tm.System { return ringstm.New(mem.New(w), n, 1024) }},
 		{"NOrecRH", func(w, n int) tm.System {
-			return norecrh.New(engine(w), n, norecrh.DefaultConfig())
+			return norecrh.New(engine(w), n)
 		}},
 	}
 }

@@ -72,3 +72,38 @@ func TestSingleThreadedSmoke(t *testing.T) {
 		}
 	})
 }
+
+// TestWorkloadPanicPropagates: a panic of the body's own is not an abort.
+// It propagates out of Atomic on every system, counts as no commit, leaves
+// nothing the body wrote behind, and leaves the thread slot usable.
+func TestWorkloadPanicPropagates(t *testing.T) {
+	RunAll(t, func(t *testing.T, fac Factory) {
+		sys := fac.New(1, 1<<14)
+		m := sys.Memory()
+		a := m.Alloc(1)
+		func() {
+			defer func() {
+				if r := recover(); r != "bug" {
+					t.Fatalf("%s: want the body's panic, got %v", sys.Name(), r)
+				}
+			}()
+			sys.Atomic(0, func(x tm.Tx) {
+				x.Write(a, 9)
+				panic("bug")
+			})
+		}()
+		if st := sys.Stats().Snapshot(); st.Commits() != 0 {
+			t.Fatalf("%s: the panicking call counted as a commit: %+v", sys.Name(), st)
+		}
+		if got := m.Load(a); got != 0 {
+			t.Fatalf("%s: the panicking body's write reached memory: %d", sys.Name(), got)
+		}
+		sys.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+		if got := m.Load(a); got != 1 {
+			t.Fatalf("%s: a = %d after the slot's next transaction, want 1", sys.Name(), got)
+		}
+		if st := sys.Stats().Snapshot(); st.Commits() != 1 {
+			t.Fatalf("%s: commits = %d, want 1", sys.Name(), st.Commits())
+		}
+	})
+}

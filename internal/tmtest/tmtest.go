@@ -83,7 +83,7 @@ func Factories() []Factory {
 		}},
 		{"NOrecRH", func(n, w int) tm.System {
 			eng := htm.New(mem.New(w), testEngineConfig())
-			return norecrh.New(eng, n, norecrh.DefaultConfig())
+			return norecrh.New(eng, n)
 		}},
 	}
 	for i := range fs {
@@ -126,7 +126,7 @@ func TinyHardwareFactories() []Factory {
 			return htmgl.New(htm.New(mem.New(w), tiny()), htmgl.DefaultConfig())
 		}},
 		{"NOrecRH", func(n, w int) tm.System {
-			return norecrh.New(htm.New(mem.New(w), tiny()), n, norecrh.DefaultConfig())
+			return norecrh.New(htm.New(mem.New(w), tiny()), n)
 		}},
 	}
 }
