@@ -20,18 +20,25 @@ import (
 // Engine-side commit-protocol overhead, in cache lines, added to every
 // static bound before comparing against observed footprints. The fast
 // path brackets the body with protocol traffic the body-level estimator
-// does not model: monitored reads of the global-lock line, the write-lock
-// signature (sig.Lines lines per touched domain), the domain ring's
-// timestamp line and entry header; and writes of the timestamp line plus
-// the published ring entry (header line + sig.Lines signature lines).
-// The margins cover one domain — the CI reconciliation smoke runs the
-// single-domain harness — and a multi-domain sweep's extra overhead is
-// dominated by bodies the estimator already classifies unbounded.
+// does not model. Monitored reads: the global-lock line, the active-count
+// line that summarises the write-lock signatures, the signature itself
+// (sig.Lines lines per touched domain) whenever that count is nonzero, the
+// domain ring's timestamp line and entry header. Writes: the timestamp
+// line plus the published ring entry — its header line alone for a
+// signature of up to 30 bits, the header and sig.Lines signature lines
+// for a denser one.
+// The margins are the worst case of each, for one domain — the CI
+// reconciliation smoke runs the single-domain harness — and a multi-domain
+// sweep's extra overhead is dominated by bodies the estimator already
+// classifies unbounded.
 const (
-	// ReadMarginLines = glock line + wlocks signature + timestamp line +
-	// entry header line.
-	ReadMarginLines = sig.Lines + 3
+	// ReadMarginLines = glock line + active-count line + wlocks signature
+	// (read only while a partitioned transaction is active) + timestamp
+	// line + entry header line.
+	ReadMarginLines = sig.Lines + 4
 	// WriteMarginLines = timestamp line + entry header line + signature.
+	// An upper bound: the signature lines are written only for the full
+	// entry form, a compact entry costs 2.
 	WriteMarginLines = sig.Lines + 2
 )
 

@@ -595,8 +595,28 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		// (locked) location (Figure 1 lines 7-8), per touched domain in
 		// canonical (ascending) order. Each domain's signature is fetched
 		// at cache-line granularity — four monitored line reads.
+		//
+		// The count of partitioned-path transactions summarises every
+		// domain's signature, so one monitored read of it usually stands in
+		// for all of those. A lock bit is only ever set by a transaction that
+		// has already incremented activeTx (partitionedAttempt's first step)
+		// and is cleared before that transaction decrements it (globalCommit
+		// and globalAbort release, then decActive): activeTx == 0 means every
+		// write-locks signature is empty now. It stays a sound answer until
+		// our commit because the read is monitored: the increment that must
+		// precede the next lock bit is a non-transactional write to this
+		// line, and dooms us exactly as that bit's publication to a monitored
+		// signature line would have. A nonzero count proves nothing either
+		// way (a partitioned transaction may hold no lock yet), so the
+		// signatures are then read as before.
+		unlocked := ht.Read(s.activeTx) == 0
 		var wl [sig.Words]uint64
 		for m := ds.Touched; m != 0; m &= m - 1 {
+			if unlocked {
+				// Fault campaigns draw here once per domain either way.
+				ht.InjectionPoint(fault.SiteLockSigRead)
+				continue
+			}
 			d := bits.TrailingZeros64(m)
 			s.readWriteLocks(ht, d, &wl)
 			if ds.Write[d].IntersectsWords(wl[:]) || ds.Read[d].IntersectsWords(wl[:]) {

@@ -90,6 +90,9 @@ type Txn struct {
 	// disables the mid level.
 	Mid func() bool
 	// Slow runs the transaction to guaranteed completion (global lock).
+	// nil means the system has no slow path: its unbounded Mid level is the
+	// guaranteed one, and the governor's Serialize verdicts and attempt and
+	// time budgets, which all act by serializing, do not apply to it.
 	Slow func()
 	// Domains, when non-nil, reports how many memory domains the most
 	// recent fast or mid attempt touched (sharded-domain systems only).
@@ -474,9 +477,11 @@ func (r *Runner) Run(id int, txn *Txn) {
 
 	// Governor admission: load shedding and the per-thread circuit breaker
 	// act before any work is done. Serialize verdicts need a slow path to
-	// serialize onto — the pure STMs (no Slow) run their normal unbounded
-	// software loop regardless, which for them is the guaranteed path.
+	// serialize onto — the pure STMs and NOrecRH (no Slow) run their normal
+	// schedule regardless, whose unbounded software loop is their guaranteed
+	// path; for the same reason their attempts are not charged.
 	probe := false
+	charged := t.gv != nil && txn.Slow != nil
 	if t.gv != nil {
 		verdict, reason := r.gov.Begin(t.gv, r.govNow())
 		switch verdict {
@@ -517,7 +522,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.runSlow(t, txn)
 				return
 			}
-			if t.gv != nil && !r.govCharge(t) {
+			if charged && !r.govCharge(t) {
 				r.runSlow(t, txn)
 				return
 			}
@@ -565,7 +570,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.runSlow(t, txn)
 				return
 			}
-			if t.gv != nil && txn.Slow != nil && !r.govCharge(t) {
+			if charged && !r.govCharge(t) {
 				r.runSlow(t, txn)
 				return
 			}

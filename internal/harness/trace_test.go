@@ -73,6 +73,39 @@ func TestBuildAttachesInstruments(t *testing.T) {
 	}
 }
 
+// TestOneAttemptBudgetOnEverySystem: a governor budget of one attempt plus
+// one conflict must serialize a system that has a slow path and leave one
+// that has none (NOrec, RingSTM, NOrecRH) retrying in software — never panic
+// out of Atomic, never lose an update. The conflict is forced, not raced:
+// thread 0's first attempt reads the counter and then, still inside its
+// body, lets thread 1 commit an increment.
+func TestOneAttemptBudgetOnEverySystem(t *testing.T) {
+	for _, name := range AllSystemNames {
+		t.Run(name, func(t *testing.T) {
+			sys := Build(name, BuildOptions{
+				DataWords: 1 << 12, Threads: 2,
+				Governor: &governor.Config{AttemptBudget: 1},
+			})
+			a := sys.Memory().AllocLines(1)
+			first := true
+			sys.Atomic(0, func(x tm.Tx) {
+				v := x.Read(a)
+				if first {
+					first = false
+					sys.Atomic(1, func(y tm.Tx) { y.Write(a, y.Read(a)+1) })
+				}
+				x.Write(a, v+1)
+			})
+			if got := sys.Memory().Load(a); got != 2 {
+				t.Fatalf("counter = %d after two increments", got)
+			}
+			if st := sys.Stats().Snapshot(); st.Commits() != 2 || st.Aborts() == 0 {
+				t.Fatalf("commits = %d, aborts = %d; want 2 commits and the forced conflict", st.Commits(), st.Aborts())
+			}
+		})
+	}
+}
+
 // TestChaosTraced runs a short traced chaos sweep end to end: every report
 // row carries a latency table, the sink holds events from the run, and the
 // per-row marks landed.

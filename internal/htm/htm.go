@@ -31,6 +31,7 @@ package htm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -879,7 +880,7 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 				// Doom all other active readers of the line.
 				mask := en.readers &^ (1 << uint(t.slot))
 				for mask != 0 {
-					s := trailingSlot(mask)
+					s := bits.TrailingZeros64(mask)
 					mask &^= 1 << uint(s)
 					other := e.slots[s].Load()
 					if other == nil {
@@ -988,16 +989,6 @@ func waitNotCommitting(other *Txn) {
 	}
 }
 
-// trailingSlot returns the index of the least significant set bit.
-func trailingSlot(mask uint64) int {
-	n := 0
-	for mask&1 == 0 {
-		mask >>= 1
-		n++
-	}
-	return n
-}
-
 // NonTxRead implements mem.Observer: a non-transactional read aborts any
 // hardware transaction holding the line in its write set, or asks the
 // caller to retry if that transaction is mid-commit.
@@ -1044,7 +1035,7 @@ func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
 	}
 	mask := en.readers
 	for mask != 0 {
-		s := trailingSlot(mask)
+		s := bits.TrailingZeros64(mask)
 		mask &^= 1 << uint(s)
 		other := e.slots[s].Load()
 		if other == nil {

@@ -70,11 +70,11 @@ func New(eng *htm.Engine, maxThreads int) *System {
 		t.xtxn = exec.Txn{
 			// Kernel dispatch: the level runs the caller's body, unbounded at
 			// this site; a capacity abort stops hardware retries
-			// (StopFastOnResource) and falls to the NOrec software path.
+			// (StopFastOnResource) and falls to the NOrec software path,
+			// the guaranteed level: there is no Slow to serialize onto.
 			// parthtm:bigtx — dispatch wrapper, bounded at the workload site
 			Fast: func() htm.Result { return hw.attempt(t.body) },
 			Mid:  func() bool { return sw.Attempt(t.body) },
-			Slow: func() { panic("norecrh: unbounded software loop cannot fall through") },
 		}
 	}
 	return s

@@ -9,13 +9,42 @@
 // atomicity conflicts with in-flight hardware committers that the paper's
 // overhead analysis describes.
 //
-// Software publishers cannot write an entry atomically, so each entry
-// carries a sequence word used as a seqlock: the publisher stamps it with a
-// Writing sentinel, fills the 32 signature words, then stamps the
-// timestamp. Validators reading an entry retry around the sentinel.
+// # Entry layout
+//
+// An entry is five cache lines: a header line and four signature lines.
+//
+//	header word 0      sequence word: timestamp of the occupant, or Writing
+//	header word 1      timestamp whose write-back completed (RingSTM)
+//	header words 2-7   the signature in compact form, or the full-form flag
+//	lines 1-4          the signature's 32 words (full form only)
+//
+// A signature with at most compactBits set bits — every small transaction's
+// — is published in compact form, in the header line alone: each set bit b
+// is a 12-bit field holding b+1, five fields to a word, lowest bit first;
+// the first zero field ends the list, so a publisher stores only the words
+// up to the one that holds the terminator and whatever an earlier
+// generation left in the later words is never decoded. A denser signature
+// is published in full form: fullFlag in header word 2 (above the five
+// fields, so no compact word can carry it) and the 32 words in the
+// signature lines. Either way a hardware publisher writes, and a validator
+// reads, one line per small commit instead of five.
+//
+// Software publishers cannot write an entry atomically, so the sequence
+// word is a seqlock: the publisher stamps it with Writing, fills the entry
+// in whichever form, then stamps the timestamp; ReadEntry reads the
+// sequence word, the entry, and the sequence word again, and retries
+// unless both reads returned the wanted timestamp. The form is part of
+// what the seqlock guards — the word that says which form the entry has is
+// written inside the same Writing window as the words it describes — so a
+// validator needs no check of its own for the compact form: a torn read
+// (fields of one generation, flag or signature lines of another) is always
+// bracketed by two different sequence values and thrown away. Every word a
+// validator can load, torn or not, is one some publisher encoded, so its
+// fields never index outside the signature.
 package ring
 
 import (
+	"math/bits"
 	"runtime"
 
 	"repro/internal/htm"
@@ -31,15 +60,62 @@ const Writing = ^uint64(0)
 // finds its ring slot still occupied by an unpublished previous generation.
 const CodeRingBusy uint8 = 250
 
-// Entry layout, in words. Entries are line aligned; the sequence word and
-// the done flag occupy the first line, the signature the next four.
+// Entry layout, in words (see the package comment). Entries are line
+// aligned.
 const (
 	entryHeaderWords = mem.LineWords
 	// EntryWords is the size of one ring entry.
 	EntryWords = entryHeaderWords + sig.Words
 	offSeq     = 0 // sequence word: timestamp of the occupant or Writing
 	offDone    = 1 // timestamp whose write-back completed (RingSTM)
+	offFields  = 2 // first compact-form word; carries fullFlag in full form
+
+	fieldBits     = 12 // holds bit+1 for any bit of a sig.Bits signature
+	fieldMask     = 1<<fieldBits - 1
+	fieldsPerWord = 5
+	fieldWords    = entryHeaderWords - offFields
+	// compactBits is the largest signature population published in the
+	// header line alone.
+	compactBits = fieldWords * fieldsPerWord
+	// fullFlag in word offFields marks the full form. It sits above the
+	// word's fields, which are all zero in full form.
+	fullFlag = 1 << 63
 )
+
+// compact encodes s into f, lowest bit first, and returns how many words of
+// f a software publisher must store: those holding fields plus the one
+// holding the terminating zero field. ok is false, and f is garbage, when s
+// has more than compactBits bits set. It runs inside every fast-path
+// hardware window, so the word and shift of the next field are carried
+// along rather than divided out of the field's index.
+func compact(s *sig.Signature, f *[fieldWords]uint64) (used int, ok bool) {
+	w, shift := 0, uint(0)
+	for i, word := range s {
+		for ; word != 0; word &= word - 1 {
+			if w == fieldWords {
+				return 0, false
+			}
+			f[w] |= uint64(i<<6+bits.TrailingZeros64(word)+1) << shift
+			if shift += fieldBits; shift == fieldsPerWord*fieldBits {
+				w, shift = w+1, 0
+			}
+		}
+	}
+	return min(w+1, fieldWords), true
+}
+
+// expand sets in dst the bits that the compact word w lists and reports
+// whether the list continues in the next word.
+func expand(w uint64, dst []uint64) (more bool) {
+	for shift := uint(0); shift < fieldsPerWord*fieldBits; shift += fieldBits {
+		f := w >> shift & fieldMask
+		if f == 0 {
+			return false
+		}
+		dst[(f-1)>>6] |= 1 << ((f - 1) & 63)
+	}
+	return true
+}
 
 // Ring is a fixed-size circular buffer of committed write signatures,
 // indexed by commit timestamp modulo the size.
@@ -117,11 +193,20 @@ func (r *Ring) AwaitPrevPublished(ts uint64) {
 // claimed ts (by winning the timestamp increment); the slot generation gate
 // is applied internally.
 func (r *Ring) PublishSW(ts uint64, s *sig.Signature) {
+	var f [fieldWords]uint64
+	used, ok := compact(s, &f) // outside the window validators spin on
 	r.AwaitPrevPublished(ts)
 	base := r.entryBase(ts)
 	r.m.Store(base+offSeq, Writing)
-	for i := 0; i < sig.Words; i++ {
-		r.m.Store(base+entryHeaderWords+mem.Addr(i), s[i])
+	if ok {
+		for i := 0; i < used; i++ {
+			r.m.Store(base+offFields+mem.Addr(i), f[i])
+		}
+	} else {
+		r.m.Store(base+offFields, fullFlag)
+		for i := 0; i < sig.Words; i++ {
+			r.m.Store(base+entryHeaderWords+mem.Addr(i), s[i])
+		}
 	}
 	r.m.Store(base+offSeq, ts)
 }
@@ -130,7 +215,8 @@ func (r *Ring) PublishSW(ts uint64, s *sig.Signature) {
 // The hardware commit makes the whole entry visible atomically, so no
 // seqlock discipline is needed; the write-back-done word is stamped too
 // because a hardware committer's writes are visible the instant the entry
-// is. Whole cache lines are written at once — the hardware granularity.
+// is. Whole cache lines are written at once — the hardware granularity:
+// one for a compact entry, five for a full one.
 func (r *Ring) PublishHTM(t *htm.Txn, ts uint64, s *sig.Signature) {
 	base := r.entryBase(ts)
 	// Slot generation gate: the previous occupant must be fully published.
@@ -144,6 +230,13 @@ func (r *Ring) PublishHTM(t *htm.Txn, ts uint64, s *sig.Signature) {
 	header = [mem.LineWords]uint64{}
 	header[offSeq] = ts
 	header[offDone] = ts
+	var f [fieldWords]uint64
+	if _, ok := compact(s, &f); ok {
+		copy(header[offFields:], f[:])
+		t.WriteLine(base, &header)
+		return
+	}
+	header[offFields] = fullFlag
 	t.WriteLine(base, &header)
 	var line [mem.LineWords]uint64
 	for i := 0; i < sig.Lines; i++ {
@@ -179,9 +272,9 @@ func (r *Ring) WaitDone(ts uint64) {
 }
 
 // ReadEntry copies the signature published for timestamp ts into dst,
-// retrying around concurrent publication. It returns false when the entry
-// has been reused by a later timestamp (ring rollover), in which case the
-// validator must abort.
+// expanding the compact form, retrying around concurrent publication. It
+// returns false when the entry has been reused by a later timestamp (ring
+// rollover), in which case the validator must abort.
 func (r *Ring) ReadEntry(ts uint64, dst []uint64) bool {
 	if ts == 0 {
 		// The pristine ring: timestamp 0 committed nothing.
@@ -202,8 +295,15 @@ func (r *Ring) ReadEntry(ts uint64, dst []uint64) bool {
 		case s1 > ts:
 			return false // overwritten: rollover
 		}
-		for i := 0; i < sig.Words; i++ {
-			dst[i] = r.m.Load(base + entryHeaderWords + mem.Addr(i))
+		if w := r.m.Load(base + offFields); w&fullFlag != 0 {
+			for i := 0; i < sig.Words; i++ {
+				dst[i] = r.m.Load(base + entryHeaderWords + mem.Addr(i))
+			}
+		} else {
+			clear(dst[:sig.Words])
+			for i := mem.Addr(offFields + 1); expand(w, dst) && i < entryHeaderWords; i++ {
+				w = r.m.Load(base + i)
+			}
 		}
 		if r.m.Load(base+offSeq) == ts {
 			return true

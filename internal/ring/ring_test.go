@@ -251,24 +251,28 @@ func TestReadEntrySpinsThroughWritingSentinel(t *testing.T) {
 	s.Add(99)
 	// Simulate a mid-flight publisher: seq = Writing, then complete it.
 	m.Store(r.SeqAddr(1), Writing)
-	done := make(chan bool)
+	done := make(chan sig.Signature)
 	go func() {
-		var w [sig.Words]uint64
-		done <- r.ReadEntry(1, w[:])
+		var w sig.Signature
+		if !r.ReadEntry(1, w[:]) {
+			t.Error("ReadEntry reported rollover for a live entry")
+		}
+		done <- w
 	}()
 	select {
 	case <-done:
 		t.Fatal("ReadEntry returned while the entry was mid-publish")
 	case <-time.After(30 * time.Millisecond):
 	}
+	m.Store(r.SeqAddr(1)+offFields, fullFlag)
 	for i := 0; i < sig.Words; i++ {
 		m.Store(r.SigAddr(1)+mem.Addr(i), s[i])
 	}
 	m.Store(r.SeqAddr(1), 1)
 	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("ReadEntry reported rollover for a live entry")
+	case got := <-done:
+		if got != s {
+			t.Fatal("ReadEntry returned something other than the completed entry")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("ReadEntry never completed")

@@ -146,10 +146,9 @@ func New(name string, m *mem.Memory, maxThreads int, proto func(sh *tm.Shard) Pr
 		t := &thread{}
 		s.threads[i] = t
 		x := NewTx(i, m, proto(s.stats.Shard(i)))
-		t.xtxn = exec.Txn{
-			Mid:  func() bool { return x.Attempt(t.body) },
-			Slow: func() { panic(name + ": unbounded software loop cannot fall through") },
-		}
+		// No Slow: the unbounded Mid loop is the guaranteed level, and the
+		// kernel takes a nil Slow to mean there is nothing to serialize onto.
+		t.xtxn = exec.Txn{Mid: func() bool { return x.Attempt(t.body) }}
 	}
 	return s
 }
