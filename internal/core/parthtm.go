@@ -1333,43 +1333,42 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 				}
 				// Already locked by us: just write the data in place
 				// (Figure 2 line 31/35).
-				old := ht.Read(a)
-				t.undo = append(t.undo, undoRec{addr: a, old: old})
-				ht.Write(a, v)
+				t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
 				t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 				t.ds.Wrote |= 1 << uint(d)
 				return
 			}
 			// Acquire the address-embedded lock (Figure 2 line 34): the
 			// lock becomes visible when this sub-HTM transaction commits.
-			old := ht.Read(a)
-			t.undo = append(t.undo, undoRec{addr: a, old: old})
 			t.ds.Write[d].Add(uint32(a))
 			ht.Write(c, uint64(a)<<1|1)
 			t.lockedCells = append(t.lockedCells, c)
 			t.lockedSet[c] = struct{}{}
-			ht.Write(a, v)
+			t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
 			t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 			t.ds.Wrote |= 1 << uint(d)
 			return
 		}
 		// Figure 1 lines 23-25: log the old value, record the signature,
 		// write in place (buffered until the sub-HTM commit).
-		old := ht.Read(a)
-		t.undo = append(t.undo, undoRec{addr: a, old: old})
-		t.ds.Write[d].Add(uint32(a))
 		if s.cfg.LockPerWrite {
 			// Ablation: publish the lock bit immediately instead of at the
 			// sub-HTM commit — every touched signature word becomes a false
-			// conflict with all concurrent hardware transactions.
+			// conflict with all concurrent hardware transactions. A bit found
+			// set that is not ours (this segment's or an earlier one's) is
+			// another transaction's lock: the pre-commit check subtracts this
+			// segment's bits as already published, so it has to be caught here.
 			b := sig.HashBit(uint32(a))
 			w := s.doms.Wlocks(d) + mem.Addr(b>>6)
-			cur := ht.Read(w)
-			if cur&(1<<(b&63)) == 0 {
-				ht.Write(w, cur|1<<(b&63))
+			bit := uint64(1) << (b & 63)
+			if cur := ht.Read(w); cur&bit == 0 {
+				ht.Write(w, cur|bit)
+			} else if (t.ds.Write[d][b>>6]|t.ds.Agg[d][b>>6])&bit == 0 {
+				ht.Abort(codeLockConflict)
 			}
 		}
-		ht.Write(a, v)
+		t.ds.Write[d].Add(uint32(a))
+		t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
 		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 		t.ds.Wrote |= 1 << uint(d)
 		return

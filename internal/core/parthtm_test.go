@@ -538,6 +538,50 @@ func TestWorkloadPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestUndoAcrossSegmentsRewritingOneWord: a word written in two segments
+// (and twice within the second) logs, per write, the value that write
+// replaced — memory's, then the first segment's committed one, then the
+// buffered one — so a global abort, undoing newest first, restores the
+// original.
+func TestUndoAcrossSegmentsRewritingOneWord(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		name := "Part-HTM"
+		if opaque {
+			name = "Part-HTM-O"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := newSystem(1, 1<<17, nil, func(c *Config) {
+				c.NoFastPath = true
+				c.Opaque = opaque
+			})
+			m := s.Memory()
+			a := m.AllocLines(1)
+			m.Store(a, 100)
+			var seen []uint64
+			s.Atomic(0, func(x tm.Tx) {
+				seen = append(seen, x.Read(a))
+				x.Write(a, 101)
+				x.Pause()
+				x.Write(a, 102)
+				x.Write(a, 103)
+				x.Pause()
+				if len(seen) == 1 {
+					if got := m.Load(a); got != 103 {
+						t.Errorf("a = %d after two committed segments, want 103", got)
+					}
+					panic(globalAbortPanic{})
+				}
+			})
+			if len(seen) != 2 || seen[0] != 100 || seen[1] != 100 {
+				t.Fatalf("attempts began with a = %v, want [100 100]: the global abort must restore the original", seen)
+			}
+			if got := m.Load(a); got != 103 {
+				t.Fatalf("a = %d after the retry, want 103", got)
+			}
+		})
+	}
+}
+
 // TestUndoRestoresExactValues: a global abort after several committed
 // segments must restore every written word to its pre-transaction value.
 // Forced via a lock conflict with a concurrent holder.

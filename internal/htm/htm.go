@@ -23,6 +23,21 @@
 //     conflicting hardware transactions (the engine is the memory's
 //     Observer).
 //
+// What a simulated access costs the host is a stripe acquisition on its
+// line (internal/mem), so the write path takes as few as it can:
+//
+//   - Word-wise writes are buffered in a slice of entries in first-write
+//     order, found through an open-addressed index whose slots carry a
+//     generation: emptying the buffer between transactions is a generation
+//     bump, and rewriting a buffered word takes no stripe.
+//   - Txn.Exchange is Read followed by Write as one access, for callers that
+//     log the old value of what they write (the partitioned path's undo
+//     log). The old word is loaded under the acquisition that registers the
+//     write monitor, and the line enters the write set only.
+//   - Commit releases each written line's monitor under the acquisition that
+//     stores the line's last word, before the transaction as a whole is
+//     committed; the comment at that loop says why no reader can see a mix.
+//
 // A transaction body runs inside Engine.Execute; transactional operations
 // panic with an internal sentinel when the transaction aborts, and Execute
 // converts that into a Result, mirroring how control returns to _xbegin
@@ -285,8 +300,13 @@ type Txn struct {
 	slot   int
 	status atomic.Int32
 
-	writeBuf   map[mem.Addr]uint64
-	writeOrder []mem.Addr
+	// Word-wise write buffer: entries in first-write order, found through an
+	// open-addressed index (see wbProbe). Both are kept across recycle.
+	wb      []wbEntry
+	wbIdx   []uint64 // wbGen<<32 | index into wb; any other generation is an empty slot
+	wbShift uint8    // 32 - log2(len(wbIdx))
+	wbGen   uint32
+
 	readLines  []mem.Line // distinct monitored read lines (deduped by the monitor bit)
 	writeLines []mem.Line // distinct monitored write lines (deduped by the writer field)
 	setOcc     []uint8
@@ -318,6 +338,57 @@ type Txn struct {
 	lineOrder []mem.Line
 }
 
+// wbEntry is one buffered word. first marks the write that acquired its
+// line's write monitor: being the line's oldest entry, it is the last of the
+// line that Commit (which walks youngest first) stores.
+type wbEntry struct {
+	val   uint64
+	addr  mem.Addr
+	first bool
+}
+
+// The write buffer's index starts at 1<<wbInitLog2 slots and doubles
+// whenever it would become more than half full.
+const wbInitLog2 = 6
+
+// wbProbe looks a up in the write buffer: multiplicative hash, linear
+// probe. It returns the entry's position in wb, or -1 and the empty index
+// slot where wbInsert may put it.
+func (t *Txn) wbProbe(a mem.Addr) (i int, slot uint32) {
+	mask := uint32(len(t.wbIdx) - 1)
+	for slot = (uint32(a) * 0x9E3779B1) >> t.wbShift; ; slot = (slot + 1) & mask {
+		s := t.wbIdx[slot]
+		if uint32(s>>32) != t.wbGen {
+			return -1, slot
+		}
+		if i = int(uint32(s)); t.wb[i].addr == a {
+			return i, slot
+		}
+	}
+}
+
+// wbReserve makes room for one more entry, so that the slot a following
+// wbProbe returns stays valid for wbInsert.
+func (t *Txn) wbReserve() {
+	if 2*(len(t.wb)+1) <= len(t.wbIdx) {
+		return
+	}
+	n := 2 * len(t.wbIdx)
+	t.wbIdx = make([]uint64, n)
+	t.wbShift--
+	t.wbGen = 1
+	for i := range t.wb {
+		_, slot := t.wbProbe(t.wb[i].addr)
+		t.wbIdx[slot] = 1<<32 | uint64(i)
+	}
+}
+
+// wbInsert appends a new entry and indexes it at slot (from wbProbe).
+func (t *Txn) wbInsert(slot uint32, a mem.Addr, v uint64, first bool) {
+	t.wbIdx[slot] = uint64(t.wbGen)<<32 | uint64(len(t.wb))
+	t.wb = append(t.wb, wbEntry{val: v, addr: a, first: first})
+}
+
 // localCacheSize is the direct-mapped cache used to deduplicate WriteLocal
 // lines (a power of two).
 const localCacheSize = 256
@@ -338,11 +409,13 @@ func (e *Engine) Begin(slot int) *Txn {
 	t := e.recycled[slot]
 	if t == nil {
 		t = &Txn{
-			eng:      e,
-			slot:     slot,
-			writeBuf: make(map[mem.Addr]uint64, 16),
-			setOcc:   make([]uint8, e.cfg.WriteSets),
-			rng:      e.rngs[slot],
+			eng:     e,
+			slot:    slot,
+			wbIdx:   make([]uint64, 1<<wbInitLog2),
+			wbShift: 32 - wbInitLog2,
+			wbGen:   1,
+			setOcc:  make([]uint8, e.cfg.WriteSets),
+			rng:     e.rngs[slot],
 		}
 	} else {
 		e.recycled[slot] = nil
@@ -371,10 +444,13 @@ func (e *Engine) Begin(slot int) *Txn {
 // same slot.
 func (t *Txn) recycle() {
 	t.status.Store(stActive)
-	if len(t.writeBuf) > 0 {
-		clear(t.writeBuf)
+	// Emptying the index is a generation bump: slots of any other
+	// generation read as empty. Only the 32-bit wrap has to clear them.
+	t.wb = t.wb[:0]
+	if t.wbGen++; t.wbGen == 0 {
+		clear(t.wbIdx)
+		t.wbGen = 1
 	}
-	t.writeOrder = t.writeOrder[:0]
 	t.readLines = t.readLines[:0]
 	t.writeLines = t.writeLines[:0]
 	clear(t.setOcc)
@@ -393,12 +469,13 @@ func (t *Txn) recycle() {
 
 // finish tears the transaction down: monitors released, slot freed. It is
 // idempotent so the user-panic escape path cannot double-release.
-func (t *Txn) finish() {
+// committed says Commit already released the write monitors.
+func (t *Txn) finish(committed bool) {
 	if t.finished {
 		return
 	}
 	t.finished = true
-	t.releaseMonitors()
+	t.releaseMonitors(committed)
 	t.eng.slots[t.slot].Store(nil)
 	t.eng.recycled[t.slot] = t
 	t.eng.nActive.Add(-1)
@@ -478,7 +555,7 @@ func (t *Txn) profFinish(outcome uint8) {
 
 // abort tears the transaction down, records the outcome, and unwinds.
 func (t *Txn) abort(reason AbortReason, code uint8) {
-	t.finish()
+	t.finish(false)
 	t.eng.recordAbort(reason)
 	t.profFinish(uint8(reason))
 	panic(abortPanic{reason: reason, code: code})
@@ -487,7 +564,7 @@ func (t *Txn) abort(reason AbortReason, code uint8) {
 // abortInjected is abort for injector-forced faults: the unwound Result
 // carries Injected so frameworks can account the fault separately.
 func (t *Txn) abortInjected(reason AbortReason, code uint8) {
-	t.finish()
+	t.finish(false)
 	t.eng.recordAbort(reason)
 	t.profFinish(uint8(reason))
 	panic(abortPanic{reason: reason, code: code, injected: true})
@@ -520,7 +597,7 @@ func (t *Txn) Cancel() {
 	if t.finished {
 		return
 	}
-	t.finish()
+	t.finish(false)
 	t.eng.recordAbort(Explicit)
 	t.profFinish(uint8(Explicit))
 }
@@ -584,9 +661,9 @@ func doom(victim *Txn) bool {
 func (t *Txn) Read(a mem.Addr) uint64 {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost)
-	if len(t.writeBuf) > 0 {
-		if v, ok := t.writeBuf[a]; ok {
-			return v
+	if len(t.wb) > 0 {
+		if i, _ := t.wbProbe(a); i >= 0 {
+			return t.wb[i].val
 		}
 	}
 	l := mem.LineOf(a)
@@ -703,11 +780,43 @@ func (t *Txn) admitReadLine() {
 func (t *Txn) Write(a mem.Addr, v uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.WriteCost)
-	t.ensureWriteMonitor(mem.LineOf(a))
-	if _, dup := t.writeBuf[a]; !dup {
-		t.writeOrder = append(t.writeOrder, a)
+	t.wbReserve()
+	i, slot := t.wbProbe(a)
+	if i >= 0 {
+		// Buffered, so the line's write monitor is held (or lost to a rival
+		// that doomed us, which the next operation notices).
+		t.wb[i].val = v
+		return
 	}
-	t.writeBuf[a] = v
+	_, first := t.ensureWriteMonitor(mem.LineOf(a), a, false)
+	t.wbInsert(slot, a, v, first)
+}
+
+// Exchange is Read(a) followed by Write(a, v) as one access: it buffers v
+// and returns the value the transaction saw at a before. It costs what the
+// pair costs, but a word not yet buffered is loaded under the stripe
+// acquisition that registers the write monitor, and the line enters the
+// write set only: a write monitor already conflicts with every access a
+// read monitor conflicts with, so the reader bit Read would set is
+// redundant. Like Write it must not touch a line written with WriteLine.
+func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
+	t.checkDoomed()
+	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
+	t.wbReserve()
+	i, slot := t.wbProbe(a)
+	if i >= 0 {
+		old, t.wb[i].val = t.wb[i].val, v
+		return old
+	}
+	l := mem.LineOf(a)
+	if len(t.lineBuf) > 0 {
+		if _, ok := t.lineBuf[l]; ok {
+			panic("htm: Exchange on a line written with WriteLine")
+		}
+	}
+	old, first := t.ensureWriteMonitor(l, a, true)
+	t.wbInsert(slot, a, v, first)
+	return old
 }
 
 // WriteLocal performs a transactional store of thread-private data: it
@@ -750,7 +859,8 @@ func (t *Txn) WriteLocal(a mem.Addr, v uint64) {
 // ReadLine performs one monitored read of a whole cache line into out.
 // base must be line aligned. Hardware fetches lines, not words: protocol
 // metadata (signatures, ring entries) is read at this granularity, costing
-// one access instead of eight.
+// one access instead of eight. Words the transaction has itself written
+// read as written.
 func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 	if base%mem.LineWords != 0 {
 		panic("htm: ReadLine of unaligned address")
@@ -803,6 +913,14 @@ func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 			t.ps.RecordConflict(uint32(l))
 		}
 		if done {
+			if w == self {
+				// Our own word-wise writes to the line are still buffered.
+				for i := 0; i < mem.LineWords; i++ {
+					if j, _ := t.wbProbe(base + mem.Addr(i)); j >= 0 {
+						out[i] = t.wb[j].val
+					}
+				}
+			}
 			if first {
 				t.readLines = append(t.readLines, l)
 				t.admitReadLine()
@@ -824,7 +942,7 @@ func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.WriteCost)
 	l := mem.LineOf(base)
-	t.ensureWriteMonitor(l)
+	t.ensureWriteMonitor(l, base, false)
 	if t.lineBuf == nil {
 		t.lineBuf = make(map[mem.Line][mem.LineWords]uint64, 8)
 	}
@@ -837,19 +955,24 @@ func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 // ensureWriteMonitor puts line l into the write set: a no-op if already
 // held, otherwise it applies the capacity model and registers the write
 // monitor, dooming conflicting readers and writers (requester wins). One
-// stripe acquisition in the common cases.
-func (t *Txn) ensureWriteMonitor(l mem.Line) {
+// stripe acquisition in the common cases. With load it also returns the
+// word at a (on line l) as memory held it under that same acquisition.
+// acquired reports that this call registered the monitor.
+func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64, acquired bool) {
 	e := t.eng
 	self := int16(t.slot + 1)
 	for {
 		var wait *Txn
-		acquired, overCap := false, false
+		overCap := false
 		doomed := 0
 		e.mem.Lock(l)
 		en := &e.entries[l]
 		if en.writer == self {
+			if load {
+				old = e.mem.RawLoad(a)
+			}
 			e.mem.Unlock(l)
-			return
+			return old, false
 		}
 		if w := en.writer; w != 0 {
 			other := e.slots[w-1].Load()
@@ -903,6 +1026,9 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 				if t.setOcc[set] > t.maxOcc {
 					t.maxOcc = t.setOcc[set]
 				}
+				if load {
+					old = e.mem.RawLoad(a)
+				}
 				acquired = true
 			}
 		}
@@ -920,7 +1046,7 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 		}
 		if acquired {
 			t.writeLines = append(t.writeLines, l)
-			return
+			return old, true
 		}
 		waitNotCommitting(wait)
 		t.checkDoomed()
@@ -940,6 +1066,16 @@ func (t *Txn) Commit() {
 	if !t.status.CompareAndSwap(stActive, stCommitting) {
 		t.abort(Conflict, 0)
 	}
+	// Each line's write monitor is released under the stripe acquisition
+	// that stores the line's last word, before the transaction as a whole
+	// is stCommitted. Until a line is released it names a stCommitting
+	// writer, so every other accessor waits (waitNotCommitting, observer
+	// retry); once released it holds only committed words. No reader can
+	// pair a released line's new words with another line's old ones: a
+	// transaction that read any of these lines before this commit was
+	// doomed when the write monitor was taken, and one that reads a line
+	// not yet stored waits for it. The buffer is walked youngest first so
+	// that a line's first entry is the last of that line to be stored.
 	e := t.eng
 	for _, l := range t.lineOrder {
 		vals := t.lineBuf[l]
@@ -948,28 +1084,36 @@ func (t *Txn) Commit() {
 		for i := 0; i < mem.LineWords; i++ {
 			e.mem.RawStore(base+mem.Addr(i), vals[i])
 		}
+		e.entries[l].writer = 0
 		e.mem.Unlock(l)
 	}
-	for _, a := range t.writeOrder {
-		l := mem.LineOf(a)
+	for i := len(t.wb) - 1; i >= 0; i-- {
+		w := &t.wb[i]
+		l := mem.LineOf(w.addr)
 		e.mem.Lock(l)
-		e.mem.RawStore(a, t.writeBuf[a])
+		e.mem.RawStore(w.addr, w.val)
+		if w.first {
+			e.entries[l].writer = 0
+		}
 		e.mem.Unlock(l)
 	}
 	t.status.Store(stCommitted)
-	t.finish()
+	t.finish(true)
 	e.stats.Commits.Add(1)
 	t.profFinish(prof.OutcomeCommit)
 }
 
-// releaseMonitors removes this transaction's read and write monitor
-// registrations.
-func (t *Txn) releaseMonitors() {
+// releaseMonitors removes this transaction's read monitor registrations
+// and, unless Commit already released them line by line, its write monitors.
+func (t *Txn) releaseMonitors(committed bool) {
 	e := t.eng
 	for _, l := range t.readLines {
 		e.mem.Lock(l)
 		e.entries[l].readers &^= 1 << uint(t.slot)
 		e.mem.Unlock(l)
+	}
+	if committed {
+		return
 	}
 	self := int16(t.slot + 1)
 	for _, l := range t.writeLines {

@@ -28,6 +28,46 @@ func TestReadLineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadLineSeesOwnWordWrites: words the transaction wrote word-wise are
+// overlaid on the line; a line it has not written is read without a look
+// at the write buffer.
+func TestReadLineSeesOwnWordWrites(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	base := m.AllocLines(2)
+	other := base + mem.LineWords
+	for i := 0; i < 2*mem.LineWords; i++ {
+		m.Store(base+mem.Addr(i), uint64(100+i))
+	}
+	tx := e.Begin(0)
+	tx.Write(base+3, 7)
+	tx.Exchange(base+5, 9)
+	var out [mem.LineWords]uint64
+	tx.ReadLine(base, &out)
+	for i, v := range out {
+		want := uint64(100 + i)
+		switch i {
+		case 3:
+			want = 7
+		case 5:
+			want = 9
+		}
+		if v != want {
+			t.Errorf("written line, word %d = %d, want %d", i, v, want)
+		}
+	}
+	idx := tx.wbIdx
+	tx.wbIdx = nil // any probe of the buffer would now panic
+	tx.ReadLine(other, &out)
+	tx.wbIdx = idx
+	for i, v := range out {
+		if v != uint64(100+mem.LineWords+i) {
+			t.Errorf("unwritten line, word %d = %d", i, v)
+		}
+	}
+	tx.Commit()
+}
+
 func TestReadLineUnalignedPanics(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	base := e.Memory().AllocLines(1)
@@ -251,10 +291,25 @@ func TestAsAbortDoesNotReraise(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecyclingStress: slots recycle their transaction objects
+// under contention, and every way a transaction can end — commit (which
+// releases write monitors line by line), abort, Cancel — leaves no monitor
+// entry naming the finished slot.
 func TestConcurrentRecyclingStress(t *testing.T) {
 	e := newTestEngine(1<<14, nil)
 	m := e.Memory()
-	a := m.AllocLines(1)
+	a := m.AllocLines(2)
+	b := a + mem.LineWords
+	released := func(slot int) {
+		for _, l := range []mem.Line{mem.LineOf(a), mem.LineOf(b)} {
+			m.Lock(l)
+			en := e.entries[l]
+			m.Unlock(l)
+			if en.writer == int16(slot+1) || en.readers&(1<<uint(slot)) != 0 {
+				t.Errorf("slot %d finished but line %d still holds %+v", slot, l, en)
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -264,16 +319,33 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 				for {
 					res := e.Execute(slot, func(tx *Txn) {
 						tx.Write(a, tx.Read(a)+1)
+						tx.Exchange(b, tx.Exchange(b, 0)+1)
 					})
+					released(slot)
 					if res.Committed {
 						break
 					}
+				}
+				if i%8 == 0 {
+					func() {
+						tx := e.Begin(slot)
+						defer func() {
+							if r := recover(); r != nil {
+								if _, ok := AsAbort(r); !ok {
+									panic(r)
+								}
+							}
+							released(slot)
+						}()
+						tx.Exchange(a, tx.Read(b))
+						tx.Cancel()
+					}()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := m.Load(a); got != 2400 {
-		t.Fatalf("counter = %d, want 2400", got)
+	if ga, gb := m.Load(a), m.Load(b); ga != 2400 || gb != 2400 {
+		t.Fatalf("counters = %d %d, want 2400 2400", ga, gb)
 	}
 }
