@@ -222,8 +222,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // BenchmarkGovernorOverhead measures the cost of the resource governor on
 // the Fig 3(a) workload: "off" is the ungoverned baseline, "on" attaches a
-// default-config governor (breaker armed, no budgets) so every transaction
-// pays the Begin/ChargeAttempt/Finish hooks. Compare the two to pin the
+// default-config governor (breaker armed) so every transaction pays the
+// Begin/Finish hooks. Compare the two to pin the
 // attached-but-idle price at a few branches per transaction; the committed
 // BENCH_baseline.json and the -compare gate watch the same edge in CI.
 func BenchmarkGovernorOverhead(b *testing.B) {

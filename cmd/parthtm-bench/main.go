@@ -20,7 +20,7 @@
 //	parthtm-bench -exp soak -campaign storm  # multi-phase chaos campaign
 //	parthtm-bench -exp table1,chaos -governor    # several experiments, governed
 //	parthtm-bench -exp chaos -prof               # abort-attribution profile
-//	parthtm-bench -exp chaos -prof-out series.csv  # time-series export (.csv or JSON)
+//	parthtm-bench -exp heatmap -prof-out prof.json  # footprint document for parthtm-vet -prof
 //	parthtm-bench -exp heatmap -prof-check       # assert the planted hotspot is found
 //	parthtm-bench -exp domains                   # sharded-domain sweep (N x cross-ratio)
 //	parthtm-bench -exp domains -domains 1,4 -cross 0,0.2
@@ -65,13 +65,13 @@
 //
 // With -prof the run attaches the abort-attribution profiler to every
 // system: reports gain the hot-conflict-line table (SpaceSaving top-K)
-// and footprint quantiles per commit-path class and outcome, and a
-// background sampler records the tm/governor counters as a time series.
-// -prof-out writes that series to a file (CSV when the path ends in .csv,
-// JSON otherwise); -prof-check makes profiled experiments assert their
-// acceptance invariants (the heatmap experiment fails unless the planted
-// hot line ranks top of the sketch and the packed layout shows the
-// conflict-abort excess). Both imply -prof.
+// and footprint quantiles per commit-path class and outcome. -prof-out
+// writes the session's footprint rows as the JSON document parthtm-vet
+// -prof reconciles against the static bounds (the counter time series of
+// a run is -flight's metrics CSV); -prof-check makes profiled experiments
+// assert their acceptance invariants (the heatmap experiment fails unless
+// the planted hot line ranks top of the sketch and the packed layout shows
+// the conflict-abort excess). Both imply -prof.
 //
 // -compare decodes two -json artifacts and prints benchstat-style deltas:
 // per (experiment, system, threads, fault rate), the projected throughput
@@ -114,10 +114,10 @@ func main() {
 		traceChk = flag.String("trace-check", "", "validate that the given file decodes as Chrome trace JSON, then exit")
 		compare  = flag.Bool("compare", false, "compare two -json artifacts (old.json new.json) and print the deltas")
 		maxDrop  = flag.Float64("compare-max-drop", 0, "with -compare: exit 1 if any matched row's throughput dropped by more than this percentage")
-		governed = flag.Bool("governor", false, "attach a resource governor (admission budgets + HTM circuit breaker) to every system")
+		governed = flag.Bool("governor", false, "attach a resource governor (per-thread HTM circuit breaker) to every system")
 		campaign = flag.String("campaign", "", "soak chaos-campaign preset: storm (default) or ramp")
-		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line/footprint report tables plus a background time-series sampler")
-		profOut  = flag.String("prof-out", "", "write the profiler time series to this file (.csv for CSV, JSON otherwise); implies -prof")
+		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line and footprint report tables")
+		profOut  = flag.String("prof-out", "", "write the profiler's session footprints to this file as JSON (the parthtm-vet -prof input); implies -prof")
 		profChk  = flag.Bool("prof-check", false, "fail experiments whose profile acceptance checks do not hold (heatmap); implies -prof")
 		domains  = flag.String("domains", "", "comma-separated domain counts for the domains experiment (default 1,2,4,8)")
 		crossR   = flag.String("cross", "", "comma-separated cross-domain ratios in [0,1] for the domains experiment (default 0,0.2)")
@@ -182,7 +182,6 @@ func main() {
 	var profile *prof.Profile
 	if *profOn || *profOut != "" || *profChk {
 		profile = prof.New(prof.Config{})
-		profile.Start()
 		opts.Profile = profile
 		opts.ProfCheck = *profChk
 	}
@@ -332,11 +331,9 @@ func main() {
 	if sink != nil {
 		writeTrace(sink, *tracePth, *traceTxt)
 	}
-	if profile != nil {
-		profile.Stop()
-		if *profOut != "" {
-			writeProfSeries(profile, *profOut)
-		}
+	if *profOut != "" {
+		writeFile(*profOut, func(f *os.File) error { return profile.WriteJSON(f) })
+		fmt.Fprintf(os.Stderr, "prof: session footprints -> %s\n", *profOut)
 	}
 	if streaming {
 		return
@@ -369,51 +366,14 @@ func main() {
 	}
 }
 
-// writeTrace renders the recorded events to the requested artifacts.
-func writeTrace(sink *trace.Sink, chromePath, textPath string) {
-	write := func(path string, render func(f *os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := render(f); err == nil {
-			err = f.Close()
-			if err == nil {
-				return
-			}
-		} else {
-			f.Close()
-		}
-		fmt.Fprintf(os.Stderr, "parthtm-bench: writing %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	if chromePath != "" {
-		write(chromePath, func(f *os.File) error { return trace.WriteChrome(f, sink) })
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (open at https://ui.perfetto.dev)\n",
-			len(sink.Events()), chromePath)
-		if d := sink.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: %d older events overwritten by the ring (raise -trace-cap to keep more)\n", d)
-		}
-	}
-	if textPath != "" {
-		write(textPath, func(f *os.File) error { return trace.WriteText(f, sink) })
-	}
-}
-
-// writeProfSeries renders the profiler's recorded time series: CSV when
-// the path ends in .csv, indented JSON (samples + marks) otherwise.
-func writeProfSeries(p *prof.Profile, path string) {
+// writeFile creates path and fills it with render, exiting on any error.
+func writeFile(path string, render func(f *os.File) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parthtm-bench: %v\n", err)
 		os.Exit(1)
 	}
-	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		err = p.WriteCSV(f)
-	} else {
-		err = p.WriteJSON(f)
-	}
+	err = render(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -421,8 +381,21 @@ func writeProfSeries(p *prof.Profile, path string) {
 		fmt.Fprintf(os.Stderr, "parthtm-bench: writing %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "prof: %d samples, %d marks -> %s\n",
-		len(p.Samples()), len(p.Marks()), path)
+}
+
+// writeTrace renders the recorded events to the requested artifacts.
+func writeTrace(sink *trace.Sink, chromePath, textPath string) {
+	if chromePath != "" {
+		writeFile(chromePath, func(f *os.File) error { return trace.WriteChrome(f, sink) })
+		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (open at https://ui.perfetto.dev)\n",
+			len(sink.Events()), chromePath)
+		if d := sink.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "trace: %d older events overwritten by the ring (raise -trace-cap to keep more)\n", d)
+		}
+	}
+	if textPath != "" {
+		writeFile(textPath, func(f *os.File) error { return trace.WriteText(f, sink) })
+	}
 }
 
 // runTraceCheck validates a -trace artifact: strict Chrome trace-event

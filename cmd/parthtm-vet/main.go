@@ -8,7 +8,6 @@
 // Usage:
 //
 //	go run ./cmd/parthtm-vet ./...
-//	go run ./cmd/parthtm-vet -json ./...
 //	go run ./cmd/parthtm-vet -sarif findings.sarif ./...
 //
 // Profile reconciliation — cross-check the static footprint bounds
@@ -27,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,13 +39,8 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("parthtm-vet", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	sarifOut := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
 	profIn := fs.String("prof", "", "reconcile static footprint bounds against this tmprof JSON series")
-	enabled := map[string]*bool{}
-	for _, a := range analysis.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: parthtm-vet [flags] [package patterns]\n\n")
 		for _, a := range analysis.All() {
@@ -58,13 +51,6 @@ func run(args []string) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-
-	var analyzers []*analysis.Analyzer
-	for _, a := range analysis.All() {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()
@@ -90,6 +76,7 @@ func run(args []string) int {
 		return 0
 	}
 
+	analyzers := analysis.All()
 	diags, err := analysis.Check("", analyzers, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parthtm-vet: %v\n", err)
@@ -101,7 +88,13 @@ func run(args []string) int {
 			return 1
 		}
 	}
-	return emit(diags, *jsonOut)
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
 }
 
 // writeSARIFFile writes diags as SARIF with paths relative to the
@@ -117,34 +110,4 @@ func writeSARIFFile(path string, analyzers []*analysis.Analyzer, diags []analysi
 		return err
 	}
 	return f.Close()
-}
-
-// emit prints diagnostics (text to stderr, or JSON to stdout) and
-// returns the exit status.
-func emit(diags []analysis.Diagnostic, jsonOut bool) int {
-	if jsonOut {
-		type jsonDiag struct {
-			Posn     string `json:"posn"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{Posn: d.Pos.String(), Analyzer: d.Analyzer, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-vet: %v\n", err)
-			return 1
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -5,11 +5,11 @@
 // The repository's correctness rests on invariants that live outside the
 // type system: tm.Counter is single-writer (owner thread only), bodies
 // passed to tm.System.Atomic must be pure functions of their inputs and
-// Reads, fields accessed through sync/atomic must never be touched
-// plainly, and code running inside a simulated hardware-transaction
-// window must not do things real TSX forbids (allocate, take locks, call
-// into the runtime). Each analyzer turns one of those comments into a
-// build-breaking check.
+// Reads, atomically accessed words must never be touched plainly (so the
+// sync/atomic function API, which allows it, is banned), and code running
+// inside a simulated hardware-transaction window must not do things real
+// TSX forbids (allocate, take locks, call into the runtime). Each analyzer
+// turns one of those comments into a build-breaking check.
 //
 // The framework deliberately mirrors a small subset of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
@@ -26,7 +26,7 @@
 // human proved the invariant by other means):
 //
 //	singlewriter  // parthtm:owner    — caller is the shard's owner thread
-//	atomicmix     // parthtm:plain    — plain access is safe (e.g. pre-publication)
+//	atomicmix     // parthtm:plain    — the word is never accessed plainly
 //	txpure        // parthtm:impure   — body's captured state is retry-safe
 //	htmregion     // parthtm:htmsafe  — operation is safe inside the window
 //	txfootprint   // parthtm:bigtx    — body is intentionally oversized (slow-path workload)
@@ -48,7 +48,7 @@ import (
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph description shown by -help.
 	Doc string
@@ -79,13 +79,6 @@ type Pass struct {
 	// the pass's own package within it.
 	Prog *Program
 	This *Package
-
-	// IncludeTests, when false (the default), makes the pass skip files
-	// whose name ends in _test.go:
-	// the TM discipline binds production paths, while tests deliberately
-	// poke at edges (aborted bodies, torn state) in ways every analyzer
-	// would otherwise flag.
-	IncludeTests bool
 
 	diags *[]Diagnostic
 }
@@ -121,18 +114,19 @@ func (p *Pass) ReportfIn(pkg *Package, pos token.Pos, format string, args ...any
 	})
 }
 
-// SourceFiles yields the files the pass analyzes, honouring IncludeTests.
-func (p *Pass) SourceFiles() []*ast.File {
-	if p.IncludeTests {
-		return p.Files
-	}
+// SourceFiles yields the files the pass analyzes.
+func (p *Pass) SourceFiles() []*ast.File { return p.This.SourceFiles() }
+
+// SourceFiles yields pkg's production files. Files whose name ends in
+// _test.go are skipped: the TM discipline binds production paths, while
+// tests deliberately poke at edges (aborted bodies, torn state) in ways
+// every analyzer would otherwise flag.
+func (pkg *Package) SourceFiles() []*ast.File {
 	var out []*ast.File
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+	for _, f := range pkg.Files {
+		if !strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	return out
 }
@@ -161,7 +155,7 @@ func RunAnalyzersIn(prog *Program, analyzers []*Analyzer, target *Package) []Dia
 // message, and drops exact repeats — a site can be reached twice within
 // one pass (a function shared by two hardware-transaction windows) or
 // across passes (a helper package walked from two analyzed roots). The
-// canonical order makes text, -json, and -sarif output byte-stable across
+// canonical order makes text and -sarif output byte-stable across
 // runs, so CI pins can diff them directly.
 func sortDiagnostics(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
@@ -368,12 +362,12 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// inspectStack walks every node of f in source order, maintaining the
-// ancestor stack (outermost first, excluding n itself). Return false from
-// visit to skip n's children.
-func inspectStack(f *ast.File, visit func(n ast.Node, stack []ast.Node) bool) {
+// inspectStack walks every node under root in source order, maintaining
+// the ancestor stack (outermost first, excluding n itself). Return false
+// from visit to skip n's children.
+func inspectStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true

@@ -2,147 +2,39 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// AtomicMix flags mixed atomic and plain access to the same variable.
+// AtomicMix keeps mixed atomic and plain access to one variable out of the
+// module by banning the API that permits it.
 //
-// A word accessed through the sync/atomic function API anywhere in a
-// package must be accessed that way everywhere: one plain load can read a
-// torn or stale value, one plain store can lose a concurrent
-// read-modify-write. (The typed atomic.Uint64-style API makes this
-// mistake impossible — which is why the repository prefers it — but the
-// function API still appears around simulated-memory words and imported
-// idioms, and nothing else polices it.)
-//
-// The analyzer collects every struct field and package-level variable
-// whose address is passed to a sync/atomic function, then reports every
-// other syntactic use of those variables: reads, writes, and address
-// captures that do not feed sync/atomic. `// parthtm:plain` suppresses a
-// finding (the classic justification: access before the variable is
-// published to other goroutines).
+// A word accessed through sync/atomic's function API (atomic.LoadUint64(&x)
+// and friends) is one plain `x` away from a torn read or a lost update, and
+// nothing in the type system notices. The typed API (atomic.Uint64,
+// atomic.Pointer[T], ...) makes that mistake impossible, and every atomic
+// in this module uses it; the analyzer reports any call into the function
+// API so it stays that way. `// parthtm:plain` suppresses a finding.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Tag:  "plain",
-	Doc: "check that variables accessed through sync/atomic functions are " +
-		"never read or written plainly",
+	Doc: "check that no code calls the sync/atomic function API, whose " +
+		"operands can also be read or written plainly",
 	Run: runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) {
-	files := pass.SourceFiles()
-
-	// Pass 1: every object whose address feeds a sync/atomic call, and
-	// the exact identifier nodes that do so (they are the sanctioned uses).
-	atomicObjs := map[*types.Var]bool{}
-	sanctioned := map[ast.Node]bool{}
-	for _, f := range files {
+	for _, f := range pass.SourceFiles() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeFunc(pass.TypesInfo, call)
-			if !isSyncAtomicFunc(fn) {
-				return true
-			}
-			for _, arg := range call.Args {
-				obj, node := addressedVar(pass.TypesInfo, arg)
-				if obj != nil {
-					atomicObjs[obj] = true
-					sanctioned[node] = true
-				}
+			if funcPkgPath(fn) == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(),
+					"call to atomic.%s: the sync/atomic function API lets the same word be accessed plainly elsewhere, which races — use the typed atomics (atomic.Uint64, atomic.Pointer[T], ...)", fn.Name())
 			}
 			return true
 		})
 	}
-	if len(atomicObjs) == 0 {
-		return
-	}
-
-	// Pass 2: every other use of those objects is a mixed access.
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var obj *types.Var
-			switch e := n.(type) {
-			case *ast.SelectorExpr:
-				if sel, ok := pass.TypesInfo.Selections[e]; ok {
-					obj, _ = sel.Obj().(*types.Var)
-				}
-			case *ast.Ident:
-				obj, _ = pass.TypesInfo.Uses[e].(*types.Var)
-			default:
-				return true
-			}
-			if obj == nil || !atomicObjs[obj] || sanctioned[n] {
-				return true
-			}
-			// Field selectors are visited both as SelectorExpr and as the
-			// trailing Ident; report the selector form only.
-			if id, ok := n.(*ast.Ident); ok {
-				if obj.IsField() && !definesObj(pass.TypesInfo, id, obj) {
-					return true
-				}
-			}
-			if isFieldDecl(pass.TypesInfo, n, obj) {
-				return true
-			}
-			pass.Reportf(n.Pos(),
-				"plain access to %q, which is accessed with sync/atomic elsewhere in this package: mixing atomic and non-atomic access races", obj.Name())
-			return true
-		})
-	}
-}
-
-// isSyncAtomicFunc reports whether fn is one of sync/atomic's
-// address-taking functions (Load*, Store*, Add*, Swap*, CompareAndSwap*).
-func isSyncAtomicFunc(fn *types.Func) bool {
-	if funcPkgPath(fn) != "sync/atomic" {
-		return false
-	}
-	name := fn.Name()
-	for _, prefix := range []string{"Load", "Store", "Add", "And", "Or", "Swap", "CompareAndSwap"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// addressedVar unwraps `&x` or `&s.f` and returns the addressed struct
-// field or package-level variable (nil for locals, which cannot be shared
-// without also escaping through other checks) plus the selector/ident
-// node that names it.
-func addressedVar(info *types.Info, arg ast.Expr) (*types.Var, ast.Node) {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil, nil
-	}
-	switch e := ast.Unparen(un.X).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok {
-			if v, ok := sel.Obj().(*types.Var); ok && v.IsField() {
-				return v, e
-			}
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok && !v.IsField() && v.Parent() != nil && v.Parent().Parent() == types.Universe {
-			return v, e
-		}
-	}
-	return nil, nil
-}
-
-// definesObj reports whether id is the declaring identifier of obj (the
-// struct field declaration itself, which is not an access).
-func definesObj(info *types.Info, id *ast.Ident, obj *types.Var) bool {
-	return info.Defs[id] == obj
-}
-
-// isFieldDecl reports whether n is the declaration site of field obj.
-func isFieldDecl(info *types.Info, n ast.Node, obj *types.Var) bool {
-	id, ok := n.(*ast.Ident)
-	return ok && info.Defs[id] == obj
 }

@@ -16,7 +16,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // A FuncNode is one function declaration in the program, bundled with the
@@ -41,9 +40,8 @@ type Program struct {
 }
 
 // NewProgram indexes pkgs into a Program. Function declarations in
-// _test.go files are not indexed: the driver runs with IncludeTests=false,
-// and walking into test-only helpers would reintroduce the torn-state
-// noise the passes deliberately skip.
+// _test.go files are not indexed: walking into test-only helpers would
+// reintroduce the torn-state noise the passes deliberately skip.
 func NewProgram(pkgs ...*Package) *Program {
 	pr := &Program{
 		byPath: map[string]*Package{},
@@ -53,10 +51,7 @@ func NewProgram(pkgs ...*Package) *Program {
 	for _, p := range pkgs {
 		pr.pkgs = append(pr.pkgs, p)
 		pr.byPath[p.PkgPath] = p
-		for _, f := range p.Files {
-			if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-				continue
-			}
+		for _, f := range p.SourceFiles() {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -202,11 +197,11 @@ func localFuncBindings(info *types.Info, root ast.Node) map[*types.Var][]*ast.Fu
 	return bindings
 }
 
-// sigHasTxnParam reports whether fn's signature declares a *htm.Txn
+// sigHasTxnParam reports whether signature type t declares a *htm.Txn
 // parameter — the mark of a function that is itself a region root and is
 // scanned when its own package's pass runs.
-func sigHasTxnParam(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
+func sigHasTxnParam(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
 	if !ok {
 		return false
 	}

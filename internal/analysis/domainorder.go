@@ -120,7 +120,7 @@ func checkWalkCall(pass *Pass, call *ast.CallExpr, kind string, stack []ast.Node
 		return
 	}
 	arg := ast.Unparen(call.Args[0])
-	if _, ok := constIntOf(pass.TypesInfo, arg); ok {
+	if _, ok := constInt(pass.TypesInfo, arg); ok {
 		return // a constant domain index needs no ordering
 	}
 	dir, loop, mask := classifyIndex(pass.TypesInfo, arg, stack)
@@ -219,7 +219,7 @@ func classifyWalkExpr(info *types.Info, e ast.Expr) (walkDir, *types.Var) {
 		return dirAscending, m
 	}
 	if bin, ok := e.(*ast.BinaryExpr); ok && bin.Op == token.SUB {
-		if c, ok := constIntOf(info, bin.X); ok && c == 63 {
+		if c, ok := constInt(info, bin.X); ok && c == 63 {
 			if m := bitsCallMask(info, bin.Y, "LeadingZeros64"); m != nil {
 				return dirDescending, m
 			}
@@ -286,13 +286,4 @@ func innermostFor(stack []ast.Node) *ast.ForStmt {
 		}
 	}
 	return nil
-}
-
-// constIntOf evaluates e as a compile-time integer constant against info.
-func constIntOf(info *types.Info, e ast.Expr) (int64, bool) {
-	tv, ok := info.Types[e]
-	if !ok {
-		return 0, false
-	}
-	return exactInt(tv)
 }

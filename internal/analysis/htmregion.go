@@ -61,7 +61,7 @@ import (
 // The resource governor gets two rules of its own. Calls into
 // repro/internal/governor are forbidden inside a window outright:
 // admission hooks run at the kernel boundary, between hardware attempts —
-// inside a window the shared admission gauge would join the write set,
+// inside a window the thread's in-transaction flag would join the write set,
 // and breaker evidence would be recorded by an attempt that may yet
 // abort. And inside the governor package itself, every function whose doc
 // comment claims it is "allocation-free" — the per-transaction hooks the
@@ -104,12 +104,12 @@ func runHTMRegion(pass *Pass) {
 					}
 				}
 			case *ast.FuncDecl:
-				if e.Body != nil && hasTxnParam(pass.TypesInfo, e.Type) {
+				if obj := pass.TypesInfo.Defs[e.Name]; obj != nil && e.Body != nil && sigHasTxnParam(obj.Type()) {
 					w.scan(pass.This, e.Body)
 					return false // body is fully covered; Begin inside would be nested
 				}
 			case *ast.FuncLit:
-				if hasTxnParam(pass.TypesInfo, e.Type) {
+				if sigHasTxnParam(pass.TypesInfo.TypeOf(e)) {
 					w.scan(pass.This, e.Body)
 					return false
 				}
@@ -119,19 +119,6 @@ func runHTMRegion(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// hasTxnParam reports whether ft declares a parameter of type *htm.Txn.
-func hasTxnParam(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		if isNamed(info.Types[field.Type].Type, htmPath, "Txn") {
-			return true
-		}
-	}
-	return false
 }
 
 // regionWalker scans region statements and walks the module call graph
@@ -290,7 +277,7 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		// plumbing with no counterpart in the hardware being modeled.
 		return
 	case governorPath:
-		pass.ReportfIn(view, call.Pos(), "governor.%s inside a hardware-transaction window: admission hooks run at the kernel boundary, between attempts — in a window the admission gauge joins the write set and breaker evidence comes from an attempt that may yet abort", fn.Name())
+		pass.ReportfIn(view, call.Pos(), "governor.%s inside a hardware-transaction window: admission hooks run at the kernel boundary, between attempts — in a window the in-transaction flag joins the write set and breaker evidence comes from an attempt that may yet abort", fn.Name())
 		return
 	case tracePath:
 		// (*trace.Buffer).Record and RecordMark are htmsafe by
@@ -310,8 +297,8 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		// The profiler's Shard record hooks are htmsafe by construction,
 		// exactly like trace.Buffer.Record: nil-checked, allocation-free,
 		// a bounded scan plus plain stores into the calling thread's
-		// padded shard. Everything else in the package locks, allocates
-		// (the merged queries), or reads the clock (the sampler).
+		// padded shard. Everything else in the package locks or allocates
+		// (the merged queries).
 		if isMethodOf(fn, profPath, "Shard", "RecordConflict") ||
 			isMethodOf(fn, profPath, "Shard", "RecordCapacity") ||
 			isMethodOf(fn, profPath, "Shard", "RecordFootprint") {
@@ -357,7 +344,7 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 	// declaring its own *htm.Txn parameter is a region root of its own
 	// package's pass and is not re-walked here.
 	if node := pass.Prog.FuncNode(fn); node != nil && !w.visited[node] {
-		if sigHasTxnParam(node.Fn) {
+		if sigHasTxnParam(node.Fn.Type()) {
 			return
 		}
 		w.visited[node] = true
@@ -366,8 +353,8 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 }
 
 // checkGovernorHooks makes the governor package's own "allocation-free"
-// doc claims binding. The per-transaction hooks (Begin, ChargeAttempt,
-// NoteHWAbort, Finish) each document that contract — the kernel calls
+// doc claims binding. The per-transaction hooks (Begin, NoteHWAbort,
+// Finish) each document that contract — the kernel calls
 // them on every transaction, so one allocation or lock there taxes every
 // commit in the system. Rather than hard-coding the hook list, the check
 // keys off the doc comment: any function in this package documented
@@ -413,7 +400,7 @@ func checkGovernorHooks(pass *Pass) {
 				case "time":
 					switch fn.Name() {
 					case "Now", "Since":
-						pass.Reportf(e.Pos(), "%s reads the clock (time.%s): the kernel captures timestamps once per transaction and passes them in", hook, fn.Name())
+						pass.Reportf(e.Pos(), "%s reads the clock (time.%s) but is documented allocation-free: a per-transaction hook decides from its own thread's state, not from wall-clock time", hook, fn.Name())
 					}
 				case pass.Pkg.Path():
 					if node := pass.Prog.FuncNode(fn); node != nil && node.Pkg == pass.This && !visited[node] {

@@ -10,7 +10,6 @@ package analysis
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/prof"
@@ -124,7 +123,7 @@ func CheckProfile(dir, profilePath string, patterns ...string) ([]FootprintMisma
 		return nil, err
 	}
 	defer f.Close()
-	series, err := DecodeSeriesFile(f)
+	series, err := prof.DecodeSeries(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", profilePath, err)
 	}
@@ -133,9 +132,4 @@ func CheckProfile(dir, profilePath string, patterns ...string) ([]FootprintMisma
 		return nil, err
 	}
 	return ReconcileProfile(NewProgram(pkgs...), series)
-}
-
-// DecodeSeriesFile parses a tmprof JSON series.
-func DecodeSeriesFile(r io.Reader) (*prof.Series, error) {
-	return prof.DecodeSeries(r)
 }

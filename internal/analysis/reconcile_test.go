@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"go/token"
 	"strings"
 	"testing"
@@ -108,5 +109,37 @@ func TestReconcileUnboundedUnfalsifiable(t *testing.T) {
 	}
 	if len(mism) != 0 {
 		t.Fatalf("unbounded program still produced mismatches: %v", mism)
+	}
+}
+
+// The document parthtm-bench -prof-out writes (prof.Profile.WriteJSON) is
+// the one -prof reads: a recorded session reconciles, and a profile that
+// recorded no footprint is rejected rather than passing vacuously.
+func TestReconcileWrittenProfile(t *testing.T) {
+	prog := loadTestdataProgram(t, "reconcile")
+	reconcile := func(p *prof.Profile) ([]FootprintMismatch, error) {
+		var doc bytes.Buffer
+		if err := p.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		series, err := prof.DecodeSeries(&doc)
+		if err != nil {
+			t.Fatalf("the written document does not decode: %v", err)
+		}
+		return ReconcileProfile(prog, series)
+	}
+
+	p := prof.New(prof.Config{})
+	p.Shard(0).RecordFootprint(prof.ClassFast, prof.OutcomeCommit, 64, 64, 8)
+	p.Reset() // a sweep's row boundary must not lose the session's rows
+	if mism, err := reconcile(p); err != nil || len(mism) != 0 {
+		t.Fatalf("recorded session: mismatches %v, err %v; want a clean reconciliation", mism, err)
+	}
+	p.Shard(0).RecordFootprint(prof.ClassSub, prof.OutcomeCapacity, 64+ReadMarginLines+1, 1, 8)
+	if mism, err := reconcile(p); err != nil || len(mism) != 1 || mism[0].Kind != "read" {
+		t.Fatalf("underestimated read footprint: mismatches %v, err %v; want one read mismatch", mism, err)
+	}
+	if _, err := reconcile(prof.New(prof.Config{})); err == nil {
+		t.Fatal("a profile with no footprint rows reconciled without error")
 	}
 }

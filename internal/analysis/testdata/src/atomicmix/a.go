@@ -3,41 +3,37 @@ package atomicmix
 
 import "sync/atomic"
 
-// good: a field accessed exclusively through sync/atomic.
-type cleanStats struct{ hits uint64 }
+// good: the typed API — the only way to reach the word is atomically.
+type cleanStats struct{ hits atomic.Uint64 }
 
 func (s *cleanStats) hit() uint64 {
-	atomic.AddUint64(&s.hits, 1)
-	return atomic.LoadUint64(&s.hits)
+	s.hits.Add(1)
+	return s.hits.Load()
 }
 
-// bad: the same field also accessed plainly.
+// bad: the function API on a plain field; nothing stops reset below.
 type dirtyStats struct{ misses uint64 }
 
-func (s *dirtyStats) miss() { atomic.AddUint64(&s.misses, 1) }
+func (s *dirtyStats) miss() { atomic.AddUint64(&s.misses, 1) } // want `call to atomic.AddUint64`
 
-func (s *dirtyStats) reset() { s.misses = 0 } // want `plain access to .misses.`
+func (s *dirtyStats) reset() { s.misses = 0 }
 
 func (s *dirtyStats) peekMisses() uint64 {
-	return s.misses // want `plain access to .misses.`
+	return atomic.LoadUint64(&s.misses) // want `call to atomic.LoadUint64`
 }
 
-// bad: a package-level word mixed the same way.
+// bad: a package-level word accessed the same way.
 var seq uint64
 
-func next() uint64 { return atomic.AddUint64(&seq, 1) }
+func next() uint64 { return atomic.AddUint64(&seq, 1) } // want `call to atomic.AddUint64`
 
-func peekSeq() uint64 {
-	return seq // want `plain access to .seq.`
+func swap(p *uint64) bool {
+	return atomic.CompareAndSwapUint64(p, 0, 1) // want `call to atomic.CompareAndSwapUint64`
 }
 
-// good: suppressed — the annotation claims pre-publication access.
+// good: suppressed — the annotation claims every access goes through here.
 type published struct{ n uint64 }
 
-func newPublished() *published {
-	p := &published{}
-	p.n = 42 // parthtm:plain — not visible to other goroutines yet
-	return p
+func (p *published) bump() {
+	atomic.AddUint64(&p.n, 1) // parthtm:plain — interop with a C-layout struct
 }
-
-func (p *published) bump() { atomic.AddUint64(&p.n, 1) }

@@ -111,8 +111,7 @@ func traced(eng *htm.Engine, slot int, buf *trace.Buffer) {
 // good: the kernel pattern — admission decided before the window opens,
 // breaker evidence recorded and the scope closed after it.
 func kernelPattern(eng *htm.Engine, slot int, gov *governor.Governor, st *governor.State) {
-	v, _ := gov.Begin(st, 0)
-	if v == governor.Serialize {
+	if gov.Begin(st) == governor.Serialize {
 		return
 	}
 	res := eng.Execute(slot, func(t *htm.Txn) {
@@ -127,7 +126,7 @@ func kernelPattern(eng *htm.Engine, slot int, gov *governor.Governor, st *govern
 // bad: admission hooks run at the kernel boundary, never inside a window.
 func selfGoverned(eng *htm.Engine, slot int, gov *governor.Governor, st *governor.State) {
 	eng.Execute(slot, func(t *htm.Txn) {
-		if !gov.ChargeAttempt(st, 0) { // want `governor.ChargeAttempt inside a hardware-transaction window`
+		if gov.Begin(st) == governor.Serialize { // want `governor.Begin inside a hardware-transaction window`
 			return
 		}
 		t.Write(0, 1)
@@ -160,14 +159,13 @@ func profiled(eng *htm.Engine, slot int, ps *prof.Shard) {
 	})
 }
 
-// bad: every other prof entry point locks, allocates (the merged
-// queries), or reads the clock (the sampler's Mark).
+// bad: every other prof entry point locks or allocates (the merged
+// queries).
 func profSloppy(eng *htm.Engine, slot int, p *prof.Profile) {
 	eng.Execute(slot, func(t *htm.Txn) {
 		sh := p.Shard(slot) // want `prof.Shard inside a hardware-transaction window`
 		sh.RecordConflict(1)
-		p.Mark("in-window") // want `prof.Mark inside a hardware-transaction window`
-		_ = p.TopK(4)       // want `prof.TopK inside a hardware-transaction window`
+		_ = p.TopK(4) // want `prof.TopK inside a hardware-transaction window`
 		t.Write(0, 1)
 	})
 }

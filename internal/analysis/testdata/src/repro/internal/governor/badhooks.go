@@ -31,7 +31,7 @@ func (j *journal) snapshot() []int64 {
 	return out
 }
 
-// describe renders the admission gauge. Allocation-free.
+// describe renders the in-flight count. Allocation-free.
 func describe(n int64) string {
 	c := &cell{n: n}                       // want `describe heap-allocates \(&composite literal\)`
 	return fmt.Sprintf("inflight=%d", c.n) // want `describe calls fmt\.Sprintf but is documented allocation-free`

@@ -1,5 +1,5 @@
 // Package governor stubs repro/internal/governor for the analyzer tests:
-// the admission/breaker API shape the txpure and htmregion testdata call
+// the breaker API shape the txpure and htmregion testdata call
 // into. The hooks here are clean — they double as the good cases for
 // htmregion's allocation-free enforcement (no `want` comments on them).
 package governor
@@ -18,15 +18,6 @@ const (
 	Serialize
 )
 
-// Reason explains a Serialize verdict.
-type Reason uint8
-
-const (
-	ReasonNone Reason = iota
-	ReasonOverload
-	ReasonBreaker
-)
-
 // Transition is a circuit-breaker state change observed at Finish.
 type Transition uint8
 
@@ -38,6 +29,7 @@ const (
 
 // State is one thread's governor cell.
 type State struct {
+	active  atomic.Bool
 	open    bool
 	sawHW   bool
 	history []bool
@@ -51,9 +43,8 @@ func (st *State) Open() bool { return st.open }
 
 // Governor is one system's resource-governance state.
 type Governor struct {
-	inflight atomic.Int64
-	mu       sync.Mutex
-	states   []*State
+	mu     sync.Mutex
+	states []*State
 }
 
 // New builds a governor.
@@ -71,32 +62,21 @@ func (g *Governor) State(id int) *State {
 }
 
 // Begin admits one transaction. Allocation-free.
-func (g *Governor) Begin(st *State, now int64) (Verdict, Reason) {
+func (g *Governor) Begin(st *State) Verdict {
+	st.active.Store(true)
 	st.sawHW = false
-	if g.inflight.Add(1) > 64 {
-		return Serialize, ReasonOverload
-	}
 	if st.open {
-		return Serialize, ReasonBreaker
+		return Serialize
 	}
-	return Admit, ReasonNone
+	return Admit
 }
-
-// ChargeAttempt charges one optimistic attempt. Allocation-free.
-func (g *Governor) ChargeAttempt(st *State, now int64) bool { return true }
 
 // Finish closes the transaction's governor scope. Allocation-free.
 func (g *Governor) Finish(st *State, path uint8) Transition {
-	g.inflight.Add(-1)
+	st.active.Store(false)
 	if st.open {
 		st.open = false
 		return TransClose
 	}
 	return TransNone
 }
-
-// TryAcquire reserves one admission slot without blocking.
-func (g *Governor) TryAcquire() bool { return g.inflight.Add(1) < 64 }
-
-// Release returns a TryAcquire slot.
-func (g *Governor) Release() { g.inflight.Add(-1) }

@@ -17,4 +17,3 @@ type Profile struct{}
 
 func (p *Profile) Shard(id int) *Shard  { return nil }
 func (p *Profile) TopK(k int) []HotLine { return nil }
-func (p *Profile) Mark(label string)    {}

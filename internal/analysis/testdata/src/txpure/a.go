@@ -67,10 +67,10 @@ func levels() exec.Txn {
 }
 
 // bad: admission belongs to the kernel — a body reruns on abort, so an
-// in-body governor call is charged once per attempt.
+// in-body governor call runs once per attempt.
 func selfAdmitted(sys tm.System, id int, gov *governor.Governor, st *governor.State, a mem.Addr) {
 	sys.Atomic(id, func(x tm.Tx) {
-		if !gov.ChargeAttempt(st, 0) { // want `transaction body calls governor.ChargeAttempt`
+		if gov.Begin(st) == governor.Serialize { // want `transaction body calls governor.Begin`
 			return
 		}
 		x.Write(a, 1)

@@ -137,7 +137,7 @@ type txBody struct {
 // hooks — so only Fast bodies are footprint-bounded.
 func collectTxBodies(pkg *Package) []txBody {
 	var bodies []txBody
-	for _, f := range sourceFilesOf(pkg) {
+	for _, f := range pkg.SourceFiles() {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
 			if !ok {
@@ -155,23 +155,6 @@ func collectTxBodies(pkg *Package) []txBody {
 		})
 	}
 	return bodies
-}
-
-// sourceFilesOf yields pkg's production files (the IncludeTests=false
-// view).
-func sourceFilesOf(pkg *Package) []*ast.File {
-	var out []*ast.File
-	for _, f := range pkg.Files {
-		if !isTestFile(pkg.Fset, f) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	name := fset.Position(f.Pos()).Filename
-	return len(name) >= len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
 }
 
 func runTxFootprint(pass *Pass) {
@@ -283,7 +266,7 @@ func scanFootprint(view *Package, root ast.Node, callee func(*types.Func) (footF
 		return out
 	}
 
-	walkStack(root, func(n ast.Node, stack []ast.Node) bool {
+	inspectStack(root, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -525,12 +508,12 @@ func affineStride(view *Package, e ast.Expr, L *loopInfo) (int64, bool) {
 				return sx - sy, true
 			}
 		case token.MUL:
-			if c, ok := constInt(view, x.X); ok {
+			if c, ok := constInt(view.Info, x.X); ok {
 				if s, ok := affineStride(view, x.Y, L); ok {
 					return mulCapSigned(s, c), true
 				}
 			}
-			if c, ok := constInt(view, x.Y); ok {
+			if c, ok := constInt(view.Info, x.Y); ok {
 				if s, ok := affineStride(view, x.X, L); ok {
 					return mulCapSigned(s, c), true
 				}
@@ -560,8 +543,8 @@ func mulCapSigned(a, b int64) int64 {
 }
 
 // constInt evaluates e as a compile-time integer constant.
-func constInt(view *Package, e ast.Expr) (int64, bool) {
-	tv, ok := view.Info.Types[e]
+func constInt(info *types.Info, e ast.Expr) (int64, bool) {
+	tv, ok := info.Types[e]
 	if !ok {
 		return 0, false
 	}
@@ -669,7 +652,7 @@ func forTrip(view *Package, f *ast.ForStmt) (int64, *types.Var) {
 	if v == nil {
 		return -1, nil
 	}
-	start, ok := constInt(view, init.Rhs[0])
+	start, ok := constInt(view.Info, init.Rhs[0])
 	if !ok {
 		return -1, nil
 	}
@@ -682,7 +665,7 @@ func forTrip(view *Package, f *ast.ForStmt) (int64, *types.Var) {
 	if !ok || view.Info.Uses[condID] != v {
 		return -1, nil
 	}
-	limit, ok := constInt(view, cond.Y)
+	limit, ok := constInt(view.Info, cond.Y)
 	if !ok {
 		return -1, nil
 	}
@@ -744,7 +727,7 @@ func postStep(view *Package, post ast.Stmt, v *types.Var) (int64, bool, bool) {
 		if !ok || view.Info.Uses[id] != v {
 			return 0, false, false
 		}
-		c, ok := constInt(view, p.Rhs[0])
+		c, ok := constInt(view.Info, p.Rhs[0])
 		if !ok {
 			return 0, false, false
 		}
@@ -821,20 +804,4 @@ func rangeTrip(view *Package, f *ast.RangeStmt) (int64, *types.Var) {
 		return arr.Len(), v
 	}
 	return -1, v
-}
-
-// walkStack is inspectStack over an arbitrary root node.
-func walkStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		descend := visit(n, stack)
-		if descend {
-			stack = append(stack, n)
-		}
-		return descend
-	})
 }

@@ -29,10 +29,9 @@ import (
 //     package-level variables inside bodies are flagged.
 //   - calls into repro/internal/governor are admission traffic: the
 //     execution kernel owns admission (it brackets the attempts with
-//     Begin/ChargeAttempt/Finish), and a body reruns on abort, so an
-//     in-body governor call would charge budgets or record breaker
-//     evidence once per attempt instead of once per transaction — every
-//     governor call inside a body is flagged.
+//     Begin/Finish), and a body reruns on abort, so an in-body governor
+//     call would record breaker evidence once per attempt instead of once
+//     per transaction — every governor call inside a body is flagged.
 //   - calls into repro/internal/prof are attribution traffic: the engine
 //     and the kernel own the profiler's record hooks (conflicts are
 //     attributed at the doom sites, footprints at commit/abort), and a
@@ -80,8 +79,7 @@ func runTxPure(pass *Pass) {
 }
 
 // isTxBody reports whether lit takes a tm.Tx parameter — the signature of
-// every workload transaction body (func(x tm.Tx)) and of the bodies
-// hle.PartHTMLock accepts.
+// every workload transaction body (func(x tm.Tx)).
 func isTxBody(info *types.Info, lit *ast.FuncLit) bool {
 	sig, ok := info.Types[lit].Type.(*types.Signature)
 	if !ok {
@@ -323,15 +321,15 @@ func checkMemAccess(pass *Pass, call *ast.CallExpr) {
 
 // checkGovernorCall flags governor admission traffic inside a body. The
 // kernel brackets every transaction with the governor hooks itself; a
-// body reruns on abort, so a call here would be charged once per attempt,
-// not once per transaction.
+// body reruns on abort, so a call here would run once per attempt, not
+// once per transaction.
 func checkGovernorCall(pass *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(pass.TypesInfo, call)
 	if funcPkgPath(fn) != governorPath {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"transaction body calls governor.%s: admission belongs to the execution kernel — a body rerun on abort would re-charge budgets or double-count breaker evidence", fn.Name())
+		"transaction body calls governor.%s: admission belongs to the execution kernel — a body rerun on abort would double-count breaker evidence", fn.Name())
 }
 
 // checkProfCall flags profiler mutation inside a body. Attribution

@@ -29,6 +29,13 @@
 // This reproduces the paper's "sub-HTM transactions retry a limited number
 // of times" without requiring segment bodies to be separately re-enterable
 // closures.
+//
+// The paper's §2 extension to Hardware Lock Elision — "applying Part-HTM to
+// HLE's first speculative trial before the lock acquisition is a simple
+// extension" — is System.Atomic called as the critical section of a
+// lock-shaped API: a section too big or too long for the hardware runs as a
+// partitioned transaction instead of acquiring the lock, and only the slow
+// path ever excludes everything. (Classic HLE is htmgl.Config{Retries: 1}.)
 package core
 
 import (

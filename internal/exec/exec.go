@@ -91,8 +91,8 @@ type Txn struct {
 	Mid func() bool
 	// Slow runs the transaction to guaranteed completion (global lock).
 	// nil means the system has no slow path: its unbounded Mid level is the
-	// guaranteed one, and the governor's Serialize verdicts and attempt and
-	// time budgets, which all act by serializing, do not apply to it.
+	// guaranteed one, and the governor's Serialize verdicts, which act by
+	// serializing, do not apply to it.
 	Slow func()
 	// Domains, when non-nil, reports how many memory domains the most
 	// recent fast or mid attempt touched (sharded-domain systems only).
@@ -368,25 +368,15 @@ func (r *Runner) Governor() *governor.Governor {
 	return r.gov
 }
 
-// SetProfile attaches the abort-attribution profiler to the runner's
-// lifecycle (nil detaches): the runner registers itself as the profile's
-// time-series source, so the periodic sampler snapshots this system's
-// tm.Stats shards and governor state for the duration of the attachment.
-// The address-level capture planes are fed by the htm engine, which takes
-// the profile separately (htm.Engine.SetProfile; harness.Build makes both
-// calls); the runner owns the counters the time series is made of. Like
-// SetTrace it must not be flipped while transactions run.
+// SetProfile attaches the abort-attribution profiler to the runner (nil
+// detaches) so Profile can hand it back through the one Kernel() seam. The
+// runner records nothing into it: the address-level capture planes are fed
+// by the htm engine, which takes the profile separately
+// (htm.Engine.SetProfile; harness.Build makes both calls).
 func (r *Runner) SetProfile(p *prof.Profile) {
 	r.mu.Lock()
-	old := r.prof
+	defer r.mu.Unlock()
 	r.prof = p
-	r.mu.Unlock()
-	if old != nil && old != p {
-		old.SetSource(nil)
-	}
-	if p != nil {
-		p.SetSource(r.sampleSource)
-	}
 }
 
 // Profile returns the attached profiler (nil when profiling is off).
@@ -394,59 +384,6 @@ func (r *Runner) Profile() *prof.Profile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.prof
-}
-
-// sampleSource builds one time-series sample from the runner's stats
-// shards, governor gauges, and degradation state. Called by the profile's
-// sampler goroutine; any-thread-safe (Snapshot and the gauges are).
-func (r *Runner) sampleSource() prof.Sample {
-	snap := r.stats.Snapshot()
-	s := prof.Sample{
-		CommitsHTM:       snap.CommitsHTM,
-		CommitsSW:        snap.CommitsSW,
-		CommitsGL:        snap.CommitsGL,
-		AbortsConflict:   snap.AbortsConflict,
-		AbortsCapacity:   snap.AbortsCapacity,
-		AbortsExplicit:   snap.AbortsExplicit,
-		AbortsOther:      snap.AbortsOther,
-		Escalations:      snap.Escalations(),
-		DegradedCommits:  snap.DegradedCommits,
-		Shed:             snap.ShedSerialized,
-		BudgetSerialized: snap.BudgetSerialized,
-		BreakerTrips:     snap.BreakerTrips,
-		BreakerSlow:      snap.BreakerSlow,
-		Degraded:         r.degraded.Load(),
-		Pressure:         r.pressure.Load(),
-	}
-	r.mu.Lock()
-	g := r.gov
-	r.mu.Unlock()
-	if g != nil {
-		s.Inflight = g.Inflight()
-		s.TimeBudgetNanos = int64(g.TimeBudget())
-	}
-	return s
-}
-
-// govNow returns the timestamp the governor's hooks need — zero unless a
-// time budget makes the clock worth reading.
-func (r *Runner) govNow() int64 {
-	if r.gov.NeedsTime() {
-		return trace.Now()
-	}
-	return 0
-}
-
-// govCharge charges one optimistic attempt against the governor's budgets,
-// reporting false when the transaction must serialize. Called only with a
-// governor attached.
-func (r *Runner) govCharge(t *Thread) bool {
-	if r.gov.ChargeAttempt(t.gv, r.govNow()) {
-		return true
-	}
-	t.sh.BudgetSerialized.Inc()
-	t.TraceEvent(trace.EvShed, 1)
-	return false
 }
 
 // escalation kinds, matching the tm.Stats escalation counters.
@@ -475,24 +412,16 @@ func (r *Runner) Run(id int, txn *Txn) {
 	r.traceBegin(t)
 	defer r.cmFinish(t)
 
-	// Governor admission: load shedding and the per-thread circuit breaker
-	// act before any work is done. Serialize verdicts need a slow path to
-	// serialize onto — the pure STMs and NOrecRH (no Slow) run their normal
-	// schedule regardless, whose unbounded software loop is their guaranteed
-	// path; for the same reason their attempts are not charged.
+	// Governor admission: the per-thread circuit breaker acts before any
+	// work is done. A Serialize verdict needs a slow path to serialize
+	// onto — the pure STMs and NOrecRH (no Slow) run their normal schedule
+	// regardless, whose unbounded software loop is their guaranteed path.
 	probe := false
-	charged := t.gv != nil && txn.Slow != nil
 	if t.gv != nil {
-		verdict, reason := r.gov.Begin(t.gv, r.govNow())
-		switch verdict {
+		switch r.gov.Begin(t.gv) {
 		case governor.Serialize:
 			if txn.Slow != nil {
-				if reason == governor.ReasonBreaker {
-					t.sh.BreakerSlow.Inc()
-				} else {
-					t.sh.ShedSerialized.Inc()
-					t.TraceEvent(trace.EvShed, 0)
-				}
+				t.sh.BreakerSlow.Inc()
 				r.runSlow(t, txn)
 				return
 			}
@@ -519,10 +448,6 @@ func (r *Runner) Run(id int, txn *Txn) {
 			// (global lock) is held.
 			if !r.awaitGate(t) {
 				r.escalate(t, escLemming)
-				r.runSlow(t, txn)
-				return
-			}
-			if charged && !r.govCharge(t) {
 				r.runSlow(t, txn)
 				return
 			}
@@ -567,10 +492,6 @@ func (r *Runner) Run(id int, txn *Txn) {
 		for attempt := 0; r.pol.MidAttempts == 0 || attempt < r.pol.MidAttempts; attempt++ {
 			if r.pol.GateMid && !r.awaitGate(t) {
 				r.escalate(t, escLemming)
-				r.runSlow(t, txn)
-				return
-			}
-			if charged && !r.govCharge(t) {
 				r.runSlow(t, txn)
 				return
 			}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/governor"
 	"repro/internal/htm"
@@ -12,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// failingFast builds a Txn whose fast level aborts while broken is set and
+// breakerTxn builds a Txn whose fast level aborts while broken is set and
 // commits otherwise, with a counting slow path.
 func breakerTxn(broken *atomic.Bool, fastTries, slowRuns *atomic.Int64) *Txn {
 	return &Txn{
@@ -153,102 +152,66 @@ func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 	}
 }
 
-// TestGovernorSheddingAndBudgets: the kernel maps overload shedding and
-// exhausted attempt budgets onto the slow path with their own counters.
-func TestGovernorShedding(t *testing.T) {
-	var st tm.Stats
-	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{MaxConcurrent: 1})
-	r.SetGovernor(g)
-
-	// Saturate the ceiling from the outside (a service-boundary caller),
-	// then run a transaction: it must serialize and count as shed.
-	if !g.TryAcquire() {
-		t.Fatal("acquire refused")
-	}
-	ran := false
-	r.Run(0, &Txn{
-		Fast: func() htm.Result { t.Fatal("fast level run while shed"); return htm.Result{} },
-		Slow: func() { ran = true },
-	})
-	g.Release()
-	if !ran {
-		t.Fatal("slow path not run")
-	}
-	snap := st.Snapshot()
-	if snap.ShedSerialized != 1 || snap.CommitsGL != 1 {
-		t.Fatalf("snapshot = %+v, want 1 shed + 1 GL commit", snap)
-	}
-
-	// With the ceiling free again transactions are admitted.
-	r.Run(0, &Txn{Fast: func() htm.Result { return htm.Result{Committed: true} }, Slow: func() {}})
-	if st.Snapshot().ShedSerialized != 1 {
-		t.Fatal("admitted transaction counted as shed")
-	}
-}
-
-func TestGovernorAttemptBudget(t *testing.T) {
-	var st tm.Stats
-	r := New(Policy{FastAttempts: 10, MidAttempts: 10}, &st, nil)
-	r.SetGovernor(governor.New(governor.Config{AttemptBudget: 3}))
-	fast, mid := 0, 0
-	r.Run(0, &Txn{
-		Fast: func() htm.Result { fast++; return htm.Result{Reason: htm.Conflict} },
-		Mid:  func() bool { mid++; return false },
-		Slow: func() {},
-	})
-	if fast+mid != 3 {
-		t.Fatalf("optimistic attempts = %d (%d fast, %d mid), want 3", fast+mid, fast, mid)
-	}
-	snap := st.Snapshot()
-	if snap.BudgetSerialized != 1 || snap.CommitsGL != 1 {
-		t.Fatalf("snapshot = %+v, want 1 budget-serialized + 1 GL commit", snap)
-	}
-}
-
-func TestGovernorTimeBudget(t *testing.T) {
-	var st tm.Stats
-	r := New(Policy{MidAttempts: 1 << 20}, &st, nil)
-	r.SetGovernor(governor.New(governor.Config{TimeBudget: time.Millisecond}))
-	r.Run(0, &Txn{
-		Mid:  func() bool { time.Sleep(200 * time.Microsecond); return false },
-		Slow: func() {},
-	})
-	snap := st.Snapshot()
-	if snap.BudgetSerialized != 1 {
-		t.Fatalf("BudgetSerialized = %d, want 1 (deadline must cut the retry loop)", snap.BudgetSerialized)
-	}
-	if snap.CommitsGL != 1 {
-		t.Fatalf("CommitsGL = %d, want 1", snap.CommitsGL)
-	}
-}
-
-// TestGovernorPureSTMUnaffected: a policy with no slow path (the pure STMs)
-// must run its unbounded software loop regardless of governor verdicts —
-// there is nothing to serialize onto.
+// TestGovernorPureSTMUnaffected: a transaction with no slow path (the pure
+// STMs, NOrecRH) must run its normal schedule even when its thread's
+// breaker is open — there is nothing to serialize onto. (Regression: the
+// Serialize verdict once called a nil Slow.)
 func TestGovernorPureSTMUnaffected(t *testing.T) {
 	var st tm.Stats
-	r := New(Policy{}, &st, nil) // zero policy: unbounded mid, no slow
-	g := governor.New(governor.Config{MaxConcurrent: 1, AttemptBudget: 1})
+	r := New(Policy{FastAttempts: 1}, &st, nil)
+	g := governor.New(governor.Config{BreakerThreshold: 1, BreakerProbeEvery: 1 << 30})
 	r.SetGovernor(g)
-	if !g.TryAcquire() { // force the ceiling so Begin would shed
-		t.Fatal("acquire refused")
+
+	// Trip thread 0's breaker through a transaction that has a slow path.
+	var broken atomic.Bool
+	var fastTries, slowRuns atomic.Int64
+	broken.Store(true)
+	r.Run(0, breakerTxn(&broken, &fastTries, &slowRuns))
+	if !g.State(0).Open() {
+		t.Fatal("breaker not open")
 	}
+
 	mid := 0
 	r.Run(0, &Txn{Mid: func() bool { mid++; return mid == 3 }})
-	g.Release()
 	snap := st.Snapshot()
 	if snap.CommitsSW != 1 || mid != 3 {
 		t.Fatalf("mid = %d, snapshot = %+v", mid, snap)
 	}
-	if snap.ShedSerialized != 0 || snap.BudgetSerialized != 0 {
-		t.Fatalf("governor serialized a pure STM: %+v", snap)
+	if snap.BreakerSlow != 0 {
+		t.Fatalf("governor serialized a transaction with no slow path: %+v", snap)
+	}
+}
+
+// TestGovernorActiveWhileParkedInSlow: a worker parked inside its slow path
+// moves no stats counter; the governor's in-transaction flag is what the
+// watchdog's global-stall alarm and the obs inflight gauge see, under the
+// shipped DefaultConfig.
+func TestGovernorActiveWhileParkedInSlow(t *testing.T) {
+	var st tm.Stats
+	r := New(Policy{}, &st, nil)
+	g := governor.New(governor.DefaultConfig())
+	r.SetGovernor(g)
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Run(1, &Txn{Slow: func() { close(parked); <-release }})
+	}()
+	<-parked
+	if got := g.Active(); got != 1 {
+		t.Errorf("active = %d with one worker parked in Slow, want 1", got)
+	}
+	close(release)
+	<-done
+	if got := g.Active(); got != 0 {
+		t.Errorf("active = %d after the transaction finished, want 0", got)
 	}
 }
 
 // TestGovernorBreakerHammer exercises the breaker cycle from many threads
 // concurrently under -race: per-thread breaker cells must stay single-
-// writer, and the shared admission gauge must return to zero.
+// writer, and every in-transaction flag must end cleared.
 func TestGovernorBreakerHammer(t *testing.T) {
 	const threads = 8
 	const txns = 400
@@ -257,8 +220,6 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	g := governor.New(governor.Config{
 		BreakerThreshold:  2,
 		BreakerProbeEvery: 3,
-		MaxConcurrent:     threads / 2, // force real shedding traffic
-		AttemptBudget:     4,
 	})
 	r.SetGovernor(g)
 
@@ -287,8 +248,8 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	broken.Store(false)
 	phase()
 
-	if got := g.Inflight(); got != 0 {
-		t.Fatalf("inflight gauge = %d after quiesce, want 0", got)
+	if got := g.Active(); got != 0 {
+		t.Fatalf("active = %d after quiesce, want 0", got)
 	}
 	snap := st.Snapshot()
 	if snap.Commits() != 2*threads*txns {

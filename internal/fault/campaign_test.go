@@ -249,3 +249,54 @@ func TestCampaignAdvanceConcurrent(t *testing.T) {
 		t.Fatalf("final phase %d, want 2", in.PhaseIndex())
 	}
 }
+
+// TestCampaignStragglerJudgedByItsOwnPhase: a thread overtaken between
+// taking its begin tick and reading the published phase must be judged by
+// the phase its tick fell in, and must not disturb the campaign position.
+// The overtaking is built, not raced: a second goroutine draws the phase
+// forward, then the clock is set so the straggler's Draw takes the tick it
+// would have been holding.
+func TestCampaignStragglerJudgedByItsOwnPhase(t *testing.T) {
+	campaign := []Phase{
+		{Name: "pre", Begins: 2},
+		{Name: "storm", Storms: []Storm{{From: 1, To: Forever, Reason: Other}}, Begins: 3},
+		{Name: "clear"},
+	}
+	overtake := func(in *Injector, begins int) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < begins; i++ {
+				in.Draw(SiteHTMBegin, 0)
+			}
+		}()
+		<-done
+	}
+	for _, tc := range []struct {
+		name            string
+		overtaken, tick uint64
+		phaseBefore     int
+		wantInject      bool
+	}{
+		// Ticks 1-2 pre, 3-5 storm, 6+ clear.
+		{"storm tick, clear published", 6, 5, 2, true},
+		{"storm tick at the boundary", 6, 3, 2, true},
+		{"pre tick, storm published", 3, 1, 1, false}, // tick - start underflowed here
+		{"pre tick, clear published", 6, 2, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := New(Config{Seed: 1, Threads: 2, Campaign: campaign})
+			overtake(in, int(tc.overtaken))
+			if got := in.PhaseIndex(); got != tc.phaseBefore {
+				t.Fatalf("phase %d after %d begins, want %d", got, tc.overtaken, tc.phaseBefore)
+			}
+			in.clock.Store(tc.tick - 1)
+			if _, _, ok := in.Draw(SiteHTMBegin, 1); ok != tc.wantInject {
+				t.Fatalf("straggler at tick %d: injected = %v, want %v", tc.tick, ok, tc.wantInject)
+			}
+			if got := in.PhaseIndex(); got != tc.phaseBefore {
+				t.Fatalf("straggler moved the campaign from phase %d to %d", tc.phaseBefore, got)
+			}
+		})
+	}
+}

@@ -313,10 +313,13 @@ type threadState struct {
 // phaseState is the campaign position, published as one immutable value so
 // concurrent draws never see a phase index paired with another phase's
 // clock base. start is the last begin tick of the previous phase: ticks
-// start+1, start+2, ... are phase-relative ticks 1, 2, ...
+// start+1, start+2, ... are phase-relative ticks 1, 2, ... prev is the
+// phase that ended at start, kept so a tick taken before the transition is
+// still judged by the phase it fell in.
 type phaseState struct {
 	idx   int
 	start uint64
+	prev  *phaseState
 }
 
 // Injector decides, per protocol site and thread, whether to inject a
@@ -396,24 +399,31 @@ func (in *Injector) AdvancePhase() int {
 		if ps.idx+1 >= len(in.cfg.Campaign) {
 			return ps.idx
 		}
-		next := &phaseState{idx: ps.idx + 1, start: in.clock.Load()}
+		next := &phaseState{idx: ps.idx + 1, start: in.clock.Load(), prev: ps}
 		if in.phase.CompareAndSwap(ps, next) {
 			return next.idx
 		}
 	}
 }
 
-// advancePhases applies begin-budget auto-advance at tick: while the
-// current phase has a Begins budget and tick lies past it, step to the
-// next phase with a deterministic clock base (start + Begins), so the
-// transition tick is the same no matter which thread draws it.
-func (in *Injector) advancePhases(ps *phaseState, tick uint64) *phaseState {
+// phaseAt returns the campaign phase begin tick falls in (nil when the
+// injector runs no campaign). While the published phase has a Begins
+// budget and tick lies past it, it steps to the next phase with a
+// deterministic clock base (start + Begins), so the transition tick is the
+// same no matter which thread draws it. A thread overtaken between taking
+// its tick and looking here finds a phase that started at or after its
+// tick; it walks back to the one it belongs to.
+func (in *Injector) phaseAt(tick uint64) *phaseState {
+	ps := in.phase.Load()
+	if ps == nil {
+		return nil
+	}
 	for {
 		ph := &in.cfg.Campaign[ps.idx]
-		if ph.Begins == 0 || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
-			return ps
+		if ph.Begins == 0 || tick <= ps.start || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
+			break
 		}
-		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins}
+		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins, prev: ps}
 		if in.phase.CompareAndSwap(ps, next) {
 			ps = next
 		} else {
@@ -422,6 +432,10 @@ func (in *Injector) advancePhases(ps *phaseState, tick uint64) *phaseState {
 			ps = in.phase.Load()
 		}
 	}
+	for tick <= ps.start { // phase 0 starts at 0 and ticks start at 1
+		ps = ps.prev
+	}
+	return ps
 }
 
 // rand01 advances thread state ts and returns a uniform float64 in [0,1).
@@ -468,26 +482,20 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 	// 2. Abort storms, on the global hardware-begin clock.
 	if site == SiteHTMBegin {
 		tick := in.clock.Add(1)
-		if ps := in.phase.Load(); ps != nil {
-			ps = in.advancePhases(ps, tick)
+		if ps := in.phaseAt(tick); ps != nil {
 			ph := &in.cfg.Campaign[ps.idx]
 			rates, storms, base = &ph.Rates, ph.Storms, ps.start
 		}
-		// A manual AdvancePhase can set base at the current clock while a
-		// slower thread still holds an earlier tick; such stragglers fall
-		// outside the new phase's storm window rather than wrapping.
-		if tick > base {
-			pt := tick - base
-			for i := range storms {
-				st := &storms[i]
-				eff := pt
-				if st.Period > 0 {
-					eff = (pt-1)%st.Period + 1
-				}
-				if eff >= st.From && eff < st.To {
-					in.stats.Injected[site].Add(1)
-					return reasonOr(st.Reason), InjectedCode, true
-				}
+		pt := tick - base
+		for i := range storms {
+			st := &storms[i]
+			eff := pt
+			if st.Period > 0 {
+				eff = (pt-1)%st.Period + 1
+			}
+			if eff >= st.From && eff < st.To {
+				in.stats.Injected[site].Add(1)
+				return reasonOr(st.Reason), InjectedCode, true
 			}
 		}
 	} else if ps := in.phase.Load(); ps != nil {

@@ -2,14 +2,13 @@ package governor
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
 
-// finishQuiet drives Finish ignoring the transition (helper).
+// run drives one Begin/Finish pair with no hardware abort (helper).
 func run(g *Governor, st *State, path uint8) Transition {
-	g.Begin(st, 0)
+	g.Begin(st)
 	return g.Finish(st, path)
 }
 
@@ -20,13 +19,13 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	// Hardware-failed, lock-saved transactions lengthen the streak; the
 	// threshold-th one trips the breaker.
 	for i := 0; i < 2; i++ {
-		g.Begin(st, 0)
+		g.Begin(st)
 		st.NoteHWAbort()
 		if tr := g.Finish(st, trace.PathGL); tr != TransNone {
 			t.Fatalf("txn %d: transition %v, want none", i, tr)
 		}
 	}
-	g.Begin(st, 0)
+	g.Begin(st)
 	st.NoteHWAbort()
 	if tr := g.Finish(st, trace.PathGL); tr != TransTrip {
 		t.Fatalf("third failure: transition %v, want trip", tr)
@@ -38,8 +37,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	// While open: serialize, except every 4th transaction probes.
 	var probes, serialized int
 	for i := 0; i < 8; i++ {
-		v, reason := g.Begin(st, 0)
-		switch v {
+		switch v := g.Begin(st); v {
 		case Probe:
 			probes++
 			// Probe fails: hardware still broken, saved by the lock.
@@ -51,9 +49,6 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 				t.Fatal("failed probe closed the breaker")
 			}
 		case Serialize:
-			if reason != ReasonBreaker {
-				t.Fatalf("serialize reason %v, want breaker", reason)
-			}
 			serialized++
 			g.Finish(st, trace.PathGL)
 		default:
@@ -66,8 +61,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 
 	// Next probe commits in hardware: the breaker closes.
 	for {
-		v, _ := g.Begin(st, 0)
-		if v == Probe {
+		if g.Begin(st) == Probe {
 			break
 		}
 		g.Finish(st, trace.PathGL)
@@ -80,7 +74,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	}
 
 	// Closed again: normal admission, streak restarts from zero.
-	if v, _ := g.Begin(st, 0); v != Admit {
+	if v := g.Begin(st); v != Admit {
 		t.Fatalf("verdict %v after close, want admit", v)
 	}
 	g.Finish(st, trace.PathHTM)
@@ -99,7 +93,7 @@ func TestBreakerIgnoresSoftwareAndCleanLockCommits(t *testing.T) {
 	// Software commits after hardware aborts: partitioned path absorbed the
 	// failure; neither trip evidence nor recovery proof.
 	for i := 0; i < 10; i++ {
-		g.Begin(st, 0)
+		g.Begin(st)
 		st.NoteHWAbort()
 		if tr := g.Finish(st, trace.PathSW); tr != TransNone {
 			t.Fatalf("SW commit %d: transition %v", i, tr)
@@ -109,11 +103,11 @@ func TestBreakerIgnoresSoftwareAndCleanLockCommits(t *testing.T) {
 		t.Fatal("breaker tripped without lock-saved hardware failures")
 	}
 	// One failure then a hardware commit: streak resets.
-	g.Begin(st, 0)
+	g.Begin(st)
 	st.NoteHWAbort()
 	g.Finish(st, trace.PathGL)
 	run(g, st, trace.PathHTM)
-	g.Begin(st, 0)
+	g.Begin(st)
 	st.NoteHWAbort()
 	if tr := g.Finish(st, trace.PathGL); tr != TransNone {
 		t.Fatalf("post-reset failure tripped early: %v", tr)
@@ -124,7 +118,7 @@ func TestBreakerDisabled(t *testing.T) {
 	g := New(Config{}) // zero threshold: no breaker
 	st := g.State(0)
 	for i := 0; i < 100; i++ {
-		g.Begin(st, 0)
+		g.Begin(st)
 		st.NoteHWAbort()
 		if tr := g.Finish(st, trace.PathGL); tr != TransNone {
 			t.Fatalf("disabled breaker produced transition %v", tr)
@@ -135,142 +129,42 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
-func TestAdmissionShedding(t *testing.T) {
-	g := New(Config{MaxConcurrent: 2})
-	a, b, c := g.State(0), g.State(1), g.State(2)
-	if v, _ := g.Begin(a, 0); v != Admit {
-		t.Fatalf("first: %v", v)
-	}
-	if v, _ := g.Begin(b, 0); v != Admit {
-		t.Fatalf("second: %v", v)
-	}
-	v, reason := g.Begin(c, 0)
-	if v != Serialize || reason != ReasonOverload {
-		t.Fatalf("third over ceiling: %v/%v, want serialize/overload", v, reason)
-	}
-	if got := g.Inflight(); got != 3 {
-		t.Fatalf("inflight %d, want 3 (shed txns hold their slot)", got)
-	}
-	g.Finish(c, trace.PathGL)
-	g.Finish(b, trace.PathHTM)
-	if v, _ := g.Begin(c, 0); v != Admit {
-		t.Fatalf("after release: %v, want admit", v)
-	}
-	g.Finish(c, trace.PathHTM)
-	g.Finish(a, trace.PathHTM)
-	if got := g.Inflight(); got != 0 {
-		t.Fatalf("inflight %d after all finished", got)
-	}
-}
-
-func TestTryAcquireRejects(t *testing.T) {
-	g := New(Config{MaxConcurrent: 1})
-	if !g.TryAcquire() {
-		t.Fatal("first acquire refused")
-	}
-	if g.TryAcquire() {
-		t.Fatal("second acquire admitted over the ceiling")
-	}
-	g.Release()
-	if !g.TryAcquire() {
-		t.Fatal("acquire refused after release")
-	}
-	g.Release()
-	if g.Inflight() != 0 {
-		t.Fatalf("inflight %d, want 0", g.Inflight())
-	}
-	// No ceiling: always admits.
-	open := New(Config{})
-	for i := 0; i < 10; i++ {
-		if !open.TryAcquire() {
-			t.Fatal("unlimited governor refused")
-		}
-	}
-}
-
-func TestAttemptBudget(t *testing.T) {
-	g := New(Config{AttemptBudget: 3})
-	st := g.State(0)
-	g.Begin(st, 0)
-	for i := 0; i < 3; i++ {
-		if !g.ChargeAttempt(st, 0) {
-			t.Fatalf("attempt %d refused within budget", i+1)
-		}
-	}
-	if g.ChargeAttempt(st, 0) {
-		t.Fatal("fourth attempt admitted over a budget of 3")
-	}
-	g.Finish(st, trace.PathGL)
-	// Budget resets per transaction.
-	g.Begin(st, 0)
-	if !g.ChargeAttempt(st, 0) {
-		t.Fatal("fresh transaction refused its first attempt")
-	}
-	g.Finish(st, trace.PathGL)
-}
-
-func TestTimeBudget(t *testing.T) {
-	g := New(Config{TimeBudget: time.Millisecond})
-	if !g.NeedsTime() {
-		t.Fatal("NeedsTime false with a time budget set")
-	}
-	st := g.State(0)
-	now := trace.Now()
-	g.Begin(st, now)
-	if !g.ChargeAttempt(st, now) {
-		t.Fatal("attempt within deadline refused")
-	}
-	if g.ChargeAttempt(st, now+2*int64(time.Millisecond)) {
-		t.Fatal("attempt past deadline admitted")
-	}
-	g.Finish(st, trace.PathGL)
-
-	// Disabling the budget stops deadline checks for new transactions.
-	g.SetTimeBudget(0)
-	if g.NeedsTime() {
-		t.Fatal("NeedsTime true after disabling")
-	}
-	g.Begin(st, 0)
-	if !g.ChargeAttempt(st, 0) {
-		t.Fatal("attempt refused with no budgets")
-	}
-	g.Finish(st, trace.PathGL)
-}
-
-func TestAutoTune(t *testing.T) {
-	g := New(Config{AutoTuneFactor: 4})
-	var snap trace.LatencySnapshot
-	g.AutoTune(snap) // no commits: unchanged
-	if g.TimeBudget() != 0 {
-		t.Fatalf("empty snapshot tuned budget to %v", g.TimeBudget())
-	}
-	snap.Path[trace.PathHTM] = trace.LatencyStat{Count: 100, P99: 1000}
-	snap.Path[trace.PathSW] = trace.LatencyStat{Count: 10, P99: 5000}
-	g.AutoTune(snap)
-	if got := g.TimeBudget(); got != 20000*time.Nanosecond {
-		t.Fatalf("tuned budget %v, want 20µs (4 × slowest p99)", got)
-	}
-}
-
-// TestHooksAllocationFree pins the admission fast path allocation-free (the
-// -benchmem benchmarks show the same; this fails fast in plain `go test`).
+// TestHooksAllocationFree pins the per-transaction hooks allocation-free
+// (the -benchmem benchmark shows the same; this fails fast in plain
+// `go test`).
 func TestHooksAllocationFree(t *testing.T) {
-	g := New(Config{
-		TimeBudget:       time.Second,
-		AttemptBudget:    8,
-		MaxConcurrent:    64,
-		BreakerThreshold: 4,
-	})
+	g := New(Config{BreakerThreshold: 4})
 	st := g.State(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		now := trace.Now()
-		g.Begin(st, now)
-		g.ChargeAttempt(st, now)
+		g.Begin(st)
 		st.NoteHWAbort()
 		g.Finish(st, trace.PathGL)
 	})
 	if allocs != 0 {
-		t.Fatalf("admission hooks allocate %v per transaction, want 0", allocs)
+		t.Fatalf("governor hooks allocate %v per transaction, want 0", allocs)
+	}
+}
+
+// TestActiveCountsBeginToFinish pins the in-transaction flag: set by
+// Begin, cleared by Finish, summed across threads by Active.
+func TestActiveCountsBeginToFinish(t *testing.T) {
+	g := New(DefaultConfig())
+	a, b := g.State(0), g.State(1)
+	if got := g.Active(); got != 0 {
+		t.Fatalf("idle governor: active %d, want 0", got)
+	}
+	g.Begin(a)
+	g.Begin(b)
+	if got := g.Active(); got != 2 {
+		t.Fatalf("two open transactions: active %d, want 2", got)
+	}
+	g.Finish(a, trace.PathHTM)
+	if got := g.Active(); got != 1 {
+		t.Fatalf("one finished: active %d, want 1", got)
+	}
+	g.Finish(b, trace.PathGL)
+	if got := g.Active(); got != 0 {
+		t.Fatalf("all finished: active %d, want 0", got)
 	}
 }
 
@@ -279,25 +173,7 @@ func BenchmarkAdmit(b *testing.B) {
 	st := g.State(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Begin(st, 0)
-		g.ChargeAttempt(st, 0)
-		g.Finish(st, trace.PathHTM)
-	}
-}
-
-func BenchmarkAdmitAllBudgets(b *testing.B) {
-	g := New(Config{
-		TimeBudget:       time.Second,
-		AttemptBudget:    8,
-		MaxConcurrent:    64,
-		BreakerThreshold: 4,
-	})
-	st := g.State(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now := trace.Now()
-		g.Begin(st, now)
-		g.ChargeAttempt(st, now)
+		g.Begin(st)
 		g.Finish(st, trace.PathHTM)
 	}
 }

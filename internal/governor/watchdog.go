@@ -102,7 +102,7 @@ type Watchdog struct {
 	stats   *tm.Stats
 	threads int
 
-	gov      *Governor // optional: inflight gauge for global-stall detection
+	gov      *Governor // optional: in-transaction flags for global-stall detection
 	degrader Degrader  // optional: forced recovery target
 	onAlarm  func(Alarm)
 	buf      *trace.Buffer
@@ -152,8 +152,9 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 	return w
 }
 
-// AttachGovernor lets the watchdog use the governor's inflight gauge to
-// tell "everything is idle" from "everything is stuck".
+// AttachGovernor lets the watchdog use the governor's per-thread
+// in-transaction flags to tell "everything is idle" from "everything is
+// stuck".
 func (w *Watchdog) AttachGovernor(g *Governor) { w.gov = g }
 
 // SetDegrader attaches the forced-recovery target (the system's runner).
@@ -200,14 +201,13 @@ func (w *Watchdog) loop() {
 
 // sample takes one reading of the shards and raises due alarms.
 func (w *Watchdog) sample() {
-	var totalCommits, totalAborts uint64
+	var totalCommits uint64
 	for i := 0; i < w.threads; i++ {
 		sh := w.stats.Shard(i)
 		commits := sh.CommitsHTM.Load() + sh.CommitsSW.Load() + sh.CommitsGL.Load()
 		aborts := sh.AbortsConflict.Load() + sh.AbortsCapacity.Load() +
 			sh.AbortsExplicit.Load() + sh.AbortsOther.Load()
 		totalCommits += commits
-		totalAborts += aborts
 		// Per-thread stall: aborts keep arriving but nothing commits. A
 		// fully idle thread (neither moves) is not stalled.
 		if commits == w.lastCommits[i] && aborts > w.lastAborts[i] {
@@ -223,13 +223,17 @@ func (w *Watchdog) sample() {
 		w.lastAborts[i] = aborts
 	}
 
-	// Global stall: transactions in flight (per the governor's gauge) but
+	// Global stall: transactions in flight (per the governor's flags) but
 	// no commit anywhere — catches workers stuck in waits that produce
 	// neither commits nor aborts (a convoy on the optimistic gate).
-	if w.gov != nil && totalCommits == w.lastTotal && w.gov.Inflight() > 0 {
+	var active int64
+	if w.gov != nil && totalCommits == w.lastTotal {
+		active = w.gov.Active()
+	}
+	if active > 0 {
 		w.totalStall++
 		if w.totalStall == w.cfg.StallSamples {
-			w.alarm(AlarmStall, -1, uint64(w.gov.Inflight()))
+			w.alarm(AlarmStall, -1, uint64(active))
 			w.totalStall = 0
 		}
 	} else {

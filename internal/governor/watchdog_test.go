@@ -128,18 +128,43 @@ func TestWatchdogNoAlarmWhenIdleOrProgressing(t *testing.T) {
 	}
 }
 
+// A worker parked inside its transaction (in Slow, say) moves no counter
+// at all; under the shipped DefaultConfig the governor's in-transaction
+// flag is the only evidence. Deterministic: sample is driven by hand.
 func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	stats := &tm.Stats{}
-	g := New(Config{MaxConcurrent: 8})
+	g := New(DefaultConfig())
 	w, c := newTestWatchdog(stats, 2, nil)
 	w.AttachGovernor(g)
-	w.Start()
-	defer w.Stop()
 
-	// Transactions in flight, but no commits and no aborts anywhere — a
-	// convoy producing no counter movement at all.
-	g.Begin(g.State(0), 0)
-	waitFor(t, func() bool { return c.byKind(AlarmStall) > 0 }, "global stall alarm")
+	for i := 0; i < 2*w.cfg.StallSamples; i++ {
+		w.sample()
+	}
+	if n := c.byKind(AlarmStall); n != 0 {
+		t.Fatalf("%d stall alarms on an idle system, want 0", n)
+	}
+
+	st := g.State(1)
+	g.Begin(st) // parked: no commit, no abort
+	for i := 0; i < w.cfg.StallSamples-1; i++ {
+		w.sample()
+	}
+	if n := c.byKind(AlarmStall); n != 0 {
+		t.Fatalf("stall alarm after %d samples, deadline is %d", w.cfg.StallSamples-1, w.cfg.StallSamples)
+	}
+	w.sample()
+	if len(c.alarms) != 1 || c.alarms[0] != (Alarm{Kind: AlarmStall, Thread: -1, Value: 1}) {
+		t.Fatalf("alarms = %+v, want one global stall (thread -1, 1 in flight)", c.alarms)
+	}
+
+	// The transaction finishing (even without a counted commit) re-arms.
+	g.Finish(st, trace.PathGL)
+	for i := 0; i < 2*w.cfg.StallSamples; i++ {
+		w.sample()
+	}
+	if n := c.byKind(AlarmStall); n != 1 {
+		t.Fatalf("%d stall alarms after the worker left, want still 1", n)
+	}
 }
 
 func TestWatchdogLemmingPileup(t *testing.T) {

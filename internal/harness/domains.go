@@ -46,7 +46,6 @@ func runDomains(o Options) (*Result, error) {
 			if o.Trace != nil {
 				o.Trace.Mark("domains " + phase)
 			}
-			o.Profile.Mark("domains " + phase)
 			cfg := core.DefaultConfig()
 			// Isolate the partitioned path: the fast path commits the whole
 			// transaction in one hardware window and touches no per-domain

@@ -57,7 +57,7 @@ type Options struct {
 	Campaign string
 	// Profile, when non-nil, is attached to every system the experiment
 	// builds: report rows gain hot-line and footprint tables, and the
-	// profile accumulates the time series for -prof export.
+	// profile accumulates the session footprints for -prof-out.
 	Profile *prof.Profile
 	// ProfCheck makes profiled experiments assert their acceptance
 	// invariants — the heatmap experiment fails unless the planted hot
@@ -304,7 +304,6 @@ func runTable1(o Options) (*Result, error) {
 		if o.Trace != nil {
 			o.Trace.Mark(fmt.Sprintf("table1 %s @%d", name, threads))
 		}
-		o.Profile.Mark(fmt.Sprintf("table1 %s @%d", name, threads))
 		sys := Build(name, BuildOptions{
 			DataWords: app.MemWords(), Threads: threads,
 			PhysCores: o.PhysCores, Seed: o.Seed, Trace: o.Trace,
@@ -341,7 +340,7 @@ func captureLatency(s *trace.Sink) *LatencyReport {
 
 // captureProfile drains the profile's shard state (sketches, heat,
 // footprints) into a report and resets it, so the next report row starts
-// clean; the time-series ring is left intact — it spans the whole session.
+// clean (the session footprints survive Reset).
 // Nil-safe: unprofiled runs get a nil report.
 func captureProfile(p *prof.Profile) *ProfileReport {
 	if p == nil {
@@ -398,7 +397,6 @@ func runChaos(o Options) (*Result, error) {
 			if o.Trace != nil {
 				o.Trace.Mark(fmt.Sprintf("chaos %s rate=%g", name, rate))
 			}
-			o.Profile.Mark(fmt.Sprintf("chaos %s rate=%g", name, rate))
 			sys := Build(name, BuildOptions{
 				DataWords: cfg.MemWords(), Threads: threads,
 				PhysCores: o.PhysCores, Seed: o.Seed,

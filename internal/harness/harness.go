@@ -69,12 +69,11 @@ type BuildOptions struct {
 	// latency histograms.
 	Trace *trace.Sink
 	// Governor, when non-nil, attaches a fresh resource governor built from
-	// this config to the kernel: admission budgets, load shedding, and the
-	// per-thread HTM circuit breaker. Read it back with
-	// KernelOf(sys).Governor().
+	// this config to the kernel: the per-thread HTM circuit breaker. Read
+	// it back with KernelOf(sys).Governor().
 	Governor *governor.Config
 	// Profile, when non-nil, attaches the abort-attribution profiler: the
-	// kernel registers as the time-series sampler source, and engine-backed
+	// kernel hands it back (KernelOf(sys).Profile()), and engine-backed
 	// systems' hardware engine records conflict hot lines, capacity
 	// overflows, and footprints into it.
 	Profile *prof.Profile
@@ -141,8 +140,8 @@ func (o BuildOptions) buildEngine(words int) *htm.Engine {
 // options and attaches the instruments they carry. This is the one attach
 // site: every instrument goes on through the system's execution kernel
 // (KernelOf), and the profiler's address-level half additionally onto the
-// hardware engine (EngineOf) — the engine records conflict lines, capacity
-// overflows, and per-window footprints, the kernel feeds the time series.
+// hardware engine (EngineOf), which records conflict lines, capacity
+// overflows, and per-window footprints.
 // A system without a kernel that is not the Sequential baseline is a
 // wiring bug and panics rather than running uninstrumented.
 func Build(name string, o BuildOptions) tm.System {

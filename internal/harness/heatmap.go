@@ -118,7 +118,7 @@ func runHeatmap(o Options) (*Result, error) {
 	p := o.Profile
 	if p == nil {
 		// The experiment is about the profiler: always profile, even when
-		// the CLI did not ask for the time-series export.
+		// the CLI did not ask for the export.
 		p = prof.New(prof.Config{})
 	}
 	out := &Result{Notes: []string{fmt.Sprintf(
@@ -128,7 +128,6 @@ func runHeatmap(o Options) (*Result, error) {
 	for _, name := range o.Systems {
 		conflicts := map[string]uint64{}
 		for _, layout := range []string{"packed", "spread"} {
-			p.Mark(fmt.Sprintf("heatmap %s layout=%s", name, layout))
 			sys := Build(name, BuildOptions{
 				DataWords: (threads + 1) * mem.LineWords, Threads: threads,
 				PhysCores: o.PhysCores, Seed: o.Seed,

@@ -115,7 +115,6 @@ func runSoak(o Options) (*Result, error) {
 			if o.Trace != nil {
 				o.Trace.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
 			}
-			o.Profile.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
 			wd := soakWatchdog(wcfg, sys, k, threads, o.Trace)
 			if o.Flight != nil {
 				wd.OnAlarm(o.Flight.NoteAlarm)
@@ -193,7 +192,7 @@ func soakProgress(o *Options, sys tm.System, name, phase string) func() {
 }
 
 // soakWatchdog builds one phase's watchdog over the system's kernel: its
-// governor's inflight gauge attached, forced recovery through its
+// governor's in-transaction flags attached, forced recovery through its
 // degradation pressure, and the trace sink shared with the workers (the
 // watchdog writes its own slot).
 func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, k *exec.Runner, threads int, sink *trace.Sink) *governor.Watchdog {

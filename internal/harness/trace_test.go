@@ -22,8 +22,7 @@ func TestBuildAttachesInstruments(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sink := trace.NewSink(64)
 			p := prof.New(prof.Config{})
-			gcfg := governor.DefaultConfig()
-			gcfg.TimeBudget = time.Hour + 7 // never exceeded; marks this governor in the sample
+			gcfg := governor.Config{BreakerThreshold: 3, BreakerProbeEvery: 7} // not the defaults
 			reg := obs.NewRegistry()
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: 2,
@@ -33,24 +32,28 @@ func TestBuildAttachesInstruments(t *testing.T) {
 			if k == nil {
 				t.Fatal("no kernel")
 			}
-			if k.TraceSink() != sink || k.Profile() != p || k.Governor() == nil {
+			if k.TraceSink() != sink || k.Profile() != p || k.Governor() == nil || k.Governor().Config() != gcfg {
 				t.Fatalf("kernel attachments: sink=%p profile=%p governor=%p",
 					k.TraceSink(), k.Profile(), k.Governor())
 			}
 			if eng := EngineOf(sys); eng != nil && eng.Profile() != p {
 				t.Fatal("engine half of the profiler not attached")
 			}
+			// One transaction held open on the kernel's governor must show in
+			// the registry's inflight gauge: it samples that governor.
+			st := k.Governor().State(1)
+			k.Governor().Begin(st)
 			var snap obs.Snapshot
 			reg.Sample(&snap)
+			k.Governor().Finish(st, trace.PathSW)
 			if len(snap.Systems) != 1 || snap.Systems[0].Name != name {
 				t.Fatalf("registry sample = %+v", snap.Systems)
 			}
 			if s := snap.Systems[0]; !s.HasGov || !s.HasSink || !s.HasProf || !s.HasKernel {
 				t.Fatalf("registry sample lost a source: gov=%v sink=%v prof=%v kernel=%v",
 					s.HasGov, s.HasSink, s.HasProf, s.HasKernel)
-			} else if s.TimeBudgetNanos != int64(gcfg.TimeBudget) || k.Governor().TimeBudget() != gcfg.TimeBudget {
-				t.Fatalf("registry samples a governor with budget %d, kernel runs %v, built from %v",
-					s.TimeBudgetNanos, k.Governor().TimeBudget(), gcfg.TimeBudget)
+			} else if s.Inflight != 1 {
+				t.Fatalf("registry reads inflight %d with one transaction open on the kernel's governor", s.Inflight)
 			}
 			a := sys.Memory().Alloc(1)
 			for i := 0; i < 4; i++ {
@@ -73,34 +76,43 @@ func TestBuildAttachesInstruments(t *testing.T) {
 	}
 }
 
-// TestOneAttemptBudgetOnEverySystem: a governor budget of one attempt plus
-// one conflict must serialize a system that has a slow path and leave one
-// that has none (NOrec, RingSTM, NOrecRH) retrying in software — never panic
-// out of Atomic, never lose an update. The conflict is forced, not raced:
-// thread 0's first attempt reads the counter and then, still inside its
-// body, lets thread 1 commit an increment.
-func TestOneAttemptBudgetOnEverySystem(t *testing.T) {
+// TestOpenBreakerOnEverySystem: a thread whose breaker is open gets a
+// Serialize verdict at every begin. A system with a slow path must run it
+// there; one that has none (NOrec, RingSTM, NOrecRH) must run its normal
+// software schedule — never panic out of Atomic on a nil Slow, never lose
+// an update.
+func TestOpenBreakerOnEverySystem(t *testing.T) {
+	noSlow := map[string]bool{"NOrec": true, "RingSTM": true, "NOrecRH": true}
 	for _, name := range AllSystemNames {
 		t.Run(name, func(t *testing.T) {
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: 2,
-				Governor: &governor.Config{AttemptBudget: 1},
+				Governor: &governor.Config{BreakerThreshold: 1},
 			})
+			// Threshold 1: one hardware-failed, lock-saved transaction opens
+			// thread 0's breaker.
+			g := KernelOf(sys).Governor()
+			st := g.State(0)
+			g.Begin(st)
+			st.NoteHWAbort()
+			if g.Finish(st, trace.PathGL) != governor.TransTrip || !st.Open() {
+				t.Fatal("breaker not open")
+			}
 			a := sys.Memory().AllocLines(1)
-			first := true
-			sys.Atomic(0, func(x tm.Tx) {
-				v := x.Read(a)
-				if first {
-					first = false
-					sys.Atomic(1, func(y tm.Tx) { y.Write(a, y.Read(a)+1) })
-				}
-				x.Write(a, v+1)
-			})
+			for id := 0; id < 2; id++ {
+				sys.Atomic(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+			}
 			if got := sys.Memory().Load(a); got != 2 {
 				t.Fatalf("counter = %d after two increments", got)
 			}
-			if st := sys.Stats().Snapshot(); st.Commits() != 2 || st.Aborts() == 0 {
-				t.Fatalf("commits = %d, aborts = %d; want 2 commits and the forced conflict", st.Commits(), st.Aborts())
+			snap := sys.Stats().Snapshot()
+			wantSlow := uint64(1)
+			if noSlow[name] {
+				wantSlow = 0
+			}
+			if snap.Commits() != 2 || snap.BreakerSlow != wantSlow {
+				t.Fatalf("commits = %d, breaker-serialized = %d; want 2 and %d",
+					snap.Commits(), snap.BreakerSlow, wantSlow)
 			}
 		})
 	}

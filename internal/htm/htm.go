@@ -657,6 +657,31 @@ func doom(victim *Txn) bool {
 	}
 }
 
+// evictWriter resolves a foreign write monitor on en for a requester, which
+// wins as a cache-coherence invalidation would. Called under the line's
+// stripe lock, only when en.writer names a slot other than the requester's.
+// An active writer is doomed and loses the monitor (doomed). One past the
+// point of no return is handed back as wait: the requester releases the
+// stripe, lets it leave stCommitting, and retries. A committed writer's
+// entry is stale — its writes are already published — and is left alone.
+func (e *Engine) evictWriter(en *entry) (wait *Txn, doomed bool) {
+	other := e.slots[en.writer-1].Load()
+	if other == nil {
+		return nil, false
+	}
+	switch other.status.Load() {
+	case stActive, stDoomed:
+		if doom(other) {
+			en.writer = 0
+			return nil, true
+		}
+		return other, false
+	case stCommitting:
+		return other, false
+	}
+	return nil, false
+}
+
 // Read performs a transactional (monitored) read of the word at a.
 func (t *Txn) Read(a mem.Addr) uint64 {
 	t.checkDoomed()
@@ -707,23 +732,7 @@ func (t *Txn) readSlow(a mem.Addr, l mem.Line) uint64 {
 		e.mem.Lock(l)
 		en := &e.entries[l]
 		if w := en.writer; w != 0 && int(w-1) != t.slot {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					// Requester wins: invalidate the writer's monitor.
-					if doom(other) {
-						en.writer = 0
-						doomed = true
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-					// Stale entry; its writes are already published.
-				}
-			}
+			wait, doomed = e.evictWriter(en)
 		}
 		if wait == nil {
 			first = en.readers&bit == 0
@@ -884,21 +893,7 @@ func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 		en := &e.entries[l]
 		w := en.writer
 		if w != 0 && w != self {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					if doom(other) {
-						en.writer = 0
-						doomed = true
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-				}
-			}
+			wait, doomed = e.evictWriter(en)
 		}
 		if wait == nil {
 			first = en.readers&bit == 0
@@ -974,21 +969,10 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 			e.mem.Unlock(l)
 			return old, false
 		}
-		if w := en.writer; w != 0 {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					if doom(other) {
-						en.writer = 0
-						doomed++
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-				}
+		if en.writer != 0 {
+			var evicted bool
+			if wait, evicted = e.evictWriter(en); evicted {
+				doomed++
 			}
 		}
 		if wait == nil {
@@ -1138,20 +1122,9 @@ func waitNotCommitting(other *Txn) {
 // caller to retry if that transaction is mid-commit.
 func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if w := en.writer; w != 0 {
-		other := e.slots[w-1].Load()
-		if other != nil {
-			switch other.status.Load() {
-			case stActive, stDoomed:
-				if doom(other) {
-					en.writer = 0
-				} else {
-					return true
-				}
-			case stCommitting:
-				return true
-			case stCommitted:
-			}
+	if en.writer != 0 {
+		if wait, _ := e.evictWriter(en); wait != nil {
+			return true
 		}
 	}
 	return false
@@ -1161,20 +1134,9 @@ func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
 // hardware transaction holding the line in its read or write set.
 func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if w := en.writer; w != 0 {
-		other := e.slots[w-1].Load()
-		if other != nil {
-			switch other.status.Load() {
-			case stActive, stDoomed:
-				if doom(other) {
-					en.writer = 0
-				} else {
-					return true
-				}
-			case stCommitting:
-				return true
-			case stCommitted:
-			}
+	if en.writer != 0 {
+		if wait, _ := e.evictWriter(en); wait != nil {
+			return true
 		}
 	}
 	mask := en.readers

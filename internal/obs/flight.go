@@ -314,10 +314,9 @@ const flightCSVHeader = "ts_ns,seq,system," +
 	"aborts_conflict,aborts_capacity,aborts_explicit,aborts_other," +
 	"serial_nanos,escalations_budget,escalations_starve,escalations_lemming," +
 	"degraded_enter,degraded_exit,degraded_commits,faults_injected," +
-	"shed_serialized,budget_serialized," +
 	"breaker_trips,breaker_probes,breaker_closes,breaker_slow," +
 	"watchdog_alarms,cross_domain_commits,cross_domain_aborts,domain_ring_rollovers," +
-	"inflight,time_budget_ns,degraded,pressure"
+	"inflight,degraded,pressure"
 
 // writeCSVLocked writes the ring, oldest sample first (mu held).
 func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
@@ -339,11 +338,9 @@ func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
 				strconv.FormatInt(t.SerialNanos, 10),
 				u(t.EscalationsBudget), u(t.EscalationsStarve), u(t.EscalationsLemming),
 				u(t.DegradedEnter), u(t.DegradedExit), u(t.DegradedCommits), u(t.FaultsInjected),
-				u(t.ShedSerialized), u(t.BudgetSerialized),
 				u(t.BreakerTrips), u(t.BreakerProbes), u(t.BreakerCloses), u(t.BreakerSlow),
 				u(t.WatchdogAlarms), u(t.CrossDomainCommits), u(t.CrossDomainAborts), u(t.DomainRingRollovers),
-				strconv.FormatInt(s.Inflight, 10), strconv.FormatInt(s.TimeBudgetNanos, 10),
-				strconv.Itoa(degraded), strconv.FormatInt(s.Pressure, 10),
+				strconv.FormatInt(s.Inflight, 10), strconv.Itoa(degraded), strconv.FormatInt(s.Pressure, 10),
 			}, ",")
 			if _, err := fmt.Fprintln(w, row); err != nil {
 				return err

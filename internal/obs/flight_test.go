@@ -3,11 +3,13 @@ package obs
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/governor"
+	"repro/internal/tm"
 	"repro/internal/trace"
 )
 
@@ -85,6 +87,22 @@ func TestFlightAlarmArmsAndFlushDumps(t *testing.T) {
 		if got := strings.Count(ln, ",") + 1; got != cols {
 			t.Fatalf("CSV row has %d columns, header has %d: %q", got, cols, ln)
 		}
+	}
+}
+
+// The flight CSV is the repository's only counter time series: its header
+// must carry one column per tm.Snapshot counter, in declaration order, plus
+// the live gauges.
+func TestFlightCSVHeaderCoversSnapshot(t *testing.T) {
+	want := []string{"ts_ns", "seq", "system"}
+	st := reflect.TypeOf(tm.Snapshot{})
+	for i := 0; i < st.NumField(); i++ {
+		name, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		want = append(want, name)
+	}
+	want = append(want, "inflight", "degraded", "pressure")
+	if got := strings.Split(flightCSVHeader, ","); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flight CSV header\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -60,8 +60,8 @@ type KernelGauges interface {
 type Source struct {
 	// Stats is the system's commit/abort counter set (required).
 	Stats *tm.Stats
-	// Gov, when attached, contributes the admission gauges (inflight,
-	// live time budget).
+	// Gov, when attached, contributes the inflight gauge (threads inside
+	// a transaction right now).
 	Gov *governor.Governor
 	// Sink, when attached, contributes per-path and per-cause latency
 	// quantiles (trace/hist shards; live-read-safe).
@@ -81,10 +81,9 @@ type SystemSample struct {
 	Latency trace.LatencySnapshot                                  `json:"latency"`
 	Foot    [prof.ClassCount][prof.OutcomeCount]prof.FootprintCell `json:"footprints"`
 
-	Inflight        int64 `json:"inflight"`
-	TimeBudgetNanos int64 `json:"time_budget_ns"`
-	Degraded        bool  `json:"degraded"`
-	Pressure        int64 `json:"pressure"`
+	Inflight int64 `json:"inflight"`
+	Degraded bool  `json:"degraded"`
+	Pressure int64 `json:"pressure"`
 
 	HasGov    bool `json:"has_gov"`
 	HasSink   bool `json:"has_sink"`
@@ -199,10 +198,9 @@ func sampleOne(out *SystemSample, name string, src *Source) {
 	}
 
 	out.HasGov = src.Gov != nil
-	out.Inflight, out.TimeBudgetNanos = 0, 0
+	out.Inflight = 0
 	if src.Gov != nil {
-		out.Inflight = src.Gov.Inflight()
-		out.TimeBudgetNanos = int64(src.Gov.TimeBudget())
+		out.Inflight = src.Gov.Active()
 	}
 
 	out.HasKernel = src.Kernel != nil

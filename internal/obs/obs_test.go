@@ -47,6 +47,7 @@ func fullSource(t testing.TB) Source {
 	}
 
 	gov := governor.New(governor.DefaultConfig())
+	gov.Begin(gov.State(0)) // one worker inside a transaction
 	return Source{Stats: stats, Sink: sink, Prof: p, Gov: gov,
 		Kernel: &fakeKernel{degraded: true, pressure: 5}}
 }
@@ -100,6 +101,9 @@ func TestSampleCoherence(t *testing.T) {
 	}
 	if !full.HasSink || !full.HasProf || !full.HasGov || !full.HasKernel {
 		t.Fatalf("full source presence flags = %+v", full)
+	}
+	if full.Inflight != 1 {
+		t.Fatalf("inflight = %d with one transaction open, want 1", full.Inflight)
 	}
 	if !full.Degraded || full.Pressure != 5 {
 		t.Fatalf("kernel gauges = degraded %v pressure %d", full.Degraded, full.Pressure)

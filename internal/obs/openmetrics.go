@@ -145,12 +145,6 @@ func WriteOpenMetrics(w io.Writer, snap *Snapshot) error {
 		s := &snap.Systems[i]
 		e.row("parthtm_faults_injected_total", float64(s.TM.FaultsInjected), "system", s.Name)
 	}
-	e.family("parthtm_serialized", "counter", "Transactions sent to the slow path by the resource governor.")
-	for i := range snap.Systems {
-		s := &snap.Systems[i]
-		e.row("parthtm_serialized_total", float64(s.TM.ShedSerialized), "system", s.Name, "reason", "shed")
-		e.row("parthtm_serialized_total", float64(s.TM.BudgetSerialized), "system", s.Name, "reason", "budget")
-	}
 	e.family("parthtm_breaker_events", "counter", "Per-thread HTM circuit-breaker state events.")
 	for i := range snap.Systems {
 		s := &snap.Systems[i]
@@ -195,18 +189,11 @@ func WriteOpenMetrics(w io.Writer, snap *Snapshot) error {
 			e.row("parthtm_pressure", float64(s.Pressure), "system", s.Name)
 		}
 	}
-	e.family("parthtm_inflight", "gauge", "Transactions admitted by the governor and not yet finished.")
+	e.family("parthtm_inflight", "gauge", "Threads inside a transaction (begun, not yet finished).")
 	for i := range snap.Systems {
 		s := &snap.Systems[i]
 		if s.HasGov {
 			e.row("parthtm_inflight", float64(s.Inflight), "system", s.Name)
-		}
-	}
-	e.family("parthtm_time_budget_seconds", "gauge", "Live per-transaction optimistic-phase time budget.")
-	for i := range snap.Systems {
-		s := &snap.Systems[i]
-		if s.HasGov {
-			e.row("parthtm_time_budget_seconds", float64(s.TimeBudgetNanos)/nanosPerSecond, "system", s.Name)
 		}
 	}
 

@@ -50,10 +50,6 @@ parthtm_degraded_commits_total{system="Part-HTM"} 0
 # TYPE parthtm_faults_injected counter
 # HELP parthtm_faults_injected Aborts forced by the fault injector.
 parthtm_faults_injected_total{system="Part-HTM"} 0
-# TYPE parthtm_serialized counter
-# HELP parthtm_serialized Transactions sent to the slow path by the resource governor.
-parthtm_serialized_total{system="Part-HTM",reason="shed"} 0
-parthtm_serialized_total{system="Part-HTM",reason="budget"} 0
 # TYPE parthtm_breaker_events counter
 # HELP parthtm_breaker_events Per-thread HTM circuit-breaker state events.
 parthtm_breaker_events_total{system="Part-HTM",event="trip"} 0
@@ -75,9 +71,7 @@ parthtm_domain_ring_rollovers_total{system="Part-HTM"} 0
 # TYPE parthtm_pressure gauge
 # HELP parthtm_pressure Kernel back-pressure level.
 # TYPE parthtm_inflight gauge
-# HELP parthtm_inflight Transactions admitted by the governor and not yet finished.
-# TYPE parthtm_time_budget_seconds gauge
-# HELP parthtm_time_budget_seconds Live per-transaction optimistic-phase time budget.
+# HELP parthtm_inflight Threads inside a transaction (begun, not yet finished).
 # TYPE parthtm_commit_latency_seconds gauge
 # HELP parthtm_commit_latency_seconds Commit latency quantiles by execution path.
 # TYPE parthtm_commit_latency_count gauge

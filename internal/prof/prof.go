@@ -21,10 +21,9 @@
 // commit-path class (whole-hardware fast window vs sub-HTM window) and
 // outcome (commit, or the abort cause).
 //
-// 3. Time-series sampling: a periodic sampler snapshots the attached
-// runner's tm.Stats counters and governor state into a fixed ring,
-// exported as JSON or CSV so abort-rate trends over a run are visible
-// instead of only end-of-run totals.
+// The package owns no goroutine and no clock: abort-rate trends over a run
+// are the obs flight recorder's job, which samples every counter set
+// through one Registry.Sample.
 //
 // # Memory model
 //
@@ -43,7 +42,6 @@ package prof
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/trace/hist"
 )
@@ -211,10 +209,6 @@ type Config struct {
 	// counters; it should match the engine's WriteSets so set indices
 	// line up (64, the htm.DefaultConfig value, when <= 0).
 	Sets int
-	// SampleEvery is the time-series sampling period (5ms when <= 0).
-	SampleEvery time.Duration
-	// SampleCap is the sample ring capacity (4096 when <= 0).
-	SampleCap int
 }
 
 // DefaultSets matches htm.DefaultConfig's WriteSets so heat indices line
@@ -228,24 +222,17 @@ func (c Config) withDefaults() Config {
 	if c.Sets <= 0 {
 		c.Sets = DefaultSets
 	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Millisecond
-	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 4096
-	}
 	return c
 }
 
-// Profile owns the per-thread shards and the time-series sampler of one
-// profiling session. A nil *Profile disables profiling everywhere it is
-// plumbed. Shard growth is mutex-guarded exactly like tm.Stats shards;
-// the hot path (the Record* hooks) touches only the calling thread's
-// shard.
+// Profile owns the per-thread shards of one profiling session. A nil
+// *Profile disables profiling everywhere it is plumbed. Shard growth is
+// mutex-guarded exactly like tm.Stats shards; the hot path (the Record*
+// hooks) touches only the calling thread's shard.
 type Profile struct {
 	cfg Config
 
-	mu     sync.Mutex // guards growth, marks, and sampler state
+	mu     sync.Mutex // guards growth, the router, and the session accumulator
 	shards atomic.Pointer[[]*Shard]
 
 	// Domain router (sharded-domain topologies): copied into every shard,
@@ -258,18 +245,6 @@ type Profile struct {
 	// reconcile a whole run even when the heatmap experiment resets the
 	// per-row state between sweep points.
 	session [ClassCount][OutcomeCount]footprint
-
-	// Sampler state: the source snapshots the attached runner's counters
-	// (exec.Runner registers itself via SetSource); srcSeq stamps samples
-	// so a sweep over several systems remains separable.
-	src    func() Sample
-	srcSeq int32
-	ring   []Sample
-	pos    int
-	wrap   bool
-	marks  []SampleMark
-	stop   chan struct{}
-	done   chan struct{}
 }
 
 // New creates a profile with the given configuration.
@@ -402,8 +377,8 @@ type DomainHeat struct {
 // SetDomainRouter attaches a line→domain router covering n domains: from
 // then on every conflict and capacity event is also attributed to the
 // owning memory domain, and DomainHeat reports the per-domain totals.
-// Attach before workers start (like marks, the router is not
-// synchronized against the Record* hot path); nil detaches. The router
+// Attach before workers start (the router is not synchronized against
+// the Record* hot path); nil detaches. The router
 // must be allocation-free and side-effect-free — it runs inside the
 // htmsafe Record* hooks.
 func (p *Profile) SetDomainRouter(n int, of func(line uint32) int) {
@@ -606,8 +581,7 @@ func (p *Profile) FootprintCells(dst *[ClassCount][OutcomeCount]FootprintCell) {
 // Reset clears every shard's sketch, heat, and footprint state (between
 // report rows; writers must have quiesced). The footprint histograms are
 // folded into the session accumulator before clearing, so
-// SessionFootprints still sees them; the sample ring and marks are left
-// intact — the time series spans the whole session.
+// SessionFootprints still sees them.
 func (p *Profile) Reset() {
 	if p == nil {
 		return

@@ -142,21 +142,16 @@ type Shard struct {
 	FaultsInjected Counter
 
 	// Resource-governor outcomes (exactly zero when no governor is
-	// attached). ShedSerialized counts transactions sent straight to the
-	// slow path by admission-control load shedding; BudgetSerialized counts
-	// transactions whose optimistic phase was cut short by the per-
-	// transaction time or attempt budget. The breaker counters follow the
-	// per-thread HTM circuit breaker: trips (closed→open), half-open probe
-	// transactions, closes (probe committed in hardware), and transactions
-	// routed direct-to-slow while open. WatchdogAlarms counts progress-
-	// watchdog alarms (recorded by the watchdog's own shard slot).
-	ShedSerialized   Counter
-	BudgetSerialized Counter
-	BreakerTrips     Counter
-	BreakerProbes    Counter
-	BreakerCloses    Counter
-	BreakerSlow      Counter
-	WatchdogAlarms   Counter
+	// attached). The breaker counters follow the per-thread HTM circuit
+	// breaker: trips (closed→open), half-open probe transactions, closes
+	// (probe committed in hardware), and transactions routed direct-to-slow
+	// while open. WatchdogAlarms counts progress-watchdog alarms (recorded
+	// by the watchdog's own shard slot).
+	BreakerTrips   Counter
+	BreakerProbes  Counter
+	BreakerCloses  Counter
+	BreakerSlow    Counter
+	WatchdogAlarms Counter
 
 	// Sharded memory domains (exactly zero on single-domain topologies).
 	// CrossDomainCommits/CrossDomainAborts count committed and aborted
@@ -169,7 +164,7 @@ type Shard struct {
 
 	// Padding to a multiple of the cache-line size so neighbouring shards
 	// never share a line even if an allocator packs them back to back.
-	_ [64 - (25*8)%64]byte
+	_ [64 - (23*8)%64]byte
 }
 
 // AddSerial records d of globally serialized execution.
@@ -206,8 +201,6 @@ func (sh *Shard) reset() {
 	sh.DegradedExit.v.Store(0)
 	sh.DegradedCommits.v.Store(0)
 	sh.FaultsInjected.v.Store(0)
-	sh.ShedSerialized.v.Store(0)
-	sh.BudgetSerialized.v.Store(0)
 	sh.BreakerTrips.v.Store(0)
 	sh.BreakerProbes.v.Store(0)
 	sh.BreakerCloses.v.Store(0)
@@ -235,8 +228,6 @@ func (sh *Shard) add(out *Snapshot) {
 	out.DegradedExit += sh.DegradedExit.Load()
 	out.DegradedCommits += sh.DegradedCommits.Load()
 	out.FaultsInjected += sh.FaultsInjected.Load()
-	out.ShedSerialized += sh.ShedSerialized.Load()
-	out.BudgetSerialized += sh.BudgetSerialized.Load()
 	out.BreakerTrips += sh.BreakerTrips.Load()
 	out.BreakerProbes += sh.BreakerProbes.Load()
 	out.BreakerCloses += sh.BreakerCloses.Load()
@@ -336,8 +327,6 @@ type Snapshot struct {
 	DegradedExit        uint64 `json:"degraded_exit"`
 	DegradedCommits     uint64 `json:"degraded_commits"`
 	FaultsInjected      uint64 `json:"faults_injected"`
-	ShedSerialized      uint64 `json:"shed_serialized,omitempty"`
-	BudgetSerialized    uint64 `json:"budget_serialized,omitempty"`
 	BreakerTrips        uint64 `json:"breaker_trips,omitempty"`
 	BreakerProbes       uint64 `json:"breaker_probes,omitempty"`
 	BreakerCloses       uint64 `json:"breaker_closes,omitempty"`
@@ -388,8 +377,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		DegradedExit:        sub(s.DegradedExit, prev.DegradedExit),
 		DegradedCommits:     sub(s.DegradedCommits, prev.DegradedCommits),
 		FaultsInjected:      sub(s.FaultsInjected, prev.FaultsInjected),
-		ShedSerialized:      sub(s.ShedSerialized, prev.ShedSerialized),
-		BudgetSerialized:    sub(s.BudgetSerialized, prev.BudgetSerialized),
 		BreakerTrips:        sub(s.BreakerTrips, prev.BreakerTrips),
 		BreakerProbes:       sub(s.BreakerProbes, prev.BreakerProbes),
 		BreakerCloses:       sub(s.BreakerCloses, prev.BreakerCloses),

@@ -85,9 +85,6 @@ const (
 	EvDegLeave
 	// EvDegRun marks a transaction serialized by degraded mode.
 	EvDegRun
-	// EvShed marks a transaction serialized by governor admission control
-	// (Arg 0 = load shedding at begin, 1 = time/attempt budget mid-flight).
-	EvShed
 	// EvBreakerTrip marks a thread's HTM circuit breaker opening.
 	EvBreakerTrip
 	// EvBreakerProbe marks a half-open probe transaction (hardware retried
@@ -131,7 +128,6 @@ var kindNames = [kindCount]string{
 	EvDegEnter:      "degraded-enter",
 	EvDegLeave:      "degraded-leave",
 	EvDegRun:        "degraded-run",
-	EvShed:          "shed",
 	EvBreakerTrip:   "breaker-trip",
 	EvBreakerProbe:  "breaker-probe",
 	EvBreakerClose:  "breaker-close",
