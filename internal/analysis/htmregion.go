@@ -28,7 +28,7 @@ import (
 // into the calling thread's padded shard. Any other repro/internal/trace
 // call there — trace.Now (reads the clock) or the Sink methods (lock,
 // allocate) — is flagged, as is any other repro/internal/prof call (the
-// merged queries lock and allocate; the sampler reads the clock).
+// merged queries lock and allocate).
 //
 // A region is:
 //

@@ -132,9 +132,8 @@ type txBody struct {
 
 // collectTxBodies finds every tm.Tx function literal and every exec.Txn
 // Fast level literal in pkg's production files. Only the Fast level runs
-// under HTM — Mid and Slow are software fallbacks with no capacity limit,
-// and the FastCommitted/FastResource fields are post-window notification
-// hooks — so only Fast bodies are footprint-bounded.
+// under HTM — Mid and Slow are software fallbacks with no capacity limit —
+// so only Fast bodies are footprint-bounded.
 func collectTxBodies(pkg *Package) []txBody {
 	var bodies []txBody
 	for _, f := range pkg.SourceFiles() {

@@ -145,7 +145,7 @@ func execLevelName(info *types.Info, lit *ast.FuncLit, stack []ast.Node) string 
 
 func isLevelName(name string) bool {
 	switch name {
-	case "Fast", "FastCommitted", "FastResource", "Mid", "Slow":
+	case "Fast", "Mid", "Slow":
 		return true
 	}
 	return false
@@ -313,7 +313,7 @@ func checkMemAccess(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	switch fn.Name() {
-	case "Load", "Store", "CAS", "Add", "AndNot", "Or", "RawLoad", "RawStore", "WithLine":
+	case "Load", "Store", "CAS", "Add", "AndNot", "Or", "RawLoad", "RawStore":
 		pass.Reportf(call.Pos(),
 			"transaction body calls mem.Memory.%s directly: shared memory must be accessed through the tm.Tx parameter (unmonitored access breaks isolation and dooms hardware transactions)", fn.Name())
 	}

@@ -20,15 +20,20 @@
 //     61–65).
 //
 // Partition points come from tm.Tx.Pause calls placed in the workload — the
-// equivalent of the paper's statically profiled breaking points. When a
-// sub-HTM transaction aborts retryably, the enclosing global transaction is
-// re-executed in replay mode: operations of already-committed sub-HTM
-// transactions are served from an operation log (reads return the logged
-// values, writes are suppressed — their effects are already in memory), and
-// execution switches back to live mode at the first un-replayed operation.
-// This reproduces the paper's "sub-HTM transactions retry a limited number
-// of times" without requiring segment bodies to be separately re-enterable
-// closures.
+// equivalent of the paper's statically profiled breaking points — and, with
+// Config.AutoPartition, from per-thread budgets learned when a sub-HTM
+// transaction aborts for resources. What a sub-HTM transaction holds is
+// known in one place, the hardware transaction itself: this package keeps no
+// estimate beside it and asks htm.Txn.Footprint.
+//
+// When a sub-HTM transaction aborts retryably, the enclosing global
+// transaction is re-executed in replay mode: operations of already-committed
+// sub-HTM transactions are served from an operation log (reads return the
+// logged values, writes are suppressed — their effects are already in
+// memory), and execution switches back to live mode at the first un-replayed
+// operation. This reproduces the paper's "sub-HTM transactions retry a
+// limited number of times" without requiring segment bodies to be separately
+// re-enterable closures.
 //
 // The paper's §2 extension to Hardware Lock Elision — "applying Part-HTM to
 // HLE's first speculative trial before the lock acquisition is a simple
@@ -73,16 +78,10 @@ const (
 // Config tunes Part-HTM. The zero value is not valid; start from
 // DefaultConfig.
 type Config struct {
-	// FastRetries is how many fast-path attempts are made before giving up
-	// on the unpartitioned execution (resource aborts give up immediately).
-	FastRetries int
 	// PartRetries is how many partitioned-path attempts are made before the
 	// transaction falls back to the slow (global-lock) path. The paper uses
 	// 5.
 	PartRetries int
-	// SubRetries is how many times an aborted sub-HTM transaction is
-	// retried (by replay) before the global transaction aborts.
-	SubRetries int
 	// RingSize is the number of global-ring entries (a power of two).
 	RingSize int
 	// NoFastPath starts every transaction directly on the partitioned path
@@ -102,18 +101,12 @@ type Config struct {
 	// multiply false conflicts on the signature's cache lines; this knob
 	// exists to measure that design decision (ablation).
 	LockPerWrite bool
-	// SelfTuneFastPath skips the fast path for a thread whose recent
-	// transactions kept failing it for resource reasons (re-probing it
-	// periodically), in the spirit of self-tuning HTM retry policies
-	// (Diegues & Romano, ICAC'14 — the paper's reference [10]). Without it,
-	// a workload of persistently over-budget transactions pays every
-	// transaction's work twice: once in the doomed hardware attempt and
-	// once on the partitioned path.
-	SelfTuneFastPath bool
 	// AutoPartition activates additional partition points at run time: when
 	// a sub-HTM transaction aborts for resources (capacity or time), the
-	// thread halves its segment budget and thereafter commits the running
-	// sub-HTM transaction automatically once a segment reaches that budget.
+	// thread halves its segment budget toward that transaction's footprint
+	// (htm.Txn.Footprint: the engine's own cycles and lines, metadata and
+	// lock cells included) and thereafter commits the running sub-HTM
+	// transaction automatically once it reaches that budget.
 	// This is the run-time breaking-point activation the paper sketches in
 	// §3 (the advisory-lock/LLVM discussion); the workload's explicit Pause
 	// calls remain the static profile it refines.
@@ -155,15 +148,21 @@ type Config struct {
 	Domains int
 }
 
+// The paper's evaluation retries each level five times: fastRetries fast-path
+// attempts before the unpartitioned execution is given up (a resource abort
+// gives up at once), and subRetries retries, by replay, of an aborted sub-HTM
+// transaction before the global transaction aborts.
+const (
+	fastRetries = 5
+	subRetries  = 5
+)
+
 // DefaultConfig returns the configuration used in the paper's evaluation.
 func DefaultConfig() Config {
 	return Config{
-		FastRetries:      5,
 		PartRetries:      5,
-		SubRetries:       5,
 		RingSize:         1024,
 		ValidateEverySub: true,
-		SelfTuneFastPath: true,
 		AutoPartition:    true,
 		MaxBackoff:       100 * time.Microsecond,
 		RetryBudget:      24,
@@ -239,7 +238,7 @@ func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 		}
 	}
 	s.run = exec.New(exec.Policy{
-		FastAttempts:       cfg.FastRetries,
+		FastAttempts:       fastRetries,
 		StopFastOnResource: true,
 		MidAttempts:        cfg.PartRetries,
 		GateMid:            true,
@@ -263,12 +262,10 @@ func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 			// body is bounded at its own definition site, and an oversized
 			// one capacity-aborts into the partitioned/slow paths by design.
 			// parthtm:bigtx — dispatch wrapper, bounded at the workload site
-			Fast:          func() htm.Result { return s.fastAttempt(t, x, t.body) },
-			FastCommitted: func() { t.fastFailStreak = 0 },
-			FastResource:  func() { t.fastFailStreak++ },
-			Mid:           func() bool { return s.partitionedAttempt(t, x, t.body) },
-			Slow:          func() { s.slowAttempt(t, x, t.body) },
-			Domains:       func() int { return t.ds.Count() },
+			Fast:    func() htm.Result { return s.fastAttempt(t, x, t.body) },
+			Mid:     func() bool { return s.partitionedAttempt(t, x, t.body) },
+			Slow:    func() { s.slowAttempt(t, x, t.body) },
+			Domains: func() int { return t.ds.Count() },
 		}
 		s.threads[i] = t
 	}
@@ -318,7 +315,7 @@ func (s *System) DomainSet() *domain.Domains { return s.doms }
 func (s *System) cell(a mem.Addr) mem.Addr { return s.shadowBase + a }
 
 // SegLimit describes one thread's learned adaptive segment budgets
-// (0 = unlimited).
+// (0 = unlimited), in the units of htm.Txn.Footprint.
 type SegLimit struct {
 	Cycles                int64
 	ReadLines, WriteLines int
@@ -329,7 +326,7 @@ type SegLimit struct {
 func (s *System) SegLimits() []SegLimit {
 	out := make([]SegLimit, len(s.threads))
 	for i, t := range s.threads {
-		out[i] = SegLimit{Cycles: t.cycleLimit, ReadLines: t.rlineLimit, WriteLines: t.wlineLimit}
+		out[i] = t.lim
 	}
 	return out
 }
@@ -394,23 +391,13 @@ type thread struct {
 	lockedCells []mem.Addr
 	lockedSet   map[mem.Addr]struct{}
 
-	// Adaptive partitioning state: the running segment's footprint along
-	// the three hardware resource dimensions, and the learned budgets at
-	// which a partition point is auto-activated (0 = unlimited until a
-	// resource abort teaches one). Cycle budgets guard the timer quantum;
-	// line budgets guard cache capacity, including set-associativity
-	// evictions the software cannot predict geometrically. Distinct lines
-	// are counted through small direct-mapped caches: a collision evicts
-	// and later recounts, so the counts only ever overestimate —
-	// conservative for budget purposes.
-	segCycles  int64
-	segRCache  [64]mem.Line
-	segWCache  [64]mem.Line
-	segRCount  int
-	segWCount  int
-	cycleLimit int64
-	rlineLimit int
-	wlineLimit int
+	// Adaptive partitioning: the learned budgets at which a partition point
+	// is auto-activated (0 = unlimited until a resource abort teaches one),
+	// compared with what the open sub-HTM transaction reports it holds. The
+	// cycle budget guards the timer quantum; the line budgets guard cache
+	// capacity, including set-associativity evictions the software cannot
+	// predict geometrically.
+	lim SegLimit
 
 	// Self-tuning fast path: consecutive transactions whose fast attempts
 	// died for resources, and a transaction counter for periodic re-probes.
@@ -426,10 +413,10 @@ type thread struct {
 	xtxn exec.Txn
 	body func(tm.Tx)
 
-	// Whole-attempt footprint (accumulated per committed segment): used to
-	// detect that a partitioned transaction would actually have fit in
-	// hardware, so a mixed workload's small transactions return to the
-	// fast path quickly.
+	// Whole-attempt footprint (accumulated per committed sub-HTM
+	// transaction): used to detect that a partitioned transaction would
+	// actually have fit in hardware, so a mixed workload's small
+	// transactions return to the fast path quickly.
 	attemptSegs   int
 	attemptCycles int64
 	attemptWLines int
@@ -440,16 +427,6 @@ func newThread(id int) *thread {
 		id:        id,
 		lockedSet: make(map[mem.Addr]struct{}),
 	}
-}
-
-// resetSegmentBudget clears the per-segment footprint trackers. Line 0 is
-// the reserved null line, so a zeroed cache is empty.
-func (t *thread) resetSegmentBudget() {
-	t.segCycles = 0
-	t.segRCount = 0
-	t.segWCount = 0
-	clear(t.segRCache[:])
-	clear(t.segWCache[:])
 }
 
 func (t *thread) resetFast() {
@@ -471,7 +448,6 @@ func (t *thread) resetPartitioned() {
 	t.lockedCells = t.lockedCells[:0]
 	clear(t.lockedSet)
 	t.ht = nil
-	t.resetSegmentBudget()
 	t.attemptSegs = 0
 	t.attemptCycles = 0
 	t.attemptWLines = 0
@@ -502,19 +478,14 @@ func (s *System) truncateSegment(t *thread) {
 			t.ds.Write[bits.TrailingZeros64(m)].Clear()
 		}
 	}
-	t.resetSegmentBudget()
 }
 
 // markSegment records that everything logged so far belongs to committed
-// sub-HTM transactions, and folds the segment's footprint into the
-// attempt totals.
+// sub-HTM transactions.
 func (t *thread) markSegment() {
 	t.undoMark = len(t.undo)
 	t.logMark = len(t.opLog)
 	t.lockMark = len(t.lockedCells)
-	t.attemptSegs++
-	t.attemptCycles += t.segCycles
-	t.attemptWLines += t.segWCount
 }
 
 // Control-flow sentinels for the partitioned path.
@@ -543,8 +514,7 @@ func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t.txCount++
 	// Skip the doomed fast attempt when this thread's transactions keep
 	// exceeding the hardware budget, re-probing every 32nd transaction.
-	t.xtxn.SkipFast = s.cfg.NoFastPath ||
-		(s.cfg.SelfTuneFastPath && t.fastFailStreak >= 3 && t.txCount%32 != 0)
+	t.xtxn.SkipFast = s.cfg.NoFastPath || (t.fastFailStreak >= 3 && t.txCount%32 != 0)
 	s.run.Run(threadID, &t.xtxn)
 	t.body = nil
 }
@@ -576,6 +546,11 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		r := recover()
 		if ar, ok := htm.AsAbort(r); ok {
 			res = ar
+			if ar.Reason == htm.Capacity || ar.Reason == htm.Other {
+				// Self-tuning: Atomic skips a fast path that keeps dying
+				// for resources.
+				t.fastFailStreak++
+			}
 		} else if r != nil {
 			// Workload panic: tear the open hardware transaction down and
 			// re-raise.
@@ -653,6 +628,7 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		// now that the window is closed.
 		t.et.TraceEvent(trace.EvRingPub, 0)
 	}
+	t.fastFailStreak = 0
 	return htm.Result{Committed: true}
 }
 
@@ -689,7 +665,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 		}
 		// Retry the aborted segment by replaying the committed prefix.
 		subAttempts++
-		if subAttempts > s.cfg.SubRetries {
+		if subAttempts > subRetries {
 			s.globalAbort(t)
 			return false
 		}
@@ -703,7 +679,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 	if s.cfg.AutoPartition && subAttempts == 0 {
 		t.regrowSegLimits()
 	}
-	if s.cfg.SelfTuneFastPath && t.attemptSegs <= 1 {
+	if t.attemptSegs <= 1 {
 		// The whole transaction fit one modest sub-HTM transaction: it
 		// would very likely commit on the fast path too, so resume probing
 		// it immediately (mixed short/long workloads, Table 1).
@@ -727,13 +703,12 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 		}
 		if res, ok := htm.AsAbort(r); ok {
 			// The open sub-HTM transaction aborted; htm already tore it
-			// down. Learn from the failed segment's footprint before the
-			// truncation wipes the trackers.
+			// down, and still knows what it held when it failed.
+			if s.cfg.AutoPartition {
+				t.learnSegLimit(res.Reason, t.ht)
+			}
 			t.ht = nil
 			t.et.NoteHWAbort(res)
-			if s.cfg.AutoPartition && (res.Reason == htm.Capacity || res.Reason == htm.Other) {
-				t.learnSegLimit(res.Reason)
-			}
 			s.truncateSegment(t)
 			switch {
 			case res.Reason == htm.Explicit && res.Code == codeLockConflict:
@@ -786,10 +761,10 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 	return outDone
 }
 
-// learnSegLimit halves the relevant segment budgets toward the footprint
-// that just failed: capacity aborts teach the line budgets, timer aborts
-// teach the cycle budget.
-func (t *thread) learnSegLimit(reason htm.AbortReason) {
+// learnSegLimit halves the relevant segment budgets toward the footprint of
+// the sub-HTM transaction that just failed: capacity aborts teach the line
+// budgets, timer aborts teach the cycle budget.
+func (t *thread) learnSegLimit(reason htm.AbortReason, failed *htm.Txn) {
 	lower := func(cur, observed, floor int) int {
 		n := observed / 2
 		if n < floor {
@@ -800,67 +775,51 @@ func (t *thread) learnSegLimit(reason htm.AbortReason) {
 		}
 		return cur
 	}
+	cycles, rlines, wlines := failed.Footprint()
 	switch reason {
 	case htm.Capacity:
-		t.wlineLimit = lower(t.wlineLimit, t.segWCount, 2)
-		t.rlineLimit = lower(t.rlineLimit, t.segRCount, 16)
+		t.lim.WriteLines = lower(t.lim.WriteLines, wlines, 2)
+		t.lim.ReadLines = lower(t.lim.ReadLines, rlines, 16)
 	case htm.Other:
-		t.cycleLimit = int64(lower(int(t.cycleLimit), int(t.segCycles), 64))
+		t.lim.Cycles = int64(lower(int(t.lim.Cycles), int(cycles), 64))
 	}
 }
 
 // regrowSegLimits relaxes the learned budgets after a clean commit so one
 // unlucky transaction cannot pin the thread at tiny segments forever.
 func (t *thread) regrowSegLimits() {
-	if t.wlineLimit > 0 {
-		t.wlineLimit += max(1, t.wlineLimit/4)
+	if t.lim.WriteLines > 0 {
+		t.lim.WriteLines += max(1, t.lim.WriteLines/4)
 	}
-	if t.rlineLimit > 0 {
-		t.rlineLimit += max(1, t.rlineLimit/4)
+	if t.lim.ReadLines > 0 {
+		t.lim.ReadLines += max(1, t.lim.ReadLines/4)
 	}
-	if t.cycleLimit > 0 {
-		t.cycleLimit += max(1, t.cycleLimit/4)
+	if t.lim.Cycles > 0 {
+		t.lim.Cycles += max(1, t.lim.Cycles/4)
 	}
 }
 
-// overBudget reports whether the running segment has reached a learned
-// budget along any resource dimension.
-func (t *thread) overBudget() bool {
-	if t.cycleLimit > 0 && t.segCycles >= t.cycleLimit {
-		return true
+// maybeAutoPause activates a partition point before the next operation when
+// the open sub-HTM transaction has reached a learned budget along any
+// resource dimension.
+func (s *System) maybeAutoPause(t *thread) {
+	if !s.cfg.AutoPartition || t.ht == nil {
+		return
 	}
-	if t.wlineLimit > 0 && t.segWCount >= t.wlineLimit {
-		return true
+	cycles, rlines, wlines := t.ht.Footprint()
+	if lim := &t.lim; (lim.Cycles > 0 && cycles >= lim.Cycles) ||
+		(lim.WriteLines > 0 && wlines >= lim.WriteLines) ||
+		(lim.ReadLines > 0 && rlines >= lim.ReadLines) {
+		s.pauseSegment(t)
 	}
-	if t.rlineLimit > 0 && t.segRCount >= t.rlineLimit {
-		return true
-	}
-	return false
 }
 
-// maybeAutoPause commits the running segment when a learned budget is
-// reached, then charges the upcoming operation (c cycles plus, when
-// nonzero, its read or write line) to the — possibly fresh — segment.
-func (s *System) maybeAutoPause(t *thread, c int64, rline, wline mem.Line, hasR, hasW bool) {
-	if s.cfg.AutoPartition && t.ht != nil && t.overBudget() {
-		s.subCommitIfOpen(t)
-		t.opLog = append(t.opLog, opRec{kind: opPause})
-		t.markSegment()
-		t.resetSegmentBudget()
-	}
-	t.segCycles += c
-	if hasR {
-		if i := rline & 63; t.segRCache[i] != rline {
-			t.segRCache[i] = rline
-			t.segRCount++
-		}
-	}
-	if hasW {
-		if i := wline & 63; t.segWCache[i] != wline {
-			t.segWCache[i] = wline
-			t.segWCount++
-		}
-	}
+// pauseSegment is a partition point on the live path, the workload's or an
+// auto-activated one: commit the open sub-HTM transaction and log the pause.
+func (s *System) pauseSegment(t *thread) {
+	s.subCommitIfOpen(t)
+	t.opLog = append(t.opLog, opRec{kind: opPause})
+	t.markSegment()
 }
 
 // ensureSub lazily opens the next sub-HTM transaction.
@@ -984,6 +943,8 @@ func (s *System) subCommitIfOpen(t *thread) {
 	// signatures into the aggregates and advance the segment marks *before*
 	// anything that can trigger a global abort, so that rollback always
 	// covers the segment's writes and lock release always covers its locks.
+	// Its footprint joins the attempt totals here, once per sub-HTM
+	// transaction however the partition point was reached.
 	if !s.cfg.Opaque {
 		for m := ds.Touched; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros64(m)
@@ -992,6 +953,10 @@ func (s *System) subCommitIfOpen(t *thread) {
 		}
 	}
 	t.markSegment()
+	cycles, _, wlines := ht.Footprint()
+	t.attemptSegs++
+	t.attemptCycles += cycles
+	t.attemptWLines += wlines
 
 	if !s.cfg.Opaque && s.cfg.ValidateEverySub {
 		if !s.inFlightValidate(t) {
@@ -1020,16 +985,20 @@ func (s *System) readWriteLocks(ht *htm.Txn, d int, wl *[sig.Words]uint64) {
 // lines 34-41). It returns false when the global transaction must abort.
 func (s *System) inFlightValidate(t *thread) bool {
 	ok, rollover := s.doms.Validate(t.ds)
-	if !ok {
-		if rollover {
-			s.run.BumpPressure(degradeBumpRollover)
-			if s.nd > 1 {
-				t.sh.DomainRingRollovers.Inc()
-			}
-		}
-		return false
+	if rollover {
+		s.noteRollover(t)
 	}
-	return true
+	return ok
+}
+
+// noteRollover accounts a validation that failed because a ring lapped the
+// validator: the commit rate is outrunning validation, which is degradation
+// pressure.
+func (s *System) noteRollover(t *thread) {
+	s.run.BumpPressure(degradeBumpRollover)
+	if s.nd > 1 {
+		t.sh.DomainRingRollovers.Inc()
+	}
 }
 
 // globalCommit implements Figure 1 lines 42-52 (Figure 2 lines 48-59 for
@@ -1079,10 +1048,7 @@ func (s *System) globalCommit(t *thread) bool {
 		myts, ok, rollover := s.doms.ClaimTimestamp(d, &ds.Read[d], &ds.Start[d])
 		if !ok {
 			if rollover {
-				s.run.BumpPressure(degradeBumpRollover)
-				if s.nd > 1 {
-					t.sh.DomainRingRollovers.Inc()
-				}
+				s.noteRollover(t)
 			}
 			// Domains already published stay published: their entries are
 			// merely conservative (the writes remain lock-protected until
@@ -1111,32 +1077,13 @@ func (s *System) globalCommit(t *thread) bool {
 			t.et.TraceEvent(trace.EvDomainPublish, uint64(d))
 		}
 	}
-	if cross {
-		// Post-publish validation of every touched domain — the read-only
-		// ones in particular, whose consistency no claim re-checked.
-		ok, rollover := s.doms.Validate(ds)
-		if !ok {
-			if rollover {
-				s.run.BumpPressure(degradeBumpRollover)
-				t.sh.DomainRingRollovers.Inc()
-			}
-			return false
-		}
+	// Post-publish validation of every touched domain — the read-only ones
+	// in particular, whose consistency no claim re-checked.
+	if cross && !s.inFlightValidate(t) {
+		return false
 	}
 	t.et.TraceEvent(trace.EvRingPub, lastTS)
-	if s.cfg.Opaque {
-		s.releaseCellLocks(t)
-	} else {
-		s.releaseSigLocks(t)
-	}
-	if cross {
-		for m := ds.Wrote; m != 0; {
-			d := 63 - bits.LeadingZeros64(m)
-			t.et.TraceEvent(trace.EvDomainRelease, uint64(d))
-			m &^= 1 << uint(d)
-		}
-	}
-	t.et.TraceEvent(trace.EvLockRel, 0)
+	s.releaseLocks(t)
 	s.decActive()
 	return true
 }
@@ -1148,43 +1095,35 @@ func (s *System) globalAbort(t *thread) {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		s.m.Store(t.undo[i].addr, t.undo[i].old)
 	}
-	if s.cfg.Opaque {
-		s.releaseCellLocks(t)
-	} else {
-		s.releaseSigLocks(t)
-	}
-	if t.ds.Wrote != 0 {
-		if s.nd > 1 && t.ds.Count() > 1 {
-			for m := t.ds.Wrote; m != 0; {
-				d := 63 - bits.LeadingZeros64(m)
-				t.et.TraceEvent(trace.EvDomainRelease, uint64(d))
-				m &^= 1 << uint(d)
-			}
-		}
-		t.et.TraceEvent(trace.EvLockRel, 0)
-	}
+	s.releaseLocks(t)
 	s.decActive()
 }
 
-// releaseSigLocks removes this transaction's bits from every written
-// domain's shared write-locks signature (Figure 1 lines 48-49), one atomic
-// AND-NOT per changed word, in reverse (descending) canonical order — the
-// mirror of the ascending acquisition order.
-func (s *System) releaseSigLocks(t *thread) {
+// releaseLocks makes this transaction's written locations visible again, at
+// global commit and global abort alike. Part-HTM removes its bits from every
+// written domain's shared write-locks signature (Figure 1 lines 48-49), one
+// atomic AND-NOT per changed word, in reverse (descending) canonical order —
+// the mirror of the ascending acquisition order; Part-HTM-O clears the lock
+// bit of every cell it acquired (Figure 2 lines 55-56 / 61-62).
+func (s *System) releaseLocks(t *thread) {
+	for _, c := range t.lockedCells {
+		s.m.Store(c, uint64(c-s.shadowBase)<<1)
+	}
+	if t.ds.Wrote == 0 {
+		return
+	}
+	cross := t.ds.Count() > 1
 	for m := t.ds.Wrote; m != 0; {
 		d := 63 - bits.LeadingZeros64(m)
-		s.doms.ReleaseWlocks(d, &t.ds.Agg[d])
+		if !s.cfg.Opaque {
+			s.doms.ReleaseWlocks(d, &t.ds.Agg[d])
+		}
+		if cross {
+			t.et.TraceEvent(trace.EvDomainRelease, uint64(d))
+		}
 		m &^= 1 << uint(d)
 	}
-}
-
-// releaseCellLocks clears the lock bit of every cell this transaction
-// acquired (Figure 2 lines 55-56 / 61-62).
-func (s *System) releaseCellLocks(t *thread) {
-	for _, c := range t.lockedCells {
-		a := c - s.shadowBase
-		s.m.Store(c, uint64(a)<<1)
-	}
+	t.et.TraceEvent(trace.EvLockRel, 0)
 }
 
 func (s *System) decActive() {
@@ -1229,10 +1168,7 @@ func (x *tx) Pause() {
 	t := x.t
 	switch t.mode {
 	case modeLive:
-		x.s.subCommitIfOpen(t)
-		t.opLog = append(t.opLog, opRec{kind: opPause})
-		t.markSegment()
-		t.resetSegmentBudget()
+		x.s.pauseSegment(t)
 	case modeReplay:
 		x.replayExpect(opPause, 0, 0)
 	}
@@ -1246,7 +1182,7 @@ func (x *tx) Work(c int64) {
 	case modeFast:
 		t.ht.Work(c)
 	case modeLive:
-		x.s.maybeAutoPause(t, c, 0, 0, false, false)
+		x.s.maybeAutoPause(t)
 		x.s.ensureSub(t).Work(c)
 	case modeReplay:
 		// Re-executed during replay like any other body code.
@@ -1285,7 +1221,7 @@ func (x *tx) Read(a mem.Addr) uint64 {
 		return t.ht.Read(a)
 
 	case modeLive:
-		s.maybeAutoPause(t, 1, mem.LineOf(a), 0, true, false)
+		s.maybeAutoPause(t)
 		ht := s.ensureSub(t)
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
@@ -1328,53 +1264,45 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		return
 
 	case modeLive:
-		s.maybeAutoPause(t, 2, 0, mem.LineOf(a), false, true)
+		s.maybeAutoPause(t)
 		ht := s.ensureSub(t)
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
 		if s.cfg.Opaque {
 			c := s.cell(a)
-			if cv := ht.Read(c); cv&1 != 0 {
-				if _, self := t.lockedSet[c]; !self {
-					ht.Abort(codeLockConflict)
-				}
-				// Already locked by us: just write the data in place
-				// (Figure 2 line 31/35).
-				t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
-				t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
-				t.ds.Wrote |= 1 << uint(d)
-				return
-			}
-			// Acquire the address-embedded lock (Figure 2 line 34): the
-			// lock becomes visible when this sub-HTM transaction commits.
-			t.ds.Write[d].Add(uint32(a))
-			ht.Write(c, uint64(a)<<1|1)
-			t.lockedCells = append(t.lockedCells, c)
-			t.lockedSet[c] = struct{}{}
-			t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
-			t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
-			t.ds.Wrote |= 1 << uint(d)
-			return
-		}
-		// Figure 1 lines 23-25: log the old value, record the signature,
-		// write in place (buffered until the sub-HTM commit).
-		if s.cfg.LockPerWrite {
-			// Ablation: publish the lock bit immediately instead of at the
-			// sub-HTM commit — every touched signature word becomes a false
-			// conflict with all concurrent hardware transactions. A bit found
-			// set that is not ours (this segment's or an earlier one's) is
-			// another transaction's lock: the pre-commit check subtracts this
-			// segment's bits as already published, so it has to be caught here.
-			b := sig.HashBit(uint32(a))
-			w := s.doms.Wlocks(d) + mem.Addr(b>>6)
-			bit := uint64(1) << (b & 63)
-			if cur := ht.Read(w); cur&bit == 0 {
-				ht.Write(w, cur|bit)
-			} else if (t.ds.Write[d][b>>6]|t.ds.Agg[d][b>>6])&bit == 0 {
+			if ht.Read(c)&1 == 0 {
+				// Acquire the address-embedded lock (Figure 2 line 34): the
+				// lock becomes visible when this sub-HTM transaction commits.
+				t.ds.Write[d].Add(uint32(a))
+				ht.Write(c, uint64(a)<<1|1)
+				t.lockedCells = append(t.lockedCells, c)
+				t.lockedSet[c] = struct{}{}
+			} else if _, self := t.lockedSet[c]; !self {
 				ht.Abort(codeLockConflict)
 			}
+			// Locked by us: the data is written in place (Figure 2 line
+			// 31/35).
+		} else {
+			if s.cfg.LockPerWrite {
+				// Ablation: publish the lock bit immediately instead of at the
+				// sub-HTM commit — every touched signature word becomes a false
+				// conflict with all concurrent hardware transactions. A bit found
+				// set that is not ours (this segment's or an earlier one's) is
+				// another transaction's lock: the pre-commit check subtracts this
+				// segment's bits as already published, so it has to be caught here.
+				b := sig.HashBit(uint32(a))
+				w := s.doms.Wlocks(d) + mem.Addr(b>>6)
+				bit := uint64(1) << (b & 63)
+				if cur := ht.Read(w); cur&bit == 0 {
+					ht.Write(w, cur|bit)
+				} else if (t.ds.Write[d][b>>6]|t.ds.Agg[d][b>>6])&bit == 0 {
+					ht.Abort(codeLockConflict)
+				}
+			}
+			t.ds.Write[d].Add(uint32(a))
 		}
-		t.ds.Write[d].Add(uint32(a))
+		// Figure 1 lines 23-25: log the old value, write in place (buffered
+		// until the sub-HTM commit).
 		t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
 		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 		t.ds.Wrote |= 1 << uint(d)
@@ -1402,7 +1330,7 @@ func (x *tx) WriteLocal(a mem.Addr, v uint64) {
 	case modeFast:
 		t.ht.WriteLocal(a, v)
 	case modeLive:
-		s.maybeAutoPause(t, 2, 0, mem.LineOf(a), false, true)
+		s.maybeAutoPause(t)
 		s.ensureSub(t).WriteLocal(a, v)
 	case modeReplay:
 		// The committed prefix already published these values; local
@@ -1435,7 +1363,6 @@ func (x *tx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
 	if t.replayPos >= len(t.opLog) {
 		// Committed prefix fully replayed: go live and re-dispatch.
 		t.mode = modeLive
-		t.resetSegmentBudget()
 		switch kind {
 		case opRead:
 			return x.Read(a)
@@ -1452,7 +1379,6 @@ func (x *tx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
 	if t.replayPos == len(t.opLog) {
 		// Next operation goes live.
 		t.mode = modeLive
-		t.resetSegmentBudget()
 	}
 	return rec.val
 }

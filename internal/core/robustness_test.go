@@ -44,7 +44,7 @@ func seedPolicy(c *Config) {
 // burst that never ends) and checks two things: every transaction still
 // commits, and the retry budget caps the hardware aborts burned per
 // transaction. The seed's bare retry schedule commits too, but burns the
-// full FastRetries*SubRetries*PartRetries schedule on every transaction —
+// full fast x sub x partitioned retry schedule on every transaction —
 // it cannot satisfy the per-transaction bound this test asserts.
 func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 	const txns = 8
@@ -90,7 +90,7 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 
 	// The bound the budget guarantees: at most RetryBudget aborts plus the
 	// tail of the partitioned attempt that exhausted it.
-	bound := float64(budget + cm.cfg.SubRetries + 1)
+	bound := float64(budget + subRetries + 1)
 	if cmAborts > bound {
 		t.Fatalf("budgeted policy burned %.1f aborts/txn, want <= %.1f", cmAborts, bound)
 	}

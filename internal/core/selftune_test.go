@@ -253,3 +253,68 @@ func TestFastPathProbesEventually(t *testing.T) {
 		t.Fatalf("timer aborts = %d; probing seems disabled", got)
 	}
 }
+
+// TestLeadingPauseCountsOneSegment: a partition point commits and counts a
+// segment only if one is open. A small transaction that begins with Pause
+// runs as exactly one modest sub-HTM transaction, so it must end the
+// fast-fail streak and send the next small transaction back to the fast
+// path.
+func TestLeadingPauseCountsOneSegment(t *testing.T) {
+	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
+	a := s.Memory().Alloc(1)
+	for i := 0; i < 3; i++ { // three fast attempts die on the timer: the streak forms
+		s.Atomic(0, func(x tm.Tx) {
+			v := x.Read(a)
+			for k := 0; k < 4; k++ {
+				x.Work(400)
+				x.Pause()
+			}
+			x.Write(a, v+1)
+		})
+	}
+	s.Atomic(0, func(x tm.Tx) {
+		x.Pause()
+		x.Write(a, x.Read(a)+1)
+	})
+	if st := s.Stats().Snapshot(); st.CommitsSW != 4 || st.CommitsHTM != 0 {
+		t.Fatalf("setup: want four partitioned commits, got %+v", st)
+	}
+	s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	if st := s.Stats().Snapshot(); st.CommitsHTM != 1 {
+		t.Fatalf("the small transaction after a one-segment commit did not use the fast path: %+v", st)
+	}
+	if got := s.Memory().Load(a); got != 5 {
+		t.Fatalf("counter = %d, want 5", got)
+	}
+}
+
+// TestOpaqueBudgetCountsLockCells: Part-HTM-O writes a lock cell beside
+// every data word, so a sub-HTM transaction holds two hardware lines per
+// data line. The budget learned from a capacity abort is half of what the
+// failed hardware transaction held — cells included — not half its data
+// lines.
+func TestOpaqueBudgetCountsLockCells(t *testing.T) {
+	const hwLines = 16
+	s := newSystem(1, 1<<17, func(c *htm.Config) { c.WriteLines = hwLines }, func(c *Config) {
+		c.Opaque = true
+		c.NoFastPath = true
+	})
+	m := s.Memory()
+	base := m.AllocLines(12)
+	s.Atomic(0, func(x tm.Tx) {
+		for i := 0; i < 12; i++ { // 24 hardware lines, no partition point
+			x.Write(base+mem.Addr(i*mem.LineWords), uint64(i)+1)
+		}
+	})
+	for i := 0; i < 12; i++ {
+		if got := m.Load(base + mem.Addr(i*mem.LineWords)); got != uint64(i)+1 {
+			t.Fatalf("word %d = %d", i, got)
+		}
+	}
+	if st := s.Stats().Snapshot(); st.CommitsSW != 1 || st.CommitsGL != 0 {
+		t.Fatalf("want one partitioned commit, got %+v", st)
+	}
+	if got := s.SegLimits()[0].WriteLines; got != hwLines/2 {
+		t.Fatalf("learned write budget = %d lines, want half the %d the failed transaction held", got, hwLines)
+	}
+}

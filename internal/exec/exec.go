@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/htm"
+	"repro/internal/perthread"
 	"repro/internal/prof"
 	"repro/internal/tm"
 	"repro/internal/trace"
@@ -80,12 +81,6 @@ type Txn struct {
 	SkipFast bool
 	// Fast runs one hardware attempt. nil disables the fast level.
 	Fast func() htm.Result
-	// FastCommitted, when non-nil, observes a fast-level commit (Part-HTM
-	// resets its fast-fail streak there).
-	FastCommitted func()
-	// FastResource, when non-nil, observes a fast-level resource abort
-	// (after budget accounting, before the level is abandoned).
-	FastResource func()
 	// Mid runs one software attempt, reporting whether it committed. nil
 	// disables the mid level.
 	Mid func() bool
@@ -252,8 +247,8 @@ type Runner struct {
 	// current system: the global lock) is open. nil means ungated.
 	gateFree func() bool
 
-	mu      sync.Mutex // guards thread-slice growth, the trace sink, the governor, and the profile
-	threads atomic.Pointer[[]*Thread]
+	mu      sync.Mutex // guards the trace sink, the governor, and the profile
+	threads perthread.Set[Thread]
 	sink    *trace.Sink
 	gov     *governor.Governor
 	prof    *prof.Profile
@@ -270,48 +265,30 @@ type Runner struct {
 // New creates a Runner over the system's stats. gateFree may be nil when
 // the policy uses no gate.
 func New(pol Policy, stats *tm.Stats, gateFree func() bool) *Runner {
-	return &Runner{pol: pol, stats: stats, gateFree: gateFree}
+	r := &Runner{pol: pol, stats: stats, gateFree: gateFree}
+	r.threads.Init(r.newThread)
+	return r
 }
 
 // Thread returns thread id's kernel state, growing the set as needed.
 // Callers on a measured path should cache the pointer per thread.
-func (r *Runner) Thread(id int) *Thread {
-	if p := r.threads.Load(); p != nil && id < len(*p) {
-		return (*p)[id]
-	}
-	return r.growThread(id)
-}
+func (r *Runner) Thread(id int) *Thread { return r.threads.Get(id) }
 
-func (r *Runner) growThread(id int) *Thread {
+// newThread builds thread id's state with whatever is attached right now.
+func (r *Runner) newThread(id int) *Thread {
+	t := &Thread{
+		r:        r,
+		id:       id,
+		sh:       r.stats.Shard(id),
+		rngState: uint64(id)*0x9E3779B97F4A7C15 + 0x1234567,
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var cur []*Thread
-	if p := r.threads.Load(); p != nil {
-		cur = *p
+	t.buf, t.lat = r.sink.Thread(id), r.sink.Lat(id)
+	if r.gov != nil {
+		t.gv = r.gov.State(id)
 	}
-	if id < len(cur) {
-		return cur[id]
-	}
-	next := make([]*Thread, id+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		t := &Thread{
-			r:        r,
-			id:       i,
-			sh:       r.stats.Shard(i),
-			rngState: uint64(i)*0x9E3779B97F4A7C15 + 0x1234567,
-		}
-		if r.sink != nil {
-			t.buf = r.sink.Thread(i)
-			t.lat = r.sink.Lat(i)
-		}
-		if r.gov != nil {
-			t.gv = r.gov.State(i)
-		}
-		next[i] = t
-	}
-	r.threads.Store(&next)
-	return next[id]
+	return t
 }
 
 // SetTrace attaches a trace sink to the runner (nil detaches): every
@@ -320,18 +297,10 @@ func (r *Runner) growThread(id int) *Thread {
 // run — attach before starting workers, detach after joining them.
 func (r *Runner) SetTrace(s *trace.Sink) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sink = s
-	if p := r.threads.Load(); p != nil {
-		for _, t := range *p {
-			if s != nil {
-				t.buf = s.Thread(t.id)
-				t.lat = s.Lat(t.id)
-			} else {
-				t.buf = nil
-				t.lat = nil
-			}
-		}
+	r.mu.Unlock()
+	for _, t := range r.threads.All() {
+		t.buf, t.lat = s.Thread(t.id), s.Lat(t.id)
 	}
 }
 
@@ -348,15 +317,13 @@ func (r *Runner) TraceSink() *trace.Sink {
 // workers.
 func (r *Runner) SetGovernor(g *governor.Governor) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gov = g
-	if p := r.threads.Load(); p != nil {
-		for _, t := range *p {
-			if g != nil {
-				t.gv = g.State(t.id)
-			} else {
-				t.gv = nil
-			}
+	r.mu.Unlock()
+	for _, t := range r.threads.All() {
+		if g != nil {
+			t.gv = g.State(t.id)
+		} else {
+			t.gv = nil
 		}
 	}
 }
@@ -459,9 +426,6 @@ func (r *Runner) Run(id int, txn *Txn) {
 				}
 				t.lastPath = trace.PathHTM
 				t.traceCommit(trace.PathHTM)
-				if txn.FastCommitted != nil {
-					txn.FastCommitted()
-				}
 				return
 			}
 			t.sh.RecordAbort(res.Reason)
@@ -474,15 +438,10 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.runSlow(t, txn)
 				return
 			}
-			if res.Reason == htm.Capacity || res.Reason == htm.Other {
+			if r.pol.StopFastOnResource && (res.Reason == htm.Capacity || res.Reason == htm.Other) {
 				// Resource failure: the next level is the remedy; more
 				// fast retries would fail the same way.
-				if txn.FastResource != nil {
-					txn.FastResource()
-				}
-				if r.pol.StopFastOnResource {
-					break
-				}
+				break
 			}
 		}
 	}

@@ -47,19 +47,18 @@ func TestLevelSchedule(t *testing.T) {
 }
 
 // TestResourceAbortStopsFast: with StopFastOnResource a capacity abort must
-// abandon the remaining fast attempts and call the FastResource hook.
+// abandon the remaining fast attempts.
 func TestResourceAbortStopsFast(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 5, StopFastOnResource: true}, &st, nil)
-	fast, hook := 0, 0
+	fast := 0
 	txn := &Txn{
-		Fast:         func() htm.Result { fast++; return htm.Result{Reason: htm.Capacity} },
-		FastResource: func() { hook++ },
-		Slow:         func() {},
+		Fast: func() htm.Result { fast++; return htm.Result{Reason: htm.Capacity} },
+		Slow: func() {},
 	}
 	r.Run(0, txn)
-	if fast != 1 || hook != 1 {
-		t.Fatalf("fast = %d, resource hook = %d, want 1 and 1", fast, hook)
+	if fast != 1 {
+		t.Fatalf("fast = %d, want 1", fast)
 	}
 	snap := st.Snapshot()
 	if snap.AbortsCapacity != 1 || snap.CommitsGL != 1 {

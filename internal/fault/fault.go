@@ -169,7 +169,7 @@ type Config struct {
 	// generators are derived from it.
 	Seed int64
 	// Threads is the number of hardware thread slots covered (default 64,
-	// the engine's MaxSlots ceiling).
+	// the engine's slot count).
 	Threads int
 	// Rates is the per-site probabilistic fault model.
 	Rates [NumSites]SiteRate

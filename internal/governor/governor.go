@@ -27,9 +27,9 @@
 package governor
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/perthread"
 	"repro/internal/trace"
 )
 
@@ -110,10 +110,8 @@ func (st *State) NoteHWAbort() { st.sawHW = true }
 // breaker cells. Attach via the system's execution kernel
 // (exec.Runner.SetGovernor); one Governor serves one system instance.
 type Governor struct {
-	cfg Config
-
-	mu     sync.Mutex // guards state-slice growth
-	states atomic.Pointer[[]*State]
+	cfg    Config
+	states perthread.Set[State]
 }
 
 // New builds a governor from cfg, applying the documented default for an
@@ -130,42 +128,16 @@ func (g *Governor) Config() Config { return g.cfg }
 
 // State returns thread id's governor cell, growing the set as needed.
 // Callers on a measured path must cache the pointer per thread.
-func (g *Governor) State(id int) *State {
-	if p := g.states.Load(); p != nil && id < len(*p) {
-		return (*p)[id]
-	}
-	return g.growState(id)
-}
-
-func (g *Governor) growState(id int) *State {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var cur []*State
-	if p := g.states.Load(); p != nil {
-		cur = *p
-	}
-	if id < len(cur) {
-		return cur[id]
-	}
-	next := make([]*State, id+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = new(State)
-	}
-	g.states.Store(&next)
-	return next[id]
-}
+func (g *Governor) State(id int) *State { return g.states.Get(id) }
 
 // Active returns how many threads are between Begin and Finish right
 // now. Any goroutine may call it (the watchdog and the obs sampler do);
 // the count is a sum of per-thread flags, not one coherent instant.
 func (g *Governor) Active() int64 {
 	var n int64
-	if p := g.states.Load(); p != nil {
-		for _, st := range *p {
-			if st.active.Load() {
-				n++
-			}
+	for _, st := range g.states.All() {
+		if st.active.Load() {
+			n++
 		}
 	}
 	return n

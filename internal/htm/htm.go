@@ -37,6 +37,13 @@
 //   - Commit releases each written line's monitor under the acquisition that
 //     stores the line's last word, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
+//   - A read monitor is taken in one routine, readMonitored, whether one word
+//     is loaded under it or a whole line; Read inlines only the case of a
+//     line with no foreign writer.
+//
+// A transaction knows exactly what it holds — cycles charged, distinct lines
+// read and written — and says so through Txn.Footprint, so the frameworks
+// above budget in the engine's units without keeping a second count.
 //
 // A transaction body runs inside Engine.Execute; transactional operations
 // panic with an internal sentinel when the transaction aborts, and Execute
@@ -128,10 +135,6 @@ type Config struct {
 	ReadCost  int64
 	WriteCost int64
 
-	// MaxSlots is the maximum number of concurrent hardware contexts
-	// (threads). At most 64.
-	MaxSlots int
-
 	// Seed seeds the per-slot random generators used by the probabilistic
 	// read-eviction model.
 	Seed int64
@@ -152,7 +155,6 @@ func DefaultConfig() Config {
 		Quantum:         150_000,
 		ReadCost:        1,
 		WriteCost:       2,
-		MaxSlots:        64,
 		Seed:            1,
 	}
 }
@@ -199,6 +201,10 @@ type entry struct {
 	writer  int16 // slot+1; 0 = none
 }
 
+// maxSlots is the number of hardware contexts (threads) an engine has: a
+// line's readers are one bit each of a 64-bit mask.
+const maxSlots = 64
+
 // Engine is a best-effort HTM bound to one simulated memory.
 type Engine struct {
 	mem     *mem.Memory
@@ -219,16 +225,13 @@ type Engine struct {
 // New creates an engine over m and installs it as m's strong-atomicity
 // observer.
 func New(m *mem.Memory, cfg Config) *Engine {
-	if cfg.MaxSlots <= 0 || cfg.MaxSlots > 64 {
-		cfg.MaxSlots = 64
-	}
 	e := &Engine{
 		mem:      m,
 		cfg:      cfg,
 		entries:  make([]entry, m.Lines()),
-		slots:    make([]atomic.Pointer[Txn], cfg.MaxSlots),
-		recycled: make([]*Txn, cfg.MaxSlots),
-		rngs:     make([]*rand.Rand, cfg.MaxSlots),
+		slots:    make([]atomic.Pointer[Txn], maxSlots),
+		recycled: make([]*Txn, maxSlots),
+		rngs:     make([]*rand.Rand, maxSlots),
 	}
 	for i := range e.rngs {
 		e.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
@@ -249,8 +252,8 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 // SetInjector installs a fault injector consulted at every hardware begin
 // and commit (and, via Txn.InjectionPoint, at protocol-level sites). Call
 // it before any transaction runs; the injector must cover at least as many
-// threads as the slots in use (fault.New defaults to 64, the MaxSlots
-// ceiling). A nil injector (the default) costs one nil check per site.
+// threads as the slots in use (fault.New defaults to 64, the engine's slot
+// count). A nil injector (the default) costs one nil check per site.
 func (e *Engine) SetInjector(in *fault.Injector) { e.inj = in }
 
 // Injector returns the installed fault injector, or nil.
@@ -394,7 +397,7 @@ func (t *Txn) wbInsert(slot uint32, a mem.Addr, v uint64, first bool) {
 const localCacheSize = 256
 
 // Begin starts a hardware transaction on the given hardware context slot
-// (0 <= slot < MaxSlots; one slot per thread). From this point every
+// (0 <= slot < 64; one slot per thread). From this point every
 // transactional operation may abort the transaction by panicking with an
 // internal sentinel; the caller must either use Execute (which handles the
 // unwinding) or run the transactional region inside a function whose
@@ -549,8 +552,8 @@ func (t *Txn) profFinish(outcome uint8) {
 	if t.ps == nil {
 		return
 	}
-	t.ps.RecordFootprint(t.class, outcome,
-		len(t.readLines), len(t.writeLines)+t.localLines, int(t.maxOcc))
+	_, r, w := t.Footprint()
+	t.ps.RecordFootprint(t.class, outcome, r, w, int(t.maxOcc))
 }
 
 // abort tears the transaction down, records the outcome, and unwinds.
@@ -635,8 +638,15 @@ func (t *Txn) Work(c int64) {
 	t.step(c)
 }
 
-// Cycles returns the cycles consumed so far.
-func (t *Txn) Cycles() int64 { return t.cycles }
+// Footprint returns what the transaction has consumed: the cycles charged
+// to it and the distinct lines it has read and written (thread-private
+// writes included). It is what instrumented software could count for itself
+// from its own accesses — not set occupancy or eviction state — kept exactly,
+// so a framework above budgets a transaction in the engine's own units. It
+// stays readable after the transaction ends, until the slot's next Begin.
+func (t *Txn) Footprint() (cycles int64, readLines, writeLines int) {
+	return t.cycles, len(t.readLines), len(t.writeLines) + t.localLines
+}
 
 // doom attempts to transition victim from active to doomed.
 // It returns false when the victim is past the point of no return
@@ -717,39 +727,47 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 		return v
 	}
 	e.mem.Unlock(l)
-	return t.readSlow(a, l)
+	var out [1]uint64
+	t.readMonitored(l, a, out[:])
+	return out[0]
 }
 
-// readSlow resolves a foreign-writer conflict before reading (requester
-// wins, as a cache-coherence invalidation would).
-func (t *Txn) readSlow(a mem.Addr, l mem.Line) uint64 {
+// readMonitored takes the read monitor on line l and loads len(out) words
+// of it, starting at a, under the same stripe acquisition. A foreign active
+// writer is evicted first (requester wins, as a cache-coherence invalidation
+// would); one that is committing is waited out. own reports that the line is
+// in the transaction's own write set: the words loaded are memory's, not its
+// buffered ones.
+func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
 	e := t.eng
 	bit := uint64(1) << uint(t.slot)
+	self := int16(t.slot + 1)
 	for {
 		var wait *Txn
-		var v uint64
-		first, done, doomed := false, false, false
+		first, doomed := false, false
 		e.mem.Lock(l)
 		en := &e.entries[l]
-		if w := en.writer; w != 0 && int(w-1) != t.slot {
+		own = en.writer == self
+		if en.writer != 0 && !own {
 			wait, doomed = e.evictWriter(en)
 		}
 		if wait == nil {
 			first = en.readers&bit == 0
 			en.readers |= bit
-			v = e.mem.RawLoad(a)
-			done = true
+			for i := range out {
+				out[i] = e.mem.RawLoad(a + mem.Addr(i))
+			}
 		}
 		e.mem.Unlock(l)
 		if doomed {
 			t.ps.RecordConflict(uint32(l))
 		}
-		if done {
+		if wait == nil {
 			if first {
 				t.readLines = append(t.readLines, l)
 				t.admitReadLine()
 			}
-			return v
+			return own
 		}
 		waitNotCommitting(wait)
 		t.checkDoomed()
@@ -843,21 +861,11 @@ func (t *Txn) WriteLocal(a mem.Addr, v uint64) {
 	}
 	if i := uint32(l) & (localCacheSize - 1); t.localCache[i] != l {
 		t.localCache[i] = l
-		cfg := &t.eng.cfg
-		set := int(uint32(l)) % cfg.WriteSets
-		if int(t.setOcc[set])+1 > cfg.WriteWays {
+		if cfg := &t.eng.cfg; cfg.WriteLines > 0 && len(t.writeLines)+t.localLines+1 > cfg.WriteLines || !t.occupySet(l) {
 			t.profCapacity(l)
 			t.abort(Capacity, 0)
 		}
 		t.localLines++
-		if cfg.WriteLines > 0 && t.localLines+len(t.writeLines) > cfg.WriteLines {
-			t.profCapacity(l)
-			t.abort(Capacity, 0)
-		}
-		t.setOcc[set]++
-		if t.setOcc[set] > t.maxOcc {
-			t.maxOcc = t.setOcc[set]
-		}
 	}
 	e := t.eng
 	e.mem.Lock(l)
@@ -883,47 +891,13 @@ func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 			return
 		}
 	}
-	e := t.eng
-	bit := uint64(1) << uint(t.slot)
-	self := int16(t.slot + 1)
-	for {
-		var wait *Txn
-		first, done, doomed := false, false, false
-		e.mem.Lock(l)
-		en := &e.entries[l]
-		w := en.writer
-		if w != 0 && w != self {
-			wait, doomed = e.evictWriter(en)
-		}
-		if wait == nil {
-			first = en.readers&bit == 0
-			en.readers |= bit
-			for i := 0; i < mem.LineWords; i++ {
-				out[i] = e.mem.RawLoad(base + mem.Addr(i))
+	if t.readMonitored(l, base, out[:]) {
+		// Our own word-wise writes to the line are still buffered.
+		for i := 0; i < mem.LineWords; i++ {
+			if j, _ := t.wbProbe(base + mem.Addr(i)); j >= 0 {
+				out[i] = t.wb[j].val
 			}
-			done = true
 		}
-		e.mem.Unlock(l)
-		if doomed {
-			t.ps.RecordConflict(uint32(l))
-		}
-		if done {
-			if w == self {
-				// Our own word-wise writes to the line are still buffered.
-				for i := 0; i < mem.LineWords; i++ {
-					if j, _ := t.wbProbe(base + mem.Addr(i)); j >= 0 {
-						out[i] = t.wb[j].val
-					}
-				}
-			}
-			if first {
-				t.readLines = append(t.readLines, l)
-				t.admitReadLine()
-			}
-			return
-		}
-		waitNotCommitting(wait)
-		t.checkDoomed()
 	}
 }
 
@@ -945,6 +919,21 @@ func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 		t.lineOrder = append(t.lineOrder, l)
 	}
 	t.lineBuf[l] = *vals
+}
+
+// occupySet takes a way of line l's cache set for a line entering the write
+// buffer, monitored or thread-private, and reports false when the set is
+// full.
+func (t *Txn) occupySet(l mem.Line) bool {
+	set := int(uint32(l)) % t.eng.cfg.WriteSets
+	if int(t.setOcc[set])+1 > t.eng.cfg.WriteWays {
+		return false
+	}
+	t.setOcc[set]++
+	if t.setOcc[set] > t.maxOcc {
+		t.maxOcc = t.setOcc[set]
+	}
+	return true
 }
 
 // ensureWriteMonitor puts line l into the write set: a no-op if already
@@ -976,14 +965,10 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 			}
 		}
 		if wait == nil {
-			cfg := &e.cfg
-			set := int(uint32(l)) % cfg.WriteSets
-			switch {
-			case int(t.setOcc[set])+1 > cfg.WriteWays,
-				cfg.WriteLines > 0 && len(t.writeLines)+1 > cfg.WriteLines:
+			if cfg := &e.cfg; cfg.WriteLines > 0 && len(t.writeLines)+1 > cfg.WriteLines || !t.occupySet(l) {
 				// Abort outside the stripe lock: teardown re-acquires it.
 				overCap = true
-			default:
+			} else {
 				// Doom all other active readers of the line.
 				mask := en.readers &^ (1 << uint(t.slot))
 				for mask != 0 {
@@ -1006,10 +991,6 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 					}
 				}
 				en.writer = self
-				t.setOcc[set]++
-				if t.setOcc[set] > t.maxOcc {
-					t.maxOcc = t.setOcc[set]
-				}
 				if load {
 					old = e.mem.RawLoad(a)
 				}

@@ -26,7 +26,7 @@ func TestExchangeReturnsWhatReadWould(t *testing.T) {
 	if got := tx.Exchange(a, 11); got != 10 {
 		t.Fatalf("Exchange of an unbuffered word = %d, want memory's 10", got)
 	}
-	if got := tx.Cycles(); got != 3 {
+	if got, _, _ := tx.Footprint(); got != 3 {
 		t.Fatalf("one Exchange charged %d cycles, want ReadCost+WriteCost = 3", got)
 	}
 	if got := tx.Exchange(a, 12); got != 11 {
@@ -42,8 +42,8 @@ func TestExchangeReturnsWhatReadWould(t *testing.T) {
 	if got := tx.Read(a); got != 12 {
 		t.Fatalf("Read after Exchange = %d, want 12", got)
 	}
-	if len(tx.readLines) != 0 || len(tx.writeLines) != 2 {
-		t.Fatalf("%d read lines, %d write lines; want 0 and 2", len(tx.readLines), len(tx.writeLines))
+	if _, r, w := tx.Footprint(); r != 0 || w != 2 {
+		t.Fatalf("%d read lines, %d write lines; want 0 and 2", r, w)
 	}
 	tx.Commit()
 	if m.Load(a) != 12 || m.Load(b) != 22 || m.Load(b+1) != 23 {

@@ -262,29 +262,33 @@ func TestWriteDoomsReader(t *testing.T) {
 }
 
 func TestReadDoomsWriter(t *testing.T) {
-	e := newTestEngine(1024, nil)
-	a := e.Memory().Alloc(1)
-	e.Memory().Store(a, 10)
-	r1, r2 := runConflict(e,
-		func(tx *Txn, sync1 chan struct{}) {
-			tx.Write(a, 99)
-			close(sync1)
-			for !tx.Doomed() {
+	for _, k := range readKinds {
+		t.Run(k.name, func(t *testing.T) {
+			e := newTestEngine(1024, nil)
+			a := e.Memory().AllocLines(1) + 3
+			e.Memory().Store(a, 10)
+			r1, r2 := runConflict(e,
+				func(tx *Txn, sync1 chan struct{}) {
+					tx.Write(a, 99)
+					close(sync1)
+					for !tx.Doomed() {
+					}
+					tx.Work(1)
+				},
+				func(tx *Txn, sync1 chan struct{}) {
+					<-sync1
+					if got := k.read(tx, a); got != 10 {
+						t.Errorf("reader saw uncommitted value %d", got)
+					}
+				},
+			)
+			if r1.Committed || r1.Reason != Conflict {
+				t.Fatalf("writer should be doomed by conflicting read, got %+v", r1)
 			}
-			tx.Work(1)
-		},
-		func(tx *Txn, sync1 chan struct{}) {
-			<-sync1
-			if got := tx.Read(a); got != 10 {
-				t.Errorf("reader saw uncommitted value %d", got)
+			if !r2.Committed {
+				t.Fatalf("reader should commit, got %+v", r2)
 			}
-		},
-	)
-	if r1.Committed || r1.Reason != Conflict {
-		t.Fatalf("writer should be doomed by conflicting read, got %+v", r1)
-	}
-	if !r2.Committed {
-		t.Fatalf("reader should commit, got %+v", r2)
+		})
 	}
 }
 

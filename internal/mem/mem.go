@@ -181,27 +181,16 @@ func (m *Memory) stripe(l Line) *sync.Mutex {
 	return &m.stripes[uint32(l)&(stripeCount-1)]
 }
 
-// WithLine runs f under the stripe lock of line l. The HTM engine uses this
-// to make monitor registration and the data access it guards atomic. f must
-// not block or re-enter memory accessors for a line in a different stripe
-// ordering; single-line critical sections only.
-func (m *Memory) WithLine(l Line, f func()) {
-	mu := m.stripe(l)
-	mu.Lock()
-	f()
-	mu.Unlock()
-}
-
-// Lock acquires line l's stripe directly. Hot paths use Lock/Unlock instead
-// of WithLine to avoid a closure per access; the same single-line critical-
-// section discipline applies.
+// Lock acquires line l's stripe. The HTM engine uses this to make monitor
+// registration and the data access it guards atomic. A holder must not block
+// or take a second stripe; single-line critical sections only.
 func (m *Memory) Lock(l Line) { m.stripe(l).Lock() }
 
 // Unlock releases line l's stripe.
 func (m *Memory) Unlock(l Line) { m.stripe(l).Unlock() }
 
 // RawLoad reads a word without locking or observer notification. Callers
-// must hold the line's stripe (see WithLine); the HTM engine is the intended
+// must hold the line's stripe (see Lock); the HTM engine is the intended
 // caller.
 func (m *Memory) RawLoad(a Addr) uint64 { return m.words[a] }
 

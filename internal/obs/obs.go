@@ -3,8 +3,7 @@
 // sample of every registered system's tm.Stats shards, latency
 // histograms, footprint distributions, and governor/kernel gauges, an
 // OpenMetrics exporter over net/http, a black-box flight recorder, and an
-// in-terminal watch renderer. It is the serving-loop telemetry substrate
-// the ROADMAP's parthtm-kv service mounts directly.
+// in-terminal watch renderer.
 //
 // # Snapshot coherence
 //

@@ -41,8 +41,8 @@ package prof
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/perthread"
 	"repro/internal/trace/hist"
 )
 
@@ -226,14 +226,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Profile owns the per-thread shards of one profiling session. A nil
-// *Profile disables profiling everywhere it is plumbed. Shard growth is
-// mutex-guarded exactly like tm.Stats shards; the hot path (the Record*
-// hooks) touches only the calling thread's shard.
+// *Profile disables profiling everywhere it is plumbed. The hot path (the
+// Record* hooks) touches only the calling thread's shard.
 type Profile struct {
-	cfg Config
+	cfg    Config
+	shards perthread.Set[Shard]
 
-	mu     sync.Mutex // guards growth, the router, and the session accumulator
-	shards atomic.Pointer[[]*Shard]
+	mu sync.Mutex // guards the router and the session accumulator
 
 	// Domain router (sharded-domain topologies): copied into every shard,
 	// existing and future, under mu.
@@ -249,7 +248,9 @@ type Profile struct {
 
 // New creates a profile with the given configuration.
 func New(cfg Config) *Profile {
-	return &Profile{cfg: cfg.withDefaults()}
+	p := &Profile{cfg: cfg.withDefaults()}
+	p.shards.Init(p.newShard)
+	return p
 }
 
 // Config returns the profile's effective (defaulted) configuration.
@@ -267,36 +268,20 @@ func (p *Profile) Shard(id int) *Shard {
 	if p == nil {
 		return nil
 	}
-	if sp := p.shards.Load(); sp != nil && id < len(*sp) {
-		return (*sp)[id]
-	}
-	return p.growShard(id)
+	return p.shards.Get(id)
 }
 
-func (p *Profile) growShard(id int) *Shard {
+func (p *Profile) newShard(id int) *Shard {
+	sh := &Shard{
+		conHeat: make([]uint64, p.cfg.Sets),
+		capHeat: make([]uint64, p.cfg.Sets),
+		thread:  int32(id),
+	}
+	sh.sketch = *NewSketch(p.cfg.TopK)
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	var cur []*Shard
-	if sp := p.shards.Load(); sp != nil {
-		cur = *sp
-	}
-	if id < len(cur) {
-		return cur[id]
-	}
-	next := make([]*Shard, id+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		sh := &Shard{
-			conHeat: make([]uint64, p.cfg.Sets),
-			capHeat: make([]uint64, p.cfg.Sets),
-			thread:  int32(i),
-		}
-		sh.sketch = *NewSketch(p.cfg.TopK)
-		p.routeShard(sh)
-		next[i] = sh
-	}
-	p.shards.Store(&next)
-	return next[id]
+	sh.route(p.domN, p.domOf)
+	p.mu.Unlock()
+	return sh
 }
 
 // all returns the current shard set.
@@ -304,10 +289,7 @@ func (p *Profile) all() []*Shard {
 	if p == nil {
 		return nil
 	}
-	if sp := p.shards.Load(); sp != nil {
-		return *sp
-	}
-	return nil
+	return p.shards.All()
 }
 
 // TopK merges the per-thread sketches and returns the top k hot conflict
@@ -386,22 +368,22 @@ func (p *Profile) SetDomainRouter(n int, of func(line uint32) int) {
 		return
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.domN, p.domOf = n, of
+	p.mu.Unlock()
 	for _, sh := range p.all() {
-		p.routeShard(sh)
+		sh.route(n, of)
 	}
 }
 
-// routeShard applies the current router to one shard (mu held).
-func (p *Profile) routeShard(sh *Shard) {
-	if p.domOf == nil || p.domN <= 0 {
+// route applies a router to the shard.
+func (sh *Shard) route(n int, of func(line uint32) int) {
+	if of == nil || n <= 0 {
 		sh.domOf, sh.domCon, sh.domCap = nil, nil, nil
 		return
 	}
-	sh.domCon = make([]uint64, p.domN)
-	sh.domCap = make([]uint64, p.domN)
-	sh.domOf = p.domOf
+	sh.domCon = make([]uint64, n)
+	sh.domCap = make([]uint64, n)
+	sh.domOf = of
 }
 
 // DomainHeat merges the per-thread domain-heat counters; nil when no

@@ -147,10 +147,10 @@ func TestCompactFormBoundary(t *testing.T) {
 	}
 }
 
-// TestValidateManyMixedForms: over a window whose entries alternate between
-// the two forms and the two publishers, ValidateMany agrees with a reference
-// that intersects the filters with the signatures as they were published.
-func TestValidateManyMixedForms(t *testing.T) {
+// TestValidateDetailMixedForms: over a window whose entries alternate between
+// the two forms and the two publishers, ValidateDetail agrees with a reference
+// that intersects the filter with the signatures as they were published.
+func TestValidateDetailMixedForms(t *testing.T) {
 	const size = 8
 	rng := rand.New(rand.NewSource(23))
 	r, pubs := publishers(t, size)
@@ -165,17 +165,16 @@ func TestValidateManyMixedForms(t *testing.T) {
 	}
 	passed, failed := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		a, b := randomBits(rng, rng.Intn(12)), randomBits(rng, rng.Intn(12))
-		filters := []*sig.Signature{&a, nil, &b}
+		a := randomBits(rng, rng.Intn(24))
 		from := uint64(rng.Intn(size + 1))
 		to := from + uint64(rng.Intn(size+1-int(from)))
 		want := true
 		for ts := from + 1; ts <= to; ts++ {
-			want = want && !a.Intersects(&orig[ts]) && !b.Intersects(&orig[ts])
+			want = want && !a.Intersects(&orig[ts])
 		}
-		got, rollover := r.ValidateMany(filters, from, to)
+		got, rollover := r.ValidateDetail(&a, from, to)
 		if got != want || rollover {
-			t.Fatalf("ValidateMany over (%d,%d] = (%v, rollover %v), the published signatures say %v", from, to, got, rollover, want)
+			t.Fatalf("ValidateDetail over (%d,%d] = (%v, rollover %v), the published signatures say %v", from, to, got, rollover, want)
 		}
 		if got {
 			passed++

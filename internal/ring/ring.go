@@ -325,19 +325,6 @@ func (r *Ring) Validate(readSig *sig.Signature, from, to uint64) bool {
 // genuine signature intersection. Contention managers use the distinction
 // to detect persistent ring pressure.
 func (r *Ring) ValidateDetail(readSig *sig.Signature, from, to uint64) (ok, rollover bool) {
-	one := [1]*sig.Signature{readSig}
-	return r.ValidateMany(one[:], from, to)
-}
-
-// ValidateMany is the batched form of ValidateDetail: it checks every
-// filter against every write signature committed in (from, to] in a single
-// pass over the ring. Each entry is read out of simulated memory exactly
-// once and its words are tested word-parallel across all filters
-// (sig.AnyIntersectsWords), so validating k filters costs one entry scan
-// instead of k — the commit path uses it to validate the read and write
-// signatures together, and cross-domain commit uses it per touched ring.
-// Nil filters are permitted and skipped.
-func (r *Ring) ValidateMany(filters []*sig.Signature, from, to uint64) (ok, rollover bool) {
 	if to < from {
 		return false, false
 	}
@@ -349,7 +336,7 @@ func (r *Ring) ValidateMany(filters []*sig.Signature, from, to uint64) (ok, roll
 		if !r.ReadEntry(i, words[:]) {
 			return false, true
 		}
-		if sig.AnyIntersectsWords(filters, words[:]) {
+		if readSig.IntersectsWords(words[:]) {
 			return false, false
 		}
 	}

@@ -279,63 +279,21 @@ func TestReadEntrySpinsThroughWritingSentinel(t *testing.T) {
 	}
 }
 
-func TestValidateManyMultipleFilters(t *testing.T) {
-	r, _ := newRing(8)
-	var wsig sig.Signature
-	wsig.Add(500)
-	r.PublishSW(1, &wsig)
-	var clean, dirty sig.Signature
-	clean.Add(600)
-	dirty.Add(500)
-	if sig.HashBit(500) == sig.HashBit(600) {
-		t.Skip("hash collision between test addresses")
-	}
-	if ok, roll := r.ValidateMany([]*sig.Signature{&clean}, 0, 1); !ok || roll {
-		t.Fatalf("disjoint filter failed: ok=%v rollover=%v", ok, roll)
-	}
-	// Any one intersecting filter fails the batch, wherever it sits.
-	for _, fs := range [][]*sig.Signature{
-		{&dirty},
-		{&clean, &dirty},
-		{&dirty, &clean},
-	} {
-		if ok, roll := r.ValidateMany(fs, 0, 1); ok || roll {
-			t.Fatalf("intersecting batch passed: filters=%d ok=%v roll=%v", len(fs), ok, roll)
-		}
-	}
-}
-
-func TestValidateManyNilFilters(t *testing.T) {
-	r, _ := newRing(8)
-	var wsig sig.Signature
-	wsig.Add(500)
-	r.PublishSW(1, &wsig)
-	var dirty sig.Signature
-	dirty.Add(500)
-	// Nil slots are skipped: callers pass sparse per-domain filter sets.
-	if ok, _ := r.ValidateMany([]*sig.Signature{nil, nil}, 0, 1); !ok {
-		t.Fatal("all-nil batch must validate")
-	}
-	if ok, _ := r.ValidateMany([]*sig.Signature{nil, &dirty}, 0, 1); ok {
-		t.Fatal("nil slots must not mask an intersecting filter")
-	}
-}
-
-func TestValidateManyRollover(t *testing.T) {
+func TestValidateDetailRollover(t *testing.T) {
 	r, _ := newRing(4)
 	var s sig.Signature
 	for ts := uint64(1); ts <= 6; ts++ {
 		r.PublishSW(ts, &s)
 	}
 	var readSig sig.Signature
-	if ok, roll := r.ValidateMany([]*sig.Signature{&readSig}, 0, 6); ok || !roll {
+	if ok, roll := r.ValidateDetail(&readSig, 0, 6); ok || !roll {
 		t.Fatalf("rolled-over range: ok=%v rollover=%v, want false,true", ok, roll)
 	}
-	if ok, roll := r.ValidateMany([]*sig.Signature{&readSig}, 2, 6); !ok || roll {
+	if ok, roll := r.ValidateDetail(&readSig, 2, 6); !ok || roll {
 		t.Fatalf("live window: ok=%v rollover=%v, want true,false", ok, roll)
 	}
 	// to < from is a plain failure, not a rollover.
-	if ok, roll := r.ValidateMany([]*sig.Signature{&readSig}, 6, 2); ok || roll {
+	if ok, roll := r.ValidateDetail(&readSig, 6, 2); ok || roll {
 		t.Fatalf("inverted range: ok=%v rollover=%v, want false,false", ok, roll)
 	}
 }

@@ -88,27 +88,6 @@ func (s *Signature) IntersectsWords(w []uint64) bool {
 	return false
 }
 
-// AnyIntersectsWords reports whether any of the filters shares a set bit
-// with the raw words w. It is the word-parallel kernel of the ring's
-// batched ValidateMany: each non-zero entry word is tested against every
-// filter before moving on, so a mostly-sparse committed signature costs one
-// pass over its words regardless of how many filters are open against it.
-// w must have at least Words elements; nil filters are skipped.
-func AnyIntersectsWords(filters []*Signature, w []uint64) bool {
-	for i := 0; i < Words; i++ {
-		ew := w[i]
-		if ew == 0 {
-			continue
-		}
-		for _, f := range filters {
-			if f != nil && f[i]&ew != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Union merges o into s.
 func (s *Signature) Union(o *Signature) {
 	for i := range s {

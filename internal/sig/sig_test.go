@@ -235,47 +235,3 @@ func TestQuickAndNotDisjointFromSubtrahend(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAnyIntersectsWords(t *testing.T) {
-	var entry Signature
-	entry.Add(500)
-	var hit, miss Signature
-	hit.Add(500)
-	miss.Add(600)
-	if HashBit(500) == HashBit(600) {
-		t.Skip("hash collision between test addresses")
-	}
-	w := entry[:]
-	if AnyIntersectsWords(nil, w) {
-		t.Fatal("empty filter set intersected")
-	}
-	if AnyIntersectsWords([]*Signature{nil, &miss}, w) {
-		t.Fatal("disjoint filters intersected")
-	}
-	if !AnyIntersectsWords([]*Signature{&miss, &hit}, w) {
-		t.Fatal("intersecting filter missed")
-	}
-	if !AnyIntersectsWords([]*Signature{nil, &hit}, w) {
-		t.Fatal("nil slot masked an intersecting filter")
-	}
-	var zero [Words]uint64
-	if AnyIntersectsWords([]*Signature{&hit}, zero[:]) {
-		t.Fatal("all-zero entry words intersected")
-	}
-}
-
-func TestAnyIntersectsWordsMatchesIntersects(t *testing.T) {
-	f := func(aAddrs, bAddrs []uint32) bool {
-		var a, b Signature
-		for _, x := range aAddrs {
-			a.Add(x)
-		}
-		for _, x := range bAddrs {
-			b.Add(x)
-		}
-		return AnyIntersectsWords([]*Signature{&a}, b[:]) == a.Intersects(&b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

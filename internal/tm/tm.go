@@ -7,12 +7,12 @@ package tm
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 )
 
 // Tx is the transactional view a workload body operates through. A body may
@@ -244,45 +244,12 @@ func (sh *Shard) add(out *Snapshot) {
 // taken via Snapshot (or the aggregate helpers). The zero value is ready to
 // use: shards materialize on first access.
 type Stats struct {
-	mu     sync.Mutex // guards shard-slice growth
-	shards atomic.Pointer[[]*Shard]
+	shards perthread.Set[Shard]
 }
 
 // Shard returns thread's private counter cell, growing the shard set as
 // needed. Callers on a measured path should cache the pointer per thread.
-func (s *Stats) Shard(thread int) *Shard {
-	if p := s.shards.Load(); p != nil && thread < len(*p) {
-		return (*p)[thread]
-	}
-	return s.growShard(thread)
-}
-
-func (s *Stats) growShard(thread int) *Shard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cur []*Shard
-	if p := s.shards.Load(); p != nil {
-		cur = *p
-	}
-	if thread < len(cur) {
-		return cur[thread]
-	}
-	next := make([]*Shard, thread+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = new(Shard)
-	}
-	s.shards.Store(&next)
-	return next[thread]
-}
-
-// all returns the current shard set.
-func (s *Stats) all() []*Shard {
-	if p := s.shards.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (s *Stats) Shard(thread int) *Shard { return s.shards.Get(thread) }
 
 // The convenience accessors below each take a full Snapshot per call:
 // two calls sum the live shards twice and may observe different values
@@ -305,7 +272,7 @@ func (s *Stats) SerialNanos() int64 { return s.Snapshot().SerialNanos }
 // Reset zeroes every counter (between measurement phases). Existing Shard
 // pointers remain valid: counters are cleared in place.
 func (s *Stats) Reset() {
-	for _, sh := range s.all() {
+	for _, sh := range s.shards.All() {
 		sh.reset()
 	}
 }
@@ -340,7 +307,7 @@ type Snapshot struct {
 // Snapshot sums the per-thread shards into one coherent copy.
 func (s *Stats) Snapshot() Snapshot {
 	var out Snapshot
-	for _, sh := range s.all() {
+	for _, sh := range s.shards.All() {
 		sh.add(&out)
 	}
 	return out

@@ -36,9 +36,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/perthread"
 	"repro/internal/trace/hist"
 )
 
@@ -320,15 +320,13 @@ type Mark struct {
 }
 
 // Sink owns the per-thread buffers and latency shards of one tracing
-// session. A nil *Sink disables tracing everywhere it is plumbed. Thread
-// growth is mutex-guarded exactly like tm.Stats shards; the hot path
-// (Record) touches only the calling thread's buffer.
+// session. A nil *Sink disables tracing everywhere it is plumbed. The hot
+// path (Record) touches only the calling thread's buffer.
 type Sink struct {
-	capPerThread int
+	bufs perthread.Set[Buffer]
+	lats perthread.Set[LatShard]
 
-	mu    sync.Mutex // guards slice growth and marks
-	bufs  atomic.Pointer[[]*Buffer]
-	lats  atomic.Pointer[[]*LatShard]
+	mu    sync.Mutex // guards marks
 	marks []Mark
 }
 
@@ -346,7 +344,11 @@ func NewSink(capPerThread int) *Sink {
 	for c < capPerThread {
 		c <<= 1
 	}
-	return &Sink{capPerThread: c}
+	s := new(Sink)
+	s.bufs.Init(func(i int) *Buffer {
+		return &Buffer{ev: make([]Event, c), mask: uint64(c - 1), thread: int32(i)}
+	})
+	return s
 }
 
 // Thread returns thread id's event buffer, growing the set as needed.
@@ -355,33 +357,7 @@ func (s *Sink) Thread(id int) *Buffer {
 	if s == nil {
 		return nil
 	}
-	if p := s.bufs.Load(); p != nil && id < len(*p) {
-		return (*p)[id]
-	}
-	return s.growThread(id)
-}
-
-func (s *Sink) growThread(id int) *Buffer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cur []*Buffer
-	if p := s.bufs.Load(); p != nil {
-		cur = *p
-	}
-	if id < len(cur) {
-		return cur[id]
-	}
-	next := make([]*Buffer, id+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = &Buffer{
-			ev:     make([]Event, s.capPerThread),
-			mask:   uint64(s.capPerThread - 1),
-			thread: int32(i),
-		}
-	}
-	s.bufs.Store(&next)
-	return next[id]
+	return s.bufs.Get(id)
 }
 
 // Lat returns thread id's latency shard, growing the set as needed.
@@ -389,29 +365,7 @@ func (s *Sink) Lat(id int) *LatShard {
 	if s == nil {
 		return nil
 	}
-	if p := s.lats.Load(); p != nil && id < len(*p) {
-		return (*p)[id]
-	}
-	return s.growLat(id)
-}
-
-func (s *Sink) growLat(id int) *LatShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cur []*LatShard
-	if p := s.lats.Load(); p != nil {
-		cur = *p
-	}
-	if id < len(cur) {
-		return cur[id]
-	}
-	next := make([]*LatShard, id+1)
-	copy(next, cur)
-	for i := len(cur); i < len(next); i++ {
-		next[i] = new(LatShard)
-	}
-	s.lats.Store(&next)
-	return next[id]
+	return s.lats.Get(id)
 }
 
 // Mark records one labelled instant (not on the hot path; harness use).
@@ -442,10 +396,7 @@ func (s *Sink) buffers() []*Buffer {
 	if s == nil {
 		return nil
 	}
-	if p := s.bufs.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return s.bufs.All()
 }
 
 // latShards returns the current latency-shard set.
@@ -453,10 +404,7 @@ func (s *Sink) latShards() []*LatShard {
 	if s == nil {
 		return nil
 	}
-	if p := s.lats.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return s.lats.All()
 }
 
 // Events returns every live event across all threads, sorted by
