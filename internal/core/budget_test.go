@@ -1,0 +1,271 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/htm"
+	"repro/internal/mem"
+	"repro/internal/tm"
+)
+
+// noPlacement makes the write buffer one fully associative set, so that a
+// capacity abort is about how many lines, never about which.
+func noPlacement(lines int) func(*htm.Config) {
+	return func(c *htm.Config) {
+		c.WriteSets, c.WriteWays, c.WriteLines = 1, lines, lines
+	}
+}
+
+// writeLines returns a body writing n consecutive lines from base, with a
+// partition point after every pauseEvery of them (0: none).
+func writeLines(base mem.Addr, n, pauseEvery int) func(tm.Tx) {
+	return func(x tm.Tx) {
+		for i := 0; i < n; i++ {
+			x.Write(base+mem.Addr(i*mem.LineWords), uint64(i)+1)
+			if pauseEvery > 0 && (i+1)%pauseEvery == 0 {
+				x.Pause()
+			}
+		}
+	}
+}
+
+// TestWriteCapacityAbortLeavesReadBudget: a segment that read nothing
+// overflows the write buffer. That says nothing about reads: no read budget
+// is learned, and the next transaction's read phase stays one sub-HTM
+// transaction instead of being cut every 16 lines.
+func TestWriteCapacityAbortLeavesReadBudget(t *testing.T) {
+	s := newSystem(1, 1<<17, noPlacement(8), func(c *Config) { c.NoFastPath = true })
+	base := s.Memory().AllocLines(64)
+	before := s.SegLimits()[0].ReadLines
+	s.Atomic(0, writeLines(base, 24, 0))
+	lim := s.SegLimits()[0]
+	if lim.WriteLines == 0 {
+		t.Fatal("the write-buffer overflow taught no write budget")
+	}
+	if lim.ReadLines != before {
+		t.Fatalf("a write-only segment's capacity abort moved the read budget %d -> %d", before, lim.ReadLines)
+	}
+	commits := s.eng.Stats().Commits.Load()
+	s.Atomic(0, func(x tm.Tx) {
+		for i := 0; i < 64; i++ {
+			x.Read(base + mem.Addr(i*mem.LineWords))
+		}
+	})
+	if got := s.eng.Stats().Commits.Load() - commits; got != 1 {
+		t.Fatalf("a 64-line read-only transaction ran as %d sub-HTM transactions, want 1", got)
+	}
+	if st := s.Stats().Snapshot(); st.CommitsGL != 0 {
+		t.Fatalf("%+v", st)
+	}
+}
+
+// TestBudgetsStayWithinAProbeOfWhatFit: budgets grow by probing, and a probe
+// never goes more than one step past the largest footprint that has
+// committed — which the hardware bounds. After one overflow and forty clean
+// commits of small segments the budget is still a statement about the
+// 16-line buffer, not a number that drifted to "unlimited".
+func TestBudgetsStayWithinAProbeOfWhatFit(t *testing.T) {
+	const hwLines = 16
+	s := newSystem(1, 1<<17, noPlacement(hwLines), func(c *Config) { c.NoFastPath = true })
+	base := s.Memory().AllocLines(40)
+	s.Atomic(0, writeLines(base, 40, 0))
+	if s.SegLimits()[0].WriteLines == 0 {
+		t.Fatal("no write budget learned")
+	}
+	aborts := s.eng.Stats().Aborts()
+	for i := 0; i < 40; i++ {
+		s.Atomic(0, writeLines(base, 40, 2))
+	}
+	if got := s.eng.Stats().Aborts() - aborts; got != 0 {
+		t.Fatalf("%d aborts in forty transactions of two-line segments", got)
+	}
+	th := s.threads[0]
+	for d, b := range th.bud.base {
+		if b > th.bud.fit[d]+probeStep(th.bud.fit[d]) {
+			t.Errorf("dimension %d: budget %d is more than a probe step past the largest committed footprint %d", d, b, th.bud.fit[d])
+		}
+	}
+	if got := s.SegLimits()[0].WriteLines; got > hwLines+hwLines/probeDiv {
+		t.Fatalf("write budget %d after forty clean commits on a %d-line buffer", got, hwLines)
+	}
+}
+
+// TestUnsplitTransactionConverges: 1200 writes with no partition point. The
+// first transaction may spend three resource aborts finding a grain; after
+// that, where nothing but the size of the buffer can fail a segment, the
+// persistent budget sits just under what overflowed and transactions run
+// clean — until a probe tries one step more, which costs one abort and
+// doubles the wait before the next.
+func TestUnsplitTransactionConverges(t *testing.T) {
+	const writes = 1200
+	t.Run("no placement", func(t *testing.T) {
+		s := newSystem(1, 1<<18, noPlacement(512), func(c *Config) { c.NoFastPath = true })
+		base := s.Memory().AllocLines(writes)
+		st := s.eng.Stats()
+		s.Atomic(0, writeLines(base, writes, 0))
+		if got := st.Aborts(); got > 3 {
+			t.Fatalf("first transaction: %d resource aborts, want at most 3", got)
+		}
+		first := st.Aborts()
+		for i := 1; i < probeEveryMin; i++ {
+			s.Atomic(0, writeLines(base, writes, 0))
+		}
+		if got := st.Aborts() - first; got != 0 {
+			t.Fatalf("%d aborts in the %d transactions after the first, want 0: the budget did not converge in one abort", got, probeEveryMin-1)
+		}
+		commits := st.Commits.Load()
+		s.Atomic(0, writeLines(base, writes, 0))
+		if got := st.Commits.Load() - commits; got != 3 {
+			t.Fatalf("a converged transaction ran as %d sub-HTM transactions, want 3 (1200 lines at just under 512)", got)
+		}
+		for i := 0; i < 40; i++ {
+			s.Atomic(0, writeLines(base, writes, 0))
+		}
+		// Probes at clean commits 4, 12 and 28 after the first transaction.
+		if got := st.Aborts() - first; got > 3 {
+			t.Fatalf("%d aborts in 44 transactions after the first, want at most the 3 failed probes", got)
+		}
+		if snap := s.Stats().Snapshot(); snap.CommitsGL != 0 || snap.CommitsSW != 44+1 {
+			t.Fatalf("%+v", snap)
+		}
+	})
+	t.Run("default engine", func(t *testing.T) {
+		s := newSystem(1, 1<<20, nil, func(c *Config) { c.NoFastPath = true })
+		const arrayLines = 12500
+		base := s.Memory().AllocLines(arrayLines)
+		rng := rand.New(rand.NewSource(7))
+		body := func(x tm.Tx) {
+			for i := 0; i < writes; i++ {
+				x.Write(base+mem.Addr(rng.Intn(arrayLines)*mem.LineWords), uint64(i))
+			}
+		}
+		s.Atomic(0, body)
+		if got := s.eng.Stats().Aborts(); got > 3 {
+			t.Fatalf("first transaction: %d resource aborts, want at most 3", got)
+		}
+		for i := 0; i < 30; i++ {
+			s.Atomic(0, body)
+		}
+		if snap := s.Stats().Snapshot(); snap.CommitsGL != 0 {
+			t.Fatalf("%+v", snap)
+		}
+	})
+}
+
+// TestPlacementOverflowLeavesNextTransactionOnTheGrid: ten 128-line segments
+// fit the 64-set, 8-way buffer except when nine lines fall in one set. That
+// is placement, not size: the transaction it happens to retries smaller, and
+// the next one runs its ten segments as if nothing had happened.
+func TestPlacementOverflowLeavesNextTransactionOnTheGrid(t *testing.T) {
+	const segs, grid = 10, 128
+	s := newSystem(1, 1<<18, nil, func(c *Config) { c.NoFastPath = true })
+	base := s.Memory().AllocLines(4096)
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+	sets := s.eng.Config().WriteSets
+	body := func(unlucky bool) func(tm.Tx) {
+		return func(x tm.Tx) {
+			for i := 0; i < segs*grid; i++ {
+				a := line(i)
+				if j := i - 3*grid; unlucky && j >= 0 && j < 9 {
+					a = line(2048 + j*sets) // nine lines of the fourth segment share a set
+				}
+				x.Write(a, uint64(i))
+				if (i+1)%grid == 0 {
+					x.Pause()
+				}
+			}
+		}
+	}
+	st := s.eng.Stats()
+	s.Atomic(0, body(false))
+	if c, a := st.Commits.Load(), st.Aborts(); c != segs || a != 0 {
+		t.Fatalf("well-placed transaction: %d sub-HTM commits and %d aborts, want %d and 0", c, a, segs)
+	}
+	s.Atomic(0, body(true))
+	if got := st.AbortsCapacity.Load(); got != 1 {
+		t.Fatalf("unlucky transaction: %d capacity aborts, want 1", got)
+	}
+	if lim := s.SegLimits()[0]; lim != (SegLimit{}) {
+		t.Fatalf("one placement overflow moved the persistent budgets to %+v", lim)
+	}
+	commits := st.Commits.Load()
+	s.Atomic(0, body(false))
+	if got := st.Commits.Load() - commits; got != segs {
+		t.Fatalf("the transaction after a placement overflow ran as %d sub-HTM transactions, want %d", got, segs)
+	}
+	if got := st.Aborts(); got != 1 {
+		t.Fatalf("%d aborts in all, want 1", got)
+	}
+}
+
+// TestPauseUnderHalfBudgetRunsOn: once a budget is known, a partition point
+// reached with less than half of it used is not taken, so a budget just under
+// the workload's grid does not turn every segment into a full one and a
+// sliver.
+func TestPauseUnderHalfBudgetRunsOn(t *testing.T) {
+	s := newSystem(1, 1<<17, noPlacement(32), func(c *Config) { c.NoFastPath = true })
+	base := s.Memory().AllocLines(120)
+	s.Atomic(0, writeLines(base, 120, 0)) // overflows at 32: the budget is 32-1-4
+	lim := s.SegLimits()[0].WriteLines
+	if lim != 27 {
+		t.Fatalf("write budget = %d, want 27", lim)
+	}
+	st := s.eng.Stats()
+	commits, aborts := st.Commits.Load(), st.Aborts()
+	s.Atomic(0, writeLines(base, 120, 30)) // a grid of 30: 27 + 3 without the rule
+	if got := st.Commits.Load() - commits; got != 5 {
+		t.Fatalf("120 lines on a grid of 30 under a budget of 27 ran as %d sub-HTM transactions, want 5", got)
+	}
+	if got := st.Aborts() - aborts; got != 0 {
+		t.Fatalf("%d aborts", got)
+	}
+}
+
+// TestTinyResourcesKeepOffTheLock is the progress rule: whatever the budgets
+// remember, a resource abort makes the retry strictly smaller, so on a buffer
+// of a few lines or a quantum of a few accesses unsplit transactions of both
+// variants still commit partitioned, never under the global lock.
+func TestTinyResourcesKeepOffTheLock(t *testing.T) {
+	engines := map[string]func(*htm.Config){
+		"tiny buffer":      noPlacement(8),
+		"tiny set buffer":  func(c *htm.Config) { c.WriteSets, c.WriteWays, c.WriteLines = 4, 3, 12 },
+		"tiny quantum":     func(c *htm.Config) { c.Quantum = 200 },
+		"tiny of each one": func(c *htm.Config) { noPlacement(8)(c); c.Quantum = 200 },
+	}
+	for name, eng := range engines {
+		for _, opaque := range []bool{false, true} {
+			s := newSystem(1, 1<<17, eng, func(c *Config) { c.Opaque = opaque })
+			const lines, txns = 256, 60
+			base := s.Memory().AllocLines(lines)
+			rng := rand.New(rand.NewSource(3))
+			var want [lines]uint64
+			for i := 0; i < txns; i++ {
+				var touched [40]int
+				for j := range touched {
+					touched[j] = rng.Intn(lines)
+				}
+				s.Atomic(0, func(x tm.Tx) {
+					for _, l := range touched[:20] {
+						x.Read(base + mem.Addr(l*mem.LineWords))
+					}
+					for _, l := range touched {
+						a := base + mem.Addr(l*mem.LineWords)
+						x.Write(a, x.Read(a)+1)
+					}
+				})
+				for _, l := range touched {
+					want[l]++
+				}
+			}
+			for l, w := range want {
+				if got := s.Memory().Load(base + mem.Addr(l*mem.LineWords)); got != w {
+					t.Fatalf("%s, opaque=%v: line %d = %d, want %d", name, opaque, l, got, w)
+				}
+			}
+			if st := s.Stats().Snapshot(); st.CommitsGL != 0 || st.CommitsSW+st.CommitsHTM != txns {
+				t.Errorf("%s, opaque=%v: %+v", name, opaque, st)
+			}
+		}
+	}
+}

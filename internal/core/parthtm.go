@@ -21,10 +21,17 @@
 //
 // Partition points come from tm.Tx.Pause calls placed in the workload — the
 // equivalent of the paper's statically profiled breaking points — and, with
-// Config.AutoPartition, from per-thread budgets learned when a sub-HTM
-// transaction aborts for resources. What a sub-HTM transaction holds is
-// known in one place, the hardware transaction itself: this package keeps no
-// estimate beside it and asks htm.Txn.Footprint.
+// Config.AutoPartition, from per-thread segment budgets. What a sub-HTM
+// transaction holds is known in one place, the hardware transaction itself:
+// this package keeps no estimate beside it and asks htm.Txn.Footprint. What
+// fits is remembered rather than re-learned by aborting (segBudgets): the
+// largest footprint that has committed, the budget a fresh transaction starts
+// from, and the budget of the running one, which a resource abort halves for
+// the retry and the end of the transaction restores.
+//
+// A sub-HTM commit pays for the shared write-locks signature by the cache
+// line, as the paper lays it out to (four lines): four ReadLines fetch it and
+// one WriteLine per line that changes publishes the segment's lock bits.
 //
 // When a sub-HTM transaction aborts retryably, the enclosing global
 // transaction is re-executed in replay mode: operations of already-committed
@@ -101,12 +108,12 @@ type Config struct {
 	// multiply false conflicts on the signature's cache lines; this knob
 	// exists to measure that design decision (ablation).
 	LockPerWrite bool
-	// AutoPartition activates additional partition points at run time: when
-	// a sub-HTM transaction aborts for resources (capacity or time), the
-	// thread halves its segment budget toward that transaction's footprint
-	// (htm.Txn.Footprint: the engine's own cycles and lines, metadata and
-	// lock cells included) and thereafter commits the running sub-HTM
-	// transaction automatically once it reaches that budget.
+	// AutoPartition activates additional partition points at run time: the
+	// thread keeps segment budgets in the units of htm.Txn.Footprint (the
+	// engine's own cycles and lines, metadata and lock cells included),
+	// learned from the sub-HTM transactions that aborted for resources and
+	// from those that committed (segBudgets has the rules), and commits the
+	// running sub-HTM transaction automatically once it reaches one.
 	// This is the run-time breaking-point activation the paper sketches in
 	// §3 (the advisory-lock/LLVM discussion); the workload's explicit Pause
 	// calls remain the static profile it refines.
@@ -321,12 +328,13 @@ type SegLimit struct {
 	ReadLines, WriteLines int
 }
 
-// SegLimits reports each thread's learned adaptive segment budgets;
-// exposed for observability and tests.
+// SegLimits reports the segment budgets each thread's next transaction
+// starts from; exposed for observability and tests.
 func (s *System) SegLimits() []SegLimit {
 	out := make([]SegLimit, len(s.threads))
 	for i, t := range s.threads {
-		out[i] = t.lim
+		b := &t.bud.base
+		out[i] = SegLimit{Cycles: b[dimCycles], ReadLines: int(b[dimReadLines]), WriteLines: int(b[dimWriteLines])}
 	}
 	return out
 }
@@ -391,13 +399,10 @@ type thread struct {
 	lockedCells []mem.Addr
 	lockedSet   map[mem.Addr]struct{}
 
-	// Adaptive partitioning: the learned budgets at which a partition point
-	// is auto-activated (0 = unlimited until a resource abort teaches one),
-	// compared with what the open sub-HTM transaction reports it holds. The
-	// cycle budget guards the timer quantum; the line budgets guard cache
-	// capacity, including set-associativity evictions the software cannot
-	// predict geometrically.
-	lim SegLimit
+	// Adaptive partitioning: the budgets at which a partition point is
+	// auto-activated, compared with what the open sub-HTM transaction
+	// reports it holds.
+	bud segBudgets
 
 	// Self-tuning fast path: consecutive transactions whose fast attempts
 	// died for resources, and a transaction counter for periodic re-probes.
@@ -426,6 +431,7 @@ func newThread(id int) *thread {
 	return &thread{
 		id:        id,
 		lockedSet: make(map[mem.Addr]struct{}),
+		bud:       segBudgets{probeEvery: probeEveryMin},
 	}
 }
 
@@ -651,6 +657,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 		return false
 	}
 	t.resetPartitioned()
+	t.bud.beginTxn(t.txCount)
 	s.doms.SnapshotTimestamps(t.ds.Start)
 
 	subAttempts := 0
@@ -676,8 +683,8 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 		s.globalAbort(t)
 		return false
 	}
-	if s.cfg.AutoPartition && subAttempts == 0 {
-		t.regrowSegLimits()
+	if s.cfg.AutoPartition {
+		t.bud.txnCommitted()
 	}
 	if t.attemptSegs <= 1 {
 		// The whole transaction fit one modest sub-HTM transaction: it
@@ -705,7 +712,13 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 			// The open sub-HTM transaction aborted; htm already tore it
 			// down, and still knows what it held when it failed.
 			if s.cfg.AutoPartition {
-				t.learnSegLimit(res.Reason, t.ht)
+				commitLines := int64(0)
+				if !s.cfg.Opaque {
+					// The sub-commit reads, and may write, every touched
+					// domain's signature lines on top of what the body holds.
+					commitLines = int64(sig.Lines * t.ds.Count())
+				}
+				t.bud.failed(res.Reason, footprintOf(t.ht), commitLines)
 			}
 			t.ht = nil
 			t.et.NoteHWAbort(res)
@@ -761,55 +774,221 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 	return outDone
 }
 
-// learnSegLimit halves the relevant segment budgets toward the footprint of
-// the sub-HTM transaction that just failed: capacity aborts teach the line
-// budgets, timer aborts teach the cycle budget.
-func (t *thread) learnSegLimit(reason htm.AbortReason, failed *htm.Txn) {
-	lower := func(cur, observed, floor int) int {
-		n := observed / 2
-		if n < floor {
-			n = floor
-		}
-		if cur == 0 || n < cur {
-			return n
-		}
-		return cur
+// Segment budgets. A resource dimension of a sub-HTM transaction is one of
+// the three numbers htm.Txn.Footprint reports; a budget of 0 is unlimited.
+const (
+	dimCycles = iota
+	dimReadLines
+	dimWriteLines
+	nDims
+)
+
+// Which dimensions an abort reason can be about: the timer knows cycles,
+// the cache knows lines.
+const (
+	timeDims     = 1 << dimCycles
+	capacityDims = 1<<dimReadLines | 1<<dimWriteLines
+)
+
+// footprint is what a sub-HTM transaction consumed, or a budget on that, per
+// dimension.
+type footprint [nDims]int64
+
+func footprintOf(ht *htm.Txn) footprint {
+	c, r, w := ht.Footprint()
+	return footprint{dimCycles: c, dimReadLines: int64(r), dimWriteLines: int64(w)}
+}
+
+// budgetFloor keeps a budget from shrinking to nothing: below it a segment
+// is retried as it is.
+var budgetFloor = footprint{dimCycles: 64, dimReadLines: 16, dimWriteLines: 2}
+
+// A probe raises a budget by 1/probeDiv of itself, after probeEveryMin clean
+// commits; each failed probe doubles that wait, up to probeEveryMax.
+const (
+	probeDiv      = 8
+	probeEveryMin = 4
+	probeEveryMax = 1 << 10
+)
+
+func probeStep(v int64) int64 { return max(1, v/probeDiv) }
+
+// segBudgets is one thread's knowledge of what fits in a sub-HTM transaction.
+// It keeps three facts per dimension and moves them by these rules:
+//
+//   - A resource abort makes the retry strictly smaller: lim drops to half
+//     the failed footprint and stays there until the transaction ends. That
+//     is the progress rule; it never outlives the transaction.
+//   - A failure above everything that has ever committed sets base just
+//     under the failed footprint, in one step: that footprint is the bound.
+//   - A failure at or below what has committed is placement (which cache set
+//     the lines fell in), not size. base ignores it, unless the transaction
+//     before also failed: then it steps down by one probe step. A failure
+//     above fit that base was already under is treated the same way.
+//   - A dimension in which the failed segment stayed within what has
+//     committed is not blamed while another exceeded it, and one it did not
+//     use at all is never blamed.
+//   - base grows only by a probe: one step, never more than one step past
+//     fit, after probeEvery clean commits. A resource abort while the probe
+//     is unconfirmed takes it back and doubles probeEvery.
+type segBudgets struct {
+	fit  footprint // the largest a sub-HTM transaction has committed with
+	base footprint // what a fresh transaction starts from
+	lim  footprint // what the running transaction partitions at
+
+	txn               uint64 // the transaction lim and failedNow belong to
+	failedNow         bool   // it has had a resource abort
+	failedPrev        bool   // so had the one before
+	clean, probeEvery int    // clean commits since the last probe or failure, of how many
+	probing           bool   // base holds a probe step no commit has confirmed yet
+	preProbe          footprint
+}
+
+// beginTxn starts transaction id from the persistent budgets; further
+// attempts of the same transaction keep what its failures taught.
+func (b *segBudgets) beginTxn(id uint64) {
+	if b.txn == id {
+		return
 	}
-	cycles, rlines, wlines := failed.Footprint()
-	switch reason {
-	case htm.Capacity:
-		t.lim.WriteLines = lower(t.lim.WriteLines, wlines, 2)
-		t.lim.ReadLines = lower(t.lim.ReadLines, rlines, 16)
-	case htm.Other:
-		t.lim.Cycles = int64(lower(int(t.lim.Cycles), int(cycles), 64))
+	b.txn = id
+	b.failedPrev, b.failedNow = b.failedNow, false
+	b.lim = b.base
+}
+
+// committed notes that a sub-HTM transaction committed holding f.
+func (b *segBudgets) committed(f footprint) {
+	for d, v := range f {
+		if v > b.fit[d] {
+			b.fit[d] = v
+		}
 	}
 }
 
-// regrowSegLimits relaxes the learned budgets after a clean commit so one
-// unlucky transaction cannot pin the thread at tiny segments forever.
-func (t *thread) regrowSegLimits() {
-	if t.lim.WriteLines > 0 {
-		t.lim.WriteLines += max(1, t.lim.WriteLines/4)
+// failed learns from a sub-HTM transaction that aborted for resources
+// holding f. commitLines is what the sub-commit adds to both line counts on
+// top of the body's.
+func (b *segBudgets) failed(reason htm.AbortReason, f footprint, commitLines int64) {
+	var dims uint
+	switch reason {
+	case htm.Capacity:
+		dims = capacityDims
+	case htm.Other:
+		dims = timeDims
+	default:
+		return
 	}
-	if t.lim.ReadLines > 0 {
-		t.lim.ReadLines += max(1, t.lim.ReadLines/4)
+	if b.probing {
+		b.base, b.probing = b.preProbe, false
+		b.probeEvery = min(2*b.probeEvery, probeEveryMax)
 	}
-	if t.lim.Cycles > 0 {
-		t.lim.Cycles += max(1, t.lim.Cycles/4)
+	b.clean = 0
+	recurs := b.failedPrev && !b.failedNow
+	b.failedNow = true
+
+	// Blame the dimensions in which f exceeds everything that has committed;
+	// if there is none it is placement, which every dimension f used shares.
+	var above, blamed uint
+	for d := 0; d < nDims; d++ {
+		if dims&(1<<d) != 0 && f[d] > 0 {
+			blamed |= 1 << d
+			if f[d] > b.fit[d] {
+				above |= 1 << d
+			}
+		}
 	}
+	if above != 0 {
+		blamed = above
+	}
+	converged := false
+	for d := 0; d < nDims; d++ {
+		if blamed&(1<<d) == 0 {
+			continue
+		}
+		if n := max(f[d]/2, budgetFloor[d]); b.lim[d] == 0 || n < b.lim[d] {
+			b.lim[d] = n
+		}
+		if above == 0 {
+			continue
+		}
+		n := f[d] - 1
+		if d != dimCycles {
+			n -= commitLines
+		}
+		if n = max(n, budgetFloor[d]); b.base[d] == 0 || n < b.base[d] {
+			b.base[d] = n
+			converged = true
+		}
+	}
+	if converged || !recurs {
+		return
+	}
+	for d := 0; d < nDims; d++ {
+		if blamed&(1<<d) != 0 {
+			top := b.base[d]
+			if top == 0 {
+				top = b.fit[d]
+			}
+			b.base[d] = max(top-probeStep(top), budgetFloor[d])
+		}
+	}
+}
+
+// txnCommitted counts a partitioned commit and, every probeEvery clean
+// ones, probes: each known budget one step up, and never more than one step
+// past what has committed.
+func (b *segBudgets) txnCommitted() {
+	if b.failedNow {
+		return
+	}
+	if b.probing {
+		b.probing = false
+		b.probeEvery = probeEveryMin
+	}
+	if b.clean++; b.clean < b.probeEvery {
+		return
+	}
+	b.clean = 0
+	b.preProbe = b.base
+	for d, v := range b.base {
+		if v == 0 {
+			continue
+		}
+		n := min(v+probeStep(v), b.fit[d]+probeStep(b.fit[d]))
+		if n > v {
+			b.probing = true
+		}
+		b.base[d] = n
+	}
+}
+
+// underHalf reports whether f uses less than half of every budget the
+// running transaction knows, and it knows one.
+func (b *segBudgets) underHalf(f footprint) bool {
+	known := false
+	for d, lim := range b.lim {
+		if lim == 0 {
+			continue
+		}
+		if 2*f[d] >= lim {
+			return false
+		}
+		known = true
+	}
+	return known
 }
 
 // maybeAutoPause activates a partition point before the next operation when
-// the open sub-HTM transaction has reached a learned budget along any
-// resource dimension.
+// the open sub-HTM transaction has reached a budget along any resource
+// dimension.
 func (s *System) maybeAutoPause(t *thread) {
 	if !s.cfg.AutoPartition || t.ht == nil {
 		return
 	}
-	cycles, rlines, wlines := t.ht.Footprint()
-	if lim := &t.lim; (lim.Cycles > 0 && cycles >= lim.Cycles) ||
-		(lim.WriteLines > 0 && wlines >= lim.WriteLines) ||
-		(lim.ReadLines > 0 && rlines >= lim.ReadLines) {
+	// Every live access comes through here: three compares, no loop.
+	c, r, w := t.ht.Footprint()
+	if lim := &t.bud.lim; (lim[dimCycles] > 0 && c >= lim[dimCycles]) ||
+		(lim[dimWriteLines] > 0 && int64(w) >= lim[dimWriteLines]) ||
+		(lim[dimReadLines] > 0 && int64(r) >= lim[dimReadLines]) {
 		s.pauseSegment(t)
 	}
 }
@@ -897,30 +1076,18 @@ func (s *System) subCommitIfOpen(t *thread) {
 					s.run.BumpPressure(degradeBumpSaturate)
 				}
 			}
-			for i := range wl {
-				wl[i] &^= ds.Agg[d][i] // others_locks = write_locks - agg_write_sig
+			for i, w := range wl {
+				others := w &^ ds.Agg[d][i] // others_locks = write_locks - agg_write_sig
 				if s.cfg.LockPerWrite {
 					// Our current segment's locks are already published too.
-					wl[i] &^= ds.Write[d][i]
+					others &^= ds.Write[d][i]
+				}
+				if others&(ds.Write[d][i]|ds.Read[d][i]) != 0 {
+					ht.Abort(codeLockConflict)
 				}
 			}
-			if ds.Write[d].IntersectsWords(wl[:]) || ds.Read[d].IntersectsWords(wl[:]) {
-				ht.Abort(codeLockConflict)
-			}
-			// Announce the new non-visible locations (line 29): set our
-			// write signature's bits in this domain's shared write-locks
-			// signature, touching only the words that change to keep the
-			// false-conflict footprint minimal.
 			if ds.Wrote&(1<<uint(d)) != 0 {
-				wlocks := s.doms.Wlocks(d)
-				for i := range ds.Write[d] {
-					if ds.Write[d][i] != 0 {
-						cur := ht.Read(wlocks + mem.Addr(i))
-						if cur|ds.Write[d][i] != cur {
-							ht.Write(wlocks+mem.Addr(i), cur|ds.Write[d][i])
-						}
-					}
-				}
+				s.publishWriteLocks(ht, d, &wl, &ds.Write[d])
 			}
 		}
 	}
@@ -953,10 +1120,11 @@ func (s *System) subCommitIfOpen(t *thread) {
 		}
 	}
 	t.markSegment()
-	cycles, _, wlines := ht.Footprint()
+	f := footprintOf(ht)
+	t.bud.committed(f)
 	t.attemptSegs++
-	t.attemptCycles += cycles
-	t.attemptWLines += wlines
+	t.attemptCycles += f[dimCycles]
+	t.attemptWLines += int(f[dimWriteLines])
 
 	if !s.cfg.Opaque && s.cfg.ValidateEverySub {
 		if !s.inFlightValidate(t) {
@@ -966,6 +1134,36 @@ func (s *System) subCommitIfOpen(t *thread) {
 	// Part-HTM-O needs no post-commit validation: the timestamp
 	// subscription aborts any sub-transaction that overlaps a commit, so a
 	// committed sub-transaction is already known consistent.
+}
+
+// publishWriteLocks announces a segment's new non-visible locations (Figure 1
+// line 29): it ORs the segment's write signature w into domain d's shared
+// write-locks signature, of which wl is what readWriteLocks just returned,
+// with one WriteLine per signature line that changes — the hardware pays for
+// the signature by the line, which is why it is four of them.
+//
+// Writing back the words of a line that w does not change is sound: the line
+// has been in ht's read set since readWriteLocks, and a releasing thread's
+// non-transactional AndNot dooms a reader (or waits out a committer), so a
+// line that commits holds exactly what was read plus w's bits. Under
+// LockPerWrite the bits are already in ht's own buffer, ReadLine overlaid
+// them, nothing changes here, and so no line written word-wise is also
+// written whole.
+func (s *System) publishWriteLocks(ht *htm.Txn, d int, wl *[sig.Words]uint64, w *sig.Signature) {
+	wlocks := s.doms.Wlocks(d)
+	for i := 0; i < sig.Words; i += mem.LineWords {
+		line := (*[mem.LineWords]uint64)(wl[i:])
+		changed := false
+		for j, b := range w[i : i+mem.LineWords] {
+			if line[j]|b != line[j] {
+				line[j] |= b
+				changed = true
+			}
+		}
+		if changed {
+			ht.WriteLine(wlocks+mem.Addr(i), line)
+		}
+	}
 }
 
 // readWriteLocks fetches domain d's shared write-locks signature with four
@@ -1168,6 +1366,13 @@ func (x *tx) Pause() {
 	t := x.t
 	switch t.mode {
 	case modeLive:
+		if x.s.cfg.AutoPartition && t.ht != nil && t.bud.underHalf(footprintOf(t.ht)) {
+			// "May split": a segment that has used less than half of
+			// everything the thread knows to fit runs on, so a learned
+			// budget just under the workload's grid does not alternate
+			// full segments with slivers.
+			return
+		}
 		x.s.pauseSegment(t)
 	case modeReplay:
 		x.replayExpect(opPause, 0, 0)

@@ -1,0 +1,250 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/htm"
+	"repro/internal/mem"
+	"repro/internal/prof"
+	"repro/internal/sig"
+	"repro/internal/tm"
+)
+
+// wlocksWords reads domain d's write-locks signature out of memory.
+func wlocksWords(s *System, d int) (out sig.Signature) {
+	for i := range out {
+		out[i] = s.m.Load(s.doms.Wlocks(d) + mem.Addr(i))
+	}
+	return out
+}
+
+// TestLinePublicationAgainstRelease pins why a sub-commit may write back
+// whole signature lines it read. A holds the four lines in its read set and
+// is about to publish a bit next to B's; B releases its bit with the
+// non-transactional AndNot every global commit and abort uses.
+//
+// Release before A's commit: A is doomed, its publication never reaches
+// memory, and the released bit stays clear — replace the WriteLine by a plain
+// store of the line and the stale copy resurrects B's lock. Release after A's
+// commit: both hold, A's bit set and B's clear.
+func TestLinePublicationAgainstRelease(t *testing.T) {
+	// Two addresses whose bits share a signature line but not a word, so
+	// that A's write-back covers the word B releases.
+	var aAddr, bAddr uint32
+	for aAddr, bAddr = 1, 2; ; bAddr++ {
+		ab, bb := sig.HashBit(aAddr), sig.HashBit(bAddr)
+		if ab>>9 == bb>>9 && ab>>6 != bb>>6 {
+			break
+		}
+	}
+	var aSig, bSig sig.Signature
+	aSig.Add(aAddr)
+	bSig.Add(bAddr)
+
+	// begin sets B's lock, then runs A up to the point where it has read the
+	// signature.
+	begin := func() (*System, *htm.Txn, *[sig.Words]uint64) {
+		s := newSystem(2, 1<<17, nil, nil)
+		for i, w := range bSig {
+			if w != 0 {
+				s.m.Store(s.doms.Wlocks(0)+mem.Addr(i), w)
+			}
+		}
+		ht := s.eng.Begin(0)
+		var wl [sig.Words]uint64
+		s.readWriteLocks(ht, 0, &wl)
+		if !bSig.IntersectsWords(wl[:]) {
+			t.Fatal("A did not see B's lock")
+		}
+		return s, ht, &wl
+	}
+
+	t.Run("release before commit", func(t *testing.T) {
+		s, ht, wl := begin()
+		s.doms.ReleaseWlocks(0, &bSig)
+		res, aborted := func() (res htm.Result, aborted bool) {
+			defer func() { res, aborted = htm.AsAbort(recover()) }()
+			s.publishWriteLocks(ht, 0, wl, &aSig)
+			ht.Commit()
+			return
+		}()
+		if !aborted || res.Reason != htm.Conflict {
+			t.Fatalf("A committed over a release of a line it had read (aborted=%v, %+v)", aborted, res)
+		}
+		if got := wlocksWords(s, 0); !got.Empty() {
+			t.Fatalf("write-locks signature after B's release and A's abort: %d bits set, want none (a resurrected or a leaked lock)", got.PopCount())
+		}
+	})
+
+	t.Run("release after commit", func(t *testing.T) {
+		s, ht, wl := begin()
+		s.publishWriteLocks(ht, 0, wl, &aSig)
+		ht.Commit()
+		var both sig.Signature
+		both.Union(&aSig)
+		both.Union(&bSig)
+		if got := wlocksWords(s, 0); !got.Equal(&both) {
+			t.Fatal("after A's commit the signature is not A's bit beside B's")
+		}
+		s.doms.ReleaseWlocks(0, &bSig)
+		if got := wlocksWords(s, 0); !got.Equal(&aSig) {
+			t.Fatal("after B's release the signature is not exactly A's bit (a lost or a resurrected lock)")
+		}
+	})
+}
+
+// TestWriteLocksEmptyAtQuiescence: four threads run partitioned transactions
+// over a few shared counters in two domains; every third transaction's first
+// attempt is a forced global abort after its first segment has published
+// locks, and lock conflicts add their own. Once they have all returned, no
+// lock bit and no active count may be left anywhere.
+func TestWriteLocksEmptyAtQuiescence(t *testing.T) {
+	const threads, perThread, counters = 4, 150, 8
+	s := newSystem(threads, 1<<18, nil, func(c *Config) {
+		c.NoFastPath = true
+		c.Domains = 2
+	})
+	var addrs [counters]mem.Addr
+	for i := range addrs {
+		addrs[i] = s.doms.AllocLinesIn(i%2, 1)
+	}
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(id) + 1))
+			for i := 0; i < perThread; i++ {
+				a, b, c := addrs[rng.Intn(counters)], addrs[rng.Intn(counters)], addrs[rng.Intn(counters)]
+				attempt := 0
+				s.Atomic(id, func(x tm.Tx) {
+					attempt++
+					x.Write(a, x.Read(a)+1)
+					x.Pause()
+					runtime.Gosched()
+					if i%3 == 0 && attempt == 1 && s.threads[id].mode == modeLive {
+						panic(globalAbortPanic{}) // not under the global lock, where the first attempt may also run
+					}
+					x.Write(b, x.Read(b)+1)
+					x.Pause()
+					x.Write(c, x.Read(c)+1)
+				})
+			}
+		}(id)
+	}
+	wg.Wait()
+
+	var sum uint64
+	for _, a := range addrs {
+		sum += s.m.Load(a)
+	}
+	if want := uint64(3 * threads * perThread); sum != want {
+		t.Fatalf("counters sum to %d, want %d", sum, want)
+	}
+	for d := 0; d < s.nd; d++ {
+		if got := wlocksWords(s, d); !got.Empty() {
+			t.Errorf("domain %d: %d write-lock bits left at quiescence", d, got.PopCount())
+		}
+	}
+	if got := s.m.Load(s.activeTx); got != 0 {
+		t.Errorf("activeTx = %d at quiescence", got)
+	}
+	if st := s.Stats().Snapshot(); st.CommitsSW+st.CommitsGL != threads*perThread {
+		t.Errorf("commits: %+v", st)
+	}
+}
+
+// TestSubCommitFootprint: publishing lock bits by the line changes what a
+// sub-HTM transaction costs, not what it holds. The body writes twenty lines,
+// whose bits land in all four signature lines; the monitored lines of each
+// sub-HTM transaction are what they were when the bits were published word by
+// word (7 read and 24 written unsplit; 7 and 13, then 4 and 13, split), and
+// the cycles are fewer (121 and 131 then).
+func TestSubCommitFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name                       string
+		split                      bool
+		readMax, readMin, writeMax int64
+		writeSum, cyclesBefore     int64
+	}{
+		{name: "one segment", readMax: 7, readMin: 7, writeMax: 24, writeSum: 24, cyclesBefore: 121},
+		{name: "two segments", split: true, readMax: 7, readMin: 4, writeMax: 13, writeSum: 26, cyclesBefore: 131},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = true })
+			p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
+			s.eng.SetProfile(p)
+			base := s.Memory().AllocLines(24)
+			s.Atomic(0, func(x tm.Tx) {
+				var acc uint64
+				for i := 0; i < 3; i++ {
+					acc += x.Read(base + mem.Addr(i*mem.LineWords))
+				}
+				for i := 0; i < 20; i++ {
+					if tc.split && i == 10 {
+						x.Pause()
+					}
+					x.Write(base+mem.Addr((4+i)*mem.LineWords+1), acc+uint64(i))
+				}
+			})
+			rows := p.Footprints()
+			if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassSub) || rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) {
+				t.Fatalf("want sub-HTM commits only, got %+v", rows)
+			}
+			r := rows[0]
+			if r.ReadMax != tc.readMax || r.ReadP50 != tc.readMin || r.WriteMax != tc.writeMax {
+				t.Errorf("sub-HTM transactions held up to %d (median %d) read and %d write lines, want %d (%d) and %d",
+					r.ReadMax, r.ReadP50, r.WriteMax, tc.readMax, tc.readMin, tc.writeMax)
+			}
+			th := s.threads[0]
+			if int64(th.attemptWLines) != tc.writeSum {
+				t.Errorf("write lines over the transaction = %d, want %d", th.attemptWLines, tc.writeSum)
+			}
+			if th.attemptCycles >= tc.cyclesBefore {
+				t.Errorf("cycles over the transaction = %d, want fewer than the word-wise %d", th.attemptCycles, tc.cyclesBefore)
+			}
+		})
+	}
+}
+
+// TestLockPerWritePublishesTheSameSignature: a LockPerWrite transaction
+// writes its lock bits word by word at each write, so by its sub-commit they
+// are in its own buffer; the line-wise publication must then find nothing to
+// add (a WriteLine over a word-written line is what htm.Txn.Write panics on),
+// and what reaches the shared signature is bit for bit what the default
+// configuration publishes.
+func TestLockPerWritePublishesTheSameSignature(t *testing.T) {
+	for _, perWrite := range []bool{false, true} {
+		s := newSystem(1, 1<<17, nil, func(c *Config) {
+			c.NoFastPath = true
+			c.LockPerWrite = perWrite
+		})
+		base := s.Memory().AllocLines(40)
+		var want, parked sig.Signature
+		s.Atomic(0, func(x tm.Tx) {
+			for i := 0; i < 40; i++ {
+				a := base + mem.Addr(i*mem.LineWords+i%mem.LineWords)
+				want.Add(uint32(a))
+				x.Write(a, uint64(i))
+				if i == 19 {
+					x.Pause() // a second segment publishes beside the first's bits
+				}
+			}
+			x.Pause()
+			parked = wlocksWords(s, 0)
+		})
+		if !parked.Equal(&want) {
+			t.Errorf("LockPerWrite=%v: the published write locks are not the written addresses' signature (%d bits, want %d)",
+				perWrite, parked.PopCount(), want.PopCount())
+		}
+		if got := wlocksWords(s, 0); !got.Empty() {
+			t.Errorf("LockPerWrite=%v: %d lock bits left after the commit", perWrite, got.PopCount())
+		}
+		if st := s.Stats().Snapshot(); st.CommitsSW != 1 {
+			t.Errorf("LockPerWrite=%v: %+v", perWrite, st)
+		}
+	}
+}

@@ -335,10 +335,38 @@ type Txn struct {
 	localCache []mem.Line
 	localLines int
 
-	// Whole-line write buffer (WriteLine). A line must not be written both
-	// word-wise and line-wise within one transaction.
-	lineBuf   map[mem.Line][mem.LineWords]uint64
-	lineOrder []mem.Line
+	// Whole-line write buffer (WriteLine), in first-write order. It holds a
+	// ring entry and at most the signature lines of the written domains, so
+	// it is searched linearly. A line must not be written both word-wise and
+	// line-wise within one transaction.
+	lineBuf []lineEntry
+}
+
+// lineEntry is one line buffered by WriteLine.
+type lineEntry struct {
+	l    mem.Line
+	vals [mem.LineWords]uint64
+}
+
+// bufferedLine returns the WriteLine buffer's entry for l, or nil.
+func (t *Txn) bufferedLine(l mem.Line) *lineEntry {
+	for i := range t.lineBuf {
+		if t.lineBuf[i].l == l {
+			return &t.lineBuf[i]
+		}
+	}
+	return nil
+}
+
+// notLineWritten enforces that a line is not written both ways. It is kept
+// out of line: its callers are the word-wise write paths, which almost never
+// run with a non-empty line buffer.
+//
+//go:noinline
+func (t *Txn) notLineWritten(l mem.Line, op string) {
+	if t.bufferedLine(l) != nil {
+		panic("htm: " + op + " on a line written with WriteLine")
+	}
 }
 
 // wbEntry is one buffered word. first marks the write that acquired its
@@ -464,10 +492,7 @@ func (t *Txn) recycle() {
 		clear(t.localCache)
 		t.localLines = 0
 	}
-	if len(t.lineBuf) > 0 {
-		clear(t.lineBuf)
-	}
-	t.lineOrder = t.lineOrder[:0]
+	t.lineBuf = t.lineBuf[:0]
 }
 
 // finish tears the transaction down: monitors released, slot freed. It is
@@ -703,8 +728,8 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 	}
 	l := mem.LineOf(a)
 	if len(t.lineBuf) > 0 {
-		if vals, ok := t.lineBuf[l]; ok {
-			return vals[a%mem.LineWords]
+		if le := t.bufferedLine(l); le != nil {
+			return le.vals[a%mem.LineWords]
 		}
 	}
 	e := t.eng
@@ -803,7 +828,8 @@ func (t *Txn) admitReadLine() {
 }
 
 // Write performs a transactional write: buffered locally, monitored
-// eagerly, published at commit.
+// eagerly, published at commit. It must not touch a line written with
+// WriteLine.
 func (t *Txn) Write(a mem.Addr, v uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.WriteCost)
@@ -815,7 +841,11 @@ func (t *Txn) Write(a mem.Addr, v uint64) {
 		t.wb[i].val = v
 		return
 	}
-	_, first := t.ensureWriteMonitor(mem.LineOf(a), a, false)
+	l := mem.LineOf(a)
+	if len(t.lineBuf) > 0 {
+		t.notLineWritten(l, "Write")
+	}
+	_, first := t.ensureWriteMonitor(l, a, false)
 	t.wbInsert(slot, a, v, first)
 }
 
@@ -837,9 +867,7 @@ func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
 	}
 	l := mem.LineOf(a)
 	if len(t.lineBuf) > 0 {
-		if _, ok := t.lineBuf[l]; ok {
-			panic("htm: Exchange on a line written with WriteLine")
-		}
+		t.notLineWritten(l, "Exchange")
 	}
 	old, first := t.ensureWriteMonitor(l, a, true)
 	t.wbInsert(slot, a, v, first)
@@ -886,8 +914,8 @@ func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 	t.step(t.eng.cfg.ReadCost)
 	l := mem.LineOf(base)
 	if len(t.lineBuf) > 0 {
-		if vals, ok := t.lineBuf[l]; ok {
-			*out = vals
+		if le := t.bufferedLine(l); le != nil {
+			*out = le.vals
 			return
 		}
 	}
@@ -912,13 +940,11 @@ func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 	t.step(t.eng.cfg.WriteCost)
 	l := mem.LineOf(base)
 	t.ensureWriteMonitor(l, base, false)
-	if t.lineBuf == nil {
-		t.lineBuf = make(map[mem.Line][mem.LineWords]uint64, 8)
+	if le := t.bufferedLine(l); le != nil {
+		le.vals = *vals
+		return
 	}
-	if _, dup := t.lineBuf[l]; !dup {
-		t.lineOrder = append(t.lineOrder, l)
-	}
-	t.lineBuf[l] = *vals
+	t.lineBuf = append(t.lineBuf, lineEntry{l: l, vals: *vals})
 }
 
 // occupySet takes a way of line l's cache set for a line entering the write
@@ -1042,15 +1068,15 @@ func (t *Txn) Commit() {
 	// not yet stored waits for it. The buffer is walked youngest first so
 	// that a line's first entry is the last of that line to be stored.
 	e := t.eng
-	for _, l := range t.lineOrder {
-		vals := t.lineBuf[l]
-		base := mem.Addr(l) * mem.LineWords
-		e.mem.Lock(l)
-		for i := 0; i < mem.LineWords; i++ {
-			e.mem.RawStore(base+mem.Addr(i), vals[i])
+	for i := range t.lineBuf {
+		le := &t.lineBuf[i]
+		base := mem.Addr(le.l) * mem.LineWords
+		e.mem.Lock(le.l)
+		for j, v := range le.vals {
+			e.mem.RawStore(base+mem.Addr(j), v)
 		}
-		e.entries[l].writer = 0
-		e.mem.Unlock(l)
+		e.entries[le.l].writer = 0
+		e.mem.Unlock(le.l)
 	}
 	for i := len(t.wb) - 1; i >= 0; i-- {
 		w := &t.wb[i]

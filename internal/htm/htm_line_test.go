@@ -131,6 +131,85 @@ func TestWriteLineDiscardedOnAbort(t *testing.T) {
 	}
 }
 
+// TestWriteOnWriteLinePanics: the "not both ways" rule is checked on Write as
+// it is on Exchange, now that a framework writes signature lines whole.
+func TestWriteOnWriteLinePanics(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	base := e.Memory().AllocLines(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Write on a WriteLine line did not panic")
+		}
+	}()
+	e.Execute(0, func(tx *Txn) {
+		var vals [mem.LineWords]uint64
+		tx.WriteLine(base, &vals)
+		tx.Write(base+2, 1)
+	})
+}
+
+// TestWriteLineBuffer: the line buffer keeps one entry per line however often
+// the line is rewritten, an aborted transaction's lines do not reach the next
+// one on the slot, several lines commit each with its last value, and a
+// transaction that writes lines allocates nothing once the buffer has grown.
+func TestWriteLineBuffer(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	base := m.AllocLines(5)
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+	fill := func(v uint64) *[mem.LineWords]uint64 {
+		var vals [mem.LineWords]uint64
+		for i := range vals {
+			vals[i] = v + uint64(i)
+		}
+		return &vals
+	}
+	e.Execute(0, func(tx *Txn) {
+		tx.WriteLine(line(4), fill(900))
+		tx.Abort(1)
+	})
+	res := e.Execute(0, func(tx *Txn) {
+		if got := tx.Read(line(4) + 1); got != 0 {
+			t.Errorf("recycled transaction sees an aborted line write: %d", got)
+		}
+		for round := uint64(0); round < 3; round++ {
+			for i := 0; i < 4; i++ {
+				tx.WriteLine(line(i), fill(100*round+10*uint64(i)))
+			}
+		}
+		if n := len(tx.lineBuf); n != 4 {
+			t.Errorf("%d buffered lines after rewriting 4, want 4", n)
+		}
+		if got := tx.Read(line(2) + 3); got != 223 {
+			t.Errorf("read of a rewritten line = %d, want 223", got)
+		}
+	})
+	if !res.Committed {
+		t.Fatalf("abort: %+v", res)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < mem.LineWords; j++ {
+			if got, want := m.Load(line(i)+mem.Addr(j)), 200+10*uint64(i)+uint64(j); got != want {
+				t.Fatalf("line %d word %d = %d after commit, want %d", i, j, got, want)
+			}
+		}
+	}
+	if got := m.Load(line(4)); got != 0 {
+		t.Fatalf("aborted WriteLine reached memory: %d", got)
+	}
+	run := func() {
+		tx := e.Begin(0)
+		for i := 0; i < 5; i++ {
+			tx.WriteLine(line(i), fill(1))
+		}
+		tx.Commit()
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("%v allocations per five-line transaction, want 0", n)
+	}
+}
+
 func TestWriteLineConflictsLikeWrite(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	base := e.Memory().AllocLines(1)
