@@ -8,7 +8,6 @@
 // Usage:
 //
 //	go run ./cmd/parthtm-vet ./...
-//	go run ./cmd/parthtm-vet -sarif findings.sarif ./...
 //
 // Profile reconciliation — cross-check the static footprint bounds
 // against a recorded tmprof series (see DESIGN.md §14):
@@ -18,7 +17,9 @@
 //
 // The tool analyses the whole module as one program (htmregion's window
 // walks and txfootprint's callee summaries cross package boundaries), so
-// it does not run as a per-package `go vet -vettool`.
+// it does not run as a per-package `go vet -vettool`. A walk judges only
+// callees whose package is in the load: give it ./... to check what CI
+// checks.
 //
 // Exit status: 0 when no diagnostics, 2 when the analyzers found
 // violations (or reconciliation found an underestimate), 1 on
@@ -39,10 +40,9 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("parthtm-vet", flag.ContinueOnError)
-	sarifOut := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
 	profIn := fs.String("prof", "", "reconcile static footprint bounds against this tmprof JSON series")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: parthtm-vet [flags] [package patterns]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: parthtm-vet [-prof series.json] [package patterns]\n\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(fs.Output(), "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -76,17 +76,10 @@ func run(args []string) int {
 		return 0
 	}
 
-	analyzers := analysis.All()
-	diags, err := analysis.Check("", analyzers, patterns...)
+	diags, err := analysis.Check("", analysis.All(), patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parthtm-vet: %v\n", err)
 		return 1
-	}
-	if *sarifOut != "" {
-		if err := writeSARIFFile(*sarifOut, analyzers, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-vet: %v\n", err)
-			return 1
-		}
 	}
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
@@ -95,19 +88,4 @@ func run(args []string) int {
 		return 2
 	}
 	return 0
-}
-
-// writeSARIFFile writes diags as SARIF with paths relative to the
-// working directory (the form code-scanning uploads expect).
-func writeSARIFFile(path string, analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) error {
-	base, _ := os.Getwd()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := analysis.WriteSARIF(f, base, analyzers, diags); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

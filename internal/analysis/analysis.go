@@ -6,17 +6,23 @@
 // type system: tm.Counter is single-writer (owner thread only), bodies
 // passed to tm.System.Atomic must be pure functions of their inputs and
 // Reads, atomically accessed words must never be touched plainly (so the
-// sync/atomic function API, which allows it, is banned), and code running
+// sync/atomic function API, which allows it, is banned), code running
 // inside a simulated hardware-transaction window must not do things real
-// TSX forbids (allocate, take locks, call into the runtime). Each analyzer
-// turns one of those comments into a build-breaking check.
+// TSX forbids (allocate, take locks, read the clock, touch channels or
+// the scheduler) — in its own body or in any module function it reaches —
+// transaction bodies must fit the hardware's capacity, and the domain
+// commit walks must follow the canonical order. Each analyzer turns one
+// of those comments into a build-breaking check.
 //
 // The framework deliberately mirrors a small subset of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
 // analyzers read like standard vet checks — but it is built entirely on
 // the standard library, because this module carries no third-party
-// dependencies. Packages are loaded by load.go (via `go list -export`)
-// and analysed together as one whole-module Program.
+// dependencies. Packages are loaded by load.go (via `go list -export`,
+// production files only) and analysed together as one whole-module
+// Program. The tests load their fixtures the same way: each fixture under
+// testdata/src is a package of this module that imports the real
+// packages it exercises.
 //
 // # Annotations
 //
@@ -53,7 +59,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by -help.
 	Doc string
 	// Tag is the parthtm annotation tag that suppresses this analyzer's
-	// diagnostics ("owner", "plain", "impure", "htmsafe").
+	// diagnostics (the package doc lists all six).
 	Tag string
 	// Run performs the check on one package.
 	Run func(*Pass)
@@ -114,23 +120,6 @@ func (p *Pass) ReportfIn(pkg *Package, pos token.Pos, format string, args ...any
 	})
 }
 
-// SourceFiles yields the files the pass analyzes.
-func (p *Pass) SourceFiles() []*ast.File { return p.This.SourceFiles() }
-
-// SourceFiles yields pkg's production files. Files whose name ends in
-// _test.go are skipped: the TM discipline binds production paths, while
-// tests deliberately poke at edges (aborted bodies, torn state) in ways
-// every analyzer would otherwise flag.
-func (pkg *Package) SourceFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range pkg.Files {
-		if !strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // RunAnalyzersIn applies every analyzer to one target package inside a
 // whole-module Program, returning the findings sorted and deduplicated.
 func RunAnalyzersIn(prog *Program, analyzers []*Analyzer, target *Package) []Diagnostic {
@@ -155,8 +144,7 @@ func RunAnalyzersIn(prog *Program, analyzers []*Analyzer, target *Package) []Dia
 // message, and drops exact repeats — a site can be reached twice within
 // one pass (a function shared by two hardware-transaction windows) or
 // across passes (a helper package walked from two analyzed roots). The
-// canonical order makes text and -sarif output byte-stable across
-// runs, so CI pins can diff them directly.
+// canonical order makes the output byte-stable across runs.
 func sortDiagnostics(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -291,16 +279,12 @@ func (n annotations) covers(fset *token.FileSet, pos token.Pos, tag string) bool
 
 // Import paths of the packages whose invariants the suite encodes.
 const (
-	tmPath       = "repro/internal/tm"
-	memPath      = "repro/internal/mem"
-	htmPath      = "repro/internal/htm"
-	execPath     = "repro/internal/exec"
-	tracePath    = "repro/internal/trace"
-	governorPath = "repro/internal/governor"
-	profPath     = "repro/internal/prof"
-	domainPath   = "repro/internal/domain"
-	corePath     = "repro/internal/core"
-	obsPath      = "repro/internal/obs"
+	tmPath     = "repro/internal/tm"
+	memPath    = "repro/internal/mem"
+	htmPath    = "repro/internal/htm"
+	execPath   = "repro/internal/exec"
+	domainPath = "repro/internal/domain"
+	corePath   = "repro/internal/core"
 )
 
 // calleeFunc resolves the *types.Func a call invokes (methods and

@@ -23,7 +23,7 @@ var AtomicMix = &Analyzer{
 }
 
 func runAtomicMix(pass *Pass) {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -39,9 +39,7 @@ type Program struct {
 	notes  map[*Package]annotations
 }
 
-// NewProgram indexes pkgs into a Program. Function declarations in
-// _test.go files are not indexed: walking into test-only helpers would
-// reintroduce the torn-state noise the passes deliberately skip.
+// NewProgram indexes pkgs into a Program.
 func NewProgram(pkgs ...*Package) *Program {
 	pr := &Program{
 		byPath: map[string]*Package{},
@@ -51,7 +49,7 @@ func NewProgram(pkgs ...*Package) *Program {
 	for _, p := range pkgs {
 		pr.pkgs = append(pr.pkgs, p)
 		pr.byPath[p.PkgPath] = p
-		for _, f := range p.SourceFiles() {
+		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {

@@ -25,10 +25,10 @@ import (
 //     Domains.ReleaseWlocks are called only from internal/core's commit
 //     sequence (or internal/domain itself). Any other caller is bypassing
 //     the protocol.
-//   - Direction: inside core, a helper whose domain index comes from a
-//     mask walk must walk in the right direction — ascending for
-//     claim/publish, descending for release. An index that is neither a
-//     compile-time constant nor a recognized mask walk is flagged as
+//   - Direction: at every helper call, confined or not, an index that
+//     comes from a mask walk must walk in the right direction — ascending
+//     for claim/publish, descending for release. An index that is neither
+//     a compile-time constant nor a recognized mask walk is flagged as
 //     unverifiable.
 //   - Progress and pairing: a mask walk must clear the mask each
 //     iteration (`m &= m - 1` or `m &^= 1 << d`), and a loop that claims
@@ -71,7 +71,7 @@ func domainHelperKind(fn *types.Func) string {
 
 func runDomainOrder(pass *Pass) {
 	confined := pass.This.PkgPath == corePath || pass.This.PkgPath == domainPath
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Files {
 		// Claim/publish pairing is judged per enclosing loop.
 		claims := map[*ast.ForStmt][]*ast.CallExpr{}
 		publishes := map[*ast.ForStmt]bool{}
@@ -88,7 +88,6 @@ func runDomainOrder(pass *Pass) {
 			if !confined {
 				pass.Reportf(call.Pos(),
 					"domain.Domains.%s called outside internal/core's commit sequence: the ordered claim/publish/release walks are confined to the core commit protocol", kind)
-				return true
 			}
 			loop := innermostFor(stack)
 			if kind == "ClaimTimestamp" && loop != nil {
@@ -113,7 +112,7 @@ func runDomainOrder(pass *Pass) {
 	}
 }
 
-// checkWalkCall verifies one confined helper call's index derivation and
+// checkWalkCall verifies one helper call's index derivation and
 // walk direction.
 func checkWalkCall(pass *Pass, call *ast.CallExpr, kind string, stack []ast.Node) {
 	if len(call.Args) == 0 {

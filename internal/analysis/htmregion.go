@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // HTMRegion polices code that runs inside a hardware-transaction window.
@@ -19,16 +18,6 @@ import (
 // capacity that Part-HTM's whole contribution is to conserve. The
 // simulator will happily execute all of these — silently making the
 // model optimistic — so the analyzer forbids them statically instead.
-//
-// The tracing and profiling fast paths are the sanctioned exceptions:
-// (*trace.Buffer).Record and RecordMark are allocation-free single-writer
-// ring writes that take a pre-captured timestamp, so they may appear in a
-// window, and so may the profiler's (*prof.Shard).RecordConflict,
-// RecordCapacity, and RecordFootprint — bounded scans plus plain stores
-// into the calling thread's padded shard. Any other repro/internal/trace
-// call there — trace.Now (reads the clock) or the Sink methods (lock,
-// allocate) — is flagged, as is any other repro/internal/prof call (the
-// merged queries lock and allocate).
 //
 // A region is:
 //
@@ -51,23 +40,23 @@ import (
 // caller: it is a region root of its own package's pass, so each finding
 // is reported exactly once.
 //
-// The sharded-memory-domain substrate (repro/internal/domain) is split the
-// same way: the pure topology accessors (Of, N, Ring, Wlocks) and the
-// thread-private TxnState bookkeeping are htmsafe, while the software
-// commit helpers (ClaimTimestamp, Publish, ReleaseWlocks,
-// SnapshotTimestamps, AllocLinesIn, Validate) spin, CAS shared metadata,
-// or publish ring entries and are forbidden inside a window.
+// The tooling packages get no rules of their own: a window calling into
+// repro/internal/trace, prof, or obs is judged by the same walk as any
+// other module code, so (*trace.Buffer).Record and (*prof.Shard).Record*
+// pass on their bodies (plain stores into the calling thread's ring or
+// shard), while trace.Now, the Sink methods, and the merged prof and obs
+// queries are flagged where the clock read, lock, or allocation they
+// reach is made — in the callee's own file, not at the call site.
 //
-// The resource governor gets two rules of its own. Calls into
-// repro/internal/governor are forbidden inside a window outright:
-// admission hooks run at the kernel boundary, between hardware attempts —
-// inside a window the thread's in-transaction flag would join the write set,
-// and breaker evidence would be recorded by an attempt that may yet
-// abort. And inside the governor package itself, every function whose doc
-// comment claims it is "allocation-free" — the per-transaction hooks the
-// kernel calls on its admission fast path — is scanned (with the same
-// call-graph walk) for allocations, locks, formatting, and clock reads,
-// making the documented contract build-breaking.
+// The one package with a list is repro/internal/domain, because the walk
+// treats mem calls as the simulated hardware and would not see what the
+// software commit helpers do through them: the pure topology accessors
+// (Of, N, Ring, Wlocks) and the thread-private TxnState bookkeeping are
+// htmsafe, while the commit helpers (ClaimTimestamp, Publish,
+// ReleaseWlocks, SnapshotTimestamps, AllocLinesIn, Validate) spin, CAS
+// shared metadata, or publish ring entries and are forbidden inside a
+// window.
+//
 // `// parthtm:htmsafe` suppresses a finding.
 var HTMRegion = &Analyzer{
 	Name: "htmregion",
@@ -83,14 +72,9 @@ func runHTMRegion(pass *Pass) {
 	if pass.Pkg.Path() == htmPath {
 		return
 	}
-	// Inside the governor package, hold the admission hooks to their
-	// documented allocation-free contract.
-	if pass.Pkg.Path() == governorPath {
-		checkGovernorHooks(pass)
-	}
 	w := &regionWalker{pass: pass, visited: map[*FuncNode]bool{}}
 
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Files {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.CallExpr:
@@ -276,36 +260,6 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		// the stripe locks and Gosched retries inside it are simulator
 		// plumbing with no counterpart in the hardware being modeled.
 		return
-	case governorPath:
-		pass.ReportfIn(view, call.Pos(), "governor.%s inside a hardware-transaction window: admission hooks run at the kernel boundary, between attempts — in a window the in-transaction flag joins the write set and breaker evidence comes from an attempt that may yet abort", fn.Name())
-		return
-	case tracePath:
-		// (*trace.Buffer).Record and RecordMark are htmsafe by
-		// construction: they nil-check, write only the calling thread's
-		// pre-allocated ring, and take the timestamp as an argument —
-		// captured by the caller outside the window. Everything else in
-		// the package is off-limits: trace.Now reads the clock (a real
-		// transaction aborts on the vDSO access) and the Sink methods
-		// lock or allocate.
-		if isMethodOf(fn, tracePath, "Buffer", "Record") ||
-			isMethodOf(fn, tracePath, "Buffer", "RecordMark") {
-			return
-		}
-		pass.ReportfIn(view, call.Pos(), "trace.%s inside a hardware-transaction window: only (*trace.Buffer).Record/RecordMark are htmsafe; capture timestamps with trace.Now before the window and record after it closes", fn.Name())
-		return
-	case profPath:
-		// The profiler's Shard record hooks are htmsafe by construction,
-		// exactly like trace.Buffer.Record: nil-checked, allocation-free,
-		// a bounded scan plus plain stores into the calling thread's
-		// padded shard. Everything else in the package locks or allocates
-		// (the merged queries).
-		if isMethodOf(fn, profPath, "Shard", "RecordConflict") ||
-			isMethodOf(fn, profPath, "Shard", "RecordCapacity") ||
-			isMethodOf(fn, profPath, "Shard", "RecordFootprint") {
-			return
-		}
-		pass.ReportfIn(view, call.Pos(), "prof.%s inside a hardware-transaction window: only the (*prof.Shard).Record* hooks are htmsafe; cache the shard pointer at Begin and run merged queries after the window closes", fn.Name())
-		return
 	case domainPath:
 		// The sharded-memory-domain substrate splits cleanly: the topology
 		// accessors (Of, N, Ring, Wlocks) are pure reads of immutable
@@ -318,7 +272,9 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		// contended metadata into the hardware read/write sets (instant
 		// conflict aborts on real TSX) or, worse, publish state that the
 		// enclosing window may yet roll back. They belong between
-		// windows, on the software commit path.
+		// windows, on the software commit path. The walk cannot see this
+		// for itself — they do it through mem calls, which it treats as
+		// the hardware — hence the list.
 		if isMethodOf(fn, domainPath, "Domains", "Of") ||
 			isMethodOf(fn, domainPath, "Domains", "N") ||
 			isMethodOf(fn, domainPath, "Domains", "Ring") ||
@@ -329,13 +285,6 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 			return
 		}
 		pass.ReportfIn(view, call.Pos(), "domain.%s inside a hardware-transaction window: the cross-domain software-commit helpers spin, CAS shared metadata, or publish ring entries — run them between windows; only the Of/N/Ring/Wlocks accessors and TxnState bookkeeping are htmsafe", fn.Name())
-		return
-	case obsPath:
-		// The telemetry plane has no htmsafe surface at all: registration
-		// takes the registry lock, sampling merges histograms and reads
-		// every shard, and the encoders allocate. The whole package runs
-		// at the scrape boundary by design.
-		pass.ReportfIn(view, call.Pos(), "obs.%s inside a hardware-transaction window: telemetry collection and encoding run at the scrape boundary — register sources and sample outside windows", fn.Name())
 		return
 	}
 
@@ -349,85 +298,6 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		}
 		w.visited[node] = true
 		w.scan(node.Pkg, node.Decl.Body)
-	}
-}
-
-// checkGovernorHooks makes the governor package's own "allocation-free"
-// doc claims binding. The per-transaction hooks (Begin, NoteHWAbort,
-// Finish) each document that contract — the kernel calls
-// them on every transaction, so one allocation or lock there taxes every
-// commit in the system. Rather than hard-coding the hook list, the check
-// keys off the doc comment: any function in this package documented
-// "allocation-free" (and any same-package function it calls, resolved
-// through the shared call-graph index) must not allocate, take a sync
-// lock, call into fmt, or re-read the clock.
-func checkGovernorHooks(pass *Pass) {
-	visited := map[*FuncNode]bool{}
-	var scanHook func(hook string, body *ast.BlockStmt)
-	scanHook = func(hook string, body *ast.BlockStmt) {
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch e := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(e.Pos(), "%s spawns a goroutine but is documented allocation-free: admission hooks run on the kernel's per-transaction fast path", hook)
-				return false
-			case *ast.UnaryExpr:
-				if e.Op == token.AND {
-					if _, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
-						pass.Reportf(e.Pos(), "%s heap-allocates (&composite literal) but is documented allocation-free: admission hooks run on the kernel's per-transaction fast path", hook)
-					}
-				}
-			case *ast.CallExpr:
-				if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-						switch id.Name {
-						case "make", "new", "append":
-							pass.Reportf(e.Pos(), "%s heap-allocates (%s) but is documented allocation-free: admission hooks run on the kernel's per-transaction fast path", hook, id.Name)
-						}
-						return true
-					}
-				}
-				fn := calleeFunc(pass.TypesInfo, e)
-				if fn == nil {
-					return true
-				}
-				switch funcPkgPath(fn) {
-				case "sync":
-					// sync/atomic has its own path and stays allowed: the
-					// hooks' whole design is atomics on padded cells.
-					pass.Reportf(e.Pos(), "%s takes a lock (%s.%s) but is documented allocation-free: a lock-free admission path cannot be stalled by a blocked thread", hook, recvTypeName(fn), fn.Name())
-				case "fmt":
-					pass.Reportf(e.Pos(), "%s calls fmt.%s but is documented allocation-free: formatting allocates", hook, fn.Name())
-				case "time":
-					switch fn.Name() {
-					case "Now", "Since":
-						pass.Reportf(e.Pos(), "%s reads the clock (time.%s) but is documented allocation-free: a per-transaction hook decides from its own thread's state, not from wall-clock time", hook, fn.Name())
-					}
-				case pass.Pkg.Path():
-					if node := pass.Prog.FuncNode(fn); node != nil && node.Pkg == pass.This && !visited[node] {
-						visited[node] = true
-						scanHook(hook, node.Decl.Body)
-					}
-				}
-			}
-			return true
-		})
-	}
-	for _, f := range pass.SourceFiles() {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Doc == nil {
-				continue
-			}
-			if !strings.Contains(strings.ToLower(fd.Doc.Text()), "allocation-free") {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				if node := pass.Prog.FuncNode(fn); node != nil && !visited[node] {
-					visited[node] = true
-					scanHook(fd.Name.Name, fd.Body)
-				}
-			}
-		}
 	}
 }
 

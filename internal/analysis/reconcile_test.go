@@ -2,29 +2,14 @@ package analysis
 
 import (
 	"bytes"
-	"go/token"
 	"strings"
 	"testing"
 
 	"repro/internal/prof"
 )
 
-// loadTestdataProgram builds a single-package Program over one testdata
-// package — the reconciliation tests' stand-in for a driver load.
-func loadTestdataProgram(t *testing.T, path string) *Program {
-	t.Helper()
-	requireGoTool(t)
-	fset := token.NewFileSet()
-	imp := newTestdataImporter(fset)
-	pkg, err := imp.loadSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewProgram(pkg)
-}
-
 func TestFootprintBounds(t *testing.T) {
-	bounds := FootprintBounds(loadTestdataProgram(t, "reconcile"))
+	bounds := FootprintBounds(loadProgram(t, "./testdata/src/reconcile"))
 	if len(bounds) != 2 {
 		t.Fatalf("got %d bodies, want 2: %+v", len(bounds), bounds)
 	}
@@ -47,7 +32,7 @@ func TestFootprintBounds(t *testing.T) {
 }
 
 func TestReconcileProfile(t *testing.T) {
-	prog := loadTestdataProgram(t, "reconcile")
+	prog := loadProgram(t, "./testdata/src/reconcile")
 
 	within := prof.FootprintStat{
 		Class: "fast", Outcome: "commit", Count: 10,
@@ -89,7 +74,7 @@ func TestReconcileProfile(t *testing.T) {
 	}
 
 	// A program with no transaction bodies has nothing to check against.
-	if _, err := ReconcileProfile(loadTestdataProgram(t, "repro/internal/tm"), &prof.Series{Footprints: []prof.FootprintStat{within}}); err == nil {
+	if _, err := ReconcileProfile(loadProgram(t, "repro/internal/tm"), &prof.Series{Footprints: []prof.FootprintStat{within}}); err == nil {
 		t.Error("body-less program reconciled without error")
 	}
 }
@@ -98,7 +83,7 @@ func TestReconcileProfile(t *testing.T) {
 // has already demanded a Pause partition or a bigtx rationale, so
 // reconciliation must not pile on.
 func TestReconcileUnboundedUnfalsifiable(t *testing.T) {
-	prog := loadTestdataProgram(t, "txfootprint")
+	prog := loadProgram(t, "./testdata/src/txfootprint")
 	huge := prof.FootprintStat{
 		Class: "fast", Outcome: "commit", Count: 1,
 		ReadP99: 1 << 30, WriteP99: 1 << 30,
@@ -116,7 +101,7 @@ func TestReconcileUnboundedUnfalsifiable(t *testing.T) {
 // the one -prof reads: a recorded session reconciles, and a profile that
 // recorded no footprint is rejected rather than passing vacuously.
 func TestReconcileWrittenProfile(t *testing.T) {
-	prog := loadTestdataProgram(t, "reconcile")
+	prog := loadProgram(t, "./testdata/src/reconcile")
 	reconcile := func(p *prof.Profile) ([]FootprintMismatch, error) {
 		var doc bytes.Buffer
 		if err := p.WriteJSON(&doc); err != nil {

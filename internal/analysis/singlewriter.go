@@ -33,7 +33,7 @@ var SingleWriter = &Analyzer{
 }
 
 func runSingleWriter(pass *Pass) {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Files {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -6,15 +6,16 @@ package domainorder
 import (
 	"repro/internal/domain"
 	"repro/internal/mem"
+	"repro/internal/sig"
 )
 
 // bad: every ordered commit helper called from outside the core commit
 // sequence bypasses the protocol.
-func rogue(ds *domain.Domains, sig *domain.Signature) {
+func rogue(ds *domain.Domains, ws *sig.Signature) {
 	var start uint64
-	ts, _, _ := ds.ClaimTimestamp(0, sig, &start) // want `ClaimTimestamp called outside internal/core's commit sequence`
-	ds.Publish(0, ts, sig)                        // want `Publish called outside internal/core's commit sequence`
-	ds.ReleaseWlocks(0, sig)                      // want `ReleaseWlocks called outside internal/core's commit sequence`
+	ts, _, _ := ds.ClaimTimestamp(0, ws, &start) // want `ClaimTimestamp called outside internal/core's commit sequence`
+	ds.Publish(0, ts, ws)                        // want `Publish called outside internal/core's commit sequence`
+	ds.ReleaseWlocks(0, ws)                      // want `ReleaseWlocks called outside internal/core's commit sequence`
 }
 
 // good: the topology accessors are not commit-sequence helpers.

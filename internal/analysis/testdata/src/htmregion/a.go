@@ -6,14 +6,10 @@ import (
 	"sync"
 	"time"
 
-	"htmregion/sub"
-
+	"repro/internal/analysis/testdata/src/htmregion/sub"
 	"repro/internal/domain"
-	"repro/internal/governor"
 	"repro/internal/htm"
-	"repro/internal/obs"
-	"repro/internal/prof"
-	"repro/internal/trace"
+	"repro/internal/sig"
 )
 
 var mu sync.Mutex
@@ -97,79 +93,6 @@ func escapes(eng *htm.Engine, slot int) {
 	})
 }
 
-// good: the tracing fast path — Record/RecordMark with a timestamp
-// captured before the window opens — is htmsafe by construction.
-func traced(eng *htm.Engine, slot int, buf *trace.Buffer) {
-	ts := trace.Now()
-	eng.Execute(slot, func(t *htm.Txn) {
-		t.Write(0, 1)
-		buf.Record(ts, trace.EvBegin, 1, 0, 0, 0)
-		buf.RecordMark(ts, trace.EvRingPub, 0)
-	})
-}
-
-// good: the kernel pattern — admission decided before the window opens,
-// breaker evidence recorded and the scope closed after it.
-func kernelPattern(eng *htm.Engine, slot int, gov *governor.Governor, st *governor.State) {
-	if gov.Begin(st) == governor.Serialize {
-		return
-	}
-	res := eng.Execute(slot, func(t *htm.Txn) {
-		t.Write(0, 1)
-	})
-	if !res.Committed {
-		st.NoteHWAbort()
-	}
-	gov.Finish(st, 0)
-}
-
-// bad: admission hooks run at the kernel boundary, never inside a window.
-func selfGoverned(eng *htm.Engine, slot int, gov *governor.Governor, st *governor.State) {
-	eng.Execute(slot, func(t *htm.Txn) {
-		if gov.Begin(st) == governor.Serialize { // want `governor.Begin inside a hardware-transaction window`
-			return
-		}
-		t.Write(0, 1)
-		st.NoteHWAbort() // want `governor.NoteHWAbort inside a hardware-transaction window`
-	})
-	ht := eng.Begin(slot)
-	ht.Write(0, 1)
-	gov.Finish(st, 0) // want `governor.Finish inside a hardware-transaction window`
-	ht.Commit()
-}
-
-// bad: every other trace helper is off-limits inside a window — Now reads
-// the clock, Sink methods lock and allocate.
-func tracedSloppy(eng *htm.Engine, slot int, buf *trace.Buffer, sink *trace.Sink) {
-	eng.Execute(slot, func(t *htm.Txn) {
-		buf.Record(trace.Now(), trace.EvBegin, 1, 0, 0, 0) // want `trace.Now inside a hardware-transaction window`
-		sink.Mark("in-window")                             // want `trace.Mark inside a hardware-transaction window`
-		t.Write(0, 1)
-	})
-}
-
-// good: the profiler's record hooks — like trace.Buffer.Record — are
-// htmsafe by construction; the shard pointer was cached before the window.
-func profiled(eng *htm.Engine, slot int, ps *prof.Shard) {
-	eng.Execute(slot, func(t *htm.Txn) {
-		t.Write(0, 1)
-		ps.RecordConflict(7)
-		ps.RecordCapacity(7)
-		ps.RecordFootprint(0, 1, 2, 1, 1)
-	})
-}
-
-// bad: every other prof entry point locks or allocates (the merged
-// queries).
-func profSloppy(eng *htm.Engine, slot int, p *prof.Profile) {
-	eng.Execute(slot, func(t *htm.Txn) {
-		sh := p.Shard(slot) // want `prof.Shard inside a hardware-transaction window`
-		sh.RecordConflict(1)
-		_ = p.TopK(4) // want `prof.TopK inside a hardware-transaction window`
-		t.Write(0, 1)
-	})
-}
-
 // good: the domain topology accessors are pure reads of immutable routing
 // state, and TxnState bookkeeping touches only the calling thread's masks.
 func domainAccessors(eng *htm.Engine, slot int, ds *domain.Domains, st *domain.TxnState) {
@@ -177,7 +100,7 @@ func domainAccessors(eng *htm.Engine, slot int, ds *domain.Domains, st *domain.T
 		d := ds.Of(7)
 		_ = ds.N()
 		_ = ds.Ring(d)
-		t.Write(uint32(ds.Wlocks(d)), 1)
+		t.Write(ds.Wlocks(d), 1)
 		_ = st.Count()
 		_ = st.Shard()
 	})
@@ -185,12 +108,12 @@ func domainAccessors(eng *htm.Engine, slot int, ds *domain.Domains, st *domain.T
 
 // bad: the cross-domain software-commit helpers spin, CAS shared metadata,
 // or publish ring entries — none of that may run inside a window.
-func domainCommitInWindow(eng *htm.Engine, slot int, ds *domain.Domains, st *domain.TxnState, sig *domain.Signature) {
+func domainCommitInWindow(eng *htm.Engine, slot int, ds *domain.Domains, st *domain.TxnState, ws *sig.Signature) {
 	eng.Execute(slot, func(t *htm.Txn) {
 		var start uint64
-		ts, _, _ := ds.ClaimTimestamp(0, sig, &start) // want `domain.ClaimTimestamp inside a hardware-transaction window`
-		ds.Publish(0, ts, sig)                        // want `domain.Publish inside a hardware-transaction window`
-		ds.ReleaseWlocks(0, sig)                      // want `domain.ReleaseWlocks inside a hardware-transaction window`
+		ts, _, _ := ds.ClaimTimestamp(0, ws, &start) // want `domain.ClaimTimestamp inside a hardware-transaction window`
+		ds.Publish(0, ts, ws)                        // want `domain.Publish inside a hardware-transaction window`
+		ds.ReleaseWlocks(0, ws)                      // want `domain.ReleaseWlocks inside a hardware-transaction window`
 		t.Write(0, 1)
 	})
 }
@@ -205,27 +128,4 @@ func domainSetupInWindow(eng *htm.Engine, slot int, ds *domain.Domains, st *doma
 	_, _ = ds.Validate(st)           // want `domain.Validate inside a hardware-transaction window`
 	_ = ds.AllocLinesIn(1, 4)        // want `domain.AllocLinesIn inside a hardware-transaction window`
 	ht.Commit()
-}
-
-// good: telemetry sources are registered at the harness boundary, before
-// any window opens; the scrape loop samples from its own goroutine.
-func observed(eng *htm.Engine, slot int, reg *obs.Registry) {
-	reg.Register("sys", obs.Source{})
-	eng.Execute(slot, func(t *htm.Txn) {
-		t.Write(0, t.Read(0)+1)
-	})
-	var snap obs.Snapshot
-	reg.Sample(&snap)
-}
-
-// bad: the telemetry plane has no htmsafe surface — registration locks
-// and sampling merges histograms across every shard.
-func observeInWindow(eng *htm.Engine, slot int, reg *obs.Registry) {
-	eng.Execute(slot, func(t *htm.Txn) {
-		reg.Register("sys", obs.Source{}) // want `obs.Register inside a hardware-transaction window`
-		var snap obs.Snapshot
-		reg.Sample(&snap) // want `obs.Sample inside a hardware-transaction window`
-		_ = reg.Len()     // want `obs.Len inside a hardware-transaction window`
-		t.Write(0, 1)
-	})
 }

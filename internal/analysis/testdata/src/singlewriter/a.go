@@ -34,8 +34,8 @@ type worker struct{ sh *tm.Shard }
 func (w *worker) hit() { w.sh.CommitsSW.Inc() }
 
 // bad: ranging visits shards owned by other threads.
-func overAll(st *tm.Stats) {
-	for _, sh := range st.All() { // want `ranging over all shards`
+func overAll(shards []*tm.Shard) {
+	for _, sh := range shards { // want `ranging over all shards`
 		sh.CommitsHTM.Inc()
 	}
 }
@@ -63,8 +63,8 @@ func onAggregate() {
 
 // good: suppressed — the annotation claims single-threaded context.
 // parthtm:owner — runs after every worker has joined
-func summarize(st *tm.Stats) {
-	for _, sh := range st.All() {
+func summarize(shards []*tm.Shard) {
+	for _, sh := range shards {
 		sh.CommitsHTM.Inc()
 	}
 }

@@ -125,13 +125,13 @@ func levels(base mem.Addr) exec.Txn {
 	return exec.Txn{
 		Fast: func() htm.Result { // want `fast-path level body statically writes up to 1024 distinct lines`
 			for i := 0; i < 1024; i++ {
-				ht.Write(uint32(base)+uint32(i)*8, 0)
+				ht.Write(base+mem.Addr(i*8), 0)
 			}
 			return htm.Result{}
 		},
 		Mid: func() bool {
 			for i := 0; i < 1024; i++ {
-				ht.Write(uint32(base)+uint32(i)*8, 0)
+				ht.Write(base+mem.Addr(i*8), 0)
 			}
 			return true
 		},

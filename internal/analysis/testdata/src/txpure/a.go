@@ -3,9 +3,7 @@ package txpure
 
 import (
 	"repro/internal/exec"
-	"repro/internal/governor"
 	"repro/internal/mem"
-	"repro/internal/prof"
 	"repro/internal/tm"
 )
 
@@ -66,18 +64,6 @@ func levels() exec.Txn {
 	}
 }
 
-// bad: admission belongs to the kernel — a body reruns on abort, so an
-// in-body governor call runs once per attempt.
-func selfAdmitted(sys tm.System, id int, gov *governor.Governor, st *governor.State, a mem.Addr) {
-	sys.Atomic(id, func(x tm.Tx) {
-		if gov.Begin(st) == governor.Serialize { // want `transaction body calls governor.Begin`
-			return
-		}
-		x.Write(a, 1)
-		st.NoteHWAbort() // want `transaction body calls governor.NoteHWAbort`
-	})
-}
-
 // good: suppressed — the annotation claims the impurity is retry-safe.
 func instrumented(sys tm.System, id int, a mem.Addr) int {
 	var attempts int
@@ -109,15 +95,5 @@ func indirectedPure(sys tm.System, id int, from, to mem.Addr) {
 	}
 	sys.Atomic(id, func(x tm.Tx) {
 		move(x)
-	})
-}
-
-// bad: attribution belongs to the engine and the kernel — a body rerun on
-// abort would double-count profiler events.
-func selfProfiled(sys tm.System, id int, ps *prof.Shard, a mem.Addr) {
-	sys.Atomic(id, func(x tm.Tx) {
-		x.Write(a, 1)
-		ps.RecordConflict(uint32(a))      // want `transaction body calls prof.RecordConflict`
-		ps.RecordFootprint(0, 0, 1, 1, 1) // want `transaction body calls prof.RecordFootprint`
 	})
 }

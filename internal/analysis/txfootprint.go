@@ -136,7 +136,7 @@ type txBody struct {
 // so only Fast bodies are footprint-bounded.
 func collectTxBodies(pkg *Package) []txBody {
 	var bodies []txBody
-	for _, f := range pkg.SourceFiles() {
+	for _, f := range pkg.Files {
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
 			if !ok {

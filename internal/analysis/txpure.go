@@ -27,17 +27,6 @@ import (
 //   - package-level mutable state read inside a body makes the body's
 //     result depend on values no Tx ever read — reads and writes of
 //     package-level variables inside bodies are flagged.
-//   - calls into repro/internal/governor are admission traffic: the
-//     execution kernel owns admission (it brackets the attempts with
-//     Begin/Finish), and a body reruns on abort, so an in-body governor
-//     call would record breaker evidence once per attempt instead of once
-//     per transaction — every governor call inside a body is flagged.
-//   - calls into repro/internal/prof are attribution traffic: the engine
-//     and the kernel own the profiler's record hooks (conflicts are
-//     attributed at the doom sites, footprints at commit/abort), and a
-//     body reruns on abort, so an in-body prof call would double-count
-//     events per attempt and mutate a shard the body's thread may not
-//     own — every prof call inside a body is flagged.
 //
 // A body that calls a locally bound function value (`f := func() {...}`
 // somewhere in the enclosing function, then `f()` inside the body) is
@@ -60,7 +49,7 @@ var TxPure = &Analyzer{
 }
 
 func runTxPure(pass *Pass) {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Files {
 		bindings := localFuncBindings(pass.TypesInfo, f)
 		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
@@ -250,8 +239,6 @@ func checkBody(pass *Pass, lit *ast.FuncLit, bindings map[*types.Var][]*ast.Func
 			switch e := n.(type) {
 			case *ast.CallExpr:
 				checkMemAccess(pass, e)
-				checkGovernorCall(pass, e)
-				checkProfCall(pass, e)
 			case *ast.Ident:
 				obj, _ := info.Uses[e].(*types.Var)
 				if obj == nil {
@@ -317,30 +304,4 @@ func checkMemAccess(pass *Pass, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(),
 			"transaction body calls mem.Memory.%s directly: shared memory must be accessed through the tm.Tx parameter (unmonitored access breaks isolation and dooms hardware transactions)", fn.Name())
 	}
-}
-
-// checkGovernorCall flags governor admission traffic inside a body. The
-// kernel brackets every transaction with the governor hooks itself; a
-// body reruns on abort, so a call here would run once per attempt, not
-// once per transaction.
-func checkGovernorCall(pass *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.TypesInfo, call)
-	if funcPkgPath(fn) != governorPath {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"transaction body calls governor.%s: admission belongs to the execution kernel — a body rerun on abort would double-count breaker evidence", fn.Name())
-}
-
-// checkProfCall flags profiler mutation inside a body. Attribution
-// belongs to the engine (conflict/capacity at the doom and overflow
-// sites) and the kernel (footprints at commit/abort); a body reruns on
-// abort, so a call here would double-count events per attempt.
-func checkProfCall(pass *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.TypesInfo, call)
-	if funcPkgPath(fn) != profPath {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"transaction body calls prof.%s: abort attribution belongs to the engine and the execution kernel — a body rerun on abort would double-count profiler events", fn.Name())
 }

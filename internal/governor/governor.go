@@ -22,8 +22,9 @@
 // per transaction. The hooks are pure state machines: the kernel owns all
 // stats recording and trace emission, keyed off the returned verdicts and
 // transitions. None of the hooks may be called from inside a hardware
-// window (parthtm-vet's htmregion analyzer enforces this, and checks the
-// hooks allocation-free).
+// window: only exec holds a *State, and it calls the hooks at the kernel
+// boundary, between attempts. TestHooksAllocationFree pins the hooks
+// allocation-free.
 package governor
 
 import (

@@ -73,7 +73,13 @@ func TestSoakStormLiveness(t *testing.T) {
 			}
 			watch := func() (*governor.Watchdog, *collectorT) {
 				wcfg := governor.DefaultWatchdogConfig()
+				// The stall deadline is host time, which the race
+				// detector stretches: at 1 ms a race-built storm worker
+				// sometimes goes the 5-ms deadline without a commit.
 				wcfg.Interval = time.Millisecond
+				if raceEnabled {
+					wcfg.Interval = 10 * time.Millisecond
+				}
 				wd := governor.NewWatchdog(wcfg, sys.Stats(), threads)
 				wd.AttachGovernor(gov)
 				c := &collectorT{}

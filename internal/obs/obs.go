@@ -24,7 +24,8 @@
 // trace ring cursors. The same split drives the htmsafety rule: no obs
 // function is ever reachable from a hardware window; registration is
 // boundary-only and collection runs on the scrape/poller goroutine
-// (parthtm-vet's htmregion analyzer enforces this statically).
+// (parthtm-vet's htmregion walk would flag the registry lock and the
+// sampling allocations a window reached).
 //
 // # Allocation discipline
 //

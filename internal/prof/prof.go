@@ -32,9 +32,10 @@
 // Record* hooks — following exactly the tm.Stats / trace.Buffer
 // discipline: recording is a bounded linear scan plus plain stores, no
 // locks, no atomic read-modify-write, and no allocation. The Record*
-// hooks are htmsafe by construction (the parthtm-vet htmregion analyzer
-// admits them inside hardware windows and rejects every other prof call
-// there); they tolerate a nil receiver as a no-op, so the disabled path
+// hooks are htmsafe by construction (the parthtm-vet htmregion walk
+// passes their bodies inside hardware windows and flags the locks and
+// allocations the merged queries and Shard lookup reach); they tolerate
+// a nil receiver as a no-op, so the disabled path
 // is a single branch. Merged queries (TopK, SetHeat, Footprints) must run
 // after the writers have quiesced, exactly like trace exports.
 package prof

@@ -24,9 +24,10 @@
 // Events carry a monotonic nanosecond timestamp obtained from Now. Now
 // reads the clock (time.Since) and therefore must never run inside a
 // simulated hardware-transaction window — on real TSX the vDSO clock read
-// can abort the transaction, and the parthtm-vet htmregion analyzer
-// rejects it statically. Record* methods, by contrast, are htmsafe by
-// construction (no allocation, no fmt/time/sync, no scheduler calls):
+// can abort the transaction, and the parthtm-vet htmregion walk flags
+// that clock read in any window that reaches it. Record* methods, by
+// contrast, are htmsafe by construction (no allocation, no
+// fmt/time/sync, no scheduler calls — the same walk passes them):
 // callers take the timestamp outside the window and may then record from
 // anywhere. In this repository every recording site sits outside hardware
 // windows anyway; the split keeps the discipline checkable.
@@ -214,8 +215,9 @@ type Event struct {
 var base = time.Now()
 
 // Now returns a monotonic nanosecond timestamp. It reads the clock and
-// must be called outside hardware-transaction windows (htmregion enforces
-// this); pass the result to Record*.
+// must be called outside hardware-transaction windows (htmregion's walk
+// flags the time.Since below in any window that reaches it); pass the
+// result to Record*.
 func Now() int64 { return time.Since(base).Nanoseconds() }
 
 // Buffer is one thread's event ring. Only the owning thread may call
