@@ -286,11 +286,11 @@ func BenchmarkProfOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead measures the cost of the live telemetry plane on
-// the Fig 3(a) workload: "off" is the unobserved baseline, "on" registers
-// the system (with trace sink and profile attached so every family is
-// live) and runs a flight recorder polling the registry at its default
-// 10ms cadence while the workload runs — the worst realistic observer
+// BenchmarkObsOverhead measures the cost of the flight recorder on the
+// Fig 3(a) workload: "off" is the unobserved baseline, "on" registers the
+// system (with trace sink and profile attached, as -flight runs) and runs
+// a flight recorder polling the registry at its default 10ms cadence while
+// the workload runs — the worst realistic observer
 // load. The workers never touch obs state; the only possible cost is
 // cache pressure from the poller reading the shared counter cells, which
 // must stay within noise of the tracing-on baseline.

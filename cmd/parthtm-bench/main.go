@@ -24,25 +24,15 @@
 //	parthtm-bench -exp heatmap -prof-check       # assert the planted hotspot is found
 //	parthtm-bench -exp domains                   # sharded-domain sweep (N x cross-ratio)
 //	parthtm-bench -exp domains -domains 1,4 -cross 0,0.2
-//	parthtm-bench -exp soak -serve :9090         # live OpenMetrics at /metrics
-//	parthtm-bench -exp soak -watch               # in-terminal live dashboard
 //	parthtm-bench -exp soak -flight /tmp/flight  # black-box flight recorder
-//	parthtm-bench -metrics-check scrape.txt      # validate an OpenMetrics scrape
 //
-// With -serve the run exposes the live telemetry plane over HTTP while the
-// experiments execute: /metrics serves OpenMetrics text (scrape it with
-// Prometheus), /healthz a liveness probe, and /snapshot the same coherent
-// sample as JSON. Every system an experiment builds registers its counter
-// sources with the registry; each scrape takes exactly one coherent
-// snapshot. -watch renders a refreshing per-system dashboard (throughput,
-// abort mix, degraded/breaker state, p99 per path) on stderr from the same
-// registry.
-//
-// With -flight DIR a black-box flight recorder samples the registry in the
-// background and, when a watchdog alarm fires, a breaker trips repeatedly,
-// or a soak phase ends degraded, dumps the recent history into DIR as a
-// timestamped artifact pair: a Chrome/Perfetto trace (validates with
-// -trace-check) and a metrics CSV. SIGQUIT forces a best-effort dump.
+// With -flight DIR every system an experiment builds registers its counter
+// sources with one registry, and a black-box flight recorder samples that
+// registry in the background. When a watchdog alarm fires, a breaker trips
+// repeatedly, or a soak phase ends degraded, the recorder dumps the recent
+// history into DIR as a timestamped artifact pair: a Chrome/Perfetto trace
+// (validates with -trace-check) and a metrics CSV. SIGQUIT forces a
+// best-effort dump.
 // -wd-interval and -wd-stall tighten the soak watchdog (CI uses a
 // hair-trigger setting to force an alarm deterministically).
 //
@@ -121,10 +111,7 @@ func main() {
 		profChk  = flag.Bool("prof-check", false, "fail experiments whose profile acceptance checks do not hold (heatmap); implies -prof")
 		domains  = flag.String("domains", "", "comma-separated domain counts for the domains experiment (default 1,2,4,8)")
 		crossR   = flag.String("cross", "", "comma-separated cross-domain ratios in [0,1] for the domains experiment (default 0,0.2)")
-		serve    = flag.String("serve", "", "serve live OpenMetrics on this address (/metrics, /healthz, /snapshot) while experiments run")
-		watch    = flag.Bool("watch", false, "render a refreshing live dashboard on stderr while experiments run")
 		flight   = flag.String("flight", "", "enable the black-box flight recorder, dumping artifacts into this directory")
-		metChk   = flag.String("metrics-check", "", "validate that the given file parses as strict OpenMetrics text, then exit")
 		wdIntvl  = flag.Duration("wd-interval", 0, "override the soak watchdog sampling interval (0 = experiment default)")
 		wdStall  = flag.Int("wd-stall", 0, "override the soak watchdog stall-sample threshold (0 = experiment default)")
 	)
@@ -132,10 +119,6 @@ func main() {
 
 	if *traceChk != "" {
 		runTraceCheck(*traceChk)
-		return
-	}
-	if *metChk != "" {
-		runMetricsCheck(*metChk)
 		return
 	}
 	if *compare {
@@ -195,43 +178,22 @@ func main() {
 		}
 		opts.Watchdog = &wcfg
 	}
-	var (
-		registry *obs.Registry
-		server   *obs.Server
-		watcher  *obs.Watch
-		recorder *obs.FlightRecorder
-	)
-	if *serve != "" || *watch || *flight != "" {
-		registry = obs.NewRegistry()
-		opts.Obs = registry
-	}
-	if *serve != "" {
-		server = obs.NewServer(registry)
-		addr, err := server.Start(*serve)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics /healthz /snapshot on http://%s\n", addr)
-	}
-	if *watch {
-		watcher = obs.NewWatch(registry, os.Stderr, 0)
-		watcher.Start()
-	}
+	var recorder *obs.FlightRecorder
 	if *flight != "" {
 		if err := os.MkdirAll(*flight, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "parthtm-bench: %v\n", err)
 			os.Exit(1)
 		}
-		recorder = obs.NewFlightRecorder(registry, obs.FlightConfig{Dir: *flight})
+		opts.Obs = obs.NewRegistry()
+		recorder = obs.NewFlightRecorder(opts.Obs, obs.FlightConfig{Dir: *flight})
 		recorder.SetSink(sink)
 		recorder.Start()
 		defer recorder.InstallSIGQUIT()()
 		opts.Flight = recorder
 	}
-	// Long runs and telemetry-plane runs emit progress lines so a hung
-	// nightly job is diagnosable from its log; -watch owns stderr instead.
-	if !*watch && (*duration >= time.Second || *serve != "" || *flight != "") {
+	// Long runs and flight-recorded runs emit progress lines so a hung
+	// nightly job is diagnosable from its log.
+	if *duration >= time.Second || *flight != "" {
 		opts.Progress = os.Stderr
 	}
 	if *threads != "" {
@@ -308,10 +270,6 @@ func main() {
 			run(e)
 		}
 	}
-	if watcher != nil {
-		watcher.Stop()
-		fmt.Fprintln(os.Stderr)
-	}
 	if recorder != nil {
 		recorder.Stop()
 		// End of run is a quiesce point: flush any trigger still armed.
@@ -324,9 +282,6 @@ func main() {
 		if dumps := recorder.Dumps(); len(dumps) > 0 {
 			fmt.Fprintf(os.Stderr, "flight: %d artifact(s) in %s\n", len(dumps), *flight)
 		}
-	}
-	if server != nil {
-		server.Stop()
 	}
 	if sink != nil {
 		writeTrace(sink, *tracePth, *traceTxt)
@@ -412,23 +367,6 @@ func runTraceCheck(path string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: ok, %d trace events\n", path, len(ct.TraceEvents))
-}
-
-// runMetricsCheck validates an OpenMetrics scrape artifact with the same
-// strict parser the exporter round-trip tests use. Exit 0 on success.
-func runMetricsCheck(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -metrics-check: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	exp, err := obs.ParseExposition(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -metrics-check %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s: ok, %d metric families, %d samples\n", path, len(exp.Families()), len(exp.Points))
 }
 
 // runCompare decodes two -json artifacts and prints per-system deltas.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -56,6 +57,26 @@ func TestWriteCapacityAbortLeavesReadBudget(t *testing.T) {
 		t.Fatalf("a 64-line read-only transaction ran as %d sub-HTM transactions, want 1", got)
 	}
 	if st := s.Stats().Snapshot(); st.CommitsGL != 0 {
+		t.Fatalf("%+v", st)
+	}
+}
+
+// TestInjectedCapacityAbortTeachesNoBudget: an abort the fault injector
+// forced is not evidence about the hardware, because the injector picks its
+// reason without looking at the footprint. An 8-line segment on a 16-line
+// buffer whose commit is scripted to fail on capacity is retried, and the
+// persistent budgets stay unknown.
+func TestInjectedCapacityAbortTeachesNoBudget(t *testing.T) {
+	s := newSystem(1, 1<<17, noPlacement(16), func(c *Config) { c.NoFastPath = true })
+	s.eng.SetInjector(fault.New(fault.Config{Threads: 1, Scripts: map[int][]fault.ScriptEvent{
+		0: {{Site: fault.SiteHTMCommit, Reason: fault.Capacity, Count: 1}},
+	}}))
+	base := s.Memory().AllocLines(8)
+	s.Atomic(0, writeLines(base, 8, 0))
+	if lim := s.SegLimits()[0]; lim != (SegLimit{}) {
+		t.Fatalf("an injected capacity abort moved the persistent budgets to %+v", lim)
+	}
+	if st := s.Stats().Snapshot(); st.FaultsInjected != 1 || st.CommitsSW != 1 {
 		t.Fatalf("%+v", st)
 	}
 }

@@ -710,8 +710,10 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 		}
 		if res, ok := htm.AsAbort(r); ok {
 			// The open sub-HTM transaction aborted; htm already tore it
-			// down, and still knows what it held when it failed.
-			if s.cfg.AutoPartition {
+			// down, and still knows what it held when it failed. An abort
+			// the fault injector forced teaches no budget: it chose its
+			// reason without looking at the footprint.
+			if s.cfg.AutoPartition && !res.Injected {
 				commitLines := int64(0)
 				if !s.cfg.Opaque {
 					// The sub-commit reads, and may write, every touched

@@ -72,7 +72,7 @@ type Options struct {
 	Cross []float64
 	// Obs, when non-nil, is threaded into every Build the experiment
 	// performs, so each constructed system registers its telemetry sources
-	// with the live registry (the -serve / -watch plumbing).
+	// with the flight recorder's registry (the -flight plumbing).
 	Obs *obs.Registry
 	// Flight, when non-nil, is the black-box flight recorder: soak
 	// campaigns wire watchdog alarms into it, arm it when a phase ends

@@ -78,12 +78,12 @@ type BuildOptions struct {
 	// overflows, and footprints into it.
 	Profile *prof.Profile
 	// Obs, when non-nil, registers the built system's telemetry sources —
-	// its tm.Stats plus whatever the kernel has attached after the three
-	// options above (governor, trace sink, profiler) and the kernel's own
-	// degraded/pressure gauges — with the live telemetry registry under the
-	// system's name. Registration is boundary-only (it runs in Build,
-	// before workers start); re-building the same system name replaces its
-	// registration, so sweeps keep the live instance current.
+	// its tm.Stats, the kernel's governor (if one is attached), and the
+	// kernel's own degraded/pressure gauges — with the flight recorder's
+	// registry under the system's name. Registration is boundary-only (it
+	// runs in Build, before workers start); re-building the same system
+	// name replaces its registration, so sweeps keep the live instance
+	// current.
 	Obs *obs.Registry
 }
 
@@ -177,7 +177,7 @@ func Build(name string, o BuildOptions) tm.System {
 		// registry sees exactly what the kernel runs with.
 		src := obs.Source{Stats: sys.Stats()}
 		if k != nil {
-			src.Gov, src.Sink, src.Prof, src.Kernel = k.Governor(), k.TraceSink(), k.Profile(), k
+			src.Gov, src.Kernel = k.Governor(), k
 		}
 		o.Obs.Register(name, src)
 	}

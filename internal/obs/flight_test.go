@@ -13,9 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// flightFixture builds a recorder over one full source with a temp dump
-// dir, the background sampler NOT started — tests drive sampleOnce by
-// hand for determinism.
+// flightFixture builds a recorder over one full source and a trace sink
+// with a temp dump dir, the background sampler NOT started — tests drive
+// sampleOnce by hand for determinism.
 func flightFixture(t *testing.T, cfg FlightConfig) (*FlightRecorder, Source, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -24,7 +24,7 @@ func flightFixture(t *testing.T, cfg FlightConfig) (*FlightRecorder, Source, str
 	src := fullSource(t)
 	reg.Register("sys", src)
 	f := NewFlightRecorder(reg, cfg)
-	f.SetSink(src.Sink)
+	f.SetSink(trace.NewSink(64))
 	return f, src, dir
 }
 

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/governor"
-	"repro/internal/prof"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
@@ -33,33 +31,22 @@ func fullSource(t testing.TB) Source {
 	sh.WatchdogAlarms.Add(1)
 	sh.AddSerial(1500 * time.Millisecond)
 
-	sink := trace.NewSink(64)
-	lat := sink.Lat(0)
-	for i := 0; i < 10; i++ {
-		lat.Path[trace.PathHTM].Add(int64(1000 * (i + 1)))
-		lat.Abort[trace.CauseConflict].Add(int64(500 * (i + 1)))
-	}
-
-	p := prof.New(prof.Config{})
-	ps := p.Shard(0)
-	for i := 0; i < 10; i++ {
-		ps.RecordFootprint(prof.ClassFast, prof.OutcomeCommit, 8, 4, 12)
-	}
-
 	gov := governor.New(governor.DefaultConfig())
 	gov.Begin(gov.State(0)) // one worker inside a transaction
-	return Source{Stats: stats, Sink: sink, Prof: p, Gov: gov,
-		Kernel: &fakeKernel{degraded: true, pressure: 5}}
+	return Source{Stats: stats, Gov: gov, Kernel: &fakeKernel{degraded: true, pressure: 5}}
 }
 
 func TestRegistryRegisterReplace(t *testing.T) {
 	reg := NewRegistry()
-	if reg.Len() != 0 {
-		t.Fatalf("empty registry Len = %d", reg.Len())
+	var snap Snapshot
+	reg.Sample(&snap)
+	if len(snap.Systems) != 0 {
+		t.Fatalf("empty registry sampled %d systems", len(snap.Systems))
 	}
 	// A source without Stats is refused.
 	reg.Register("ghost", Source{})
-	if reg.Len() != 0 {
+	reg.Sample(&snap)
+	if len(snap.Systems) != 0 {
 		t.Fatalf("nil-Stats registration was accepted")
 	}
 
@@ -69,12 +56,10 @@ func TestRegistryRegisterReplace(t *testing.T) {
 	reg.Register("sys", Source{Stats: a})
 	reg.Register("other", Source{Stats: a})
 	reg.Register("sys", Source{Stats: b}) // replace keeps order
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "sys" || names[1] != "other" {
-		t.Fatalf("Names = %v, want [sys other]", names)
-	}
-	var snap Snapshot
 	reg.Sample(&snap)
+	if len(snap.Systems) != 2 || snap.Systems[0].Name != "sys" || snap.Systems[1].Name != "other" {
+		t.Fatalf("sampled systems = %+v, want [sys other]", snap.Systems)
+	}
 	if got := snap.Systems[0].TM.CommitsHTM; got != 2 {
 		t.Fatalf("replaced source not sampled: CommitsHTM = %d, want 2", got)
 	}
@@ -99,7 +84,7 @@ func TestSampleCoherence(t *testing.T) {
 	if full.TM.CommitsHTM != 100 || full.TM.AbortsConflict != 7 {
 		t.Fatalf("full TM sample = %+v", full.TM)
 	}
-	if !full.HasSink || !full.HasProf || !full.HasGov || !full.HasKernel {
+	if !full.HasGov || !full.HasKernel {
 		t.Fatalf("full source presence flags = %+v", full)
 	}
 	if full.Inflight != 1 {
@@ -108,14 +93,7 @@ func TestSampleCoherence(t *testing.T) {
 	if !full.Degraded || full.Pressure != 5 {
 		t.Fatalf("kernel gauges = degraded %v pressure %d", full.Degraded, full.Pressure)
 	}
-	if full.Latency.Path[trace.PathHTM].Count != 10 {
-		t.Fatalf("latency count = %d, want 10", full.Latency.Path[trace.PathHTM].Count)
-	}
-	if full.Foot[prof.ClassFast][prof.OutcomeCommit].Count != 10 {
-		t.Fatalf("footprint count = %d, want 10",
-			full.Foot[prof.ClassFast][prof.OutcomeCommit].Count)
-	}
-	if bareS.HasSink || bareS.HasProf || bareS.HasGov || bareS.HasKernel {
+	if bareS.HasGov || bareS.HasKernel {
 		t.Fatalf("bare source claims optional surfaces: %+v", bareS)
 	}
 	if bareS.TM.CommitsSW != 9 {
@@ -132,7 +110,7 @@ func TestSampleCoherence(t *testing.T) {
 // TestSampleAllocFree pins the sampling-path allocation contract: once the
 // destination snapshot has grown to the registry's size, Sample does not
 // allocate — it may run at flight-recorder cadence forever without GC
-// pressure. The encoder is exempt (it runs per scrape and may allocate).
+// pressure.
 func TestSampleAllocFree(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("full", fullSource(t))
@@ -146,10 +124,9 @@ func TestSampleAllocFree(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrape hammers Sample and the encoder from several
-// goroutines while writer goroutines mutate every live-sampleable surface.
-// Run under -race this is the proof that the live plane reads only
-// atomic state.
+// TestConcurrentScrape hammers Sample from several goroutines while writer
+// goroutines mutate every sampled surface. Run under -race this is the
+// proof that sampling reads only atomic state.
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	src := fullSource(t)
@@ -162,18 +139,17 @@ func TestConcurrentScrape(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			sh := src.Stats.Shard(id)
-			lat := src.Sink.Lat(id)
-			ps := src.Prof.Shard(id)
-			for i := 0; ; i++ {
+			st := src.Gov.State(id)
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				src.Gov.Begin(st)
 				sh.CommitsHTM.Inc()
 				sh.AbortsConflict.Inc()
-				lat.Path[trace.PathHTM].Add(int64(i%4096 + 1))
-				ps.RecordFootprint(prof.ClassFast, prof.OutcomeCommit, 4, 2, 6)
+				src.Gov.Finish(st, trace.PathHTM)
 			}
 		}(w)
 	}
@@ -185,10 +161,6 @@ func TestConcurrentScrape(t *testing.T) {
 			var snap Snapshot
 			for i := 0; i < 50; i++ {
 				reg.Sample(&snap)
-				if err := WriteOpenMetrics(io.Discard, &snap); err != nil {
-					t.Errorf("WriteOpenMetrics: %v", err)
-					return
-				}
 			}
 		}()
 	}

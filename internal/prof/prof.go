@@ -502,65 +502,6 @@ func (p *Profile) footprintRows(session bool) []FootprintStat {
 	return out
 }
 
-// FootprintCell is one (class, outcome) cell's live distribution summary:
-// the fixed-shape counterpart of FootprintStat, sized for in-place
-// sampling by the telemetry plane.
-type FootprintCell struct {
-	Count uint64 `json:"count"`
-
-	ReadP50 int64 `json:"read_p50"`
-	ReadP99 int64 `json:"read_p99"`
-	ReadMax int64 `json:"read_max"`
-
-	WriteP50 int64 `json:"write_p50"`
-	WriteP99 int64 `json:"write_p99"`
-	WriteMax int64 `json:"write_max"`
-
-	OccP50 int64 `json:"occ_p50"`
-	OccP99 int64 `json:"occ_p99"`
-	OccMax int64 `json:"occ_max"`
-}
-
-// FootprintCells fills dst with every (class, outcome) cell's live
-// footprint summary, merging the per-thread histograms on the stack.
-// Unlike Footprints it is safe while writers are still recording — the
-// histograms are atomic counter arrays, so the merge observes some
-// coherent prefix of each shard — and it never allocates, which makes it
-// the footprint source for the obs sampling path. The sketch and heat
-// planes have no such live view (plain single-writer memory) and are
-// deliberately not summarized here. Empty cells read as all-zero.
-func (p *Profile) FootprintCells(dst *[ClassCount][OutcomeCount]FootprintCell) {
-	*dst = [ClassCount][OutcomeCount]FootprintCell{}
-	if p == nil {
-		return
-	}
-	shards := p.all()
-	var read, write, occ hist.Histogram
-	for c := uint8(0); c < ClassCount; c++ {
-		for o := uint8(0); o < OutcomeCount; o++ {
-			read.Reset()
-			write.Reset()
-			occ.Reset()
-			for _, sh := range shards {
-				f := &sh.foot[c][o]
-				read.Merge(&f.read)
-				write.Merge(&f.write)
-				occ.Merge(&f.occ)
-			}
-			n := read.Count()
-			if n == 0 {
-				continue
-			}
-			dst[c][o] = FootprintCell{
-				Count:   n,
-				ReadP50: read.Quantile(0.50), ReadP99: read.Quantile(0.99), ReadMax: read.Max(),
-				WriteP50: write.Quantile(0.50), WriteP99: write.Quantile(0.99), WriteMax: write.Max(),
-				OccP50: occ.Quantile(0.50), OccP99: occ.Quantile(0.99), OccMax: occ.Max(),
-			}
-		}
-	}
-}
-
 // Reset clears every shard's sketch, heat, and footprint state (between
 // report rows; writers must have quiesced). The footprint histograms are
 // folded into the session accumulator before clearing, so

@@ -325,7 +325,7 @@ func sub(a, b uint64) uint64 {
 
 // Delta returns the per-counter difference s - prev, each field clamped
 // at zero. It turns two cumulative snapshots into the activity between
-// them — the rate view the live telemetry plane renders — and tolerates a
+// them — the rate view the flight recorder's triggers read — and tolerates a
 // Stats.Reset between the two samples (every field of the later snapshot
 // is then smaller, and the delta reads zero rather than underflowing).
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
