@@ -223,9 +223,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // BenchmarkGovernorOverhead measures the cost of the resource governor on
 // the Fig 3(a) workload: "off" is the ungoverned baseline, "on" attaches a
 // default-config governor (breaker armed) so every transaction pays the
-// Begin/Finish hooks. Compare the two to pin the
-// attached-but-idle price at a few branches per transaction; the committed
-// BENCH_baseline.json and the -compare gate watch the same edge in CI.
+// Begin/Finish hooks. Compare the two to pin the attached-but-idle price
+// at a few branches per transaction. No CI gate holds this edge: the
+// benchmark module reports the same price on small-fast as its
+// governor.attached_overhead row.
 func BenchmarkGovernorOverhead(b *testing.B) {
 	cfg := nrmw.Fig3a()
 	for _, mode := range []string{"off", "on"} {
@@ -257,9 +258,9 @@ func BenchmarkGovernorOverhead(b *testing.B) {
 // profiler on the Fig 3(a) workload: "off" is the unprofiled baseline
 // (each hook is one nil check on the cached shard pointer), "on" attaches
 // a default-config profile so every transaction records its footprint and
-// every doom attributes its line. Compare the two to verify profiling-off
-// stays within noise of BENCH_baseline.json and to see the price of
-// leaving attribution enabled.
+// every doom attributes its line. Compare the two to see the price of
+// leaving attribution enabled; the benchmark module reports the same price
+// on small-fast as its prof.attached_overhead row, and no CI gate holds it.
 func BenchmarkProfOverhead(b *testing.B) {
 	cfg := nrmw.Fig3a()
 	for _, mode := range []string{"off", "on"} {

@@ -74,6 +74,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -125,11 +126,10 @@ func main() {
 		runCompare(flag.Args(), *maxDrop)
 		return
 	}
-	if *faultR < 0 {
-		*faultR = 0
-	}
-	if *faultR > 1 {
-		*faultR = 1
+	rate, ok := clampFault(*faultR)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "parthtm-bench: bad -fault value %v\n", *faultR)
+		os.Exit(2)
 	}
 
 	if *listExps {
@@ -148,7 +148,7 @@ func main() {
 		Duration:  *duration,
 		PhysCores: *cores,
 		Seed:      *seed,
-		FaultRate: *faultR,
+		FaultRate: rate,
 		Campaign:  *campaign,
 	}
 	if *governed {
@@ -223,8 +223,8 @@ func main() {
 	}
 	if *crossR != "" {
 		for _, part := range strings.Split(*crossR, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || r < 0 || r > 1 {
+			r, ok := parseRatio(part)
+			if !ok {
 				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -cross value %q\n", part)
 				os.Exit(2)
 			}
@@ -319,6 +319,26 @@ func main() {
 	} else {
 		os.Stdout.Write(artifact)
 	}
+}
+
+// clampFault clamps a -fault rate into [0,1]. NaN has no place to clamp
+// to, and would otherwise read as "no rate" and run the full sweep.
+func clampFault(r float64) (float64, bool) {
+	switch {
+	case math.IsNaN(r):
+		return 0, false
+	case r < 0:
+		return 0, true
+	case r > 1:
+		return 1, true
+	}
+	return r, true
+}
+
+// parseRatio parses one -cross ratio, which must lie in [0,1]; NaN does not.
+func parseRatio(s string) (float64, bool) {
+	r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return r, err == nil && r >= 0 && r <= 1
 }
 
 // writeFile creates path and fills it with render, exiting on any error.

@@ -68,7 +68,7 @@ func TestWriteCapacityAbortLeavesReadBudget(t *testing.T) {
 // persistent budgets stay unknown.
 func TestInjectedCapacityAbortTeachesNoBudget(t *testing.T) {
 	s := newSystem(1, 1<<17, noPlacement(16), func(c *Config) { c.NoFastPath = true })
-	s.eng.SetInjector(fault.New(fault.Config{Threads: 1, Scripts: map[int][]fault.ScriptEvent{
+	s.eng.SetInjector(fault.New(fault.Config{Scripts: map[int][]fault.ScriptEvent{
 		0: {{Site: fault.SiteHTMCommit, Reason: fault.Capacity, Count: 1}},
 	}}))
 	base := s.Memory().AllocLines(8)

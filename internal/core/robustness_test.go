@@ -49,8 +49,9 @@ func seedPolicy(c *Config) {
 func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 	const txns = 8
 	storm := func() *fault.Config {
-		return &fault.Config{Seed: 1, Threads: 1,
-			Storms: []fault.Storm{{From: 1, To: fault.Forever, Reason: fault.Other}}}
+		cfg := &fault.Config{Seed: 1}
+		cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
+		return cfg
 	}
 	run := func(s *System) (abortsPerTxn float64) {
 		a := s.Memory().Alloc(1)
@@ -120,7 +121,7 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 	})
 	defer exec.SetEscalateHook(nil)
 
-	fcfg := &fault.Config{Seed: 1, Threads: 2, Scripts: map[int][]fault.ScriptEvent{
+	fcfg := &fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
 		0: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
 		1: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
 	}}

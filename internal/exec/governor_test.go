@@ -32,7 +32,7 @@ func breakerTxn(broken *atomic.Bool, fastTries, slowRuns *atomic.Int64) *Txn {
 func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 3, BreakerProbeEvery: 4})
+	g := governor.New(governor.Config{BreakerThreshold: 3})
 	r.SetGovernor(g)
 	sink := trace.NewSink(256)
 	r.SetTrace(sink)
@@ -59,16 +59,18 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	}
 
 	// Open: transactions go direct-to-slow without touching the hardware,
-	// except every 4th, which probes (and fails — hardware still broken).
-	for i := 0; i < 8; i++ {
+	// except every ProbeEvery-th, which probes (and fails — hardware still
+	// broken).
+	const open = 2 * governor.ProbeEvery
+	for i := 0; i < open; i++ {
 		r.Run(0, txn)
 	}
 	snap = st.Snapshot()
-	if snap.BreakerSlow != 6 {
-		t.Fatalf("BreakerSlow = %d, want 6 of 8", snap.BreakerSlow)
+	if snap.BreakerSlow != open-2 {
+		t.Fatalf("BreakerSlow = %d, want %d of %d", snap.BreakerSlow, open-2, open)
 	}
 	if snap.BreakerProbes != 2 {
-		t.Fatalf("BreakerProbes = %d, want 2 of 8", snap.BreakerProbes)
+		t.Fatalf("BreakerProbes = %d, want 2 of %d", snap.BreakerProbes, open)
 	}
 	if got := fastTries.Load(); got != 5 { // 3 trips + 2 failed probes
 		t.Fatalf("fast attempts = %d, want 5 (only probes retry hardware)", got)
@@ -80,7 +82,7 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	// Hardware recovers: the next probe commits in hardware and closes the
 	// breaker; subsequent transactions run the fast path normally again.
 	broken.Store(false)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < governor.ProbeEvery; i++ {
 		r.Run(0, txn)
 	}
 	snap = st.Snapshot()
@@ -129,7 +131,7 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 1, BreakerProbeEvery: 1})
+	g := governor.New(governor.Config{BreakerThreshold: 1})
 	r.SetGovernor(g)
 
 	var broken atomic.Bool
@@ -143,7 +145,13 @@ func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 
 	broken.Store(false)
 	txn.SkipFast = true
-	r.Run(0, txn) // probe (probe-every 1) must override SkipFast
+	for i := 1; i < governor.ProbeEvery; i++ {
+		r.Run(0, txn) // serialized: the breaker stays open
+	}
+	if !g.State(0).Open() {
+		t.Fatal("breaker closed before its probe")
+	}
+	r.Run(0, txn) // the probe must override SkipFast
 	if g.State(0).Open() {
 		t.Fatal("probe did not run the fast level under SkipFast")
 	}
@@ -159,7 +167,7 @@ func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 func TestGovernorPureSTMUnaffected(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 1, BreakerProbeEvery: 1 << 30})
+	g := governor.New(governor.Config{BreakerThreshold: 1})
 	r.SetGovernor(g)
 
 	// Trip thread 0's breaker through a transaction that has a slow path.
@@ -217,10 +225,7 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	const txns = 400
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1, DegradeThreshold: 8}, &st, nil)
-	g := governor.New(governor.Config{
-		BreakerThreshold:  2,
-		BreakerProbeEvery: 3,
-	})
+	g := governor.New(governor.Config{BreakerThreshold: 2})
 	r.SetGovernor(g)
 
 	// Phase 1: hardware broken everywhere — every thread trips. Phase 2:

@@ -19,19 +19,21 @@
 //   - SiteLockSigRead: the monitored read of the shared write-locks
 //     signature that gates every Part-HTM validation.
 //
-// Three mechanisms decide whether a fault fires, checked in order:
+// Two mechanisms decide whether a fault fires, checked in order:
 //
 //  1. Scripted schedules: a per-thread FIFO of events, each forcing a
 //     specific abort reason (and _xabort code) at a specific site for a
 //     given number of draws. Scripts make pathological interleavings —
 //     two transactions forever invalidating each other — exactly
 //     reproducible.
-//  2. Abort storms: windows of the global hardware-begin clock during
-//     which every hardware attempt fails, modelling timer-interrupt
-//     bursts and migration flurries. A storm may repeat periodically.
-//  3. Per-site probabilities, drawn from a per-thread seeded generator,
-//     so two runs with the same seed and thread count inject the same
-//     faults at the same per-thread decision points.
+//  2. Per-site probabilities, drawn from a per-thread seeded generator,
+//     so two runs with the same seed inject the same faults at the same
+//     per-thread decision points, however the threads interleave. A rate
+//     of 1 at SiteHTMBegin is an abort storm: every hardware attempt fails.
+//
+// A Campaign is a list of per-site rate tables, one per phase. The current
+// phase's table replaces the Config-level one, and only AdvancePhase moves
+// to the next phase: the caller decides when a phase ends.
 //
 // Independently, QuantumJitter perturbs each transaction's timer quantum
 // by a seeded factor, modelling the variance of where in a scheduling
@@ -125,24 +127,10 @@ type SiteRate struct {
 	Reason Reason
 }
 
-// Storm is a window of the global hardware-begin clock during which every
-// hardware attempt (SiteHTMBegin draw) fails: begins From..To-1, counted
-// from 1. A nonzero Period repeats the window every Period begins —
-// periodic abort bursts, as a timer interrupt delivers.
-type Storm struct {
-	From, To uint64
-	Period   uint64
-	Reason   Reason
-}
-
-// Forever is a convenient Storm.To for a storm that never ends.
-const Forever = math.MaxUint64
-
 // ScriptEvent forces Count draws at Site (for the scripted thread) to
 // abort with Reason and, for Explicit, the given _xabort Code. Events of
 // one thread's script fire strictly in order: draws at other sites pass
-// through (rates and storms still apply) until the head event's site
-// comes up.
+// through (rates still apply) until the head event's site comes up.
 type ScriptEvent struct {
 	Site   Site
 	Reason Reason
@@ -151,53 +139,44 @@ type ScriptEvent struct {
 }
 
 // Phase is one stage of a multi-phase chaos Campaign: its own per-site
-// rates and storm windows, active while the phase is current. Storm windows
-// are relative to the phase's start on the hardware-begin clock. Begins
-// bounds the phase in hardware-begin ticks, after which the injector
-// advances to the next phase on its own; zero means the phase only ends
-// when AdvancePhase is called (wall-clock-driven harness phases).
+// rates, in force while it is current — phase 0 from New, each later one
+// from the AdvancePhase call that reaches it.
 type Phase struct {
-	Name   string
-	Rates  [NumSites]SiteRate
-	Storms []Storm
-	Begins uint64
+	Name  string
+	Rates [NumSites]SiteRate
 }
+
+// slots is the number of hardware thread slots an injector covers: the
+// engine's, one per bit of a line's reader mask.
+const slots = 64
 
 // Config describes one injector. The zero value injects nothing.
 type Config struct {
 	// Seed makes every probabilistic decision reproducible; per-thread
 	// generators are derived from it.
 	Seed int64
-	// Threads is the number of hardware thread slots covered (default 64,
-	// the engine's slot count).
-	Threads int
 	// Rates is the per-site probabilistic fault model.
 	Rates [NumSites]SiteRate
-	// Storms are hardware-begin abort windows.
-	Storms []Storm
 	// QuantumJitter perturbs each transaction's timer quantum by a factor
 	// uniform in [1-QuantumJitter, 1+QuantumJitter].
 	QuantumJitter float64
 	// Scripts holds per-thread forced schedules.
 	Scripts map[int][]ScriptEvent
 	// Campaign, when non-empty, sequences multi-phase chaos (storm →
-	// sustained degradation → clear): the current phase's Rates and Storms
-	// replace the Config-level ones, while Scripts and QuantumJitter stay
-	// in force throughout. Phases advance on their Begins budget or via
-	// AdvancePhase; the last phase holds forever.
+	// sustained degradation → clear): the current phase's Rates replace the
+	// Config-level ones, while Scripts and QuantumJitter stay in force
+	// throughout. Phases advance only via AdvancePhase; the last phase holds
+	// forever.
 	Campaign []Phase
 }
 
 // Validate checks cfg for malformed values — NaN or out-of-range
-// probabilities, empty or never-firing storm windows, script events for
-// thread slots the injector does not cover — and returns an explicit error
+// probabilities, unknown reasons or sites, script events for thread slots
+// the injector does not cover — and returns an explicit error
 // for the first problem found. New panics on an invalid config, so callers
 // building configs from user input (flags, JSON) should Validate first and
 // report the error gracefully.
 func (cfg *Config) Validate() error {
-	if cfg.Threads < 0 {
-		return fmt.Errorf("fault: Threads %d is negative", cfg.Threads)
-	}
 	if math.IsNaN(cfg.QuantumJitter) || math.IsInf(cfg.QuantumJitter, 0) {
 		return fmt.Errorf("fault: QuantumJitter %v is not a finite number", cfg.QuantumJitter)
 	}
@@ -209,18 +188,9 @@ func (cfg *Config) Validate() error {
 			return err
 		}
 	}
-	for i, st := range cfg.Storms {
-		if err := validateStorm(fmt.Sprintf("Storms[%d]", i), st); err != nil {
-			return err
-		}
-	}
-	threads := cfg.Threads
-	if threads == 0 {
-		threads = 64
-	}
 	for th, evs := range cfg.Scripts {
-		if th < 0 || th >= threads {
-			return fmt.Errorf("fault: Scripts[%d] outside thread range [0,%d)", th, threads)
+		if th < 0 || th >= slots {
+			return fmt.Errorf("fault: Scripts[%d] outside thread range [0,%d)", th, slots)
 		}
 		for j, ev := range evs {
 			where := fmt.Sprintf("Scripts[%d][%d]", th, j)
@@ -246,11 +216,6 @@ func (cfg *Config) Validate() error {
 				return err
 			}
 		}
-		for i, st := range ph.Storms {
-			if err := validateStorm(fmt.Sprintf("%s Storms[%d]", tag, i), st); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -264,22 +229,6 @@ func validateRate(where string, r SiteRate) error {
 	}
 	if r.Reason > Other {
 		return fmt.Errorf("fault: %s has unknown reason %d", where, r.Reason)
-	}
-	return nil
-}
-
-func validateStorm(where string, st Storm) error {
-	if st.From == 0 {
-		return fmt.Errorf("fault: %s begins count from 1, got From=0", where)
-	}
-	if st.To <= st.From {
-		return fmt.Errorf("fault: %s window [%d,%d) is empty", where, st.From, st.To)
-	}
-	if st.Period > 0 && st.From > st.Period {
-		return fmt.Errorf("fault: %s From %d past its period %d: the window never fires", where, st.From, st.Period)
-	}
-	if st.Reason > Other {
-		return fmt.Errorf("fault: %s has unknown reason %d", where, st.Reason)
 	}
 	return nil
 }
@@ -310,26 +259,13 @@ type threadState struct {
 	_      [5]uint64
 }
 
-// phaseState is the campaign position, published as one immutable value so
-// concurrent draws never see a phase index paired with another phase's
-// clock base. start is the last begin tick of the previous phase: ticks
-// start+1, start+2, ... are phase-relative ticks 1, 2, ... prev is the
-// phase that ended at start, kept so a tick taken before the transition is
-// still judged by the phase it fell in.
-type phaseState struct {
-	idx   int
-	start uint64
-	prev  *phaseState
-}
-
 // Injector decides, per protocol site and thread, whether to inject a
 // fault. One injector serves one engine (and the software framework above
 // it); all methods except the per-thread Draw state are concurrency safe.
 type Injector struct {
 	cfg     Config
-	threads []threadState
-	clock   atomic.Uint64 // global hardware-begin counter (storm time base)
-	phase   atomic.Pointer[phaseState]
+	threads [slots]threadState
+	phase   atomic.Int32 // current Campaign index; only AdvancePhase moves it
 	stats   Stats
 }
 
@@ -339,10 +275,7 @@ func New(cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 64
-	}
-	in := &Injector{cfg: cfg, threads: make([]threadState, cfg.Threads)}
+	in := &Injector{cfg: cfg}
 	for i := range in.threads {
 		// splitmix-style per-thread seed derivation.
 		z := uint64(cfg.Seed)*0x9E3779B97F4A7C15 + uint64(i+1)*0xBF58476D1CE4E5B9
@@ -353,89 +286,43 @@ func New(cfg Config) *Injector {
 			in.threads[i].script = append([]ScriptEvent(nil), ev...)
 		}
 	}
-	if len(cfg.Campaign) > 0 {
-		in.phase.Store(&phaseState{})
-	}
 	return in
 }
 
 // Stats returns the injector's counters.
 func (in *Injector) Stats() *Stats { return &in.stats }
 
-// Clock returns the number of hardware begins observed so far.
-func (in *Injector) Clock() uint64 { return in.clock.Load() }
-
 // PhaseIndex returns the index of the current campaign phase, or -1 when
 // the injector runs no campaign.
 func (in *Injector) PhaseIndex() int {
-	ps := in.phase.Load()
-	if ps == nil {
+	if len(in.cfg.Campaign) == 0 {
 		return -1
 	}
-	return ps.idx
+	return int(in.phase.Load())
 }
 
 // PhaseName returns the name of the current campaign phase ("" when the
 // injector runs no campaign).
 func (in *Injector) PhaseName() string {
-	ps := in.phase.Load()
-	if ps == nil {
+	if len(in.cfg.Campaign) == 0 {
 		return ""
 	}
-	return in.cfg.Campaign[ps.idx].Name
+	return in.cfg.Campaign[in.phase.Load()].Name
 }
 
-// AdvancePhase manually moves the campaign to its next phase — the
-// mechanism for wall-clock-driven harness phases (Begins == 0). The new
-// phase's storm clock starts at the present begin count. It returns the
-// index of the phase now current; calling past the last phase (or without
-// a campaign) is a no-op.
+// AdvancePhase moves the campaign to its next phase and returns the index
+// of the phase now current; calling past the last phase (or without a
+// campaign) is a no-op.
 func (in *Injector) AdvancePhase() int {
 	for {
-		ps := in.phase.Load()
-		if ps == nil {
-			return -1
+		i := in.phase.Load()
+		if int(i)+1 >= len(in.cfg.Campaign) {
+			return in.PhaseIndex()
 		}
-		if ps.idx+1 >= len(in.cfg.Campaign) {
-			return ps.idx
-		}
-		next := &phaseState{idx: ps.idx + 1, start: in.clock.Load(), prev: ps}
-		if in.phase.CompareAndSwap(ps, next) {
-			return next.idx
+		if in.phase.CompareAndSwap(i, i+1) {
+			return int(i) + 1
 		}
 	}
-}
-
-// phaseAt returns the campaign phase begin tick falls in (nil when the
-// injector runs no campaign). While the published phase has a Begins
-// budget and tick lies past it, it steps to the next phase with a
-// deterministic clock base (start + Begins), so the transition tick is the
-// same no matter which thread draws it. A thread overtaken between taking
-// its tick and looking here finds a phase that started at or after its
-// tick; it walks back to the one it belongs to.
-func (in *Injector) phaseAt(tick uint64) *phaseState {
-	ps := in.phase.Load()
-	if ps == nil {
-		return nil
-	}
-	for {
-		ph := &in.cfg.Campaign[ps.idx]
-		if ph.Begins == 0 || tick <= ps.start || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
-			break
-		}
-		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins, prev: ps}
-		if in.phase.CompareAndSwap(ps, next) {
-			ps = next
-		} else {
-			// Lost the race (auto- or manual advance); re-evaluate from
-			// whatever state won.
-			ps = in.phase.Load()
-		}
-	}
-	for tick <= ps.start { // phase 0 starts at 0 and ticks start at 1
-		ps = ps.prev
-	}
-	return ps
 }
 
 // rand01 advances thread state ts and returns a uniform float64 in [0,1).
@@ -454,7 +341,7 @@ func reasonOr(r Reason) Reason {
 // Draw decides whether a fault fires at site for thread, returning the
 // abort reason and _xabort code when it does. Draw must only be called by
 // the thread owning the slot (the same discipline the HTM engine already
-// imposes); draws at SiteHTMBegin advance the global storm clock.
+// imposes).
 func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 	ts := &in.threads[thread]
 
@@ -473,36 +360,12 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 		return reasonOr(ev.Reason), code, true
 	}
 
-	// Resolve the active fault model: the current campaign phase's rates
-	// and storms when a campaign runs, the config-level ones otherwise.
+	// 2. Per-site probability, from the current campaign phase's table when
+	// a campaign runs and the config-level one otherwise.
 	rates := &in.cfg.Rates
-	storms := in.cfg.Storms
-	var base uint64 // storm clock base (phase start)
-
-	// 2. Abort storms, on the global hardware-begin clock.
-	if site == SiteHTMBegin {
-		tick := in.clock.Add(1)
-		if ps := in.phaseAt(tick); ps != nil {
-			ph := &in.cfg.Campaign[ps.idx]
-			rates, storms, base = &ph.Rates, ph.Storms, ps.start
-		}
-		pt := tick - base
-		for i := range storms {
-			st := &storms[i]
-			eff := pt
-			if st.Period > 0 {
-				eff = (pt-1)%st.Period + 1
-			}
-			if eff >= st.From && eff < st.To {
-				in.stats.Injected[site].Add(1)
-				return reasonOr(st.Reason), InjectedCode, true
-			}
-		}
-	} else if ps := in.phase.Load(); ps != nil {
-		rates = &in.cfg.Campaign[ps.idx].Rates
+	if len(in.cfg.Campaign) > 0 {
+		rates = &in.cfg.Campaign[in.phase.Load()].Rates
 	}
-
-	// 3. Per-site probability.
 	if r := &rates[site]; r.Prob > 0 && ts.rand01() < r.Prob {
 		in.stats.Injected[site].Add(1)
 		return reasonOr(r.Reason), InjectedCode, true

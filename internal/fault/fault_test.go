@@ -1,9 +1,12 @@
 package fault
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
-	in := New(Config{Seed: 1, Threads: 2})
+	in := New(Config{Seed: 1})
 	for i := 0; i < 10_000; i++ {
 		for s := Site(0); s < NumSites; s++ {
 			if _, _, ok := in.Draw(s, i%2); ok {
@@ -21,7 +24,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 
 func TestRateDeterministicPerSeed(t *testing.T) {
 	draw := func(seed int64) []bool {
-		cfg := Config{Seed: seed, Threads: 1}
+		cfg := Config{Seed: seed}
 		cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 0.3, Reason: Other}
 		in := New(cfg)
 		out := make([]bool, 200)
@@ -52,7 +55,7 @@ func TestRateDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRateReasonPropagates(t *testing.T) {
-	cfg := Config{Seed: 1, Threads: 1}
+	cfg := Config{Seed: 1}
 	cfg.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: Capacity}
 	in := New(cfg)
 	r, _, ok := in.Draw(SiteHTMCommit, 0)
@@ -64,58 +67,35 @@ func TestRateReasonPropagates(t *testing.T) {
 	}
 }
 
-func TestStormWindow(t *testing.T) {
-	in := New(Config{
-		Seed: 1, Threads: 1,
-		Storms: []Storm{{From: 3, To: 6, Reason: Other}},
-	})
-	var got []bool
-	for i := 0; i < 8; i++ {
-		_, _, ok := in.Draw(SiteHTMBegin, 0)
-		got = append(got, ok)
-	}
-	want := []bool{false, false, true, true, true, false, false, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("begin %d: injected=%v want %v (all: %v)", i+1, got[i], want[i], got)
-		}
-	}
-	// Non-begin sites must not consume the storm clock.
-	if in.Clock() != 8 {
-		t.Fatalf("clock = %d", in.Clock())
-	}
-	in.Draw(SiteHTMCommit, 0)
-	if in.Clock() != 8 {
-		t.Fatal("commit draw advanced the begin clock")
-	}
-}
-
-func TestStormPeriodic(t *testing.T) {
-	// Every 4th window of 1 begin aborts: begins 1, 5, 9, ...
-	in := New(Config{
-		Seed: 1, Threads: 1,
-		Storms: []Storm{{From: 1, To: 2, Period: 4, Reason: Other}},
-	})
-	for i := 1; i <= 12; i++ {
-		_, _, ok := in.Draw(SiteHTMBegin, 0)
-		if want := i%4 == 1; ok != want {
-			t.Fatalf("begin %d: injected=%v want %v", i, ok, want)
-		}
-	}
-}
-
+// TestTotalStormKillsEveryBegin: a begin rate of 1 is an abort storm. Every
+// one of the engine's slots, drawing concurrently, fails every begin.
 func TestTotalStormKillsEveryBegin(t *testing.T) {
-	in := New(Config{Seed: 1, Threads: 2, Storms: []Storm{{From: 1, To: Forever, Reason: Other}}})
-	for i := 0; i < 100; i++ {
-		if r, _, ok := in.Draw(SiteHTMBegin, i%2); !ok || r != Other {
-			t.Fatalf("begin %d survived the total storm", i)
-		}
+	const perSlot = 100
+	cfg := Config{Seed: 1}
+	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
+	in := New(cfg)
+	var wg sync.WaitGroup
+	for th := 0; th < slots; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			for i := 0; i < perSlot; i++ {
+				if r, _, ok := in.Draw(SiteHTMBegin, th); !ok || r != Other {
+					t.Errorf("slot %d begin %d survived the total storm", th, i)
+					return
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	if got := in.Stats().BySite(SiteHTMBegin); got != slots*perSlot {
+		t.Fatalf("injected %d begins, want %d", got, slots*perSlot)
 	}
 }
 
 func TestScriptOrderAndExhaustion(t *testing.T) {
 	in := New(Config{
-		Seed: 1, Threads: 2,
+		Seed: 1,
 		Scripts: map[int][]ScriptEvent{
 			1: {
 				{Site: SiteHTMCommit, Reason: Explicit, Code: 3, Count: 2},
@@ -154,7 +134,7 @@ func TestScriptOrderAndExhaustion(t *testing.T) {
 }
 
 func TestExplicitScriptDefaultsInjectedCode(t *testing.T) {
-	in := New(Config{Seed: 1, Threads: 1, Scripts: map[int][]ScriptEvent{
+	in := New(Config{Seed: 1, Scripts: map[int][]ScriptEvent{
 		0: {{Site: SiteRingPub, Reason: Explicit, Count: 1}},
 	}})
 	_, code, ok := in.Draw(SiteRingPub, 0)
@@ -165,7 +145,7 @@ func TestExplicitScriptDefaultsInjectedCode(t *testing.T) {
 
 func TestQuantumJitterBoundedAndDeterministic(t *testing.T) {
 	mk := func() *Injector {
-		return New(Config{Seed: 5, Threads: 1, QuantumJitter: 0.5})
+		return New(Config{Seed: 5, QuantumJitter: 0.5})
 	}
 	a, b := mk(), mk()
 	varied := false

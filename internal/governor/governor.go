@@ -9,8 +9,8 @@
 //   - A per-thread HTM circuit breaker: after a run of transactions that
 //     suffered hardware aborts and were only saved by the global-lock path,
 //     the thread stops attempting hardware at all and goes direct to the
-//     slow path; a half-open probe every few transactions retries the
-//     hardware so the fast and partitioned paths come back as soon as
+//     slow path; a half-open probe every ProbeEvery-th transaction retries
+//     the hardware so the fast and partitioned paths come back as soon as
 //     hardware transactions succeed again.
 //   - A progress watchdog (watchdog.go): a sampling monitor over the
 //     per-thread stats shards that detects stalled workers, lemming-wait
@@ -63,25 +63,22 @@ const (
 )
 
 // Config tunes one Governor. The zero value disables the breaker; use
-// DefaultConfig for the breaker-enabled defaults.
+// DefaultConfig for the breaker-enabled default.
 type Config struct {
 	// BreakerThreshold trips a thread's circuit breaker after this many
 	// consecutive transactions that suffered hardware aborts and had to be
 	// saved by the global-lock path. Zero disables the breaker.
 	BreakerThreshold int
-	// BreakerProbeEvery, while the breaker is open, lets every Nth
-	// transaction probe the hardware (half-open). Values below 1 default
-	// to 16.
-	BreakerProbeEvery int
 }
 
-// DefaultConfig returns the governor defaults: breaker at 8 consecutive
-// hardware-failed transactions, a probe every 16th transaction while open.
+// ProbeEvery is the half-open period: while a thread's breaker is open,
+// every ProbeEvery-th transaction probes the hardware.
+const ProbeEvery = 16
+
+// DefaultConfig returns the governor default: the breaker trips at 8
+// consecutive hardware-failed transactions.
 func DefaultConfig() Config {
-	return Config{
-		BreakerThreshold:  8,
-		BreakerProbeEvery: 16,
-	}
+	return Config{BreakerThreshold: 8}
 }
 
 // State is one thread's private governor cell: the circuit-breaker state
@@ -115,14 +112,8 @@ type Governor struct {
 	states perthread.Set[State]
 }
 
-// New builds a governor from cfg, applying the documented default for an
-// unset probe period.
-func New(cfg Config) *Governor {
-	if cfg.BreakerProbeEvery < 1 {
-		cfg.BreakerProbeEvery = 16
-	}
-	return &Governor{cfg: cfg}
-}
+// New builds a governor from cfg.
+func New(cfg Config) *Governor { return &Governor{cfg: cfg} }
 
 // Config returns the governor's configuration.
 func (g *Governor) Config() Config { return g.cfg }
@@ -153,7 +144,7 @@ func (g *Governor) Begin(st *State) Verdict {
 	st.probing = false
 	if st.open {
 		st.sinceTrip++
-		if st.sinceTrip%uint64(g.cfg.BreakerProbeEvery) == 0 {
+		if st.sinceTrip%ProbeEvery == 0 {
 			st.probing = true
 			return Probe
 		}

@@ -13,7 +13,7 @@ func run(g *Governor, st *State, path uint8) Transition {
 }
 
 func TestBreakerTripHalfOpenClose(t *testing.T) {
-	g := New(Config{BreakerThreshold: 3, BreakerProbeEvery: 4})
+	g := New(Config{BreakerThreshold: 3})
 	st := g.State(0)
 
 	// Hardware-failed, lock-saved transactions lengthen the streak; the
@@ -34,9 +34,9 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 		t.Fatal("breaker not open after trip")
 	}
 
-	// While open: serialize, except every 4th transaction probes.
+	// While open: serialize, except every ProbeEvery-th transaction probes.
 	var probes, serialized int
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*ProbeEvery; i++ {
 		switch v := g.Begin(st); v {
 		case Probe:
 			probes++
@@ -55,8 +55,8 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 			t.Fatalf("verdict %v while breaker open", v)
 		}
 	}
-	if probes != 2 || serialized != 6 {
-		t.Fatalf("probes=%d serialized=%d, want 2/6", probes, serialized)
+	if probes != 2 || serialized != 2*ProbeEvery-2 {
+		t.Fatalf("probes=%d serialized=%d, want 2/%d", probes, serialized, 2*ProbeEvery-2)
 	}
 
 	// Next probe commits in hardware: the breaker closes.

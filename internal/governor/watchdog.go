@@ -15,11 +15,11 @@ const (
 	// AlarmStall: a worker (or the whole system) kept aborting without a
 	// single commit for the stall deadline.
 	AlarmStall AlarmKind = iota
-	// AlarmLemming: lemming-wait escalations piled up faster than the
-	// configured per-sample bound — the optimistic gate is a convoy.
+	// AlarmLemming: more than lemmingPerSample lemming-wait escalations
+	// landed within one sample — the optimistic gate is a convoy.
 	AlarmLemming
-	// AlarmOscillation: degraded mode flapped on and off more often than
-	// the configured bound within the sampling window.
+	// AlarmOscillation: degraded mode entered and exited more than
+	// oscillationEdges times within the last oscillationWindow samples.
 	AlarmOscillation
 )
 
@@ -46,8 +46,9 @@ type Alarm struct {
 	Value  uint64
 }
 
-// WatchdogConfig tunes the progress watchdog. The zero value is not
-// useful; start from DefaultWatchdogConfig.
+// WatchdogConfig sets the progress watchdog's clock: the two values the
+// soak's -wd-interval and -wd-stall flags change. Start from
+// DefaultWatchdogConfig.
 type WatchdogConfig struct {
 	// Interval is the sampling period.
 	Interval time.Duration
@@ -55,34 +56,28 @@ type WatchdogConfig struct {
 	// (while aborts keep arriving, or transactions are in flight) raise a
 	// stall alarm. The stall deadline is Interval * StallSamples.
 	StallSamples int
-	// LemmingPerSample raises a lemming-pileup alarm when more than this
-	// many lemming escalations land within one sample. Zero disables.
-	LemmingPerSample uint64
-	// OscillationWindow and OscillationEdges raise an oscillation alarm
-	// when degraded mode enters+exits more than OscillationEdges times
-	// within the last OscillationWindow samples. Zero window disables.
-	OscillationWindow int
-	OscillationEdges  uint64
-	// RecoverStall, with a Degrader attached, answers a stall alarm by
-	// bumping RecoverPressure units of degradation pressure — serializing
-	// the system so the stalled work completes on the guaranteed path.
-	RecoverStall    bool
-	RecoverPressure int64
 }
 
-// DefaultWatchdogConfig samples every 10ms, alarms after 5 samples without
-// commit progress (a 50ms stall deadline), flags more than 1024 lemming
-// escalations per sample, and flags 16 degraded edges within a second.
+// DefaultWatchdogConfig samples every 10ms and alarms after 5 samples
+// without commit progress: a 50ms stall deadline.
 func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{
-		Interval:          10 * time.Millisecond,
-		StallSamples:      5,
-		LemmingPerSample:  1024,
-		OscillationWindow: 100,
-		OscillationEdges:  16,
-		RecoverPressure:   64,
-	}
+	return WatchdogConfig{Interval: 10 * time.Millisecond, StallSamples: 5}
 }
+
+// The watchdog's fixed settings: no entry point changes them.
+const (
+	// lemmingPerSample: more lemming escalations than this within one
+	// sample raise a lemming-pileup alarm.
+	lemmingPerSample = 1024
+	// oscillationEdges: more degraded-mode entries plus exits than this
+	// within the last oscillationWindow samples raise an oscillation alarm.
+	oscillationWindow = 100
+	oscillationEdges  = 16
+	// recoverPressure is the degradation pressure a stall alarm bumps on an
+	// attached Degrader: it serializes the system so the stalled work
+	// completes on the guaranteed path.
+	recoverPressure = 64
+)
 
 // Deadline returns the stall deadline the configuration implies.
 func (c WatchdogConfig) Deadline() time.Duration {
@@ -120,7 +115,7 @@ type Watchdog struct {
 	totalStall  int
 	lastLemming uint64
 	lastEdges   uint64
-	edgeWindow  []uint64
+	edgeWindow  [oscillationWindow]uint64
 	edgeHead    int
 }
 
@@ -134,10 +129,7 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 	if cfg.StallSamples <= 0 {
 		cfg.StallSamples = DefaultWatchdogConfig().StallSamples
 	}
-	if cfg.RecoverPressure <= 0 {
-		cfg.RecoverPressure = DefaultWatchdogConfig().RecoverPressure
-	}
-	w := &Watchdog{
+	return &Watchdog{
 		cfg:         cfg,
 		stats:       stats,
 		threads:     threads,
@@ -146,10 +138,6 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 		lastAborts:  make([]uint64, threads),
 		stallFor:    make([]int, threads),
 	}
-	if cfg.OscillationWindow > 0 {
-		w.edgeWindow = make([]uint64, cfg.OscillationWindow)
-	}
-	return w
 }
 
 // AttachGovernor lets the watchdog use the governor's per-thread
@@ -157,7 +145,8 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 // stuck".
 func (w *Watchdog) AttachGovernor(g *Governor) { w.gov = g }
 
-// SetDegrader attaches the forced-recovery target (the system's runner).
+// SetDegrader attaches the forced-recovery target (the system's runner):
+// every stall alarm then bumps its degradation pressure.
 func (w *Watchdog) SetDegrader(d Degrader) { w.degrader = d }
 
 // SetTrace attaches a sink; alarms are recorded as marks in the watchdog's
@@ -243,32 +232,26 @@ func (w *Watchdog) sample() {
 
 	snap := w.stats.Snapshot()
 
-	// Lemming pileup: escalation rate through the bounded gate wait.
-	if w.cfg.LemmingPerSample > 0 {
-		// A Stats.Reset between campaign phases drops counters below the
-		// last sample; clamp the delta instead of underflowing.
-		if d := counterDelta(snap.EscalationsLemming, w.lastLemming); d > w.cfg.LemmingPerSample {
-			w.alarm(AlarmLemming, -1, d)
-		}
-		w.lastLemming = snap.EscalationsLemming
+	// Lemming pileup: escalation rate through the bounded gate wait. A
+	// Stats.Reset between campaign phases drops counters below the last
+	// sample; clamp the delta instead of underflowing.
+	if d := counterDelta(snap.EscalationsLemming, w.lastLemming); d > lemmingPerSample {
+		w.alarm(AlarmLemming, -1, d)
 	}
+	w.lastLemming = snap.EscalationsLemming
 
 	// Degraded-mode oscillation: mode edges within the sampling window.
-	if w.cfg.OscillationWindow > 0 {
-		edges := snap.DegradedEnter + snap.DegradedExit
-		w.edgeWindow[w.edgeHead] = counterDelta(edges, w.lastEdges)
-		w.edgeHead = (w.edgeHead + 1) % len(w.edgeWindow)
-		w.lastEdges = edges
-		var inWindow uint64
-		for _, e := range w.edgeWindow {
-			inWindow += e
-		}
-		if inWindow > w.cfg.OscillationEdges {
-			w.alarm(AlarmOscillation, -1, inWindow)
-			for i := range w.edgeWindow { // reset so one flap storm = one alarm
-				w.edgeWindow[i] = 0
-			}
-		}
+	edges := snap.DegradedEnter + snap.DegradedExit
+	w.edgeWindow[w.edgeHead] = counterDelta(edges, w.lastEdges)
+	w.edgeHead = (w.edgeHead + 1) % oscillationWindow
+	w.lastEdges = edges
+	var inWindow uint64
+	for _, e := range w.edgeWindow {
+		inWindow += e
+	}
+	if inWindow > oscillationEdges {
+		w.alarm(AlarmOscillation, -1, inWindow)
+		w.edgeWindow = [oscillationWindow]uint64{} // one flap storm = one alarm
 	}
 }
 
@@ -283,7 +266,7 @@ func counterDelta(cur, last uint64) uint64 {
 
 // alarm records one finding everywhere it is observable: the watchdog's
 // stats shard slot, the trace stream, the callback, and (for stalls, when
-// configured) the forced-recovery path.
+// a Degrader is attached) the forced-recovery path.
 func (w *Watchdog) alarm(kind AlarmKind, thread int, value uint64) {
 	w.alarms.Add(1)
 	w.sh.WatchdogAlarms.Inc()
@@ -294,7 +277,7 @@ func (w *Watchdog) alarm(kind AlarmKind, thread int, value uint64) {
 	if w.onAlarm != nil {
 		w.onAlarm(Alarm{Kind: kind, Thread: thread, Value: value})
 	}
-	if kind == AlarmStall && w.cfg.RecoverStall && w.degrader != nil {
-		w.degrader.BumpPressure(w.cfg.RecoverPressure)
+	if kind == AlarmStall && w.degrader != nil {
+		w.degrader.BumpPressure(recoverPressure)
 	}
 }

@@ -35,14 +35,8 @@ func (c *collector) byKind(k AlarmKind) int {
 }
 
 // newTestWatchdog builds a watchdog sampling fast enough for test use.
-func newTestWatchdog(stats *tm.Stats, threads int, mut func(*WatchdogConfig)) (*Watchdog, *collector) {
-	cfg := DefaultWatchdogConfig()
-	cfg.Interval = time.Millisecond
-	cfg.StallSamples = 3
-	if mut != nil {
-		mut(&cfg)
-	}
-	w := NewWatchdog(cfg, stats, threads)
+func newTestWatchdog(stats *tm.Stats, threads int) (*Watchdog, *collector) {
+	w := NewWatchdog(WatchdogConfig{Interval: time.Millisecond, StallSamples: 3}, stats, threads)
 	c := &collector{}
 	w.OnAlarm(c.add)
 	return w, c
@@ -63,7 +57,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 
 func TestWatchdogStallDetection(t *testing.T) {
 	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 2, nil)
+	w, c := newTestWatchdog(stats, 2)
 	w.Start()
 	defer w.Stop()
 
@@ -108,7 +102,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 
 func TestWatchdogNoAlarmWhenIdleOrProgressing(t *testing.T) {
 	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 2, nil)
+	w, c := newTestWatchdog(stats, 2)
 	w.Start()
 	// Idle system: nothing moves, no alarm.
 	time.Sleep(20 * time.Millisecond)
@@ -134,7 +128,7 @@ func TestWatchdogNoAlarmWhenIdleOrProgressing(t *testing.T) {
 func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	stats := &tm.Stats{}
 	g := New(DefaultConfig())
-	w, c := newTestWatchdog(stats, 2, nil)
+	w, c := newTestWatchdog(stats, 2)
 	w.AttachGovernor(g)
 
 	for i := 0; i < 2*w.cfg.StallSamples; i++ {
@@ -167,65 +161,52 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	}
 }
 
+// The lemming and oscillation alarms are thresholds on counter deltas
+// between samples, so they are driven by hand: each bound is met exactly
+// without an alarm, and crossed by one.
 func TestWatchdogLemmingPileup(t *testing.T) {
 	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 1, func(cfg *WatchdogConfig) {
-		cfg.LemmingPerSample = 10
-	})
-	w.Start()
-	defer w.Stop()
+	w, c := newTestWatchdog(stats, 1)
 	sh := stats.Shard(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sh.EscalationsLemming.Add(100)
-			sh.CommitsGL.Inc() // progressing, so no stall alarm interferes
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	waitFor(t, func() bool { return c.byKind(AlarmLemming) > 0 }, "lemming alarm")
-	close(stop)
-	wg.Wait()
+	w.sample() // baseline
+	sh.EscalationsLemming.Add(lemmingPerSample)
+	w.sample()
+	if n := c.byKind(AlarmLemming); n != 0 {
+		t.Fatalf("%d lemming alarms at exactly %d escalations in a sample, want 0", n, lemmingPerSample)
+	}
+	sh.EscalationsLemming.Add(lemmingPerSample + 1)
+	w.sample()
+	if n := c.byKind(AlarmLemming); n != 1 {
+		t.Fatalf("%d lemming alarms after %d escalations in a sample, want 1", n, lemmingPerSample+1)
+	}
 }
 
 func TestWatchdogDegradedOscillation(t *testing.T) {
 	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 1, func(cfg *WatchdogConfig) {
-		cfg.OscillationWindow = 10
-		cfg.OscillationEdges = 4
-	})
-	w.Start()
-	defer w.Stop()
+	w, c := newTestWatchdog(stats, 1)
 	sh := stats.Shard(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	// oscillationEdges enters and exits spread over the window: at the bound.
+	for i := 0; i < oscillationEdges; i++ {
+		if i%2 == 0 {
 			sh.DegradedEnter.Inc()
+		} else {
 			sh.DegradedExit.Inc()
-			sh.CommitsGL.Inc()
-			sh.AbortsConflict.Inc()
-			time.Sleep(time.Millisecond)
 		}
-	}()
-	waitFor(t, func() bool { return c.byKind(AlarmOscillation) > 0 }, "oscillation alarm")
-	close(stop)
-	wg.Wait()
+		w.sample()
+	}
+	if n := c.byKind(AlarmOscillation); n != 0 {
+		t.Fatalf("%d oscillation alarms at exactly %d edges in the window, want 0", n, oscillationEdges)
+	}
+	sh.DegradedEnter.Inc()
+	w.sample()
+	if n := c.byKind(AlarmOscillation); n != 1 {
+		t.Fatalf("%d oscillation alarms past %d edges in the window, want 1", n, oscillationEdges)
+	}
+	// The window restarts after an alarm: one flap storm, one alarm.
+	w.sample()
+	if n := c.byKind(AlarmOscillation); n != 1 {
+		t.Fatalf("%d oscillation alarms one sample later, want still 1", n)
+	}
 }
 
 // fakeDegrader records forced-recovery requests.
@@ -247,13 +228,12 @@ func (d *fakeDegrader) load() int64 {
 	return d.n.v
 }
 
+// TestWatchdogForcedRecovery: with a Degrader attached, a stall alarm bumps
+// its degradation pressure.
 func TestWatchdogForcedRecovery(t *testing.T) {
 	stats := &tm.Stats{}
 	d := &fakeDegrader{}
-	w, _ := newTestWatchdog(stats, 1, func(cfg *WatchdogConfig) {
-		cfg.RecoverStall = true
-		cfg.RecoverPressure = 7
-	})
+	w, _ := newTestWatchdog(stats, 1)
 	w.SetDegrader(d)
 	w.Start()
 	defer w.Stop()
@@ -273,7 +253,7 @@ func TestWatchdogForcedRecovery(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	waitFor(t, func() bool { return d.load() >= 7 }, "forced recovery bump")
+	waitFor(t, func() bool { return d.load() >= recoverPressure }, "forced recovery bump")
 	close(stop)
 	wg.Wait()
 }
@@ -285,7 +265,7 @@ func TestWatchdogTraceAndShardSlots(t *testing.T) {
 	stats := &tm.Stats{}
 	const threads = 2
 	sink := trace.NewSink(64)
-	w, _ := newTestWatchdog(stats, threads, nil)
+	w, _ := newTestWatchdog(stats, threads)
 	w.SetTrace(sink)
 	w.Start()
 	sh := stats.Shard(1)

@@ -21,12 +21,12 @@ func TestAbortStorm(t *testing.T) {
 			ccfg := core.DefaultConfig()
 			ccfg.RetryBudget = 4
 			ccfg.MaxBackoff = 0
+			storm := &fault.Config{Seed: 1}
+			storm.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
-				Core: &ccfg,
-				Fault: &fault.Config{Seed: 1, Storms: []fault.Storm{
-					{From: 1, To: fault.Forever, Reason: fault.Other},
-				}},
+				Core:  &ccfg,
+				Fault: storm,
 			})
 			a := sys.Memory().Alloc(1)
 			var wg sync.WaitGroup

@@ -127,11 +127,7 @@ func (o BuildOptions) engineConfig() htm.Config {
 func (o BuildOptions) buildEngine(words int) *htm.Engine {
 	eng := htm.New(mem.New(words), o.engineConfig())
 	if o.Fault != nil {
-		fcfg := *o.Fault
-		if fcfg.Threads < o.Threads {
-			fcfg.Threads = o.Threads
-		}
-		eng.SetInjector(fault.New(fcfg))
+		eng.SetInjector(fault.New(*o.Fault))
 	}
 	return eng
 }

@@ -22,20 +22,20 @@ import (
 	"repro/internal/trace"
 )
 
-// SoakFaultConfig builds the fault campaign for a preset. Phases carry no
-// Begins budget: the harness advances them manually at wall-clock
-// boundaries. The phase-name list is returned alongside so callers can
-// sequence without re-deriving it from the config.
+// SoakFaultConfig builds the fault campaign for a preset: one rate table
+// per phase, which the harness advances at wall-clock boundaries. The
+// phase-name list is returned alongside so callers can sequence without
+// re-deriving it from the config.
 func SoakFaultConfig(preset string, seed int64) (*fault.Config, []string, error) {
 	cfg := &fault.Config{Seed: seed}
-	stormPhase := fault.Phase{Name: "storm", Storms: []fault.Storm{
-		{From: 1, To: fault.Forever, Reason: fault.Other},
-	}}
+	// The storm: every hardware begin fails.
+	stormPhase := fault.Phase{Name: "storm"}
+	stormPhase.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
 	switch preset {
 	case "", "storm":
 		cfg.Campaign = []fault.Phase{{Name: "pre"}, stormPhase, {Name: "clear"}}
 	case "ramp":
-		// Storm, then sustained degradation (the chaos sweep's 0.3 regime),
+		// The storm, then sustained degradation (the chaos sweep's 0.3 regime),
 		// then clear — the full storm → degrade → clear arc.
 		degrade := fault.Phase{Name: "degrade"}
 		degrade.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 0.3, Reason: fault.Other}
@@ -196,7 +196,6 @@ func soakProgress(o *Options, sys tm.System, name, phase string) func() {
 // degradation pressure, and the trace sink shared with the workers (the
 // watchdog writes its own slot).
 func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, k *exec.Runner, threads int, sink *trace.Sink) *governor.Watchdog {
-	cfg.RecoverStall = true
 	wd := governor.NewWatchdog(cfg, sys.Stats(), threads)
 	wd.AttachGovernor(k.Governor())
 	wd.SetDegrader(k)

@@ -94,7 +94,7 @@ func TestSoakStormLiveness(t *testing.T) {
 			runPhase()
 			pre := sys.Stats().Snapshot()
 
-			// Storm: every hardware begin fails for the whole phase.
+			// The storm: every hardware begin fails for the whole phase.
 			nextPhase()
 			wd, alarms := watch()
 			runPhase()

@@ -23,7 +23,7 @@ func TestBuildAttachesInstruments(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sink := trace.NewSink(64)
 			p := prof.New(prof.Config{})
-			gcfg := governor.Config{BreakerThreshold: 3, BreakerProbeEvery: 7} // not the defaults
+			gcfg := governor.Config{BreakerThreshold: 3} // not the default
 			reg := obs.NewRegistry()
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: 2,

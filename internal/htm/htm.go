@@ -251,9 +251,8 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 
 // SetInjector installs a fault injector consulted at every hardware begin
 // and commit (and, via Txn.InjectionPoint, at protocol-level sites). Call
-// it before any transaction runs; the injector must cover at least as many
-// threads as the slots in use (fault.New defaults to 64, the engine's slot
-// count). A nil injector (the default) costs one nil check per site.
+// it before any transaction runs; an injector covers the engine's 64 slots.
+// A nil injector (the default) costs one nil check per site.
 func (e *Engine) SetInjector(in *fault.Injector) { e.inj = in }
 
 // Injector returns the installed fault injector, or nil.

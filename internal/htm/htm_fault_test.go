@@ -35,7 +35,7 @@ func TestNoInjectorIsInert(t *testing.T) {
 }
 
 func TestBeginInjectionAbortsFirstOperation(t *testing.T) {
-	cfg := fault.Config{Seed: 1, Threads: 1}
+	cfg := fault.Config{Seed: 1}
 	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
 	e := newFaultEngine(t, &cfg)
 	reached := false
@@ -65,7 +65,7 @@ func TestBeginInjectionAbortsFirstOperation(t *testing.T) {
 }
 
 func TestBeginInjectionDeliveredAtCommitOfEmptyTxn(t *testing.T) {
-	cfg := fault.Config{Seed: 1, Threads: 1}
+	cfg := fault.Config{Seed: 1}
 	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Capacity}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(0, func(tx *Txn) {})
@@ -75,7 +75,7 @@ func TestBeginInjectionDeliveredAtCommitOfEmptyTxn(t *testing.T) {
 }
 
 func TestCommitInjection(t *testing.T) {
-	cfg := fault.Config{Seed: 1, Threads: 1}
+	cfg := fault.Config{Seed: 1}
 	cfg.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: 1, Reason: fault.Conflict}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(0, func(tx *Txn) { tx.Write(8, 7) })
@@ -89,7 +89,7 @@ func TestCommitInjection(t *testing.T) {
 }
 
 func TestScriptedInjectionPointCarriesCode(t *testing.T) {
-	cfg := fault.Config{Seed: 1, Threads: 1, Scripts: map[int][]fault.ScriptEvent{
+	cfg := fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
 		0: {{Site: fault.SiteLockSigRead, Reason: fault.Explicit, Code: 3, Count: 1}},
 	}}
 	e := newFaultEngine(t, &cfg)
@@ -115,7 +115,7 @@ func TestQuantumJitterVariesAbortPoint(t *testing.T) {
 	ecfg.Quantum = 1000
 	m := mem.New(1 << 12)
 	e := New(m, ecfg)
-	e.SetInjector(fault.New(fault.Config{Seed: 3, Threads: 1, QuantumJitter: 0.5}))
+	e.SetInjector(fault.New(fault.Config{Seed: 3, QuantumJitter: 0.5}))
 	committed, aborted := 0, 0
 	for i := 0; i < 200; i++ {
 		res := e.Execute(0, func(tx *Txn) { tx.Work(1100) })

@@ -15,40 +15,25 @@ import (
 	"repro/internal/trace"
 )
 
-// FlightConfig sizes the flight recorder. The zero value selects the
-// defaults.
+// FlightConfig places the flight recorder and sets its cadence.
 type FlightConfig struct {
 	// Dir is where dump artifacts are written (required).
 	Dir string
 	// SampleEvery is the metric-sampling period (10ms when <= 0).
 	SampleEvery time.Duration
-	// RingCap is the metric-sample ring capacity (512 when <= 0) — at the
-	// default cadence about five seconds of history.
-	RingCap int
-	// Cooldown suppresses further dumps for this long after one fires
-	// (2s when <= 0), so an alarm storm leaves one artifact per episode,
-	// not hundreds.
-	Cooldown time.Duration
-	// BreakerBurst is the repeatedly-tripping threshold: this many breaker
-	// trips within one sampling period arms a dump (8 when <= 0).
-	BreakerBurst uint64
 }
 
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 10 * time.Millisecond
-	}
-	if c.RingCap <= 0 {
-		c.RingCap = 512
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.BreakerBurst == 0 {
-		c.BreakerBurst = 8
-	}
-	return c
-}
+const (
+	// ringCap is the metric-sample ring capacity: at the default cadence
+	// about five seconds of history.
+	ringCap = 512
+	// dumpCooldown suppresses further dumps for this long after one fires,
+	// so an alarm storm leaves one artifact per episode, not hundreds.
+	dumpCooldown = 2 * time.Second
+	// breakerBurst is the repeatedly-tripping threshold: this many breaker
+	// trips within one sampling period arm a dump.
+	breakerBurst = 8
+)
 
 // FlightRecorder is the black box: a background sampler fills a bounded
 // ring of registry snapshots, and when something goes wrong — a watchdog
@@ -85,7 +70,10 @@ type FlightRecorder struct {
 
 // NewFlightRecorder creates a recorder over reg, dumping into cfg.Dir.
 func NewFlightRecorder(reg *Registry, cfg FlightConfig) *FlightRecorder {
-	return &FlightRecorder{cfg: cfg.withDefaults(), reg: reg}
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = 10 * time.Millisecond
+	}
+	return &FlightRecorder{cfg: cfg, reg: reg}
 }
 
 // SetSink attaches the trace sink whose event rings are dumped into the
@@ -135,13 +123,13 @@ func (f *FlightRecorder) run(stop, done chan struct{}) {
 }
 
 // sampleOnce takes one coherent sample into the ring and checks the
-// counter-delta triggers: any watchdog alarm, or a breaker-trip burst
-// beyond BreakerBurst within one period.
+// counter-delta triggers: any watchdog alarm, or at least breakerBurst
+// breaker trips within one period.
 func (f *FlightRecorder) sampleOnce() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.ring == nil {
-		f.ring = make([]Snapshot, f.cfg.RingCap)
+		f.ring = make([]Snapshot, ringCap)
 	}
 	slot := &f.ring[f.pos]
 	f.reg.Sample(slot)
@@ -166,7 +154,7 @@ func (f *FlightRecorder) sampleOnce() {
 			if d.WatchdogAlarms > 0 {
 				f.armLocked("watchdog-" + cur.Name)
 			}
-			if d.BreakerTrips >= f.cfg.BreakerBurst {
+			if d.BreakerTrips >= breakerBurst {
 				f.armLocked("breaker-storm-" + cur.Name)
 			}
 		}
@@ -234,7 +222,7 @@ func (f *FlightRecorder) Flush(label string) (string, error) {
 		f.mu.Unlock()
 		return "", nil
 	}
-	if !f.lastDmp.IsZero() && time.Since(f.lastDmp) < f.cfg.Cooldown {
+	if !f.lastDmp.IsZero() && time.Since(f.lastDmp) < dumpCooldown {
 		f.mu.Unlock()
 		return "", nil
 	}

@@ -4,9 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/governor"
 	"repro/internal/tm"
@@ -16,20 +16,19 @@ import (
 // flightFixture builds a recorder over one full source and a trace sink
 // with a temp dump dir, the background sampler NOT started — tests drive
 // sampleOnce by hand for determinism.
-func flightFixture(t *testing.T, cfg FlightConfig) (*FlightRecorder, Source, string) {
+func flightFixture(t *testing.T) (*FlightRecorder, Source, string) {
 	t.Helper()
 	dir := t.TempDir()
-	cfg.Dir = dir
 	reg := NewRegistry()
 	src := fullSource(t)
 	reg.Register("sys", src)
-	f := NewFlightRecorder(reg, cfg)
+	f := NewFlightRecorder(reg, FlightConfig{Dir: dir})
 	f.SetSink(trace.NewSink(64))
 	return f, src, dir
 }
 
 func TestFlightAlarmArmsAndFlushDumps(t *testing.T) {
-	f, _, dir := flightFixture(t, FlightConfig{})
+	f, _, dir := flightFixture(t)
 	f.sampleOnce()
 	f.sampleOnce()
 	if f.Armed() != "" {
@@ -107,7 +106,7 @@ func TestFlightCSVHeaderCoversSnapshot(t *testing.T) {
 }
 
 func TestFlightCooldown(t *testing.T) {
-	f, _, _ := flightFixture(t, FlightConfig{Cooldown: time.Hour})
+	f, _, _ := flightFixture(t)
 	f.sampleOnce()
 	f.NoteAlarm(governor.Alarm{Kind: governor.AlarmStall})
 	if name, err := f.Flush("a"); err != nil || name == "" {
@@ -130,14 +129,14 @@ func TestFlightCooldown(t *testing.T) {
 // of breaker trips between two samples arms the recorder without any
 // watchdog involvement.
 func TestFlightBreakerBurstTrigger(t *testing.T) {
-	f, src, _ := flightFixture(t, FlightConfig{BreakerBurst: 4})
+	f, src, _ := flightFixture(t)
 	f.sampleOnce() // baseline
-	src.Stats.Shard(0).BreakerTrips.Add(3)
+	src.Stats.Shard(0).BreakerTrips.Add(breakerBurst - 1)
 	f.sampleOnce()
 	if f.Armed() != "" {
 		t.Fatalf("armed below burst threshold: %q", f.Armed())
 	}
-	src.Stats.Shard(0).BreakerTrips.Add(4)
+	src.Stats.Shard(0).BreakerTrips.Add(breakerBurst)
 	f.sampleOnce()
 	if got := f.Armed(); got != "breaker-storm-sys" {
 		t.Fatalf("Armed = %q, want breaker-storm-sys", got)
@@ -146,7 +145,7 @@ func TestFlightBreakerBurstTrigger(t *testing.T) {
 
 // TestFlightPhaseDegraded covers the third trigger and reason sanitizing.
 func TestFlightPhaseDegraded(t *testing.T) {
-	f, _, _ := flightFixture(t, FlightConfig{})
+	f, _, _ := flightFixture(t)
 	f.sampleOnce()
 	f.ArmPhaseDegraded("Part-HTM", "storm/1")
 	if got := f.Armed(); got != "degraded-Part-HTM-storm_1" {
@@ -158,11 +157,12 @@ func TestFlightPhaseDegraded(t *testing.T) {
 	}
 }
 
-// TestFlightRingWraps checks the ring keeps only the newest RingCap
+// TestFlightRingWraps checks the ring keeps only the newest ringCap
 // samples, oldest first in the CSV.
 func TestFlightRingWraps(t *testing.T) {
-	f, _, dir := flightFixture(t, FlightConfig{RingCap: 4})
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	f, _, dir := flightFixture(t)
+	for i := 0; i < ringCap+extra; i++ {
 		f.sampleOnce()
 	}
 	name, err := f.DumpNow("wrap")
@@ -174,13 +174,13 @@ func TestFlightRingWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(csv), "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("CSV rows = %d, want RingCap=4", len(lines)-1)
+	if len(lines) != 1+ringCap {
+		t.Fatalf("CSV rows = %d, want ringCap=%d", len(lines)-1, ringCap)
 	}
-	// seq column (index 1) must be the last four samples in order.
-	for i, want := range []string{"7", "8", "9", "10"} {
-		if cols := strings.Split(lines[1+i], ","); cols[1] != want {
-			t.Fatalf("row %d seq = %s, want %s", i, cols[1], want)
+	// seq column (index 1) must be the last ringCap samples in order.
+	for i, line := range lines[1:] {
+		if got, want := strings.Split(line, ",")[1], strconv.Itoa(extra+1+i); got != want {
+			t.Fatalf("row %d seq = %s, want %s", i, got, want)
 		}
 	}
 }

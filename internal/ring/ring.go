@@ -248,22 +248,14 @@ func (r *Ring) PublishHTM(t *htm.Txn, ts uint64, s *sig.Signature) {
 // SetDone marks ts's write-back as complete (RingSTM only).
 func (r *Ring) SetDone(ts uint64) { r.m.Store(r.DoneAddr(ts), ts) }
 
-// AwaitPrevDone blocks until the previous occupant of ts's slot has
-// completed its write-back (RingSTM committers call this after claiming
-// ts, so done-words advance one generation at a time and WaitDone's
-// comparisons stay meaningful across ring laps).
-func (r *Ring) AwaitPrevDone(ts uint64) {
-	a := r.DoneAddr(ts)
-	want := r.prevGen(ts)
-	for r.m.Load(a) != want {
-		runtime.Gosched()
-	}
-}
-
 // WaitDone blocks until the write-back of ts's entry has completed.
 // Timestamp zero is the pristine ring and is always done. A done-word from
-// a later generation means ts's write-back finished long ago (committers
-// gate on AwaitPrevDone), so any value >= ts satisfies the wait.
+// a later generation means ts's write-back finished long ago, so any value
+// >= ts satisfies the wait. That holds because RingSTM's write-backs
+// complete in timestamp order: its commit loop claims now+1 only at
+// snapshot now, after WaitDone(now) has returned (in Begin or advance), so
+// every timestamp below a claimed one is done, and a slot's done-word only
+// grows.
 func (r *Ring) WaitDone(ts uint64) {
 	a := r.DoneAddr(ts)
 	for r.m.Load(a) < ts {

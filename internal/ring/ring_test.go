@@ -200,35 +200,11 @@ func TestAwaitPrevPublishedGate(t *testing.T) {
 	}
 }
 
-func TestAwaitPrevDoneBlocksUntilPreviousWriteback(t *testing.T) {
-	r, _ := newRing(4)
-	var s sig.Signature
-	r.PublishSW(1, &s)
-	// ts=5 reuses ts=1's slot; its done-gate must block until SetDone(1).
-	released := make(chan struct{})
-	go func() {
-		r.AwaitPrevDone(5)
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("gate passed before the previous write-back completed")
-	case <-time.After(30 * time.Millisecond):
-	}
-	r.SetDone(1)
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("gate never released")
-	}
-}
-
 func TestWaitDoneAcceptsLaterGenerations(t *testing.T) {
 	r, _ := newRing(4)
 	var s sig.Signature
 	r.PublishSW(1, &s)
 	r.SetDone(1)
-	r.AwaitPrevDone(5)
 	r.PublishSW(5, &s)
 	r.SetDone(5)
 	// A reader holding the stale snapshot ts=1 must not hang: the slot's

@@ -3,8 +3,10 @@ package ringstm
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
+	"repro/internal/sig"
 	"repro/internal/tm"
 )
 
@@ -92,4 +94,52 @@ func TestSnapshotConsistencyAcrossLines(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCommitWaitsForPreviousWriteback pins the ordering ring.WaitDone's
+// later-generation rule rests on: a committer claims ts+1 only after ts's
+// write-back is done. Timestamp 1 is claimed and published by hand, its
+// write-back left open; a writer that began at snapshot 0 must not commit
+// until SetDone(1) runs.
+func TestCommitWaitsForPreviousWriteback(t *testing.T) {
+	s := newSys(2, 64)
+	a := s.Memory().Alloc(1)
+	began, claimed := make(chan struct{}), make(chan struct{})
+	committed := make(chan struct{})
+	var first sync.Once
+	go func() {
+		defer close(committed)
+		s.Atomic(1, func(x tm.Tx) {
+			first.Do(func() {
+				close(began)
+				<-claimed
+			})
+			x.Write(a, 7)
+		})
+	}()
+	<-began // the writer's snapshot is timestamp 0
+	if !s.Memory().CAS(s.r.TimestampAddr(), 0, 1) {
+		t.Fatal("could not claim timestamp 1")
+	}
+	var empty sig.Signature
+	s.r.PublishSW(1, &empty)
+	close(claimed)
+
+	select {
+	case <-committed:
+		t.Fatal("writer committed while timestamp 1's write-back was open")
+	case <-time.After(30 * time.Millisecond):
+	}
+	if ts := s.r.Timestamp(); ts != 1 {
+		t.Fatalf("writer claimed past an open write-back: timestamp %d", ts)
+	}
+	s.r.SetDone(1)
+	select {
+	case <-committed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("writer never committed after SetDone(1)")
+	}
+	if got, ts := s.Memory().Load(a), s.r.Timestamp(); got != 7 || ts != 2 {
+		t.Fatalf("after SetDone(1): value %d at timestamp %d, want 7 at 2", got, ts)
+	}
 }
