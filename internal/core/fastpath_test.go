@@ -15,17 +15,29 @@ import (
 // fast path's summary check: a fast transaction that has read activeTx == 0
 // and skipped the write-locks signatures is doomed by the very next
 // partitioned begin, before that transaction can publish a lock bit.
-//
-// No sleeps: simulated memory's stripe locks freeze both transactions where
-// the test needs them. A probe hardware transaction holds the timestamp line
-// in its write set, so the fast transaction's timestamp read — its first
-// step after the check — dooms the probe, which the test can observe; the
-// fast transaction then stops at the ring entry's header line, whose stripe
-// the test holds. The partitioned attempt increments activeTx and stops at
-// its next step, the timestamp snapshot, on a stripe the test also holds: at
-// that point the increment is the only thing it has done.
 func TestPartitionedBeginDoomsCheckedFastTransaction(t *testing.T) {
-	s := newSystem(2, 1<<17, nil, nil)
+	partitionedBeginDoomsFastTransaction(t, false)
+}
+
+// TestPartitionedBeginDoomsUncheckedOpaqueFastTransaction is the same for
+// Part-HTM-O, whose fast path reads activeTx at begin: an attempt that read
+// activeTx == 0 skips every lock-cell check, and the next partitioned begin
+// dooms it before that transaction can lock a cell.
+func TestPartitionedBeginDoomsUncheckedOpaqueFastTransaction(t *testing.T) {
+	partitionedBeginDoomsFastTransaction(t, true)
+}
+
+// partitionedBeginDoomsFastTransaction builds the interleaving of the two
+// tests above. No sleeps: simulated memory's stripe locks freeze both
+// transactions where the test needs them. A probe hardware transaction holds
+// the timestamp line in its write set, so the fast transaction's timestamp
+// read — at commit, after its activeTx read — dooms the probe, which the test
+// can observe; the fast transaction then stops at the ring entry's header
+// line, whose stripe the test holds. The partitioned attempt increments
+// activeTx and stops at its next step, the timestamp snapshot, on a stripe the
+// test also holds: at that point the increment is the only thing it has done.
+func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
+	s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
 	m := s.Memory()
 	counter, other := m.AllocLines(1), m.AllocLines(1)
 	rg := s.doms.Ring(0)
@@ -45,9 +57,13 @@ func TestPartitionedBeginDoomsCheckedFastTransaction(t *testing.T) {
 	}
 	probe.Cancel()
 	m.Lock(tsLine)
-	fast := s.threads[0].ht // ordered after the fast thread's store by the probe's doom
+	// Both ordered after the fast thread's stores by the probe's doom.
+	fast, checked := s.threads[0].ht, s.threads[0].checkCells
 	if fast.Doomed() {
 		t.Fatal("the fast transaction was doomed before any partitioned transaction began")
+	}
+	if checked {
+		t.Fatal("the fast transaction checks lock cells with no partitioned transaction active")
 	}
 
 	partDone := make(chan bool)
@@ -78,6 +94,31 @@ func TestPartitionedBeginDoomsCheckedFastTransaction(t *testing.T) {
 	}
 }
 
+// parkPartitioned runs a partitioned transaction on thread id that writes a,
+// commits the sub-HTM transaction that locks it, and waits there until the
+// returned release is called; release reports whether it then committed.
+func parkPartitioned(t *testing.T, s *System, id int, a mem.Addr, v uint64) (release func() bool) {
+	locked, resume := make(chan struct{}), make(chan struct{})
+	done := make(chan bool)
+	go func() {
+		p := s.threads[id]
+		done <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+			x.Write(a, v)
+			x.Pause() // the sub-HTM commit publishes the lock
+			close(locked)
+			<-resume
+		})
+	}()
+	<-locked
+	if got := s.Memory().Load(s.activeTx); got != 1 {
+		t.Fatalf("activeTx = %d with one partitioned transaction parked", got)
+	}
+	return func() bool {
+		close(resume)
+		return <-done
+	}
+}
+
 // TestFastPathReadsSignaturesWhilePartitionedActive: with activeTx != 0 the
 // summary proves nothing, so the fast path still checks the write-locks
 // signature itself: it aborts on a location a parked partitioned transaction
@@ -89,22 +130,7 @@ func TestFastPathReadsSignaturesWhilePartitionedActive(t *testing.T) {
 	if !sig.CollisionFree([]uint32{uint32(lockedAddr), uint32(free)}) {
 		t.Skip("the two test addresses share a signature bit")
 	}
-
-	locked, release := make(chan struct{}), make(chan struct{})
-	partDone := make(chan bool)
-	go func() {
-		p := s.threads[1]
-		partDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
-			x.Write(lockedAddr, 7)
-			x.Pause() // the sub-HTM commit publishes the lock bit
-			close(locked)
-			<-release
-		})
-	}()
-	<-locked
-	if got := m.Load(s.activeTx); got != 1 {
-		t.Fatalf("activeTx = %d with one partitioned transaction parked", got)
-	}
+	release := parkPartitioned(t, s, 1, lockedAddr, 7)
 
 	f := s.threads[0]
 	x := &tx{s: s, t: f}
@@ -116,8 +142,7 @@ func TestFastPathReadsSignaturesWhilePartitionedActive(t *testing.T) {
 		t.Fatalf("fast write of disjoint data while a partitioned transaction is active: %+v", res)
 	}
 
-	close(release)
-	if !<-partDone {
+	if !release() {
 		t.Fatal("the parked partitioned attempt did not commit")
 	}
 	if a, b := m.Load(lockedAddr), m.Load(free); a != 7 || b != 9 {
@@ -125,24 +150,107 @@ func TestFastPathReadsSignaturesWhilePartitionedActive(t *testing.T) {
 	}
 }
 
+// TestOpaqueFastPathChecksCellsWhilePartitionedActive: with activeTx != 0
+// Part-HTM-O's fast path checks each location's lock cell: a read and a write
+// of a location a parked partitioned transaction has locked abort with
+// codeLockHit, and disjoint data commits in hardware. Such a checked attempt
+// keeps activeTx out of its read set, so a partitioned transaction that
+// begins and commits on disjoint data while it runs does not doom it.
+func TestOpaqueFastPathChecksCellsWhilePartitionedActive(t *testing.T) {
+	s := newSystem(3, 1<<17, nil, func(c *Config) { c.Opaque = true })
+	m := s.Memory()
+	lockedAddr, free, other := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
+	release := parkPartitioned(t, s, 1, lockedAddr, 7)
+
+	f := s.threads[0]
+	x := &tx{s: s, t: f}
+	for op, body := range map[string]func(tm.Tx){
+		"read":  func(x tm.Tx) { x.Read(lockedAddr) },
+		"write": func(x tm.Tx) { x.Write(lockedAddr, 9) },
+	} {
+		if res := s.fastAttempt(f, x, body); res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+			t.Fatalf("fast %s of a locked location: %+v, want an explicit codeLockHit abort", op, res)
+		}
+	}
+
+	res := s.fastAttempt(f, x, func(x tm.Tx) {
+		x.Write(free, 9)
+		p := s.threads[2]
+		if !s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) { x.Write(other, 5) }) {
+			t.Error("a partitioned transaction on disjoint data did not commit")
+		}
+	})
+	if !res.Committed {
+		t.Fatalf("a checked fast transaction did not survive a disjoint partitioned transaction: %+v", res)
+	}
+
+	if !release() {
+		t.Fatal("the parked partitioned attempt did not commit")
+	}
+	if a, b, c := m.Load(lockedAddr), m.Load(free), m.Load(other); a != 7 || b != 9 || c != 5 {
+		t.Fatalf("locked = %d, free = %d, other = %d; want 7, 9 and 5", a, b, c)
+	}
+}
+
 // TestFastCommitMetadataFootprint pins the fast path's metadata cost in
-// monitored lines: a one-write transaction reads the global-lock line, the
-// active count, the timestamp and one ring-entry header, and writes its
-// datum, the timestamp and that header.
+// monitored lines.
 func TestFastCommitMetadataFootprint(t *testing.T) {
-	s := newSystem(1, 1<<17, nil, nil)
-	p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
-	s.eng.SetProfile(p)
-	a := s.Memory().AllocLines(1)
-	for i := 0; i < 3; i++ {
-		s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
-	}
-	rows := p.Footprints()
-	if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassFast) ||
-		rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) || rows[0].Count != 3 {
-		t.Fatalf("want three fast-class commits and nothing else, got %+v", rows)
-	}
-	if r := rows[0]; r.WriteMax > 3 || r.ReadMax > 4 {
-		t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want at most 4 and 3", r.ReadMax, r.WriteMax)
-	}
+	// A one-write transaction reads the global-lock line, the active count,
+	// the timestamp and one ring-entry header, and writes its datum, the
+	// timestamp and that header.
+	t.Run("Part-HTM", func(t *testing.T) {
+		s := newSystem(1, 1<<17, nil, nil)
+		p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
+		s.eng.SetProfile(p)
+		a := s.Memory().AllocLines(1)
+		for i := 0; i < 3; i++ {
+			s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
+		}
+		rows := p.Footprints()
+		if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassFast) ||
+			rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) || rows[0].Count != 3 {
+			t.Fatalf("want three fast-class commits and nothing else, got %+v", rows)
+		}
+		if r := rows[0]; r.WriteMax > 3 || r.ReadMax > 4 {
+			t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want at most 4 and 3", r.ReadMax, r.WriteMax)
+		}
+	})
+
+	// A transaction that reads k distinct lines and writes one of them reads
+	// those k, the global lock, the active count, the timestamp and a ring
+	// header while no partitioned transaction runs. While one does, it reads
+	// the k lock cells as well, and not the active count.
+	t.Run("Part-HTM-O", func(t *testing.T) {
+		const k = 5
+		s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = true })
+		m := s.Memory()
+		data, lockedAddr := m.AllocLines(k), m.AllocLines(1)
+		f := s.threads[0]
+		x := &tx{s: s, t: f}
+		readLines := func() int {
+			var ht *htm.Txn
+			res := s.fastAttempt(f, x, func(x tm.Tx) {
+				for i := 0; i < k; i++ {
+					x.Read(data + mem.Addr(i*mem.LineWords))
+				}
+				x.Write(data, 1)
+				ht = f.ht
+			})
+			if !res.Committed {
+				t.Fatalf("fast attempt: %+v", res)
+			}
+			_, r, _ := ht.Footprint() // readable until the slot's next Begin
+			return r
+		}
+		if r := readLines(); r != k+4 {
+			t.Fatalf("idle: a %d-read fast commit monitored %d read lines, want %d", k, r, k+4)
+		}
+		release := parkPartitioned(t, s, 1, lockedAddr, 7)
+		if r := readLines(); r != 2*k+3 {
+			t.Fatalf("partitioned active: a %d-read fast commit monitored %d read lines, want %d", k, r, 2*k+3)
+		}
+		if !release() {
+			t.Fatal("the parked partitioned attempt did not commit")
+		}
+	})
 }

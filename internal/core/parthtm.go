@@ -384,6 +384,17 @@ type thread struct {
 
 	ht *htm.Txn // open fast-path or sub-HTM transaction
 
+	// checkCells says that the open Part-HTM-O fast attempt checks each
+	// location's lock cell (Figure 2 lines 3-4). It is false only when the
+	// attempt read activeTx == 0 in hardware at begin, which proves that no
+	// cell is locked: a cell is locked only by a partitioned transaction
+	// that has already incremented activeTx (partitionedAttempt's first
+	// step), and each one it locked is unlocked before it decrements
+	// (releaseLocks precedes decActive). The read is monitored, so the first
+	// partitioned begin after it dooms the attempt before any cell can be
+	// locked, and htm's Read notices a doom that precedes its load.
+	checkCells bool
+
 	undo      []undoRec
 	opLog     []opRec
 	replayPos int
@@ -570,12 +581,17 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		t.ht = nil
 		t.mode = modeIdle
 	}()
+	// Part-HTM-O checks lock cells only while a partitioned transaction may
+	// hold one (see checkCells). A peek outside the window keeps activeTx out
+	// of the read set while partitioned transactions come and go.
+	idle := s.cfg.Opaque && s.m.Load(s.activeTx) == 0
 	ht := s.eng.Begin(t.id)
 	t.ht = ht
 	t.resetFast()
 	if ht.Read(s.glock) != 0 {
 		ht.Abort(codeGLock) // the lock line stays monitored: later acquisition dooms us
 	}
+	t.checkCells = s.cfg.Opaque && !(idle && ht.Read(s.activeTx) == 0)
 	body(x)
 	ds := t.ds
 	if !s.cfg.Opaque {
@@ -613,7 +629,8 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		}
 	}
 	// Opaque mode checked locks at encounter time and keeps every touched
-	// lock cell monitored, so no commit validation is needed (Figure 2).
+	// lock cell monitored, or holds activeTx == 0 monitored, so no commit
+	// validation is needed (Figure 2).
 	if ds.Wrote != 0 {
 		ht.InjectionPoint(fault.SiteRingPub)
 		// Publish to every written domain's ring inside the hardware
@@ -1417,7 +1434,7 @@ func (x *tx) Read(a mem.Addr) uint64 {
 			// Encounter-time lock check through the cell (Figure 2 lines
 			// 3-4); the monitored cell read dooms us if it is locked later.
 			t.ds.Touched |= 1 << uint(s.doms.Of(a))
-			if t.ht.Read(s.cell(a))&1 != 0 {
+			if t.checkCells && t.ht.Read(s.cell(a))&1 != 0 {
 				t.ht.Abort(codeLockHit)
 			}
 			return t.ht.Read(a)
@@ -1460,10 +1477,8 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 	case modeFast:
 		d := s.doms.Of(a)
 		t.ds.Touched |= 1 << uint(d)
-		if s.cfg.Opaque {
-			if t.ht.Read(s.cell(a))&1 != 0 {
-				t.ht.Abort(codeLockHit)
-			}
+		if t.checkCells && t.ht.Read(s.cell(a))&1 != 0 {
+			t.ht.Abort(codeLockHit)
 		}
 		t.ds.Write[d].Add(uint32(a))
 		t.ht.Write(a, v)

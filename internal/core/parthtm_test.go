@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -287,69 +288,70 @@ func TestLockedLocationBlocksOtherWriters(t *testing.T) {
 // TestOpacityNoLockedReads: Part-HTM-O must never let any execution —
 // committed or doomed — observe the value of a locked (non-visible)
 // location. Part-HTM (non-opaque) explicitly allows such doomed reads.
+//
+// A parks with x locked; B then runs every attempt it has (fast ones too
+// when the fast path is on, checked because A is active) until it is left
+// waiting on the slow path, which A's commit alone lets in.
 func TestOpacityNoLockedReads(t *testing.T) {
-	s := newSystem(2, 1<<17, nil, func(c *Config) {
-		c.NoFastPath = true
-		c.Opaque = true
-	})
-	m := s.Memory()
-	x0 := m.AllocLines(1)
-	m.Store(x0, 1)
+	for _, fast := range []bool{false, true} {
+		name := "NoFastPath"
+		if fast {
+			name = "FastPath"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := newSystem(2, 1<<17, nil, func(c *Config) {
+				c.NoFastPath = !fast
+				c.Opaque = true
+			})
+			m := s.Memory()
+			x0 := m.AllocLines(1)
+			m.Store(x0, 1)
+			// x=99 is in memory but locked and globally uncommitted.
+			release := parkPartitioned(t, s, 0, x0, 99)
 
-	var once sync.Once
-	locked := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.Atomic(0, func(x tm.Tx) {
-			v := x.Read(x0)
-			x.Write(x0, 99)
-			x.Pause() // x=99 is in memory but locked and globally uncommitted
-			if v == 1 {
-				once.Do(func() {
-					close(locked)
-					<-release
+			var mu sync.Mutex
+			var observed []uint64
+			windowOpen := true
+			bDone := make(chan struct{})
+			go func() {
+				s.Atomic(1, func(x tm.Tx) {
+					v := x.Read(x0)
+					mu.Lock()
+					if windowOpen {
+						observed = append(observed, v)
+					}
+					mu.Unlock()
 				})
+				close(bDone)
+			}()
+			committed := false
+			for !committed && m.Load(s.glock) == 0 {
+				select {
+				case <-bDone:
+					committed = true
+				default:
+					runtime.Gosched()
+				}
 			}
-		})
-	}()
-
-	<-locked
-	var mu sync.Mutex
-	var observed []uint64
-	windowOpen := true
-	bDone := make(chan struct{})
-	go func() {
-		s.Atomic(1, func(x tm.Tx) {
-			v := x.Read(x0)
 			mu.Lock()
-			if windowOpen {
-				observed = append(observed, v)
+			windowOpen = false
+			for _, v := range observed {
+				if v == 99 {
+					t.Error("Part-HTM-O execution observed a locked (non-visible) value")
+				}
 			}
 			mu.Unlock()
+			if committed {
+				t.Fatal("B committed while x was locked")
+			}
+			if !release() {
+				t.Fatal("A did not commit")
+			}
+			<-bDone
+			if got := m.Load(x0); got != 99 {
+				t.Fatalf("x = %d, want 99", got)
+			}
 		})
-		close(bDone)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	windowOpen = false
-	bad := false
-	for _, v := range observed {
-		if v == 99 {
-			bad = true
-		}
-	}
-	mu.Unlock()
-	close(release)
-	wg.Wait()
-	<-bDone
-	if bad {
-		t.Fatal("Part-HTM-O execution observed a locked (non-visible) value")
-	}
-	if got := m.Load(x0); got != 99 {
-		t.Fatalf("x = %d, want 99", got)
 	}
 }
 

@@ -637,12 +637,17 @@ func (t *Txn) Doomed() bool { return t.status.Load() == stDoomed }
 // checkDoomed unwinds the transaction if a concurrent access doomed it or
 // an injected begin-site fault is pending delivery.
 func (t *Txn) checkDoomed() {
-	if t.status.Load() == stDoomed {
-		t.abort(Conflict, 0)
-	}
+	t.abortIfDoomed()
 	if t.injPending {
 		t.injPending = false
 		t.abortInjected(t.injReason, t.injCode)
+	}
+}
+
+// abortIfDoomed unwinds the transaction if a concurrent access doomed it.
+func (t *Txn) abortIfDoomed() {
+	if t.status.Load() == stDoomed {
+		t.abort(Conflict, 0)
 	}
 }
 
@@ -717,6 +722,11 @@ func (e *Engine) evictWriter(en *entry) (wait *Txn, doomed bool) {
 }
 
 // Read performs a transactional (monitored) read of the word at a.
+//
+// The status is checked again after the load: a rival may doom this
+// transaction and then store the word while Read waits for the stripe, and
+// real hardware never hands an aborted transaction a value stored after its
+// abort, so a doom that precedes the store the load sees is noticed here.
 func (t *Txn) Read(a mem.Addr) uint64 {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost)
@@ -748,6 +758,7 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 			t.readLines = append(t.readLines, l)
 			t.admitReadLine()
 		}
+		t.abortIfDoomed()
 		return v
 	}
 	e.mem.Unlock(l)
@@ -761,7 +772,8 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 // writer is evicted first (requester wins, as a cache-coherence invalidation
 // would); one that is committing is waited out. own reports that the line is
 // in the transaction's own write set: the words loaded are memory's, not its
-// buffered ones.
+// buffered ones. Like Read's own branch, it re-checks the status after the
+// load.
 func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
 	e := t.eng
 	bit := uint64(1) << uint(t.slot)
@@ -791,6 +803,7 @@ func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
 				t.readLines = append(t.readLines, l)
 				t.admitReadLine()
 			}
+			t.abortIfDoomed()
 			return own
 		}
 		waitNotCommitting(wait)

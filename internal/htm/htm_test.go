@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -398,6 +400,59 @@ func TestStrongAtomicityNonTxReadDoesNotDoomReader(t *testing.T) {
 	wg.Wait()
 	if !res.Committed {
 		t.Fatalf("reader aborted by non-conflicting non-tx read: %+v", res)
+	}
+}
+
+// TestDoomedReadReturnsNoLaterStore: a transaction doomed while its Read
+// waits for the word's stripe must not return a value stored after the doom.
+// The test holds x's stripe until the reader is parked on it inside Read(x),
+// dooms the reader by a non-transactional store to y, which it monitors,
+// stores x itself and only then lets the reader in.
+func TestDoomedReadReturnsNoLaterStore(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	x, y := m.AllocLines(1), m.AllocLines(1)
+	leaked := 0
+	for i := uint64(1); i <= 1000; i++ {
+		m.Lock(mem.LineOf(x))
+		var got uint64
+		returned := false
+		done := make(chan Result)
+		go func() {
+			done <- e.Execute(0, func(tx *Txn) {
+				tx.Read(y)
+				got = tx.Read(x)
+				returned = true
+			})
+		}()
+		waitParkedInRead(t)
+		m.Store(y, i)
+		m.RawStore(x, i)
+		m.Unlock(mem.LineOf(x))
+		if res := <-done; res.Committed {
+			t.Fatal("the doomed reader committed")
+		}
+		if returned && got == i {
+			leaked++
+		}
+	}
+	if leaked > 0 {
+		t.Fatalf("a doomed Read returned the word stored after its doom in %d of 1000 runs", leaked)
+	}
+}
+
+// waitParkedInRead waits until some goroutine is blocked on a stripe lock
+// inside Txn.Read, that is past Read's entry check and before its load.
+func waitParkedInRead(t *testing.T) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("sync.(*Mutex).lockSlow")) && bytes.Contains(g, []byte("htm.(*Txn).Read(")) {
+				return
+			}
+		}
+		runtime.Gosched()
 	}
 }
 
