@@ -15,8 +15,6 @@
 //	parthtm-bench -exp chaos -trace trace.json   # Perfetto/Chrome trace
 //	parthtm-bench -exp chaos -trace-text events.txt
 //	parthtm-bench -trace-check trace.json    # validate a trace artifact
-//	parthtm-bench -compare old.json new.json # throughput/abort deltas
-//	parthtm-bench -compare -compare-max-drop 10 old.json new.json  # CI gate
 //	parthtm-bench -exp soak -campaign storm  # multi-phase chaos campaign
 //	parthtm-bench -exp table1,chaos -governor    # several experiments, governed
 //	parthtm-bench -exp chaos -prof               # abort-attribution profile
@@ -63,11 +61,12 @@
 // the planted hot line ranks top of the sketch and the packed layout shows
 // the conflict-abort excess). Both imply -prof.
 //
-// -compare decodes two -json artifacts and prints benchstat-style deltas:
-// per (experiment, system, threads, fault rate), the projected throughput
-// and abort-rate changes. Profile blocks ride along in the JSON but are
-// deliberately ignored by the comparison. -trace-check validates that a
-// -trace artifact decodes as strict Chrome trace JSON (the CI smoke step).
+// -trace-check validates that a -trace artifact decodes as strict Chrome
+// trace JSON (the CI smoke step).
+//
+// The command prints what one run measured on the host it ran on; it does
+// not judge a change. That is done with the benchmark module (benchmark/):
+// a change and its parent are each run through it on one host.
 package main
 
 import (
@@ -103,8 +102,6 @@ func main() {
 		traceTxt = flag.String("trace-text", "", "record transaction events and write a plain-text event listing")
 		traceCap = flag.Int("trace-cap", 0, "per-thread trace ring capacity in events (0 = default, rounded up to a power of two)")
 		traceChk = flag.String("trace-check", "", "validate that the given file decodes as Chrome trace JSON, then exit")
-		compare  = flag.Bool("compare", false, "compare two -json artifacts (old.json new.json) and print the deltas")
-		maxDrop  = flag.Float64("compare-max-drop", 0, "with -compare: exit 1 if any matched row's throughput dropped by more than this percentage")
 		governed = flag.Bool("governor", false, "attach a resource governor (per-thread HTM circuit breaker) to every system")
 		campaign = flag.String("campaign", "", "soak chaos-campaign preset: storm (default) or ramp")
 		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line and footprint report tables")
@@ -122,13 +119,17 @@ func main() {
 		runTraceCheck(*traceChk)
 		return
 	}
-	if *compare {
-		runCompare(flag.Args(), *maxDrop)
-		return
-	}
 	rate, ok := clampFault(*faultR)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "parthtm-bench: bad -fault value %v\n", *faultR)
+		os.Exit(2)
+	}
+	if !validDuration(*duration) {
+		fmt.Fprintf(os.Stderr, "parthtm-bench: bad -duration value %v\n", *duration)
+		os.Exit(2)
+	}
+	if !validCores(*cores) {
+		fmt.Fprintf(os.Stderr, "parthtm-bench: bad -cores value %d\n", *cores)
 		os.Exit(2)
 	}
 
@@ -341,6 +342,15 @@ func parseRatio(s string) (float64, bool) {
 	return r, err == nil && r >= 0 && r <= 1
 }
 
+// validDuration reports whether d can be a -duration: a negative window
+// still runs one 64-op batch per thread and prints a rate for it, and zero
+// would silently mean the experiments' default window.
+func validDuration(d time.Duration) bool { return d > 0 }
+
+// validCores reports whether n can be a -cores: below 1, Build reads the
+// model as "no limit" and the hyper-threading capacity halving goes off.
+func validCores(n int) bool { return n >= 1 }
+
 // writeFile creates path and fills it with render, exiting on any error.
 func writeFile(path string, render func(f *os.File) error) {
 	f, err := os.Create(path)
@@ -387,54 +397,4 @@ func runTraceCheck(path string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: ok, %d trace events\n", path, len(ct.TraceEvents))
-}
-
-// runCompare decodes two -json artifacts and prints per-system deltas.
-// With maxDrop > 0 it then applies the regression gate: any matched row
-// whose projected throughput fell by more than maxDrop percent fails the
-// run with exit status 1 (the CI baseline check).
-func runCompare(paths []string, maxDrop float64) {
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "parthtm-bench: -compare needs exactly two arguments: old.json new.json")
-		os.Exit(2)
-	}
-	load := func(path string) *harness.ResultSet {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-bench: -compare: %v\n", err)
-			os.Exit(1)
-		}
-		set, err := harness.DecodeResultSet(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parthtm-bench: -compare %s: not a parthtm-bench -json artifact: %v\n", path, err)
-			os.Exit(1)
-		}
-		return set
-	}
-	oldSet, newSet := load(paths[0]), load(paths[1])
-	out, err := harness.CompareResultSets(oldSet, newSet)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -compare: %v\n", err)
-		os.Exit(1)
-	}
-	os.Stdout.WriteString(out)
-	if maxDrop <= 0 {
-		return
-	}
-	bad, err := harness.CheckRegression(oldSet, newSet, maxDrop)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -compare-max-drop: %v\n", err)
-		os.Exit(1)
-	}
-	if len(bad) == 0 {
-		fmt.Fprintf(os.Stderr, "regression gate: all matched rows within %.1f%% of baseline\n", maxDrop)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "regression gate: %d row(s) dropped more than %.1f%%:\n", len(bad), maxDrop)
-	for _, r := range bad {
-		fmt.Fprintf(os.Stderr, "  %s/%s@%d rate=%.2f %s: %.1f -> %.1f K tx/s (%.1f%%)\n",
-			r.Key.ID, r.Key.System, r.Key.Threads, r.Key.FaultRate, r.Key.Phase,
-			r.OldKTxs, r.NewKTxs, 100*(r.NewKTxs/r.OldKTxs-1))
-	}
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // TestFaultAndCrossRejectNaN: strconv.ParseFloat accepts "NaN", which
@@ -41,6 +42,39 @@ func TestFaultAndCrossRejectNaN(t *testing.T) {
 	} {
 		if _, ok := parseRatio(tc.in); ok != tc.ok {
 			t.Errorf("parseRatio(%q) ok = %v, want %v", tc.in, ok, tc.ok)
+		}
+	}
+}
+
+// TestDurationAndCoresRejectNonPositive: -duration -5ms would run one
+// batch of ops per thread and print a rate for it, and -cores -2 would pass
+// Build's PhysCores > 0 test as "no limit", turning the hyper-threading
+// capacity halving off. Both must be rejected, as zero is.
+func TestDurationAndCoresRejectNonPositive(t *testing.T) {
+	for _, tc := range []struct {
+		in time.Duration
+		ok bool
+	}{
+		{-5 * time.Millisecond, false},
+		{0, false},
+		{time.Nanosecond, true},
+		{50 * time.Millisecond, true},
+	} {
+		if ok := validDuration(tc.in); ok != tc.ok {
+			t.Errorf("validDuration(%v) = %v, want %v", tc.in, ok, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		in int
+		ok bool
+	}{
+		{-2, false},
+		{0, false},
+		{1, true},
+		{4, true},
+	} {
+		if ok := validCores(tc.in); ok != tc.ok {
+			t.Errorf("validCores(%d) = %v, want %v", tc.in, ok, tc.ok)
 		}
 	}
 }

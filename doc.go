@@ -15,8 +15,8 @@
 //     M-writes, linked list, EigenBench, and the seven STAMP applications);
 //   - internal/harness, cmd/parthtm-bench — regeneration of every table and
 //     figure of the paper's evaluation;
-//   - bench_test.go (this directory) — one testing.B benchmark per table
-//     and figure.
+//   - benchmark/ (its own module) — the performance ledger, which judges a
+//     change against its parent on one host.
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -4,8 +4,6 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -94,71 +92,6 @@ func ProfileReportOf(p *prof.Profile) *ProfileReport {
 	return rep
 }
 
-// validate rejects malformed profile blocks: decoding is strict (unknown
-// fields already fail), but a structurally valid document can still carry
-// impossible values — unknown class/outcome names, quantiles that run
-// backwards, hot lines out of rank order. Downstream plotting pipelines
-// rely on these shapes.
-func (pr *ProfileReport) validate() error {
-	for i, h := range pr.HotLines {
-		if h.Err > h.Count {
-			return fmt.Errorf("hot_lines[%d]: err %d exceeds count %d", i, h.Err, h.Count)
-		}
-		if i > 0 && h.Count > pr.HotLines[i-1].Count {
-			return fmt.Errorf("hot_lines[%d]: counts not in descending order", i)
-		}
-	}
-	for i, h := range pr.Heat {
-		if h.Set < 0 {
-			return fmt.Errorf("heat[%d]: negative set index %d", i, h.Set)
-		}
-	}
-	for i, h := range pr.Domains {
-		if h.Domain < 0 {
-			return fmt.Errorf("domains[%d]: negative domain index %d", i, h.Domain)
-		}
-		if i > 0 && h.Domain <= pr.Domains[i-1].Domain {
-			return fmt.Errorf("domains[%d]: domain indices not strictly increasing", i)
-		}
-	}
-	classes := map[string]bool{}
-	for c := uint8(0); c < prof.ClassCount; c++ {
-		classes[prof.ClassName(c)] = true
-	}
-	outcomes := map[string]bool{}
-	for o := uint8(0); o < prof.OutcomeCount; o++ {
-		outcomes[prof.OutcomeName(o)] = true
-	}
-	mono := func(i int, dim string, p50, p95, p99, max int64) error {
-		if p50 > p95 || p95 > p99 || p99 > max {
-			return fmt.Errorf("footprints[%d]: %s quantiles not non-decreasing (%d/%d/%d/%d)",
-				i, dim, p50, p95, p99, max)
-		}
-		return nil
-	}
-	for i, f := range pr.Footprints {
-		if !classes[f.Class] {
-			return fmt.Errorf("footprints[%d]: unknown class %q", i, f.Class)
-		}
-		if !outcomes[f.Outcome] {
-			return fmt.Errorf("footprints[%d]: unknown outcome %q", i, f.Outcome)
-		}
-		if f.Count == 0 {
-			return fmt.Errorf("footprints[%d]: empty cell serialized (count 0)", i)
-		}
-		if err := mono(i, "read", f.ReadP50, f.ReadP95, f.ReadP99, f.ReadMax); err != nil {
-			return err
-		}
-		if err := mono(i, "write", f.WriteP50, f.WriteP95, f.WriteP99, f.WriteMax); err != nil {
-			return err
-		}
-		if err := mono(i, "occ", f.OccP50, f.OccP95, f.OccP99, f.OccMax); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LatencyRow is one latency distribution: commit latency of one execution
 // path, or begin-to-abort latency of one abort cause. Times are
 // nanoseconds.
@@ -240,39 +173,6 @@ func EngineSnapshotOf(sys tm.System) *EngineSnapshot {
 // ResultSet is the top-level JSON document: one Result per experiment run.
 type ResultSet struct {
 	Results []*Result `json:"results"`
-}
-
-// DecodeResultSet parses one ResultSet document as emitted by
-// `parthtm-bench -json`. It is the strict inverse of that encoding:
-// unknown fields and trailing data are rejected, and corrupted or
-// truncated input yields an error — never a panic — so downstream
-// plotting pipelines can feed it artifacts of unknown provenance.
-func DecodeResultSet(data []byte) (*ResultSet, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var set ResultSet
-	if err := dec.Decode(&set); err != nil {
-		return nil, fmt.Errorf("decoding ResultSet: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding ResultSet: trailing data after the document")
-	}
-	for _, res := range set.Results {
-		if res == nil {
-			continue
-		}
-		for i := range res.Reports {
-			rep := &res.Reports[i]
-			if rep.Profile == nil {
-				continue
-			}
-			if err := rep.Profile.validate(); err != nil {
-				return nil, fmt.Errorf("decoding ResultSet: %s/%s: malformed profile: %w",
-					res.ID, rep.System, err)
-			}
-		}
-	}
-	return &set, nil
 }
 
 // Text renders the result as the traditional aligned-text report: notes,

@@ -229,36 +229,3 @@ func TestSoakExperimentRuns(t *testing.T) {
 		t.Fatal("unknown campaign accepted")
 	}
 }
-
-// TestCheckRegression pins the CI regression gate: drops beyond the
-// threshold are flagged, everything else passes.
-func TestCheckRegression(t *testing.T) {
-	mk := func(ktxs float64) *ResultSet {
-		return &ResultSet{Results: []*Result{{
-			ID: "chaos",
-			Reports: []SystemReport{{
-				System: "Part-HTM", Threads: 4,
-				Throughput: &ThroughputResult{Projected: ktxs * 1e3},
-			}},
-		}}}
-	}
-	bad, err := CheckRegression(mk(100), mk(85), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bad) != 1 {
-		t.Fatalf("15%% drop with 10%% gate: %d rows flagged, want 1", len(bad))
-	}
-	if bad[0].OldKTxs != 100 || bad[0].NewKTxs != 85 {
-		t.Fatalf("flagged row carries %v/%v", bad[0].OldKTxs, bad[0].NewKTxs)
-	}
-	if bad, err = CheckRegression(mk(100), mk(95), 10); err != nil || len(bad) != 0 {
-		t.Fatalf("5%% drop with 10%% gate flagged: %v %v", bad, err)
-	}
-	if bad, err = CheckRegression(mk(100), mk(130), 10); err != nil || len(bad) != 0 {
-		t.Fatalf("improvement flagged: %v %v", bad, err)
-	}
-	if _, err = CheckRegression(mk(100), &ResultSet{}, 10); err == nil {
-		t.Fatal("disjoint sets must error")
-	}
-}

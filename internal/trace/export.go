@@ -39,9 +39,8 @@ type ChromeTrace struct {
 }
 
 // DecodeChrome parses a trace-event document as emitted by WriteChrome.
-// Like harness.DecodeResultSet it is a strict inverse: unknown fields and
-// trailing data are rejected, and malformed input yields an error, never
-// a panic.
+// It is a strict inverse: unknown fields and trailing data are rejected,
+// and malformed input yields an error, never a panic.
 func DecodeChrome(data []byte) (*ChromeTrace, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
