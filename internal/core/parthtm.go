@@ -197,9 +197,9 @@ type System struct {
 	activeTx mem.Addr // count of partitioned-path transactions (own line)
 
 	// shadowBase maps a data address a to its lock cell shadowBase+a
-	// (Part-HTM-O only). A cell holds a<<1|lockbit, standing in for the
-	// paper's address-embedded lock behind one level of indirection; zero
-	// means "never locked".
+	// (Part-HTM-O only), the paper's address-embedded lock behind one level
+	// of indirection. A free cell holds 0, a locked one its owner's
+	// thread.tag, whose low bit is the lock bit.
 	shadowBase mem.Addr
 
 	threads []*thread
@@ -406,9 +406,10 @@ type thread struct {
 	lockMark int
 
 	// Part-HTM-O: cells locked by this global transaction, in acquisition
-	// order, with a set for O(1) self-lock tests.
+	// order, and what a cell this thread locks holds: (id+1)<<1 | 1. A cell
+	// holding the tag is ours, so the self-lock test reads the cell alone.
 	lockedCells []mem.Addr
-	lockedSet   map[mem.Addr]struct{}
+	tag         uint64
 
 	// Adaptive partitioning: the budgets at which a partition point is
 	// auto-activated, compared with what the open sub-HTM transaction
@@ -440,9 +441,9 @@ type thread struct {
 
 func newThread(id int) *thread {
 	return &thread{
-		id:        id,
-		lockedSet: make(map[mem.Addr]struct{}),
-		bud:       segBudgets{probeEvery: probeEveryMin},
+		id:  id,
+		tag: uint64(id+1)<<1 | 1,
+		bud: segBudgets{probeEvery: probeEveryMin},
 	}
 }
 
@@ -463,7 +464,6 @@ func (t *thread) resetPartitioned() {
 	t.logMark = 0
 	t.lockMark = 0
 	t.lockedCells = t.lockedCells[:0]
-	clear(t.lockedSet)
 	t.ht = nil
 	t.attemptSegs = 0
 	t.attemptCycles = 0
@@ -472,8 +472,9 @@ func (t *thread) resetPartitioned() {
 
 // truncateSegment discards the live segment's uncommitted effects after a
 // sub-HTM abort: its undo records (the writes were never published), its
-// log suffix, and — for Part-HTM-O — its lock bookkeeping (the lock-bit
-// writes were buffered in the aborted hardware transaction).
+// log suffix, and — for Part-HTM-O — its locked-cell records (the tag
+// writes were buffered in the aborted hardware transaction, so no cell keeps
+// a tag this thread no longer records).
 //
 // In Part-HTM-O the write signature accumulates across the whole global
 // transaction (it is what gets published to the ring), so bits from the
@@ -482,9 +483,6 @@ func (t *thread) resetPartitioned() {
 func (s *System) truncateSegment(t *thread) {
 	t.undo = t.undo[:t.undoMark]
 	t.opLog = t.opLog[:t.logMark]
-	for _, c := range t.lockedCells[t.lockMark:] {
-		delete(t.lockedSet, c)
-	}
 	t.lockedCells = t.lockedCells[:t.lockMark]
 	if !s.cfg.Opaque {
 		// Per-segment write signatures: drop the aborted segment's bits in
@@ -1324,7 +1322,7 @@ func (s *System) globalAbort(t *thread) {
 // bit of every cell it acquired (Figure 2 lines 55-56 / 61-62).
 func (s *System) releaseLocks(t *thread) {
 	for _, c := range t.lockedCells {
-		s.m.Store(c, uint64(c-s.shadowBase)<<1)
+		s.m.Store(c, 0)
 	}
 	if t.ds.Wrote == 0 {
 		return
@@ -1450,10 +1448,8 @@ func (x *tx) Read(a mem.Addr) uint64 {
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
 		if s.cfg.Opaque {
-			if c := ht.Read(s.cell(a)); c&1 != 0 {
-				if _, self := t.lockedSet[s.cell(a)]; !self {
-					ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
-				}
+			if c := ht.Read(s.cell(a)); c&1 != 0 && c != t.tag {
+				ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
 			}
 		}
 		t.ds.Read[d].Add(uint32(a))
@@ -1491,15 +1487,17 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
 		if s.cfg.Opaque {
+			// Acquire the address-embedded lock (Figure 2 line 34) with one
+			// access: the old word is loaded under the acquisition that takes
+			// the cell line's write monitor, so the line is in the write set
+			// only, and the lock becomes visible when this sub-HTM transaction
+			// commits. Rewriting our own tag is harmless; ours over another's
+			// dies with the abort.
 			c := s.cell(a)
-			if ht.Read(c)&1 == 0 {
-				// Acquire the address-embedded lock (Figure 2 line 34): the
-				// lock becomes visible when this sub-HTM transaction commits.
+			if old := ht.Exchange(c, t.tag); old&1 == 0 {
 				t.ds.Write[d].Add(uint32(a))
-				ht.Write(c, uint64(a)<<1|1)
 				t.lockedCells = append(t.lockedCells, c)
-				t.lockedSet[c] = struct{}{}
-			} else if _, self := t.lockedSet[c]; !self {
+			} else if old != t.tag {
 				ht.Abort(codeLockConflict)
 			}
 			// Locked by us: the data is written in place (Figure 2 line

@@ -227,59 +227,85 @@ func TestInFlightValidationAndUndo(t *testing.T) {
 // holds a write lock (committed sub-HTM, uncommitted global), no other
 // transaction may commit a conflicting write; after the holder commits, the
 // other proceeds and serializes after it.
+//
+// B either reads x first or writes it blind. A blind writer meets the lock
+// in its Write alone (in Part-HTM-O, the Exchange on the cell), where a
+// reader's Read would have caught it first. In Part-HTM-O the cell keeps A's
+// tag throughout: B's exchanged tag dies with B's aborted sub-HTM
+// transaction.
 func TestLockedLocationBlocksOtherWriters(t *testing.T) {
+	writers := []struct {
+		name string
+		body func(x tm.Tx, a mem.Addr)
+		want uint64 // x after A then B
+	}{
+		{"reads first", func(x tm.Tx, a mem.Addr) { x.Write(a, x.Read(a)*100) }, 200},
+		{"blind write", func(x tm.Tx, a mem.Addr) { x.Write(a, 7) }, 7},
+	}
 	for _, opaque := range []bool{false, true} {
 		name := "Part-HTM"
 		if opaque {
 			name = "Part-HTM-O"
 		}
 		t.Run(name, func(t *testing.T) {
-			s := newSystem(2, 1<<17, nil, func(c *Config) {
-				c.NoFastPath = true
-				c.Opaque = opaque
-			})
-			m := s.Memory()
-			x0 := m.AllocLines(1)
-			m.Store(x0, 1)
+			for _, b := range writers {
+				t.Run(b.name, func(t *testing.T) {
+					s := newSystem(2, 1<<17, nil, func(c *Config) {
+						c.NoFastPath = true
+						c.Opaque = opaque
+					})
+					m := s.Memory()
+					x0 := m.AllocLines(1)
+					m.Store(x0, 1)
 
-			var once sync.Once
-			locked := make(chan struct{})
-			release := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.Atomic(0, func(x tm.Tx) {
-					v := x.Read(x0)
-					x.Write(x0, v+1) // becomes 2 when this sub commits
-					x.Pause()        // sub commits: x is now locked, globally uncommitted
-					if v == 1 {
-						once.Do(func() {
-							close(locked)
-							<-release
+					var once sync.Once
+					locked := make(chan struct{})
+					release := make(chan struct{})
+					var wg sync.WaitGroup
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						s.Atomic(0, func(x tm.Tx) {
+							v := x.Read(x0)
+							x.Write(x0, v+1) // becomes 2 when this sub commits
+							x.Pause()        // sub commits: x is now locked, globally uncommitted
+							if v == 1 {
+								once.Do(func() {
+									close(locked)
+									<-release
+								})
+							}
 						})
+					}()
+
+					<-locked
+					bDone := make(chan struct{})
+					go func() {
+						s.Atomic(1, func(x tm.Tx) { b.body(x, x0) })
+						close(bDone)
+					}()
+					select {
+					case <-bDone:
+						t.Fatal("writer committed while the location was locked")
+					case <-time.After(50 * time.Millisecond):
+					}
+					if opaque {
+						if c, tag := m.Load(s.cell(x0)), s.threads[0].tag; c != tag {
+							t.Errorf("cell holds %#x while A is parked, want A's tag %#x", c, tag)
+						}
+					}
+					close(release)
+					wg.Wait()
+					<-bDone
+					if got := m.Load(x0); got != b.want {
+						t.Fatalf("x = %d, want %d (A then B)", got, b.want)
+					}
+					if opaque {
+						if c := m.Load(s.cell(x0)); c != 0 {
+							t.Errorf("cell holds %#x after both commits, want 0", c)
+						}
 					}
 				})
-			}()
-
-			<-locked
-			bDone := make(chan struct{})
-			go func() {
-				s.Atomic(1, func(x tm.Tx) {
-					x.Write(x0, x.Read(x0)*100)
-				})
-				close(bDone)
-			}()
-			select {
-			case <-bDone:
-				t.Fatal("writer committed while the location was locked")
-			case <-time.After(50 * time.Millisecond):
-			}
-			close(release)
-			wg.Wait()
-			<-bDone
-			if got := m.Load(x0); got != 200 {
-				t.Fatalf("x = %d, want 200 (A then B)", got)
 			}
 		})
 	}

@@ -204,8 +204,9 @@ func TestOpaqueWriteLocalBypassesCells(t *testing.T) {
 	}
 }
 
-// TestOpaqueCellsUnlockedAfterCommit: every cell locked by a Part-HTM-O
-// transaction is unlocked at global commit.
+// TestOpaqueCellsUnlockedAfterCommit: every cell a Part-HTM-O transaction
+// locks holds its tag until the transaction ends, and is free (0) again after
+// a global abort and after the global commit.
 func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 	s := newSystem(1, 1<<18, nil, func(c *Config) {
 		c.Opaque = true
@@ -213,20 +214,85 @@ func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 	})
 	m := s.Memory()
 	base := m.AllocLines(4)
-	s.Atomic(0, func(x tm.Tx) {
+	addr := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+	cellsHold := func(when string, want uint64) {
 		for i := 0; i < 4; i++ {
-			x.Write(base+mem.Addr(i*mem.LineWords), uint64(i))
+			if c := m.Load(s.cell(addr(i))); c != want {
+				t.Errorf("%s: cell for %d holds %#x, want %#x", when, addr(i), c, want)
+			}
+		}
+	}
+	attempt := 0
+	s.Atomic(0, func(x tm.Tx) {
+		attempt++
+		if attempt == 2 {
+			cellsHold("after the global abort", 0)
+		}
+		for i := 0; i < 4; i++ {
+			x.Write(addr(i), uint64(i))
 			x.Pause()
 		}
-	})
-	for i := 0; i < 4; i++ {
-		a := base + mem.Addr(i*mem.LineWords)
-		c := m.Load(s.cell(a))
-		if c&1 != 0 {
-			t.Fatalf("cell for %d still locked: %#x", a, c)
+		if attempt == 1 {
+			cellsHold("before the global abort", s.threads[0].tag)
+			panic(globalAbortPanic{})
 		}
-		if c != 0 && c>>1 != uint64(a) {
-			t.Fatalf("cell for %d corrupted: %#x", a, c)
+	})
+	if attempt != 2 {
+		t.Fatalf("ran the body %d times, want 2 (a global abort, then the commit)", attempt)
+	}
+	cellsHold("after the global commit", 0)
+	for i := 0; i < 4; i++ {
+		if got := m.Load(addr(i)); got != uint64(i) {
+			t.Errorf("word %d = %d, want %d", i, got, i)
+		}
+	}
+}
+
+// TestOpaqueSelfLockedCellAcrossSegments: a cell locked in a committed
+// segment holds this transaction's tag, which is what lets a later segment
+// read the location and write it again. A later segment that capacity-aborts
+// takes its cell writes with it, so its retry finds those cells free and
+// locks them afresh, and every cell is free once the transaction commits.
+func TestOpaqueSelfLockedCellAcrossSegments(t *testing.T) {
+	s := newSystem(1, 1<<17, func(c *htm.Config) { c.WriteLines = 8 }, func(c *Config) {
+		c.Opaque = true
+		c.NoFastPath = true
+	})
+	m := s.Memory()
+	x0 := m.AllocLines(1)
+	// Each write is a data line and a cell line: the segment after the
+	// Pause holds x's two and these twelve, over the eight that fit.
+	const n = 6
+	ys := m.AllocLines(n)
+	y := func(i int) mem.Addr { return ys + mem.Addr(i*mem.LineWords) }
+	s.Atomic(0, func(x tm.Tx) {
+		x.Write(x0, 1)
+		x.Pause()
+		if v := x.Read(x0); v != 1 {
+			t.Errorf("read x = %d after writing 1 in a committed segment", v)
+		}
+		x.Write(x0, 2)
+		for i := 0; i < n; i++ {
+			x.Write(y(i), uint64(10+i))
+		}
+	})
+	st := s.Stats().Snapshot()
+	if st.CommitsSW != 1 || st.CommitsGL != 0 {
+		t.Fatalf("want one partitioned commit, got %+v", st)
+	}
+	if s.Engine().Stats().AbortsCapacity.Load() == 0 {
+		t.Fatal("no segment capacity-aborted: the retry went untested")
+	}
+	want := map[mem.Addr]uint64{x0: 2}
+	for i := 0; i < n; i++ {
+		want[y(i)] = uint64(10 + i)
+	}
+	for a, v := range want {
+		if got := m.Load(a); got != v {
+			t.Errorf("word %d = %d, want %d", a, got, v)
+		}
+		if c := m.Load(s.cell(a)); c != 0 {
+			t.Errorf("cell for %d holds %#x after the commit, want 0", a, c)
 		}
 	}
 }

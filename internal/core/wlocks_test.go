@@ -157,24 +157,36 @@ func TestWriteLocksEmptyAtQuiescence(t *testing.T) {
 	}
 }
 
-// TestSubCommitFootprint: publishing lock bits by the line changes what a
-// sub-HTM transaction costs, not what it holds. The body writes twenty lines,
-// whose bits land in all four signature lines; the monitored lines of each
-// sub-HTM transaction are what they were when the bits were published word by
-// word (7 read and 24 written unsplit; 7 and 13, then 4 and 13, split), and
-// the cycles are fewer (121 and 131 then).
+// TestSubCommitFootprint: what a sub-HTM transaction of a 3-read, 20-write
+// body holds, in monitored lines, and costs, in cycles.
+//
+// Part-HTM: publishing lock bits by the line changes the cost, not what is
+// held. The twenty writes' bits land in all four signature lines; the lines
+// are what they were when the bits were published word by word (7 read and 24
+// written unsplit; 7 and 13, then 4 and 13, split), and the cycles are fewer
+// (75 and 83, where they were 121 and 131).
+//
+// Part-HTM-O: a write locks its cell with one Exchange, so a written cell's
+// line is in the write set only. A segment reads the timestamp, the three
+// data lines and their three cells (7), and writes the twenty data lines and
+// their cells (40); a segment of writes alone reads the timestamp only (1).
 func TestSubCommitFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name                       string
-		split                      bool
+		opaque, split              bool
 		readMax, readMin, writeMax int64
-		writeSum, cyclesBefore     int64
+		writeSum, cycles           int64
 	}{
-		{name: "one segment", readMax: 7, readMin: 7, writeMax: 24, writeSum: 24, cyclesBefore: 121},
-		{name: "two segments", split: true, readMax: 7, readMin: 4, writeMax: 13, writeSum: 26, cyclesBefore: 131},
+		{name: "one segment", readMax: 7, readMin: 7, writeMax: 24, writeSum: 24, cycles: 75},
+		{name: "two segments", split: true, readMax: 7, readMin: 4, writeMax: 13, writeSum: 26, cycles: 83},
+		{name: "opaque/one segment", opaque: true, readMax: 7, readMin: 7, writeMax: 40, writeSum: 40, cycles: 127},
+		{name: "opaque/two segments", opaque: true, split: true, readMax: 7, readMin: 1, writeMax: 20, writeSum: 40, cycles: 128},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = true })
+			s := newSystem(1, 1<<17, nil, func(c *Config) {
+				c.NoFastPath = true
+				c.Opaque = tc.opaque
+			})
 			p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
 			s.eng.SetProfile(p)
 			base := s.Memory().AllocLines(24)
@@ -203,8 +215,8 @@ func TestSubCommitFootprint(t *testing.T) {
 			if int64(th.attemptWLines) != tc.writeSum {
 				t.Errorf("write lines over the transaction = %d, want %d", th.attemptWLines, tc.writeSum)
 			}
-			if th.attemptCycles >= tc.cyclesBefore {
-				t.Errorf("cycles over the transaction = %d, want fewer than the word-wise %d", th.attemptCycles, tc.cyclesBefore)
+			if th.attemptCycles != tc.cycles {
+				t.Errorf("cycles over the transaction = %d, want %d", th.attemptCycles, tc.cycles)
 			}
 		})
 	}
