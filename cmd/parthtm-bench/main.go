@@ -18,7 +18,6 @@
 //	parthtm-bench -exp soak -campaign storm  # multi-phase chaos campaign
 //	parthtm-bench -exp table1,chaos -governor    # several experiments, governed
 //	parthtm-bench -exp chaos -prof               # abort-attribution profile
-//	parthtm-bench -exp heatmap -prof-out prof.json  # footprint document for parthtm-vet -prof
 //	parthtm-bench -exp heatmap -prof-check       # assert the planted hotspot is found
 //	parthtm-bench -exp domains                   # sharded-domain sweep (N x cross-ratio)
 //	parthtm-bench -exp domains -domains 1,4 -cross 0,0.2
@@ -53,13 +52,11 @@
 //
 // With -prof the run attaches the abort-attribution profiler to every
 // system: reports gain the hot-conflict-line table (SpaceSaving top-K)
-// and footprint quantiles per commit-path class and outcome. -prof-out
-// writes the session's footprint rows as the JSON document parthtm-vet
-// -prof reconciles against the static bounds (the counter time series of
-// a run is -flight's metrics CSV); -prof-check makes profiled experiments
-// assert their acceptance invariants (the heatmap experiment fails unless
-// the planted hot line ranks top of the sketch and the packed layout shows
-// the conflict-abort excess). Both imply -prof.
+// and footprint quantiles per commit-path class and outcome (the counter
+// time series of a run is -flight's metrics CSV). -prof-check makes
+// profiled experiments assert their acceptance invariants (the heatmap
+// experiment fails unless the planted hot line ranks top of the sketch and
+// the packed layout shows the conflict-abort excess); it implies -prof.
 //
 // -trace-check validates that a -trace artifact decodes as strict Chrome
 // trace JSON (the CI smoke step).
@@ -105,7 +102,6 @@ func main() {
 		governed = flag.Bool("governor", false, "attach a resource governor (per-thread HTM circuit breaker) to every system")
 		campaign = flag.String("campaign", "", "soak chaos-campaign preset: storm (default) or ramp")
 		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line and footprint report tables")
-		profOut  = flag.String("prof-out", "", "write the profiler's session footprints to this file as JSON (the parthtm-vet -prof input); implies -prof")
 		profChk  = flag.Bool("prof-check", false, "fail experiments whose profile acceptance checks do not hold (heatmap); implies -prof")
 		domains  = flag.String("domains", "", "comma-separated domain counts for the domains experiment (default 1,2,4,8)")
 		crossR   = flag.String("cross", "", "comma-separated cross-domain ratios in [0,1] for the domains experiment (default 0,0.2)")
@@ -163,10 +159,8 @@ func main() {
 		sink = trace.NewSink(*traceCap)
 		opts.Trace = sink
 	}
-	var profile *prof.Profile
-	if *profOn || *profOut != "" || *profChk {
-		profile = prof.New(prof.Config{})
-		opts.Profile = profile
+	if *profOn || *profChk {
+		opts.Profile = prof.New(prof.Config{})
 		opts.ProfCheck = *profChk
 	}
 	if *wdIntvl > 0 || *wdStall > 0 {
@@ -286,10 +280,6 @@ func main() {
 	}
 	if sink != nil {
 		writeTrace(sink, *tracePth, *traceTxt)
-	}
-	if *profOut != "" {
-		writeFile(*profOut, func(f *os.File) error { return profile.WriteJSON(f) })
-		fmt.Fprintf(os.Stderr, "prof: session footprints -> %s\n", *profOut)
 	}
 	if streaming {
 		return

@@ -1,18 +1,14 @@
-// Package analysis is parthtm-vet: a suite of static analyzers that
-// enforce the concurrency discipline this repository's comments promise
-// but, until now, nothing checked.
+// Package analysis is parthtm-vet: the static checks for the two
+// transactional-memory rules whose violations no test or race run sees.
 //
-// The repository's correctness rests on invariants that live outside the
-// type system: tm.Counter is single-writer (owner thread only), bodies
-// passed to tm.System.Atomic must be pure functions of their inputs and
-// Reads, atomically accessed words must never be touched plainly (so the
-// sync/atomic function API, which allows it, is banned), code running
-// inside a simulated hardware-transaction window must not do things real
-// TSX forbids (allocate, take locks, read the clock, touch channels or
-// the scheduler) — in its own body or in any module function it reaches —
-// transaction bodies must fit the hardware's capacity, and the domain
-// commit walks must follow the canonical order. Each analyzer turns one
-// of those comments into a build-breaking check.
+// Bodies passed to tm.System.Atomic must be pure functions of their inputs
+// and Reads (txpure), and code running inside a simulated
+// hardware-transaction window must not do things real TSX forbids —
+// allocate, take locks, read the clock, touch channels or the scheduler —
+// in its own body or in any module function it reaches (htmregion). An
+// analyzer stays in the suite only while a seeded mutation of the real
+// tree exists that it reports and that the tests and the race detector
+// miss; DESIGN.md §9 records each one.
 //
 // The framework deliberately mirrors a small subset of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
@@ -31,12 +27,8 @@
 // giving the justification (write one — the annotation is a claim that a
 // human proved the invariant by other means):
 //
-//	singlewriter  // parthtm:owner    — caller is the shard's owner thread
-//	atomicmix     // parthtm:plain    — the word is never accessed plainly
 //	txpure        // parthtm:impure   — body's captured state is retry-safe
 //	htmregion     // parthtm:htmsafe  — operation is safe inside the window
-//	txfootprint   // parthtm:bigtx    — body is intentionally oversized (slow-path workload)
-//	domainorder   // parthtm:ordered  — domain order proven by other means
 //
 // An annotation applies to the source line it trails (or the line
 // directly above the flagged one), or to a whole function when placed in
@@ -59,7 +51,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by -help.
 	Doc string
 	// Tag is the parthtm annotation tag that suppresses this analyzer's
-	// diagnostics (the package doc lists all six).
+	// diagnostics (the package doc lists both).
 	Tag string
 	// Run performs the check on one package.
 	Run func(*Pass)
@@ -67,7 +59,7 @@ type Analyzer struct {
 
 // All returns the full parthtm-vet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{SingleWriter, AtomicMix, TxPure, HTMRegion, TxFootprint, DomainOrder}
+	return []*Analyzer{TxPure, HTMRegion}
 }
 
 // A Pass provides one analyzer with one type-checked package and a sink
@@ -284,7 +276,6 @@ const (
 	htmPath    = "repro/internal/htm"
 	execPath   = "repro/internal/exec"
 	domainPath = "repro/internal/domain"
-	corePath   = "repro/internal/core"
 )
 
 // calleeFunc resolves the *types.Func a call invokes (methods and
@@ -362,16 +353,4 @@ func inspectStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) 
 		}
 		return descend
 	})
-}
-
-// enclosingFunc returns the innermost function literal or declaration in
-// the stack, or nil.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncLit, *ast.FuncDecl:
-			return stack[i]
-		}
-	}
-	return nil
 }

@@ -17,21 +17,7 @@ import (
 // packages they police, so a fixture that drifts from the real API fails
 // to load.
 
-func TestSingleWriter(t *testing.T) { runAnalyzerTest(t, SingleWriter, "singlewriter") }
-func TestAtomicMix(t *testing.T)    { runAnalyzerTest(t, AtomicMix, "atomicmix") }
-func TestTxPure(t *testing.T)       { runAnalyzerTest(t, TxPure, "txpure") }
-func TestTxFootprint(t *testing.T)  { runAnalyzerTest(t, TxFootprint, "txfootprint") }
-
-// domainorder's walk-direction, progress and pairing rules run at every
-// helper call, so their fixture sits outside core and each call also
-// earns the confinement finding; the confinement rule has its own fixture.
-func TestDomainOrderWalks(t *testing.T) {
-	runAnalyzerTest(t, DomainOrder, "domainorder/walks")
-}
-
-func TestDomainOrderConfinement(t *testing.T) {
-	runAnalyzerTest(t, DomainOrder, "domainorder")
-}
+func TestTxPure(t *testing.T) { runAnalyzerTest(t, TxPure, "txpure") }
 
 // htmregion's walk crosses package boundaries: the sub package carries
 // want cases reported by the walk rooted in the parent package.

@@ -1,9 +1,8 @@
 // Interprocedural infrastructure shared by the analyzers: a whole-module
-// Program view over every package one Load produced, a declaration index
-// that resolves callees across package boundaries, and a memoized
-// bottom-up function-summary table. htmregion's reachability walk,
-// txpure's local-indirection handling, and txfootprint's footprint
-// summaries are all built on this layer.
+// Program view over every package one Load produced, and a declaration
+// index that resolves callees across package boundaries. htmregion's
+// reachability walk and txpure's local-indirection handling are built on
+// this layer.
 //
 // One wrinkle shapes the whole design: every package is type-checked in
 // its own universe (load.go checks each package against gc export data),
@@ -33,7 +32,6 @@ type FuncNode struct {
 // Program for all matched packages, giving the analyzers module-wide
 // reach.
 type Program struct {
-	pkgs   []*Package
 	byPath map[string]*Package
 	funcs  map[string]*FuncNode
 	notes  map[*Package]annotations
@@ -47,7 +45,6 @@ func NewProgram(pkgs ...*Package) *Program {
 		notes:  map[*Package]annotations{},
 	}
 	for _, p := range pkgs {
-		pr.pkgs = append(pr.pkgs, p)
 		pr.byPath[p.PkgPath] = p
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
@@ -63,9 +60,6 @@ func NewProgram(pkgs ...*Package) *Program {
 	}
 	return pr
 }
-
-// Packages returns the indexed packages in load order.
-func (pr *Program) Packages() []*Package { return pr.pkgs }
 
 // Package returns the indexed package with the given import path, or nil.
 func (pr *Program) Package(path string) *Package { return pr.byPath[path] }
@@ -103,52 +97,6 @@ func (pr *Program) notesFor(p *Package) annotations {
 	n := collectAnnotations(p.Fset, p.Files)
 	pr.notes[p] = n
 	return n
-}
-
-// A SummaryTable memoizes one bottom-up fact per function declaration —
-// the reusable core of interprocedural analysis. compute derives the
-// summary of one declaration, querying callees through the callback it is
-// handed; the callback reports ok=false when the callee's body is unknown
-// to the program (not loaded, interface method, func value) or when the
-// callee is part of a call cycle still being computed — both cases the
-// caller must treat with its own worst-case assumption, which keeps the
-// framework conservative by construction.
-type SummaryTable[T any] struct {
-	prog    *Program
-	compute func(n *FuncNode, callee func(*types.Func) (T, bool)) T
-	memo    map[*FuncNode]*summaryEntry[T]
-}
-
-type summaryEntry[T any] struct {
-	val  T
-	done bool
-}
-
-// NewSummaryTable creates a summary table over prog.
-func NewSummaryTable[T any](prog *Program,
-	compute func(n *FuncNode, callee func(*types.Func) (T, bool)) T) *SummaryTable[T] {
-	return &SummaryTable[T]{prog: prog, compute: compute, memo: map[*FuncNode]*summaryEntry[T]{}}
-}
-
-// Of returns fn's memoized summary. ok is false for unknown bodies and
-// for cycles (see SummaryTable).
-func (t *SummaryTable[T]) Of(fn *types.Func) (T, bool) {
-	var zero T
-	n := t.prog.FuncNode(fn)
-	if n == nil {
-		return zero, false
-	}
-	if e, ok := t.memo[n]; ok {
-		if !e.done {
-			return zero, false // cycle: still on the compute stack
-		}
-		return e.val, true
-	}
-	e := &summaryEntry[T]{}
-	t.memo[n] = e
-	e.val = t.compute(n, t.Of)
-	e.done = true
-	return e.val, true
 }
 
 // localFuncBindings indexes every binding of a local variable to a

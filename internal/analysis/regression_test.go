@@ -119,14 +119,14 @@ func TestSortDiagnosticsDeterministic(t *testing.T) {
 	in := []Diagnostic{
 		diagAt("b.go", 1, 1, "txpure", "z"),
 		diagAt("a.go", 9, 2, "txpure", "m"),
-		diagAt("a.go", 9, 2, "atomicmix", "m"),
+		diagAt("a.go", 9, 2, "htmregion", "m"),
 		diagAt("a.go", 9, 2, "txpure", "m"), // exact repeat: dropped
 		diagAt("a.go", 2, 5, "txpure", "m"),
 	}
 	got := sortDiagnostics(in)
 	want := []Diagnostic{
 		diagAt("a.go", 2, 5, "txpure", "m"),
-		diagAt("a.go", 9, 2, "atomicmix", "m"),
+		diagAt("a.go", 9, 2, "htmregion", "m"),
 		diagAt("a.go", 9, 2, "txpure", "m"),
 		diagAt("b.go", 1, 1, "txpure", "z"),
 	}

@@ -87,34 +87,20 @@ func isTxBody(info *types.Info, lit *ast.FuncLit) bool {
 // Fast/Mid/Slow field of a composite literal of type exec.Txn, or the RHS
 // of an assignment to such a field.
 func isExecLevel(info *types.Info, lit *ast.FuncLit, stack []ast.Node) bool {
-	return execLevelName(info, lit, stack) != ""
-}
-
-// execLevelName returns the exec.Txn level field lit is installed in
-// ("Fast", "Mid", …), or "" when lit is not a level body.
-func execLevelName(info *types.Info, lit *ast.FuncLit, stack []ast.Node) string {
 	if len(stack) == 0 {
-		return ""
+		return false
 	}
 	switch parent := stack[len(stack)-1].(type) {
 	case *ast.KeyValueExpr:
 		if parent.Value != lit {
-			return ""
+			return false
 		}
 		key, ok := parent.Key.(*ast.Ident)
-		if !ok || !isLevelName(key.Name) {
-			return ""
-		}
-		if len(stack) < 2 {
-			return ""
+		if !ok || !isLevelName(key.Name) || len(stack) < 2 {
+			return false
 		}
 		comp, ok := stack[len(stack)-2].(*ast.CompositeLit)
-		if !ok {
-			return ""
-		}
-		if isNamed(info.Types[comp].Type, execPath, "Txn") {
-			return key.Name
-		}
+		return ok && isNamed(info.Types[comp].Type, execPath, "Txn")
 	case *ast.AssignStmt:
 		for i, rhs := range parent.Rhs {
 			if rhs != lit || i >= len(parent.Lhs) {
@@ -125,11 +111,11 @@ func execLevelName(info *types.Info, lit *ast.FuncLit, stack []ast.Node) string 
 				continue
 			}
 			if s, ok := info.Selections[sel]; ok && isNamed(s.Recv(), execPath, "Txn") {
-				return sel.Sel.Name
+				return true
 			}
 		}
 	}
-	return ""
+	return false
 }
 
 func isLevelName(name string) bool {

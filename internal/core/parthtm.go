@@ -264,11 +264,9 @@ func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 		t.ds = domain.NewTxnState(s.nd, t.sh)
 		x := &tx{s: s, t: t}
 		t.xtxn = exec.Txn{
-			// Kernel dispatch: the level runs whatever body the caller handed
-			// Atomic, so no static bound exists at this site; each workload
-			// body is bounded at its own definition site, and an oversized
-			// one capacity-aborts into the partitioned/slow paths by design.
-			// parthtm:bigtx — dispatch wrapper, bounded at the workload site
+			// Kernel dispatch: each level runs whatever body the caller handed
+			// Atomic; an oversized one capacity-aborts into the
+			// partitioned/slow paths by design.
 			Fast:    func() htm.Result { return s.fastAttempt(t, x, t.body) },
 			Mid:     func() bool { return s.partitionedAttempt(t, x, t.body) },
 			Slow:    func() { s.slowAttempt(t, x, t.body) },

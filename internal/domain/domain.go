@@ -192,8 +192,10 @@ func (d *Domains) SnapshotTimestamps(start []uint64) {
 // The caller MUST publish the claimed timestamp immediately (Publish)
 // without blocking in between: validators of dm spin until the entry for
 // the claimed timestamp appears, so an unpublished claim stalls the whole
-// domain. Keeping claim→publish atomic per domain is also what makes the
-// canonical-order cross-domain commit deadlock-free.
+// domain. That claim→publish immediacy, not the order in which a
+// cross-domain commit visits its domains, is what makes the cross-domain
+// commit deadlock-free: no committer ever waits while holding an
+// unpublished claim.
 func (d *Domains) ClaimTimestamp(dm int, readSig *sig.Signature, start *uint64) (ts uint64, ok, rollover bool) {
 	r := d.doms[dm].ring
 	tsAddr := r.TimestampAddr()
@@ -273,8 +275,7 @@ func NewTxnState(n int, sh *tm.Shard) *TxnState {
 
 // Shard returns the owning thread's stats shard. Like exec.Thread.Shard,
 // the result is owner-bound: only the thread owning this TxnState may
-// increment counters through it (the singlewriter analyzer knows this
-// origin).
+// increment counters through it (see tm.Counter).
 func (t *TxnState) Shard() *tm.Shard { return t.sh }
 
 // Count returns the number of domains the current attempt touched.

@@ -56,8 +56,7 @@ type Options struct {
 	// uses the default ("storm").
 	Campaign string
 	// Profile, when non-nil, is attached to every system the experiment
-	// builds: report rows gain hot-line and footprint tables, and the
-	// profile accumulates the session footprints for -prof-out.
+	// builds: report rows gain hot-line and footprint tables.
 	Profile *prof.Profile
 	// ProfCheck makes profiled experiments assert their acceptance
 	// invariants — the heatmap experiment fails unless the planted hot

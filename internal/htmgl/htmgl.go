@@ -136,10 +136,9 @@ func (x *tx) NonTxWork(c int64) {
 // commit/abort outcomes.
 func (s *System) Atomic(thread int, body func(tm.Tx)) {
 	txn := exec.Txn{
-		// Kernel dispatch: the level runs the caller's body, unbounded at
-		// this site; an oversized transaction burns its retries and falls to
-		// the global lock — the baseline behavior Part-HTM improves on.
-		// parthtm:bigtx — dispatch wrapper, bounded at the workload site
+		// Kernel dispatch: the level runs the caller's body; an oversized
+		// transaction burns its retries and falls to the global lock — the
+		// baseline behavior Part-HTM improves on.
 		Fast: func() htm.Result { return s.hwAttempt(thread, body) },
 		Slow: func() { s.lockAttempt(thread, body) },
 	}

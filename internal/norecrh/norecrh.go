@@ -68,11 +68,10 @@ func New(eng *htm.Engine, maxThreads int) *System {
 		nt := norec.NewTxn(s.m, s.seq, et.Shard())
 		sw := stm.NewTx(i, s.m, &swTxn{Txn: nt, s: s, et: et, id: i})
 		t.xtxn = exec.Txn{
-			// Kernel dispatch: the level runs the caller's body, unbounded at
-			// this site; a capacity abort stops hardware retries
-			// (StopFastOnResource) and falls to the NOrec software path,
-			// the guaranteed level: there is no Slow to serialize onto.
-			// parthtm:bigtx — dispatch wrapper, bounded at the workload site
+			// Kernel dispatch: the level runs the caller's body; a capacity
+			// abort stops hardware retries (StopFastOnResource) and falls to
+			// the NOrec software path, the guaranteed level: there is no Slow
+			// to serialize onto.
 			Fast: func() htm.Result { return hw.attempt(t.body) },
 			Mid:  func() bool { return sw.Attempt(t.body) },
 		}

@@ -233,18 +233,11 @@ type Profile struct {
 	cfg    Config
 	shards perthread.Set[Shard]
 
-	mu sync.Mutex // guards the router and the session accumulator
-
 	// Domain router (sharded-domain topologies): copied into every shard,
 	// existing and future, under mu.
+	mu    sync.Mutex
 	domN  int
 	domOf func(line uint32) int
-
-	// Session accumulator: Reset folds the shards' footprint histograms
-	// here (under mu) before clearing them, so SessionFootprints can
-	// reconcile a whole run even when the heatmap experiment resets the
-	// per-row state between sweep points.
-	session [ClassCount][OutcomeCount]footprint
 }
 
 // New creates a profile with the given configuration.
@@ -439,30 +432,7 @@ func (p *Profile) Footprints() []FootprintStat {
 	if p == nil {
 		return nil
 	}
-	return p.footprintRows(false)
-}
-
-// SessionFootprints returns the footprint rows of the whole profiling
-// session: the live shards merged with everything earlier Reset calls
-// folded away. Reset runs between report rows (the heatmap experiment
-// resets per sweep point), so the per-row view loses history — this view
-// does not, which is what the parthtm-vet -prof reconciliation checks
-// static bounds against. Writers must have quiesced.
-func (p *Profile) SessionFootprints() []FootprintStat {
-	if p == nil {
-		return nil
-	}
-	return p.footprintRows(true)
-}
-
-// footprintRows merges shard (and optionally session-accumulated)
-// footprint cells into summary rows.
-func (p *Profile) footprintRows(session bool) []FootprintStat {
 	shards := p.all()
-	if session {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	var out []FootprintStat
 	var read, write, occ hist.Histogram
 	for c := uint8(0); c < ClassCount; c++ {
@@ -470,12 +440,6 @@ func (p *Profile) footprintRows(session bool) []FootprintStat {
 			read.Reset()
 			write.Reset()
 			occ.Reset()
-			if session {
-				f := &p.session[c][o]
-				read.Merge(&f.read)
-				write.Merge(&f.write)
-				occ.Merge(&f.occ)
-			}
 			for _, sh := range shards {
 				f := &sh.foot[c][o]
 				read.Merge(&f.read)
@@ -503,28 +467,9 @@ func (p *Profile) footprintRows(session bool) []FootprintStat {
 }
 
 // Reset clears every shard's sketch, heat, and footprint state (between
-// report rows; writers must have quiesced). The footprint histograms are
-// folded into the session accumulator before clearing, so
-// SessionFootprints still sees them.
+// report rows; writers must have quiesced).
 func (p *Profile) Reset() {
-	if p == nil {
-		return
-	}
-	shards := p.all()
-	p.mu.Lock()
-	for _, sh := range shards {
-		for c := range sh.foot {
-			for o := range sh.foot[c] {
-				acc := &p.session[c][o]
-				f := &sh.foot[c][o]
-				acc.read.Merge(&f.read)
-				acc.write.Merge(&f.write)
-				acc.occ.Merge(&f.occ)
-			}
-		}
-	}
-	p.mu.Unlock()
-	for _, sh := range shards {
+	for _, sh := range p.all() {
 		sh.reset()
 	}
 }

@@ -111,10 +111,8 @@ func (a *App) lookup(id int, v uint64) int {
 	mask := a.cfg.HashSlots - 1
 	found := -1
 	// The probe loop is bounded only by the runtime table size, but chains
-	// terminate at the first empty slot, so the dynamic read set tracks the
-	// load factor (tmprof reconciliation covers the gap); a pathological
-	// full-table probe belongs on the fallback paths.
-	// parthtm:bigtx — read set is load-factor-sized at runtime
+	// terminate at the first empty slot, so the read set tracks the load
+	// factor; a pathological full-table probe belongs on the fallback paths.
 	a.sys.Atomic(id, func(x tm.Tx) {
 		found = -1
 		h := hashOf(v, mask)

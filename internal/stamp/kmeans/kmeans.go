@@ -136,11 +136,6 @@ func (a *App) Run(threads int) {
 					c := a.nearest(p) // non-transactional compute
 					a.lastAssign[i] = c
 					base := a.block(c)
-					// The accumulator update touches 1+Dims contiguous words —
-					// a handful of lines for any realistic dimensionality —
-					// but Dims is runtime configuration the static bound
-					// cannot see (tmprof reconciliation covers the gap).
-					// parthtm:bigtx — footprint is 1+Dims words, config-sized
 					a.sys.Atomic(id, func(x tm.Tx) {
 						x.Write(base, x.Read(base)+1)
 						for d := 0; d < cfg.Dims; d++ {

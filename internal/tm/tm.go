@@ -68,9 +68,12 @@ type System interface {
 // thread owning the enclosing Shard increments it, so an increment is a
 // plain load+store pair on a private cache line — no cross-thread
 // read-modify-write. It is NOT safe for concurrent writers: two threads
-// incrementing the same Counter lose updates (the parthtm-vet
-// singlewriter analyzer enforces the ownership rule statically). Any
-// thread may read it concurrently (Snapshot does).
+// incrementing the same Counter lose updates, which the race detector
+// does not report (the cell is an atomic). The commit-count checks hold
+// the ownership rule instead: tmtest.CounterStress and
+// exec.TestGovernorBreakerHammer count every commit exactly, under go test
+// and in the CI -race list. Any thread may read it concurrently (Snapshot
+// does).
 //
 // All methods tolerate a nil receiver as a no-op, so degraded paths that
 // lost their shard pointer record nothing rather than crash.

@@ -128,11 +128,11 @@ func TestCrossDomainWriteSkew(t *testing.T) {
 // TestCrossDomainOppositeOrderNoDeadlock is the deterministic
 // deadlock-freedom test: two threads repeatedly run transactions touching
 // domains {0, 1} in opposite body order (one writes domain 0 then domain 1,
-// the other domain 1 then domain 0). Commit-time acquisition is canonical
-// (ascending domain order) regardless of body order and a claimed timestamp
-// is always published before the committer blocks on anything else, so the
-// pairs must always drain; a watchdog converts a wedged pair into a
-// failure. Conservation is checked at the end.
+// the other domain 1 then domain 0). A claimed timestamp is always
+// published before the committer blocks on anything else, so no committer
+// waits while holding an unpublished claim and the pairs must always drain,
+// whatever order the commit visits its domains in; a watchdog converts a
+// wedged pair into a failure. Conservation is checked at the end.
 func TestCrossDomainOppositeOrderNoDeadlock(t *testing.T) {
 	const pairs = 300
 	sys := newShardedSystem(t, 2, 2, false)

@@ -140,6 +140,10 @@ func RunAll(t *testing.T, f func(t *testing.T, fac Factory)) {
 }
 
 // CounterStress checks atomicity: concurrent increments must not be lost.
+// It also holds the stats to exactly one commit per transaction: a
+// tm.Counter is single-writer, so a counter bumped from a thread that does
+// not own its shard loses updates, which -race cannot see (the cell is an
+// atomic) but this count does.
 func CounterStress(t *testing.T, sys tm.System, threads, perThread int) {
 	t.Helper()
 	a := sys.Memory().Alloc(1)
@@ -159,6 +163,9 @@ func CounterStress(t *testing.T, sys tm.System, threads, perThread int) {
 	want := uint64(threads * perThread)
 	if got := sys.Memory().Load(a); got != want {
 		t.Fatalf("%s: counter = %d, want %d (lost updates)", sys.Name(), got, want)
+	}
+	if got := sys.Stats().Snapshot().Commits(); got != want {
+		t.Fatalf("%s: stats commits = %d, want %d", sys.Name(), got, want)
 	}
 }
 
