@@ -192,6 +192,138 @@ func TestOpaqueFastPathChecksCellsWhilePartitionedActive(t *testing.T) {
 	}
 }
 
+// TestPartitionedBeginDoomsLoneOpaqueSegment: a sub-HTM segment of the only
+// partitioned transaction, which read activeTx == 1 at begin, skips its
+// lock-cell reads; the next partitioned begin dooms it before that
+// transaction can lock a cell, its retry checks the cells, and so it never
+// returns the other transaction's uncommitted value. No sleeps: A parks
+// inside its open segment, and B stops at the timestamp snapshot that follows
+// its increment, on a stripe the test holds.
+func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
+	s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = true })
+	m := s.Memory()
+	xa, ya := m.AllocLines(1), m.AllocLines(1)
+	m.Store(xa, 1)
+	tsLine := mem.LineOf(s.doms.Ring(0).TimestampAddr())
+
+	a := s.threads[0]
+	var checked []bool
+	var observed []uint64
+	parked, resume := make(chan struct{}), make(chan struct{})
+	aDone := make(chan bool)
+	go func() {
+		aDone <- s.partitionedAttempt(a, &tx{s: s, t: a}, func(x tm.Tx) {
+			x.Read(ya)
+			checked = append(checked, a.checkCells)
+			if len(checked) == 1 {
+				close(parked)
+				<-resume
+			}
+			observed = append(observed, x.Read(xa))
+		})
+	}()
+	<-parked
+	seg := a.ht
+	if checked[0] || seg.Doomed() {
+		t.Fatalf("the lone segment checks cells (%v) or is doomed (%v) before anything else began", checked[0], seg.Doomed())
+	}
+
+	m.Lock(tsLine)
+	locked, resumeB := make(chan struct{}), make(chan struct{})
+	bDone := make(chan bool)
+	go func() {
+		b := s.threads[1]
+		bDone <- s.partitionedAttempt(b, &tx{s: s, t: b}, func(x tm.Tx) {
+			x.Write(xa, 99)
+			x.Pause() // the sub-HTM commit locks x and stores 99
+			close(locked)
+			<-resumeB
+		})
+	}()
+	for m.Load(s.activeTx) != 2 {
+		runtime.Gosched()
+	}
+	if !seg.Doomed() {
+		t.Error("a partitioned begin did not doom a segment that had seen activeTx == 1")
+	}
+	if c := m.Load(s.cell(xa)); c != 0 {
+		t.Errorf("x's cell holds %#x before B got past its begin", c)
+	}
+	m.Unlock(tsLine)
+	<-locked
+
+	close(resume)
+	if <-aDone {
+		t.Error("A committed while x was locked")
+	}
+	for _, v := range observed {
+		if v == 99 {
+			t.Error("A returned B's uncommitted x")
+		}
+	}
+	if len(checked) != 2 || !checked[1] {
+		t.Errorf("cell checks per execution of A's body = %v, want [false true]", checked)
+	}
+	close(resumeB)
+	if !<-bDone {
+		t.Fatal("B did not commit")
+	}
+	if got := m.Load(xa); got != 99 {
+		t.Fatalf("x = %d, want 99", got)
+	}
+}
+
+// TestOpaqueSegmentChecksCellsWhilePartitionedActive: a segment that began
+// while another partitioned transaction ran (activeTx == 2) checks each
+// location's lock cell, so its read of a location a parked transaction has
+// locked ends in a global abort. Such a checked segment keeps activeTx out of
+// its read set, so a partitioned transaction that begins and commits on
+// disjoint data while it runs does not doom it.
+func TestOpaqueSegmentChecksCellsWhilePartitionedActive(t *testing.T) {
+	s := newSystem(3, 1<<17, nil, func(c *Config) { c.Opaque = true })
+	m := s.Memory()
+	lockedAddr, free, other := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
+	release := parkPartitioned(t, s, 1, lockedAddr, 7)
+
+	f := s.threads[0]
+	x := &tx{s: s, t: f}
+	if s.partitionedAttempt(f, x, func(x tm.Tx) {
+		if v := x.Read(lockedAddr); v == 7 {
+			t.Error("a segment read a locked (non-visible) value")
+		}
+	}) {
+		t.Fatal("a partitioned read of a locked location committed")
+	}
+
+	runs := 0
+	if !s.partitionedAttempt(f, x, func(x tm.Tx) {
+		runs++
+		x.Write(free, 9)
+		if !f.checkCells {
+			t.Error("a segment that began at activeTx == 2 skips its cell checks")
+		}
+		p := s.threads[2]
+		if !s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) { x.Read(other) }) {
+			t.Error("a read-only partitioned transaction on disjoint data did not commit")
+		}
+		if f.ht.Doomed() {
+			t.Error("a disjoint partitioned begin and commit doomed a checked segment")
+		}
+	}) {
+		t.Fatal("a checked segment on disjoint data did not commit")
+	}
+	if runs != 1 {
+		t.Errorf("the checked segment's body ran %d times, want 1", runs)
+	}
+
+	if !release() {
+		t.Fatal("the parked partitioned attempt did not commit")
+	}
+	if a, b := m.Load(lockedAddr), m.Load(free); a != 7 || b != 9 {
+		t.Fatalf("locked = %d, free = %d; want 7 and 9", a, b)
+	}
+}
+
 // TestFastCommitMetadataFootprint pins the fast path's metadata cost in
 // monitored lines.
 func TestFastCommitMetadataFootprint(t *testing.T) {

@@ -382,15 +382,19 @@ type thread struct {
 
 	ht *htm.Txn // open fast-path or sub-HTM transaction
 
-	// checkCells says that the open Part-HTM-O fast attempt checks each
-	// location's lock cell (Figure 2 lines 3-4). It is false only when the
-	// attempt read activeTx == 0 in hardware at begin, which proves that no
-	// cell is locked: a cell is locked only by a partitioned transaction
-	// that has already incremented activeTx (partitionedAttempt's first
-	// step), and each one it locked is unlocked before it decrements
-	// (releaseLocks precedes decActive). The read is monitored, so the first
-	// partitioned begin after it dooms the attempt before any cell can be
-	// locked, and htm's Read notices a doom that precedes its load.
+	// checkCells says that the open Part-HTM-O hardware transaction, a fast
+	// attempt or a sub-HTM segment, reads each location's lock cell before the
+	// location (Figure 2 lines 3-4 and 25-26). mustCheckCells clears it only
+	// when the transaction read activeTx in hardware at begin and saw its own
+	// count alone: 0 on the fast path, 1 in a segment, whose partitioned
+	// transaction counts itself. That proves no other transaction holds a
+	// cell: a cell is locked only by a partitioned transaction that has
+	// already incremented activeTx (partitionedAttempt's first step), and each
+	// one it locked is unlocked before it decrements (releaseLocks precedes
+	// decActive). The read is monitored, so the next partitioned begin dooms
+	// the transaction before any foreign cell can be locked, and htm's Read
+	// notices a doom that precedes its load. Writes in a segment still lock
+	// their cells.
 	checkCells bool
 
 	undo      []undoRec
@@ -577,17 +581,14 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		t.ht = nil
 		t.mode = modeIdle
 	}()
-	// Part-HTM-O checks lock cells only while a partitioned transaction may
-	// hold one (see checkCells). A peek outside the window keeps activeTx out
-	// of the read set while partitioned transactions come and go.
-	idle := s.cfg.Opaque && s.m.Load(s.activeTx) == 0
+	alone := s.peekAlone(0)
 	ht := s.eng.Begin(t.id)
 	t.ht = ht
 	t.resetFast()
 	if ht.Read(s.glock) != 0 {
 		ht.Abort(codeGLock) // the lock line stays monitored: later acquisition dooms us
 	}
-	t.checkCells = s.cfg.Opaque && !(idle && ht.Read(s.activeTx) == 0)
+	t.checkCells = s.mustCheckCells(ht, alone, 0)
 	body(x)
 	ds := t.ds
 	if !s.cfg.Opaque {
@@ -1022,6 +1023,7 @@ func (s *System) ensureSub(t *thread) *htm.Txn {
 		return t.ht
 	}
 	t.et.TraceEvent(trace.EvSubBegin, 0) // before Begin: outside the window
+	alone := s.peekAlone(1)
 	ht := s.eng.Begin(t.id)
 	ht.SetProfileClass(prof.ClassSub) // footprints split fast vs sub-HTM
 	t.ht = ht
@@ -1038,7 +1040,23 @@ func (s *System) ensureSub(t *thread) *htm.Txn {
 			}
 		}
 	}
+	t.checkCells = s.mustCheckCells(ht, alone, 1)
 	return ht
+}
+
+// peekAlone loads activeTx before a hardware transaction begins and
+// reports whether it counts only the caller's own partitioned transactions
+// (see checkCells). Only Part-HTM-O has cells to skip. A peek that sees
+// others keeps activeTx out of the read set, so checked transactions are not
+// doomed by partitioned begins and ends they do not conflict with.
+func (s *System) peekAlone(own uint64) bool {
+	return s.cfg.Opaque && s.m.Load(s.activeTx) == own
+}
+
+// mustCheckCells is checkCells for ht, begun after a peekAlone(own) that
+// returned alone; only then does ht read activeTx, monitored.
+func (s *System) mustCheckCells(ht *htm.Txn, alone bool, own uint64) bool {
+	return s.cfg.Opaque && !(alone && ht.Read(s.activeTx) == own)
 }
 
 // touchLive records domain d in the live segment's footprint. The first
@@ -1445,7 +1463,7 @@ func (x *tx) Read(a mem.Addr) uint64 {
 		ht := s.ensureSub(t)
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
-		if s.cfg.Opaque {
+		if t.checkCells {
 			if c := ht.Read(s.cell(a)); c&1 != 0 && c != t.tag {
 				ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
 			}
