@@ -14,7 +14,6 @@
 //	parthtm-bench -exp all -json -out results.json
 //	parthtm-bench -exp chaos -trace trace.json   # Perfetto/Chrome trace
 //	parthtm-bench -exp chaos -trace-text events.txt
-//	parthtm-bench -trace-check trace.json    # validate a trace artifact
 //	parthtm-bench -exp soak -campaign storm  # multi-phase chaos campaign
 //	parthtm-bench -exp table1,chaos -governor    # several experiments, governed
 //	parthtm-bench -exp chaos -prof               # abort-attribution profile
@@ -28,8 +27,7 @@
 // registry in the background. When a watchdog alarm fires, a breaker trips
 // repeatedly, or a soak phase ends degraded, the recorder dumps the recent
 // history into DIR as a timestamped artifact pair: a Chrome/Perfetto trace
-// (validates with -trace-check) and a metrics CSV. SIGQUIT forces a
-// best-effort dump.
+// and a metrics CSV. SIGQUIT forces a best-effort dump.
 // -wd-interval and -wd-stall tighten the soak watchdog (CI uses a
 // hair-trigger setting to force an alarm deterministically).
 //
@@ -58,9 +56,6 @@
 // experiment fails unless the planted hot line ranks top of the sketch and
 // the packed layout shows the conflict-abort excess); it implies -prof.
 //
-// -trace-check validates that a -trace artifact decodes as strict Chrome
-// trace JSON (the CI smoke step).
-//
 // The command prints what one run measured on the host it ran on; it does
 // not judge a change. That is done with the benchmark module (benchmark/):
 // a change and its parent are each run through it on one host.
@@ -76,6 +71,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/domain"
 	"repro/internal/governor"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -98,7 +94,6 @@ func main() {
 		tracePth = flag.String("trace", "", "record transaction events and write a Chrome/Perfetto trace JSON file")
 		traceTxt = flag.String("trace-text", "", "record transaction events and write a plain-text event listing")
 		traceCap = flag.Int("trace-cap", 0, "per-thread trace ring capacity in events (0 = default, rounded up to a power of two)")
-		traceChk = flag.String("trace-check", "", "validate that the given file decodes as Chrome trace JSON, then exit")
 		governed = flag.Bool("governor", false, "attach a resource governor (per-thread HTM circuit breaker) to every system")
 		campaign = flag.String("campaign", "", "soak chaos-campaign preset: storm (default) or ramp")
 		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line and footprint report tables")
@@ -111,10 +106,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *traceChk != "" {
-		runTraceCheck(*traceChk)
-		return
-	}
 	rate, ok := clampFault(*faultR)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "parthtm-bench: bad -fault value %v\n", *faultR)
@@ -209,7 +200,7 @@ func main() {
 	if *domains != "" {
 		for _, part := range strings.Split(*domains, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
+			if err != nil || !validDomains(n) {
 				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -domains value %q\n", part)
 				os.Exit(2)
 			}
@@ -341,6 +332,11 @@ func validDuration(d time.Duration) bool { return d > 0 }
 // model as "no limit" and the hyper-threading capacity halving goes off.
 func validCores(n int) bool { return n >= 1 }
 
+// validDomains reports whether n can be a -domains count: the protocol
+// tracks a transaction's domains in one 64-bit mask, and domain.New panics
+// past domain.MaxDomains.
+func validDomains(n int) bool { return n >= 1 && n <= domain.MaxDomains }
+
 // writeFile creates path and fills it with render, exiting on any error.
 func writeFile(path string, render func(f *os.File) error) {
 	f, err := os.Create(path)
@@ -371,20 +367,4 @@ func writeTrace(sink *trace.Sink, chromePath, textPath string) {
 	if textPath != "" {
 		writeFile(textPath, func(f *os.File) error { return trace.WriteText(f, sink) })
 	}
-}
-
-// runTraceCheck validates a -trace artifact: strict Chrome trace-event
-// JSON that our own decoder round-trips. Exit 0 on success.
-func runTraceCheck(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -trace-check: %v\n", err)
-		os.Exit(1)
-	}
-	ct, err := trace.DecodeChrome(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parthtm-bench: -trace-check %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s: ok, %d trace events\n", path, len(ct.TraceEvents))
 }

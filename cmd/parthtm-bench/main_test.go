@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/domain"
 )
 
 // TestFaultAndCrossRejectNaN: strconv.ParseFloat accepts "NaN", which
@@ -75,6 +77,24 @@ func TestDurationAndCoresRejectNonPositive(t *testing.T) {
 	} {
 		if ok := validCores(tc.in); ok != tc.ok {
 			t.Errorf("validCores(%d) = %v, want %v", tc.in, ok, tc.ok)
+		}
+	}
+}
+
+// TestDomainsRejectsOutOfRange: -domains 65 used to reach domain.New, which
+// panics past MaxDomains; it must be rejected as -cores 0 is.
+func TestDomainsRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		in int
+		ok bool
+	}{
+		{0, false},
+		{1, true},
+		{domain.MaxDomains, true},
+		{domain.MaxDomains + 1, false},
+	} {
+		if ok := validDomains(tc.in); ok != tc.ok {
+			t.Errorf("validDomains(%d) = %v, want %v", tc.in, ok, tc.ok)
 		}
 	}
 }

@@ -85,29 +85,15 @@ const (
 // Config tunes Part-HTM. The zero value is not valid; start from
 // DefaultConfig.
 type Config struct {
-	// PartRetries is how many partitioned-path attempts are made before the
-	// transaction falls back to the slow (global-lock) path. The paper uses
-	// 5.
-	PartRetries int
 	// RingSize is the number of global-ring entries (a power of two).
 	RingSize int
 	// NoFastPath starts every transaction directly on the partitioned path
 	// (the Part-HTM-no-fast variant of Figure 3(b)).
 	NoFastPath bool
-	// ValidateEverySub runs the in-flight validation after every sub-HTM
-	// commit (the paper's default); when false, validation happens only at
-	// global commit, which is still serializable but wastes doomed work.
-	ValidateEverySub bool
 	// Opaque selects Part-HTM-O (Figure 2): address-embedded write locks
 	// checked at encounter time plus timestamp subscription at sub-HTM
 	// begin, guaranteeing opacity.
 	Opaque bool
-	// LockPerWrite publishes each write's lock bit into the shared
-	// write-locks signature immediately at the write instead of once at the
-	// sub-HTM commit. The paper argues (§5.3.5) that per-write updates
-	// multiply false conflicts on the signature's cache lines; this knob
-	// exists to measure that design decision (ablation).
-	LockPerWrite bool
 	// AutoPartition activates additional partition points at run time: the
 	// thread keeps segment budgets in the units of htm.Txn.Footprint (the
 	// engine's own cycles and lines, metadata and lock cells included),
@@ -118,32 +104,6 @@ type Config struct {
 	// §3 (the advisory-lock/LLVM discussion); the workload's explicit Pause
 	// calls remain the static profile it refines.
 	AutoPartition bool
-	// MaxBackoff bounds the exponential backoff after a global abort.
-	MaxBackoff time.Duration
-
-	// RetryBudget caps the hardware aborts (fast-path and sub-HTM alike)
-	// one transaction may absorb before it escalates straight to the slow
-	// path. Counting aborts rather than begins keeps many-segment
-	// partitioned transactions unpenalized. Zero disables the budget (the
-	// paper's bare retry schedule).
-	RetryBudget int
-	// StarveThreshold is how many global aborts in a row make a transaction
-	// bid for eldest priority: the oldest starving transaction wins the bid
-	// and serializes on the slow path — guaranteed progress in bounded
-	// steps, so two partitioned transactions invalidating each other cannot
-	// livelock. Zero disables priority bidding.
-	StarveThreshold int
-	// LemmingWaitSpins bounds the pre-attempt wait on the global lock: a
-	// waiter that exceeds the (jittered) bound stops feeding the lemming
-	// convoy and joins the slow path instead. Zero restores the unbounded
-	// spin.
-	LemmingWaitSpins int
-	// DegradeThreshold is the contention-pressure level (fed by ring
-	// rollovers and write-locks-signature saturation) at which the system
-	// enters a degraded serialized mode, recovering automatically as
-	// commits drain the pressure. Zero disables degradation.
-	DegradeThreshold int
-
 	// Domains shards the memory substrate into this many independent
 	// domains, each with its own ring and write-locks signature
 	// (internal/domain). 0 and 1 both select the single-domain topology,
@@ -164,19 +124,29 @@ const (
 	subRetries  = 5
 )
 
+// schedule is Part-HTM's retry schedule (exec.Policy has each field's
+// rules): the paper's five partitioned attempts before the global lock,
+// backoff after a global abort, and the contention manager that keeps an
+// abort storm live — a budget of hardware aborts (not begins, so
+// many-segment transactions are not penalized), eldest priority for a
+// starving transaction, a bounded lemming wait and the degraded mode. No
+// option changes it; tests pass another to newWith.
+var schedule = exec.Policy{
+	FastAttempts:       fastRetries,
+	StopFastOnResource: true,
+	MidAttempts:        5,
+	GateMid:            true,
+	Backoff:            true,
+	MaxBackoff:         100 * time.Microsecond,
+	RetryBudget:        24,
+	StarveThreshold:    3,
+	LemmingWaitSpins:   4096,
+	DegradeThreshold:   12,
+}
+
 // DefaultConfig returns the configuration used in the paper's evaluation.
 func DefaultConfig() Config {
-	return Config{
-		PartRetries:      5,
-		RingSize:         1024,
-		ValidateEverySub: true,
-		AutoPartition:    true,
-		MaxBackoff:       100 * time.Microsecond,
-		RetryBudget:      24,
-		StarveThreshold:  3,
-		LemmingWaitSpins: 4096,
-		DegradeThreshold: 12,
-	}
+	return Config{RingSize: 1024, AutoPartition: true}
 }
 
 // System is a Part-HTM (or Part-HTM-O) instance over one simulated memory
@@ -216,6 +186,11 @@ type System struct {
 // (ring, signatures) and — for Part-HTM-O — a ReserveTop'd shadow region is
 // carved automatically.
 func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
+	return newWith(eng, maxThreads, cfg, schedule)
+}
+
+// newWith is New under retry schedule pol in place of the package's.
+func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *System {
 	if cfg.RingSize == 0 {
 		panic("core: zero Config; use DefaultConfig")
 	}
@@ -244,18 +219,7 @@ func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 			panic("core: opaque shadow region unexpectedly small")
 		}
 	}
-	s.run = exec.New(exec.Policy{
-		FastAttempts:       fastRetries,
-		StopFastOnResource: true,
-		MidAttempts:        cfg.PartRetries,
-		GateMid:            true,
-		Backoff:            true,
-		MaxBackoff:         cfg.MaxBackoff,
-		RetryBudget:        cfg.RetryBudget,
-		StarveThreshold:    cfg.StarveThreshold,
-		LemmingWaitSpins:   cfg.LemmingWaitSpins,
-		DegradeThreshold:   cfg.DegradeThreshold,
-	}, &s.stats, func() bool { return m.Load(s.glock) == 0 })
+	s.run = exec.New(pol, &s.stats, func() bool { return m.Load(s.glock) == 0 })
 	s.threads = make([]*thread, maxThreads)
 	for i := range s.threads {
 		t := newThread(i)
@@ -1100,21 +1064,15 @@ func (s *System) subCommitIfOpen(t *thread) {
 		for m := ds.Touched; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros64(m)
 			s.readWriteLocks(ht, d, &wl)
-			if s.cfg.DegradeThreshold > 0 {
-				pop := 0
-				for _, w := range wl {
-					pop += bits.OnesCount64(w)
-				}
-				if pop >= wlocksSaturationBits {
-					s.run.BumpPressure(degradeBumpSaturate)
-				}
+			pop := 0
+			for _, w := range wl {
+				pop += bits.OnesCount64(w)
+			}
+			if pop >= wlocksSaturationBits {
+				s.run.BumpPressure(degradeBumpSaturate)
 			}
 			for i, w := range wl {
 				others := w &^ ds.Agg[d][i] // others_locks = write_locks - agg_write_sig
-				if s.cfg.LockPerWrite {
-					// Our current segment's locks are already published too.
-					others &^= ds.Write[d][i]
-				}
 				if others&(ds.Write[d][i]|ds.Read[d][i]) != 0 {
 					ht.Abort(codeLockConflict)
 				}
@@ -1159,10 +1117,8 @@ func (s *System) subCommitIfOpen(t *thread) {
 	t.attemptCycles += f[dimCycles]
 	t.attemptWLines += int(f[dimWriteLines])
 
-	if !s.cfg.Opaque && s.cfg.ValidateEverySub {
-		if !s.inFlightValidate(t) {
-			panic(globalAbortPanic{})
-		}
+	if !s.cfg.Opaque && !s.inFlightValidate(t) {
+		panic(globalAbortPanic{})
 	}
 	// Part-HTM-O needs no post-commit validation: the timestamp
 	// subscription aborts any sub-transaction that overlaps a commit, so a
@@ -1178,10 +1134,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 // Writing back the words of a line that w does not change is sound: the line
 // has been in ht's read set since readWriteLocks, and a releasing thread's
 // non-transactional AndNot dooms a reader (or waits out a committer), so a
-// line that commits holds exactly what was read plus w's bits. Under
-// LockPerWrite the bits are already in ht's own buffer, ReadLine overlaid
-// them, nothing changes here, and so no line written word-wise is also
-// written whole.
+// line that commits holds exactly what was read plus w's bits.
 func (s *System) publishWriteLocks(ht *htm.Txn, d int, wl *[sig.Words]uint64, w *sig.Signature) {
 	wlocks := s.doms.Wlocks(d)
 	for i := 0; i < sig.Words; i += mem.LineWords {
@@ -1250,12 +1203,8 @@ func (s *System) noteRollover(t *thread) {
 func (s *System) globalCommit(t *thread) bool {
 	ds := t.ds
 	if ds.Wrote == 0 {
-		// With per-sub validation (or Part-HTM-O's subscription) the reads
-		// are already known consistent; otherwise a read-only transaction
-		// still needs one final validation before it may return values.
-		if !s.cfg.Opaque && !s.cfg.ValidateEverySub && !s.inFlightValidate(t) {
-			return false
-		}
+		// Per-sub validation (Part-HTM-O: the subscription) already knows
+		// the reads consistent.
 		s.decActive()
 		return true
 	}
@@ -1519,22 +1468,6 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 			// Locked by us: the data is written in place (Figure 2 line
 			// 31/35).
 		} else {
-			if s.cfg.LockPerWrite {
-				// Ablation: publish the lock bit immediately instead of at the
-				// sub-HTM commit — every touched signature word becomes a false
-				// conflict with all concurrent hardware transactions. A bit found
-				// set that is not ours (this segment's or an earlier one's) is
-				// another transaction's lock: the pre-commit check subtracts this
-				// segment's bits as already published, so it has to be caught here.
-				b := sig.HashBit(uint32(a))
-				w := s.doms.Wlocks(d) + mem.Addr(b>>6)
-				bit := uint64(1) << (b & 63)
-				if cur := ht.Read(w); cur&bit == 0 {
-					ht.Write(w, cur|bit)
-				} else if (t.ds.Write[d][b>>6]|t.ds.Agg[d][b>>6])&bit == 0 {
-					ht.Abort(codeLockConflict)
-				}
-			}
 			t.ds.Write[d].Add(uint32(a))
 		}
 		// Figure 1 lines 23-25: log the old value, write in place (buffered

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -15,6 +16,11 @@ import (
 // deterministic engine (no timer, no probabilistic evictions) unless the
 // engine config is mutated.
 func newSystem(threads int, words int, mutEng func(*htm.Config), mutCfg func(*Config)) *System {
+	return newScheduled(threads, words, mutEng, mutCfg, schedule)
+}
+
+// newScheduled is newSystem under retry schedule pol.
+func newScheduled(threads int, words int, mutEng func(*htm.Config), mutCfg func(*Config), pol exec.Policy) *System {
 	ecfg := htm.DefaultConfig()
 	ecfg.Quantum = 0
 	ecfg.ReadEvictProb = 0
@@ -29,7 +35,15 @@ func newSystem(threads int, words int, mutEng func(*htm.Config), mutCfg func(*Co
 		words *= 2
 	}
 	eng := htm.New(mem.New(words), ecfg)
-	return New(eng, threads, cfg)
+	return newWith(eng, threads, cfg, pol)
+}
+
+// oneMidAttempt is the package schedule with a single partitioned attempt
+// before the global lock.
+func oneMidAttempt() exec.Policy {
+	pol := schedule
+	pol.MidAttempts = 1
+	return pol
 }
 
 func TestNames(t *testing.T) {
@@ -453,10 +467,7 @@ func TestNonOpaqueAllowsDoomedLockedReads(t *testing.T) {
 // persistently locked location, the transaction must complete via the
 // global-lock path rather than spin forever.
 func TestSlowPathWaitsForActivePartitioned(t *testing.T) {
-	s := newSystem(2, 1<<17, nil, func(c *Config) {
-		c.NoFastPath = true
-		c.PartRetries = 1
-	})
+	s := newScheduled(2, 1<<17, nil, func(c *Config) { c.NoFastPath = true }, oneMidAttempt())
 	m := s.Memory()
 	x0 := m.AllocLines(1)
 
@@ -505,27 +516,22 @@ func TestSlowPathWaitsForActivePartitioned(t *testing.T) {
 // TestReadOnlyPartitionedCommit: read-only global transactions skip the
 // ring publication but still validate.
 func TestReadOnlyPartitionedCommit(t *testing.T) {
-	for _, everySub := range []bool{true, false} {
-		s := newSystem(1, 1<<17, nil, func(c *Config) {
-			c.NoFastPath = true
-			c.ValidateEverySub = everySub
-		})
-		m := s.Memory()
-		a := m.Alloc(2)
-		m.Store(a, 5)
-		m.Store(a+1, 6)
-		var sum uint64
-		s.Atomic(0, func(x tm.Tx) {
-			sum = x.Read(a)
-			x.Pause()
-			sum += x.Read(a + 1)
-		})
-		if sum != 11 {
-			t.Fatalf("sum = %d, want 11 (everySub=%v)", sum, everySub)
-		}
-		if ts := s.doms.Ring(0).Timestamp(); ts != 0 {
-			t.Fatalf("read-only transaction advanced the timestamp to %d", ts)
-		}
+	s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = true })
+	m := s.Memory()
+	a := m.Alloc(2)
+	m.Store(a, 5)
+	m.Store(a+1, 6)
+	var sum uint64
+	s.Atomic(0, func(x tm.Tx) {
+		sum = x.Read(a)
+		x.Pause()
+		sum += x.Read(a + 1)
+	})
+	if sum != 11 {
+		t.Fatalf("sum = %d, want 11", sum)
+	}
+	if ts := s.doms.Ring(0).Timestamp(); ts != 0 {
+		t.Fatalf("read-only transaction advanced the timestamp to %d", ts)
 	}
 }
 
@@ -614,10 +620,7 @@ func TestUndoAcrossSegmentsRewritingOneWord(t *testing.T) {
 // segments must restore every written word to its pre-transaction value.
 // Forced via a lock conflict with a concurrent holder.
 func TestUndoRestoresExactValues(t *testing.T) {
-	s := newSystem(2, 1<<18, nil, func(c *Config) {
-		c.NoFastPath = true
-		c.PartRetries = 1
-	})
+	s := newScheduled(2, 1<<18, nil, func(c *Config) { c.NoFastPath = true }, oneMidAttempt())
 	m := s.Memory()
 	// A's data: 8 lines it will write across two segments.
 	aBase := m.AllocLines(8)

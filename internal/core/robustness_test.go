@@ -12,31 +12,19 @@ import (
 	"repro/internal/tm"
 )
 
-// newFaultSystem builds a Part-HTM system over a deterministic engine with
-// the given fault injector installed.
-func newFaultSystem(threads int, fcfg *fault.Config, mutCfg func(*Config)) *System {
+// newFaultSystem builds a Part-HTM system under retry schedule pol over a
+// deterministic engine with the given fault injector installed.
+func newFaultSystem(threads int, fcfg *fault.Config, noFast bool, pol exec.Policy) *System {
 	ecfg := htm.DefaultConfig()
 	ecfg.Quantum = 0
 	ecfg.ReadEvictProb = 0
 	cfg := DefaultConfig()
-	if mutCfg != nil {
-		mutCfg(&cfg)
-	}
+	cfg.NoFastPath = noFast
 	eng := htm.New(mem.New(1<<17), ecfg)
 	if fcfg != nil {
 		eng.SetInjector(fault.New(*fcfg))
 	}
-	return New(eng, threads, cfg)
-}
-
-// seedPolicy reverts the contention manager to the seed's bare retry
-// schedule: unbounded budget, no priority, unbounded lemming-wait, no
-// degradation.
-func seedPolicy(c *Config) {
-	c.RetryBudget = 0
-	c.StarveThreshold = 0
-	c.LemmingWaitSpins = 0
-	c.DegradeThreshold = 0
+	return newWith(eng, threads, cfg, pol)
 }
 
 // TestStormRetryBudgetBoundsAborts runs transactions under a total
@@ -65,11 +53,10 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 	}
 
 	const budget = 6
-	cm := newFaultSystem(1, storm(), func(c *Config) {
-		c.NoFastPath = true
-		c.RetryBudget = budget
-		c.MaxBackoff = 0
-	})
+	pol := schedule
+	pol.MaxBackoff = 0
+	pol.RetryBudget = budget
+	cm := newFaultSystem(1, storm(), true, pol)
 	cmAborts := run(cm)
 	st := cm.Stats().Snapshot()
 	if st.EscalationsBudget != txns {
@@ -82,11 +69,10 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 		t.Fatal("FaultsInjected = 0 under a total storm")
 	}
 
-	seed := newFaultSystem(1, storm(), func(c *Config) {
-		c.NoFastPath = true
-		c.MaxBackoff = 0
-		seedPolicy(c)
-	})
+	// The seed's bare retry schedule: unbounded budget, no priority,
+	// unbounded lemming-wait, no degradation.
+	pol.RetryBudget, pol.StarveThreshold, pol.LemmingWaitSpins, pol.DegradeThreshold = 0, 0, 0, 0
+	seed := newFaultSystem(1, storm(), true, pol)
 	seedAborts := run(seed)
 
 	// The bound the budget guarantees: at most RetryBudget aborts plus the
@@ -125,11 +111,10 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 		0: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
 		1: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
 	}}
-	s := newFaultSystem(2, fcfg, func(c *Config) {
-		c.NoFastPath = true
-		c.StarveThreshold = 2
-		c.MaxBackoff = 10 * time.Microsecond
-	})
+	pol := schedule
+	pol.StarveThreshold = 2
+	pol.MaxBackoff = 10 * time.Microsecond
+	s := newFaultSystem(2, fcfg, true, pol)
 	m := s.Memory()
 	a, b := m.AllocLines(1), m.AllocLines(1)
 
@@ -190,11 +175,11 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 // the mode trips at the threshold, serializes commits while active, and
 // recovers automatically as commits drain the pressure.
 func TestDegradedModeTripsAndRecovers(t *testing.T) {
-	s := newFaultSystem(1, nil, nil)
+	s := newFaultSystem(1, nil, false, schedule)
 	a := s.Memory().Alloc(1)
 	body := func(x tm.Tx) { x.Write(a, x.Read(a)+1) }
 
-	thr := s.cfg.DegradeThreshold
+	thr := schedule.DegradeThreshold
 	s.Kernel().BumpPressure(int64(thr))
 	if !s.Kernel().Degraded() {
 		t.Fatal("not degraded at threshold pressure")
@@ -229,7 +214,7 @@ func TestDegradedModeTripsAndRecovers(t *testing.T) {
 // TestCountersZeroWithoutInjector: the whole robustness layer is
 // pay-for-use — an uninjected run must leave every new counter at zero.
 func TestCountersZeroWithoutInjector(t *testing.T) {
-	s := newFaultSystem(2, nil, nil)
+	s := newFaultSystem(2, nil, false, schedule)
 	a := s.Memory().Alloc(1)
 	var wg sync.WaitGroup
 	for th := 0; th < 2; th++ {
@@ -251,5 +236,20 @@ func TestCountersZeroWithoutInjector(t *testing.T) {
 	}
 	if got := s.Memory().Load(a); got != 400 {
 		t.Fatalf("counter = %d", got)
+	}
+}
+
+// TestScheduleIsTheLedgers: the benchmark module's exec.run_empty*_ns rows
+// time the kernel under a field-by-field copy of Part-HTM's schedule
+// (benchmark/ledger.go, addExec). The copy is repeated here so that a change
+// to the schedule fails until the ledger prices the same policy again.
+func TestScheduleIsTheLedgers(t *testing.T) {
+	ledger := exec.Policy{
+		FastAttempts: 5, StopFastOnResource: true, MidAttempts: 5, GateMid: true,
+		Backoff: true, MaxBackoff: 100 * time.Microsecond, RetryBudget: 24,
+		StarveThreshold: 3, LemmingWaitSpins: 4096, DegradeThreshold: 12,
+	}
+	if schedule != ledger {
+		t.Fatalf("Part-HTM's schedule %+v is not the one the ledger times, %+v", schedule, ledger)
 	}
 }

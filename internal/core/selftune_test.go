@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/htm"
@@ -70,89 +68,6 @@ func TestSelfTuningRecoversForSmallTransactions(t *testing.T) {
 	gained := s.Stats().Snapshot().CommitsHTM - before
 	if gained < 15 {
 		t.Fatalf("only %d of 16 small transactions used the fast path", gained)
-	}
-}
-
-// TestLockPerWriteStillCorrect: the ablation configuration must preserve
-// correctness (it only moves lock publication earlier).
-func TestLockPerWriteStillCorrect(t *testing.T) {
-	s := newSystem(2, 1<<17, nil, func(c *Config) {
-		c.NoFastPath = true
-		c.LockPerWrite = true
-	})
-	m := s.Memory()
-	a := m.AllocLines(1)
-	b := m.AllocLines(1)
-	done := make(chan struct{}, 2)
-	for w := 0; w < 2; w++ {
-		go func(id int) {
-			for i := 0; i < 200; i++ {
-				s.Atomic(id, func(x tm.Tx) {
-					va := x.Read(a)
-					x.Pause()
-					vb := x.Read(b)
-					x.Write(a, va+1)
-					x.Write(b, vb+1)
-				})
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	<-done
-	<-done
-	if m.Load(a) != 400 || m.Load(b) != 400 {
-		t.Fatalf("a=%d b=%d, want 400", m.Load(a), m.Load(b))
-	}
-}
-
-// TestLockPerWriteSeesForeignLockAtTheWrite: with per-write publication the
-// pre-commit check subtracts the segment's own bits as already published,
-// so a bit another transaction holds has to be caught where it is found
-// set. A is parked at a partition point holding the lock on a; B's write of
-// a must take a global abort, not commit over A's uncommitted value.
-func TestLockPerWriteSeesForeignLockAtTheWrite(t *testing.T) {
-	s := newSystem(2, 1<<17, nil, func(c *Config) {
-		c.NoFastPath = true
-		c.LockPerWrite = true
-	})
-	m := s.Memory()
-	a := m.AllocLines(1)
-	inc := func(x tm.Tx) { x.Write(a, x.Read(a)+1) }
-
-	var once sync.Once
-	locked := make(chan struct{})
-	release := make(chan struct{})
-	aDone := make(chan struct{})
-	go func() {
-		defer close(aDone)
-		s.Atomic(0, func(x tm.Tx) {
-			inc(x)
-			x.Pause() // sub-HTM commit: a's lock bit is published
-			once.Do(func() {
-				close(locked)
-				<-release
-			})
-		})
-	}()
-	<-locked
-	bDone := make(chan struct{})
-	go func() {
-		defer close(bDone)
-		s.Atomic(1, inc)
-	}()
-	for s.eng.Stats().AbortsExplicit.Load() == 0 {
-		select {
-		case <-bDone:
-			t.Fatal("second writer committed over a held write lock")
-		default:
-			runtime.Gosched()
-		}
-	}
-	close(release)
-	<-aDone
-	<-bDone
-	if got := m.Load(a); got != 2 {
-		t.Fatalf("a = %d, want 2 (both increments)", got)
 	}
 }
 

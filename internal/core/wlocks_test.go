@@ -223,41 +223,33 @@ func TestSubCommitFootprint(t *testing.T) {
 	}
 }
 
-// TestLockPerWritePublishesTheSameSignature: a LockPerWrite transaction
-// writes its lock bits word by word at each write, so by its sub-commit they
-// are in its own buffer; the line-wise publication must then find nothing to
-// add (a WriteLine over a word-written line is what htm.Txn.Write panics on),
-// and what reaches the shared signature is bit for bit what the default
-// configuration publishes.
-func TestLockPerWritePublishesTheSameSignature(t *testing.T) {
-	for _, perWrite := range []bool{false, true} {
-		s := newSystem(1, 1<<17, nil, func(c *Config) {
-			c.NoFastPath = true
-			c.LockPerWrite = perWrite
-		})
-		base := s.Memory().AllocLines(40)
-		var want, parked sig.Signature
-		s.Atomic(0, func(x tm.Tx) {
-			for i := 0; i < 40; i++ {
-				a := base + mem.Addr(i*mem.LineWords+i%mem.LineWords)
-				want.Add(uint32(a))
-				x.Write(a, uint64(i))
-				if i == 19 {
-					x.Pause() // a second segment publishes beside the first's bits
-				}
+// TestSubCommitsPublishTheWriteSignature: two sub-HTM commits publish, line
+// by line, exactly the signature of the addresses written, the second beside
+// the first's bits, and the global commit releases every bit.
+func TestSubCommitsPublishTheWriteSignature(t *testing.T) {
+	s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = true })
+	base := s.Memory().AllocLines(40)
+	var want, parked sig.Signature
+	s.Atomic(0, func(x tm.Tx) {
+		for i := 0; i < 40; i++ {
+			a := base + mem.Addr(i*mem.LineWords+i%mem.LineWords)
+			want.Add(uint32(a))
+			x.Write(a, uint64(i))
+			if i == 19 {
+				x.Pause() // a second segment publishes beside the first's bits
 			}
-			x.Pause()
-			parked = wlocksWords(s, 0)
-		})
-		if !parked.Equal(&want) {
-			t.Errorf("LockPerWrite=%v: the published write locks are not the written addresses' signature (%d bits, want %d)",
-				perWrite, parked.PopCount(), want.PopCount())
 		}
-		if got := wlocksWords(s, 0); !got.Empty() {
-			t.Errorf("LockPerWrite=%v: %d lock bits left after the commit", perWrite, got.PopCount())
-		}
-		if st := s.Stats().Snapshot(); st.CommitsSW != 1 {
-			t.Errorf("LockPerWrite=%v: %+v", perWrite, st)
-		}
+		x.Pause()
+		parked = wlocksWords(s, 0)
+	})
+	if !parked.Equal(&want) {
+		t.Errorf("the published write locks are not the written addresses' signature (%d bits, want %d)",
+			parked.PopCount(), want.PopCount())
+	}
+	if got := wlocksWords(s, 0); !got.Empty() {
+		t.Errorf("%d lock bits left after the commit", got.PopCount())
+	}
+	if st := s.Stats().Snapshot(); st.CommitsSW != 1 {
+		t.Errorf("%+v", st)
 	}
 }

@@ -18,14 +18,10 @@ func TestAbortStorm(t *testing.T) {
 	const threads, txnsPerThread = 2, 25
 	for _, name := range chaosSystems {
 		t.Run(name, func(t *testing.T) {
-			ccfg := core.DefaultConfig()
-			ccfg.RetryBudget = 4
-			ccfg.MaxBackoff = 0
 			storm := &fault.Config{Seed: 1}
 			storm.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
-				Core:  &ccfg,
 				Fault: storm,
 			})
 			a := sys.Memory().Alloc(1)
@@ -70,11 +66,8 @@ func TestChaosCountersPayForUse(t *testing.T) {
 	}
 	const txns = 50
 	run := func(rate float64) tm.Snapshot {
-		ccfg := core.DefaultConfig()
-		ccfg.MaxBackoff = 0
 		sys := Build("Part-HTM", BuildOptions{
 			DataWords: 1 << 12, Threads: 1, PhysCores: 4, Seed: 1,
-			Core:  &ccfg,
 			Fault: chaosFaultConfig(rate, 1),
 		})
 		if (EngineOf(sys).Injector() != nil) != (rate > 0) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/bench/eigen"
@@ -160,8 +161,6 @@ func Experiments() []Experiment {
 		{"soak", "Soak: multi-phase chaos campaign under the resource governor and progress watchdog", runSoak},
 		{"heatmap", "Heatmap: planted conflict hotspot under packed vs spread allocation (Dice et al. placement effect)", runHeatmap},
 		{"domains", "Domains: sharded memory domains — throughput vs domain count and cross-domain ratio", runDomains},
-		{"ablation-validation", "Ablation: in-flight validation every sub-tx vs end-only", runAblationValidation},
-		{"ablation-lockgrain", "Ablation: write-lock publication per write vs per sub-commit", runAblationLockGrain},
 		{"ablation-ringsize", "Ablation: global ring size", runAblationRingSize},
 		{"ablation-redo", "Ablation: eager undo (Part-HTM) vs lazy redo (SpHT-style last sub-tx)", runAblationRedo},
 	}
@@ -221,12 +220,18 @@ func eigenBench(cfg eigen.Config) microBench {
 
 var defaultThreads = []int{1, 2, 4, 8}
 
+// fig3bOpts fills Figure 3(b)'s defaults, before withDefaults: the sweep to
+// 18 threads the Xeon ran, unless threads were given, and the
+// Part-HTM-no-fast series, unless it is already listed.
 func fig3bOpts(o *Options) {
-	if len(o.Threads) == len(defaultThreads) {
-		// Figure 3(b) sweeps to 18 threads on the Xeon.
+	if o.Threads == nil {
 		o.Threads = []int{1, 2, 4, 8, 12, 18}
 	}
-	o.Systems = append(append([]string{}, o.Systems...), "Part-HTM-no-fast")
+	if o.Systems == nil {
+		o.Systems = AllSystemNames
+	} else if !slices.Contains(o.Systems, "Part-HTM-no-fast") {
+		o.Systems = append(slices.Clip(o.Systems), "Part-HTM-no-fast")
+	}
 }
 
 // microExp builds a throughput-vs-threads experiment. The headline table is
@@ -234,10 +239,10 @@ func fig3bOpts(o *Options) {
 // multicore); the raw single-host measurement follows for transparency.
 func microExp(mk func() microBench, metric string, scale float64, mut func(*Options)) func(Options) (*Result, error) {
 	return func(o Options) (*Result, error) {
-		o = o.withDefaults(defaultThreads, SystemNames)
 		if mut != nil {
 			mut(&o)
 		}
+		o = o.withDefaults(defaultThreads, SystemNames)
 		proj := Table{Title: "projected on N cores", Metric: metric, Threads: o.Threads}
 		raw := Table{Title: "raw on this host", Metric: metric, Threads: o.Threads}
 		for _, name := range o.Systems {
@@ -426,75 +431,29 @@ func runChaos(o Options) (*Result, error) {
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §5)
 
-// ablationWorkload: medium transactions with partition points on a shared
-// array — enough contention that validation policy and lock granularity
-// matter.
-func ablationWorkload(sys tm.System, threads int) OpFunc {
-	cfg := eigen.Config{HotWords: 4096, Reads: 200, Writes: 20,
-		Disjoint: false, PartitionEvery: 32}
-	b := eigen.New(sys, threads, cfg)
-	return func(th int, rng *rand.Rand) { b.Op(th, rng) }
-}
-
-type coreVariant struct {
-	name string
-	cfg  core.Config
-}
-
-func runCoreVariants(o Options, title string, variants []coreVariant) (*Result, error) {
+// runAblationRingSize runs the partitioned path at a 16- and a 1024-entry
+// ring: medium transactions with partition points on a shared array, enough
+// contention that a small ring rolls over under its validators.
+func runAblationRingSize(o Options) (*Result, error) {
 	o = o.withDefaults([]int{1, 2, 4, 8}, nil)
-	tbl := Table{Title: title, Metric: "M tx/sec", Threads: o.Threads}
-	for _, v := range variants {
-		name, cfg := v.name, v.cfg
+	tbl := Table{Title: "Ablation: global ring size (rollover aborts)", Metric: "M tx/sec", Threads: o.Threads}
+	for _, size := range []int{16, 1024} {
+		cfg := core.DefaultConfig()
+		cfg.NoFastPath = true
+		cfg.RingSize = size
 		var vals []float64
 		for _, th := range o.Threads {
 			sys := Build("Part-HTM", BuildOptions{
 				DataWords: 8192 + metaWords, Threads: th,
 				PhysCores: o.PhysCores, Seed: o.Seed, Core: &cfg,
 			})
-			op := ablationWorkload(sys, th)
+			b := eigen.New(sys, th, eigen.Config{HotWords: 4096, Reads: 200, Writes: 20, PartitionEvery: 32})
+			op := func(t int, rng *rand.Rand) { b.Op(t, rng) }
 			vals = append(vals, Throughput(sys, op, th, o.Duration, o.Seed).Projected/1e6)
 		}
-		tbl.Series = append(tbl.Series, Series{System: name, Values: vals})
+		tbl.Series = append(tbl.Series, Series{System: fmt.Sprintf("ring-%d", size), Values: vals})
 	}
 	return &Result{Tables: []Table{tbl}}, nil
-}
-
-func runAblationValidation(o Options) (*Result, error) {
-	every := core.DefaultConfig()
-	every.NoFastPath = true // isolate the partitioned path
-	endOnly := every
-	endOnly.ValidateEverySub = false
-	return runCoreVariants(o, "Ablation: in-flight validation frequency (partitioned path)",
-		[]coreVariant{
-			{"validate-every-sub", every},
-			{"validate-end-only", endOnly},
-		})
-}
-
-func runAblationLockGrain(o Options) (*Result, error) {
-	atCommit := core.DefaultConfig()
-	atCommit.NoFastPath = true
-	perWrite := atCommit
-	perWrite.LockPerWrite = true
-	return runCoreVariants(o, "Ablation: write-lock publication granularity (partitioned path)",
-		[]coreVariant{
-			{"lock-at-sub-commit", atCommit},
-			{"lock-per-write", perWrite},
-		})
-}
-
-func runAblationRingSize(o Options) (*Result, error) {
-	small := core.DefaultConfig()
-	small.NoFastPath = true
-	small.RingSize = 16
-	large := small
-	large.RingSize = 1024
-	return runCoreVariants(o, "Ablation: global ring size (rollover aborts)",
-		[]coreVariant{
-			{"ring-16", small},
-			{"ring-1024", large},
-		})
 }
 
 // runAblationRedo contrasts Part-HTM's eager sub-transactions against an

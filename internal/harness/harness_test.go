@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -148,7 +149,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	if _, ok := Find("fig9z"); ok {
 		t.Error("Find accepted an unknown id")
 	}
-	if len(Experiments()) < len(want)+4 {
+	if len(Experiments()) < len(want)+2 {
 		t.Errorf("registry has %d experiments; ablations missing?", len(Experiments()))
 	}
 }
@@ -195,7 +196,7 @@ func TestMicroExperimentRuns(t *testing.T) {
 }
 
 func TestAblationExperimentsRun(t *testing.T) {
-	for _, id := range []string{"ablation-validation", "ablation-lockgrain", "ablation-ringsize", "ablation-redo"} {
+	for _, id := range []string{"ablation-ringsize", "ablation-redo"} {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("missing %s", id)
@@ -206,6 +207,30 @@ func TestAblationExperimentsRun(t *testing.T) {
 		}
 		if len(res.Text()) == 0 {
 			t.Fatalf("%s produced no output", id)
+		}
+	}
+}
+
+// TestFig3bKeepsExplicitOptions: Figure 3(b)'s defaults fill only what the
+// caller left unset. An explicit four-entry thread list stays as given, and a
+// Part-HTM-no-fast already listed is not added twice.
+func TestFig3bKeepsExplicitOptions(t *testing.T) {
+	for _, tc := range []struct {
+		in      Options
+		threads []int
+		systems []string
+	}{
+		{Options{}, []int{1, 2, 4, 8, 12, 18}, AllSystemNames},
+		{Options{Threads: []int{1, 2, 3, 4}, Systems: []string{"HTM-GL"}},
+			[]int{1, 2, 3, 4}, []string{"HTM-GL", "Part-HTM-no-fast"}},
+		{Options{Systems: []string{"Part-HTM-no-fast"}},
+			[]int{1, 2, 4, 8, 12, 18}, []string{"Part-HTM-no-fast"}},
+	} {
+		o := tc.in
+		fig3bOpts(&o)
+		if !reflect.DeepEqual(o.Threads, tc.threads) || !reflect.DeepEqual(o.Systems, tc.systems) {
+			t.Errorf("fig3bOpts(threads %v, systems %v) = %v, %v; want %v, %v",
+				tc.in.Threads, tc.in.Systems, o.Threads, o.Systems, tc.threads, tc.systems)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -34,13 +33,9 @@ func TestSoakStormLiveness(t *testing.T) {
 			if len(phases) != 3 || phases[1] != "storm" {
 				t.Fatalf("storm campaign phases = %v", phases)
 			}
-			ccfg := core.DefaultConfig()
-			ccfg.RetryBudget = 4
-			ccfg.MaxBackoff = 0
 			gcfg := governor.DefaultConfig()
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
-				Core:  &ccfg,
 				Fault: fcfg, Governor: &gcfg,
 			})
 			gov := KernelOf(sys).Governor()

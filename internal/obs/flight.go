@@ -39,8 +39,7 @@ const (
 // ring of registry snapshots, and when something goes wrong — a watchdog
 // alarm, a breaker-trip storm, a campaign phase that ends degraded, a
 // SIGQUIT — the recent history is dumped as a timestamped artifact pair:
-// a Chrome/Perfetto trace JSON (decodable by parthtm-bench -trace-check)
-// and a metrics CSV of the ring.
+// a Chrome/Perfetto trace JSON and a metrics CSV of the ring.
 //
 // Triggers only *arm* the recorder; the artifact is written at the next
 // quiesce point (Flush, called by the harness between campaign phases and

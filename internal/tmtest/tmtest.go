@@ -65,12 +65,6 @@ func Factories() []Factory {
 			cfg.Opaque = true
 			return core.New(eng, n, cfg)
 		}},
-		{"Part-HTM-end-validation", func(n, w int) tm.System {
-			eng := htm.New(mem.New(w), testEngineConfig())
-			cfg := core.DefaultConfig()
-			cfg.ValidateEverySub = false
-			return core.New(eng, n, cfg)
-		}},
 		{"HTM-GL", func(n, w int) tm.System {
 			eng := htm.New(mem.New(w), testEngineConfig())
 			return htmgl.New(eng, htmgl.DefaultConfig())

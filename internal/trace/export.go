@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,22 +35,6 @@ type ChromeEvent struct {
 type ChromeTrace struct {
 	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit,omitempty"`
-}
-
-// DecodeChrome parses a trace-event document as emitted by WriteChrome.
-// It is a strict inverse: unknown fields and trailing data are rejected,
-// and malformed input yields an error, never a panic.
-func DecodeChrome(data []byte) (*ChromeTrace, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var tr ChromeTrace
-	if err := dec.Decode(&tr); err != nil {
-		return nil, fmt.Errorf("decoding trace: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding trace: trailing data after the document")
-	}
-	return &tr, nil
 }
 
 const chromePID = 1
