@@ -74,6 +74,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/governor"
 	"repro/internal/harness"
+	"repro/internal/htm"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -185,7 +186,7 @@ func main() {
 	if *threads != "" {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
+			if err != nil || !validThreads(n) {
 				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -threads value %q\n", part)
 				os.Exit(2)
 			}
@@ -331,6 +332,11 @@ func validDuration(d time.Duration) bool { return d > 0 }
 // validCores reports whether n can be a -cores: below 1, Build reads the
 // model as "no limit" and the hyper-threading capacity halving goes off.
 func validCores(n int) bool { return n >= 1 }
+
+// validThreads reports whether n can be a -threads count: each thread runs
+// its hardware transactions on one of the engine's htm.MaxSlots contexts, and
+// the systems' constructors panic past that.
+func validThreads(n int) bool { return n >= 1 && n <= htm.MaxSlots }
 
 // validDomains reports whether n can be a -domains count: the protocol
 // tracks a transaction's domains in one 64-bit mask, and domain.New panics

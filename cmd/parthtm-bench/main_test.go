@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/domain"
+	"repro/internal/htm"
 )
 
 // TestFaultAndCrossRejectNaN: strconv.ParseFloat accepts "NaN", which
@@ -95,6 +96,27 @@ func TestDomainsRejectsOutOfRange(t *testing.T) {
 	} {
 		if ok := validDomains(tc.in); ok != tc.ok {
 			t.Errorf("validDomains(%d) = %v, want %v", tc.in, ok, tc.ok)
+		}
+	}
+}
+
+// TestThreadsRejectsOutOfRange: -threads 65 used to reach the engine's
+// Begin, which panicked with "slot 64 out of range"; a count past
+// htm.MaxSlots must be rejected as -domains 65 is.
+func TestThreadsRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		in int
+		ok bool
+	}{
+		{-1, false},
+		{0, false},
+		{1, true},
+		{htm.MaxSlots, true},
+		{htm.MaxSlots + 1, false},
+		{65, false},
+	} {
+		if ok := validThreads(tc.in); ok != tc.ok {
+			t.Errorf("validThreads(%d) = %v, want %v", tc.in, ok, tc.ok)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func main() {
 	// Threads exceed the modelled physical cores: halve the cache budgets
 	// (hyper-threading), as the harness does.
 	ecfg := htm.DefaultConfig().Oversubscribed()
-	run("HTM-GL", htmgl.New(htm.New(mem.New(words), ecfg), htmgl.DefaultConfig()))
+	run("HTM-GL", htmgl.New(htm.New(mem.New(words), ecfg), threads, htmgl.DefaultConfig()))
 	run("NOrec", norec.New(mem.New(words), threads))
 	run("Part-HTM", core.New(htm.New(mem.New(words), ecfg), threads, core.DefaultConfig()))
 }

@@ -47,7 +47,7 @@ func main() {
 		cfg.W, cfg.H, cfg.Pairs, threads)
 	run("HTM-GL", func(words int) (tm.System, *htm.Engine) {
 		eng := htm.New(mem.New(words), htm.DefaultConfig())
-		return htmgl.New(eng, htmgl.DefaultConfig()), eng
+		return htmgl.New(eng, threads, htmgl.DefaultConfig()), eng
 	})
 	run("Part-HTM", func(words int) (tm.System, *htm.Engine) {
 		eng := htm.New(mem.New(words), htm.DefaultConfig())

@@ -72,7 +72,7 @@ func main() {
 	fmt.Printf("sorted linked list, %d elements, 50%% updates, %d threads x %d ops\n",
 		list.Fig4b().Size, threads, ops)
 	run("HTM-GL", func(words int) tm.System {
-		return htmgl.New(htm.New(mem.New(words), engineConfig()), htmgl.DefaultConfig())
+		return htmgl.New(htm.New(mem.New(words), engineConfig()), threads, htmgl.DefaultConfig())
 	})
 	run("Part-HTM", func(words int) tm.System {
 		return core.New(htm.New(mem.New(words), engineConfig()), threads, core.DefaultConfig())

@@ -90,7 +90,7 @@ func TestLongTransactionsPreferPartitionedPathOverGL(t *testing.T) {
 	}
 	p := core.New(mkEng(), 1, core.DefaultConfig())
 	bp := New(p, 1, cfg)
-	g := htmgl.New(mkEng(), htmgl.DefaultConfig())
+	g := htmgl.New(mkEng(), 1, htmgl.DefaultConfig())
 	bg := New(g, 1, cfg)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {

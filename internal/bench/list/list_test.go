@@ -146,7 +146,7 @@ func TestConcurrentStressHTMGL(t *testing.T) {
 	ecfg := htm.DefaultConfig()
 	ecfg.ReadEvictProb = 0
 	eng := htm.New(mem.New(cfg.MemWords()+1<<18), ecfg)
-	concurrentStress(t, htmgl.New(eng, htmgl.DefaultConfig()), cfg, 4, 150)
+	concurrentStress(t, htmgl.New(eng, 4, htmgl.DefaultConfig()), cfg, 4, 150)
 }
 
 func TestConcurrentStressNOrec(t *testing.T) {

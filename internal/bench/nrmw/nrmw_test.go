@@ -23,11 +23,11 @@ func newPartHTM(words, threads int) tm.System {
 	return core.New(eng, threads, core.DefaultConfig())
 }
 
-func newHTMGL(words int) tm.System {
+func newHTMGL(words, threads int) tm.System {
 	ecfg := htm.DefaultConfig()
 	ecfg.ReadEvictProb = 0
 	eng := htm.New(mem.New(words), ecfg)
-	return htmgl.New(eng, htmgl.DefaultConfig())
+	return htmgl.New(eng, threads, htmgl.DefaultConfig())
 }
 
 func TestConfigsMatchPaper(t *testing.T) {
@@ -86,7 +86,7 @@ func TestIterModeWritesSrcPlusOne(t *testing.T) {
 
 func TestDisjointThreadsNoConflictAborts(t *testing.T) {
 	cfg := Config{ArraySize: 8192, N: 10, M: 10, PartitionEvery: 0}
-	sys := newHTMGL(cfg.MemWords() + 1<<16)
+	sys := newHTMGL(cfg.MemWords()+1<<16, 4)
 	b := New(sys, 4, cfg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -118,7 +118,7 @@ func TestBigReadSetFallsBackWithoutPartitioning(t *testing.T) {
 	ecfg.ReadLinesSoft = 64
 	ecfg.ReadLinesHard = 256
 	eng := htm.New(mem.New(cfg.MemWords()+1<<16), ecfg)
-	sys := htmgl.New(eng, htmgl.DefaultConfig())
+	sys := htmgl.New(eng, 1, htmgl.DefaultConfig())
 	b := New(sys, 1, cfg)
 	b.Op(0, rand.New(rand.NewSource(3)))
 	st := sys.Stats().Snapshot()

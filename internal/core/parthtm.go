@@ -181,16 +181,19 @@ type System struct {
 	run *exec.Runner
 }
 
-// New creates a Part-HTM system for up to maxThreads concurrent threads.
-// The engine's memory must have been created with room for the metadata
-// (ring, signatures) and — for Part-HTM-O — a ReserveTop'd shadow region is
-// carved automatically.
+// New creates a Part-HTM system for up to maxThreads concurrent threads,
+// at most htm.MaxSlots (it panics above). The engine's memory must have been
+// created with room for the metadata (ring, signatures) and — for
+// Part-HTM-O — a ReserveTop'd shadow region is carved automatically.
 func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 	return newWith(eng, maxThreads, cfg, schedule)
 }
 
 // newWith is New under retry schedule pol in place of the package's.
 func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *System {
+	if maxThreads > htm.MaxSlots {
+		panic(fmt.Sprintf("core: %d threads, more than the engine's %d hardware contexts", maxThreads, htm.MaxSlots))
+	}
 	if cfg.RingSize == 0 {
 		panic("core: zero Config; use DefaultConfig")
 	}

@@ -30,7 +30,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 			c.Scripts = map[int][]ScriptEvent{1000: {{Site: SiteHTMBegin, Count: 1}}}
 		}, "thread range"},
 		{"script thread past default", func(c *Config) {
-			c.Scripts = map[int][]ScriptEvent{slots: {{Site: SiteHTMBegin, Count: 1}}}
+			c.Scripts = map[int][]ScriptEvent{MaxSlots: {{Site: SiteHTMBegin, Count: 1}}}
 		}, "thread range"},
 		{"script bad site", func(c *Config) {
 			c.Scripts = map[int][]ScriptEvent{0: {{Site: NumSites, Count: 1}}}
@@ -68,7 +68,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 func TestValidateAcceptsGoodConfigs(t *testing.T) {
 	cfg := Config{Seed: 1, QuantumJitter: 0.5}
 	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Capacity}
-	cfg.Scripts = map[int][]ScriptEvent{slots - 1: {{Site: SiteLockSigRead, Reason: Explicit, Code: 1, Count: 5}}}
+	cfg.Scripts = map[int][]ScriptEvent{MaxSlots - 1: {{Site: SiteLockSigRead, Reason: Explicit, Code: 1, Count: 5}}}
 	storm := Phase{Name: "storm"}
 	storm.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
 	cfg.Campaign = []Phase{storm, {Name: "clear"}}

@@ -146,9 +146,11 @@ type Phase struct {
 	Rates [NumSites]SiteRate
 }
 
-// slots is the number of hardware thread slots an injector covers: the
-// engine's, one per bit of a line's reader mask.
-const slots = 64
+// MaxSlots is the number of hardware thread slots: an htm engine's contexts,
+// one reader bit each in a line's monitor entry, and the threads an injector
+// covers. It is defined here, and named by htm.MaxSlots, because htm imports
+// this package.
+const MaxSlots = 24
 
 // Config describes one injector. The zero value injects nothing.
 type Config struct {
@@ -189,8 +191,8 @@ func (cfg *Config) Validate() error {
 		}
 	}
 	for th, evs := range cfg.Scripts {
-		if th < 0 || th >= slots {
-			return fmt.Errorf("fault: Scripts[%d] outside thread range [0,%d)", th, slots)
+		if th < 0 || th >= MaxSlots {
+			return fmt.Errorf("fault: Scripts[%d] outside thread range [0,%d)", th, MaxSlots)
 		}
 		for j, ev := range evs {
 			where := fmt.Sprintf("Scripts[%d][%d]", th, j)
@@ -264,7 +266,7 @@ type threadState struct {
 // it); all methods except the per-thread Draw state are concurrency safe.
 type Injector struct {
 	cfg     Config
-	threads [slots]threadState
+	threads [MaxSlots]threadState
 	phase   atomic.Int32 // current Campaign index; only AdvancePhase moves it
 	stats   Stats
 }

@@ -75,7 +75,7 @@ func TestTotalStormKillsEveryBegin(t *testing.T) {
 	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
 	in := New(cfg)
 	var wg sync.WaitGroup
-	for th := 0; th < slots; th++ {
+	for th := 0; th < MaxSlots; th++ {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
@@ -88,8 +88,8 @@ func TestTotalStormKillsEveryBegin(t *testing.T) {
 		}(th)
 	}
 	wg.Wait()
-	if got := in.Stats().BySite(SiteHTMBegin); got != slots*perSlot {
-		t.Fatalf("injected %d begins, want %d", got, slots*perSlot)
+	if got := in.Stats().BySite(SiteHTMBegin); got != MaxSlots*perSlot {
+		t.Fatalf("injected %d begins, want %d", got, MaxSlots*perSlot)
 	}
 }
 

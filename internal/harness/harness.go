@@ -204,7 +204,7 @@ func build(name string, o BuildOptions) tm.System {
 	case "RingSTM":
 		return ringstm.New(mem.New(words), o.Threads, coreCfg.RingSize)
 	case "HTM-GL":
-		return htmgl.New(o.buildEngine(words), htmgl.DefaultConfig())
+		return htmgl.New(o.buildEngine(words), o.Threads, htmgl.DefaultConfig())
 	case "NOrecRH":
 		return norecrh.New(o.buildEngine(words), o.Threads)
 	case "Part-HTM":

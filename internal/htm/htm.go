@@ -192,18 +192,35 @@ const (
 	stCommitted
 )
 
-// entry is the per-line monitor record: which hardware contexts currently
-// hold the line in their read set (bitmask by slot) and which one, if any,
-// holds it in its write set. Entries are only touched under the line's
-// memory stripe lock.
-type entry struct {
-	readers uint64
-	writer  int16 // slot+1; 0 = none
-}
+// entry is the per-line monitor record, packed in one word: bit s of the
+// low readerBits is set while slot s holds the line in its read set, and the
+// high bits hold slot+1 of the one holding it in its write set (0 = none).
+// Entries are only touched under the line's memory stripe lock. The table
+// has one entry per simulated line and the first access to a line misses on
+// it as well as on the word, so the entry is kept at four bytes.
+type entry uint32
 
-// maxSlots is the number of hardware contexts (threads) an engine has: a
-// line's readers are one bit each of a 64-bit mask.
-const maxSlots = 64
+// MaxSlots is the number of hardware contexts (threads) an engine has: one
+// reader bit each in a line's entry. It is fault.MaxSlots, so that an
+// injector covers exactly the engine's slots.
+const MaxSlots = fault.MaxSlots
+
+// An entry's low readerBits are its reader mask; the bits above hold the
+// writer, which must have room for MaxSlots (a compile-time check).
+const (
+	readerBits = MaxSlots
+	readerMask = entry(1)<<readerBits - 1
+	_          = uint(1<<(32-readerBits) - 1 - MaxSlots)
+)
+
+// readers returns the mask of slots holding the line in their read set.
+func (en entry) readers() uint32 { return uint32(en & readerMask) }
+
+// writer returns slot+1 of the write set's holder, or 0.
+func (en entry) writer() entry { return en >> readerBits }
+
+// setWriter makes w (slot+1, or 0 for none) the line's writer.
+func (en *entry) setWriter(w entry) { *en = *en&readerMask | w<<readerBits }
 
 // Engine is a best-effort HTM bound to one simulated memory.
 type Engine struct {
@@ -229,9 +246,9 @@ func New(m *mem.Memory, cfg Config) *Engine {
 		mem:      m,
 		cfg:      cfg,
 		entries:  make([]entry, m.Lines()),
-		slots:    make([]atomic.Pointer[Txn], maxSlots),
-		recycled: make([]*Txn, maxSlots),
-		rngs:     make([]*rand.Rand, maxSlots),
+		slots:    make([]atomic.Pointer[Txn], MaxSlots),
+		recycled: make([]*Txn, MaxSlots),
+		rngs:     make([]*rand.Rand, MaxSlots),
 	}
 	for i := range e.rngs {
 		e.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
@@ -251,7 +268,7 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 
 // SetInjector installs a fault injector consulted at every hardware begin
 // and commit (and, via Txn.InjectionPoint, at protocol-level sites). Call
-// it before any transaction runs; an injector covers the engine's 64 slots.
+// it before any transaction runs; an injector covers the engine's MaxSlots.
 // A nil injector (the default) costs one nil check per site.
 func (e *Engine) SetInjector(in *fault.Injector) { e.inj = in }
 
@@ -424,7 +441,7 @@ func (t *Txn) wbInsert(slot uint32, a mem.Addr, v uint64, first bool) {
 const localCacheSize = 256
 
 // Begin starts a hardware transaction on the given hardware context slot
-// (0 <= slot < 64; one slot per thread). From this point every
+// (0 <= slot < MaxSlots; one slot per thread). From this point every
 // transactional operation may abort the transaction by panicking with an
 // internal sentinel; the caller must either use Execute (which handles the
 // unwinding) or run the transactional region inside a function whose
@@ -698,20 +715,20 @@ func doom(victim *Txn) bool {
 
 // evictWriter resolves a foreign write monitor on en for a requester, which
 // wins as a cache-coherence invalidation would. Called under the line's
-// stripe lock, only when en.writer names a slot other than the requester's.
+// stripe lock, only when en's writer is a slot other than the requester's.
 // An active writer is doomed and loses the monitor (doomed). One past the
 // point of no return is handed back as wait: the requester releases the
 // stripe, lets it leave stCommitting, and retries. A committed writer's
 // entry is stale — its writes are already published — and is left alone.
 func (e *Engine) evictWriter(en *entry) (wait *Txn, doomed bool) {
-	other := e.slots[en.writer-1].Load()
+	other := e.slots[en.writer()-1].Load()
 	if other == nil {
 		return nil, false
 	}
 	switch other.status.Load() {
 	case stActive, stDoomed:
 		if doom(other) {
-			en.writer = 0
+			en.setWriter(0)
 			return nil, true
 		}
 		return other, false
@@ -742,16 +759,16 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 		}
 	}
 	e := t.eng
-	bit := uint64(1) << uint(t.slot)
-	self := int16(t.slot + 1)
+	bit := entry(1) << uint(t.slot)
+	self := entry(t.slot + 1)
 
 	// Fast path: the line is already monitored and carries no foreign
 	// writer — the overwhelmingly common case on re-reads and scans.
 	e.mem.Lock(l)
 	en := &e.entries[l]
-	if w := en.writer; w == 0 || w == self {
-		first := en.readers&bit == 0
-		en.readers |= bit
+	if w := en.writer(); w == 0 || w == self {
+		first := *en&bit == 0
+		*en |= bit
 		v := e.mem.RawLoad(a)
 		e.mem.Unlock(l)
 		if first {
@@ -776,20 +793,20 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 // load.
 func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
 	e := t.eng
-	bit := uint64(1) << uint(t.slot)
-	self := int16(t.slot + 1)
+	bit := entry(1) << uint(t.slot)
+	self := entry(t.slot + 1)
 	for {
 		var wait *Txn
 		first, doomed := false, false
 		e.mem.Lock(l)
 		en := &e.entries[l]
-		own = en.writer == self
-		if en.writer != 0 && !own {
+		own = en.writer() == self
+		if en.writer() != 0 && !own {
 			wait, doomed = e.evictWriter(en)
 		}
 		if wait == nil {
-			first = en.readers&bit == 0
-			en.readers |= bit
+			first = *en&bit == 0
+			*en |= bit
 			for i := range out {
 				out[i] = e.mem.RawLoad(a + mem.Addr(i))
 			}
@@ -982,21 +999,21 @@ func (t *Txn) occupySet(l mem.Line) bool {
 // acquired reports that this call registered the monitor.
 func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64, acquired bool) {
 	e := t.eng
-	self := int16(t.slot + 1)
+	self := entry(t.slot + 1)
 	for {
 		var wait *Txn
 		overCap := false
 		doomed := 0
 		e.mem.Lock(l)
 		en := &e.entries[l]
-		if en.writer == self {
+		if en.writer() == self {
 			if load {
 				old = e.mem.RawLoad(a)
 			}
 			e.mem.Unlock(l)
 			return old, false
 		}
-		if en.writer != 0 {
+		if en.writer() != 0 {
 			var evicted bool
 			if wait, evicted = e.evictWriter(en); evicted {
 				doomed++
@@ -1008,9 +1025,9 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 				overCap = true
 			} else {
 				// Doom all other active readers of the line.
-				mask := en.readers &^ (1 << uint(t.slot))
+				mask := en.readers() &^ (1 << uint(t.slot))
 				for mask != 0 {
-					s := bits.TrailingZeros64(mask)
+					s := bits.TrailingZeros32(mask)
 					mask &^= 1 << uint(s)
 					other := e.slots[s].Load()
 					if other == nil {
@@ -1028,7 +1045,7 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 						// writer; its monitor no longer matters.
 					}
 				}
-				en.writer = self
+				en.setWriter(self)
 				if load {
 					old = e.mem.RawLoad(a)
 				}
@@ -1087,7 +1104,7 @@ func (t *Txn) Commit() {
 		for j, v := range le.vals {
 			e.mem.RawStore(base+mem.Addr(j), v)
 		}
-		e.entries[le.l].writer = 0
+		e.entries[le.l].setWriter(0)
 		e.mem.Unlock(le.l)
 	}
 	for i := len(t.wb) - 1; i >= 0; i-- {
@@ -1096,7 +1113,7 @@ func (t *Txn) Commit() {
 		e.mem.Lock(l)
 		e.mem.RawStore(w.addr, w.val)
 		if w.first {
-			e.entries[l].writer = 0
+			e.entries[l].setWriter(0)
 		}
 		e.mem.Unlock(l)
 	}
@@ -1112,17 +1129,17 @@ func (t *Txn) releaseMonitors(committed bool) {
 	e := t.eng
 	for _, l := range t.readLines {
 		e.mem.Lock(l)
-		e.entries[l].readers &^= 1 << uint(t.slot)
+		e.entries[l] &^= 1 << uint(t.slot)
 		e.mem.Unlock(l)
 	}
 	if committed {
 		return
 	}
-	self := int16(t.slot + 1)
+	self := entry(t.slot + 1)
 	for _, l := range t.writeLines {
 		e.mem.Lock(l)
-		if e.entries[l].writer == self {
-			e.entries[l].writer = 0
+		if en := &e.entries[l]; en.writer() == self {
+			en.setWriter(0)
 		}
 		e.mem.Unlock(l)
 	}
@@ -1141,7 +1158,7 @@ func waitNotCommitting(other *Txn) {
 // caller to retry if that transaction is mid-commit.
 func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if en.writer != 0 {
+	if en.writer() != 0 {
 		if wait, _ := e.evictWriter(en); wait != nil {
 			return true
 		}
@@ -1153,14 +1170,14 @@ func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
 // hardware transaction holding the line in its read or write set.
 func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if en.writer != 0 {
+	if en.writer() != 0 {
 		if wait, _ := e.evictWriter(en); wait != nil {
 			return true
 		}
 	}
-	mask := en.readers
+	mask := en.readers()
 	for mask != 0 {
-		s := bits.TrailingZeros64(mask)
+		s := bits.TrailingZeros32(mask)
 		mask &^= 1 << uint(s)
 		other := e.slots[s].Load()
 		if other == nil {

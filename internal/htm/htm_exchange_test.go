@@ -191,7 +191,7 @@ func TestCommitReleasesLineByLine(t *testing.T) {
 	if st := tx.status.Load(); st != stCommitting {
 		t.Errorf("status = %d with a's stripe held, want stCommitting", st)
 	}
-	if w := e.entries[la].writer; w != 1 {
+	if w := e.entries[la].writer(); w != 1 {
 		t.Errorf("a's line names writer %d before it is stored, want slot 0", w)
 	}
 	if got := m.RawLoad(a); got != 0 {
@@ -224,8 +224,8 @@ func TestCommitKeepsWriteMonitorUntilLastWord(t *testing.T) {
 	}
 	tx.Commit()
 	for _, l := range []mem.Line{mem.LineOf(a), mem.LineOf(b)} {
-		if en := e.entries[l]; en.writer != 0 || en.readers != 0 {
-			t.Fatalf("line %d still monitored after commit: %+v", l, en)
+		if en := e.entries[l]; en != 0 {
+			t.Fatalf("line %d still monitored after commit: %#x", l, en)
 		}
 	}
 }

@@ -133,3 +133,21 @@ func TestQuantumJitterVariesAbortPoint(t *testing.T) {
 		t.Fatal("jitter counted as injected faults")
 	}
 }
+
+// TestInjectorCoversExactlyTheEngineSlots: the injector and the engine count
+// slots with one constant, so a script for the top slot fires there, and one
+// for thread MaxSlots, which no transaction can run on, is rejected.
+func TestInjectorCoversExactlyTheEngineSlots(t *testing.T) {
+	past := fault.Config{Scripts: map[int][]fault.ScriptEvent{MaxSlots: {{Site: fault.SiteHTMBegin, Count: 1}}}}
+	if err := past.Validate(); err == nil {
+		t.Fatalf("a script for thread %d passed Validate", MaxSlots)
+	}
+	cfg := fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
+		MaxSlots - 1: {{Site: fault.SiteHTMBegin, Reason: fault.Capacity, Count: 1}},
+	}}
+	e := newFaultEngine(t, &cfg)
+	res := e.Execute(MaxSlots-1, func(tx *Txn) { tx.Write(8, 1) })
+	if res.Committed || !res.Injected || res.Reason != Capacity {
+		t.Fatalf("top slot's scripted begin fault: %+v, want an injected capacity abort", res)
+	}
+}

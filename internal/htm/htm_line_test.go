@@ -384,8 +384,8 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 			m.Lock(l)
 			en := e.entries[l]
 			m.Unlock(l)
-			if en.writer == int16(slot+1) || en.readers&(1<<uint(slot)) != 0 {
-				t.Errorf("slot %d finished but line %d still holds %+v", slot, l, en)
+			if en.writer() == entry(slot+1) || en.readers()&(1<<uint(slot)) != 0 {
+				t.Errorf("slot %d finished but line %d still holds %#x", slot, l, en)
 			}
 		}
 	}

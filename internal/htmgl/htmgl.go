@@ -12,6 +12,7 @@
 package htmgl
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
@@ -35,27 +36,52 @@ func DefaultConfig() Config { return Config{Retries: 5} }
 
 // System is an HTM-GL instance.
 type System struct {
-	m     *mem.Memory
-	eng   *htm.Engine
-	glock mem.Addr
-	stats tm.Stats
-	run   *exec.Runner
+	m       *mem.Memory
+	eng     *htm.Engine
+	glock   mem.Addr
+	threads []*thread
+	stats   tm.Stats
+	run     *exec.Runner
 }
 
-// New creates an HTM-GL system over the engine's memory.
-func New(eng *htm.Engine, cfg Config) *System {
+// thread is one thread's state, built once: every attempt reuses its tm.Tx
+// view and kernel dispatch, so a transaction allocates nothing.
+type thread struct {
+	x    tx
+	body func(tm.Tx)
+	xtxn exec.Txn
+}
+
+// New creates an HTM-GL system for up to maxThreads concurrent threads, at
+// most htm.MaxSlots (it panics above), over the engine's memory.
+func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
+	if maxThreads > htm.MaxSlots {
+		panic(fmt.Sprintf("htmgl: %d threads, more than the engine's %d hardware contexts", maxThreads, htm.MaxSlots))
+	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 5
 	}
 	s := &System{
-		m:     eng.Memory(),
-		eng:   eng,
-		glock: eng.Memory().AllocLines(1),
+		m:       eng.Memory(),
+		eng:     eng,
+		glock:   eng.Memory().AllocLines(1),
+		threads: make([]*thread, maxThreads),
 	}
 	// Fast (hardware) attempts gated on the global lock, then the lock
 	// itself: the paper's default fallback schedule, with no mid level.
 	s.run = exec.New(exec.Policy{FastAttempts: cfg.Retries},
 		&s.stats, func() bool { return s.m.Load(s.glock) == 0 })
+	for i := range s.threads {
+		t := &thread{x: tx{s: s, thread: i}}
+		t.xtxn = exec.Txn{
+			// Kernel dispatch: the level runs the caller's body; an oversized
+			// transaction burns its retries and falls to the global lock — the
+			// baseline behavior Part-HTM improves on.
+			Fast: func() htm.Result { return s.hwAttempt(t) },
+			Slow: func() { s.lockAttempt(t) },
+		}
+		s.threads[i] = t
+	}
 	return s
 }
 
@@ -135,36 +161,32 @@ func (x *tx) NonTxWork(c int64) {
 // — Retries gated hardware attempts, then the global lock — and records all
 // commit/abort outcomes.
 func (s *System) Atomic(thread int, body func(tm.Tx)) {
-	txn := exec.Txn{
-		// Kernel dispatch: the level runs the caller's body; an oversized
-		// transaction burns its retries and falls to the global lock — the
-		// baseline behavior Part-HTM improves on.
-		Fast: func() htm.Result { return s.hwAttempt(thread, body) },
-		Slow: func() { s.lockAttempt(thread, body) },
-	}
-	s.run.Run(thread, &txn)
+	t := s.threads[thread]
+	t.body = body
+	s.run.Run(thread, &t.xtxn)
+	t.body = nil
 }
 
 // lockAttempt runs the body under the global lock.
-func (s *System) lockAttempt(thread int, body func(tm.Tx)) {
+func (s *System) lockAttempt(t *thread) {
 	for !s.m.CAS(s.glock, 0, 1) {
 		runtime.Gosched()
 	}
 	start := time.Now()
-	body(&tx{s: s, thread: thread})
+	t.x.ht = nil
+	t.body(&t.x)
 	s.m.Store(s.glock, 0)
-	s.stats.Shard(thread).AddSerial(time.Since(start))
+	s.stats.Shard(t.x.thread).AddSerial(time.Since(start))
 }
 
 // hwAttempt runs the body as one hardware transaction subscribed to the
 // global lock.
-func (s *System) hwAttempt(thread int, body func(tm.Tx)) htm.Result {
-	x := &tx{s: s, thread: thread}
-	return s.eng.Execute(thread, func(ht *htm.Txn) {
-		x.ht = ht
+func (s *System) hwAttempt(t *thread) htm.Result {
+	return s.eng.Execute(t.x.thread, func(ht *htm.Txn) {
+		t.x.ht = ht
 		if ht.Read(s.glock) != 0 {
 			ht.Abort(codeGLock)
 		}
-		body(x)
+		t.body(&t.x)
 	})
 }

@@ -20,11 +20,11 @@ func newEngine(mut func(*htm.Config)) *htm.Engine {
 	return htm.New(mem.New(1<<16), cfg)
 }
 
-func newSys(mut func(*htm.Config)) *System { return New(newEngine(mut), DefaultConfig()) }
+func newSys(mut func(*htm.Config)) *System { return New(newEngine(mut), 4, DefaultConfig()) }
 
 // newHLE builds Hardware Lock Elision: one hardware trial subscribed to the
 // lock word, then the lock itself.
-func newHLE(mut func(*htm.Config)) *System { return New(newEngine(mut), Config{Retries: 1}) }
+func newHLE(mut func(*htm.Config)) *System { return New(newEngine(mut), 4, Config{Retries: 1}) }
 
 func TestSmallTxCommitsInHardware(t *testing.T) {
 	s := newSys(nil)

@@ -13,6 +13,7 @@
 package norecrh
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/exec"
@@ -45,8 +46,12 @@ type thread struct {
 	xtxn exec.Txn
 }
 
-// New creates a NOrecRH system over the engine's memory.
+// New creates a NOrecRH system for up to maxThreads concurrent threads, at
+// most htm.MaxSlots (it panics above), over the engine's memory.
 func New(eng *htm.Engine, maxThreads int) *System {
+	if maxThreads > htm.MaxSlots {
+		panic(fmt.Sprintf("norecrh: %d threads, more than the engine's %d hardware contexts", maxThreads, htm.MaxSlots))
+	}
 	s := &System{
 		m:       eng.Memory(),
 		eng:     eng,

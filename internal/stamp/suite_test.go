@@ -45,7 +45,7 @@ func factories() []sysFactory {
 			return core.New(engine(2*w+1<<18), n, cfg)
 		}},
 		{"HTM-GL", func(w, n int) tm.System {
-			return htmgl.New(engine(w), htmgl.DefaultConfig())
+			return htmgl.New(engine(w), n, htmgl.DefaultConfig())
 		}},
 		{"NOrec", func(w, n int) tm.System { return norec.New(mem.New(w), n) }},
 		{"RingSTM", func(w, n int) tm.System { return ringstm.New(mem.New(w), n, 1024) }},
@@ -155,7 +155,7 @@ func TestLabyrinthResourceProfile(t *testing.T) {
 	}
 
 	app := mkApp()
-	gl := htmgl.New(engine(app.MemWords()+1<<18), htmgl.DefaultConfig())
+	gl := htmgl.New(engine(app.MemWords()+1<<18), 4, htmgl.DefaultConfig())
 	app.Setup(gl)
 	app.Run(4)
 	if err := app.Validate(); err != nil {

@@ -1,8 +1,12 @@
 package tmtest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/htm"
+	"repro/internal/mem"
 	"repro/internal/tm"
 )
 
@@ -105,5 +109,49 @@ func TestWorkloadPanicPropagates(t *testing.T) {
 		if st := sys.Stats().Snapshot(); st.Commits() != 1 {
 			t.Fatalf("%s: commits = %d, want 1", sys.Name(), st.Commits())
 		}
+	})
+}
+
+// TestFittingTransactionAllocatesNothing: a transaction that fits in
+// hardware commits on its first attempt without allocating, on Part-HTM and
+// on the HTM-GL baseline alike, so the comparison charges the baseline no
+// cost the algorithm does not have.
+func TestFittingTransactionAllocatesNothing(t *testing.T) {
+	for _, fac := range Factories() {
+		if fac.Name != "Part-HTM" && fac.Name != "HTM-GL" {
+			continue
+		}
+		sys := fac.New(1, 1<<14)
+		a := sys.Memory().AllocLines(20)
+		body := func(x tm.Tx) {
+			for i := 0; i < 10; i++ {
+				src, dst := a+mem.Addr(i*mem.LineWords), a+mem.Addr((10+i)*mem.LineWords)
+				x.Write(dst, x.Read(src)+1)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { sys.Atomic(0, body) }); n != 0 {
+			t.Errorf("%s: %v allocations per transaction, want 0", fac.Name, n)
+		}
+		if st := sys.Stats().Snapshot(); st.CommitsHTM != st.Commits() {
+			t.Errorf("%s: %d of %d commits in hardware; the transaction must fit", fac.Name, st.CommitsHTM, st.Commits())
+		}
+	}
+}
+
+// TestHardwareSystemsRejectThreadsAboveMaxSlots: a system that runs hardware
+// transactions refuses more threads than the engine has contexts when it is
+// built, not at the first Begin of a thread past the last slot.
+func TestHardwareSystemsRejectThreadsAboveMaxSlots(t *testing.T) {
+	RunAll(t, func(t *testing.T, fac Factory) {
+		if fac.Name == "NOrec" || fac.Name == "RingSTM" {
+			return // software only: no hardware contexts
+		}
+		fac.New(htm.MaxSlots, 1<<14)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "hardware contexts") {
+				t.Fatalf("building for %d threads panicked with %v, want the hardware-contexts message", htm.MaxSlots+1, r)
+			}
+		}()
+		fac.New(htm.MaxSlots+1, 1<<14)
 	})
 }

@@ -67,7 +67,7 @@ func Factories() []Factory {
 		}},
 		{"HTM-GL", func(n, w int) tm.System {
 			eng := htm.New(mem.New(w), testEngineConfig())
-			return htmgl.New(eng, htmgl.DefaultConfig())
+			return htmgl.New(eng, n, htmgl.DefaultConfig())
 		}},
 		{"NOrec", func(n, w int) tm.System {
 			return norec.New(mem.New(w), n)
@@ -117,7 +117,7 @@ func TinyHardwareFactories() []Factory {
 			return core.New(htm.New(mem.New(w), tiny()), n, cfg)
 		}},
 		{"HTM-GL", func(n, w int) tm.System {
-			return htmgl.New(htm.New(mem.New(w), tiny()), htmgl.DefaultConfig())
+			return htmgl.New(htm.New(mem.New(w), tiny()), n, htmgl.DefaultConfig())
 		}},
 		{"NOrecRH", func(n, w int) tm.System {
 			return norecrh.New(htm.New(mem.New(w), tiny()), n)
