@@ -21,6 +21,12 @@
 //	parthtm-bench -exp domains                   # sharded-domain sweep (N x cross-ratio)
 //	parthtm-bench -exp domains -domains 1,4 -cross 0,0.2
 //	parthtm-bench -exp soak -flight /tmp/flight  # black-box flight recorder
+//	parthtm-bench -exp fig3a -threads 1 -trace fig3a.json  # any experiment traces
+//
+// -trace, -governor, -prof and -flight apply to every experiment: each
+// system an experiment builds gets them. Latency and profile tables print
+// only for the experiments with report rows (table1, chaos, soak, heatmap,
+// domains); the figures and ablations print their tables only.
 //
 // With -flight DIR every system an experiment builds registers its counter
 // sources with one registry, and a black-box flight recorder samples that
@@ -49,7 +55,7 @@
 // (newest events win), so traces of long runs cover the tail of the run.
 //
 // With -prof the run attaches the abort-attribution profiler to every
-// system: reports gain the hot-conflict-line table (SpaceSaving top-K)
+// system: report rows gain the hot-conflict-line table (SpaceSaving top-K)
 // and footprint quantiles per commit-path class and outcome (the counter
 // time series of a run is -flight's metrics CSV). -prof-check makes
 // profiled experiments assert their acceptance invariants (the heatmap

@@ -43,9 +43,7 @@ func runDomains(o Options) (*Result, error) {
 	for _, nd := range domSweep {
 		for _, cross := range crossSweep {
 			phase := fmt.Sprintf("N%d/c%.2f", nd, cross)
-			if o.Trace != nil {
-				o.Trace.Mark("domains " + phase)
-			}
+			o.Trace.Mark("domains " + phase)
 			cfg := core.DefaultConfig()
 			// Isolate the partitioned path: the fast path commits the whole
 			// transaction in one hardware window and touches no per-domain
@@ -54,24 +52,13 @@ func runDomains(o Options) (*Result, error) {
 			cfg.Domains = nd
 			wcfg := domwrite.Default(nd, threads)
 			wcfg.Cross = cross
-			sys := Build("Part-HTM", BuildOptions{
-				DataWords: wcfg.MemWords(), Threads: threads,
-				PhysCores: o.PhysCores, Seed: o.Seed, Core: &cfg,
-				Trace: o.Trace, Governor: o.Governor, Profile: o.Profile, Obs: o.Obs,
-			})
+			sys := o.build("Part-HTM", BuildOptions{DataWords: wcfg.MemWords(), Threads: threads, Core: &cfg})
 			b := domwrite.New(sys, wcfg)
 			op := func(th int, rng *rand.Rand) { b.Op(th, rng) }
 			res := Throughput(sys, op, threads, o.Duration, o.Seed)
-			out.Reports = append(out.Reports, SystemReport{
-				System:     "Part-HTM",
-				Threads:    threads,
-				Phase:      phase,
-				Throughput: &res,
-				Stats:      sys.Stats().Snapshot(),
-				Engine:     EngineSnapshotOf(sys),
-				Latency:    captureLatency(o.Trace),
-				Profile:    captureProfile(o.Profile),
-			})
+			rep := o.report("Part-HTM", threads, sys)
+			rep.Phase, rep.Throughput = phase, &res
+			out.Reports = append(out.Reports, rep)
 		}
 	}
 	return out, nil

@@ -120,6 +120,38 @@ func (o *Options) progressf(format string, args ...any) {
 	fmt.Fprintf(o.Progress, "progress: "+format+"\n", args...)
 }
 
+// build builds the named system from the experiment's own choices in b
+// (DataWords, Threads, Core, Fault) and the run's settings and instruments
+// (PhysCores, Seed, Trace, Governor, Profile, Obs): the one place an
+// experiment builds a system.
+func (o *Options) build(name string, b BuildOptions) tm.System {
+	b.PhysCores, b.Seed = o.PhysCores, o.Seed
+	b.Trace, b.Governor, b.Profile, b.Obs = o.Trace, o.Governor, o.Profile, o.Obs
+	return Build(name, b)
+}
+
+// report captures a built system's counters into its report row. It drains
+// the trace's latency histograms and the profile's shard state into the row
+// and resets them, so the next row starts clean (the profile's session
+// footprints survive Reset). Untraced and unprofiled runs get nil tables.
+func (o *Options) report(name string, threads int, sys tm.System) SystemReport {
+	rep := SystemReport{
+		System:  name,
+		Threads: threads,
+		Stats:   sys.Stats().Snapshot(),
+		Engine:  EngineSnapshotOf(sys),
+	}
+	if o.Trace != nil {
+		rep.Latency = LatencyReportOf(o.Trace.Latency())
+		o.Trace.ResetLatency()
+	}
+	if o.Profile != nil {
+		rep.Profile = ProfileReportOf(o.Profile)
+		o.Profile.Reset()
+	}
+	return rep
+}
+
 // Experiment regenerates one table or figure.
 type Experiment struct {
 	ID    string
@@ -128,8 +160,16 @@ type Experiment struct {
 }
 
 // Execute runs the experiment and stamps the result with the experiment's
-// identity, so renderers and JSON consumers can tell results apart.
+// identity, so renderers and JSON consumers can tell results apart. It
+// first clears the latency histograms and the profile, which a figure's
+// sweep fills but never reports, so a report row covers only its own run.
 func (e Experiment) Execute(o Options) (*Result, error) {
+	if o.Trace != nil {
+		o.Trace.ResetLatency()
+	}
+	if o.Profile != nil {
+		o.Profile.Reset()
+	}
 	res, err := e.Run(o)
 	if res != nil {
 		res.ID, res.Title = e.ID, e.Title
@@ -234,38 +274,41 @@ func fig3bOpts(o *Options) {
 	}
 }
 
-// microExp builds a throughput-vs-threads experiment. The headline table is
-// the throughput projected onto N cores (the paper's machines are
-// multicore); the raw single-host measurement follows for transparency.
+// sweep measures every (system, thread count) cell of a figure into its two
+// tables: the projection onto N cores first (the paper's machines are
+// multicore), then the raw single-host measurement for transparency.
+func (o *Options) sweep(metric string, measure func(name string, threads int) (proj, raw float64)) *Result {
+	proj := Table{Title: "projected on N cores", Metric: metric, Threads: o.Threads}
+	raw := Table{Title: "raw on this host", Metric: metric, Threads: o.Threads}
+	for _, name := range o.Systems {
+		var pv, rv []float64
+		for _, th := range o.Threads {
+			o.Trace.Mark(fmt.Sprintf("%s @%d", name, th))
+			p, r := measure(name, th)
+			pv, rv = append(pv, p), append(rv, r)
+		}
+		proj.Series = append(proj.Series, Series{System: name, Values: pv})
+		raw.Series = append(raw.Series, Series{System: name, Values: rv})
+	}
+	proj.SortSeries()
+	raw.SortSeries()
+	return &Result{Tables: []Table{proj, raw}}
+}
+
+// microExp builds a throughput-vs-threads experiment.
 func microExp(mk func() microBench, metric string, scale float64, mut func(*Options)) func(Options) (*Result, error) {
 	return func(o Options) (*Result, error) {
 		if mut != nil {
 			mut(&o)
 		}
 		o = o.withDefaults(defaultThreads, SystemNames)
-		proj := Table{Title: "projected on N cores", Metric: metric, Threads: o.Threads}
-		raw := Table{Title: "raw on this host", Metric: metric, Threads: o.Threads}
-		for _, name := range o.Systems {
-			var pv, rv []float64
-			for _, th := range o.Threads {
-				b := mk()
-				sys := Build(name, BuildOptions{
-					DataWords: b.words, Threads: th,
-					PhysCores: o.PhysCores, Seed: o.Seed,
-					Governor: o.Governor, Obs: o.Obs,
-				})
-				op := b.bind(sys, th)
-				res := Throughput(sys, op, th, o.Duration, o.Seed)
-				pv = append(pv, res.Projected/scale)
-				rv = append(rv, res.OpsPerSec/scale)
-				o.progressf("%s @%d threads: %.0f tx/s", name, th, res.OpsPerSec)
-			}
-			proj.Series = append(proj.Series, Series{System: name, Values: pv})
-			raw.Series = append(raw.Series, Series{System: name, Values: rv})
-		}
-		proj.SortSeries()
-		raw.SortSeries()
-		return &Result{Tables: []Table{proj, raw}}, nil
+		return o.sweep(metric, func(name string, th int) (float64, float64) {
+			b := mk()
+			sys := o.build(name, BuildOptions{DataWords: b.words, Threads: th})
+			res := Throughput(sys, b.bind(sys, th), th, o.Duration, o.Seed)
+			o.progressf("%s @%d threads: %.0f tx/s", name, th, res.OpsPerSec)
+			return res.Projected / scale, res.OpsPerSec / scale
+		}), nil
 	}
 }
 
@@ -275,23 +318,10 @@ func microExp(mk func() microBench, metric string, scale float64, mut func(*Opti
 func stampExp(mk func() stamp.App) func(Options) (*Result, error) {
 	return func(o Options) (*Result, error) {
 		o = o.withDefaults(defaultThreads, SystemNames)
-		proj := Table{Title: "projected on N cores", Metric: "speedup vs sequential", Threads: o.Threads}
-		raw := Table{Title: "raw on this host", Metric: "speedup vs sequential", Threads: o.Threads}
-		for _, name := range o.Systems {
-			var pv, rv []float64
-			for _, th := range o.Threads {
-				res := Speedup(mk, name, th, BuildOptions{
-					PhysCores: o.PhysCores, Seed: o.Seed,
-				})
-				pv = append(pv, res.Projected)
-				rv = append(rv, res.Raw)
-			}
-			proj.Series = append(proj.Series, Series{System: name, Values: pv})
-			raw.Series = append(raw.Series, Series{System: name, Values: rv})
-		}
-		proj.SortSeries()
-		raw.SortSeries()
-		return &Result{Tables: []Table{proj, raw}}, nil
+		return o.sweep("speedup vs sequential", func(name string, th int) (float64, float64) {
+			res := o.Speedup(mk, name, th)
+			return res.Projected, res.Raw
+		}), nil
 	}
 }
 
@@ -305,54 +335,16 @@ func runTable1(o Options) (*Result, error) {
 		"# Table 1: Labyrinth @%d threads — %% of HTM aborts and %% of committed transactions", threads)}}
 	for _, name := range o.Systems {
 		app := labyrinth.New(labyrinth.Default())
-		if o.Trace != nil {
-			o.Trace.Mark(fmt.Sprintf("table1 %s @%d", name, threads))
-		}
-		sys := Build(name, BuildOptions{
-			DataWords: app.MemWords(), Threads: threads,
-			PhysCores: o.PhysCores, Seed: o.Seed, Trace: o.Trace,
-			Governor: o.Governor, Profile: o.Profile, Obs: o.Obs,
-		})
+		o.Trace.Mark(fmt.Sprintf("table1 %s @%d", name, threads))
+		sys := o.build(name, BuildOptions{DataWords: app.MemWords(), Threads: threads})
 		app.Setup(sys)
 		app.Run(threads)
 		if err := app.Validate(); err != nil {
 			return nil, fmt.Errorf("table1: %s: %w", name, err)
 		}
-		res.Reports = append(res.Reports, SystemReport{
-			System:  name,
-			Threads: threads,
-			Stats:   sys.Stats().Snapshot(),
-			Engine:  EngineSnapshotOf(sys),
-			Latency: captureLatency(o.Trace),
-			Profile: captureProfile(o.Profile),
-		})
+		res.Reports = append(res.Reports, o.report(name, threads, sys))
 	}
 	return res, nil
-}
-
-// captureLatency drains the sink's latency histograms into a report (and
-// resets them, so the next report row starts clean). Nil-safe: untraced
-// runs get a nil report.
-func captureLatency(s *trace.Sink) *LatencyReport {
-	if s == nil {
-		return nil
-	}
-	rep := LatencyReportOf(s.Latency())
-	s.ResetLatency()
-	return rep
-}
-
-// captureProfile drains the profile's shard state (sketches, heat,
-// footprints) into a report and resets it, so the next report row starts
-// clean (the session footprints survive Reset).
-// Nil-safe: unprofiled runs get a nil report.
-func captureProfile(p *prof.Profile) *ProfileReport {
-	if p == nil {
-		return nil
-	}
-	rep := ProfileReportOf(p)
-	p.Reset()
-	return rep
 }
 
 // ---------------------------------------------------------------------------
@@ -398,31 +390,18 @@ func runChaos(o Options) (*Result, error) {
 		cfg.N, cfg.M, threads)}}
 	for _, name := range o.Systems {
 		for _, rate := range rates {
-			if o.Trace != nil {
-				o.Trace.Mark(fmt.Sprintf("chaos %s rate=%g", name, rate))
-			}
-			sys := Build(name, BuildOptions{
+			o.Trace.Mark(fmt.Sprintf("chaos %s rate=%g", name, rate))
+			sys := o.build(name, BuildOptions{
 				DataWords: cfg.MemWords(), Threads: threads,
-				PhysCores: o.PhysCores, Seed: o.Seed,
-				Fault:    chaosFaultConfig(rate, o.Seed),
-				Trace:    o.Trace,
-				Governor: o.Governor, Obs: o.Obs,
-				Profile: o.Profile,
+				Fault: chaosFaultConfig(rate, o.Seed),
 			})
 			b := nrmw.New(sys, threads, cfg)
 			op := func(th int, rng *rand.Rand) { b.Op(th, rng) }
 			res := Throughput(sys, op, threads, o.Duration, o.Seed)
 			o.progressf("chaos %s rate=%g: %.0f tx/s", name, rate, res.OpsPerSec)
-			out.Reports = append(out.Reports, SystemReport{
-				System:     name,
-				Threads:    threads,
-				FaultRate:  rate,
-				Throughput: &res,
-				Stats:      sys.Stats().Snapshot(),
-				Engine:     EngineSnapshotOf(sys),
-				Latency:    captureLatency(o.Trace),
-				Profile:    captureProfile(o.Profile),
-			})
+			rep := o.report(name, threads, sys)
+			rep.FaultRate, rep.Throughput = rate, &res
+			out.Reports = append(out.Reports, rep)
 		}
 	}
 	return out, nil
@@ -443,10 +422,7 @@ func runAblationRingSize(o Options) (*Result, error) {
 		cfg.RingSize = size
 		var vals []float64
 		for _, th := range o.Threads {
-			sys := Build("Part-HTM", BuildOptions{
-				DataWords: 8192 + metaWords, Threads: th,
-				PhysCores: o.PhysCores, Seed: o.Seed, Core: &cfg,
-			})
+			sys := o.build("Part-HTM", BuildOptions{DataWords: 8192 + metaWords, Threads: th, Core: &cfg})
 			b := eigen.New(sys, th, eigen.Config{HotWords: 4096, Reads: 200, Writes: 20, PartitionEvery: 32})
 			op := func(t int, rng *rand.Rand) { b.Op(t, rng) }
 			vals = append(vals, Throughput(sys, op, th, o.Duration, o.Seed).Projected/1e6)
@@ -486,10 +462,7 @@ func runAblationRedo(o Options) (*Result, error) {
 		var vals []float64
 		for _, th := range o.Threads {
 			cfg := mk(variant.partition)
-			sys := Build("Part-HTM", BuildOptions{
-				DataWords: cfg.MemWords(), Threads: th,
-				PhysCores: o.PhysCores, Seed: o.Seed,
-			})
+			sys := o.build("Part-HTM", BuildOptions{DataWords: cfg.MemWords(), Threads: th})
 			b := nrmw.New(sys, th, cfg)
 			op := func(t int, rng *rand.Rand) { b.Op(t, rng) }
 			vals = append(vals, Throughput(sys, op, th, o.Duration, o.Seed).Projected/1e3)

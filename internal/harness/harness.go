@@ -54,8 +54,6 @@ type BuildOptions struct {
 	// the per-transaction cache budgets (hyper-threading, as on the paper's
 	// i7) — Figure 5(f)'s 4→8 thread drop. Zero disables the model.
 	PhysCores int
-	// Engine overrides the default hardware model when non-nil.
-	Engine *htm.Config
 	// Core overrides Part-HTM's configuration when non-nil (ablations).
 	Core *core.Config
 	// Seed seeds the engine's probabilistic models.
@@ -107,12 +105,7 @@ func domainExtraWords(cfg core.Config) int {
 
 // engineConfig resolves the hardware model for the options.
 func (o BuildOptions) engineConfig() htm.Config {
-	var cfg htm.Config
-	if o.Engine != nil {
-		cfg = *o.Engine
-	} else {
-		cfg = htm.DefaultConfig()
-	}
+	cfg := htm.DefaultConfig()
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -345,16 +338,13 @@ type SpeedupResult struct {
 // Speedup runs the app factory sequentially and then on the named system
 // with the given thread count, returning seqTime/parTime (the Figure 5/6
 // metric), both as measured on this host and projected onto `threads`
-// cores.
-func Speedup(mkApp func() stamp.App, sysName string, threads int, o BuildOptions) SpeedupResult {
+// cores. Both systems are built with the run's settings and instruments.
+func (o *Options) Speedup(mkApp func() stamp.App, sysName string, threads int) SpeedupResult {
 	seqApp := mkApp()
-	o.DataWords = seqApp.MemWords()
-	seqTime := TimeApp(seqApp, Build("Sequential", o), 1)
+	seqTime := TimeApp(seqApp, o.build("Sequential", BuildOptions{DataWords: seqApp.MemWords()}), 1)
 
 	parApp := mkApp()
-	o.DataWords = parApp.MemWords()
-	o.Threads = threads
-	sys := Build(sysName, o)
+	sys := o.build(sysName, BuildOptions{DataWords: parApp.MemWords(), Threads: threads})
 	parTime := TimeApp(parApp, sys, threads)
 	serial := time.Duration(sys.Stats().SerialNanos())
 	p := project(1, parTime, serial, threads, runtime.GOMAXPROCS(0))

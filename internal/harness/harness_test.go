@@ -107,7 +107,8 @@ func TestSpeedupRunsAndValidates(t *testing.T) {
 		c.Nodes, c.Edges = 256, 1024
 		return ssca2.New(c)
 	}
-	res := Speedup(mk, "Part-HTM", 2, BuildOptions{PhysCores: 4, Seed: 1})
+	o := Options{PhysCores: 4, Seed: 1}
+	res := o.Speedup(mk, "Part-HTM", 2)
 	if res.Raw <= 0 || res.Projected <= 0 {
 		t.Fatalf("speedup = %+v", res)
 	}

@@ -115,11 +115,10 @@ func heatmapSum(m *mem.Memory, l heatmapLayout) uint64 {
 func runHeatmap(o Options) (*Result, error) {
 	o = o.withDefaults([]int{4}, heatmapSystems)
 	threads := o.Threads[0]
-	p := o.Profile
-	if p == nil {
+	if o.Profile == nil {
 		// The experiment is about the profiler: always profile, even when
 		// the CLI did not ask for the export.
-		p = prof.New(prof.Config{})
+		o.Profile = prof.New(prof.Config{})
 	}
 	out := &Result{Notes: []string{fmt.Sprintf(
 		"# Heatmap: %d threads x %d transactional increments; packed = all counters on one line, spread = one line each",
@@ -128,37 +127,25 @@ func runHeatmap(o Options) (*Result, error) {
 	for _, name := range o.Systems {
 		conflicts := map[string]uint64{}
 		for _, layout := range []string{"packed", "spread"} {
-			sys := Build(name, BuildOptions{
-				DataWords: (threads + 1) * mem.LineWords, Threads: threads,
-				PhysCores: o.PhysCores, Seed: o.Seed,
-				Governor: o.Governor, Trace: o.Trace, Profile: p, Obs: o.Obs,
-			})
+			sys := o.build(name, BuildOptions{DataWords: (threads + 1) * mem.LineWords, Threads: threads})
 			l := layoutCounters(sys.Memory(), layout, threads)
 			runHeatmapLayout(sys, l, threads)
 			if got, want := heatmapSum(sys.Memory(), l), uint64(threads*heatmapOps); got != want {
 				return nil, fmt.Errorf("heatmap: %s/%s: lost updates: counters sum to %d, want %d",
 					name, layout, got, want)
 			}
-			eng := EngineSnapshotOf(sys)
-			if eng == nil {
+			rep := o.report(name, threads, sys)
+			rep.Phase = layout
+			if rep.Engine == nil {
 				return nil, fmt.Errorf("heatmap: %s has no hardware engine to profile (pick engine-backed systems)", name)
 			}
-			conflicts[layout] = eng.AbortsConflict
-			rep := captureProfile(p)
+			conflicts[layout] = rep.Engine.AbortsConflict
 			if layout == "packed" {
-				if msg := checkPlantedLines(rep, l.lines()); msg != "" {
+				if msg := checkPlantedLines(rep.Profile, l.lines()); msg != "" {
 					violations = append(violations, fmt.Sprintf("%s: %s", name, msg))
 				}
 			}
-			out.Reports = append(out.Reports, SystemReport{
-				System:  name,
-				Threads: threads,
-				Phase:   layout,
-				Stats:   sys.Stats().Snapshot(),
-				Engine:  eng,
-				Latency: captureLatency(o.Trace),
-				Profile: rep,
-			})
+			out.Reports = append(out.Reports, rep)
 		}
 		out.Notes = append(out.Notes, fmt.Sprintf(
 			"# %s: conflict aborts packed=%d spread=%d", name, conflicts["packed"], conflicts["spread"]))

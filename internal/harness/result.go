@@ -32,8 +32,8 @@ type SystemReport struct {
 	System    string  `json:"system"`
 	Threads   int     `json:"threads"`
 	FaultRate float64 `json:"fault_rate"`
-	// Phase names the chaos-campaign phase the report covers (soak
-	// experiment); empty for single-phase runs.
+	// Phase names the part of the run the report covers: a soak campaign
+	// phase, a heatmap layout or a domains cell; empty for single-phase runs.
 	Phase string `json:"phase,omitempty"`
 	// Throughput is set by rate sweeps (the chaos experiment); nil for
 	// whole-run reports like Table 1.
@@ -207,6 +207,27 @@ func (r *Result) formatReports(b *strings.Builder) {
 	r.formatProfileReports(b)
 }
 
+// rowLabels returns the column the report rows are labelled by and each
+// report's label in it, in report order: the phase when any report has one
+// (soak campaigns, heatmap layouts, domain cells), otherwise the fault rate.
+func (r *Result) rowLabels() (col string, labels []string) {
+	col = "rate"
+	for i := range r.Reports {
+		if r.Reports[i].Phase != "" {
+			col = "phase"
+			break
+		}
+	}
+	for _, rep := range r.Reports {
+		if col == "phase" {
+			labels = append(labels, rep.Phase)
+		} else {
+			labels = append(labels, fmt.Sprintf("%.2f", rep.FaultRate))
+		}
+	}
+	return col, labels
+}
+
 // formatProfileReports renders the abort-attribution profile blocks, one
 // per report that carries them (profiled runs only): the hot-line table
 // and the footprint quantiles.
@@ -222,16 +243,13 @@ func (r *Result) formatProfileReports(b *strings.Builder) {
 		return
 	}
 	const hotLimit = 10
+	_, labels := r.rowLabels()
 	fmt.Fprintf(b, "# profile: hot conflict lines (SpaceSaving top-K merged across threads; count-err is a guaranteed lower bound)\n")
 	fmt.Fprintf(b, "%-10s %-8s %10s %10s %8s\n", "system", "phase", "line", "count", "err")
-	for _, rep := range r.Reports {
-		pr := rep.Profile
+	for ri, rep := range r.Reports {
+		pr, label := rep.Profile, labels[ri]
 		if pr == nil {
 			continue
-		}
-		label := rep.Phase
-		if label == "" {
-			label = fmt.Sprintf("%.2f", rep.FaultRate)
 		}
 		if len(pr.HotLines) == 0 {
 			fmt.Fprintf(b, "%-10s %-8s %10s (no conflicts recorded)\n", rep.System, label, "-")
@@ -256,17 +274,13 @@ func (r *Result) formatProfileReports(b *strings.Builder) {
 	if domAny {
 		fmt.Fprintf(b, "# profile: abort heat per memory domain (sharded topologies)\n")
 		fmt.Fprintf(b, "%-10s %-8s %8s %12s %12s\n", "system", "phase", "domain", "conflicts", "capacity")
-		for _, rep := range r.Reports {
+		for ri, rep := range r.Reports {
 			pr := rep.Profile
 			if pr == nil || len(pr.Domains) == 0 {
 				continue
 			}
-			label := rep.Phase
-			if label == "" {
-				label = fmt.Sprintf("%.2f", rep.FaultRate)
-			}
 			for _, h := range pr.Domains {
-				fmt.Fprintf(b, "%-10s %-8s %8d %12d %12d\n", rep.System, label, h.Domain, h.Conflicts, h.Capacity)
+				fmt.Fprintf(b, "%-10s %-8s %8d %12d %12d\n", rep.System, labels[ri], h.Domain, h.Conflicts, h.Capacity)
 			}
 		}
 		b.WriteByte('\n')
@@ -274,18 +288,14 @@ func (r *Result) formatProfileReports(b *strings.Builder) {
 	fmt.Fprintf(b, "# profile: footprints (lines touched, peak set occupancy) per class and outcome\n")
 	fmt.Fprintf(b, "%-10s %-8s %-5s %-9s %10s %14s %14s %12s\n",
 		"system", "phase", "class", "outcome", "count", "read p50/p99", "write p50/p99", "occ p50/p99")
-	for _, rep := range r.Reports {
+	for ri, rep := range r.Reports {
 		pr := rep.Profile
 		if pr == nil {
 			continue
 		}
-		label := rep.Phase
-		if label == "" {
-			label = fmt.Sprintf("%.2f", rep.FaultRate)
-		}
 		for _, f := range pr.Footprints {
 			fmt.Fprintf(b, "%-10s %-8s %-5s %-9s %10d %6d/%-7d %6d/%-7d %5d/%-6d\n",
-				rep.System, label, f.Class, f.Outcome, f.Count,
+				rep.System, labels[ri], f.Class, f.Outcome, f.Count,
 				f.ReadP50, f.ReadP99, f.WriteP50, f.WriteP99, f.OccP50, f.OccP99)
 		}
 	}
@@ -305,17 +315,18 @@ func (r *Result) formatLatencyReports(b *strings.Builder) {
 	if !any {
 		return
 	}
+	col, labels := r.rowLabels()
 	fmt.Fprintf(b, "# latency (ns): commit per path, begin-to-abort per cause\n")
 	fmt.Fprintf(b, "%-10s %6s %-6s %-9s %10s %9s %9s %9s %10s\n",
-		"system", "rate", "kind", "label", "count", "p50", "p95", "p99", "max")
-	for _, rep := range r.Reports {
+		"system", col, "kind", "label", "count", "p50", "p95", "p99", "max")
+	for ri, rep := range r.Reports {
 		if rep.Latency == nil {
 			continue
 		}
 		writeRows := func(kind string, rows []LatencyRow) {
 			for _, lr := range rows {
-				fmt.Fprintf(b, "%-10s %6.2f %-6s %-9s %10d %9d %9d %9d %10d\n",
-					rep.System, rep.FaultRate, kind, lr.Label,
+				fmt.Fprintf(b, "%-10s %6s %-6s %-9s %10d %9d %9d %9d %10d\n",
+					rep.System, labels[ri], kind, lr.Label,
 					lr.Count, lr.P50, lr.P95, lr.P99, lr.Max)
 			}
 		}
@@ -325,10 +336,19 @@ func (r *Result) formatLatencyReports(b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
+// formatTaxonomyReports renders whole-run reports. Their rows carry a phase
+// column only when they have phases (heatmap layouts): a whole-run report
+// (Table 1) has no rate to label it by.
 func (r *Result) formatTaxonomyReports(b *strings.Builder) {
+	col, labels := r.rowLabels()
+	phased := col == "phase"
+	head := "system"
+	if phased {
+		head = fmt.Sprintf("%-10s %-8s", "system", "phase")
+	}
 	fmt.Fprintf(b, "%-10s %9s %9s %9s %9s | %7s %7s %7s\n",
-		"system", "conflict", "capacity", "explicit", "other", "GL", "HTM", "SW")
-	for _, rep := range r.Reports {
+		head, "conflict", "capacity", "explicit", "other", "GL", "HTM", "SW")
+	for ri, rep := range r.Reports {
 		eng := rep.Engine
 		if eng == nil {
 			eng = &EngineSnapshot{}
@@ -341,8 +361,12 @@ func (r *Result) formatTaxonomyReports(b *strings.Builder) {
 		if commits == 0 {
 			commits = 1
 		}
+		name := rep.System
+		if phased {
+			name = fmt.Sprintf("%-10s %-8s", rep.System, labels[ri])
+		}
 		fmt.Fprintf(b, "%-10s %8.2f%% %8.2f%% %8.2f%% %8.2f%% | %6.1f%% %6.1f%% %6.1f%%\n",
-			rep.System,
+			name,
 			100*float64(eng.AbortsConflict)/aborts,
 			100*float64(eng.AbortsCapacity)/aborts,
 			100*float64(eng.AbortsExplicit)/aborts,
@@ -354,19 +378,7 @@ func (r *Result) formatTaxonomyReports(b *strings.Builder) {
 }
 
 func (r *Result) formatSweepReports(b *strings.Builder) {
-	// Campaign runs (the soak experiment) label rows by phase; rate sweeps
-	// (chaos) by fault rate.
-	phased := false
-	for i := range r.Reports {
-		if r.Reports[i].Phase != "" {
-			phased = true
-			break
-		}
-	}
-	col := "rate"
-	if phased {
-		col = "phase"
-	}
+	col, labels := r.rowLabels()
 	fmt.Fprintf(b, "%-10s %7s %10s %7s %7s %7s %10s %7s %9s %7s %6s\n",
 		"system", col, "K tx/s", "HTM", "SW", "GL", "injected", "escal", "degr-in/out", "degrTx", "alarms")
 	for i, rep := range r.Reports {
@@ -382,12 +394,8 @@ func (r *Result) formatSweepReports(b *strings.Builder) {
 		if rep.Throughput != nil {
 			proj = rep.Throughput.Projected
 		}
-		label := fmt.Sprintf("%7.2f", rep.FaultRate)
-		if phased {
-			label = fmt.Sprintf("%7s", rep.Phase)
-		}
-		fmt.Fprintf(b, "%-10s %s %10.1f %6.1f%% %6.1f%% %6.1f%% %10d %7d %5d/%-4d %7d %6d\n",
-			rep.System, label, proj/1e3,
+		fmt.Fprintf(b, "%-10s %7s %10.1f %6.1f%% %6.1f%% %6.1f%% %10d %7d %5d/%-4d %7d %6d\n",
+			rep.System, labels[i], proj/1e3,
 			100*float64(st.CommitsHTM)/commits,
 			100*float64(st.CommitsSW)/commits,
 			100*float64(st.CommitsGL)/commits,

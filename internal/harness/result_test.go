@@ -179,6 +179,31 @@ func TestResultTextLatencyBlock(t *testing.T) {
 	}
 }
 
+// TestResultTextPhasedRows: when reports have phases (heatmap layouts, soak
+// campaigns), every taxonomy and latency row names its phase, so two rows
+// of one system are told apart.
+func TestResultTextPhasedRows(t *testing.T) {
+	lat := &LatencyReport{Paths: []LatencyRow{{Label: "htm", Count: 4, P50: 100}}}
+	res := &Result{Reports: []SystemReport{
+		{System: "Part-HTM", Phase: "packed", Engine: &EngineSnapshot{AbortsConflict: 3}, Latency: lat},
+		{System: "Part-HTM", Phase: "spread", Engine: &EngineSnapshot{AbortsConflict: 1}, Latency: lat},
+	}}
+	out := res.Text()
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "Part-HTM") {
+			continue
+		}
+		rows++
+		if !strings.Contains(line, "packed") && !strings.Contains(line, "spread") {
+			t.Fatalf("row names no phase: %q\n%s", line, out)
+		}
+	}
+	if rows != 4 { // one taxonomy and one latency row per phase
+		t.Fatalf("%d system rows, want 4:\n%s", rows, out)
+	}
+}
+
 // TestLatencyReportOf: empty distributions are dropped, a fully empty
 // snapshot converts to nil (untraced runs must serialize unchanged).
 func TestLatencyReportOf(t *testing.T) {

@@ -84,17 +84,14 @@ func runSoak(o Options) (*Result, error) {
 	out := &Result{Notes: []string{fmt.Sprintf(
 		"# Soak: campaign %q, N-Reads M-Writes N=%d M=%d @%d threads, governor+watchdog attached (stall deadline %v)",
 		phases, cfg.N, cfg.M, threads, wcfg.Deadline())}}
-	for _, name := range o.Systems {
+	if o.Governor == nil {
+		// The soak is about the governor: always govern, even when the CLI
+		// did not ask for one.
 		gcfg := governor.DefaultConfig()
-		if o.Governor != nil {
-			gcfg = *o.Governor
-		}
-		sys := Build(name, BuildOptions{
-			DataWords: cfg.MemWords(), Threads: threads,
-			PhysCores: o.PhysCores, Seed: o.Seed,
-			Fault: fcfg, Trace: o.Trace, Profile: o.Profile,
-			Governor: &gcfg, Obs: o.Obs,
-		})
+		o.Governor = &gcfg
+	}
+	for _, name := range o.Systems {
+		sys := o.build(name, BuildOptions{DataWords: cfg.MemWords(), Threads: threads, Fault: fcfg})
 		k := KernelOf(sys)
 		if k == nil {
 			return nil, fmt.Errorf("soak: system %q has no execution kernel to govern", name)
@@ -112,9 +109,7 @@ func runSoak(o Options) (*Result, error) {
 				}
 				sys.Stats().Reset()
 			}
-			if o.Trace != nil {
-				o.Trace.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
-			}
+			o.Trace.Mark(fmt.Sprintf("soak %s phase=%s", name, phase))
 			wd := soakWatchdog(wcfg, sys, k, threads, o.Trace)
 			if o.Flight != nil {
 				wd.OnAlarm(o.Flight.NoteAlarm)
@@ -124,9 +119,10 @@ func runSoak(o Options) (*Result, error) {
 			res := Throughput(sys, op, threads, o.Duration, o.Seed)
 			stopProgress()
 			wd.Stop()
-			snap := sys.Stats().Snapshot()
+			rep := o.report(name, threads, sys)
+			rep.Phase, rep.Throughput = phase, &res
 			o.progressf("soak %s phase=%s done: %.0f tx/s commits=%d alarms=%d",
-				name, phase, res.OpsPerSec, snap.Commits(), snap.WatchdogAlarms)
+				name, phase, res.OpsPerSec, rep.Stats.Commits(), rep.Stats.WatchdogAlarms)
 			// The workers have joined and the watchdog has stopped: a
 			// quiesce point, so an armed flight dump may read the trace
 			// rings. A phase that ends still degraded is itself a trigger.
@@ -140,16 +136,7 @@ func runSoak(o Options) (*Result, error) {
 					o.progressf("soak %s phase=%s flight artifact %s", name, phase, dump)
 				}
 			}
-			out.Reports = append(out.Reports, SystemReport{
-				System:     name,
-				Threads:    threads,
-				Phase:      phase,
-				Throughput: &res,
-				Stats:      snap,
-				Engine:     EngineSnapshotOf(sys),
-				Latency:    captureLatency(o.Trace),
-				Profile:    captureProfile(o.Profile),
-			})
+			out.Reports = append(out.Reports, rep)
 		}
 	}
 	return out, nil

@@ -157,3 +157,41 @@ func TestChaosTraced(t *testing.T) {
 		t.Fatalf("traced chaos text has no latency block:\n%s", res.Text())
 	}
 }
+
+// TestExperimentsHonourInstruments: the instrument options reach the
+// systems of experiments that report only tables — a micro-benchmark
+// figure, a STAMP figure (through Speedup) and an ablation: the trace sink
+// records their events and the registry samples their governor.
+func TestExperimentsHonourInstruments(t *testing.T) {
+	for _, id := range []string{"fig3a", "fig5c", "ablation-redo"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := Find(id)
+			if !ok {
+				t.Fatalf("no experiment %q", id)
+			}
+			sink := trace.NewSink(1 << 10)
+			gcfg := governor.DefaultConfig()
+			reg := obs.NewRegistry()
+			if _, err := e.Execute(Options{
+				Threads: []int{1}, Duration: 20 * time.Millisecond, Systems: []string{"Part-HTM"},
+				Trace: sink, Governor: &gcfg, Obs: reg,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(sink.Events()) == 0 {
+				t.Fatal("sink recorded no events")
+			}
+			var snap obs.Snapshot
+			reg.Sample(&snap)
+			for _, s := range snap.Systems {
+				if s.Name == "Part-HTM" {
+					if !s.HasGov {
+						t.Fatal("Part-HTM registered without its governor")
+					}
+					return
+				}
+			}
+			t.Fatalf("Part-HTM not registered: %+v", snap.Systems)
+		})
+	}
+}
