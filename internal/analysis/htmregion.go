@@ -257,7 +257,7 @@ func (w *regionWalker) checkRegionCall(view *Package, call *ast.CallExpr) {
 		// The memory substrate is the other half of the simulated hardware:
 		// a mem.Memory call from a window models a deliberate unmonitored
 		// access (e.g. reading a domain timestamp non-transactionally), and
-		// the stripe locks and Gosched retries inside it are simulator
+		// the line locks and Gosched retries inside it are simulator
 		// plumbing with no counterpart in the hardware being modeled.
 		return
 	case domainPath:

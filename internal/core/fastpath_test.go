@@ -28,13 +28,13 @@ func TestPartitionedBeginDoomsUncheckedOpaqueFastTransaction(t *testing.T) {
 }
 
 // partitionedBeginDoomsFastTransaction builds the interleaving of the two
-// tests above. No sleeps: simulated memory's stripe locks freeze both
+// tests above. No sleeps: simulated memory's line locks freeze both
 // transactions where the test needs them. A probe hardware transaction holds
 // the timestamp line in its write set, so the fast transaction's timestamp
 // read — at commit, after its activeTx read — dooms the probe, which the test
 // can observe; the fast transaction then stops at the ring entry's header
-// line, whose stripe the test holds. The partitioned attempt increments
-// activeTx and stops at its next step, the timestamp snapshot, on a stripe the
+// line, whose lock the test holds. The partitioned attempt increments
+// activeTx and stops at its next step, the timestamp snapshot, on a lock the
 // test also holds: at that point the increment is the only thing it has done.
 func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 	s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
@@ -45,7 +45,7 @@ func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 
 	probe := s.eng.Begin(2)
 	probe.Write(rg.TimestampAddr(), 0)
-	m.Lock(headerLine)
+	heldHeader := m.Lock(headerLine)
 
 	fastDone := make(chan struct{})
 	go func() {
@@ -56,7 +56,7 @@ func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 		runtime.Gosched()
 	}
 	probe.Cancel()
-	m.Lock(tsLine)
+	heldTS := m.Lock(tsLine)
 	// Both ordered after the fast thread's stores by the probe's doom.
 	fast, checked := s.threads[0].ht, s.threads[0].checkCells
 	if fast.Doomed() {
@@ -78,11 +78,11 @@ func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 		t.Fatal("a partitioned begin did not doom a fast transaction that had seen activeTx == 0")
 	}
 
-	m.Unlock(tsLine)
+	m.Unlock(tsLine, heldTS)
 	if !<-partDone {
 		t.Fatal("the read-only partitioned attempt did not commit")
 	}
-	m.Unlock(headerLine)
+	m.Unlock(headerLine, heldHeader)
 	<-fastDone
 
 	if got := m.Load(counter); got != 1 {
@@ -198,7 +198,7 @@ func TestOpaqueFastPathChecksCellsWhilePartitionedActive(t *testing.T) {
 // transaction can lock a cell, its retry checks the cells, and so it never
 // returns the other transaction's uncommitted value. No sleeps: A parks
 // inside its open segment, and B stops at the timestamp snapshot that follows
-// its increment, on a stripe the test holds.
+// its increment, on a line lock the test holds.
 func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
 	s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = true })
 	m := s.Memory()
@@ -228,7 +228,7 @@ func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
 		t.Fatalf("the lone segment checks cells (%v) or is doomed (%v) before anything else began", checked[0], seg.Doomed())
 	}
 
-	m.Lock(tsLine)
+	heldTS := m.Lock(tsLine)
 	locked, resumeB := make(chan struct{}), make(chan struct{})
 	bDone := make(chan bool)
 	go func() {
@@ -249,7 +249,7 @@ func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
 	if c := m.Load(s.cell(xa)); c != 0 {
 		t.Errorf("x's cell holds %#x before B got past its begin", c)
 	}
-	m.Unlock(tsLine)
+	m.Unlock(tsLine, heldTS)
 	<-locked
 
 	close(resume)

@@ -23,23 +23,29 @@
 //     conflicting hardware transactions (the engine is the memory's
 //     Observer).
 //
-// What a simulated access costs the host is a stripe acquisition on its
-// line (internal/mem), so the write path takes as few as it can:
+// A line's monitors live in its memory monitor word (internal/mem), next to
+// the bit that is the line's lock, so what a simulated access costs the host
+// is as few atomic instructions on that word as the access allows:
 //
+//   - A read of a line the transaction already monitors loads the monitor
+//     word and the data word, and no more, while the line is unlocked and
+//     has no foreign writer; a first read sets its reader bit with one CAS.
+//     A write monitor on a line no other transaction monitors is one CAS.
+//     Only a foreign monitor, or a held lock, takes the line lock.
 //   - Word-wise writes are buffered in a slice of entries in first-write
 //     order, found through an open-addressed index whose slots carry a
 //     generation: emptying the buffer between transactions is a generation
-//     bump, and rewriting a buffered word takes no stripe.
+//     bump, and rewriting a buffered word touches no monitor.
 //   - Txn.Exchange is Read followed by Write as one access, for callers that
 //     log the old value of what they write (the partitioned path's undo
-//     log). The old word is loaded under the acquisition that registers the
-//     write monitor, and the line enters the write set only.
-//   - Commit releases each written line's monitor under the acquisition that
-//     stores the line's last word, before the transaction as a whole is
+//     log). The old word is loaded once the write monitor is held, and the
+//     line enters the write set only.
+//   - Commit stores each written line without the lock and then clears its
+//     write monitor with one CAS, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
-//   - A read monitor is taken in one routine, readMonitored, whether one word
-//     is loaded under it or a whole line; Read inlines only the case of a
-//     line with no foreign writer.
+//     Releasing a read monitor is one CAS too.
+//   - A read monitor is taken in one routine, readFast, whether one word is
+//     loaded under it or a whole line; readLocked is its fallback.
 //
 // A transaction knows exactly what it holds — cycles charged, distinct lines
 // read and written — and says so through Txn.Footprint, so the frameworks
@@ -192,12 +198,13 @@ const (
 	stCommitted
 )
 
-// entry is the per-line monitor record, packed in one word: bit s of the
-// low readerBits is set while slot s holds the line in its read set, and the
-// high bits hold slot+1 of the one holding it in its write set (0 = none).
-// Entries are only touched under the line's memory stripe lock. The table
-// has one entry per simulated line and the first access to a line misses on
-// it as well as on the word, so the entry is kept at four bytes.
+// entry is a line's monitor record: the line's memory monitor word
+// (mem.Memory.Monitor). Bit s of the low readerBits is set while slot s holds
+// the line in its read set; the bits above hold slot+1 of the one holding it
+// in its write set (0 = none), up to mem.LockBit, which is the line's lock.
+// An entry changes only by one CAS that finds the lock clear, or under the
+// lock; it is four bytes because the first access to a line misses on it as
+// well as on the word.
 type entry uint32
 
 // MaxSlots is the number of hardware contexts (threads) an engine has: one
@@ -205,53 +212,54 @@ type entry uint32
 // injector covers exactly the engine's slots.
 const MaxSlots = fault.MaxSlots
 
-// An entry's low readerBits are its reader mask; the bits above hold the
-// writer, which must have room for MaxSlots (a compile-time check).
+// An entry's low readerBits are its reader mask; the writer field is the 7
+// bits above, below the lock bit, and must have room for MaxSlots (a
+// compile-time check).
 const (
 	readerBits = MaxSlots
 	readerMask = entry(1)<<readerBits - 1
-	_          = uint(1<<(32-readerBits) - 1 - MaxSlots)
+	lockBit    = entry(mem.LockBit)
+	writerMask = lockBit - 1 - readerMask
+	_          = uint(writerMask>>readerBits - MaxSlots)
 )
 
 // readers returns the mask of slots holding the line in their read set.
 func (en entry) readers() uint32 { return uint32(en & readerMask) }
 
 // writer returns slot+1 of the write set's holder, or 0.
-func (en entry) writer() entry { return en >> readerBits }
+func (en entry) writer() entry { return (en & writerMask) >> readerBits }
 
 // setWriter makes w (slot+1, or 0 for none) the line's writer.
-func (en *entry) setWriter(w entry) { *en = *en&readerMask | w<<readerBits }
+func (en *entry) setWriter(w entry) { *en = *en&^writerMask | w<<readerBits }
 
 // Engine is a best-effort HTM bound to one simulated memory.
 type Engine struct {
-	mem     *mem.Memory
-	cfg     Config
-	entries []entry
-	slots   []atomic.Pointer[Txn]
+	mem   *mem.Memory
+	cfg   Config
+	slots []atomic.Pointer[Txn]
 	// recycled holds each slot's last transaction object for reuse: a slot
 	// runs one transaction at a time, and a finished transaction can no
 	// longer be reached through any monitor entry.
 	recycled []*Txn
-	rngs     []*rand.Rand
-	nActive  atomic.Int32
-	stats    Stats
-	inj      *fault.Injector
-	prof     *prof.Profile
+	// rngs holds each slot's generator for the read-eviction model, seeded
+	// on the slot's first draw (see rngOf).
+	rngs    []*rand.Rand
+	nActive atomic.Int32
+	stats   Stats
+	inj     *fault.Injector
+	prof    *prof.Profile
 }
 
 // New creates an engine over m and installs it as m's strong-atomicity
-// observer.
+// observer. The engine keeps its monitors in m's monitor words, so a memory
+// has one engine.
 func New(m *mem.Memory, cfg Config) *Engine {
 	e := &Engine{
 		mem:      m,
 		cfg:      cfg,
-		entries:  make([]entry, m.Lines()),
 		slots:    make([]atomic.Pointer[Txn], MaxSlots),
 		recycled: make([]*Txn, MaxSlots),
 		rngs:     make([]*rand.Rand, MaxSlots),
-	}
-	for i := range e.rngs {
-		e.rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 	}
 	m.SetObserver(e)
 	return e
@@ -317,6 +325,8 @@ type abortPanic struct {
 type Txn struct {
 	eng    *Engine
 	slot   int
+	bit    entry // the slot's reader bit
+	self   entry // the slot's writer field value, slot+1
 	status atomic.Int32
 
 	// Word-wise write buffer: entries in first-write order, found through an
@@ -334,7 +344,6 @@ type Txn struct {
 	class      uint8 // profiler commit-path class (prof.ClassFast/ClassSub)
 	cycles     int64
 	quantum    int64 // per-transaction timer quantum (cfg.Quantum, possibly jittered)
-	rng        *rand.Rand
 	finished   bool
 
 	// Pending injected abort, armed at Begin and delivered at the next
@@ -458,11 +467,12 @@ func (e *Engine) Begin(slot int) *Txn {
 		t = &Txn{
 			eng:     e,
 			slot:    slot,
+			bit:     1 << uint(slot),
+			self:    entry(slot + 1),
 			wbIdx:   make([]uint64, 1<<wbInitLog2),
 			wbShift: 32 - wbInitLog2,
 			wbGen:   1,
 			setOcc:  make([]uint8, e.cfg.WriteSets),
-			rng:     e.rngs[slot],
 		}
 	} else {
 		e.recycled[slot] = nil
@@ -715,10 +725,10 @@ func doom(victim *Txn) bool {
 
 // evictWriter resolves a foreign write monitor on en for a requester, which
 // wins as a cache-coherence invalidation would. Called under the line's
-// stripe lock, only when en's writer is a slot other than the requester's.
+// lock, only when en's writer is a slot other than the requester's.
 // An active writer is doomed and loses the monitor (doomed). One past the
-// point of no return is handed back as wait: the requester releases the
-// stripe, lets it leave stCommitting, and retries. A committed writer's
+// point of no return is handed back as wait: the requester unlocks the
+// line, lets it leave stCommitting, and retries. A committed writer's
 // entry is stale — its writes are already published — and is left alone.
 func (e *Engine) evictWriter(en *entry) (wait *Txn, doomed bool) {
 	other := e.slots[en.writer()-1].Load()
@@ -740,10 +750,11 @@ func (e *Engine) evictWriter(en *entry) (wait *Txn, doomed bool) {
 
 // Read performs a transactional (monitored) read of the word at a.
 //
-// The status is checked again after the load: a rival may doom this
-// transaction and then store the word while Read waits for the stripe, and
-// real hardware never hands an aborted transaction a value stored after its
-// abort, so a doom that precedes the store the load sees is noticed here.
+// The status is checked again after the load: the word is loaded after the
+// read monitor is taken, and a rival that stores it must doom this
+// transaction first. Real hardware never hands an aborted transaction a
+// value stored after its abort, so a doom that precedes the store the load
+// sees is noticed here.
 func (t *Txn) Read(a mem.Addr) uint64 {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost)
@@ -759,18 +770,8 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 		}
 	}
 	e := t.eng
-	bit := entry(1) << uint(t.slot)
-	self := entry(t.slot + 1)
-
-	// Fast path: the line is already monitored and carries no foreign
-	// writer — the overwhelmingly common case on re-reads and scans.
-	e.mem.Lock(l)
-	en := &e.entries[l]
-	if w := en.writer(); w == 0 || w == self {
-		first := *en&bit == 0
-		*en |= bit
+	if first, _, ok := t.readFast(e.mem.Monitor(l)); ok {
 		v := e.mem.RawLoad(a)
-		e.mem.Unlock(l)
 		if first {
 			t.readLines = append(t.readLines, l)
 			t.admitReadLine()
@@ -778,54 +779,89 @@ func (t *Txn) Read(a mem.Addr) uint64 {
 		t.abortIfDoomed()
 		return v
 	}
-	e.mem.Unlock(l)
 	var out [1]uint64
 	t.readMonitored(l, a, out[:])
 	return out[0]
 }
 
-// readMonitored takes the read monitor on line l and loads len(out) words
-// of it, starting at a, under the same stripe acquisition. A foreign active
+// readFast takes the read monitor on a line, whose monitor word is mon,
+// without the line lock: ok reports that the line is unlocked and carries no
+// foreign writer — the overwhelmingly common case. A line already monitored
+// costs one load; a first read sets its reader bit with one CAS, which
+// fails (ok false) if the word changed. own reports that the line is in the
+// transaction's own write set.
+func (t *Txn) readFast(mon *atomic.Uint32) (first, own, ok bool) {
+	en := entry(mon.Load())
+	w := en.writer()
+	own = w == t.self
+	if en&lockBit != 0 || w != 0 && !own {
+		return false, false, false
+	}
+	if en&t.bit != 0 {
+		return false, own, true
+	}
+	return true, own, mon.CompareAndSwap(uint32(en), uint32(en|t.bit))
+}
+
+// readLocked is readFast's fallback under the line lock. A foreign active
 // writer is evicted first (requester wins, as a cache-coherence invalidation
-// would); one that is committing is waited out. own reports that the line is
-// in the transaction's own write set: the words loaded are memory's, not its
-// buffered ones. Like Read's own branch, it re-checks the status after the
-// load.
-func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
+// would); one that is committing is waited out, and ok is false after the
+// wait.
+func (t *Txn) readLocked(l mem.Line) (first, own, ok bool) {
 	e := t.eng
-	bit := entry(1) << uint(t.slot)
-	self := entry(t.slot + 1)
-	for {
-		var wait *Txn
-		first, doomed := false, false
-		e.mem.Lock(l)
-		en := &e.entries[l]
-		own = en.writer() == self
-		if en.writer() != 0 && !own {
-			wait, doomed = e.evictWriter(en)
-		}
-		if wait == nil {
-			first = *en&bit == 0
-			*en |= bit
-			for i := range out {
-				out[i] = e.mem.RawLoad(a + mem.Addr(i))
-			}
-		}
-		e.mem.Unlock(l)
-		if doomed {
-			t.ps.RecordConflict(uint32(l))
-		}
-		if wait == nil {
-			if first {
-				t.readLines = append(t.readLines, l)
-				t.admitReadLine()
-			}
-			t.abortIfDoomed()
-			return own
-		}
+	var wait *Txn
+	doomed := false
+	en := entry(e.mem.Lock(l))
+	own = en.writer() == t.self
+	if en.writer() != 0 && !own {
+		wait, doomed = e.evictWriter(&en)
+	}
+	if wait == nil {
+		first = en&t.bit == 0
+		en |= t.bit
+	}
+	e.mem.Unlock(l, uint32(en))
+	if doomed {
+		t.ps.RecordConflict(uint32(l))
+	}
+	if wait != nil {
 		waitNotCommitting(wait)
 		t.checkDoomed()
+		return false, false, false
 	}
+	return first, own, true
+}
+
+// readMonitored takes the read monitor on line l and then loads len(out)
+// words of it, starting at a. own reports that the line is in the
+// transaction's own write set: the words loaded are memory's, not its
+// buffered ones. Like Read, it re-checks the status after the load.
+func (t *Txn) readMonitored(l mem.Line, a mem.Addr, out []uint64) (own bool) {
+	e := t.eng
+	first, own, ok := t.readFast(e.mem.Monitor(l))
+	for !ok {
+		first, own, ok = t.readLocked(l)
+	}
+	for i := range out {
+		out[i] = e.mem.RawLoad(a + mem.Addr(i))
+	}
+	if first {
+		t.readLines = append(t.readLines, l)
+		t.admitReadLine()
+	}
+	t.abortIfDoomed()
+	return own
+}
+
+// rngOf returns slot's generator for the read-eviction model, seeding it
+// on first use: few runs ever draw from it, and seeding all MaxSlots up
+// front costs more than the rest of New. Only the slot's own thread calls
+// it, as it does Begin.
+func (e *Engine) rngOf(slot int) *rand.Rand {
+	if e.rngs[slot] == nil {
+		e.rngs[slot] = rand.New(rand.NewSource(e.cfg.Seed + int64(slot)*7919))
+	}
+	return e.rngs[slot]
 }
 
 // profCapacity attributes a capacity overflow to the line whose admission
@@ -848,7 +884,7 @@ func (t *Txn) admitReadLine() {
 		pressure := int(t.eng.nActive.Load()) - cfg.ReadFreeThreads
 		if pressure > 0 {
 			p := cfg.ReadEvictProb * float64(pressure)
-			if t.rng.Float64() < p {
+			if t.eng.rngOf(t.slot).Float64() < p {
 				t.profCapacity(t.readLines[n-1])
 				t.abort(Capacity, 0)
 			}
@@ -880,11 +916,11 @@ func (t *Txn) Write(a mem.Addr, v uint64) {
 
 // Exchange is Read(a) followed by Write(a, v) as one access: it buffers v
 // and returns the value the transaction saw at a before. It costs what the
-// pair costs, but a word not yet buffered is loaded under the stripe
-// acquisition that registers the write monitor, and the line enters the
-// write set only: a write monitor already conflicts with every access a
-// read monitor conflicts with, so the reader bit Read would set is
-// redundant. Like Write it must not touch a line written with WriteLine.
+// pair costs, but a word not yet buffered is loaded once the write monitor
+// is held, and the line enters the write set only: a write monitor already
+// conflicts with every access a read monitor conflicts with, so the reader
+// bit Read would set is redundant. Like Write it must not touch a line
+// written with WriteLine.
 func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
@@ -918,16 +954,14 @@ func (t *Txn) WriteLocal(a mem.Addr, v uint64) {
 	}
 	if i := uint32(l) & (localCacheSize - 1); t.localCache[i] != l {
 		t.localCache[i] = l
-		if cfg := &t.eng.cfg; cfg.WriteLines > 0 && len(t.writeLines)+t.localLines+1 > cfg.WriteLines || !t.occupySet(l) {
+		if !t.fitsWrite(l, len(t.writeLines)+t.localLines) {
 			t.profCapacity(l)
 			t.abort(Capacity, 0)
 		}
+		t.occupySet(l)
 		t.localLines++
 	}
-	e := t.eng
-	e.mem.Lock(l)
-	e.mem.RawStore(a, v)
-	e.mem.Unlock(l)
+	t.eng.mem.RawStore(a, v)
 }
 
 // ReadLine performs one monitored read of a whole cache line into out.
@@ -976,56 +1010,83 @@ func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 	t.lineBuf = append(t.lineBuf, lineEntry{l: l, vals: *vals})
 }
 
-// occupySet takes a way of line l's cache set for a line entering the write
-// buffer, monitored or thread-private, and reports false when the set is
-// full.
-func (t *Txn) occupySet(l mem.Line) bool {
-	set := int(uint32(l)) % t.eng.cfg.WriteSets
-	if int(t.setOcc[set])+1 > t.eng.cfg.WriteWays {
+// fitsWrite reports whether line l fits the write buffer as its n+1st line,
+// monitored or thread-private: within the total budget and a free way of
+// its cache set.
+func (t *Txn) fitsWrite(l mem.Line, n int) bool {
+	cfg := &t.eng.cfg
+	if cfg.WriteLines > 0 && n+1 > cfg.WriteLines {
 		return false
 	}
+	return int(t.setOcc[int(uint32(l))%cfg.WriteSets])+1 <= cfg.WriteWays
+}
+
+// occupySet takes a way of line l's cache set, which fitsWrite has found
+// free.
+func (t *Txn) occupySet(l mem.Line) {
+	set := int(uint32(l)) % t.eng.cfg.WriteSets
 	t.setOcc[set]++
 	if t.setOcc[set] > t.maxOcc {
 		t.maxOcc = t.setOcc[set]
 	}
-	return true
 }
 
 // ensureWriteMonitor puts line l into the write set: a no-op if already
 // held, otherwise it applies the capacity model and registers the write
-// monitor, dooming conflicting readers and writers (requester wins). One
-// stripe acquisition in the common cases. With load it also returns the
-// word at a (on line l) as memory held it under that same acquisition.
-// acquired reports that this call registered the monitor.
+// monitor, dooming conflicting readers and writers (requester wins). A line
+// no other transaction monitors takes one CAS; any other case takes the
+// line lock. With load it also returns the word at a (on line l), loaded
+// once the monitor is held. acquired reports that this call registered the
+// monitor.
 func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64, acquired bool) {
 	e := t.eng
-	self := entry(t.slot + 1)
+	self := t.self
+	mon := e.mem.Monitor(l)
+	if en := entry(mon.Load()); en.writer() == self && en&lockBit == 0 {
+		if load {
+			old = t.loadHeld(a)
+		}
+		return old, false
+	} else if en&^t.bit == 0 {
+		if !t.fitsWrite(l, len(t.writeLines)) {
+			t.profCapacity(l)
+			t.abort(Capacity, 0)
+		}
+		if mon.CompareAndSwap(uint32(en), uint32(en|self<<readerBits)) {
+			t.occupySet(l)
+			t.writeLines = append(t.writeLines, l)
+			if load {
+				old = t.loadHeld(a)
+			}
+			return old, true
+		}
+	}
 	for {
 		var wait *Txn
 		overCap := false
 		doomed := 0
-		e.mem.Lock(l)
-		en := &e.entries[l]
+		en := entry(e.mem.Lock(l))
 		if en.writer() == self {
+			e.mem.Unlock(l, uint32(en))
 			if load {
-				old = e.mem.RawLoad(a)
+				old = t.loadHeld(a)
 			}
-			e.mem.Unlock(l)
 			return old, false
 		}
 		if en.writer() != 0 {
 			var evicted bool
-			if wait, evicted = e.evictWriter(en); evicted {
+			if wait, evicted = e.evictWriter(&en); evicted {
 				doomed++
 			}
 		}
 		if wait == nil {
-			if cfg := &e.cfg; cfg.WriteLines > 0 && len(t.writeLines)+1 > cfg.WriteLines || !t.occupySet(l) {
-				// Abort outside the stripe lock: teardown re-acquires it.
+			if !t.fitsWrite(l, len(t.writeLines)) {
+				// Abort outside the line lock: teardown waits for it.
 				overCap = true
 			} else {
+				t.occupySet(l)
 				// Doom all other active readers of the line.
-				mask := en.readers() &^ (1 << uint(t.slot))
+				mask := en.readers() &^ uint32(t.bit)
 				for mask != 0 {
 					s := bits.TrailingZeros32(mask)
 					mask &^= 1 << uint(s)
@@ -1046,15 +1107,12 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 					}
 				}
 				en.setWriter(self)
-				if load {
-					old = e.mem.RawLoad(a)
-				}
 				acquired = true
 			}
 		}
-		e.mem.Unlock(l)
+		e.mem.Unlock(l, uint32(en))
 		// Requester-side conflict attribution: one event per rival doomed
-		// over this line (outside the stripe lock; the hook is htmsafe).
+		// over this line (outside the line lock; the hook is htmsafe).
 		if t.ps != nil {
 			for ; doomed > 0; doomed-- {
 				t.ps.RecordConflict(uint32(l))
@@ -1066,11 +1124,23 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 		}
 		if acquired {
 			t.writeLines = append(t.writeLines, l)
+			if load {
+				old = t.loadHeld(a)
+			}
 			return old, true
 		}
 		waitNotCommitting(wait)
 		t.checkDoomed()
 	}
+}
+
+// loadHeld returns the word at a on a line whose write monitor the
+// transaction holds. As in Read, the status is checked after the load: a
+// rival that stores the word must doom the holder first.
+func (t *Txn) loadHeld(a mem.Addr) uint64 {
+	v := t.eng.mem.RawLoad(a)
+	t.abortIfDoomed()
+	return v
 }
 
 // Commit atomically publishes the write buffer (_xend). If the transaction
@@ -1086,36 +1156,42 @@ func (t *Txn) Commit() {
 	if !t.status.CompareAndSwap(stActive, stCommitting) {
 		t.abort(Conflict, 0)
 	}
-	// Each line's write monitor is released under the stripe acquisition
-	// that stores the line's last word, before the transaction as a whole
-	// is stCommitted. Until a line is released it names a stCommitting
-	// writer, so every other accessor waits (waitNotCommitting, observer
-	// retry); once released it holds only committed words. No reader can
-	// pair a released line's new words with another line's old ones: a
-	// transaction that read any of these lines before this commit was
-	// doomed when the write monitor was taken, and one that reads a line
-	// not yet stored waits for it. The buffer is walked youngest first so
-	// that a line's first entry is the last of that line to be stored.
+	// Each line is stored without its lock and then its write monitor is
+	// released with one CAS, before the transaction as a whole is
+	// stCommitted. Until a line is released it names a stCommitting writer,
+	// so every other accessor waits (waitNotCommitting, observer retry);
+	// once released it holds only committed words. No reader can pair a
+	// released line's new words with another line's old ones: a transaction
+	// that read any of these lines before this commit was doomed when the
+	// write monitor was taken, and one that reads a line not yet stored
+	// waits for it. The buffer is walked youngest first so that a line's
+	// first entry is the last of that line to be stored. A store waits out
+	// a held line lock first, as a locked store would, so a line locked
+	// before the commit reaches it keeps its words until it is unlocked.
 	e := t.eng
 	for i := range t.lineBuf {
 		le := &t.lineBuf[i]
 		base := mem.Addr(le.l) * mem.LineWords
-		e.mem.Lock(le.l)
+		mon, en := e.unlockedEntry(le.l)
 		for j, v := range le.vals {
 			e.mem.RawStore(base+mem.Addr(j), v)
 		}
-		e.entries[le.l].setWriter(0)
-		e.mem.Unlock(le.l)
+		if !mon.CompareAndSwap(uint32(en), uint32(en&^writerMask)) {
+			e.dropWriter(le.l, t.self)
+		}
 	}
 	for i := len(t.wb) - 1; i >= 0; i-- {
 		w := &t.wb[i]
 		l := mem.LineOf(w.addr)
-		e.mem.Lock(l)
-		e.mem.RawStore(w.addr, w.val)
-		if w.first {
-			e.entries[l].setWriter(0)
+		mon := e.mem.Monitor(l) // unlockedEntry, inlined by hand
+		en := entry(mon.Load())
+		if en&lockBit != 0 {
+			en = entry(e.mem.Unlocked(l))
 		}
-		e.mem.Unlock(l)
+		e.mem.RawStore(w.addr, w.val)
+		if w.first && !mon.CompareAndSwap(uint32(en), uint32(en&^writerMask)) {
+			e.dropWriter(l, t.self)
+		}
 	}
 	t.status.Store(stCommitted)
 	t.finish(true)
@@ -1128,25 +1204,54 @@ func (t *Txn) Commit() {
 func (t *Txn) releaseMonitors(committed bool) {
 	e := t.eng
 	for _, l := range t.readLines {
-		e.mem.Lock(l)
-		e.entries[l] &^= 1 << uint(t.slot)
-		e.mem.Unlock(l)
+		e.dropReader(l, t.bit)
 	}
 	if committed {
 		return
 	}
-	self := entry(t.slot + 1)
 	for _, l := range t.writeLines {
-		e.mem.Lock(l)
-		if en := &e.entries[l]; en.writer() == self {
-			en.setWriter(0)
+		e.dropWriter(l, t.self)
+	}
+}
+
+// unlockedEntry returns line l's monitor word and, once the line's lock is
+// clear, its entry.
+func (e *Engine) unlockedEntry(l mem.Line) (*atomic.Uint32, entry) {
+	mon := e.mem.Monitor(l)
+	en := entry(mon.Load())
+	if en&lockBit != 0 {
+		en = entry(e.mem.Unlocked(l))
+	}
+	return mon, en
+}
+
+// dropReader clears bit, a slot's reader bit, from line l's entry with one
+// CAS. The CAS waits while the line is locked, so a lock holder's reader
+// mask stays exact: the slot is not free for its next transaction until the
+// holder is done, and the holder cannot doom that one through this bit.
+func (e *Engine) dropReader(l mem.Line, bit entry) {
+	for {
+		mon, en := e.unlockedEntry(l)
+		if mon.CompareAndSwap(uint32(en), uint32(en&^bit)) {
+			return
 		}
-		e.mem.Unlock(l)
+	}
+}
+
+// dropWriter clears line l's writer field with one CAS, waiting while the
+// line is locked, if it still names self (slot+1): a doomed writer may have
+// lost the monitor to a rival.
+func (e *Engine) dropWriter(l mem.Line, self entry) {
+	for {
+		mon, en := e.unlockedEntry(l)
+		if en.writer() != self || mon.CompareAndSwap(uint32(en), uint32(en&^writerMask)) {
+			return
+		}
 	}
 }
 
 // waitNotCommitting spins until the other transaction leaves the committing
-// state. Called without holding any stripe lock.
+// state. Called without holding any line lock.
 func waitNotCommitting(other *Txn) {
 	for other.status.Load() == stCommitting {
 		runtime.Gosched()
@@ -1156,23 +1261,23 @@ func waitNotCommitting(other *Txn) {
 // NonTxRead implements mem.Observer: a non-transactional read aborts any
 // hardware transaction holding the line in its write set, or asks the
 // caller to retry if that transaction is mid-commit.
-func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
-	en := &e.entries[l]
+func (e *Engine) NonTxRead(l mem.Line, mon uint32) (uint32, bool) {
+	en := entry(mon)
 	if en.writer() != 0 {
-		if wait, _ := e.evictWriter(en); wait != nil {
-			return true
+		if wait, _ := e.evictWriter(&en); wait != nil {
+			return mon, true
 		}
 	}
-	return false
+	return uint32(en), false
 }
 
 // NonTxWrite implements mem.Observer: a non-transactional write aborts any
 // hardware transaction holding the line in its read or write set.
-func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
-	en := &e.entries[l]
+func (e *Engine) NonTxWrite(l mem.Line, mon uint32) (uint32, bool) {
+	en := entry(mon)
 	if en.writer() != 0 {
-		if wait, _ := e.evictWriter(en); wait != nil {
-			return true
+		if wait, _ := e.evictWriter(&en); wait != nil {
+			return mon, true
 		}
 	}
 	mask := en.readers()
@@ -1190,5 +1295,5 @@ func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
 			// A committing reader serializes before this write.
 		}
 	}
-	return false
+	return uint32(en), false
 }

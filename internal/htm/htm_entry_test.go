@@ -9,9 +9,12 @@ import (
 	"repro/internal/mem"
 )
 
-// TestEntryIsFourBytes: the monitor table has one entry per simulated line,
-// and the first access to a line misses on it as well as on the word. A field
-// added to the entry would silently make that table bigger again.
+// entryOf returns line l's entry as it stands, lock bit included.
+func (e *Engine) entryOf(l mem.Line) entry { return entry(e.mem.Monitor(l).Load()) }
+
+// TestEntryIsFourBytes: the entry is the line's memory monitor word, and the
+// first access to a line misses on it as well as on the word. A field added
+// to the entry would silently make it bigger again.
 func TestEntryIsFourBytes(t *testing.T) {
 	if n := unsafe.Sizeof(entry(0)); n != 4 {
 		t.Fatalf("entry is %d bytes, want 4", n)
@@ -33,12 +36,12 @@ func TestTopSlotMonitors(t *testing.T) {
 		txs[s] = e.Begin(s)
 		txs[s].Read(a)
 	}
-	if got, want := e.entries[l].readers(), uint32(1)<<MaxSlots-1; got != want {
+	if got, want := e.entryOf(l).readers(), uint32(1)<<MaxSlots-1; got != want {
 		t.Fatalf("readers = %#x after every slot read the line, want %#x", got, want)
 	}
 	top := txs[MaxSlots-1]
 	top.Write(a, 7)
-	if w := e.entries[l].writer(); w != MaxSlots {
+	if w := e.entryOf(l).writer(); w != MaxSlots {
 		t.Fatalf("writer = %d after slot %d wrote the line, want %d", w, MaxSlots-1, MaxSlots)
 	}
 	for s, tx := range txs[:MaxSlots-1] {
@@ -48,7 +51,7 @@ func TestTopSlotMonitors(t *testing.T) {
 		tx.Cancel()
 	}
 	top.Commit()
-	if en := e.entries[l]; en != 0 {
+	if en := e.entryOf(l); en != 0 {
 		t.Fatalf("entry = %#x after the top slot committed, want 0", en)
 	}
 	if got := m.Load(a); got != 7 {
@@ -62,7 +65,7 @@ func TestTopSlotMonitors(t *testing.T) {
 		t.Fatal("a non-transactional store did not doom the top slot's reader")
 	}
 	r.Cancel()
-	if en := e.entries[l]; en != 0 {
+	if en := e.entryOf(l); en != 0 {
 		t.Fatalf("entry = %#x after the doomed reader cancelled, want 0", en)
 	}
 

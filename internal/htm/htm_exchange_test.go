@@ -156,13 +156,13 @@ func TestExchangeConflictsLikeWrite(t *testing.T) {
 }
 
 // TestCommitReleasesLineByLine: Commit stores and releases the youngest
-// line first. With the older line's stripe held, the younger is readable at
+// line first. With the older line's lock held, the younger is readable at
 // its new value while the commit is still in progress, and the older still
 // names the committing writer — so nobody can read it until it is stored.
 func TestCommitReleasesLineByLine(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	m := e.Memory()
-	a := m.AllocLines(2) // adjacent lines: different stripes
+	a := m.AllocLines(2)
 	b := a + mem.LineWords
 	la := mem.LineOf(a)
 
@@ -171,7 +171,7 @@ func TestCommitReleasesLineByLine(t *testing.T) {
 	tx.Write(b, 2)
 	tx.Write(b+1, 3)
 
-	m.Lock(la)
+	held := m.Lock(la)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -189,15 +189,15 @@ func TestCommitReleasesLineByLine(t *testing.T) {
 		t.Errorf("Load(b+1) during the commit = %d, want 3", got)
 	}
 	if st := tx.status.Load(); st != stCommitting {
-		t.Errorf("status = %d with a's stripe held, want stCommitting", st)
+		t.Errorf("status = %d with a's line locked, want stCommitting", st)
 	}
-	if w := e.entries[la].writer(); w != 1 {
+	if w := e.entryOf(la).writer(); w != 1 {
 		t.Errorf("a's line names writer %d before it is stored, want slot 0", w)
 	}
 	if got := m.RawLoad(a); got != 0 {
-		t.Errorf("a stored as %d with its stripe held", got)
+		t.Errorf("a stored as %d with its line locked", got)
 	}
-	m.Unlock(la)
+	m.Unlock(la, held)
 	<-done
 	if got := m.Load(a); got != 1 {
 		t.Fatalf("Load(a) after the commit = %d, want 1", got)
@@ -224,7 +224,7 @@ func TestCommitKeepsWriteMonitorUntilLastWord(t *testing.T) {
 	}
 	tx.Commit()
 	for _, l := range []mem.Line{mem.LineOf(a), mem.LineOf(b)} {
-		if en := e.entries[l]; en != 0 {
+		if en := e.entryOf(l); en != 0 {
 			t.Fatalf("line %d still monitored after commit: %#x", l, en)
 		}
 	}

@@ -114,13 +114,13 @@ func TestReadWaitsForCommittingWriter(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			e := newTestEngine(1024, nil)
 			m := e.Memory()
-			a := m.AllocLines(2) // adjacent lines: different stripes
+			a := m.AllocLines(2)
 			b := a + mem.LineWords
 
 			w := e.Begin(0)
 			w.Write(a, 1)
 			w.Write(b, 2) // youngest: Commit stores it first
-			m.Lock(mem.LineOf(b))
+			held := m.Lock(mem.LineOf(b))
 			committed := make(chan struct{})
 			go func() {
 				defer close(committed)
@@ -129,7 +129,7 @@ func TestReadWaitsForCommittingWriter(t *testing.T) {
 			for w.status.Load() != stCommitting {
 				runtime.Gosched()
 			}
-			// The commit is stuck on b's stripe; a's line still names it.
+			// The commit is stuck on b's lock; a's line still names it.
 			began := make(chan struct{})
 			got := make(chan uint64, 1) // the reader's one result
 			readerDone := make(chan struct{})
@@ -152,7 +152,7 @@ func TestReadWaitsForCommittingWriter(t *testing.T) {
 				t.Fatalf("read returned %d while the writer was still committing", v)
 			default:
 			}
-			m.Unlock(mem.LineOf(b))
+			m.Unlock(mem.LineOf(b), held)
 			if v := <-got; v != 1 {
 				t.Fatalf("read after the wait = %d, want the committed 1", v)
 			}

@@ -381,9 +381,8 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 	b := a + mem.LineWords
 	released := func(slot int) {
 		for _, l := range []mem.Line{mem.LineOf(a), mem.LineOf(b)} {
-			m.Lock(l)
-			en := e.entries[l]
-			m.Unlock(l)
+			en := entry(m.Lock(l))
+			m.Unlock(l, uint32(en))
 			if en.writer() == entry(slot+1) || en.readers()&(1<<uint(slot)) != 0 {
 				t.Errorf("slot %d finished but line %d still holds %#x", slot, l, en)
 			}

@@ -404,8 +404,8 @@ func TestStrongAtomicityNonTxReadDoesNotDoomReader(t *testing.T) {
 }
 
 // TestDoomedReadReturnsNoLaterStore: a transaction doomed while its Read
-// waits for the word's stripe must not return a value stored after the doom.
-// The test holds x's stripe until the reader is parked on it inside Read(x),
+// waits for the word's line lock must not return a value stored after the
+// doom. The test holds x's lock until the reader waits on it inside Read(x),
 // dooms the reader by a non-transactional store to y, which it monitors,
 // stores x itself and only then lets the reader in.
 func TestDoomedReadReturnsNoLaterStore(t *testing.T) {
@@ -414,7 +414,7 @@ func TestDoomedReadReturnsNoLaterStore(t *testing.T) {
 	x, y := m.AllocLines(1), m.AllocLines(1)
 	leaked := 0
 	for i := uint64(1); i <= 1000; i++ {
-		m.Lock(mem.LineOf(x))
+		held := m.Lock(mem.LineOf(x))
 		var got uint64
 		returned := false
 		done := make(chan Result)
@@ -428,7 +428,7 @@ func TestDoomedReadReturnsNoLaterStore(t *testing.T) {
 		waitParkedInRead(t)
 		m.Store(y, i)
 		m.RawStore(x, i)
-		m.Unlock(mem.LineOf(x))
+		m.Unlock(mem.LineOf(x), held)
 		if res := <-done; res.Committed {
 			t.Fatal("the doomed reader committed")
 		}
@@ -441,19 +441,25 @@ func TestDoomedReadReturnsNoLaterStore(t *testing.T) {
 	}
 }
 
-// waitParkedInRead waits until some goroutine is blocked on a stripe lock
+// waitParkedInRead waits until some goroutine is waiting for a line lock
 // inside Txn.Read, that is past Read's entry check and before its load.
 func waitParkedInRead(t *testing.T) {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
-			if bytes.Contains(g, []byte("sync.(*Mutex).lockSlow")) && bytes.Contains(g, []byte("htm.(*Txn).Read(")) {
-				return
-			}
-		}
+	for !lockWaiterIn("htm.(*Txn).Read(") {
 		runtime.Gosched()
 	}
+}
+
+// lockWaiterIn reports whether some goroutine is waiting for a line lock
+// with frame on its stack.
+func lockWaiterIn(frame string) bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("mem.(*Memory).Unlocked")) && bytes.Contains(g, []byte(frame)) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFalseSharingSameLineConflicts(t *testing.T) {

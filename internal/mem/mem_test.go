@@ -177,18 +177,18 @@ type recObserver struct {
 	writes []Line
 }
 
-func (o *recObserver) NonTxRead(l Line) bool {
+func (o *recObserver) NonTxRead(l Line, mon uint32) (uint32, bool) {
 	o.mu.Lock()
 	o.reads = append(o.reads, l)
 	o.mu.Unlock()
-	return false
+	return mon, false
 }
 
-func (o *recObserver) NonTxWrite(l Line) bool {
+func (o *recObserver) NonTxWrite(l Line, mon uint32) (uint32, bool) {
 	o.mu.Lock()
 	o.writes = append(o.writes, l)
 	o.mu.Unlock()
-	return false
+	return mon, false
 }
 
 func TestObserverSeesAccesses(t *testing.T) {
@@ -217,13 +217,13 @@ type retryOnce struct {
 	left int
 }
 
-func (o *retryOnce) NonTxRead(Line) bool { return false }
-func (o *retryOnce) NonTxWrite(Line) bool {
+func (o *retryOnce) NonTxRead(_ Line, mon uint32) (uint32, bool) { return mon, false }
+func (o *retryOnce) NonTxWrite(_ Line, mon uint32) (uint32, bool) {
 	if o.left > 0 {
 		o.left--
-		return true
+		return mon, true
 	}
-	return false
+	return mon, false
 }
 
 func TestObserverRetryLoops(t *testing.T) {
@@ -285,10 +285,10 @@ func TestLockUnlockDirect(t *testing.T) {
 	m := New(256)
 	a := m.Alloc(1)
 	l := LineOf(a)
-	m.Lock(l)
+	held := m.Lock(l)
 	m.RawStore(a, 12)
 	v := m.RawLoad(a)
-	m.Unlock(l)
+	m.Unlock(l, held)
 	if v != 12 {
 		t.Fatalf("RawLoad = %d", v)
 	}
@@ -328,5 +328,110 @@ func TestAllocLinesAlignedPanics(t *testing.T) {
 			}()
 			m.AllocLinesAligned(bad[0], bad[1])
 		}()
+	}
+}
+
+// countObserver counts the non-transactional accesses to each line twice: in
+// a plain slice element, which only the line lock keeps race-free, and in the
+// line's observer bits, which Unlock must write back.
+type countObserver struct{ n []int }
+
+func (o *countObserver) NonTxRead(l Line, mon uint32) (uint32, bool) {
+	o.n[l]++
+	return mon + 1, false
+}
+
+func (o *countObserver) NonTxWrite(l Line, mon uint32) (uint32, bool) {
+	o.n[l]++
+	return mon + 1, false
+}
+
+// TestLineLockHammer runs Load, Store, CAS and Add from several goroutines
+// on lines 0 and 4096. Each line's lock must exclude the others' accesses to
+// it (the observer's plain counters; run it with -race), keep the observer
+// bits each holder writes back, and keep every counter exact.
+func TestLineLockHammer(t *testing.T) {
+	const workers, per = 4, 2000
+	m := New(4097 * LineWords)
+	o := &countObserver{n: make([]int, m.Lines())}
+	m.SetObserver(o)
+	lines := [2]Line{0, 4096}
+	base := func(l Line) Addr { return Addr(l) * LineWords }
+	var wg sync.WaitGroup
+	accesses := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			n := 0
+			for i := 0; i < per; i++ {
+				l := lines[i&1]
+				m.Add(base(l), 1)
+				for {
+					v := m.Load(base(l) + 1)
+					n++
+					if m.CAS(base(l)+1, v, v+1) {
+						break
+					}
+					n++
+				}
+				own := base(l) + 2 + Addr(w) // this worker's word
+				m.Store(own, uint64(i))
+				if got := m.Load(own); got != uint64(i) {
+					t.Errorf("worker %d loaded %d from its own word, stored %d", w, got, i)
+				}
+				n += 4 // Add, the successful CAS, Store, Load
+			}
+			accesses[w] = n
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range accesses {
+		total += n
+	}
+	for _, l := range lines {
+		if got := m.Load(base(l)); got != workers*per/2 {
+			t.Errorf("line %d: Add counter = %d, want %d", l, got, workers*per/2)
+		}
+		if got := m.Load(base(l) + 1); got != workers*per/2 {
+			t.Errorf("line %d: CAS counter = %d, want %d", l, got, workers*per/2)
+		}
+		total += 2 // the two Loads just made
+	}
+	if got := o.n[0] + o.n[4096]; got != total {
+		t.Errorf("observer saw %d accesses, want %d", got, total)
+	}
+	for _, l := range lines {
+		if got := m.Monitor(l).Load(); got != uint32(o.n[l]) {
+			t.Errorf("line %d: monitor word = %d, want the %d accesses the observer counted", l, got, o.n[l])
+		}
+	}
+}
+
+// TestLockExcludesMonitorCAS: while a line is locked, a CAS that expects the
+// lock clear fails, Unlocked waits, and Unlock leaves the holder's bits.
+func TestLockExcludesMonitorCAS(t *testing.T) {
+	m := New(64)
+	l := LineOf(m.AllocLines(1))
+	mon := m.Monitor(l)
+	mon.Store(5)
+	held := m.Lock(l)
+	if held != 5 || mon.Load() != 5|LockBit {
+		t.Fatalf("Lock returned %#x with the word at %#x, want 5 and %#x", held, mon.Load(), 5|LockBit)
+	}
+	if mon.CompareAndSwap(held, held|2) {
+		t.Fatal("a CAS expecting the lock clear succeeded on a locked line")
+	}
+	got := make(chan uint32)
+	go func() { got <- m.Unlocked(l) }()
+	select {
+	case v := <-got:
+		t.Fatalf("Unlocked returned %#x while the line was locked", v)
+	default:
+	}
+	m.Unlock(l, 7)
+	if v := <-got; v != 7 {
+		t.Fatalf("Unlocked returned %#x after Unlock(7)", v)
 	}
 }

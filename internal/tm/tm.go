@@ -377,10 +377,10 @@ func (s Snapshot) Aborts() uint64 {
 
 // Software-barrier cost calibration.
 //
-// The simulator's base memory access (a striped-lock word access, ~50ns)
-// stands in for a ~1ns hardware cache access, which deflates every
-// *software* overhead around it by more than an order of magnitude relative
-// to real machines. To preserve the paper's cost ordering — hardware
+// The simulator's base memory access (a line-locked word access, ~40ns;
+// ~50ns when these constants were calibrated) stands in for a ~1ns hardware
+// cache access, which deflates every *software* overhead around it by more
+// than an order of magnitude relative to real machines. To preserve the paper's cost ordering — hardware
 // transactional accesses ≈ free, lightly-instrumented sub-HTM accesses
 // slightly dearer, full STM barriers several times dearer — the pure-STM
 // systems (NOrec, RingSTM, and NOrecRH's software path) charge these
