@@ -38,12 +38,15 @@
 //     bump, and rewriting a buffered word touches no monitor.
 //   - Txn.Exchange is Read followed by Write as one access, for callers that
 //     log the old value of what they write (the partitioned path's undo
-//     log). The old word is loaded once the write monitor is held, and the
-//     line enters the write set only.
+//     log), and Txn.Add is the same pair for a read-modify-write (a ring's
+//     timestamp increment). The old word is loaded once the write monitor is
+//     held, and the line enters the write set only.
 //   - Commit stores each written line without the lock and then clears its
 //     write monitor with one CAS, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
-//     Releasing a read monitor is one CAS too.
+//     The same CAS clears the transaction's reader bit on a line it also
+//     read, so releasing that read monitor afterwards is one load; releasing
+//     any other read monitor is one CAS.
 //   - A read monitor is taken in one routine, readFast, whether one word is
 //     loaded under it or a whole line; readLocked is its fallback.
 //
@@ -939,6 +942,28 @@ func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
 	return old
 }
 
+// Add is Read(a) followed by Write(a, Read(a)+d) as one access, on the terms
+// of Exchange: it buffers the sum and returns it. It is Exchange's code with
+// the sum in place of v, kept apart so that the partitioned path's hot
+// Exchange does not test which of the two it is.
+func (t *Txn) Add(a mem.Addr, d uint64) (new uint64) {
+	t.checkDoomed()
+	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
+	t.wbReserve()
+	i, slot := t.wbProbe(a)
+	if i >= 0 {
+		t.wb[i].val += d
+		return t.wb[i].val
+	}
+	l := mem.LineOf(a)
+	if len(t.lineBuf) > 0 {
+		t.notLineWritten(l, "Add")
+	}
+	old, first := t.ensureWriteMonitor(l, a, true)
+	t.wbInsert(slot, a, old+d, first)
+	return old + d
+}
+
 // WriteLocal performs a transactional store of thread-private data: it
 // occupies write-buffer capacity exactly like Write — the hardware buffers
 // every store — but takes no monitor (nothing else accesses the line) and
@@ -1168,7 +1193,14 @@ func (t *Txn) Commit() {
 	// first entry is the last of that line to be stored. A store waits out
 	// a held line lock first, as a locked store would, so a line locked
 	// before the commit reaches it keeps its words until it is unlocked.
+	//
+	// The CAS that releases a line's write monitor also clears this
+	// transaction's reader bit on it, which releaseMonitors then finds clear
+	// (if the CAS loses to a lock holder, dropWriter leaves the bit to
+	// releaseMonitors). Nothing can tell: every writer already passes over
+	// a committing reader, and a non-transactional write does too.
 	e := t.eng
+	release := writerMask | t.bit
 	for i := range t.lineBuf {
 		le := &t.lineBuf[i]
 		base := mem.Addr(le.l) * mem.LineWords
@@ -1176,7 +1208,7 @@ func (t *Txn) Commit() {
 		for j, v := range le.vals {
 			e.mem.RawStore(base+mem.Addr(j), v)
 		}
-		if !mon.CompareAndSwap(uint32(en), uint32(en&^writerMask)) {
+		if !mon.CompareAndSwap(uint32(en), uint32(en&^release)) {
 			e.dropWriter(le.l, t.self)
 		}
 	}
@@ -1189,7 +1221,7 @@ func (t *Txn) Commit() {
 			en = entry(e.mem.Unlocked(l))
 		}
 		e.mem.RawStore(w.addr, w.val)
-		if w.first && !mon.CompareAndSwap(uint32(en), uint32(en&^writerMask)) {
+		if w.first && !mon.CompareAndSwap(uint32(en), uint32(en&^release)) {
 			e.dropWriter(l, t.self)
 		}
 	}
@@ -1201,6 +1233,8 @@ func (t *Txn) Commit() {
 
 // releaseMonitors removes this transaction's read monitor registrations
 // and, unless Commit already released them line by line, its write monitors.
+// After a commit, a line that was also written has its reader bit clear
+// already.
 func (t *Txn) releaseMonitors(committed bool) {
 	e := t.eng
 	for _, l := range t.readLines {
@@ -1226,13 +1260,14 @@ func (e *Engine) unlockedEntry(l mem.Line) (*atomic.Uint32, entry) {
 }
 
 // dropReader clears bit, a slot's reader bit, from line l's entry with one
-// CAS. The CAS waits while the line is locked, so a lock holder's reader
-// mask stays exact: the slot is not free for its next transaction until the
-// holder is done, and the holder cannot doom that one through this bit.
+// CAS, or none if it is clear already. The CAS waits while the line is
+// locked, so a lock holder's reader mask stays exact: the slot is not free
+// for its next transaction until the holder is done, and the holder cannot
+// doom that one through this bit.
 func (e *Engine) dropReader(l mem.Line, bit entry) {
 	for {
 		mon, en := e.unlockedEntry(l)
-		if mon.CompareAndSwap(uint32(en), uint32(en&^bit)) {
+		if en&bit == 0 || mon.CompareAndSwap(uint32(en), uint32(en&^bit)) {
 			return
 		}
 	}

@@ -68,9 +68,11 @@ func New(eng *htm.Engine, maxThreads int, cfg Config) *System {
 		threads: make([]*thread, maxThreads),
 	}
 	// Fast (hardware) attempts gated on the global lock, then the lock
-	// itself: the paper's default fallback schedule, with no mid level.
+	// itself: the paper's default fallback schedule, with no mid level. The
+	// gate is advisory (hwAttempt re-reads the lock under a monitor), and the
+	// lock word is only ever written non-transactionally: a raw load.
 	s.run = exec.New(exec.Policy{FastAttempts: cfg.Retries},
-		&s.stats, func() bool { return s.m.Load(s.glock) == 0 })
+		&s.stats, func() bool { return s.m.RawLoad(s.glock) == 0 })
 	for i := range s.threads {
 		t := &thread{x: tx{s: s, thread: i}}
 		t.xtxn = exec.Txn{

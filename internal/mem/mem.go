@@ -232,7 +232,9 @@ func (m *Memory) Unlock(l Line, mon uint32) { m.mon[l].Store(mon) }
 
 // RawLoad reads a word without locking or observer notification. It is
 // atomic, but it is the caller's monitor bits or line lock that make the
-// value mean something; the HTM engine is the intended caller.
+// value mean something: its callers are the HTM engine and advisory peeks
+// at words only ever written non-transactionally, whose decision a
+// monitored read re-checks.
 func (m *Memory) RawLoad(a Addr) uint64 { return atomic.LoadUint64(&m.words[a]) }
 
 // RawStore writes a word without locking or observer notification, under

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -118,6 +119,55 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// compactReference is compact as it was first written, one branch per
+// signature word: compact must return what it returns, fields, used and ok.
+func compactReference(s *sig.Signature, f *[fieldWords]uint64) (used int, ok bool) {
+	w, shift := 0, uint(0)
+	for i, word := range s {
+		for ; word != 0; word &= word - 1 {
+			if w == fieldWords {
+				return 0, false
+			}
+			f[w] |= uint64(i<<6+bits.TrailingZeros64(word)+1) << shift
+			if shift += fieldBits; shift == fieldsPerWord*fieldBits {
+				w, shift = w+1, 0
+			}
+		}
+	}
+	return min(w+1, fieldWords), true
+}
+
+// checkCompact fails unless compact and compactReference agree on s.
+func checkCompact(t *testing.T, s *sig.Signature) {
+	t.Helper()
+	var got, want [fieldWords]uint64
+	used, ok := compact(s, &got)
+	wantUsed, wantOK := compactReference(s, &want)
+	if got != want || used != wantUsed || ok != wantOK {
+		t.Fatalf("compact of a %d-bit signature = (%x, %d, %v), reference (%x, %d, %v)",
+			s.PopCount(), got, used, ok, want, wantUsed, wantOK)
+	}
+}
+
+func TestCompactMatchesReference(t *testing.T) {
+	for _, s := range []sig.Signature{
+		{},
+		sigOf(0),
+		sigOf(sig.Bits - 1),
+		firstBits(compactBits, 64),   // 30 bits, one per word: the last compact form
+		firstBits(compactBits+1, 64), // 31 bits: the first full form
+		firstBits(compactBits, 1),    // 30 bits in one word
+		firstBits(sig.Bits, 1),       // dense
+	} {
+		checkCompact(t, &s)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n <= 64; n++ {
+		s := randomBits(rng, n)
+		checkCompact(t, &s)
+	}
+}
+
 // TestCompactFormBoundary pins which form a population gets, by what a
 // publication leaves in the entry's lines.
 func TestCompactFormBoundary(t *testing.T) {
@@ -198,9 +248,9 @@ func bitsToFuzz(s sig.Signature) []byte {
 	return out
 }
 
-// FuzzEntryRoundTrip: whatever set of bits a signature has, both publishers
-// store it so that ReadEntry returns exactly those bits, on a slot lapped
-// through both forms.
+// FuzzEntryRoundTrip: whatever set of bits a signature has, compact encodes
+// it as compactReference does, and both publishers store it so that
+// ReadEntry returns exactly those bits, on a slot lapped through both forms.
 func FuzzEntryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bitsToFuzz(sigOf(7)))
@@ -212,6 +262,7 @@ func FuzzEntryRoundTrip(f *testing.F) {
 		for ; len(data) >= 2; data = data[2:] {
 			s.AddBit(uint32(binary.LittleEndian.Uint16(data)) % sig.Bits)
 		}
+		checkCompact(t, &s)
 		roundTrip(t, &s)
 	})
 }

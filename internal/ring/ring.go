@@ -86,12 +86,19 @@ const (
 // f a software publisher must store: those holding fields plus the one
 // holding the terminating zero field. ok is false, and f is garbage, when s
 // has more than compactBits bits set. It runs inside every fast-path
-// hardware window, so the word and shift of the next field are carried
-// along rather than divided out of the field's index.
+// hardware window, so it first gathers, without a branch, a mask of the
+// signature's nonzero words and then visits only those, and the word and
+// shift of the next field are carried along rather than divided out of the
+// field's index.
 func compact(s *sig.Signature, f *[fieldWords]uint64) (used int, ok bool) {
-	w, shift := 0, uint(0)
+	var nonzero uint32 // bit i: s[i] != 0
 	for i, word := range s {
-		for ; word != 0; word &= word - 1 {
+		nonzero |= uint32((word|-word)>>63) << i
+	}
+	w, shift := 0, uint(0)
+	for ; nonzero != 0; nonzero &= nonzero - 1 {
+		i := bits.TrailingZeros32(nonzero)
+		for word := s[i]; word != 0; word &= word - 1 {
 			if w == fieldWords {
 				return 0, false
 			}
@@ -103,6 +110,9 @@ func compact(s *sig.Signature, f *[fieldWords]uint64) (used int, ok bool) {
 	}
 	return min(w+1, fieldWords), true
 }
+
+// compact's mask has one bit per signature word.
+const _ = uint(32 - sig.Words)
 
 // expand sets in dst the bits that the compact word w lists and reports
 // whether the list continues in the next word.
