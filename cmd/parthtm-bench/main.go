@@ -26,7 +26,7 @@
 // -trace, -governor, -prof and -flight apply to every experiment: each
 // system an experiment builds gets them. Latency and profile tables print
 // only for the experiments with report rows (table1, chaos, soak, heatmap,
-// domains); the figures and ablations print their tables only.
+// domains); the figures print their tables only.
 //
 // With -flight DIR every system an experiment builds registers its counter
 // sources with one registry, and a black-box flight recorder samples that

@@ -20,8 +20,8 @@
 //     61–65).
 //
 // Partition points come from tm.Tx.Pause calls placed in the workload — the
-// equivalent of the paper's statically profiled breaking points — and, with
-// Config.AutoPartition, from per-thread segment budgets. What a sub-HTM
+// equivalent of the paper's statically profiled breaking points — and from
+// per-thread segment budgets, activated at run time. What a sub-HTM
 // transaction holds is known in one place, the hardware transaction itself:
 // this package keeps no estimate beside it and asks htm.Txn.Footprint. What
 // fits is remembered rather than re-learned by aborting (segBudgets): the
@@ -82,11 +82,12 @@ const (
 	codeTsChanged uint8 = 4
 )
 
-// Config tunes Part-HTM. The zero value is not valid; start from
-// DefaultConfig.
+// RingSize is the number of entries in each domain's global ring.
+const RingSize = 1024
+
+// Config tunes Part-HTM. The zero value is Part-HTM as the paper evaluates
+// it.
 type Config struct {
-	// RingSize is the number of global-ring entries (a power of two).
-	RingSize int
 	// NoFastPath starts every transaction directly on the partitioned path
 	// (the Part-HTM-no-fast variant of Figure 3(b)).
 	NoFastPath bool
@@ -94,16 +95,6 @@ type Config struct {
 	// checked at encounter time plus timestamp subscription at sub-HTM
 	// begin, guaranteeing opacity.
 	Opaque bool
-	// AutoPartition activates additional partition points at run time: the
-	// thread keeps segment budgets in the units of htm.Txn.Footprint (the
-	// engine's own cycles and lines, metadata and lock cells included),
-	// learned from the sub-HTM transactions that aborted for resources and
-	// from those that committed (segBudgets has the rules), and commits the
-	// running sub-HTM transaction automatically once it reaches one.
-	// This is the run-time breaking-point activation the paper sketches in
-	// §3 (the advisory-lock/LLVM discussion); the workload's explicit Pause
-	// calls remain the static profile it refines.
-	AutoPartition bool
 	// Domains shards the memory substrate into this many independent
 	// domains, each with its own ring and write-locks signature
 	// (internal/domain). 0 and 1 both select the single-domain topology,
@@ -129,8 +120,9 @@ const (
 // backoff after a global abort, and the contention manager that keeps an
 // abort storm live — a budget of hardware aborts (not begins, so
 // many-segment transactions are not penalized), eldest priority for a
-// starving transaction, a bounded lemming wait and the degraded mode. No
-// option changes it; tests pass another to newWith.
+// starving transaction, a bounded lemming wait and the degraded mode, which
+// only a progress watchdog's stall recovery enters (governor.Watchdog's
+// SetDegrader). No option changes it; tests pass another to newWith.
 var schedule = exec.Policy{
 	FastAttempts:       fastRetries,
 	StopFastOnResource: true,
@@ -144,10 +136,9 @@ var schedule = exec.Policy{
 	DegradeThreshold:   12,
 }
 
-// DefaultConfig returns the configuration used in the paper's evaluation.
-func DefaultConfig() Config {
-	return Config{RingSize: 1024, AutoPartition: true}
-}
+// DefaultConfig returns the configuration used in the paper's evaluation,
+// the zero Config.
+func DefaultConfig() Config { return Config{} }
 
 // System is a Part-HTM (or Part-HTM-O) instance over one simulated memory
 // and one HTM engine.
@@ -194,9 +185,6 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 	if maxThreads > htm.MaxSlots {
 		panic(fmt.Sprintf("core: %d threads, more than the engine's %d hardware contexts", maxThreads, htm.MaxSlots))
 	}
-	if cfg.RingSize == 0 {
-		panic("core: zero Config; use DefaultConfig")
-	}
 	m := eng.Memory()
 	s := &System{
 		m:   m,
@@ -208,7 +196,7 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 	// and active counter. At Domains<=1 the total metadata words equal the
 	// pre-domain layout's, so every data address — and with it every
 	// signature hash — is unchanged.
-	s.doms = domain.New(m, domain.Config{N: cfg.Domains, RingSize: cfg.RingSize})
+	s.doms = domain.New(m, domain.Config{N: cfg.Domains, RingSize: RingSize})
 	s.nd = s.doms.N()
 	s.glock = m.AllocLines(1)
 	s.activeTx = m.AllocLines(1)
@@ -494,9 +482,10 @@ const (
 // level; resource aborts skip straight to partitioning) hardened by the
 // contention manager: a per-transaction hardware-abort budget, eldest
 // priority for starving transactions, bounded lemming-waits, and a degraded
-// serialized mode under persistent metadata pressure. All of that schedule
-// lives in the exec kernel; this method only decides whether the self-tuned
-// fast path applies to this transaction and hands the level closures over.
+// serialized mode that a progress watchdog forces on a stall. All of that
+// schedule lives in the exec kernel; this method only decides whether the
+// self-tuned fast path applies to this transaction and hands the level
+// closures over.
 func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t := s.threads[threadID]
 	t.body = body
@@ -507,19 +496,6 @@ func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	s.run.Run(threadID, &t.xtxn)
 	t.body = nil
 }
-
-// Degradation pressure: ring rollovers mean validators cannot keep up with
-// the commit rate; a near-saturated write-locks signature means almost every
-// validation is a (false) conflict. Both are metadata-pressure conditions
-// that retrying harder only worsens — serializing drains them.
-const (
-	degradeBumpRollover = 4
-	degradeBumpSaturate = 1
-	// wlocksSaturationBits is the write-locks-signature population at which
-	// a sub-commit reports saturation pressure (7/8 of all bits set: nearly
-	// every signature test against it will collide).
-	wlocksSaturationBits = sig.Bits * 7 / 8
-)
 
 // serialSampleCap bounds one ring-publish serial-time sample. A publish is a
 // bounded pipeline wait plus a fixed store sequence (one ring entry), so a
@@ -667,9 +643,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 		s.globalAbort(t)
 		return false
 	}
-	if s.cfg.AutoPartition {
-		t.bud.txnCommitted()
-	}
+	t.bud.txnCommitted()
 	if t.attemptSegs <= 1 {
 		// The whole transaction fit one modest sub-HTM transaction: it
 		// would very likely commit on the fast path too, so resume probing
@@ -697,7 +671,7 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 			// down, and still knows what it held when it failed. An abort
 			// the fault injector forced teaches no budget: it chose its
 			// reason without looking at the footprint.
-			if s.cfg.AutoPartition && !res.Injected {
+			if !res.Injected {
 				commitLines := int64(0)
 				if !s.cfg.Opaque {
 					// The sub-commit reads, and may write, every touched
@@ -967,7 +941,7 @@ func (b *segBudgets) underHalf(f footprint) bool {
 // the open sub-HTM transaction has reached a budget along any resource
 // dimension.
 func (s *System) maybeAutoPause(t *thread) {
-	if !s.cfg.AutoPartition || t.ht == nil {
+	if t.ht == nil {
 		return
 	}
 	// Every live access comes through here: three compares, no loop.
@@ -1073,13 +1047,6 @@ func (s *System) subCommitIfOpen(t *thread) {
 		for m := ds.Touched; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros64(m)
 			s.readWriteLocks(ht, d, &wl)
-			pop := 0
-			for _, w := range wl {
-				pop += bits.OnesCount64(w)
-			}
-			if pop >= wlocksSaturationBits {
-				s.run.BumpPressure(degradeBumpSaturate)
-			}
 			for i, w := range wl {
 				others := w &^ ds.Agg[d][i] // others_locks = write_locks - agg_write_sig
 				if others&(ds.Write[d][i]|ds.Read[d][i]) != 0 {
@@ -1184,11 +1151,9 @@ func (s *System) inFlightValidate(t *thread) bool {
 	return ok
 }
 
-// noteRollover accounts a validation that failed because a ring lapped the
-// validator: the commit rate is outrunning validation, which is degradation
-// pressure.
+// noteRollover counts a validation that failed because a domain's ring
+// lapped the validator (multi-domain topologies only).
 func (s *System) noteRollover(t *thread) {
-	s.run.BumpPressure(degradeBumpRollover)
 	if s.nd > 1 {
 		t.sh.DomainRingRollovers.Inc()
 	}
@@ -1357,7 +1322,7 @@ func (x *tx) Pause() {
 	t := x.t
 	switch t.mode {
 	case modeLive:
-		if x.s.cfg.AutoPartition && t.ht != nil && t.bud.underHalf(footprintOf(t.ht)) {
+		if t.ht != nil && t.bud.underHalf(footprintOf(t.ht)) {
 			// "May split": a segment that has used less than half of
 			// everything the thread knows to fit runs on, so a learned
 			// budget just under the workload's grid does not alternate

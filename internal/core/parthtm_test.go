@@ -132,29 +132,24 @@ func TestTimerFailureFallsToPartitionedPath(t *testing.T) {
 }
 
 func TestSegmentTooBigEscalatesToSlowPath(t *testing.T) {
-	// No Pause calls and no adaptive partitioning: the partitioned path
-	// cannot split the transaction, so the single segment keeps failing on
-	// capacity and the transaction ends up on the global-lock path.
+	// One Work call twice the timer quantum: no partition point, explicit
+	// or learned, can split it, so the single segment keeps dying on the
+	// timer and the transaction ends up on the global-lock path.
 	s := newSystem(1, 1<<17, func(c *htm.Config) {
-		c.WriteLines = 4
-		c.WriteWays = 64
-		c.WriteSets = 1
-	}, func(c *Config) { c.AutoPartition = false })
-	m := s.Memory()
-	base := m.AllocLines(12)
+		c.Quantum = 1000
+	}, nil)
+	a := s.Memory().Alloc(1)
 	s.Atomic(0, func(x tm.Tx) {
-		for l := 0; l < 12; l++ {
-			x.Write(base+mem.Addr(l*mem.LineWords), 7)
-		}
+		v := x.Read(a)
+		x.Work(2000)
+		x.Write(a, v+1)
 	})
 	st := s.Stats().Snapshot()
-	if st.CommitsGL != 1 {
-		t.Fatalf("want global-lock commit, got %+v", st)
+	if st.CommitsGL != 1 || st.CommitsSW != 0 || st.CommitsHTM != 0 {
+		t.Fatalf("want one global-lock commit, got %+v", st)
 	}
-	for l := 0; l < 12; l++ {
-		if got := m.Load(base + mem.Addr(l*mem.LineWords)); got != 7 {
-			t.Fatalf("line %d = %d", l, got)
-		}
+	if got := s.Memory().Load(a); got != 1 {
+		t.Fatalf("a = %d", got)
 	}
 }
 
@@ -723,16 +718,6 @@ func TestReplayDeterminism(t *testing.T) {
 	if m.Load(a) != 4*per || m.Load(b) != 4*per {
 		t.Fatalf("a=%d b=%d, want %d", m.Load(a), m.Load(b), 4*per)
 	}
-}
-
-func TestZeroConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero Config")
-		}
-	}()
-	eng := htm.New(mem.New(1<<16), htm.DefaultConfig())
-	New(eng, 1, Config{})
 }
 
 // TestPartHTMLockAvoidsSerialization is the paper's §2 lock-elision use:

@@ -10,8 +10,8 @@
 // per-thread tm.Stats shards.
 //
 // The level structure mirrors the paper's Part-HTM schedule (fast →
-// partitioned → global lock) but degenerates cleanly: HTM-GL and HLE use
-// only Fast+Slow, the pure STMs (NOrec, RingSTM) use only an unbounded Mid,
+// partitioned → global lock) but degenerates cleanly: HTM-GL uses only
+// Fast+Slow, the pure STMs (NOrec, RingSTM) use only an unbounded Mid,
 // and NOrecRH uses Fast plus an unbounded Mid.
 package exec
 

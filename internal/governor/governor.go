@@ -13,8 +13,8 @@
 //     the hardware so the fast and partitioned paths come back as soon as
 //     hardware transactions succeed again.
 //   - A progress watchdog (watchdog.go): a sampling monitor over the
-//     per-thread stats shards that detects stalled workers, lemming-wait
-//     pileups, and degraded-mode oscillation.
+//     per-thread stats shards that detects stalled workers (per thread and
+//     system-wide) and degraded-mode oscillation.
 //
 // The per-transaction hooks — Begin, NoteHWAbort, Finish — are
 // allocation-free and touch only the calling thread's cache-line-padded

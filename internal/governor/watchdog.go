@@ -15,9 +15,6 @@ const (
 	// AlarmStall: a worker (or the whole system) kept aborting without a
 	// single commit for the stall deadline.
 	AlarmStall AlarmKind = iota
-	// AlarmLemming: more than lemmingPerSample lemming-wait escalations
-	// landed within one sample — the optimistic gate is a convoy.
-	AlarmLemming
 	// AlarmOscillation: degraded mode entered and exited more than
 	// oscillationEdges times within the last oscillationWindow samples.
 	AlarmOscillation
@@ -28,8 +25,6 @@ func (k AlarmKind) String() string {
 	switch k {
 	case AlarmStall:
 		return "stall"
-	case AlarmLemming:
-		return "lemming-pileup"
 	case AlarmOscillation:
 		return "degraded-oscillation"
 	}
@@ -38,8 +33,8 @@ func (k AlarmKind) String() string {
 
 // Alarm is one watchdog finding. Thread is the stalled worker, or -1 for
 // system-wide alarms; Value carries the kind-specific magnitude (aborts
-// absorbed during the stall, lemming escalations in the sample, degraded
-// edges in the window).
+// absorbed during a thread's stall, transactions in flight during a global
+// stall, degraded edges in the window).
 type Alarm struct {
 	Kind   AlarmKind
 	Thread int
@@ -66,9 +61,6 @@ func DefaultWatchdogConfig() WatchdogConfig {
 
 // The watchdog's fixed settings: no entry point changes them.
 const (
-	// lemmingPerSample: more lemming escalations than this within one
-	// sample raise a lemming-pileup alarm.
-	lemmingPerSample = 1024
 	// oscillationEdges: more degraded-mode entries plus exits than this
 	// within the last oscillationWindow samples raise an oscillation alarm.
 	oscillationWindow = 100
@@ -113,7 +105,6 @@ type Watchdog struct {
 	stallFor    []int
 	lastTotal   uint64
 	totalStall  int
-	lastLemming uint64
 	lastEdges   uint64
 	edgeWindow  [oscillationWindow]uint64
 	edgeHead    int
@@ -230,17 +221,8 @@ func (w *Watchdog) sample() {
 	}
 	w.lastTotal = totalCommits
 
-	snap := w.stats.Snapshot()
-
-	// Lemming pileup: escalation rate through the bounded gate wait. A
-	// Stats.Reset between campaign phases drops counters below the last
-	// sample; clamp the delta instead of underflowing.
-	if d := counterDelta(snap.EscalationsLemming, w.lastLemming); d > lemmingPerSample {
-		w.alarm(AlarmLemming, -1, d)
-	}
-	w.lastLemming = snap.EscalationsLemming
-
 	// Degraded-mode oscillation: mode edges within the sampling window.
+	snap := w.stats.Snapshot()
 	edges := snap.DegradedEnter + snap.DegradedExit
 	w.edgeWindow[w.edgeHead] = counterDelta(edges, w.lastEdges)
 	w.edgeHead = (w.edgeHead + 1) % oscillationWindow

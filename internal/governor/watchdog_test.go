@@ -161,26 +161,9 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	}
 }
 
-// The lemming and oscillation alarms are thresholds on counter deltas
-// between samples, so they are driven by hand: each bound is met exactly
-// without an alarm, and crossed by one.
-func TestWatchdogLemmingPileup(t *testing.T) {
-	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 1)
-	sh := stats.Shard(0)
-	w.sample() // baseline
-	sh.EscalationsLemming.Add(lemmingPerSample)
-	w.sample()
-	if n := c.byKind(AlarmLemming); n != 0 {
-		t.Fatalf("%d lemming alarms at exactly %d escalations in a sample, want 0", n, lemmingPerSample)
-	}
-	sh.EscalationsLemming.Add(lemmingPerSample + 1)
-	w.sample()
-	if n := c.byKind(AlarmLemming); n != 1 {
-		t.Fatalf("%d lemming alarms after %d escalations in a sample, want 1", n, lemmingPerSample+1)
-	}
-}
-
+// The oscillation alarm is a threshold on counter deltas between samples, so
+// it is driven by hand: the bound is met exactly without an alarm, and
+// crossed by one.
 func TestWatchdogDegradedOscillation(t *testing.T) {
 	stats := &tm.Stats{}
 	w, c := newTestWatchdog(stats, 1)

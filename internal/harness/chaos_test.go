@@ -59,7 +59,9 @@ func TestAbortStorm(t *testing.T) {
 
 // TestChaosCountersPayForUse: the robustness layer must cost nothing when
 // unused — a run without an injector leaves every fault counter at exactly
-// zero — and must register activity the moment one is installed.
+// zero — and must register activity the moment one is installed. Only a
+// progress watchdog's stall recovery enters degraded mode, so without one
+// not even a rate of 1 enters it.
 func TestChaosCountersPayForUse(t *testing.T) {
 	if chaosFaultConfig(0, 1) != nil {
 		t.Fatal("chaosFaultConfig(0) must disable injection entirely")
@@ -93,5 +95,8 @@ func TestChaosCountersPayForUse(t *testing.T) {
 	}
 	if dirty.CommitsHTM != 0 {
 		t.Fatalf("CommitsHTM = %d with every hardware begin failing", dirty.CommitsHTM)
+	}
+	if dirty.DegradedEnter != 0 || dirty.DegradedCommits != 0 {
+		t.Fatalf("degraded mode entered without a watchdog: %+v", dirty)
 	}
 }

@@ -1,5 +1,6 @@
 // Experiment registry: one entry per table and figure of the paper's
-// evaluation (§7), plus the ablations called out in DESIGN.md.
+// evaluation (§7), plus the robustness, profiling and domain experiments
+// of DESIGN.md §7–§14.
 package harness
 
 import (
@@ -12,7 +13,6 @@ import (
 	"repro/internal/bench/eigen"
 	"repro/internal/bench/list"
 	"repro/internal/bench/nrmw"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/obs"
@@ -83,9 +83,10 @@ type Options struct {
 	// configuration (the -wd-interval / -wd-stall flags; CI uses a
 	// hair-trigger setting to force an alarm deterministically).
 	Watchdog *governor.WatchdogConfig
-	// Progress, when non-nil, receives periodic plain-text progress lines
-	// (phase, elapsed, commits, alarms) from long-running experiments, so
-	// a hung nightly job is diagnosable from its CI log alone.
+	// Progress, when non-nil, receives a plain-text progress line as each
+	// micro-benchmark cell, chaos row or soak phase ends (a soak phase's
+	// carries its commits and alarms), so a hung nightly job is
+	// diagnosable from its log alone.
 	Progress io.Writer
 }
 
@@ -201,8 +202,6 @@ func Experiments() []Experiment {
 		{"soak", "Soak: multi-phase chaos campaign under the resource governor and progress watchdog", runSoak},
 		{"heatmap", "Heatmap: planted conflict hotspot under packed vs spread allocation (Dice et al. placement effect)", runHeatmap},
 		{"domains", "Domains: sharded memory domains — throughput vs domain count and cross-domain ratio", runDomains},
-		{"ablation-ringsize", "Ablation: global ring size", runAblationRingSize},
-		{"ablation-redo", "Ablation: eager undo (Part-HTM) vs lazy redo (SpHT-style last sub-tx)", runAblationRedo},
 	}
 }
 
@@ -405,69 +404,4 @@ func runChaos(o Options) (*Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5)
-
-// runAblationRingSize runs the partitioned path at a 16- and a 1024-entry
-// ring: medium transactions with partition points on a shared array, enough
-// contention that a small ring rolls over under its validators.
-func runAblationRingSize(o Options) (*Result, error) {
-	o = o.withDefaults([]int{1, 2, 4, 8}, nil)
-	tbl := Table{Title: "Ablation: global ring size (rollover aborts)", Metric: "M tx/sec", Threads: o.Threads}
-	for _, size := range []int{16, 1024} {
-		cfg := core.DefaultConfig()
-		cfg.NoFastPath = true
-		cfg.RingSize = size
-		var vals []float64
-		for _, th := range o.Threads {
-			sys := o.build("Part-HTM", BuildOptions{DataWords: 8192 + metaWords, Threads: th, Core: &cfg})
-			b := eigen.New(sys, th, eigen.Config{HotWords: 4096, Reads: 200, Writes: 20, PartitionEvery: 32})
-			op := func(t int, rng *rand.Rand) { b.Op(t, rng) }
-			vals = append(vals, Throughput(sys, op, th, o.Duration, o.Seed).Projected/1e6)
-		}
-		tbl.Series = append(tbl.Series, Series{System: fmt.Sprintf("ring-%d", size), Values: vals})
-	}
-	return &Result{Tables: []Table{tbl}}, nil
-}
-
-// runAblationRedo contrasts Part-HTM's eager sub-transactions against an
-// SpHT-style lazy scheme, where every sub-transaction re-applies the redo
-// log of its predecessors: the last sub-transaction's write set is as big
-// as the whole transaction, so partitioning cannot relieve a capacity
-// failure. We emulate the lazy scheme's footprint by running the same
-// workload without partition points (the final footprint is what matters).
-func runAblationRedo(o Options) (*Result, error) {
-	o = o.withDefaults([]int{1, 2, 4}, nil)
-	tbl := Table{
-		Title:   "Ablation: eager partitioning vs SpHT-style redo (write-capacity-bound tx)",
-		Metric:  "K tx/sec",
-		Threads: o.Threads,
-	}
-	mk := func(partition bool) nrmw.Config {
-		cfg := nrmw.Config{ArraySize: 65536, N: 8, M: 1400, PartitionEvery: 0}
-		if partition {
-			cfg.PartitionEvery = 128
-		}
-		return cfg
-	}
-	for _, variant := range []struct {
-		name      string
-		partition bool
-	}{
-		{"eager-partitioned", true},
-		{"redo-last-subtx", false},
-	} {
-		var vals []float64
-		for _, th := range o.Threads {
-			cfg := mk(variant.partition)
-			sys := o.build("Part-HTM", BuildOptions{DataWords: cfg.MemWords(), Threads: th})
-			b := nrmw.New(sys, th, cfg)
-			op := func(t int, rng *rand.Rand) { b.Op(t, rng) }
-			vals = append(vals, Throughput(sys, op, th, o.Duration, o.Seed).Projected/1e3)
-		}
-		tbl.Series = append(tbl.Series, Series{System: variant.name, Values: vals})
-	}
-	return &Result{Tables: []Table{tbl}}, nil
 }

@@ -54,7 +54,8 @@ type BuildOptions struct {
 	// the per-transaction cache budgets (hyper-threading, as on the paper's
 	// i7) — Figure 5(f)'s 4→8 thread drop. Zero disables the model.
 	PhysCores int
-	// Core overrides Part-HTM's configuration when non-nil (ablations).
+	// Core overrides Part-HTM's configuration when non-nil (the domains
+	// experiment's topology, the benchmark's no-fast-path ledger rows).
 	Core *core.Config
 	// Seed seeds the engine's probabilistic models.
 	Seed int64
@@ -99,7 +100,7 @@ func domainExtraWords(cfg core.Config) int {
 	if cfg.Domains <= 1 {
 		return 0
 	}
-	per := cfg.RingSize*ring.EntryWords + mem.LineWords + sig.Lines*mem.LineWords
+	per := core.RingSize*ring.EntryWords + mem.LineWords + sig.Lines*mem.LineWords
 	return (cfg.Domains-1)*per + (cfg.Domains+1)*domain.ChunkWords
 }
 
@@ -195,7 +196,7 @@ func build(name string, o BuildOptions) tm.System {
 	case "NOrec":
 		return norec.New(mem.New(words), o.Threads)
 	case "RingSTM":
-		return ringstm.New(mem.New(words), o.Threads, coreCfg.RingSize)
+		return ringstm.New(mem.New(words), o.Threads, core.RingSize)
 	case "HTM-GL":
 		return htmgl.New(o.buildEngine(words), o.Threads, htmgl.DefaultConfig())
 	case "NOrecRH":

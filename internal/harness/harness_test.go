@@ -151,7 +151,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		t.Error("Find accepted an unknown id")
 	}
 	if len(Experiments()) < len(want)+2 {
-		t.Errorf("registry has %d experiments; ablations missing?", len(Experiments()))
+		t.Errorf("registry has %d experiments; the robustness experiments missing?", len(Experiments()))
 	}
 }
 
@@ -193,22 +193,6 @@ func TestMicroExperimentRuns(t *testing.T) {
 	out := res.Text()
 	if !strings.Contains(out, "Part-HTM") || !strings.Contains(out, "projected") {
 		t.Fatalf("fig3a output unexpected:\n%s", out)
-	}
-}
-
-func TestAblationExperimentsRun(t *testing.T) {
-	for _, id := range []string{"ablation-ringsize", "ablation-redo"} {
-		e, ok := Find(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
-		}
-		res, err := e.Run(Options{Threads: []int{1, 2}, Duration: 25 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Text()) == 0 {
-			t.Fatalf("%s produced no output", id)
-		}
 	}
 }
 

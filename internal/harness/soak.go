@@ -115,9 +115,7 @@ func runSoak(o Options) (*Result, error) {
 				wd.OnAlarm(o.Flight.NoteAlarm)
 			}
 			wd.Start()
-			stopProgress := soakProgress(&o, sys, name, phase)
 			res := Throughput(sys, op, threads, o.Duration, o.Seed)
-			stopProgress()
 			wd.Stop()
 			rep := o.report(name, threads, sys)
 			rep.Phase, rep.Throughput = phase, &res
@@ -140,42 +138,6 @@ func runSoak(o Options) (*Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// soakProgressEvery is the mid-phase progress cadence. Phases shorter
-// than this emit only their completion line.
-const soakProgressEvery = 10 * time.Second
-
-// soakProgress starts a ticker emitting mid-phase progress lines (live
-// counter snapshots are safe while workers run) and returns its stop
-// func. No-op without a progress writer.
-func soakProgress(o *Options, sys tm.System, name, phase string) func() {
-	if o.Progress == nil {
-		return func() {}
-	}
-	start := time.Now()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(soakProgressEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				snap := sys.Stats().Snapshot()
-				o.progressf("soak %s phase=%s elapsed=%v commits=%d aborts=%d alarms=%d",
-					name, phase, time.Since(start).Round(time.Second),
-					snap.Commits(), snap.Aborts(), snap.WatchdogAlarms)
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		<-done
-	}
 }
 
 // soakWatchdog builds one phase's watchdog over the system's kernel: its

@@ -160,10 +160,10 @@ func TestChaosTraced(t *testing.T) {
 
 // TestExperimentsHonourInstruments: the instrument options reach the
 // systems of experiments that report only tables — a micro-benchmark
-// figure, a STAMP figure (through Speedup) and an ablation: the trace sink
-// records their events and the registry samples their governor.
+// figure and a STAMP figure (through Speedup): the trace sink records their
+// events and the registry samples their governor.
 func TestExperimentsHonourInstruments(t *testing.T) {
-	for _, id := range []string{"fig3a", "fig5c", "ablation-redo"} {
+	for _, id := range []string{"fig3a", "fig5c"} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := Find(id)
 			if !ok {

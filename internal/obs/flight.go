@@ -122,8 +122,8 @@ func (f *FlightRecorder) run(stop, done chan struct{}) {
 }
 
 // sampleOnce takes one coherent sample into the ring and checks the
-// counter-delta triggers: any watchdog alarm, or at least breakerBurst
-// breaker trips within one period.
+// counter-delta trigger: at least breakerBurst breaker trips within one
+// period. Watchdog alarms arm the recorder through NoteAlarm instead.
 func (f *FlightRecorder) sampleOnce() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -149,11 +149,7 @@ func (f *FlightRecorder) sampleOnce() {
 			if prev == nil {
 				continue
 			}
-			d := cur.TM.Delta(prev.TM)
-			if d.WatchdogAlarms > 0 {
-				f.armLocked("watchdog-" + cur.Name)
-			}
-			if d.BreakerTrips >= breakerBurst {
+			if cur.TM.Delta(prev.TM).BreakerTrips >= breakerBurst {
 				f.armLocked("breaker-storm-" + cur.Name)
 			}
 		}
@@ -173,9 +169,9 @@ func (f *FlightRecorder) armLocked(reason string) {
 	}
 }
 
-// NoteAlarm arms the recorder from a watchdog alarm callback. Safe to
-// call from the watchdog goroutine; allocation-light and non-blocking
-// beyond a short mutex.
+// NoteAlarm arms the recorder from a watchdog alarm callback, the one way
+// a watchdog alarm arms it. Safe to call from the watchdog goroutine;
+// allocation-light and non-blocking beyond a short mutex.
 func (f *FlightRecorder) NoteAlarm(a governor.Alarm) {
 	if f == nil {
 		return

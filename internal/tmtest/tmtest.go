@@ -111,11 +111,6 @@ func TinyHardwareFactories() []Factory {
 			cfg.Opaque = true
 			return core.New(htm.New(mem.New(2*w), tiny()), n, cfg)
 		}},
-		{"Part-HTM-no-autopart", func(n, w int) tm.System {
-			cfg := core.DefaultConfig()
-			cfg.AutoPartition = false
-			return core.New(htm.New(mem.New(w), tiny()), n, cfg)
-		}},
 		{"HTM-GL", func(n, w int) tm.System {
 			return htmgl.New(htm.New(mem.New(w), tiny()), n, htmgl.DefaultConfig())
 		}},
