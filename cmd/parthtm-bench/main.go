@@ -30,10 +30,10 @@
 //
 // With -flight DIR every system an experiment builds registers its counter
 // sources with one registry, and a black-box flight recorder samples that
-// registry in the background. When a watchdog alarm fires, a breaker trips
-// repeatedly, or a soak phase ends degraded, the recorder dumps the recent
-// history into DIR as a timestamped artifact pair: a Chrome/Perfetto trace
-// and a metrics CSV. SIGQUIT forces a best-effort dump.
+// registry in the background. When a watchdog alarm fires or a breaker
+// trips repeatedly, the recorder dumps the recent history into DIR as a
+// timestamped artifact pair: a Chrome/Perfetto trace and a metrics CSV.
+// SIGQUIT forces a best-effort dump.
 // -wd-interval and -wd-stall tighten the soak watchdog (CI uses a
 // hair-trigger setting to force an alarm deterministically).
 //

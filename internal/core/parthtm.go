@@ -120,9 +120,8 @@ const (
 // backoff after a global abort, and the contention manager that keeps an
 // abort storm live — a budget of hardware aborts (not begins, so
 // many-segment transactions are not penalized), eldest priority for a
-// starving transaction, a bounded lemming wait and the degraded mode, which
-// only a progress watchdog's stall recovery enters (governor.Watchdog's
-// SetDegrader). No option changes it; tests pass another to newWith.
+// starving transaction and a bounded lemming wait. No option changes it;
+// tests pass another to newWith.
 var schedule = exec.Policy{
 	FastAttempts:       fastRetries,
 	StopFastOnResource: true,
@@ -133,7 +132,6 @@ var schedule = exec.Policy{
 	RetryBudget:        24,
 	StarveThreshold:    3,
 	LemmingWaitSpins:   4096,
-	DegradeThreshold:   12,
 }
 
 // DefaultConfig returns the configuration used in the paper's evaluation,
@@ -167,8 +165,8 @@ type System struct {
 	stats   tm.Stats
 
 	// run is the shared execution kernel: it owns the retry schedule, the
-	// contention manager (budget, eldest priority, lemming-wait, graceful
-	// degradation) and all commit/abort stats recording.
+	// contention manager (budget, eldest priority, lemming-wait) and all
+	// commit/abort stats recording.
 	run *exec.Runner
 }
 
@@ -253,8 +251,7 @@ func (s *System) Name() string {
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Kernel returns the system's execution kernel, the one attach-and-inspect
-// seam for trace, governor, profiler, and degradation state (see
-// exec.Runner). With a trace sink attached Part-HTM records, beyond the
+// seam for trace, governor and profiler (see exec.Runner). With a trace sink attached Part-HTM records, beyond the
 // kernel's lifecycle events, its protocol events: sub-HTM begin/commit,
 // write-lock publication/release, and ring publication.
 func (s *System) Kernel() *exec.Runner { return s.run }
@@ -481,8 +478,7 @@ const (
 // path, with the retry policy of the paper's evaluation (5 attempts per
 // level; resource aborts skip straight to partitioning) hardened by the
 // contention manager: a per-transaction hardware-abort budget, eldest
-// priority for starving transactions, bounded lemming-waits, and a degraded
-// serialized mode that a progress watchdog forces on a stall. All of that
+// priority for starving transactions and bounded lemming-waits. All of that
 // schedule lives in the exec kernel; this method only decides whether the
 // self-tuned fast path applies to this transaction and hands the level
 // closures over.

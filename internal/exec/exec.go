@@ -5,9 +5,8 @@
 // each transaction as a Txn (the fast hardware attempt, the mid-level
 // software attempt, the always-succeeds slow path); the Runner drives the
 // levels, charges the hardware-abort budget, bids eldest priority for
-// starving transactions, applies jittered exponential backoff, runs the
-// graceful-degradation mode, and records every commit and abort into the
-// per-thread tm.Stats shards.
+// starving transactions, applies jittered exponential backoff, and records
+// every commit and abort into the per-thread tm.Stats shards.
 //
 // The level structure mirrors the paper's Part-HTM schedule (fast →
 // partitioned → global lock) but degenerates cleanly: HTM-GL uses only
@@ -66,10 +65,10 @@ type Policy struct {
 	// that exceeds the (jittered) bound escalates to the slow path instead
 	// of feeding the lemming convoy. Zero means wait unbounded.
 	LemmingWaitSpins int
-	// DegradeThreshold is the contention-pressure level at which the
-	// runner enters the degraded serialized mode (every transaction goes
-	// straight to Slow), recovering as commits drain the pressure. Zero
-	// disables degradation.
+	// DegradeThreshold is ignored: the degraded serialized mode it tuned
+	// is gone.
+	//
+	// Deprecated: kept only until the benchmark's ledger stops setting it.
 	DegradeThreshold int
 }
 
@@ -116,15 +115,12 @@ type Thread struct {
 
 	// Tracing state (nil buf = tracing disabled; the hot path pays one
 	// branch). txID identifies the current transaction across retries;
-	// beginTS anchors the latency histograms; degSeen tracks the last
-	// degraded-mode state this thread observed, so mode edges are recorded
-	// exactly once per thread.
+	// beginTS anchors the latency histograms.
 	buf     *trace.Buffer
 	lat     *trace.LatShard
 	txSeq   uint64
 	txID    uint64
 	beginTS int64
-	degSeen bool
 
 	// Governor state (nil gv = no governor; the hot path pays one branch,
 	// mirroring the tracing plumbing). lastPath remembers the committing
@@ -180,24 +176,13 @@ func (t *Thread) TraceEvent(k trace.Kind, arg uint64) {
 	}
 }
 
-// traceBegin opens the transaction's trace scope: degraded-mode edges the
-// thread has not yet observed, a fresh transaction ID, and the begin event
-// anchoring the latency measurements.
-func (r *Runner) traceBegin(t *Thread) {
+// traceBegin opens the transaction's trace scope: a fresh transaction ID
+// and the begin event anchoring the latency measurements.
+func (t *Thread) traceBegin() {
 	if t.buf == nil {
 		return
 	}
 	ts := trace.Now()
-	if r.pol.DegradeThreshold > 0 {
-		if d := r.degraded.Load(); d != t.degSeen {
-			t.degSeen = d
-			if d {
-				t.buf.RecordMark(ts, trace.EvDegEnter, 0)
-			} else {
-				t.buf.RecordMark(ts, trace.EvDegLeave, 0)
-			}
-		}
-	}
 	t.txSeq++
 	t.txID = uint64(t.id)<<32 | (t.txSeq & (1<<32 - 1))
 	t.beginTS = ts
@@ -236,10 +221,9 @@ func (t *Thread) budgetExhausted() bool {
 // all level outcomes into the system's tm.Stats. It is also the one
 // attach-and-inspect seam: systems expose it through a Kernel() accessor
 // and add no forwarding methods of their own, so trace, governor, and
-// profiler attach here (SetTrace/SetGovernor/SetProfile), are read back
-// here (TraceSink/Governor/Profile), and the degradation state is driven
-// and observed here (BumpPressure/Degraded/Pressure). A new instrument is
-// one edit in this type.
+// profiler attach here (SetTrace/SetGovernor/SetProfile) and are read back
+// here (TraceSink/Governor/Profile). A new instrument is one edit in this
+// type.
 type Runner struct {
 	pol   Policy
 	stats *tm.Stats
@@ -255,11 +239,9 @@ type Runner struct {
 
 	// ticketCtr issues age tickets (smaller = elder); prio holds the
 	// ticket of the transaction currently granted eldest priority (0 =
-	// none). pressure/degraded drive the graceful degradation mode.
+	// none).
 	ticketCtr atomic.Uint64
 	prio      atomic.Uint64
-	pressure  atomic.Int64
-	degraded  atomic.Bool
 }
 
 // New creates a Runner over the system's stats. gateFree may be nil when
@@ -293,8 +275,8 @@ func (r *Runner) newThread(id int) *Thread {
 
 // SetTrace attaches a trace sink to the runner (nil detaches): every
 // existing and future Thread gets its per-thread event buffer and latency
-// shard. Like SetEscalateHook it must not be flipped while transactions
-// run — attach before starting workers, detach after joining them.
+// shard. It must not be flipped while transactions run — attach before
+// starting workers, detach after joining them.
 func (r *Runner) SetTrace(s *trace.Sink) {
 	r.mu.Lock()
 	r.sink = s
@@ -362,21 +344,13 @@ const (
 	escLemming
 )
 
-// escalateHook, when set, observes every escalation (test instrumentation).
-var escalateHook func(threadID int, ticket uint64)
-
-// SetEscalateHook installs f to be called on every contention-manager
-// escalation with the escalating thread and its age ticket (nil to remove).
-// Test instrumentation; not safe to flip while transactions run.
-func SetEscalateHook(f func(threadID int, ticket uint64)) { escalateHook = f }
-
 // Run executes one transaction for thread id through the policy's levels.
 // It always commits (the slow path cannot fail), so it returns only when
 // the transaction's effects are durable.
 func (r *Runner) Run(id int, txn *Txn) {
 	t := r.Thread(id)
 	r.cmBegin(t)
-	r.traceBegin(t)
+	t.traceBegin()
 	defer r.cmFinish(t)
 
 	// Governor admission: the per-thread circuit breaker acts before any
@@ -397,15 +371,6 @@ func (r *Runner) Run(id int, txn *Txn) {
 			t.sh.BreakerProbes.Inc()
 			t.TraceEvent(trace.EvBreakerProbe, 0)
 		}
-	}
-
-	if r.pol.DegradeThreshold > 0 && r.degraded.Load() {
-		// Degraded mode: serialize everything until the pressure that
-		// tripped it has drained (each commit decays it by one).
-		t.sh.DegradedCommits.Inc()
-		t.TraceEvent(trace.EvDegRun, 0)
-		r.runSlow(t, txn)
-		return
 	}
 
 	if txn.Fast != nil && (!txn.SkipFast || probe) && r.pol.FastAttempts > 0 {
@@ -513,8 +478,7 @@ func (r *Runner) cmBegin(t *Thread) {
 }
 
 // cmFinish closes the scope after the commit (every Run commits): the
-// priority ticket is released, the starvation score decays, and one unit
-// of degradation pressure drains.
+// priority ticket is released and the starvation score decays.
 func (r *Runner) cmFinish(t *Thread) {
 	if t.gv != nil {
 		// Breaker feedback on the final path: a hardware commit closes an
@@ -532,9 +496,6 @@ func (r *Runner) cmFinish(t *Thread) {
 		r.prio.CompareAndSwap(t.ticket, 0)
 	}
 	t.starve >>= 1
-	if r.pol.DegradeThreshold > 0 {
-		r.decayPressure()
-	}
 }
 
 // escalate records one slow-path escalation (once per transaction).
@@ -552,9 +513,6 @@ func (r *Runner) escalate(t *Thread, kind escalation) {
 		t.sh.EscalationsLemming.Inc()
 	}
 	t.TraceEvent(trace.EvEscalate, uint64(kind))
-	if h := escalateHook; h != nil {
-		h(t.id, t.ticket)
-	}
 }
 
 // bidPriority tries to acquire the eldest-priority ticket. The smallest
@@ -611,53 +569,6 @@ func (r *Runner) awaitGate(t *Thread) bool {
 	t.TraceEvent(trace.EvLemmingExit, expired)
 	return ok
 }
-
-// BumpPressure raises the degradation pressure by n, tripping degraded mode
-// at the threshold. Pressure is capped so recovery stays bounded. The
-// degraded-mode transitions are rare events; they are attributed to shard 0.
-func (r *Runner) BumpPressure(n int64) {
-	thr := int64(r.pol.DegradeThreshold)
-	if thr <= 0 {
-		return
-	}
-	if v := r.pressure.Add(n); v >= thr {
-		if v > 2*thr {
-			r.pressure.Store(2 * thr) // cap (racy, heuristic counter)
-		}
-		if r.degraded.CompareAndSwap(false, true) {
-			r.stats.Shard(0).DegradedEnter.Inc()
-		}
-	}
-}
-
-// decayPressure drains one unit of degradation pressure and leaves degraded
-// mode when it reaches zero.
-func (r *Runner) decayPressure() {
-	for {
-		cur := r.pressure.Load()
-		if cur <= 0 {
-			// Never entered, or already drained by a racing decay: make
-			// sure the mode flag cannot stay stuck.
-			if r.degraded.Load() && r.degraded.CompareAndSwap(true, false) {
-				r.stats.Shard(0).DegradedExit.Inc()
-			}
-			return
-		}
-		if r.pressure.CompareAndSwap(cur, cur-1) {
-			if cur-1 == 0 && r.degraded.CompareAndSwap(true, false) {
-				r.stats.Shard(0).DegradedExit.Inc()
-			}
-			return
-		}
-	}
-}
-
-// Degraded reports whether the runner is currently in degraded serialized
-// mode (observability and tests).
-func (r *Runner) Degraded() bool { return r.degraded.Load() }
-
-// Pressure returns the current degradation-pressure level.
-func (r *Runner) Pressure() int64 { return r.pressure.Load() }
 
 // PriorityTicket returns the age ticket currently holding eldest priority
 // (0 = none).

@@ -152,38 +152,6 @@ func TestStarvationEscalates(t *testing.T) {
 	}
 }
 
-// TestDegradedModeSerializes: above-threshold pressure must route every
-// transaction to Slow until commits drain it.
-func TestDegradedModeSerializes(t *testing.T) {
-	var st tm.Stats
-	r := New(Policy{FastAttempts: 1, DegradeThreshold: 2}, &st, nil)
-	fast, slow := 0, 0
-	txn := &Txn{
-		Fast: func() htm.Result { fast++; return htm.Result{Committed: true} },
-		Slow: func() { slow++ },
-	}
-	r.BumpPressure(2)
-	if !r.Degraded() {
-		t.Fatal("not degraded at threshold")
-	}
-	r.Run(0, txn) // drains pressure 2 -> 1, still degraded
-	if !r.Degraded() || slow != 1 || fast != 0 {
-		t.Fatalf("degraded=%v slow=%d fast=%d after first drain commit", r.Degraded(), slow, fast)
-	}
-	r.Run(0, txn) // drains 1 -> 0: mode exits
-	if r.Degraded() {
-		t.Fatalf("degraded mode did not recover (pressure %d)", r.Pressure())
-	}
-	r.Run(0, txn) // back on the fast path
-	if fast != 1 || slow != 2 {
-		t.Fatalf("fast = %d, slow = %d after recovery", fast, slow)
-	}
-	snap := st.Snapshot()
-	if snap.DegradedEnter != 1 || snap.DegradedExit != 1 || snap.DegradedCommits != 2 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 // TestZeroPolicyIsPureSTM: the zero policy must loop the mid level until it
 // commits — the pure-STM shape — with no gates and no tickets issued.
 func TestZeroPolicyIsPureSTM(t *testing.T) {

@@ -224,7 +224,7 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	const threads = 8
 	const txns = 400
 	var st tm.Stats
-	r := New(Policy{FastAttempts: 1, DegradeThreshold: 8}, &st, nil)
+	r := New(Policy{FastAttempts: 1}, &st, nil)
 	g := governor.New(governor.Config{BreakerThreshold: 2})
 	r.SetGovernor(g)
 
@@ -275,21 +275,19 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	}
 }
 
-// TestDegradedEdgesUnderEscalationRace drives degraded-mode entry/exit
-// edges while many threads concurrently escalate through eldest-ticket
-// priority bidding — the recovery transition under contention. Run with
-// -race; the assertion is that the mode edges stay balanced and the system
-// quiesces un-degraded with pressure drained.
-func TestDegradedEdgesUnderEscalationRace(t *testing.T) {
+// TestEscalationRace has many threads concurrently escalate through
+// eldest-ticket priority bidding. Run with -race; the assertion is that
+// every transaction commits and the priority ticket is free once the
+// threads have quiesced.
+func TestEscalationRace(t *testing.T) {
 	const threads = 8
 	const txns = 300
 	var st tm.Stats
 	r := New(Policy{
-		FastAttempts:     1,
-		MidAttempts:      2,
-		RetryBudget:      3,
-		StarveThreshold:  1, // escalate aggressively: maximal prio churn
-		DegradeThreshold: 4,
+		FastAttempts:    1,
+		MidAttempts:     2,
+		RetryBudget:     3,
+		StarveThreshold: 1, // escalate aggressively: maximal prio churn
 	}, &st, nil)
 
 	var wg sync.WaitGroup
@@ -303,30 +301,13 @@ func TestDegradedEdgesUnderEscalationRace(t *testing.T) {
 				Slow: func() {},
 			}
 			for i := 0; i < txns; i++ {
-				// Every few transactions, push the pressure over the
-				// threshold so entry races against the commits draining it.
-				if i%4 == 0 {
-					r.BumpPressure(5)
-				}
 				r.Run(id, txn)
 			}
 		}(id)
 	}
 	wg.Wait()
 
-	// Drain any residual pressure the way commits do, then check the mode
-	// edges balanced: every entry has a matching exit once drained.
-	for r.Pressure() > 0 || r.Degraded() {
-		r.decayPressure()
-	}
 	snap := st.Snapshot()
-	if snap.DegradedEnter == 0 {
-		t.Fatal("hammer never entered degraded mode")
-	}
-	if snap.DegradedEnter != snap.DegradedExit {
-		t.Fatalf("degraded edges unbalanced: %d enters, %d exits",
-			snap.DegradedEnter, snap.DegradedExit)
-	}
 	if snap.Commits() != threads*txns {
 		t.Fatalf("commits = %d, want %d", snap.Commits(), threads*txns)
 	}

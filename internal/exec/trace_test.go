@@ -148,11 +148,10 @@ func TestTraceHTMAndSlowPaths(t *testing.T) {
 	}
 }
 
-// TestTraceEscalationAndDegraded checks escalation events and degraded
-// enter/run/leave edges.
-func TestTraceEscalationAndDegraded(t *testing.T) {
+// TestTraceEscalation checks the escalation event and its kind argument.
+func TestTraceEscalation(t *testing.T) {
 	var st tm.Stats
-	r := New(Policy{FastAttempts: 1, RetryBudget: 1, DegradeThreshold: 1}, &st, nil)
+	r := New(Policy{FastAttempts: 1, RetryBudget: 1}, &st, nil)
 	sink := trace.NewSink(256)
 	r.SetTrace(sink)
 
@@ -173,27 +172,6 @@ func TestTraceEscalationAndDegraded(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no escalation event: %v", kinds(evs))
-	}
-
-	// Degraded mode: bump pressure over the threshold, run (serialized,
-	// records EvDegEnter+EvDegRun), drain, run again (records EvDegLeave).
-	r.BumpPressure(5)
-	if !r.Degraded() {
-		t.Fatal("pressure bump did not trip degraded mode")
-	}
-	for i := 0; i < 8 && r.Degraded(); i++ {
-		r.Run(0, &Txn{Slow: func() {}})
-	}
-	if r.Degraded() {
-		t.Fatal("degraded mode did not drain")
-	}
-	r.Run(0, &Txn{Mid: func() bool { return true }, Slow: func() {}})
-	evs = sink.Events()
-	if countKind(evs, trace.EvDegEnter) != 1 || countKind(evs, trace.EvDegRun) == 0 {
-		t.Fatalf("degraded events: %v", kinds(evs))
-	}
-	if countKind(evs, trace.EvDegLeave) != 1 {
-		t.Fatalf("degraded leave events: %v", kinds(evs))
 	}
 }
 

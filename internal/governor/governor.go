@@ -13,8 +13,9 @@
 //     the hardware so the fast and partitioned paths come back as soon as
 //     hardware transactions succeed again.
 //   - A progress watchdog (watchdog.go): a sampling monitor over the
-//     per-thread stats shards that detects stalled workers (per thread and
-//     system-wide) and degraded-mode oscillation.
+//     per-thread stats shards that detects stalled workers, per thread and
+//     system-wide. It only observes: an alarm is counted, traced and
+//     reported, and changes nothing the workers do.
 //
 // The per-transaction hooks — Begin, NoteHWAbort, Finish — are
 // allocation-free and touch only the calling thread's cache-line-padded

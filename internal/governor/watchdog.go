@@ -15,30 +15,21 @@ const (
 	// AlarmStall: a worker (or the whole system) kept aborting without a
 	// single commit for the stall deadline.
 	AlarmStall AlarmKind = iota
-	// AlarmOscillation: degraded mode entered and exited more than
-	// oscillationEdges times within the last oscillationWindow samples.
-	AlarmOscillation
 )
 
 // String returns the alarm kind's stable name.
 func (k AlarmKind) String() string {
-	switch k {
-	case AlarmStall:
+	if k == AlarmStall {
 		return "stall"
-	case AlarmOscillation:
-		return "degraded-oscillation"
 	}
 	return "alarm(?)"
 }
 
-// Alarm is one watchdog finding. Thread is the stalled worker, or -1 for
-// system-wide alarms; Value carries the kind-specific magnitude (aborts
-// absorbed during a thread's stall, transactions in flight during a global
-// stall, degraded edges in the window).
+// Alarm is one watchdog finding. Thread is the stalled worker, or -1 for a
+// system-wide stall.
 type Alarm struct {
 	Kind   AlarmKind
 	Thread int
-	Value  uint64
 }
 
 // WatchdogConfig sets the progress watchdog's clock: the two values the
@@ -59,41 +50,26 @@ func DefaultWatchdogConfig() WatchdogConfig {
 	return WatchdogConfig{Interval: 10 * time.Millisecond, StallSamples: 5}
 }
 
-// The watchdog's fixed settings: no entry point changes them.
-const (
-	// oscillationEdges: more degraded-mode entries plus exits than this
-	// within the last oscillationWindow samples raise an oscillation alarm.
-	oscillationWindow = 100
-	oscillationEdges  = 16
-	// recoverPressure is the degradation pressure a stall alarm bumps on an
-	// attached Degrader: it serializes the system so the stalled work
-	// completes on the guaranteed path.
-	recoverPressure = 64
-)
-
 // Deadline returns the stall deadline the configuration implies.
 func (c WatchdogConfig) Deadline() time.Duration {
 	return c.Interval * time.Duration(c.StallSamples)
 }
 
-// Degrader forces serialized recovery; exec.Runner implements it.
-type Degrader interface{ BumpPressure(n int64) }
-
 // Watchdog is a sampling progress monitor over a system's per-thread stats
-// shards. It runs in its own goroutine between Start and Stop, records
-// alarms into its own stats shard slot (index = worker count, preserving
-// the single-writer discipline) and, when a trace sink is attached, into
-// its own trace buffer slot.
+// shards. It only observes: it runs in its own goroutine between Start and
+// Stop, records alarms into its own stats shard slot (index = worker count,
+// preserving the single-writer discipline) and, when a trace sink is
+// attached, into its own trace buffer slot, and changes nothing the
+// workers do.
 type Watchdog struct {
 	cfg     WatchdogConfig
 	stats   *tm.Stats
 	threads int
 
-	gov      *Governor // optional: in-transaction flags for global-stall detection
-	degrader Degrader  // optional: forced recovery target
-	onAlarm  func(Alarm)
-	buf      *trace.Buffer
-	sh       *tm.Shard
+	gov     *Governor // optional: in-transaction flags for global-stall detection
+	onAlarm func(Alarm)
+	buf     *trace.Buffer
+	sh      *tm.Shard
 
 	alarms atomic.Uint64
 	stop   chan struct{}
@@ -105,14 +81,11 @@ type Watchdog struct {
 	stallFor    []int
 	lastTotal   uint64
 	totalStall  int
-	lastEdges   uint64
-	edgeWindow  [oscillationWindow]uint64
-	edgeHead    int
 }
 
 // NewWatchdog builds a watchdog over stats for a system running the given
-// number of worker threads. Attach options (AttachGovernor, SetDegrader,
-// SetTrace, OnAlarm) before Start.
+// number of worker threads. Attach options (AttachGovernor, SetTrace,
+// OnAlarm) before Start.
 func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultWatchdogConfig().Interval
@@ -135,10 +108,6 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 // in-transaction flags to tell "everything is idle" from "everything is
 // stuck".
 func (w *Watchdog) AttachGovernor(g *Governor) { w.gov = g }
-
-// SetDegrader attaches the forced-recovery target (the system's runner):
-// every stall alarm then bumps its degradation pressure.
-func (w *Watchdog) SetDegrader(d Degrader) { w.degrader = d }
 
 // SetTrace attaches a sink; alarms are recorded as marks in the watchdog's
 // own buffer slot (index = worker count).
@@ -193,7 +162,7 @@ func (w *Watchdog) sample() {
 		if commits == w.lastCommits[i] && aborts > w.lastAborts[i] {
 			w.stallFor[i]++
 			if w.stallFor[i] == w.cfg.StallSamples {
-				w.alarm(AlarmStall, i, aborts-w.lastAborts[i])
+				w.alarm(i)
 				w.stallFor[i] = 0 // re-arm after the deadline, not per sample
 			}
 		} else {
@@ -213,53 +182,25 @@ func (w *Watchdog) sample() {
 	if active > 0 {
 		w.totalStall++
 		if w.totalStall == w.cfg.StallSamples {
-			w.alarm(AlarmStall, -1, uint64(active))
+			w.alarm(-1)
 			w.totalStall = 0
 		}
 	} else {
 		w.totalStall = 0
 	}
 	w.lastTotal = totalCommits
-
-	// Degraded-mode oscillation: mode edges within the sampling window.
-	snap := w.stats.Snapshot()
-	edges := snap.DegradedEnter + snap.DegradedExit
-	w.edgeWindow[w.edgeHead] = counterDelta(edges, w.lastEdges)
-	w.edgeHead = (w.edgeHead + 1) % oscillationWindow
-	w.lastEdges = edges
-	var inWindow uint64
-	for _, e := range w.edgeWindow {
-		inWindow += e
-	}
-	if inWindow > oscillationEdges {
-		w.alarm(AlarmOscillation, -1, inWindow)
-		w.edgeWindow = [oscillationWindow]uint64{} // one flap storm = one alarm
-	}
 }
 
-// counterDelta is cur-last, treating a counter that moved backwards (a
-// Stats.Reset between campaign phases) as restarting from zero.
-func counterDelta(cur, last uint64) uint64 {
-	if cur < last {
-		return cur
-	}
-	return cur - last
-}
-
-// alarm records one finding everywhere it is observable: the watchdog's
-// stats shard slot, the trace stream, the callback, and (for stalls, when
-// a Degrader is attached) the forced-recovery path.
-func (w *Watchdog) alarm(kind AlarmKind, thread int, value uint64) {
+// alarm records one stall finding everywhere it is observable: the
+// watchdog's stats shard slot, the trace stream and the callback.
+func (w *Watchdog) alarm(thread int) {
 	w.alarms.Add(1)
 	w.sh.WatchdogAlarms.Inc()
 	if w.buf != nil {
-		arg := uint64(kind)<<32 | uint64(uint32(int32(thread)))
+		arg := uint64(AlarmStall)<<32 | uint64(uint32(int32(thread)))
 		w.buf.RecordMark(trace.Now(), trace.EvWatchdog, arg)
 	}
 	if w.onAlarm != nil {
-		w.onAlarm(Alarm{Kind: kind, Thread: thread, Value: value})
-	}
-	if kind == AlarmStall && w.degrader != nil {
-		w.degrader.BumpPressure(recoverPressure)
+		w.onAlarm(Alarm{Kind: AlarmStall, Thread: thread})
 	}
 }

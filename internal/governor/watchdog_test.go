@@ -147,8 +147,8 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 		t.Fatalf("stall alarm after %d samples, deadline is %d", w.cfg.StallSamples-1, w.cfg.StallSamples)
 	}
 	w.sample()
-	if len(c.alarms) != 1 || c.alarms[0] != (Alarm{Kind: AlarmStall, Thread: -1, Value: 1}) {
-		t.Fatalf("alarms = %+v, want one global stall (thread -1, 1 in flight)", c.alarms)
+	if len(c.alarms) != 1 || c.alarms[0] != (Alarm{Kind: AlarmStall, Thread: -1}) {
+		t.Fatalf("alarms = %+v, want one global stall (thread -1)", c.alarms)
 	}
 
 	// The transaction finishing (even without a counted commit) re-arms.
@@ -159,86 +159,6 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	if n := c.byKind(AlarmStall); n != 1 {
 		t.Fatalf("%d stall alarms after the worker left, want still 1", n)
 	}
-}
-
-// The oscillation alarm is a threshold on counter deltas between samples, so
-// it is driven by hand: the bound is met exactly without an alarm, and
-// crossed by one.
-func TestWatchdogDegradedOscillation(t *testing.T) {
-	stats := &tm.Stats{}
-	w, c := newTestWatchdog(stats, 1)
-	sh := stats.Shard(0)
-	// oscillationEdges enters and exits spread over the window: at the bound.
-	for i := 0; i < oscillationEdges; i++ {
-		if i%2 == 0 {
-			sh.DegradedEnter.Inc()
-		} else {
-			sh.DegradedExit.Inc()
-		}
-		w.sample()
-	}
-	if n := c.byKind(AlarmOscillation); n != 0 {
-		t.Fatalf("%d oscillation alarms at exactly %d edges in the window, want 0", n, oscillationEdges)
-	}
-	sh.DegradedEnter.Inc()
-	w.sample()
-	if n := c.byKind(AlarmOscillation); n != 1 {
-		t.Fatalf("%d oscillation alarms past %d edges in the window, want 1", n, oscillationEdges)
-	}
-	// The window restarts after an alarm: one flap storm, one alarm.
-	w.sample()
-	if n := c.byKind(AlarmOscillation); n != 1 {
-		t.Fatalf("%d oscillation alarms one sample later, want still 1", n)
-	}
-}
-
-// fakeDegrader records forced-recovery requests.
-type fakeDegrader struct{ n atomic64 }
-
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (d *fakeDegrader) BumpPressure(n int64) {
-	d.n.mu.Lock()
-	d.n.v += n
-	d.n.mu.Unlock()
-}
-func (d *fakeDegrader) load() int64 {
-	d.n.mu.Lock()
-	defer d.n.mu.Unlock()
-	return d.n.v
-}
-
-// TestWatchdogForcedRecovery: with a Degrader attached, a stall alarm bumps
-// its degradation pressure.
-func TestWatchdogForcedRecovery(t *testing.T) {
-	stats := &tm.Stats{}
-	d := &fakeDegrader{}
-	w, _ := newTestWatchdog(stats, 1)
-	w.SetDegrader(d)
-	w.Start()
-	defer w.Stop()
-	sh := stats.Shard(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			sh.AbortsOther.Inc()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	waitFor(t, func() bool { return d.load() >= recoverPressure }, "forced recovery bump")
-	close(stop)
-	wg.Wait()
 }
 
 // TestWatchdogTraceAndShardSlots pins that the watchdog writes only its own

@@ -75,9 +75,9 @@ type Options struct {
 	// with the flight recorder's registry (the -flight plumbing).
 	Obs *obs.Registry
 	// Flight, when non-nil, is the black-box flight recorder: soak
-	// campaigns wire watchdog alarms into it, arm it when a phase ends
-	// degraded, and flush any armed dump at phase boundaries (the workers
-	// are quiesced there, so the trace rings are safe to read).
+	// campaigns wire watchdog alarms into it and flush any armed dump at
+	// phase boundaries (the workers are quiesced there, so the trace rings
+	// are safe to read).
 	Flight *obs.FlightRecorder
 	// Watchdog overrides the soak campaigns' progress-watchdog
 	// configuration (the -wd-interval / -wd-stall flags; CI uses a
@@ -198,7 +198,7 @@ func Experiments() []Experiment {
 		{"fig5i", "Figure 5(i): STAMP genome", stampExp(func() stamp.App { return genome.New(genome.Default()) })},
 		{"fig6a", "Figure 6(a): EigenBench, 50% long / 50% short transactions", microExp(func() microBench { return eigenBench(eigen.Fig6a()) }, "M tx/sec", 1e6, nil)},
 		{"fig6b", "Figure 6(b): EigenBench, high contention", microExp(func() microBench { return eigenBench(eigen.Fig6b()) }, "K tx/sec", 1e3, nil)},
-		{"chaos", "Chaos: fault-injection sweep — throughput, commit paths, escalations, degradation", runChaos},
+		{"chaos", "Chaos: fault-injection sweep — throughput, commit paths, escalations", runChaos},
 		{"soak", "Soak: multi-phase chaos campaign under the resource governor and progress watchdog", runSoak},
 		{"heatmap", "Heatmap: planted conflict hotspot under packed vs spread allocation (Dice et al. placement effect)", runHeatmap},
 		{"domains", "Domains: sharded memory domains — throughput vs domain count and cross-domain ratio", runDomains},
@@ -375,7 +375,7 @@ func chaosFaultConfig(rate float64, seed int64) *fault.Config {
 // runChaos sweeps fault rates over a partitioned N-Reads M-Writes workload
 // and reports, per system and rate, the throughput, the commit-path split,
 // and the robustness counters: injected faults absorbed, contention-manager
-// escalations, and degraded-mode entries/exits/commits.
+// escalations and watchdog alarms.
 func runChaos(o Options) (*Result, error) {
 	o = o.withDefaults([]int{4}, chaosSystems)
 	threads := o.Threads[0]

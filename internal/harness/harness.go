@@ -77,9 +77,8 @@ type BuildOptions struct {
 	// overflows, and footprints into it.
 	Profile *prof.Profile
 	// Obs, when non-nil, registers the built system's telemetry sources —
-	// its tm.Stats, the kernel's governor (if one is attached), and the
-	// kernel's own degraded/pressure gauges — with the flight recorder's
-	// registry under the system's name. Registration is boundary-only (it
+	// its tm.Stats and the kernel's governor (if one is attached) — with
+	// the flight recorder's registry under the system's name. Registration is boundary-only (it
 	// runs in Build, before workers start); re-building the same system
 	// name replaces its registration, so sweeps keep the live instance
 	// current.
@@ -167,7 +166,7 @@ func Build(name string, o BuildOptions) tm.System {
 		// registry sees exactly what the kernel runs with.
 		src := obs.Source{Stats: sys.Stats()}
 		if k != nil {
-			src.Gov, src.Kernel = k.Governor(), k
+			src.Gov = k.Governor()
 		}
 		o.Obs.Register(name, src)
 	}
@@ -175,7 +174,7 @@ func Build(name string, o BuildOptions) tm.System {
 }
 
 // KernelOf returns the execution kernel behind a system — the seam every
-// instrument attaches to and the degradation state is read from — or nil
+// instrument attaches to — or nil
 // for the Sequential baseline, the only system that runs without one.
 func KernelOf(sys tm.System) *exec.Runner {
 	if k, ok := sys.(interface{ Kernel() *exec.Runner }); ok {

@@ -379,8 +379,8 @@ func (r *Result) formatTaxonomyReports(b *strings.Builder) {
 
 func (r *Result) formatSweepReports(b *strings.Builder) {
 	col, labels := r.rowLabels()
-	fmt.Fprintf(b, "%-10s %7s %10s %7s %7s %7s %10s %7s %9s %7s %6s\n",
-		"system", col, "K tx/s", "HTM", "SW", "GL", "injected", "escal", "degr-in/out", "degrTx", "alarms")
+	fmt.Fprintf(b, "%-10s %7s %10s %7s %7s %7s %10s %7s %6s\n",
+		"system", col, "K tx/s", "HTM", "SW", "GL", "injected", "escal", "alarms")
 	for i, rep := range r.Reports {
 		if i > 0 && rep.System != r.Reports[i-1].System {
 			b.WriteByte('\n')
@@ -394,14 +394,12 @@ func (r *Result) formatSweepReports(b *strings.Builder) {
 		if rep.Throughput != nil {
 			proj = rep.Throughput.Projected
 		}
-		fmt.Fprintf(b, "%-10s %7s %10.1f %6.1f%% %6.1f%% %6.1f%% %10d %7d %5d/%-4d %7d %6d\n",
+		fmt.Fprintf(b, "%-10s %7s %10.1f %6.1f%% %6.1f%% %6.1f%% %10d %7d %6d\n",
 			rep.System, labels[i], proj/1e3,
 			100*float64(st.CommitsHTM)/commits,
 			100*float64(st.CommitsSW)/commits,
 			100*float64(st.CommitsGL)/commits,
-			st.FaultsInjected, st.Escalations(),
-			st.DegradedEnter, st.DegradedExit, st.DegradedCommits,
-			st.WatchdogAlarms)
+			st.FaultsInjected, st.Escalations(), st.WatchdogAlarms)
 	}
 	b.WriteByte('\n')
 }

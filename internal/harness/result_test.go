@@ -64,7 +64,6 @@ func sampleResult() *Result {
 					AbortsConflict: 7, AbortsCapacity: 3, AbortsExplicit: 2, AbortsOther: 1,
 					SerialNanos:       12345,
 					EscalationsBudget: 1, EscalationsStarve: 2, EscalationsLemming: 3,
-					DegradedEnter: 1, DegradedExit: 1, DegradedCommits: 4,
 					FaultsInjected: 9,
 				},
 				Engine: &EngineSnapshot{
@@ -145,7 +144,7 @@ func TestResultTextShapes(t *testing.T) {
 		{System: "B", FaultRate: 0, Throughput: &ThroughputResult{Projected: 3000}},
 	}}
 	out = sweep.Text()
-	for _, needle := range []string{"K tx/s", "injected", "degr-in/out", "0.50"} {
+	for _, needle := range []string{"K tx/s", "injected", "alarms", "0.50"} {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("sweep text missing %q:\n%s", needle, out)
 		}

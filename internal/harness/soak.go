@@ -123,11 +123,8 @@ func runSoak(o Options) (*Result, error) {
 				name, phase, res.OpsPerSec, rep.Stats.Commits(), rep.Stats.WatchdogAlarms)
 			// The workers have joined and the watchdog has stopped: a
 			// quiesce point, so an armed flight dump may read the trace
-			// rings. A phase that ends still degraded is itself a trigger.
+			// rings.
 			if o.Flight != nil {
-				if k.Degraded() {
-					o.Flight.ArmPhaseDegraded(name, phase)
-				}
 				if dump, err := o.Flight.Flush(fmt.Sprintf("%s-%s", name, phase)); err != nil {
 					return nil, fmt.Errorf("soak: flight dump: %w", err)
 				} else if dump != "" {
@@ -141,13 +138,11 @@ func runSoak(o Options) (*Result, error) {
 }
 
 // soakWatchdog builds one phase's watchdog over the system's kernel: its
-// governor's in-transaction flags attached, forced recovery through its
-// degradation pressure, and the trace sink shared with the workers (the
-// watchdog writes its own slot).
+// governor's in-transaction flags attached, and the trace sink shared with
+// the workers (the watchdog writes its own slot).
 func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, k *exec.Runner, threads int, sink *trace.Sink) *governor.Watchdog {
 	wd := governor.NewWatchdog(cfg, sys.Stats(), threads)
 	wd.AttachGovernor(k.Governor())
-	wd.SetDegrader(k)
 	if sink != nil {
 		wd.SetTrace(sink)
 	}

@@ -94,8 +94,7 @@ func (s *System) Name() string { return "HTM-GL" }
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Kernel returns the system's execution kernel, the one attach-and-inspect
-// seam for trace, governor, profiler, and degradation state (see
-// exec.Runner).
+// seam for trace, governor and profiler (see exec.Runner).
 func (s *System) Kernel() *exec.Runner { return s.run }
 
 // Memory implements tm.System.

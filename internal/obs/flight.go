@@ -37,9 +37,9 @@ const (
 
 // FlightRecorder is the black box: a background sampler fills a bounded
 // ring of registry snapshots, and when something goes wrong — a watchdog
-// alarm, a breaker-trip storm, a campaign phase that ends degraded, a
-// SIGQUIT — the recent history is dumped as a timestamped artifact pair:
-// a Chrome/Perfetto trace JSON and a metrics CSV of the ring.
+// alarm, a breaker-trip storm, a SIGQUIT — the recent history is dumped as
+// a timestamped artifact pair: a Chrome/Perfetto trace JSON and a metrics
+// CSV of the ring.
 //
 // Triggers only *arm* the recorder; the artifact is written at the next
 // quiesce point (Flush, called by the harness between campaign phases and
@@ -181,17 +181,6 @@ func (f *FlightRecorder) NoteAlarm(a governor.Alarm) {
 	f.mu.Unlock()
 }
 
-// ArmPhaseDegraded arms the recorder because a campaign phase ended with
-// the system still in degraded mode.
-func (f *FlightRecorder) ArmPhaseDegraded(system, phase string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.armLocked("degraded-" + system + "-" + phase)
-	f.mu.Unlock()
-}
-
 // Armed reports the pending trigger reason ("" when disarmed).
 func (f *FlightRecorder) Armed() string {
 	if f == nil {
@@ -291,15 +280,14 @@ func (f *FlightRecorder) dumpLocked(reason, label string) (string, error) {
 }
 
 // flightCSVHeader is the metrics-CSV column set: the ring sample
-// identity, every tm.Snapshot counter, and the live gauges.
+// identity, every tm.Snapshot counter, and the inflight gauge.
 const flightCSVHeader = "ts_ns,seq,system," +
 	"commits_htm,commits_sw,commits_gl," +
 	"aborts_conflict,aborts_capacity,aborts_explicit,aborts_other," +
 	"serial_nanos,escalations_budget,escalations_starve,escalations_lemming," +
-	"degraded_enter,degraded_exit,degraded_commits,faults_injected," +
-	"breaker_trips,breaker_probes,breaker_closes,breaker_slow," +
+	"faults_injected,breaker_trips,breaker_probes,breaker_closes,breaker_slow," +
 	"watchdog_alarms,cross_domain_commits,cross_domain_aborts,domain_ring_rollovers," +
-	"inflight,degraded,pressure"
+	"inflight"
 
 // writeCSVLocked writes the ring, oldest sample first (mu held).
 func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
@@ -310,20 +298,15 @@ func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
 		for i := range snap.Systems {
 			s := &snap.Systems[i]
 			t := &s.TM
-			degraded := 0
-			if s.Degraded {
-				degraded = 1
-			}
 			row := strings.Join([]string{
 				strconv.FormatInt(snap.TS, 10), strconv.FormatUint(snap.Seq, 10), s.Name,
 				u(t.CommitsHTM), u(t.CommitsSW), u(t.CommitsGL),
 				u(t.AbortsConflict), u(t.AbortsCapacity), u(t.AbortsExplicit), u(t.AbortsOther),
 				strconv.FormatInt(t.SerialNanos, 10),
 				u(t.EscalationsBudget), u(t.EscalationsStarve), u(t.EscalationsLemming),
-				u(t.DegradedEnter), u(t.DegradedExit), u(t.DegradedCommits), u(t.FaultsInjected),
-				u(t.BreakerTrips), u(t.BreakerProbes), u(t.BreakerCloses), u(t.BreakerSlow),
+				u(t.FaultsInjected), u(t.BreakerTrips), u(t.BreakerProbes), u(t.BreakerCloses), u(t.BreakerSlow),
 				u(t.WatchdogAlarms), u(t.CrossDomainCommits), u(t.CrossDomainAborts), u(t.DomainRingRollovers),
-				strconv.FormatInt(s.Inflight, 10), strconv.Itoa(degraded), strconv.FormatInt(s.Pressure, 10),
+				strconv.FormatInt(s.Inflight, 10),
 			}, ",")
 			if _, err := fmt.Fprintln(w, row); err != nil {
 				return err

@@ -92,7 +92,7 @@ func TestFlightAlarmArmsAndFlushDumps(t *testing.T) {
 
 // The flight CSV is the repository's only counter time series: its header
 // must carry one column per tm.Snapshot counter, in declaration order, plus
-// the live gauges.
+// the inflight gauge.
 func TestFlightCSVHeaderCoversSnapshot(t *testing.T) {
 	want := []string{"ts_ns", "seq", "system"}
 	st := reflect.TypeOf(tm.Snapshot{})
@@ -100,7 +100,7 @@ func TestFlightCSVHeaderCoversSnapshot(t *testing.T) {
 		name, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
 		want = append(want, name)
 	}
-	want = append(want, "inflight", "degraded", "pressure")
+	want = append(want, "inflight")
 	if got := strings.Split(flightCSVHeader, ","); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flight CSV header\n got %v\nwant %v", got, want)
 	}
@@ -144,16 +144,14 @@ func TestFlightBreakerBurstTrigger(t *testing.T) {
 	}
 }
 
-// TestFlightPhaseDegraded covers the third trigger and reason sanitizing.
-func TestFlightPhaseDegraded(t *testing.T) {
+// TestFlightLabelSanitized: a Flush label outside the filename-safe
+// alphabet (a campaign phase such as "storm/1") is mapped onto it.
+func TestFlightLabelSanitized(t *testing.T) {
 	f, _, _ := flightFixture(t)
 	f.sampleOnce()
-	f.ArmPhaseDegraded("Part-HTM", "storm/1")
-	if got := f.Armed(); got != "degraded-Part-HTM-storm_1" {
-		t.Fatalf("Armed = %q", got)
-	}
-	name, err := f.Flush("")
-	if err != nil || name == "" {
+	f.NoteAlarm(governor.Alarm{Kind: governor.AlarmStall})
+	name, err := f.Flush("Part-HTM-storm/1")
+	if err != nil || !strings.HasPrefix(name, "flight-watchdog-stall-Part-HTM-storm_1-") {
 		t.Fatalf("Flush = %q, %v", name, err)
 	}
 }

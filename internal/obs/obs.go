@@ -1,6 +1,6 @@
 // Package obs is the flight recorder over the repository's single-writer
 // counter substrate: a registry that takes one coherent sample of every
-// registered system's tm.Stats shards and governor/kernel gauges, and a
+// registered system's tm.Stats shards and governor gauge, and a
 // black-box recorder that keeps a ring of those samples and dumps it, with
 // the trace rings, when a run goes wrong.
 //
@@ -15,7 +15,7 @@
 //
 // The sampling path only reads state that is safe while workers run:
 // tm.Counter cells are atomics any thread may read concurrently, and the
-// governor/kernel gauges are atomics. Latency histograms, footprints, the
+// governor's inflight gauge is an atomic. Latency histograms, footprints, the
 // profiler's sketch and heat arrays and the trace rings are read after the
 // run, by the report and the flight dump. No obs function is ever reachable
 // from a hardware window: registration is boundary-only and sampling runs on
@@ -39,24 +39,14 @@ import (
 	"repro/internal/trace"
 )
 
-// KernelGauges is the execution kernel's live degradation view;
-// *exec.Runner satisfies it. It stays an interface so registry tests can
-// substitute a fake.
-type KernelGauges interface {
-	Degraded() bool
-	Pressure() int64
-}
-
 // Source names the telemetry surfaces of one registered system. Stats is
-// required; the gauges are optional.
+// required; the gauge is optional.
 type Source struct {
 	// Stats is the system's commit/abort counter set (required).
 	Stats *tm.Stats
 	// Gov, when attached, contributes the inflight gauge (threads inside
 	// a transaction right now).
 	Gov *governor.Governor
-	// Kernel, when attached, contributes the degraded/pressure gauges.
-	Kernel KernelGauges
 }
 
 // SystemSample is one system's coherent telemetry point.
@@ -65,11 +55,7 @@ type SystemSample struct {
 	TM   tm.Snapshot
 
 	Inflight int64
-	Degraded bool
-	Pressure int64
-
-	HasGov    bool
-	HasKernel bool
+	HasGov   bool
 }
 
 // Snapshot is one coherent sample of every registered system.
@@ -145,12 +131,5 @@ func sampleOne(out *SystemSample, name string, src *Source) {
 	out.Inflight = 0
 	if src.Gov != nil {
 		out.Inflight = src.Gov.Active()
-	}
-
-	out.HasKernel = src.Kernel != nil
-	out.Degraded, out.Pressure = false, 0
-	if src.Kernel != nil {
-		out.Degraded = src.Kernel.Degraded()
-		out.Pressure = src.Kernel.Pressure()
 	}
 }

@@ -10,15 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeKernel satisfies KernelGauges for registry tests.
-type fakeKernel struct {
-	degraded bool
-	pressure int64
-}
-
-func (k *fakeKernel) Degraded() bool  { return k.degraded }
-func (k *fakeKernel) Pressure() int64 { return k.pressure }
-
 // fullSource builds a source with every optional surface attached and a
 // few recognizable counter values.
 func fullSource(t testing.TB) Source {
@@ -33,7 +24,7 @@ func fullSource(t testing.TB) Source {
 
 	gov := governor.New(governor.DefaultConfig())
 	gov.Begin(gov.State(0)) // one worker inside a transaction
-	return Source{Stats: stats, Gov: gov, Kernel: &fakeKernel{degraded: true, pressure: 5}}
+	return Source{Stats: stats, Gov: gov}
 }
 
 func TestRegistryRegisterReplace(t *testing.T) {
@@ -84,16 +75,13 @@ func TestSampleCoherence(t *testing.T) {
 	if full.TM.CommitsHTM != 100 || full.TM.AbortsConflict != 7 {
 		t.Fatalf("full TM sample = %+v", full.TM)
 	}
-	if !full.HasGov || !full.HasKernel {
+	if !full.HasGov {
 		t.Fatalf("full source presence flags = %+v", full)
 	}
 	if full.Inflight != 1 {
 		t.Fatalf("inflight = %d with one transaction open, want 1", full.Inflight)
 	}
-	if !full.Degraded || full.Pressure != 5 {
-		t.Fatalf("kernel gauges = degraded %v pressure %d", full.Degraded, full.Pressure)
-	}
-	if bareS.HasGov || bareS.HasKernel {
+	if bareS.HasGov {
 		t.Fatalf("bare source claims optional surfaces: %+v", bareS)
 	}
 	if bareS.TM.CommitsSW != 9 {

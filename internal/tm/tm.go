@@ -134,12 +134,6 @@ type Shard struct {
 	EscalationsStarve  Counter
 	EscalationsLemming Counter
 
-	// Graceful degradation: entries into and exits from the degraded
-	// serialized mode, and transactions committed while it was active.
-	DegradedEnter   Counter
-	DegradedExit    Counter
-	DegradedCommits Counter
-
 	// FaultsInjected counts aborts this system absorbed that were forced by
 	// the fault injector (exactly zero when no injector is installed).
 	FaultsInjected Counter
@@ -167,7 +161,7 @@ type Shard struct {
 
 	// Padding to a multiple of the cache-line size so neighbouring shards
 	// never share a line even if an allocator packs them back to back.
-	_ [64 - (23*8)%64]byte
+	_ [64 - (20*8)%64]byte
 }
 
 // AddSerial records d of globally serialized execution.
@@ -200,9 +194,6 @@ func (sh *Shard) reset() {
 	sh.EscalationsBudget.v.Store(0)
 	sh.EscalationsStarve.v.Store(0)
 	sh.EscalationsLemming.v.Store(0)
-	sh.DegradedEnter.v.Store(0)
-	sh.DegradedExit.v.Store(0)
-	sh.DegradedCommits.v.Store(0)
 	sh.FaultsInjected.v.Store(0)
 	sh.BreakerTrips.v.Store(0)
 	sh.BreakerProbes.v.Store(0)
@@ -227,9 +218,6 @@ func (sh *Shard) add(out *Snapshot) {
 	out.EscalationsBudget += sh.EscalationsBudget.Load()
 	out.EscalationsStarve += sh.EscalationsStarve.Load()
 	out.EscalationsLemming += sh.EscalationsLemming.Load()
-	out.DegradedEnter += sh.DegradedEnter.Load()
-	out.DegradedExit += sh.DegradedExit.Load()
-	out.DegradedCommits += sh.DegradedCommits.Load()
 	out.FaultsInjected += sh.FaultsInjected.Load()
 	out.BreakerTrips += sh.BreakerTrips.Load()
 	out.BreakerProbes += sh.BreakerProbes.Load()
@@ -293,9 +281,6 @@ type Snapshot struct {
 	EscalationsBudget   uint64 `json:"escalations_budget"`
 	EscalationsStarve   uint64 `json:"escalations_starve"`
 	EscalationsLemming  uint64 `json:"escalations_lemming"`
-	DegradedEnter       uint64 `json:"degraded_enter"`
-	DegradedExit        uint64 `json:"degraded_exit"`
-	DegradedCommits     uint64 `json:"degraded_commits"`
 	FaultsInjected      uint64 `json:"faults_injected"`
 	BreakerTrips        uint64 `json:"breaker_trips,omitempty"`
 	BreakerProbes       uint64 `json:"breaker_probes,omitempty"`
@@ -343,9 +328,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		EscalationsBudget:   sub(s.EscalationsBudget, prev.EscalationsBudget),
 		EscalationsStarve:   sub(s.EscalationsStarve, prev.EscalationsStarve),
 		EscalationsLemming:  sub(s.EscalationsLemming, prev.EscalationsLemming),
-		DegradedEnter:       sub(s.DegradedEnter, prev.DegradedEnter),
-		DegradedExit:        sub(s.DegradedExit, prev.DegradedExit),
-		DegradedCommits:     sub(s.DegradedCommits, prev.DegradedCommits),
 		FaultsInjected:      sub(s.FaultsInjected, prev.FaultsInjected),
 		BreakerTrips:        sub(s.BreakerTrips, prev.BreakerTrips),
 		BreakerProbes:       sub(s.BreakerProbes, prev.BreakerProbes),

@@ -12,7 +12,7 @@ import (
 // transaction renders as a nested pair of slices — the outer slice spans
 // begin→commit, the inner slices split it per attempt at every abort —
 // with instant events for aborts, path transitions, lock traffic, ring
-// publication, lemming waits, escalations and degraded-mode edges, and
+// publication, lemming waits, escalations and watchdog alarms, and
 // flow arrows (ph s/t/f) chaining the retries of one transaction ID.
 
 // ChromeEvent is one entry of the trace-event array. Fields not used by a

@@ -3,8 +3,8 @@
 // a transaction takes through a TM system — begin, hardware aborts with
 // their cause, path transitions fast→partitioned→slow, sub-HTM
 // begin/commit, lock-signature traffic, ring publication, lemming waits,
-// contention-manager escalations, degraded-mode edges, and the final
-// commit — plus per-path and per-abort-cause latency histograms.
+// contention-manager escalations, and the final commit — plus per-path
+// and per-abort-cause latency histograms.
 //
 // # Memory model
 //
@@ -80,12 +80,6 @@ const (
 	// EvEscalate is a contention-manager escalation; Arg is the kind
 	// (0 budget, 1 starve, 2 lemming).
 	EvEscalate
-	// EvDegEnter marks a thread observing degraded mode switching on.
-	EvDegEnter
-	// EvDegLeave marks a thread observing degraded mode switching off.
-	EvDegLeave
-	// EvDegRun marks a transaction serialized by degraded mode.
-	EvDegRun
 	// EvBreakerTrip marks a thread's HTM circuit breaker opening.
 	EvBreakerTrip
 	// EvBreakerProbe marks a half-open probe transaction (hardware retried
@@ -126,9 +120,6 @@ var kindNames = [kindCount]string{
 	EvLemmingEnter:  "lemming-enter",
 	EvLemmingExit:   "lemming-exit",
 	EvEscalate:      "escalate",
-	EvDegEnter:      "degraded-enter",
-	EvDegLeave:      "degraded-leave",
-	EvDegRun:        "degraded-run",
 	EvBreakerTrip:   "breaker-trip",
 	EvBreakerProbe:  "breaker-probe",
 	EvBreakerClose:  "breaker-close",
@@ -248,7 +239,7 @@ func (b *Buffer) Record(ts int64, k Kind, id, arg uint64, cause, path uint8) {
 }
 
 // RecordMark is Record with no transaction context (id 0): protocol-level
-// markers such as degraded-mode edges.
+// markers such as watchdog alarms.
 func (b *Buffer) RecordMark(ts int64, k Kind, arg uint64) {
 	b.Record(ts, k, 0, arg, 0, 0)
 }

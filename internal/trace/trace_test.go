@@ -17,7 +17,7 @@ func TestNilSinkAndBufferAreNoOps(t *testing.T) {
 
 	var b *Buffer
 	b.Record(1, EvBegin, 1, 0, 0, 0)
-	b.RecordMark(1, EvDegEnter, 0)
+	b.RecordMark(1, EvWatchdog, 0)
 	if b.Len() != 0 || b.Cap() != 0 || b.Dropped() != 0 || b.Thread() != 0 {
 		t.Fatal("nil buffer accessors must return zeros")
 	}
