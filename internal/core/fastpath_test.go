@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/htm"
@@ -13,52 +15,57 @@ import (
 
 // TestPartitionedBeginDoomsCheckedFastTransaction pins the soundness of the
 // fast path's summary check: a fast transaction that has read activeTx == 0
-// and skipped the write-locks signatures is doomed by the very next
-// partitioned begin, before that transaction can publish a lock bit.
+// — and so skips the write-locks signatures and the ring publication — is
+// doomed by the very next partitioned begin, before that transaction can
+// publish a lock bit or snapshot a timestamp. Part-HTM makes that read at
+// commit, where nothing follows it that the test could park on, so the body
+// makes the same monitored read itself before it parks.
 func TestPartitionedBeginDoomsCheckedFastTransaction(t *testing.T) {
 	partitionedBeginDoomsFastTransaction(t, false)
 }
 
 // TestPartitionedBeginDoomsUncheckedOpaqueFastTransaction is the same for
 // Part-HTM-O, whose fast path reads activeTx at begin: an attempt that read
-// activeTx == 0 skips every lock-cell check, and the next partitioned begin
-// dooms it before that transaction can lock a cell.
+// activeTx == 0 skips every lock-cell check and the ring publication, and the
+// next partitioned begin dooms it before that transaction can lock a cell.
 func TestPartitionedBeginDoomsUncheckedOpaqueFastTransaction(t *testing.T) {
 	partitionedBeginDoomsFastTransaction(t, true)
 }
 
 // partitionedBeginDoomsFastTransaction builds the interleaving of the two
 // tests above. No sleeps: simulated memory's line locks freeze both
-// transactions where the test needs them. A probe hardware transaction holds
-// the timestamp line in its write set, so the fast transaction's timestamp
-// increment — at commit, after its activeTx read — dooms the probe, which the
-// test can observe; the fast transaction then stops at the ring entry's
-// header line, whose lock the test holds. The partitioned attempt increments
-// activeTx and stops at its next step, the timestamp snapshot, on a lock the
-// test also holds: at that point the increment is the only thing it has done.
+// transactions where the test needs them. The fast body, once it has written
+// its datum (and, for Part-HTM, read activeTx under the monitor), reads a
+// line whose lock the test holds, and stops there. The partitioned attempt
+// increments activeTx and stops at its next step, the timestamp snapshot, on
+// a lock the test also holds: at that point the increment is the only thing
+// it has done.
 func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 	s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
 	m := s.Memory()
-	counter, other := m.AllocLines(1), m.AllocLines(1)
-	rg := s.doms.Ring(0)
-	tsLine, headerLine := mem.LineOf(rg.TimestampAddr()), mem.LineOf(rg.SeqAddr(1))
+	counter, park, other := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
+	tsLine := mem.LineOf(s.doms.Ring(0).TimestampAddr())
+	heldPark := m.Lock(mem.LineOf(park))
+	heldTS := m.Lock(tsLine)
 
-	probe := s.eng.Begin(2)
-	probe.Write(rg.TimestampAddr(), 0)
-	heldHeader := m.Lock(headerLine)
-
+	f := s.threads[0]
+	var once sync.Once
+	parked := make(chan struct{})
 	fastDone := make(chan struct{})
 	go func() {
 		defer close(fastDone)
-		s.Atomic(0, func(x tm.Tx) { x.Write(counter, x.Read(counter)+1) })
+		s.Atomic(0, func(x tm.Tx) {
+			x.Write(counter, x.Read(counter)+1)
+			if !opaque && f.ht.Read(s.activeTx) != 0 {
+				t.Error("activeTx != 0 with no partitioned transaction begun")
+			}
+			once.Do(func() { close(parked) })
+			x.Read(park)
+		})
 	}()
-	for !probe.Doomed() {
-		runtime.Gosched()
-	}
-	probe.Cancel()
-	heldTS := m.Lock(tsLine)
-	// Both ordered after the fast thread's stores by the probe's doom.
-	fast, checked := s.threads[0].ht, s.threads[0].checkCells
+	<-parked
+	// Both written before the body signalled.
+	fast, checked := f.ht, f.checkCells
 	if fast.Doomed() {
 		t.Fatal("the fast transaction was doomed before any partitioned transaction began")
 	}
@@ -82,7 +89,7 @@ func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 	if !<-partDone {
 		t.Fatal("the read-only partitioned attempt did not commit")
 	}
-	m.Unlock(headerLine, heldHeader)
+	m.Unlock(mem.LineOf(park), heldPark)
 	<-fastDone
 
 	if got := m.Load(counter); got != 1 {
@@ -325,12 +332,13 @@ func TestOpaqueSegmentChecksCellsWhilePartitionedActive(t *testing.T) {
 }
 
 // TestFastCommitMetadataFootprint pins the fast path's metadata cost in
-// monitored lines. The timestamp increment takes its line into the write set
-// only.
+// monitored lines. While no partitioned transaction runs a fast commit
+// publishes nothing, so neither the timestamp nor a ring entry is in its
+// footprint.
 func TestFastCommitMetadataFootprint(t *testing.T) {
-	// A one-write transaction reads the global-lock line, the active count
-	// and one ring-entry header, and writes its datum, the timestamp and that
-	// header.
+	// A one-write transaction reads the global-lock line and the active count
+	// and writes its datum. Every fast commit reads those two lines and
+	// writes its datum, so the maxima are exact.
 	t.Run("Part-HTM", func(t *testing.T) {
 		s := newSystem(1, 1<<17, nil, nil)
 		p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
@@ -344,15 +352,15 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 			rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) || rows[0].Count != 3 {
 			t.Fatalf("want three fast-class commits and nothing else, got %+v", rows)
 		}
-		if r := rows[0]; r.WriteMax > 3 || r.ReadMax > 3 {
-			t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want at most 3 and 3", r.ReadMax, r.WriteMax)
+		if r := rows[0]; r.ReadMax != 2 || r.WriteMax != 1 {
+			t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want 2 and 1", r.ReadMax, r.WriteMax)
 		}
 	})
 
 	// A transaction that reads k distinct lines and writes one of them reads
-	// those k, the global lock, the active count and a ring header while no
-	// partitioned transaction runs. While one does, it reads the k lock cells
-	// as well, and not the active count.
+	// those k, the global lock and the active count while no partitioned
+	// transaction runs. While one does, it reads the k lock cells and the ring
+	// header it publishes to as well, and not the active count.
 	t.Run("Part-HTM-O", func(t *testing.T) {
 		const k = 5
 		s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = true })
@@ -375,8 +383,8 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 			_, r, _ := ht.Footprint() // readable until the slot's next Begin
 			return r
 		}
-		if r := readLines(); r != k+3 {
-			t.Fatalf("idle: a %d-read fast commit monitored %d read lines, want %d", k, r, k+3)
+		if r := readLines(); r != k+2 {
+			t.Fatalf("idle: a %d-read fast commit monitored %d read lines, want %d", k, r, k+2)
 		}
 		release := parkPartitioned(t, s, 1, lockedAddr, 7)
 		if r := readLines(); r != 2*k+2 {
@@ -386,4 +394,267 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 			t.Fatal("the parked partitioned attempt did not commit")
 		}
 	})
+}
+
+// TestDisjointFastCommitsNeverConflict: fast transactions of two threads on
+// disjoint lines share no line that either writes while no partitioned
+// transaction runs, since neither publishes to the ring, so none of them
+// aborts for a conflict and none leaves the fast path, under every
+// interleaving.
+func TestDisjointFastCommitsNeverConflict(t *testing.T) {
+	const (
+		threads = 2
+		txns    = 5000
+		lines   = 16
+		rmws    = 4
+	)
+	for _, opaque := range []bool{false, true} {
+		s := newSystem(threads, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
+		t.Run(s.Name(), func(t *testing.T) {
+			m := s.Memory()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for id := 0; id < threads; id++ {
+				own := m.AllocLines(lines)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < txns; i++ {
+						s.Atomic(id, func(x tm.Tx) {
+							for j := 0; j < rmws; j++ {
+								a := own + mem.Addr((i*rmws+j)%lines*mem.LineWords)
+								x.Write(a, x.Read(a)+1)
+							}
+						})
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			st := s.Stats().Snapshot()
+			if st.AbortsConflict != 0 || st.CommitsSW != 0 || st.CommitsGL != 0 {
+				t.Fatalf("disjoint fast transactions: %d conflict aborts, %d partitioned and %d lock commits, want none: %+v",
+					st.AbortsConflict, st.CommitsSW, st.CommitsGL, st)
+			}
+			if st.CommitsHTM != threads*txns {
+				t.Fatalf("hardware commits = %d, want %d", st.CommitsHTM, threads*txns)
+			}
+		})
+	}
+}
+
+// TestInFlightValidationSeesFastCommit: a fast commit made while a
+// partitioned transaction runs publishes its write signature, so that
+// transaction's validation sees it. A reads y and commits that segment, so y
+// is in its validated snapshot; a fast transaction then writes y while A is
+// parked. The timestamp advances, A fails validation and retries, and its
+// retry commits with the fast transaction's value.
+func TestInFlightValidationSeesFastCommit(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		s := newSystem(2, 1<<17, nil, func(c *Config) {
+			c.NoFastPath = true // A runs on the partitioned path
+			c.Opaque = opaque
+		})
+		t.Run(s.Name(), func(t *testing.T) {
+			m := s.Memory()
+			x0, y0 := m.AllocLines(1), m.AllocLines(1)
+			m.Store(x0, 1)
+
+			var once sync.Once
+			var seen []uint64
+			parked, resume := make(chan struct{}), make(chan struct{})
+			aDone := make(chan struct{})
+			go func() {
+				defer close(aDone)
+				s.Atomic(0, func(x tm.Tx) {
+					v := x.Read(y0)
+					x.Pause() // commit segment 1: v is now part of the validated snapshot
+					seen = append(seen, v)
+					once.Do(func() {
+						close(parked)
+						<-resume
+					})
+					x.Write(x0, v+10)
+				})
+			}()
+			<-parked
+			if got := m.Load(s.activeTx); got != 1 {
+				t.Fatalf("activeTx = %d with A parked", got)
+			}
+			ts0 := s.doms.Ring(0).Timestamp()
+			b := s.threads[1]
+			if res := s.fastAttempt(b, &tx{s: s, t: b}, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
+				t.Fatalf("the fast write of y did not commit: %+v", res)
+			}
+			if got := s.doms.Ring(0).Timestamp(); got != ts0+1 {
+				t.Errorf("timestamp %d after a fast commit made while A runs, want %d", got, ts0+1)
+			}
+			close(resume)
+			<-aDone
+
+			// Segment 1 replays within an attempt, so seen has one entry per
+			// body run that got past it.
+			if len(seen) < 2 || seen[0] != 0 || seen[len(seen)-1] != 7 {
+				t.Errorf("A's y per run = %v, want 0 first and 7 last", seen)
+			}
+			if got := m.Load(x0); got != 17 {
+				t.Fatalf("x = %d, want 17 (A must retry with the fast transaction's value)", got)
+			}
+			if st := s.Stats().Snapshot(); st.CommitsSW != 1 || st.CommitsGL != 0 {
+				t.Fatalf("want A's one partitioned commit, got %+v", st)
+			}
+		})
+	}
+}
+
+// TestPartitionedBeginDuringFastAttemptSeesItsCommit: a partitioned
+// transaction A that begins while a fast attempt runs validates against that
+// attempt's commit. For Part-HTM-O, A begins after the attempt's unmonitored
+// peek at activeTx saw 0 and before its monitored read, so only that read
+// tells the attempt to publish. The fast attempt stops at its global-lock
+// read, on a line lock the test holds, and A increments activeTx; then both
+// go on. A reads y and commits that segment, the fast attempt writes y and z
+// and commits, and A then reads z: it must fail validation rather than
+// commit the old y with the new z, and its retry commits with both new.
+func TestPartitionedBeginDuringFastAttemptSeesItsCommit(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
+		t.Run(s.Name(), func(t *testing.T) {
+			m := s.Memory()
+			y0, z0 := m.AllocLines(1), m.AllocLines(1)
+			glockLine := mem.LineOf(s.glock)
+			held := m.Lock(glockLine)
+
+			f, p := s.threads[0], s.threads[1]
+			aRead, fastDone := make(chan struct{}), make(chan struct{})
+			var res htm.Result
+			go func() {
+				defer close(fastDone)
+				res = s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+					<-aRead
+					x.Write(y0, 1)
+					x.Write(z0, 1)
+				})
+			}()
+			for !lockWaiterIn("core.(*System).fastAttempt(") {
+				runtime.Gosched()
+			}
+
+			var once sync.Once
+			var seen [][2]uint64
+			resume := make(chan struct{})
+			a := func(x tm.Tx) {
+				y := x.Read(y0)
+				x.Pause() // y is now part of the validated snapshot
+				once.Do(func() {
+					close(aRead)
+					<-resume
+				})
+				seen = append(seen, [2]uint64{y, x.Read(z0)})
+			}
+			aDone := make(chan bool)
+			go func() { aDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, a) }()
+			for m.Load(s.activeTx) != 1 {
+				runtime.Gosched()
+			}
+			ts0 := s.doms.Ring(0).Timestamp()
+			m.Unlock(glockLine, held)
+
+			<-fastDone
+			if !res.Committed {
+				t.Fatalf("the fast attempt did not commit: %+v", res)
+			}
+			if got := s.doms.Ring(0).Timestamp(); got != ts0+1 {
+				t.Errorf("timestamp %d after a fast commit made while A runs, want %d", got, ts0+1)
+			}
+			close(resume)
+			if <-aDone {
+				t.Fatalf("A committed having read y and z = %v around the fast commit", seen)
+			}
+			if !s.partitionedAttempt(p, &tx{s: s, t: p}, a) {
+				t.Fatal("A's retry did not commit")
+			}
+			if last := seen[len(seen)-1]; last != [2]uint64{1, 1} {
+				t.Errorf("A's retry read y and z = %v, want both 1", last)
+			}
+			if opaque && len(seen) != 1 {
+				t.Errorf("Part-HTM-O's A read y and z = %v, want only its retry's pair", seen)
+			}
+		})
+	}
+}
+
+// TestCommittingPartitionedTransactionStillCounts: a partitioned transaction
+// counts in activeTx until it has claimed its timestamp, published and
+// released its locks, because it can still abort until it has claimed. A
+// reads y, writes w and commits that segment; a fast commit then writes y
+// and publishes. A's global commit stops in its timestamp claim, on a line
+// lock the test holds, and there a fast attempt reads w: it must not skip
+// the lock check and commit A's value, because A's claim then fails on the
+// published y and rolls w back.
+func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		s := newSystem(2, 1<<17, nil, func(c *Config) { c.Opaque = opaque })
+		t.Run(s.Name(), func(t *testing.T) {
+			m := s.Memory()
+			y0, w0 := m.AllocLines(1), m.AllocLines(1)
+			if !sig.CollisionFree([]uint32{uint32(y0), uint32(w0)}) {
+				t.Skip("the two test addresses share a signature bit")
+			}
+			tsLine := mem.LineOf(s.doms.Ring(0).TimestampAddr())
+			f, p := s.threads[0], s.threads[1]
+
+			parked, resume := make(chan struct{}), make(chan struct{})
+			aDone := make(chan bool)
+			go func() {
+				aDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+					x.Read(y0)
+					x.Write(w0, 1)
+					x.Pause() // w is written in place and locked
+					close(parked)
+					<-resume
+				})
+			}()
+			<-parked
+			if res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
+				t.Fatalf("the fast write of y did not commit: %+v", res)
+			}
+
+			held := m.Lock(tsLine)
+			close(resume)
+			for !lockWaiterIn("domain.(*Domains).ClaimTimestamp(") {
+				runtime.Gosched()
+			}
+			if got := m.Load(s.activeTx); got != 1 {
+				t.Errorf("activeTx = %d while A claims its timestamp, want 1", got)
+			}
+			var w uint64
+			res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) { w = x.Read(w0) })
+			m.Unlock(tsLine, held)
+
+			if <-aDone {
+				t.Fatal("A committed over a published write of a location it read")
+			}
+			if res.Committed && w == 1 {
+				t.Error("a fast attempt committed having read w = 1, which A then rolled back")
+			}
+			if got := m.Load(w0); got != 0 {
+				t.Fatalf("w = %d after A's abort, want 0", got)
+			}
+		})
+	}
+}
+
+// lockWaiterIn reports whether some goroutine is waiting for a line lock
+// with frame on its stack.
+func lockWaiterIn(frame string) bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("mem.(*Memory).Unlocked")) && bytes.Contains(g, []byte(frame)) {
+			return true
+		}
+	}
+	return false
 }

@@ -535,6 +535,15 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 	t.checkCells = s.mustCheckCells(ht, alone, 0)
 	body(x)
 	ds := t.ds
+	// publish says whether a partitioned transaction may validate against this
+	// commit, so that its write signature must go to the ring. Figure 1
+	// publishes unconditionally, but an attempt that holds activeTx == 0
+	// monitored until its commit has no reader: a partitioned transaction
+	// increments activeTx before it snapshots the timestamps it validates
+	// from, so one that begins before the commit dooms it, and one that
+	// begins after snapshots past it. An unchecked Part-HTM-O attempt holds
+	// that read since begin; Part-HTM makes it below.
+	publish := t.checkCells
 	if !s.cfg.Opaque {
 		// Commit-time validation: no read from or write over a non-visible
 		// (locked) location (Figure 1 lines 7-8), per touched domain in
@@ -555,6 +564,7 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		// way (a partitioned transaction may hold no lock yet), so the
 		// signatures are then read as before.
 		unlocked := ht.Read(s.activeTx) == 0
+		publish = !unlocked
 		var wl [sig.Words]uint64
 		for m := ds.Touched; m != 0; m &= m - 1 {
 			if unlocked {
@@ -572,8 +582,13 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 	// Opaque mode checked locks at encounter time and keeps every touched
 	// lock cell monitored, or holds activeTx == 0 monitored, so no commit
 	// validation is needed (Figure 2).
-	if ds.Wrote != 0 {
+	if ds.Wrote == 0 {
+		publish = false
+	} else {
+		// Fault campaigns draw here whether or not the commit publishes.
 		ht.InjectionPoint(fault.SiteRingPub)
+	}
+	if publish {
 		// Publish to every written domain's ring inside the hardware
 		// window, ascending; the hardware commit makes all the entries (and
 		// all the timestamp increments) visible atomically, so a fast-path
@@ -585,7 +600,7 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		}
 	}
 	ht.Commit()
-	if ds.Wrote != 0 {
+	if publish {
 		// The ring entries became visible with the hardware commit; record
 		// now that the window is closed.
 		t.et.TraceEvent(trace.EvRingPub, 0)

@@ -74,19 +74,44 @@ func TestTraceProtocolEvents(t *testing.T) {
 	}
 }
 
-// TestTraceFastPathRingPub: a writing fast-path commit records its ring
-// publication after the window closes.
+// TestTraceFastPathRingPub: a writing fast-path commit publishes to the ring,
+// and records the publication after the window closes, only while a
+// partitioned transaction may validate against it. With none running it
+// records no EvRingPub and leaves the timestamp alone.
 func TestTraceFastPathRingPub(t *testing.T) {
-	s := newSystem(1, 1<<17, nil, nil)
-	sink := trace.NewSink(64)
-	s.Kernel().SetTrace(sink)
-	a := s.Memory().Alloc(1)
-	s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
-	evs := sink.Events()
-	if countKind(evs, trace.EvRingPub) != 1 {
-		t.Fatalf("ring publications = %d, want 1: %v", countKind(evs, trace.EvRingPub), evs)
-	}
-	if evs[len(evs)-1].Kind != trace.EvCommit || evs[len(evs)-1].Path != trace.PathHTM {
-		t.Fatalf("last event = %v, want HTM commit", evs[len(evs)-1])
+	for _, tc := range []struct {
+		name        string
+		partitioned bool
+		want        int
+	}{
+		{"idle", false, 0},
+		{"partitioned active", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSystem(2, 1<<17, nil, nil)
+			m := s.Memory()
+			a, lockedAddr := m.AllocLines(1), m.AllocLines(1)
+			var release func() bool
+			if tc.partitioned {
+				release = parkPartitioned(t, s, 1, lockedAddr, 7)
+			}
+			sink := trace.NewSink(64)
+			s.Kernel().SetTrace(sink)
+			ts0 := s.doms.Ring(0).Timestamp()
+			s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
+			if got := s.doms.Ring(0).Timestamp() - ts0; got != uint64(tc.want) {
+				t.Errorf("the fast commit advanced the timestamp by %d, want %d", got, tc.want)
+			}
+			evs := sink.Events()
+			if countKind(evs, trace.EvRingPub) != tc.want {
+				t.Errorf("ring publications = %d, want %d: %v", countKind(evs, trace.EvRingPub), tc.want, evs)
+			}
+			if evs[len(evs)-1].Kind != trace.EvCommit || evs[len(evs)-1].Path != trace.PathHTM {
+				t.Errorf("last event = %v, want HTM commit", evs[len(evs)-1])
+			}
+			if release != nil && !release() {
+				t.Fatal("the parked partitioned attempt did not commit")
+			}
+		})
 	}
 }

@@ -15,7 +15,9 @@
 //   - SiteHTMCommit: every hardware commit;
 //   - SiteRingPub: publication of a committed write signature into the
 //     global ring (hardware fast-path publication and the software
-//     publisher in Part-HTM's global commit);
+//     publisher in Part-HTM's global commit). A writing fast commit draws
+//     it whether or not it publishes: it skips the ring while no
+//     partitioned transaction runs;
 //   - SiteLockSigRead: the monitored read of the shared write-locks
 //     signature that gates every Part-HTM validation.
 //
