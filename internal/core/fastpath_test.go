@@ -13,13 +13,13 @@ import (
 	"repro/internal/tm"
 )
 
-// TestPartitionedBeginDoomsCheckedFastTransaction pins the soundness of the
-// fast path's summary check: a fast transaction that has read activeTx == 0
-// — and so skips the write-locks signatures and the ring publication — is
-// doomed by the very next partitioned begin, before that transaction can
-// publish a lock bit or snapshot a timestamp. Part-HTM makes that read at
-// commit, where nothing follows it that the test could park on, so the body
-// makes the same monitored read itself before it parks.
+// TestPartitionedBeginDoomsCheckedFastTransaction pins what the summary
+// check rests on: a fast transaction that has read activeTx == 0 under a
+// monitor is doomed by the very next partitioned begin, before that
+// transaction can publish a lock bit or snapshot a timestamp. Part-HTM reads
+// the count at commit as its last access, with a raw load, since nothing can
+// follow it that the begin could race; so the body makes a monitored read
+// itself before it parks, and the test pins the engine side of the argument.
 func TestPartitionedBeginDoomsCheckedFastTransaction(t *testing.T) {
 	partitionedBeginDoomsFastTransaction(t, false)
 }
@@ -336,9 +336,10 @@ func TestOpaqueSegmentChecksCellsWhilePartitionedActive(t *testing.T) {
 // publishes nothing, so neither the timestamp nor a ring entry is in its
 // footprint.
 func TestFastCommitMetadataFootprint(t *testing.T) {
-	// A one-write transaction reads the global-lock line and the active count
-	// and writes its datum. Every fast commit reads those two lines and
-	// writes its datum, so the maxima are exact.
+	// A one-write transaction reads the global-lock line and writes its
+	// datum; its commit-time read of the active count is a raw load. Every
+	// fast commit reads that one line and writes its datum, so the maxima are
+	// exact.
 	t.Run("Part-HTM", func(t *testing.T) {
 		s := newSystem(1, 1<<17, nil, nil)
 		p := prof.New(prof.Config{Sets: s.eng.Config().WriteSets})
@@ -352,8 +353,8 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 			rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) || rows[0].Count != 3 {
 			t.Fatalf("want three fast-class commits and nothing else, got %+v", rows)
 		}
-		if r := rows[0]; r.ReadMax != 2 || r.WriteMax != 1 {
-			t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want 2 and 1", r.ReadMax, r.WriteMax)
+		if r := rows[0]; r.ReadMax != 1 || r.WriteMax != 1 {
+			t.Fatalf("a one-write fast commit monitored %d read and %d write lines, want 1 and 1", r.ReadMax, r.WriteMax)
 		}
 	})
 
@@ -643,6 +644,101 @@ func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
 				t.Fatalf("w = %d after A's abort, want 0", got)
 			}
 		})
+	}
+}
+
+// TestAloneFastAttemptChecksLocksTakenDuringIt: a Part-HTM fast attempt that
+// begins alone keeps no read signature, so when its commit finds a
+// partitioned transaction running it checks every word of every line it
+// monitors instead. Here the attempt begins alone, a partitioned transaction
+// then begins, writes x, which locks it, and commits that segment, and the
+// attempt reads x, getting that transaction's uncommitted value, and tries to
+// commit. It must abort with codeLockHit. In the second case x shares a line
+// with a word the attempt wrote before reading it, so the line is in its
+// write set too.
+func TestAloneFastAttemptChecksLocksTakenDuringIt(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		writeLine bool
+	}{{"read", false}, {"read after a write to its line", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSystem(2, 1<<17, nil, nil)
+			m := s.Memory()
+			x0 := m.AllocLines(1)
+			w0 := x0 + 1
+			if !sig.CollisionFree([]uint32{uint32(x0), uint32(w0)}) {
+				t.Skip("the two test addresses share a signature bit")
+			}
+			f := s.threads[0]
+			begun, locked := make(chan struct{}), make(chan struct{})
+			var v uint64
+			fastDone := make(chan htm.Result)
+			go func() {
+				fastDone <- s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+					close(begun)
+					<-locked
+					if tc.writeLine {
+						x.Write(w0, 1)
+					}
+					v = x.Read(x0)
+				})
+			}()
+			<-begun
+			release := parkPartitioned(t, s, 1, x0, 7)
+			close(locked)
+			res := <-fastDone
+			if res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+				t.Fatalf("a fast attempt that read x = %d, locked by a partitioned transaction that began during it: %+v, want an explicit codeLockHit abort", v, res)
+			}
+			if v != 7 {
+				t.Errorf("the attempt read x = %d, want the partitioned transaction's uncommitted 7", v)
+			}
+			if !release() {
+				t.Fatal("the parked partitioned attempt did not commit")
+			}
+			if a, b := m.Load(x0), m.Load(w0); a != 7 || b != 0 {
+				t.Fatalf("x = %d, w = %d; want 7 and 0", a, b)
+			}
+		})
+	}
+}
+
+// TestGateLoadsRawWhileLockFree: Part-HTM's gate reads a free global lock with
+// a raw load, so while the test holds the lock word's line lock with the lock
+// free, an Atomic passes the gate and waits in its fast attempt's monitored
+// read of the lock. With the lock held the gate re-reads it with a Load, so
+// the same Atomic waits in the gate: each spin of the lemming wait still
+// takes the line lock.
+func TestGateLoadsRawWhileLockFree(t *testing.T) {
+	for _, lock := range []uint64{0, 1} {
+		s := newSystem(1, 1<<17, nil, nil)
+		m := s.Memory()
+		a := m.AllocLines(1)
+		m.Store(s.glock, lock)
+		glockLine := mem.LineOf(s.glock)
+		held := m.Lock(glockLine)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
+		}()
+		const inFast, inGate = "core.(*System).fastAttempt(", "exec.(*Runner).awaitGate("
+		for !lockWaiterIn("core.(*System).Atomic(") {
+			runtime.Gosched()
+		}
+		want, other := inFast, inGate
+		if lock != 0 {
+			want, other = inGate, inFast
+		}
+		if !lockWaiterIn(want) {
+			t.Errorf("global lock %d: the Atomic waits for the lock's line outside %s (in %s: %v)", lock, want, other, lockWaiterIn(other))
+		}
+		m.Unlock(glockLine, held)
+		m.Store(s.glock, 0)
+		<-done
+		if got := m.Load(a); got != 1 {
+			t.Fatalf("global lock %d: the Atomic wrote %d, want 1", lock, got)
+		}
 	}
 }
 

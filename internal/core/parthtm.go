@@ -208,12 +208,13 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 			panic("core: opaque shadow region unexpectedly small")
 		}
 	}
-	// The gate stays a Load, though a raw load would be sound (every attempt
-	// re-reads the lock under a monitor). The schedule's bounded lemming wait
-	// counts spins of this gate, and with the cheaper raw load Part-HTM fell
-	// back to the global lock more often under contention
+	// The gate is sound as a raw load, since every attempt re-reads the lock
+	// under a monitor, and a free lock costs just that. A held one is re-read
+	// with a Load: the schedule's bounded lemming wait counts spins of this
+	// gate, and with spins of the cheaper raw load alone Part-HTM fell back to
+	// the global lock more often under contention
 	// (TestShapeFig3bPartHTMWinsBigReads).
-	s.run = exec.New(pol, &s.stats, func() bool { return m.Load(s.glock) == 0 })
+	s.run = exec.New(pol, &s.stats, func() bool { return m.RawLoad(s.glock) == 0 || m.Load(s.glock) == 0 })
 	s.threads = make([]*thread, maxThreads)
 	for i := range s.threads {
 		t := newThread(i)
@@ -529,6 +530,10 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 	ht := s.eng.Begin(t.id)
 	t.ht = ht
 	t.resetFast()
+	// No fast attempt adds to a write signature, and Part-HTM's keeps a read
+	// signature only if a partitioned transaction ran when it began:
+	// fastSignatures builds what a commit needs from what ht holds.
+	t.ds.Clean = alone || s.cfg.Opaque
 	if ht.Read(s.glock) != 0 {
 		ht.Abort(codeGLock) // the lock line stays monitored: later acquisition dooms us
 	}
@@ -537,12 +542,13 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 	ds := t.ds
 	// publish says whether a partitioned transaction may validate against this
 	// commit, so that its write signature must go to the ring. Figure 1
-	// publishes unconditionally, but an attempt that holds activeTx == 0
-	// monitored until its commit has no reader: a partitioned transaction
-	// increments activeTx before it snapshots the timestamps it validates
-	// from, so one that begins before the commit dooms it, and one that
-	// begins after snapshots past it. An unchecked Part-HTM-O attempt holds
-	// that read since begin; Part-HTM makes it below.
+	// publishes unconditionally, but an attempt that saw activeTx == 0 after
+	// its last access has no reader: a partitioned transaction increments
+	// activeTx before it snapshots the timestamps it validates from, so one
+	// that begins before that read is seen by it, and one that begins after
+	// reads each line the attempt wrote either before the commit, dooming it,
+	// or after, seeing its values. An unchecked Part-HTM-O attempt holds that
+	// read monitored since begin; Part-HTM makes it below.
 	publish := t.checkCells
 	if !s.cfg.Opaque {
 		// Commit-time validation: no read from or write over a non-visible
@@ -551,23 +557,25 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		// at cache-line granularity — four monitored line reads.
 		//
 		// The count of partitioned-path transactions summarises every
-		// domain's signature, so one monitored read of it usually stands in
-		// for all of those. A lock bit is only ever set by a transaction that
-		// has already incremented activeTx (partitionedAttempt's first step)
-		// and is cleared before that transaction decrements it (globalCommit
-		// and globalAbort release, then decActive): activeTx == 0 means every
-		// write-locks signature is empty now. It stays a sound answer until
-		// our commit because the read is monitored: the increment that must
-		// precede the next lock bit is a non-transactional write to this
-		// line, and dooms us exactly as that bit's publication to a monitored
-		// signature line would have. A nonzero count proves nothing either
-		// way (a partitioned transaction may hold no lock yet), so the
+		// domain's signature, so one read of it usually stands in for all of
+		// those. A lock bit is only ever set by a transaction that has already
+		// incremented activeTx (partitionedAttempt's first step) and is
+		// cleared before that transaction decrements it (globalCommit and
+		// globalAbort release, then decActive): activeTx == 0 means every
+		// write-locks signature is empty now. The read is a raw load, because
+		// it is the attempt's last access: a lock bit set before it is counted
+		// in it, and one set after it on a location the attempt accessed is
+		// a sub-HTM write to that location, which dooms the attempt (requester
+		// wins) or waits for its commit. A nonzero count proves nothing
+		// either way (a partitioned transaction may hold no lock yet), so the
 		// signatures are then read as before.
-		unlocked := ht.Read(s.activeTx) == 0
-		publish = !unlocked
+		publish = s.m.RawLoad(s.activeTx) != 0
+		if publish {
+			s.fastSignatures(t, ht)
+		}
 		var wl [sig.Words]uint64
 		for m := ds.Touched; m != 0; m &= m - 1 {
-			if unlocked {
+			if !publish {
 				// Fault campaigns draw here once per domain either way.
 				ht.InjectionPoint(fault.SiteLockSigRead)
 				continue
@@ -589,6 +597,9 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		ht.InjectionPoint(fault.SiteRingPub)
 	}
 	if publish {
+		if s.cfg.Opaque {
+			s.fastSignatures(t, ht)
+		}
 		// Publish to every written domain's ring inside the hardware
 		// window, ascending; the hardware commit makes all the entries (and
 		// all the timestamp increments) visible atomically, so a fast-path
@@ -607,6 +618,34 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 	}
 	t.fastFailStreak = 0
 	return htm.Result{Committed: true}
+}
+
+// fastSignatures builds a fast attempt's signatures at commit, for a commit
+// that checks the write-locks signatures or publishes to a ring, from what
+// its hardware transaction holds. It must run before the timestamp Add. The
+// write signature is the words ht buffered, which are exactly the words
+// tx.Write wrote. A Part-HTM attempt that began alone (ds.Clean) kept no
+// read signature, so it gets every word of every line ht monitors, read
+// lines and write lines both, whichever set the engine keeps a line in that
+// the attempt read after writing to it. That is a superset of what it read,
+// and the case is rare: a partitioned transaction began during the attempt.
+func (s *System) fastSignatures(t *thread, ht *htm.Txn) {
+	ds := t.ds
+	var line func(mem.Line)
+	if ds.Clean && !s.cfg.Opaque {
+		line = func(l mem.Line) {
+			base := mem.Addr(l) * mem.LineWords
+			d := s.doms.Of(base)
+			if ds.Touched&(1<<uint(d)) == 0 {
+				return // no commit check reads an untouched domain's signature
+			}
+			for i := mem.Addr(0); i < mem.LineWords; i++ {
+				ds.Read[d].Add(uint32(base + i))
+			}
+		}
+	}
+	ds.Clean = false
+	ht.Held(func(a mem.Addr) { ds.Write[s.doms.Of(a)].Add(uint32(a)) }, line)
 }
 
 // ---------------------------------------------------------------------------
@@ -978,7 +1017,7 @@ func (s *System) ensureSub(t *thread) *htm.Txn {
 		return t.ht
 	}
 	t.et.TraceEvent(trace.EvSubBegin, 0) // before Begin: outside the window
-	alone := s.peekAlone(1)
+	alone := s.cfg.Opaque && s.peekAlone(1)
 	ht := s.eng.Begin(t.id)
 	ht.SetProfileClass(prof.ClassSub) // footprints split fast vs sub-HTM
 	t.ht = ht
@@ -1000,15 +1039,17 @@ func (s *System) ensureSub(t *thread) *htm.Txn {
 }
 
 // peekAlone loads activeTx before a hardware transaction begins and
-// reports whether it counts only the caller's own partitioned transactions
-// (see checkCells). Only Part-HTM-O has cells to skip. A peek that sees
-// others keeps activeTx out of the read set, so checked transactions are not
-// doomed by partitioned begins and ends they do not conflict with. The peek
-// is advisory — mustCheckCells re-reads the count under a monitor — and
-// activeTx is only ever written non-transactionally, so a load that took the
-// line lock and told the engine would doom no one: it is a raw load.
+// reports whether it counts only the caller's own partitioned transactions.
+// It is advisory. A Part-HTM fast attempt that peeks alone keeps no read
+// signature, and its commit re-reads the count. Part-HTM-O re-reads it under
+// a monitor (mustCheckCells) to skip its lock cells (see checkCells); a peek
+// that sees others keeps activeTx out of the read set, so checked
+// transactions are not doomed by partitioned begins and ends they do not
+// conflict with. activeTx is only ever written non-transactionally, so a
+// load that took the line lock and told the engine would doom no one: it is
+// a raw load.
 func (s *System) peekAlone(own uint64) bool {
-	return s.cfg.Opaque && s.m.RawLoad(s.activeTx) == own
+	return s.m.RawLoad(s.activeTx) == own
 }
 
 // mustCheckCells is checkCells for ht, begun after a peekAlone(own) that
@@ -1389,7 +1430,11 @@ func (x *tx) Read(a mem.Addr) uint64 {
 		}
 		d := s.doms.Of(a)
 		t.ds.Touched |= 1 << uint(d)
-		t.ds.Read[d].Add(uint32(a))
+		if !t.ds.Clean {
+			// A partitioned transaction ran at begin: keep the read
+			// signature the commit checks.
+			t.ds.Read[d].Add(uint32(a))
+		}
 		return t.ht.Read(a)
 
 	case modeLive:
@@ -1426,8 +1471,7 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		if t.checkCells && t.ht.Read(s.cell(a))&1 != 0 {
 			t.ht.Abort(codeLockHit)
 		}
-		t.ds.Write[d].Add(uint32(a))
-		t.ht.Write(a, v)
+		t.ht.Write(a, v) // fastSignatures finds a in ht's write buffer
 		t.ds.Wrote |= 1 << uint(d)
 		return
 

@@ -253,6 +253,11 @@ type TxnState struct {
 	// free attempts. Multi-domain states start from 0: footprint-driven.
 	Base uint64
 
+	// Clean is an attempt's promise that it has added to no signature since
+	// the last Reset, so that the next Reset need not clear them. Reset drops
+	// the promise: an attempt that does not make it again is cleared after.
+	Clean bool
+
 	sh *tm.Shard
 }
 
@@ -281,17 +286,19 @@ func (t *TxnState) Shard() *tm.Shard { return t.sh }
 // Count returns the number of domains the current attempt touched.
 func (t *TxnState) Count() int { return bits.OnesCount64(t.Touched) }
 
-// Reset clears the signatures of every touched domain and restores the
-// masks (Touched to Base, Wrote to empty), preparing the state for a
-// fresh attempt.
+// Reset clears the signatures of every touched domain, unless the attempt
+// kept them Clean, and restores the masks (Touched to Base, Wrote to empty,
+// Clean to false), preparing the state for a fresh attempt.
 func (t *TxnState) Reset() {
-	for m := t.Touched; m != 0; m &= m - 1 {
-		d := bits.TrailingZeros64(m)
-		t.Read[d].Clear()
-		t.Write[d].Clear()
-		t.Agg[d].Clear()
+	if !t.Clean {
+		for m := t.Touched; m != 0; m &= m - 1 {
+			d := bits.TrailingZeros64(m)
+			t.Read[d].Clear()
+			t.Write[d].Clear()
+			t.Agg[d].Clear()
+		}
 	}
-	t.Touched, t.Wrote = t.Base, 0
+	t.Touched, t.Wrote, t.Clean = t.Base, 0, false
 }
 
 // Validate re-validates every touched domain's reads against that domain's

@@ -266,3 +266,24 @@ func TestTxnState(t *testing.T) {
 		t.Fatal("Shard not owner-bound")
 	}
 }
+
+// TestTxnStateCleanSkipsClearing: an attempt that promises it added to no
+// signature (Clean) is reset without clearing them, and Reset drops the
+// promise, so the attempt after it is cleared unless it promises again.
+func TestTxnStateCleanSkipsClearing(t *testing.T) {
+	var stats tm.Stats
+	st := NewTxnState(1, stats.Shard(0))
+	st.Read[0].Add(1) // a stale bit stands for a clear that was skipped
+	st.Clean = true
+	st.Reset()
+	if st.Clean {
+		t.Fatal("Reset kept the Clean promise for the next attempt")
+	}
+	if st.Read[0].Empty() {
+		t.Fatal("Reset cleared the signatures of a Clean attempt")
+	}
+	st.Reset()
+	if !st.Read[0].Empty() {
+		t.Fatal("Reset of an attempt that made no promise left its signatures populated")
+	}
+}

@@ -707,6 +707,27 @@ func (t *Txn) Footprint() (cycles int64, readLines, writeLines int) {
 	return t.cycles, len(t.readLines), len(t.writeLines) + t.localLines
 }
 
+// Held reports what the transaction holds, for a software layer that
+// summarises it only when it must. word is called with the address of each
+// word buffered by Write, Exchange or Add, in first-write order; then, unless
+// line is nil, line is called with each line the transaction monitors, its
+// read lines and then its write lines (a line both read and written comes
+// twice). Words written with WriteLine or WriteLocal are not reported.
+func (t *Txn) Held(word func(mem.Addr), line func(mem.Line)) {
+	for i := range t.wb {
+		word(t.wb[i].addr)
+	}
+	if line == nil {
+		return
+	}
+	for _, l := range t.readLines {
+		line(l)
+	}
+	for _, l := range t.writeLines {
+		line(l)
+	}
+}
+
 // doom attempts to transition victim from active to doomed.
 // It returns false when the victim is past the point of no return
 // (committing or committed).

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -90,6 +91,41 @@ func TestFootprint(t *testing.T) {
 			next.Cancel()
 		})
 	}
+}
+
+// TestHeld: Held reports the words buffered word-wise once each, in
+// first-write order, and then the monitored read lines and write lines;
+// WriteLine and WriteLocal words are not words it reports.
+func TestHeld(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	base := m.AllocLines(6)
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
+	tx := e.Begin(0)
+	tx.Read(line(0))
+	tx.Write(line(1)+3, 1)
+	tx.Write(line(1), 1)
+	tx.Write(line(1)+3, 2) // rewritten: still one word, in its first place
+	tx.Exchange(line(2), 1)
+	tx.Add(line(3), 1)
+	tx.WriteLocal(line(4), 1)
+	var vals [mem.LineWords]uint64
+	tx.WriteLine(line(5), &vals)
+
+	var words []mem.Addr
+	var lines []mem.Line
+	tx.Held(func(a mem.Addr) { words = append(words, a) }, func(l mem.Line) { lines = append(lines, l) })
+	wantWords := []mem.Addr{line(1) + 3, line(1), line(2), line(3)}
+	wantLines := []mem.Line{mem.LineOf(line(0)), mem.LineOf(line(1)), mem.LineOf(line(2)), mem.LineOf(line(3)), mem.LineOf(line(5))}
+	if fmt.Sprint(words) != fmt.Sprint(wantWords) || fmt.Sprint(lines) != fmt.Sprint(wantLines) {
+		t.Fatalf("Held reported words %v and lines %v, want %v and %v", words, lines, wantWords, wantLines)
+	}
+	n := 0
+	tx.Held(func(mem.Addr) { n++ }, nil)
+	if n != len(wantWords) {
+		t.Fatalf("Held with no line callback reported %d words, want %d", n, len(wantWords))
+	}
+	tx.Commit()
 }
 
 // readers of one word and of one line, for the tests that must hold for
