@@ -647,6 +647,59 @@ func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
 	}
 }
 
+// TestOwnerEntryClearedBeforeDecrement: a Part-HTM-O transaction releases
+// its cells, by clearing its owner entry, before it leaves activeTx, so a
+// count of 0 still proves that no cell is held. A's global commit stops in
+// that release, on the entry's line lock, which the test holds: A must still
+// count, and its cell must still equal its entry.
+func TestOwnerEntryClearedBeforeDecrement(t *testing.T) {
+	s := newSystem(1, 1<<17, nil, func(c *Config) {
+		c.Opaque = true
+		c.NoFastPath = true
+	})
+	m := s.Memory()
+	x0 := m.AllocLines(1)
+	p := s.threads[0]
+	parked, resume := make(chan struct{}), make(chan struct{})
+	done := make(chan bool)
+	go func() {
+		done <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+			x.Write(x0, 1)
+			x.Pause() // x's cell now holds A's tag
+			close(parked)
+			<-resume
+		})
+	}()
+	<-parked
+	entryLine := mem.LineOf(s.ownerEntry(p.id))
+	held := m.Lock(entryLine)
+	close(resume)
+	for !lockWaiterIn("core.(*System).partitionedAttempt(") {
+		select {
+		case <-done:
+			t.Fatal("A ended without storing to its owner entry")
+		default:
+			runtime.Gosched()
+		}
+	}
+	if got := m.Load(s.activeTx); got != 1 {
+		t.Errorf("activeTx = %d while A clears its owner entry, want 1", got)
+	}
+	if c, e := m.Load(s.cell(x0)), m.RawLoad(s.ownerEntry(p.id)); c != e || c&1 == 0 {
+		t.Errorf("x's cell holds %#x and A's entry %#x before the release, want A's tag in both", c, e)
+	}
+	m.Unlock(entryLine, held)
+	if !<-done {
+		t.Fatal("A did not commit")
+	}
+	if err := releasedErr(s, x0); err != nil {
+		t.Error(err)
+	}
+	if got := m.Load(s.activeTx); got != 0 {
+		t.Errorf("activeTx = %d after A's commit", got)
+	}
+}
+
 // TestAloneFastAttemptChecksLocksTakenDuringIt: a Part-HTM fast attempt that
 // begins alone keeps no read signature, so when its commit finds a
 // partitioned transaction running it checks every word of every line it

@@ -157,9 +157,13 @@ type System struct {
 
 	// shadowBase maps a data address a to its lock cell shadowBase+a
 	// (Part-HTM-O only), the paper's address-embedded lock behind one level
-	// of indirection. A free cell holds 0, a locked one its owner's
-	// thread.tag, whose low bit is the lock bit.
+	// of indirection. A cell holds 0 or the thread.tag of the attempt that
+	// last locked it. owners holds one owner entry per thread, a line each:
+	// the tag of the thread's running partitioned attempt, 0 between
+	// attempts. A cell is held only while it equals its owner's entry
+	// (held), so one store to the entry releases every cell of an attempt.
 	shadowBase mem.Addr
+	owners     mem.Addr
 
 	threads []*thread
 	stats   tm.Stats
@@ -207,6 +211,8 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 			// consumed space; the shadow still covers [0, shadowBase).
 			panic("core: opaque shadow region unexpectedly small")
 		}
+		// Below the shadow, so no data address and no cell moves.
+		s.owners = m.ReserveTop(maxThreads * mem.LineWords)
 	}
 	// The gate is sound as a raw load, since every attempt re-reads the lock
 	// under a monitor, and a free lock costs just that. A held one is re-read
@@ -276,6 +282,32 @@ func (s *System) DomainSet() *domain.Domains { return s.doms }
 
 // cell returns the lock-cell address of data address a (Part-HTM-O).
 func (s *System) cell(a mem.Addr) mem.Addr { return s.shadowBase + a }
+
+// A Part-HTM-O tag is epoch<<tagEpochShift | (id+1)<<1 | 1: the lock bit, the
+// owner's thread id plus one in tagOwnerBits bits, and an epoch that every
+// partitioned attempt advances, so a tag never repeats.
+const (
+	tagOwnerBits  = 5
+	tagOwnerMask  = 1<<tagOwnerBits - 1
+	tagEpochShift = 1 + tagOwnerBits
+)
+
+// Every hardware context's id+1 fits the owner field.
+const _ uint = tagOwnerMask - (htm.MaxSlots + 1)
+
+// ownerEntry returns the address of thread id's owner entry (Part-HTM-O).
+func (s *System) ownerEntry(id int) mem.Addr { return s.owners + mem.Addr(id*mem.LineWords) }
+
+// held reports whether a lock cell holding c is held by another attempt than
+// t's: its lock bit is set, it is not t's tag, and its owner's entry still
+// holds it. The entry is read raw. Only its owner writes it, and only
+// non-transactionally; a tag leaves its entry once and never returns. So a
+// read that is stale by the time it is used can only report a released cell
+// as held, and an abort is safe. A cell locked after the caller read it
+// dooms the caller through the cell's monitor, as before.
+func (s *System) held(t *thread, c uint64) bool {
+	return c&1 != 0 && c != t.tag && s.m.RawLoad(s.ownerEntry(int(c>>1&tagOwnerMask)-1)) == c
+}
 
 // SegLimit describes one thread's learned adaptive segment budgets
 // (0 = unlimited), in the units of htm.Txn.Footprint.
@@ -363,13 +395,13 @@ type thread struct {
 	// segment aborts, so only committed segments' effects survive.
 	undoMark int
 	logMark  int
-	lockMark int
 
-	// Part-HTM-O: cells locked by this global transaction, in acquisition
-	// order, and what a cell this thread locks holds: (id+1)<<1 | 1. A cell
-	// holding the tag is ours, so the self-lock test reads the cell alone.
-	lockedCells []mem.Addr
-	tag         uint64
+	// Part-HTM-O: cells this global transaction locked in committed
+	// segments and in the live one, and the attempt's tag, which a cell it
+	// locks holds. A cell holding the tag is ours, so the self-lock test
+	// reads the cell alone.
+	locks, segLocks int
+	tag             uint64
 
 	// Adaptive partitioning: the budgets at which a partition point is
 	// auto-activated, compared with what the open sub-HTM transaction
@@ -422,8 +454,7 @@ func (t *thread) resetPartitioned() {
 	t.replayPos = 0
 	t.undoMark = 0
 	t.logMark = 0
-	t.lockMark = 0
-	t.lockedCells = t.lockedCells[:0]
+	t.locks, t.segLocks = 0, 0
 	t.ht = nil
 	t.attemptSegs = 0
 	t.attemptCycles = 0
@@ -432,9 +463,9 @@ func (t *thread) resetPartitioned() {
 
 // truncateSegment discards the live segment's uncommitted effects after a
 // sub-HTM abort: its undo records (the writes were never published), its
-// log suffix, and — for Part-HTM-O — its locked-cell records (the tag
-// writes were buffered in the aborted hardware transaction, so no cell keeps
-// a tag this thread no longer records).
+// log suffix, and — for Part-HTM-O — its count of locked cells (the tag
+// writes were buffered in the aborted hardware transaction, so no cell
+// holds them).
 //
 // In Part-HTM-O the write signature accumulates across the whole global
 // transaction (it is what gets published to the ring), so bits from the
@@ -443,7 +474,7 @@ func (t *thread) resetPartitioned() {
 func (s *System) truncateSegment(t *thread) {
 	t.undo = t.undo[:t.undoMark]
 	t.opLog = t.opLog[:t.logMark]
-	t.lockedCells = t.lockedCells[:t.lockMark]
+	t.segLocks = 0
 	if !s.cfg.Opaque {
 		// Per-segment write signatures: drop the aborted segment's bits in
 		// every touched domain (bits of committed segments were already
@@ -460,7 +491,8 @@ func (s *System) truncateSegment(t *thread) {
 func (t *thread) markSegment() {
 	t.undoMark = len(t.undo)
 	t.logMark = len(t.opLog)
-	t.lockMark = len(t.lockedCells)
+	t.locks += t.segLocks
+	t.segLocks = 0
 }
 
 // Control-flow sentinels for the partitioned path.
@@ -665,6 +697,11 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 		t.ds.Reset()
 		s.decActive()
 		return false
+	}
+	if s.cfg.Opaque {
+		// A fresh tag, published before the body can lock a cell with it.
+		t.tag += 1 << tagEpochShift
+		s.m.Store(s.ownerEntry(t.id), t.tag)
 	}
 	t.resetPartitioned()
 	t.bud.beginTxn(t.txCount)
@@ -1116,7 +1153,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 	if ds.Wrote != 0 {
 		// The segment's write locks became visible with the commit
 		// (signature bits, or the cells written inside the window).
-		t.et.TraceEvent(trace.EvLockAcq, uint64(len(t.lockedCells)))
+		t.et.TraceEvent(trace.EvLockAcq, uint64(t.locks+t.segLocks))
 		if s.nd > 1 && ds.Count() > 1 {
 			for m := ds.Wrote; m != 0; m &= m - 1 {
 				t.et.TraceEvent(trace.EvDomainAcquire, uint64(bits.TrailingZeros64(m)))
@@ -1231,6 +1268,7 @@ func (s *System) globalCommit(t *thread) bool {
 	if ds.Wrote == 0 {
 		// Per-sub validation (Part-HTM-O: the subscription) already knows
 		// the reads consistent.
+		s.releaseLocks(t)
 		s.decActive()
 		return true
 	}
@@ -1309,11 +1347,12 @@ func (s *System) globalAbort(t *thread) {
 // global commit and global abort alike. Part-HTM removes its bits from every
 // written domain's shared write-locks signature (Figure 1 lines 48-49), one
 // atomic AND-NOT per changed word, in reverse (descending) canonical order —
-// the mirror of the ascending acquisition order; Part-HTM-O clears the lock
-// bit of every cell it acquired (Figure 2 lines 55-56 / 61-62).
+// the mirror of the ascending acquisition order; Part-HTM-O releases every
+// cell it acquired (Figure 2 lines 55-56 / 61-62) with one store, which
+// clears its owner entry (held).
 func (s *System) releaseLocks(t *thread) {
-	for _, c := range t.lockedCells {
-		s.m.Store(c, 0)
+	if s.cfg.Opaque {
+		s.m.Store(s.ownerEntry(t.id), 0)
 	}
 	if t.ds.Wrote == 0 {
 		return
@@ -1423,7 +1462,7 @@ func (x *tx) Read(a mem.Addr) uint64 {
 			// Encounter-time lock check through the cell (Figure 2 lines
 			// 3-4); the monitored cell read dooms us if it is locked later.
 			t.ds.Touched |= 1 << uint(s.doms.Of(a))
-			if t.checkCells && t.ht.Read(s.cell(a))&1 != 0 {
+			if t.checkCells && s.held(t, t.ht.Read(s.cell(a))) {
 				t.ht.Abort(codeLockHit)
 			}
 			return t.ht.Read(a)
@@ -1443,7 +1482,7 @@ func (x *tx) Read(a mem.Addr) uint64 {
 		d := s.doms.Of(a)
 		s.touchLive(t, ht, d)
 		if t.checkCells {
-			if c := ht.Read(s.cell(a)); c&1 != 0 && c != t.tag {
+			if s.held(t, ht.Read(s.cell(a))) {
 				ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
 			}
 		}
@@ -1468,7 +1507,7 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 	case modeFast:
 		d := s.doms.Of(a)
 		t.ds.Touched |= 1 << uint(d)
-		if t.checkCells && t.ht.Read(s.cell(a))&1 != 0 {
+		if t.checkCells && s.held(t, t.ht.Read(s.cell(a))) {
 			t.ht.Abort(codeLockHit)
 		}
 		t.ht.Write(a, v) // fastSignatures finds a in ht's write buffer
@@ -1485,14 +1524,13 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 			// access: the old word is loaded under the acquisition that takes
 			// the cell line's write monitor, so the line is in the write set
 			// only, and the lock becomes visible when this sub-HTM transaction
-			// commits. Rewriting our own tag is harmless; ours over another's
-			// dies with the abort.
-			c := s.cell(a)
-			if old := ht.Exchange(c, t.tag); old&1 == 0 {
-				t.ds.Write[d].Add(uint32(a))
-				t.lockedCells = append(t.lockedCells, c)
-			} else if old != t.tag {
+			// commits. Rewriting our own tag is harmless; ours over a held one
+			// dies with the abort, and over a released one acquires the cell.
+			if old := ht.Exchange(s.cell(a), t.tag); s.held(t, old) {
 				ht.Abort(codeLockConflict)
+			} else if old != t.tag {
+				t.ds.Write[d].Add(uint32(a))
+				t.segLocks++
 			}
 			// Locked by us: the data is written in place (Figure 2 line
 			// 31/35).

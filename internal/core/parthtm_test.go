@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -44,6 +45,40 @@ func oneMidAttempt() exec.Policy {
 	pol := schedule
 	pol.MidAttempts = 1
 	return pol
+}
+
+// releasedErr checks that no Part-HTM-O lock cell of the addresses counts as
+// held once every attempt has ended: each thread's owner entry is 0, and a
+// cell that keeps the tag of the attempt that locked it no longer equals its
+// owner's entry. The owner is decoded from the cell's own bits.
+func releasedErr(s *System, as ...mem.Addr) error {
+	m := s.Memory()
+	for id := range s.threads {
+		if e := m.Load(s.ownerEntry(id)); e != 0 {
+			return fmt.Errorf("thread %d's owner entry holds %#x after its attempt ended", id, e)
+		}
+	}
+	for _, a := range as {
+		if err := cellFreeErr(s, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cellFreeErr checks that a's lock cell, if it holds a tag, holds one that
+// differs from its owner's entry.
+func cellFreeErr(s *System, a mem.Addr) error {
+	m := s.Memory()
+	c := m.Load(s.cell(a))
+	if c&1 == 0 {
+		return nil
+	}
+	owner := int(c>>1&tagOwnerMask) - 1
+	if e := m.Load(s.ownerEntry(owner)); e == c {
+		return fmt.Errorf("cell for %d holds %#x, still thread %d's entry", a, c, owner)
+	}
+	return nil
 }
 
 func TestNames(t *testing.T) {
@@ -241,7 +276,7 @@ func TestInFlightValidationAndUndo(t *testing.T) {
 // in its Write alone (in Part-HTM-O, the Exchange on the cell), where a
 // reader's Read would have caught it first. In Part-HTM-O the cell keeps A's
 // tag throughout: B's exchanged tag dies with B's aborted sub-HTM
-// transaction.
+// transaction. Afterwards the cell keeps B's tag, released by B's entry.
 func TestLockedLocationBlocksOtherWriters(t *testing.T) {
 	writers := []struct {
 		name string
@@ -310,8 +345,8 @@ func TestLockedLocationBlocksOtherWriters(t *testing.T) {
 						t.Fatalf("x = %d, want %d (A then B)", got, b.want)
 					}
 					if opaque {
-						if c := m.Load(s.cell(x0)); c != 0 {
-							t.Errorf("cell holds %#x after both commits, want 0", c)
+						if err := releasedErr(s, x0); err != nil {
+							t.Errorf("after both commits: %v", err)
 						}
 					}
 				})

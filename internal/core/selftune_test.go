@@ -120,8 +120,9 @@ func TestOpaqueWriteLocalBypassesCells(t *testing.T) {
 }
 
 // TestOpaqueCellsUnlockedAfterCommit: every cell a Part-HTM-O transaction
-// locks holds its tag until the transaction ends, and is free (0) again after
-// a global abort and after the global commit.
+// locks holds its tag until the transaction ends, and is released after a
+// global abort and after the global commit: its tag is no longer its owner's
+// entry, and once the transaction has ended the entry is 0.
 func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 	s := newSystem(1, 1<<18, nil, func(c *Config) {
 		c.Opaque = true
@@ -141,7 +142,11 @@ func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 	s.Atomic(0, func(x tm.Tx) {
 		attempt++
 		if attempt == 2 {
-			cellsHold("after the global abort", 0)
+			for i := 0; i < 4; i++ {
+				if err := cellFreeErr(s, addr(i)); err != nil {
+					t.Errorf("after the global abort: %v", err)
+				}
+			}
 		}
 		for i := 0; i < 4; i++ {
 			x.Write(addr(i), uint64(i))
@@ -155,7 +160,9 @@ func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 	if attempt != 2 {
 		t.Fatalf("ran the body %d times, want 2 (a global abort, then the commit)", attempt)
 	}
-	cellsHold("after the global commit", 0)
+	if err := releasedErr(s, addr(0), addr(1), addr(2), addr(3)); err != nil {
+		t.Errorf("after the global commit: %v", err)
+	}
 	for i := 0; i < 4; i++ {
 		if got := m.Load(addr(i)); got != uint64(i) {
 			t.Errorf("word %d = %d, want %d", i, got, i)
@@ -167,7 +174,8 @@ func TestOpaqueCellsUnlockedAfterCommit(t *testing.T) {
 // segment holds this transaction's tag, which is what lets a later segment
 // read the location and write it again. A later segment that capacity-aborts
 // takes its cell writes with it, so its retry finds those cells free and
-// locks them afresh, and every cell is free once the transaction commits.
+// locks them afresh, and every cell is released once the transaction
+// commits.
 func TestOpaqueSelfLockedCellAcrossSegments(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.WriteLines = 8 }, func(c *Config) {
 		c.Opaque = true
@@ -206,9 +214,62 @@ func TestOpaqueSelfLockedCellAcrossSegments(t *testing.T) {
 		if got := m.Load(a); got != v {
 			t.Errorf("word %d = %d, want %d", a, got, v)
 		}
-		if c := m.Load(s.cell(a)); c != 0 {
-			t.Errorf("cell for %d holds %#x after the commit, want 0", a, c)
+		if err := releasedErr(s, a); err != nil {
+			t.Errorf("after the commit: %v", err)
 		}
+	}
+}
+
+// TestStaleForeignTagDoesNotBlock: a Part-HTM-O cell keeps the tag of the
+// attempt that last locked it after that attempt ends, and such a stale tag
+// of another thread blocks no one. Thread 0 commits partitioned writes to x
+// and y; thread 1 then locks x over thread 0's tag in a partitioned write,
+// and reads x (its own stale tag) and y (thread 0's) in a fast attempt that
+// checks its cells, because a partitioned transaction parked on other data
+// keeps activeTx nonzero. Both commit without an explicit abort.
+func TestStaleForeignTagDoesNotBlock(t *testing.T) {
+	s := newSystem(3, 1<<17, nil, func(c *Config) { c.Opaque = true })
+	m := s.Memory()
+	xa, ya, za := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
+	attempt := func(id int, body func(tm.Tx)) bool {
+		p := s.threads[id]
+		return s.partitionedAttempt(p, &tx{s: s, t: p}, body)
+	}
+	if !attempt(0, func(x tm.Tx) {
+		x.Write(xa, 1)
+		x.Pause()
+		x.Write(ya, 2)
+	}) {
+		t.Fatal("thread 0's partitioned writes did not commit")
+	}
+	if c := m.Load(s.cell(xa)); c != s.threads[0].tag {
+		t.Fatalf("x's cell holds %#x after thread 0's commit, want its stale tag %#x", c, s.threads[0].tag)
+	}
+
+	if !attempt(1, func(x tm.Tx) { x.Write(xa, 3) }) {
+		t.Fatal("thread 1's partitioned write over thread 0's stale tag did not commit")
+	}
+
+	release := parkPartitioned(t, s, 2, za, 4)
+	f := s.threads[1]
+	var sum uint64
+	res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+		if !f.checkCells {
+			t.Error("a fast attempt that began beside a partitioned transaction skips its cells")
+		}
+		sum = x.Read(xa) + x.Read(ya)
+	})
+	if !res.Committed {
+		t.Fatalf("checked fast read of stale-tagged cells: %+v, want a commit", res)
+	}
+	if !release() {
+		t.Fatal("the parked partitioned attempt did not commit")
+	}
+	if sum != 5 {
+		t.Errorf("fast read x + y = %d, want 5", sum)
+	}
+	if n := s.Engine().Stats().AbortsExplicit.Load(); n != 0 {
+		t.Errorf("%d explicit aborts, want 0", n)
 	}
 }
 

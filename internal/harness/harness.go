@@ -209,7 +209,8 @@ func build(name string, o BuildOptions) tm.System {
 	case "Part-HTM-O":
 		cfg := coreCfg
 		cfg.Opaque = true
-		// The opaque shadow occupies the top half of the memory.
+		// The opaque shadow occupies the top half of the memory; the owner
+		// entries, a line per thread below it, come out of metaWords.
 		return core.New(o.buildEngine(2*words+2*mem.LineWords), o.Threads, cfg)
 	}
 	panic(fmt.Sprintf("harness: unknown system %q", name))
