@@ -76,7 +76,7 @@ func partitionedBeginDoomsFastTransaction(t *testing.T, opaque bool) {
 	partDone := make(chan bool)
 	go func() {
 		p := s.threads[1]
-		partDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) { x.Read(other) })
+		partDone <- s.partitionedAttempt(p, func(x tm.Tx) { x.Read(other) })
 	}()
 	for m.Load(s.activeTx) != 1 {
 		runtime.Gosched()
@@ -109,7 +109,7 @@ func parkPartitioned(t *testing.T, s *System, id int, a mem.Addr, v uint64) (rel
 	done := make(chan bool)
 	go func() {
 		p := s.threads[id]
-		done <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+		done <- s.partitionedAttempt(p, func(x tm.Tx) {
 			x.Write(a, v)
 			x.Pause() // the sub-HTM commit publishes the lock
 			close(locked)
@@ -140,12 +140,11 @@ func TestFastPathReadsSignaturesWhilePartitionedActive(t *testing.T) {
 	release := parkPartitioned(t, s, 1, lockedAddr, 7)
 
 	f := s.threads[0]
-	x := &tx{s: s, t: f}
-	res := s.fastAttempt(f, x, func(x tm.Tx) { x.Write(lockedAddr, 9) })
+	res := s.fastAttempt(f, func(x tm.Tx) { x.Write(lockedAddr, 9) })
 	if res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
 		t.Fatalf("fast write over a locked location: %+v, want an explicit codeLockHit abort", res)
 	}
-	if res := s.fastAttempt(f, x, func(x tm.Tx) { x.Write(free, 9) }); !res.Committed {
+	if res := s.fastAttempt(f, func(x tm.Tx) { x.Write(free, 9) }); !res.Committed {
 		t.Fatalf("fast write of disjoint data while a partitioned transaction is active: %+v", res)
 	}
 
@@ -170,20 +169,19 @@ func TestOpaqueFastPathChecksCellsWhilePartitionedActive(t *testing.T) {
 	release := parkPartitioned(t, s, 1, lockedAddr, 7)
 
 	f := s.threads[0]
-	x := &tx{s: s, t: f}
 	for op, body := range map[string]func(tm.Tx){
 		"read":  func(x tm.Tx) { x.Read(lockedAddr) },
 		"write": func(x tm.Tx) { x.Write(lockedAddr, 9) },
 	} {
-		if res := s.fastAttempt(f, x, body); res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+		if res := s.fastAttempt(f, body); res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
 			t.Fatalf("fast %s of a locked location: %+v, want an explicit codeLockHit abort", op, res)
 		}
 	}
 
-	res := s.fastAttempt(f, x, func(x tm.Tx) {
+	res := s.fastAttempt(f, func(x tm.Tx) {
 		x.Write(free, 9)
 		p := s.threads[2]
-		if !s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) { x.Write(other, 5) }) {
+		if !s.partitionedAttempt(p, func(x tm.Tx) { x.Write(other, 5) }) {
 			t.Error("a partitioned transaction on disjoint data did not commit")
 		}
 	})
@@ -219,7 +217,7 @@ func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
 	parked, resume := make(chan struct{}), make(chan struct{})
 	aDone := make(chan bool)
 	go func() {
-		aDone <- s.partitionedAttempt(a, &tx{s: s, t: a}, func(x tm.Tx) {
+		aDone <- s.partitionedAttempt(a, func(x tm.Tx) {
 			x.Read(ya)
 			checked = append(checked, a.checkCells)
 			if len(checked) == 1 {
@@ -240,7 +238,7 @@ func TestPartitionedBeginDoomsLoneOpaqueSegment(t *testing.T) {
 	bDone := make(chan bool)
 	go func() {
 		b := s.threads[1]
-		bDone <- s.partitionedAttempt(b, &tx{s: s, t: b}, func(x tm.Tx) {
+		bDone <- s.partitionedAttempt(b, func(x tm.Tx) {
 			x.Write(xa, 99)
 			x.Pause() // the sub-HTM commit locks x and stores 99
 			close(locked)
@@ -293,8 +291,7 @@ func TestOpaqueSegmentChecksCellsWhilePartitionedActive(t *testing.T) {
 	release := parkPartitioned(t, s, 1, lockedAddr, 7)
 
 	f := s.threads[0]
-	x := &tx{s: s, t: f}
-	if s.partitionedAttempt(f, x, func(x tm.Tx) {
+	if s.partitionedAttempt(f, func(x tm.Tx) {
 		if v := x.Read(lockedAddr); v == 7 {
 			t.Error("a segment read a locked (non-visible) value")
 		}
@@ -303,14 +300,14 @@ func TestOpaqueSegmentChecksCellsWhilePartitionedActive(t *testing.T) {
 	}
 
 	runs := 0
-	if !s.partitionedAttempt(f, x, func(x tm.Tx) {
+	if !s.partitionedAttempt(f, func(x tm.Tx) {
 		runs++
 		x.Write(free, 9)
 		if !f.checkCells {
 			t.Error("a segment that began at activeTx == 2 skips its cell checks")
 		}
 		p := s.threads[2]
-		if !s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) { x.Read(other) }) {
+		if !s.partitionedAttempt(p, func(x tm.Tx) { x.Read(other) }) {
 			t.Error("a read-only partitioned transaction on disjoint data did not commit")
 		}
 		if f.ht.Doomed() {
@@ -368,10 +365,9 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 		m := s.Memory()
 		data, lockedAddr := m.AllocLines(k), m.AllocLines(1)
 		f := s.threads[0]
-		x := &tx{s: s, t: f}
 		readLines := func() int {
 			var ht *htm.Txn
-			res := s.fastAttempt(f, x, func(x tm.Tx) {
+			res := s.fastAttempt(f, func(x tm.Tx) {
 				for i := 0; i < k; i++ {
 					x.Read(data + mem.Addr(i*mem.LineWords))
 				}
@@ -445,6 +441,45 @@ func TestDisjointFastCommitsNeverConflict(t *testing.T) {
 	}
 }
 
+// TestFastHandleRoutesDomains: at N > 1 the fast handles still route every
+// access. A fast transaction that reads in domain 0 and writes in domain 1
+// commits in hardware as one cross-domain commit, and while a partitioned
+// transaction runs its commit publishes to domain 1's ring alone.
+func TestFastHandleRoutesDomains(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		s := newSystem(2, 1<<18, nil, func(c *Config) {
+			c.Domains = 2
+			c.Opaque = opaque
+		})
+		t.Run(s.Name(), func(t *testing.T) {
+			x0, y1, p0 := s.doms.AllocLinesIn(0, 1), s.doms.AllocLinesIn(1, 1), s.doms.AllocLinesIn(0, 1)
+			if !sig.CollisionFree([]uint32{uint32(x0), uint32(y1), uint32(p0)}) {
+				t.Skip("the test addresses share a signature bit")
+			}
+			body := func(x tm.Tx) { x.Write(y1, x.Read(x0)+1) }
+			s.Atomic(0, body)
+			if st := s.Stats().Snapshot(); st.CommitsHTM != 1 || st.Commits() != 1 || st.CrossDomainCommits != 1 {
+				t.Fatalf("want one cross-domain hardware commit, got %+v", st)
+			}
+
+			release := parkPartitioned(t, s, 1, p0, 7)
+			ts0, ts1 := s.doms.Ring(0).Timestamp(), s.doms.Ring(1).Timestamp()
+			if res := s.fastAttempt(s.threads[0], body); !res.Committed {
+				t.Fatalf("the fast attempt beside a partitioned transaction did not commit: %+v", res)
+			}
+			if got0, got1 := s.doms.Ring(0).Timestamp(), s.doms.Ring(1).Timestamp(); got0 != ts0 || got1 != ts1+1 {
+				t.Errorf("timestamps %d, %d after a commit that wrote domain 1 alone, want %d, %d", got0, got1, ts0, ts1+1)
+			}
+			if !release() {
+				t.Fatal("the parked partitioned attempt did not commit")
+			}
+			if y, p := s.m.Load(y1), s.m.Load(p0); y != 1 || p != 7 {
+				t.Fatalf("y = %d, p = %d; want 1 and 7", y, p)
+			}
+		})
+	}
+}
+
 // TestInFlightValidationSeesFastCommit: a fast commit made while a
 // partitioned transaction runs publishes its write signature, so that
 // transaction's validation sees it. A reads y and commits that segment, so y
@@ -485,7 +520,7 @@ func TestInFlightValidationSeesFastCommit(t *testing.T) {
 			}
 			ts0 := s.doms.Ring(0).Timestamp()
 			b := s.threads[1]
-			if res := s.fastAttempt(b, &tx{s: s, t: b}, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
+			if res := s.fastAttempt(b, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
 				t.Fatalf("the fast write of y did not commit: %+v", res)
 			}
 			if got := s.doms.Ring(0).Timestamp(); got != ts0+1 {
@@ -532,7 +567,7 @@ func TestPartitionedBeginDuringFastAttemptSeesItsCommit(t *testing.T) {
 			var res htm.Result
 			go func() {
 				defer close(fastDone)
-				res = s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+				res = s.fastAttempt(f, func(x tm.Tx) {
 					<-aRead
 					x.Write(y0, 1)
 					x.Write(z0, 1)
@@ -555,7 +590,7 @@ func TestPartitionedBeginDuringFastAttemptSeesItsCommit(t *testing.T) {
 				seen = append(seen, [2]uint64{y, x.Read(z0)})
 			}
 			aDone := make(chan bool)
-			go func() { aDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, a) }()
+			go func() { aDone <- s.partitionedAttempt(p, a) }()
 			for m.Load(s.activeTx) != 1 {
 				runtime.Gosched()
 			}
@@ -573,7 +608,7 @@ func TestPartitionedBeginDuringFastAttemptSeesItsCommit(t *testing.T) {
 			if <-aDone {
 				t.Fatalf("A committed having read y and z = %v around the fast commit", seen)
 			}
-			if !s.partitionedAttempt(p, &tx{s: s, t: p}, a) {
+			if !s.partitionedAttempt(p, a) {
 				t.Fatal("A's retry did not commit")
 			}
 			if last := seen[len(seen)-1]; last != [2]uint64{1, 1} {
@@ -609,7 +644,7 @@ func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
 			parked, resume := make(chan struct{}), make(chan struct{})
 			aDone := make(chan bool)
 			go func() {
-				aDone <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+				aDone <- s.partitionedAttempt(p, func(x tm.Tx) {
 					x.Read(y0)
 					x.Write(w0, 1)
 					x.Pause() // w is written in place and locked
@@ -618,7 +653,7 @@ func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
 				})
 			}()
 			<-parked
-			if res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
+			if res := s.fastAttempt(f, func(x tm.Tx) { x.Write(y0, 7) }); !res.Committed {
 				t.Fatalf("the fast write of y did not commit: %+v", res)
 			}
 
@@ -631,7 +666,7 @@ func TestCommittingPartitionedTransactionStillCounts(t *testing.T) {
 				t.Errorf("activeTx = %d while A claims its timestamp, want 1", got)
 			}
 			var w uint64
-			res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) { w = x.Read(w0) })
+			res := s.fastAttempt(f, func(x tm.Tx) { w = x.Read(w0) })
 			m.Unlock(tsLine, held)
 
 			if <-aDone {
@@ -663,7 +698,7 @@ func TestOwnerEntryClearedBeforeDecrement(t *testing.T) {
 	parked, resume := make(chan struct{}), make(chan struct{})
 	done := make(chan bool)
 	go func() {
-		done <- s.partitionedAttempt(p, &tx{s: s, t: p}, func(x tm.Tx) {
+		done <- s.partitionedAttempt(p, func(x tm.Tx) {
 			x.Write(x0, 1)
 			x.Pause() // x's cell now holds A's tag
 			close(parked)
@@ -727,7 +762,7 @@ func TestAloneFastAttemptChecksLocksTakenDuringIt(t *testing.T) {
 			var v uint64
 			fastDone := make(chan htm.Result)
 			go func() {
-				fastDone <- s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+				fastDone <- s.fastAttempt(f, func(x tm.Tx) {
 					close(begun)
 					<-locked
 					if tc.writeLine {

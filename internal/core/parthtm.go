@@ -227,15 +227,23 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 		t.sh = s.stats.Shard(i)
 		t.et = s.run.Thread(i)
 		t.ds = domain.NewTxnState(s.nd, t.sh)
-		x := &tx{s: s, t: t}
+		t.fast = opaqueFastTx{fastTx{s: s, t: t, ds: t.ds, multi: s.nd > 1}}
+		t.fastX = &t.fast.fastTx
+		if cfg.Opaque {
+			t.fastX = &t.fast
+		}
+		t.seg, t.slow = segTx{s: s, t: t}, slowTx{s: s, t: t}
 		t.xtxn = exec.Txn{
 			// Kernel dispatch: each level runs whatever body the caller handed
 			// Atomic; an oversized one capacity-aborts into the
 			// partitioned/slow paths by design.
-			Fast:    func() htm.Result { return s.fastAttempt(t, x, t.body) },
-			Mid:     func() bool { return s.partitionedAttempt(t, x, t.body) },
-			Slow:    func() { s.slowAttempt(t, x, t.body) },
-			Domains: func() int { return t.ds.Count() },
+			Fast: func() htm.Result { return s.fastAttempt(t, t.body) },
+			Mid:  func() bool { return s.partitionedAttempt(t, t.body) },
+			Slow: func() { s.slowAttempt(t, t.body) },
+		}
+		if s.nd > 1 {
+			// The kernel reads no count as one domain.
+			t.xtxn.Domains = t.ds.Count
 		}
 		s.threads[i] = t
 	}
@@ -327,17 +335,6 @@ func (s *System) SegLimits() []SegLimit {
 	return out
 }
 
-// execution modes of a thread's current attempt.
-type mode uint8
-
-const (
-	modeIdle mode = iota
-	modeFast
-	modeLive   // partitioned path, executing a live sub-HTM transaction
-	modeReplay // partitioned path, replaying committed segments
-	modeSlow
-)
-
 // opKind tags operation-log records.
 type opKind uint8
 
@@ -361,8 +358,7 @@ type undoRec struct {
 // thread is the per-thread scratch state; buffers are reused across
 // transactions to avoid allocation churn.
 type thread struct {
-	id   int
-	mode mode
+	id int
 
 	// ds is the per-domain transactional footprint: read/write/aggregate
 	// signatures, validation start times, and the touched/written domain
@@ -422,6 +418,13 @@ type thread struct {
 	xtxn exec.Txn
 	body func(tm.Tx)
 
+	// The tm.Tx handles the body gets, one per path, built once. fastX is
+	// the fast path's: &fast.fastTx for Part-HTM, &fast for Part-HTM-O.
+	fast  opaqueFastTx
+	fastX tm.Tx
+	seg   segTx
+	slow  slowTx
+
 	// Whole-attempt footprint (accumulated per committed sub-HTM
 	// transaction): used to detect that a partitioned transaction would
 	// actually have fit in hardware, so a mixed workload's small
@@ -437,11 +440,6 @@ func newThread(id int) *thread {
 		tag: uint64(id+1)<<1 | 1,
 		bud: segBudgets{probeEvery: probeEveryMin},
 	}
-}
-
-func (t *thread) resetFast() {
-	t.ds.Reset()
-	t.mode = modeFast
 }
 
 // resetPartitioned prepares a fresh partitioned attempt. The caller must
@@ -535,7 +533,7 @@ const serialSampleCap = 10 * time.Microsecond
 // ---------------------------------------------------------------------------
 // Fast path (Figure 1 lines 1–15; Figure 2 lines 1–13 when opaque)
 
-func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result) {
+func (s *System) fastAttempt(t *thread, body func(tm.Tx)) (res htm.Result) {
 	defer func() {
 		r := recover()
 		if ar, ok := htm.AsAbort(r); ok {
@@ -552,26 +550,26 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 				t.ht.Cancel()
 			}
 			t.ht = nil
-			t.mode = modeIdle
 			panic(r)
 		}
 		t.ht = nil
-		t.mode = modeIdle
 	}()
 	alone := s.peekAlone(0)
 	ht := s.eng.Begin(t.id)
 	t.ht = ht
-	t.resetFast()
+	ds := t.ds
+	ds.Reset()
 	// No fast attempt adds to a write signature, and Part-HTM's keeps a read
 	// signature only if a partitioned transaction ran when it began:
 	// fastSignatures builds what a commit needs from what ht holds.
-	t.ds.Clean = alone || s.cfg.Opaque
+	ds.Clean = alone || s.cfg.Opaque
 	if ht.Read(s.glock) != 0 {
 		ht.Abort(codeGLock) // the lock line stays monitored: later acquisition dooms us
 	}
 	t.checkCells = s.mustCheckCells(ht, alone, 0)
-	body(x)
-	ds := t.ds
+	t.fast.ht = ht
+	t.fast.plain = !t.fast.multi && ds.Clean && !t.checkCells
+	body(t.fastX)
 	// publish says whether a partitioned transaction may validate against this
 	// commit, so that its write signature must go to the ring. Figure 1
 	// publishes unconditionally, but an attempt that saw activeTx == 0 after
@@ -605,7 +603,6 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 		if publish {
 			s.fastSignatures(t, ht)
 		}
-		var wl [sig.Words]uint64
 		for m := ds.Touched; m != 0; m &= m - 1 {
 			if !publish {
 				// Fault campaigns draw here once per domain either way.
@@ -613,6 +610,7 @@ func (s *System) fastAttempt(t *thread, x *tx, body func(tm.Tx)) (res htm.Result
 				continue
 			}
 			d := bits.TrailingZeros64(m)
+			var wl [sig.Words]uint64 // declared here: zeroing it costs an idle commit
 			s.readWriteLocks(ht, d, &wl)
 			if ds.Write[d].IntersectsWords(wl[:]) || ds.Read[d].IntersectsWords(wl[:]) {
 				ht.Abort(codeLockHit)
@@ -686,7 +684,7 @@ func (s *System) fastSignatures(t *thread, ht *htm.Txn) {
 // partitionedAttempt runs one global-transaction attempt on the partitioned
 // path, reporting whether it committed. On failure the caller backs off and
 // retries (or escalates to the slow path).
-func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
+func (s *System) partitionedAttempt(t *thread, body func(tm.Tx)) bool {
 	// Begin (lines 16-19): handshake with the slow path. The caller already
 	// waited for the global lock; the re-check after the active announcement
 	// closes the race with a slow transaction acquiring it in between.
@@ -709,7 +707,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 
 	subAttempts := 0
 	for {
-		out := s.tryRunBody(t, x, body)
+		out := s.tryRunBody(t, body)
 		if out == outDone {
 			break
 		}
@@ -747,7 +745,7 @@ func (s *System) partitionedAttempt(t *thread, x *tx, body func(tm.Tx)) bool {
 // tryRunBody executes the body once: replaying the committed prefix, going
 // live at the first un-replayed operation, and committing the final open
 // sub-HTM transaction at the end.
-func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
+func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -810,14 +808,9 @@ func (s *System) tryRunBody(t *thread, x *tx, body func(tm.Tx)) (out outcome) {
 		panic(r)
 	}()
 
-	if len(t.opLog) > 0 {
-		t.mode = modeReplay
-	} else {
-		t.mode = modeLive
-	}
-	body(x)
+	t.seg.replay = len(t.opLog) > 0
+	body(&t.seg)
 	s.subCommitIfOpen(t)
-	t.mode = modeIdle
 	return outDone
 }
 
@@ -1063,7 +1056,7 @@ func (s *System) ensureSub(t *thread) *htm.Txn {
 		// domain: the monitored reads make any commit in a touched domain
 		// doom this sub-transaction, and a stale start forces validation
 		// before any memory is touched. Domains first touched later in this
-		// segment subscribe at the touch (touchLive).
+		// segment subscribe at the touch (segTx.live).
 		for m := t.ds.Touched; m != 0; m &= m - 1 {
 			d := bits.TrailingZeros64(m)
 			if ht.Read(s.doms.Ring(d).TimestampAddr()) != t.ds.Start[d] {
@@ -1093,30 +1086,6 @@ func (s *System) peekAlone(own uint64) bool {
 // returned alone; only then does ht read activeTx, monitored.
 func (s *System) mustCheckCells(ht *htm.Txn, alone bool, own uint64) bool {
 	return s.cfg.Opaque && !(alone && ht.Read(s.activeTx) == own)
-}
-
-// touchLive records domain d in the live segment's footprint. The first
-// touch of a new domain also takes that domain's validation start time:
-// the timestamp is read before the data access that triggered the touch,
-// so validation from it covers every read the transaction makes in d. The
-// mask bit is set before the start is taken so a recovery path validates
-// the new domain too. Under opacity the start is read inside the open
-// sub-HTM transaction, which doubles as the timestamp subscription that
-// ensureSub performs for domains already known at segment begin.
-// Single-domain topologies keep domain 0 permanently touched, so this is
-// a no-op there — the start was taken at attempt begin and the
-// subscription at segment begin, as in the pre-domain protocol.
-func (s *System) touchLive(t *thread, ht *htm.Txn, d int) {
-	bit := uint64(1) << uint(d)
-	if t.ds.Touched&bit != 0 {
-		return
-	}
-	t.ds.Touched |= bit
-	if s.cfg.Opaque {
-		t.ds.Start[d] = ht.Read(s.doms.Ring(d).TimestampAddr())
-	} else {
-		t.ds.Start[d] = s.doms.Ring(d).Timestamp()
-	}
 }
 
 // subCommitIfOpen commits the currently open sub-HTM transaction, if any,
@@ -1378,7 +1347,7 @@ func (s *System) decActive() {
 // ---------------------------------------------------------------------------
 // Slow path (Figure 1 lines 61-65)
 
-func (s *System) slowAttempt(t *thread, x *tx, body func(tm.Tx)) {
+func (s *System) slowAttempt(t *thread, body func(tm.Tx)) {
 	for !s.m.CAS(s.glock, 0, 1) {
 		runtime.Gosched()
 	}
@@ -1386,195 +1355,214 @@ func (s *System) slowAttempt(t *thread, x *tx, body func(tm.Tx)) {
 		runtime.Gosched()
 	}
 	start := time.Now()
-	t.mode = modeSlow
-	body(x)
-	t.mode = modeIdle
+	body(&t.slow)
 	s.m.Store(s.glock, 0)
 	t.sh.AddSerial(time.Since(start))
 }
 
 // ---------------------------------------------------------------------------
-// The tm.Tx view
+// The tm.Tx views, one per path, so an access does only what its path needs.
+// At one domain, where Touched is always Base, none routes an address.
 
-// tx adapts a thread's current execution mode to the tm.Tx interface.
-type tx struct {
-	s *System
-	t *thread
+// fastTx is Part-HTM's fast-path view: HTM-GL's adapter, plus the read
+// signature while the attempt keeps one (!ds.Clean) and per-access routing
+// at N > 1. The commit hook is the rest of fastAttempt.
+type fastTx struct {
+	s     *System
+	t     *thread
+	ht    *htm.Txn // the attempt's hardware transaction
+	ds    *domain.TxnState
+	multi bool // more than one domain: route every access
+	plain bool // set at begin: a read is ht.Read alone (one domain, no signature, no cell check)
 }
 
-var _ tm.Tx = (*tx)(nil)
+func (x *fastTx) Thread() int { return x.t.id }
+func (x *fastTx) Pause()      {} // a partition point is free on the fast path
 
-// Thread implements tm.Tx.
-func (x *tx) Thread() int { return x.t.id }
-
-// Pause implements tm.Tx: a partition point. On the partitioned path it
-// commits the open sub-HTM transaction; everywhere else it is free.
-func (x *tx) Pause() {
-	t := x.t
-	switch t.mode {
-	case modeLive:
-		if t.ht != nil && t.bud.underHalf(footprintOf(t.ht)) {
-			// "May split": a segment that has used less than half of
-			// everything the thread knows to fit runs on, so a learned
-			// budget just under the workload's grid does not alternate
-			// full segments with slivers.
-			return
+func (x *fastTx) Read(a mem.Addr) uint64 {
+	if !x.plain {
+		// If a partitioned transaction ran at begin, keep the read signature
+		// the commit checks.
+		if bit := x.touch(a); !x.ds.Clean {
+			x.ds.Read[bits.TrailingZeros64(bit)].Add(uint32(a))
 		}
-		x.s.pauseSegment(t)
-	case modeReplay:
-		x.replayExpect(opPause, 0, 0)
 	}
+	return x.ht.Read(a)
 }
 
-// Work implements tm.Tx: transactional computation. It burns real CPU and,
-// inside a hardware transaction, counts against the timer quantum.
-func (x *tx) Work(c int64) {
-	t := x.t
-	switch t.mode {
-	case modeFast:
-		t.ht.Work(c)
-	case modeLive:
-		x.s.maybeAutoPause(t)
-		x.s.ensureSub(t).Work(c)
-	case modeReplay:
-		// Re-executed during replay like any other body code.
+func (x *fastTx) Write(a mem.Addr, v uint64) {
+	x.ds.Wrote |= x.touch(a)
+	x.ht.Write(a, v) // fastSignatures finds a in ht's write buffer
+}
+
+// touch returns a's domain as a mask bit and records it touched; at one
+// domain, always touched, it returns domain 0's bit and records nothing.
+func (x *fastTx) touch(a mem.Addr) uint64 {
+	if !x.multi {
+		return 1
 	}
+	bit := uint64(1) << uint(x.s.doms.Of(a))
+	x.ds.Touched |= bit
+	return bit
+}
+
+// WriteLocal stores thread-private data: buffered, so it costs write
+// capacity, but with no signature, lock or undo record — the paper's manual
+// barriers likewise skip accesses to non-shared objects.
+func (x *fastTx) WriteLocal(a mem.Addr, v uint64) { x.ht.WriteLocal(a, v) }
+
+// Work burns real CPU and counts against the hardware timer quantum.
+func (x *fastTx) Work(c int64) {
+	x.ht.Work(c)
 	tm.Spin(c)
 }
 
-// NonTxWork implements tm.Tx: computation the software framework runs
-// outside sub-HTM transactions. On the fast path it is inevitably inside
-// the hardware transaction and pays the quantum cost.
-func (x *tx) NonTxWork(c int64) {
-	t := x.t
-	if t.mode == modeFast {
-		t.ht.Work(c)
+// NonTxWork is computation the software framework runs outside sub-HTM
+// transactions; on the fast path it is inevitably inside one.
+func (x *fastTx) NonTxWork(c int64) { x.Work(c) }
+
+// opaqueFastTx is Part-HTM-O's fast-path view: fastTx with an encounter-time
+// check of each location's lock cell (Figure 2 lines 3-4) while checkCells;
+// the monitored cell read dooms the attempt if the cell is locked later.
+type opaqueFastTx struct{ fastTx }
+
+func (x *opaqueFastTx) Read(a mem.Addr) uint64 {
+	if !x.plain {
+		x.check(a)
 	}
-	tm.Spin(c)
+	return x.ht.Read(a)
 }
 
-// Read implements tm.Tx.
-func (x *tx) Read(a mem.Addr) uint64 {
-	s, t := x.s, x.t
-	switch t.mode {
-	case modeFast:
-		if s.cfg.Opaque {
-			// Encounter-time lock check through the cell (Figure 2 lines
-			// 3-4); the monitored cell read dooms us if it is locked later.
-			t.ds.Touched |= 1 << uint(s.doms.Of(a))
-			if t.checkCells && s.held(t, t.ht.Read(s.cell(a))) {
-				t.ht.Abort(codeLockHit)
-			}
-			return t.ht.Read(a)
-		}
-		d := s.doms.Of(a)
-		t.ds.Touched |= 1 << uint(d)
-		if !t.ds.Clean {
-			// A partitioned transaction ran at begin: keep the read
-			// signature the commit checks.
-			t.ds.Read[d].Add(uint32(a))
-		}
-		return t.ht.Read(a)
-
-	case modeLive:
-		s.maybeAutoPause(t)
-		ht := s.ensureSub(t)
-		d := s.doms.Of(a)
-		s.touchLive(t, ht, d)
-		if t.checkCells {
-			if s.held(t, ht.Read(s.cell(a))) {
-				ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
-			}
-		}
-		t.ds.Read[d].Add(uint32(a))
-		v := ht.Read(a)
-		t.opLog = append(t.opLog, opRec{kind: opRead, addr: a, val: v})
-		return v
-
-	case modeReplay:
-		return x.replayExpect(opRead, a, 0)
-
-	case modeSlow:
-		return s.m.Load(a)
+func (x *opaqueFastTx) Write(a mem.Addr, v uint64) {
+	if !x.plain {
+		x.check(a)
 	}
-	panic(fmt.Sprintf("core: Read outside a transaction (mode %d)", t.mode))
+	x.fastTx.Write(a, v)
 }
 
-// Write implements tm.Tx.
-func (x *tx) Write(a mem.Addr, v uint64) {
-	s, t := x.s, x.t
-	switch t.mode {
-	case modeFast:
-		d := s.doms.Of(a)
-		t.ds.Touched |= 1 << uint(d)
-		if t.checkCells && s.held(t, t.ht.Read(s.cell(a))) {
-			t.ht.Abort(codeLockHit)
-		}
-		t.ht.Write(a, v) // fastSignatures finds a in ht's write buffer
-		t.ds.Wrote |= 1 << uint(d)
-		return
+// check routes a and, while checkCells, aborts if its cell is held.
+func (x *opaqueFastTx) check(a mem.Addr) {
+	x.touch(a)
+	if x.t.checkCells && x.s.held(x.t, x.ht.Read(x.s.cell(a))) {
+		x.ht.Abort(codeLockHit)
+	}
+}
 
-	case modeLive:
-		s.maybeAutoPause(t)
-		ht := s.ensureSub(t)
-		d := s.doms.Of(a)
-		s.touchLive(t, ht, d)
+// segTx is the partitioned path's view. A live access runs in the open
+// sub-HTM transaction (ensureSub), after an auto-activated partition point if
+// a budget is reached (maybeAutoPause). A replayed one is served from the
+// operation log; replay goes live mid-body, hence the one switch.
+type segTx struct {
+	s      *System
+	t      *thread
+	replay bool // replaying committed segments (tryRunBody sets it)
+}
+
+func (x *segTx) Thread() int { return x.t.id }
+
+// live prepares a live access to a: it returns the open sub-HTM transaction
+// and a's domain d, recorded in the segment's footprint. The first touch of
+// a new domain also takes d's validation start time, read before the access
+// that triggered the touch, so validation from it covers every read the
+// transaction makes in d; the mask bit is set first so a recovery path
+// validates d too. Under opacity the start is read inside the open sub-HTM
+// transaction: the timestamp subscription that ensureSub makes for domains
+// known at segment begin. One domain is always touched, its start taken at
+// attempt begin and its subscription at segment begin.
+func (x *segTx) live(a mem.Addr) (*htm.Txn, int) {
+	s, t := x.s, x.t
+	s.maybeAutoPause(t)
+	ht := s.ensureSub(t)
+	if s.nd == 1 {
+		return ht, 0
+	}
+	d := s.doms.Of(a)
+	if bit := uint64(1) << uint(d); t.ds.Touched&bit == 0 {
+		t.ds.Touched |= bit
 		if s.cfg.Opaque {
-			// Acquire the address-embedded lock (Figure 2 line 34) with one
-			// access: the old word is loaded under the acquisition that takes
-			// the cell line's write monitor, so the line is in the write set
-			// only, and the lock becomes visible when this sub-HTM transaction
-			// commits. Rewriting our own tag is harmless; ours over a held one
-			// dies with the abort, and over a released one acquires the cell.
-			if old := ht.Exchange(s.cell(a), t.tag); s.held(t, old) {
-				ht.Abort(codeLockConflict)
-			} else if old != t.tag {
-				t.ds.Write[d].Add(uint32(a))
-				t.segLocks++
-			}
-			// Locked by us: the data is written in place (Figure 2 line
-			// 31/35).
+			t.ds.Start[d] = ht.Read(s.doms.Ring(d).TimestampAddr())
 		} else {
-			t.ds.Write[d].Add(uint32(a))
+			t.ds.Start[d] = s.doms.Ring(d).Timestamp()
 		}
-		// Figure 1 lines 23-25: log the old value, write in place (buffered
-		// until the sub-HTM commit).
-		t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
-		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
-		t.ds.Wrote |= 1 << uint(d)
-		return
+	}
+	return ht, d
+}
 
-	case modeReplay:
+// Pause is a partition point: it commits the open sub-HTM transaction.
+func (x *segTx) Pause() {
+	t := x.t
+	if x.replay {
+		x.replayExpect(opPause, 0, 0)
+	} else if t.ht == nil || !t.bud.underHalf(footprintOf(t.ht)) {
+		// "May split": a segment that has used less than half of everything
+		// the thread knows to fit runs on, so a learned budget just under the
+		// workload's grid does not alternate full segments with slivers.
+		x.s.pauseSegment(t)
+	}
+}
+
+// Work is re-executed during replay like any other body code.
+func (x *segTx) Work(c int64) {
+	if !x.replay {
+		x.s.maybeAutoPause(x.t)
+		x.s.ensureSub(x.t).Work(c)
+	}
+	tm.Spin(c)
+}
+
+func (x *segTx) NonTxWork(c int64) { tm.Spin(c) } // outside sub-HTM transactions
+
+func (x *segTx) Read(a mem.Addr) uint64 {
+	if x.replay {
+		return x.replayExpect(opRead, a, 0)
+	}
+	s, t := x.s, x.t
+	ht, d := x.live(a)
+	if t.checkCells && s.held(t, ht.Read(s.cell(a))) {
+		ht.Abort(codeLockConflict) // locked by others (Figure 2 lines 25-26)
+	}
+	t.ds.Read[d].Add(uint32(a))
+	v := ht.Read(a)
+	t.opLog = append(t.opLog, opRec{kind: opRead, addr: a, val: v})
+	return v
+}
+
+func (x *segTx) Write(a mem.Addr, v uint64) {
+	if x.replay {
 		x.replayExpect(opWrite, a, v)
 		return
-
-	case modeSlow:
-		s.m.Store(a, v)
-		return
 	}
-	panic(fmt.Sprintf("core: Write outside a transaction (mode %d)", t.mode))
+	s, t := x.s, x.t
+	ht, d := x.live(a)
+	if s.cfg.Opaque {
+		// Acquire the address-embedded lock (Figure 2 line 34) with one
+		// access: the old word is loaded under the acquisition that takes the
+		// cell line's write monitor, so the line is in the write set only, and
+		// the lock becomes visible when this sub-HTM transaction commits.
+		// Rewriting our own tag is harmless; ours over a held one dies with
+		// the abort, and over a released one acquires the cell.
+		if old := ht.Exchange(s.cell(a), t.tag); s.held(t, old) {
+			ht.Abort(codeLockConflict)
+		} else if old != t.tag {
+			t.ds.Write[d].Add(uint32(a))
+			t.segLocks++
+		}
+		// Locked by us: the data is written in place (Figure 2 line 31/35).
+	} else {
+		t.ds.Write[d].Add(uint32(a))
+	}
+	// Figure 1 lines 23-25: log the old value, write in place (buffered
+	// until the sub-HTM commit).
+	t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
+	t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
+	t.ds.Wrote |= 1 << uint(d)
 }
 
-// WriteLocal implements tm.Tx: an uninstrumented store of thread-private
-// data. Inside a hardware transaction the store is still buffered (and so
-// costs write capacity); the software framework adds no locks, signatures,
-// or undo records — the paper's manual barriers likewise skip accesses to
-// non-shared objects.
-func (x *tx) WriteLocal(a mem.Addr, v uint64) {
-	s, t := x.s, x.t
-	switch t.mode {
-	case modeFast:
-		t.ht.WriteLocal(a, v)
-	case modeLive:
-		s.maybeAutoPause(t)
-		s.ensureSub(t).WriteLocal(a, v)
-	case modeReplay:
-		// The committed prefix already published these values; local
-		// writes are not logged and need no replay.
-	case modeSlow:
-		s.m.Store(a, v)
-	default:
-		panic(fmt.Sprintf("core: WriteLocal outside a transaction (mode %d)", t.mode))
+// WriteLocal is not logged: the committed prefix already stored its values.
+func (x *segTx) WriteLocal(a mem.Addr, v uint64) {
+	if !x.replay {
+		x.s.maybeAutoPause(x.t)
+		x.s.ensureSub(x.t).WriteLocal(a, v)
 	}
 }
 
@@ -1582,7 +1570,7 @@ func (x *tx) WriteLocal(a mem.Addr, v uint64) {
 // live execution when the committed prefix is exhausted. A divergence
 // between the replayed body and the log means the body is not deterministic
 // in its reads; the only safe recovery is a global abort.
-func (x *tx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
+func (x *segTx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
 	t := x.t
 	// Partition points are soft: auto-activated breaking points from a
 	// previous execution need not line up with this execution's, so pause
@@ -1591,30 +1579,38 @@ func (x *tx) replayExpect(kind opKind, a mem.Addr, v uint64) uint64 {
 		t.replayPos++
 	}
 	if kind == opPause {
-		if t.replayPos >= len(t.opLog) {
-			t.mode = modeLive
-		}
+		x.replay = t.replayPos < len(t.opLog)
 		return 0
 	}
 	if t.replayPos >= len(t.opLog) {
 		// Committed prefix fully replayed: go live and re-dispatch.
-		t.mode = modeLive
-		switch kind {
-		case opRead:
+		x.replay = false
+		if kind == opRead {
 			return x.Read(a)
-		case opWrite:
-			x.Write(a, v)
-			return 0
 		}
+		x.Write(a, v)
+		return 0
 	}
 	rec := t.opLog[t.replayPos]
 	if rec.kind != kind || rec.addr != a || (kind == opWrite && rec.val != v) {
 		panic(globalAbortPanic{})
 	}
 	t.replayPos++
-	if t.replayPos == len(t.opLog) {
-		// Next operation goes live.
-		t.mode = modeLive
-	}
+	// The next operation goes live once the log is exhausted.
+	x.replay = t.replayPos < len(t.opLog)
 	return rec.val
 }
+
+// slowTx is the slow path's view: plain memory under the global lock.
+type slowTx struct {
+	s *System
+	t *thread
+}
+
+func (x *slowTx) Thread() int                     { return x.t.id }
+func (x *slowTx) Pause()                          {}
+func (x *slowTx) Read(a mem.Addr) uint64          { return x.s.m.Load(a) }
+func (x *slowTx) Write(a mem.Addr, v uint64)      { x.s.m.Store(a, v) }
+func (x *slowTx) WriteLocal(a mem.Addr, v uint64) { x.s.m.Store(a, v) }
+func (x *slowTx) Work(c int64)                    { tm.Spin(c) }
+func (x *slowTx) NonTxWork(c int64)               { tm.Spin(c) }

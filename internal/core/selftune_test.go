@@ -233,7 +233,7 @@ func TestStaleForeignTagDoesNotBlock(t *testing.T) {
 	xa, ya, za := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
 	attempt := func(id int, body func(tm.Tx)) bool {
 		p := s.threads[id]
-		return s.partitionedAttempt(p, &tx{s: s, t: p}, body)
+		return s.partitionedAttempt(p, body)
 	}
 	if !attempt(0, func(x tm.Tx) {
 		x.Write(xa, 1)
@@ -253,7 +253,7 @@ func TestStaleForeignTagDoesNotBlock(t *testing.T) {
 	release := parkPartitioned(t, s, 2, za, 4)
 	f := s.threads[1]
 	var sum uint64
-	res := s.fastAttempt(f, &tx{s: s, t: f}, func(x tm.Tx) {
+	res := s.fastAttempt(f, func(x tm.Tx) {
 		if !f.checkCells {
 			t.Error("a fast attempt that began beside a partitioned transaction skips its cells")
 		}

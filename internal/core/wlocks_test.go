@@ -125,7 +125,7 @@ func TestWriteLocksEmptyAtQuiescence(t *testing.T) {
 					x.Write(a, x.Read(a)+1)
 					x.Pause()
 					runtime.Gosched()
-					if i%3 == 0 && attempt == 1 && s.threads[id].mode == modeLive {
+					if i%3 == 0 && attempt == 1 && x == tm.Tx(&s.threads[id].seg) && !s.threads[id].seg.replay {
 						panic(globalAbortPanic{}) // not under the global lock, where the first attempt may also run
 					}
 					x.Write(b, x.Read(b)+1)
