@@ -383,6 +383,8 @@ type thread struct {
 	// their cells.
 	checkCells bool
 
+	// undo holds the old value of every live write, oldest first; the live
+	// segment's records get theirs at its sub-commit (fillUndo).
 	undo      []undoRec
 	opLog     []opRec
 	replayPos int
@@ -1116,6 +1118,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 			}
 		}
 	}
+	s.fillUndo(t, ht)
 	ht.Commit()
 	t.ht = nil
 	t.et.TraceEvent(trace.EvSubCommit, 0)
@@ -1157,6 +1160,24 @@ func (s *System) subCommitIfOpen(t *thread) {
 	// Part-HTM-O needs no post-commit validation: the timestamp
 	// subscription aborts any sub-transaction that overlaps a commit, so a
 	// committed sub-transaction is already known consistent.
+}
+
+// fillUndo reads the old values of the open segment's undo records, in one
+// pass just before its hardware commit. segTx.Write took each word's line
+// under ht's write monitor and loaded nothing (htm.Txn.Overwrite), and any
+// other store to that line, transactional or not, dooms ht before it lands.
+// So a word loaded here is still the one the segment's first write to it
+// replaced, or ht is doomed and Commit aborts it, and truncateSegment drops
+// the records. A word written twice in one segment logs memory's
+// pre-segment value twice; rollback, newest first, restores it all the same.
+// No locked instruction sits between these loads, so their cache misses
+// overlap; a load at each write waited for its miss before the next write
+// monitor's CAS could complete.
+func (s *System) fillUndo(t *thread, ht *htm.Txn) {
+	seg := t.undo[t.undoMark:]
+	for i := range seg {
+		seg[i].old = ht.HeldWord(seg[i].addr)
+	}
 }
 
 // publishWriteLocks announces a segment's new non-visible locations (Figure 1
@@ -1536,9 +1557,10 @@ func (x *segTx) Write(a mem.Addr, v uint64) {
 	ht, d := x.live(a)
 	if s.cfg.Opaque {
 		// Acquire the address-embedded lock (Figure 2 line 34) with one
-		// access: the old word is loaded under the acquisition that takes the
-		// cell line's write monitor, so the line is in the write set only, and
-		// the lock becomes visible when this sub-HTM transaction commits.
+		// access, at encounter time: the old word is loaded under the
+		// acquisition that takes the cell line's write monitor, so the line is
+		// in the write set only, and the lock becomes visible when this
+		// sub-HTM transaction commits.
 		// Rewriting our own tag is harmless; ours over a held one dies with
 		// the abort, and over a released one acquires the cell.
 		if old := ht.Exchange(s.cell(a), t.tag); s.held(t, old) {
@@ -1552,8 +1574,10 @@ func (x *segTx) Write(a mem.Addr, v uint64) {
 		t.ds.Write[d].Add(uint32(a))
 	}
 	// Figure 1 lines 23-25: log the old value, write in place (buffered
-	// until the sub-HTM commit).
-	t.undo = append(t.undo, undoRec{addr: a, old: ht.Exchange(a, v)})
+	// until the sub-HTM commit). The old value is read at the sub-commit
+	// (fillUndo), not here.
+	ht.Overwrite(a, v)
+	t.undo = append(t.undo, undoRec{addr: a})
 	t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 	t.ds.Wrote |= 1 << uint(d)
 }

@@ -603,9 +603,10 @@ func TestWorkloadPanicPropagates(t *testing.T) {
 }
 
 // TestUndoAcrossSegmentsRewritingOneWord: a word written in two segments
-// (and twice within the second) logs, per write, the value that write
-// replaced — memory's, then the first segment's committed one, then the
-// buffered one — so a global abort, undoing newest first, restores the
+// (and twice within the second) logs, per write, memory's value before that
+// write's segment: the original, then the first segment's committed value
+// twice, since a rewrite within one segment logs memory's pre-segment value,
+// not the buffered one. A global abort, undoing newest first, restores the
 // original.
 func TestUndoAcrossSegmentsRewritingOneWord(t *testing.T) {
 	for _, opaque := range []bool{false, true} {
@@ -641,6 +642,106 @@ func TestUndoAcrossSegmentsRewritingOneWord(t *testing.T) {
 			}
 			if got := m.Load(a); got != 103 {
 				t.Fatalf("a = %d after the retry, want 103", got)
+			}
+		})
+	}
+}
+
+// TestUndoSeesStoresBeforeSubCommit: a partitioned write logs the word it
+// replaces as memory holds it at the segment's commit, so a store that lands
+// before then is what a global abort restores.
+//
+//   - doomed: a non-transactional store to a word the live segment wrote
+//     dooms the segment; the retried segment commits, and a forced global
+//     abort restores the stored value, not the one before the store. A word
+//     only the doomed segment wrote keeps what is stored to it later: the
+//     doomed segment's undo records went with it.
+//   - parked: a store that lands while the write waits for its line (the
+//     test holds the line lock, as a store in progress does) dooms nothing,
+//     and the global abort restores it too.
+func TestUndoSeesStoresBeforeSubCommit(t *testing.T) {
+	for _, opaque := range []bool{false, true} {
+		name := "Part-HTM"
+		if opaque {
+			name = "Part-HTM-O"
+		}
+		build := func() (*System, *mem.Memory, mem.Addr) {
+			s := newSystem(1, 1<<17, nil, func(c *Config) {
+				c.NoFastPath = true
+				c.Opaque = opaque
+			})
+			m := s.Memory()
+			a := m.AllocLines(1)
+			m.Store(a, 100)
+			return s, m, a
+		}
+		t.Run(name+"/doomed", func(t *testing.T) {
+			s, m, a := build()
+			b := m.AllocLines(1)
+			m.Store(b, 100)
+			var seen []uint64
+			s.Atomic(0, func(x tm.Tx) {
+				seen = append(seen, x.Read(a))
+				switch len(seen) {
+				case 1:
+					x.Write(b, 1)
+					x.Write(a, 101)
+					m.Store(a, 200) // dooms the segment, which holds a's line
+				case 2:
+					x.Write(a, 101)
+				default:
+					x.Write(a, 102)
+					return
+				}
+				x.Pause()
+				if got := m.Load(a); got != 101 {
+					t.Errorf("a = %d after the retried segment committed, want 101", got)
+				}
+				m.Store(b, 300)
+				panic(globalAbortPanic{})
+			})
+			if len(seen) != 3 || seen[0] != 100 || seen[1] != 200 || seen[2] != 200 {
+				t.Fatalf("attempts read a = %v, want [100 200 200]: the global abort must restore the stored 200", seen)
+			}
+			if got := m.Load(a); got != 102 {
+				t.Fatalf("a = %d after the commit, want 102", got)
+			}
+			if got := m.Load(b); got != 300 {
+				t.Fatalf("b = %d, want the 300 stored after its only writer's segment died", got)
+			}
+		})
+		t.Run(name+"/parked", func(t *testing.T) {
+			s, m, a := build()
+			l := mem.LineOf(a)
+			held := m.Lock(l)
+			runs, after := 0, uint64(0)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Atomic(0, func(x tm.Tx) {
+					if runs++; runs > 1 {
+						after = x.Read(a) // the first read would wait for the line
+					}
+					x.Write(a, 101) // the first attempt waits here for the line
+					x.Pause()
+					if runs == 1 {
+						panic(globalAbortPanic{})
+					}
+				})
+			}()
+			for !lockWaiterIn("htm.(*Txn).ensureWriteMonitor") {
+				time.Sleep(time.Millisecond)
+			}
+			// What a non-transactional Store does under the line lock.
+			mon, _ := s.Engine().NonTxWrite(l, held)
+			m.RawStore(a, 200)
+			m.Unlock(l, mon)
+			<-done
+			if runs != 2 || after != 200 {
+				t.Fatalf("%d runs, the retry read a = %d; want 2 and the stored 200, which the global abort must restore", runs, after)
+			}
+			if got := m.Load(a); got != 101 {
+				t.Fatalf("a = %d after the commit, want 101", got)
 			}
 		})
 	}

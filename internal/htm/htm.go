@@ -36,11 +36,16 @@
 //     order, found through an open-addressed index whose slots carry a
 //     generation: emptying the buffer between transactions is a generation
 //     bump, and rewriting a buffered word touches no monitor.
-//   - Txn.Exchange is Read followed by Write as one access, for callers that
-//     log the old value of what they write (the partitioned path's undo
-//     log), and Txn.Add is the same pair for a read-modify-write (a ring's
-//     timestamp increment). The old word is loaded once the write monitor is
-//     held, and the line enters the write set only.
+//   - Txn.Exchange is Read followed by Write as one access, for a caller
+//     that needs the old value at once (Part-HTM-O's lock cells), and
+//     Txn.Add is the same pair for a read-modify-write (a ring's timestamp
+//     increment). The old word is loaded once the write monitor is held, and
+//     the line enters the write set only. Txn.Overwrite is Exchange at the
+//     same price without the load, for a caller that reads the replaced
+//     words only before Commit (the partitioned path's undo log) with
+//     Txn.HeldWord: those loads, with no locked instruction between them,
+//     overlap their cache misses, where a load after each write monitor's
+//     CAS waits for the miss before the next CAS can complete.
 //   - Commit stores each written line without the lock and then clears its
 //     write monitor with one CAS, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
@@ -316,12 +321,11 @@ func fromFault(r fault.Reason) AbortReason {
 }
 
 // abortPanic is the sentinel carried by the internal panic that unwinds an
-// aborting transaction body back to Execute.
-type abortPanic struct {
-	reason   AbortReason
-	code     uint8
-	injected bool
-}
+// aborting transaction body back to Execute, holding the Result it unwinds
+// to. Each Txn keeps its own and panics with a pointer to it: a pointer fits
+// an interface without an allocation, so an aborted attempt allocates
+// nothing.
+type abortPanic struct{ res Result }
 
 // Txn is a running hardware transaction. It must only be used by the thread
 // that called Execute, inside the body passed to Execute.
@@ -368,6 +372,9 @@ type Txn struct {
 	// it is searched linearly. A line must not be written both word-wise and
 	// line-wise within one transaction.
 	lineBuf []lineEntry
+
+	// ap is what an abort of this transaction panics with.
+	ap abortPanic
 }
 
 // lineEntry is one line buffered by WriteLine.
@@ -540,11 +547,13 @@ func (t *Txn) finish(committed bool) {
 
 // AsAbort reports whether r is an abort panic and, if so, its Result. Call it
 // on recover() from a deferred function wrapping a transactional region
-// used via Begin. It never re-raises: callers multiplex abort panics with
-// workload panics and their own control-flow sentinels, and dispatch on it.
+// used via Begin, before the slot's next transaction can abort: the panic
+// value is the aborted transaction's own. It never re-raises: callers
+// multiplex abort panics with workload panics and their own control-flow
+// sentinels, and dispatch on it.
 func AsAbort(r any) (Result, bool) {
-	if ap, ok := r.(abortPanic); ok {
-		return Result{Committed: false, Reason: ap.reason, Code: ap.code, Injected: ap.injected}, true
+	if ap, ok := r.(*abortPanic); ok {
+		return ap.res, true
 	}
 	return Result{}, false
 }
@@ -562,8 +571,8 @@ func (e *Engine) Execute(slot int, body func(*Txn)) (res Result) {
 		if r == nil {
 			return
 		}
-		if ap, ok := r.(abortPanic); ok {
-			res = Result{Committed: false, Reason: ap.reason, Code: ap.code, Injected: ap.injected}
+		if ap, ok := r.(*abortPanic); ok {
+			res = ap.res
 			return
 		}
 		if t != nil {
@@ -610,12 +619,16 @@ func (t *Txn) profFinish(outcome uint8) {
 	t.ps.RecordFootprint(t.class, outcome, r, w, int(t.maxOcc))
 }
 
-// abort tears the transaction down, records the outcome, and unwinds.
+// abort tears the transaction down, records the outcome, and unwinds. It
+// keeps its body, not a call to a shared helper, so that it is not inlined:
+// an inlinable abort pushes step and abortIfDoomed, which call it, over the
+// inlining budget, and every access pays for the calls.
 func (t *Txn) abort(reason AbortReason, code uint8) {
 	t.finish(false)
 	t.eng.recordAbort(reason)
 	t.profFinish(uint8(reason))
-	panic(abortPanic{reason: reason, code: code})
+	t.ap.res = Result{Reason: reason, Code: code}
+	panic(&t.ap)
 }
 
 // abortInjected is abort for injector-forced faults: the unwound Result
@@ -624,7 +637,8 @@ func (t *Txn) abortInjected(reason AbortReason, code uint8) {
 	t.finish(false)
 	t.eng.recordAbort(reason)
 	t.profFinish(uint8(reason))
-	panic(abortPanic{reason: reason, code: code, injected: true})
+	t.ap.res = Result{Reason: reason, Code: code, Injected: true}
+	panic(&t.ap)
 }
 
 // InjectionPoint consults the fault injector at a protocol-level site
@@ -709,10 +723,11 @@ func (t *Txn) Footprint() (cycles int64, readLines, writeLines int) {
 
 // Held reports what the transaction holds, for a software layer that
 // summarises it only when it must. word is called with the address of each
-// word buffered by Write, Exchange or Add, in first-write order; then, unless
-// line is nil, line is called with each line the transaction monitors, its
-// read lines and then its write lines (a line both read and written comes
-// twice). Words written with WriteLine or WriteLocal are not reported.
+// word buffered by Write, Overwrite, Exchange or Add, in first-write order;
+// then, unless line is nil, line is called with each line the transaction
+// monitors, its read lines and then its write lines (a line both read and
+// written comes twice). Words written with WriteLine or WriteLocal are not
+// reported.
 func (t *Txn) Held(word func(mem.Addr), line func(mem.Line)) {
 	for i := range t.wb {
 		word(t.wb[i].addr)
@@ -919,9 +934,22 @@ func (t *Txn) admitReadLine() {
 // Write performs a transactional write: buffered locally, monitored
 // eagerly, published at commit. It must not touch a line written with
 // WriteLine.
-func (t *Txn) Write(a mem.Addr, v uint64) {
+func (t *Txn) Write(a mem.Addr, v uint64) { t.write(a, v, t.eng.cfg.WriteCost) }
+
+// Overwrite is Exchange without the load, for a caller that wants the word
+// it replaces only at commit (the partitioned path's undo log): it charges
+// what Exchange charges, a read plus a write, and takes the line's write
+// monitor as Exchange does, but buffers v and loads nothing. HeldWord then
+// reads the replaced word, once for all such writes, just before Commit.
+// Like Write it must not touch a line written with WriteLine.
+func (t *Txn) Overwrite(a mem.Addr, v uint64) {
+	t.write(a, v, t.eng.cfg.ReadCost+t.eng.cfg.WriteCost)
+}
+
+// write is Write charging cost cycles.
+func (t *Txn) write(a mem.Addr, v uint64, cost int64) {
 	t.checkDoomed()
-	t.step(t.eng.cfg.WriteCost)
+	t.step(cost)
 	t.wbReserve()
 	i, slot := t.wbProbe(a)
 	if i >= 0 {
@@ -944,7 +972,9 @@ func (t *Txn) Write(a mem.Addr, v uint64) {
 // is held, and the line enters the write set only: a write monitor already
 // conflicts with every access a read monitor conflicts with, so the reader
 // bit Read would set is redundant. Like Write it must not touch a line
-// written with WriteLine.
+// written with WriteLine. A caller that needs the old word only at commit
+// uses Overwrite and HeldWord instead: the load here is the access's cache
+// miss, and the next write monitor's CAS waits for it.
 func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
@@ -965,8 +995,8 @@ func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
 
 // Add is Read(a) followed by Write(a, Read(a)+d) as one access, on the terms
 // of Exchange: it buffers the sum and returns it. It is Exchange's code with
-// the sum in place of v, kept apart so that the partitioned path's hot
-// Exchange does not test which of the two it is.
+// the sum in place of v, kept apart so that Part-HTM-O's lock-cell Exchange
+// does not test which of the two it is.
 func (t *Txn) Add(a mem.Addr, d uint64) (new uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
@@ -1179,6 +1209,16 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 		t.checkDoomed()
 	}
 }
+
+// HeldWord returns memory's word at a, on a line in the transaction's write
+// set: the word as it was when the line's write monitor was taken, whatever
+// the transaction has buffered for it since. It is one plain load, with no
+// monitor work and no doom check, so a caller that reads many such words in
+// a row has their cache misses overlap. The value counts only if the
+// transaction then commits: any other store to the line, transactional or
+// not, dooms the holder before it lands, and Commit's doom check turns that
+// doom into an abort.
+func (t *Txn) HeldWord(a mem.Addr) uint64 { return t.eng.mem.RawLoad(a) }
 
 // loadHeld returns the word at a on a line whose write monitor the
 // transaction holds. As in Read, the status is checked after the load: a

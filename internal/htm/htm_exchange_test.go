@@ -60,6 +60,33 @@ func TestExchangeReturnsWhatReadWould(t *testing.T) {
 	}
 }
 
+// TestOverwriteIsExchangeWithoutTheLoad: Overwrite charges what Exchange
+// charges and holds the line in the write set only, and HeldWord reads
+// memory's word under it, not the buffered one, until the commit stores it.
+func TestOverwriteIsExchangeWithoutTheLoad(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	a := m.AllocLines(1)
+	m.Store(a, 10)
+
+	tx := e.Begin(0)
+	tx.Overwrite(a, 11)
+	tx.Overwrite(a, 12)
+	if c, r, w := tx.Footprint(); c != 6 || r != 0 || w != 1 {
+		t.Fatalf("two Overwrites: %d cycles, %d read lines, %d write lines; want 6 (two Exchanges), 0 and 1", c, r, w)
+	}
+	if got := tx.HeldWord(a); got != 10 {
+		t.Fatalf("HeldWord = %d, want memory's 10", got)
+	}
+	if got := tx.Read(a); got != 12 {
+		t.Fatalf("Read after Overwrite = %d, want the buffered 12", got)
+	}
+	tx.Commit()
+	if got := m.Load(a); got != 12 {
+		t.Fatalf("committed %d, want 12", got)
+	}
+}
+
 func TestExchangeOnWriteLinePanics(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	base := e.Memory().AllocLines(1)
