@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -791,13 +792,14 @@ func TestAloneFastAttemptChecksLocksTakenDuringIt(t *testing.T) {
 	}
 }
 
-// TestGateLoadsRawWhileLockFree: Part-HTM's gate reads a free global lock with
-// a raw load, so while the test holds the lock word's line lock with the lock
-// free, an Atomic passes the gate and waits in its fast attempt's monitored
-// read of the lock. With the lock held the gate re-reads it with a Load, so
-// the same Atomic waits in the gate: each spin of the lemming wait still
-// takes the line lock.
+// TestGateLoadsRawWhileLockFree: Part-HTM's gate reads the global lock with a
+// raw load, free or held. The test holds the lock word's line lock throughout.
+// With the lock free an Atomic passes the gate and waits in its fast attempt's
+// monitored read of the lock. With the lock held it spins in the gate without
+// waiting for the line, so a raw store that frees the lock lets it on to that
+// same read.
 func TestGateLoadsRawWhileLockFree(t *testing.T) {
+	const inFast, inGate = "core.(*System).fastAttempt(", "exec.(*Runner).awaitGate("
 	for _, lock := range []uint64{0, 1} {
 		s := newSystem(1, 1<<17, nil, nil)
 		m := s.Memory()
@@ -810,24 +812,32 @@ func TestGateLoadsRawWhileLockFree(t *testing.T) {
 			defer close(done)
 			s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
 		}()
-		const inFast, inGate = "core.(*System).fastAttempt(", "exec.(*Runner).awaitGate("
-		for !lockWaiterIn("core.(*System).Atomic(") {
+		if lock != 0 {
+			for !goroutineIn(inGate) {
+				runtime.Gosched()
+			}
+			m.RawStore(s.glock, 0)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !lockWaiterIn(inFast) {
+			if time.Now().After(deadline) {
+				t.Fatalf("global lock %d: the Atomic never reached its fast attempt's read of the lock (waiting for the line in the gate: %v)", lock, lockWaiterIn(inGate))
+			}
 			runtime.Gosched()
 		}
-		want, other := inFast, inGate
-		if lock != 0 {
-			want, other = inGate, inFast
-		}
-		if !lockWaiterIn(want) {
-			t.Errorf("global lock %d: the Atomic waits for the lock's line outside %s (in %s: %v)", lock, want, other, lockWaiterIn(other))
-		}
 		m.Unlock(glockLine, held)
-		m.Store(s.glock, 0)
 		<-done
 		if got := m.Load(a); got != 1 {
 			t.Fatalf("global lock %d: the Atomic wrote %d, want 1", lock, got)
 		}
 	}
+}
+
+// goroutineIn reports whether some goroutine has frame on its stack.
+func goroutineIn(frame string) bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	return bytes.Contains(buf[:n], []byte(frame))
 }
 
 // lockWaiterIn reports whether some goroutine is waiting for a line lock

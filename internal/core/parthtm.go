@@ -119,9 +119,8 @@ const (
 // rules): the paper's five partitioned attempts before the global lock,
 // backoff after a global abort, and the contention manager that keeps an
 // abort storm live — a budget of hardware aborts (not begins, so
-// many-segment transactions are not penalized), eldest priority for a
-// starving transaction and a bounded lemming wait. No option changes it;
-// tests pass another to newWith.
+// many-segment transactions are not penalized) and the slow path for a
+// starving transaction. No option changes it; tests pass another to newWith.
 var schedule = exec.Policy{
 	FastAttempts:       fastRetries,
 	StopFastOnResource: true,
@@ -131,7 +130,6 @@ var schedule = exec.Policy{
 	MaxBackoff:         100 * time.Microsecond,
 	RetryBudget:        24,
 	StarveThreshold:    3,
-	LemmingWaitSpins:   4096,
 }
 
 // DefaultConfig returns the configuration used in the paper's evaluation,
@@ -169,7 +167,7 @@ type System struct {
 	stats   tm.Stats
 
 	// run is the shared execution kernel: it owns the retry schedule, the
-	// contention manager (budget, eldest priority, lemming-wait) and all
+	// contention manager (budget, starvation), the lemming wait and all
 	// commit/abort stats recording.
 	run *exec.Runner
 }
@@ -214,13 +212,10 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 		// Below the shadow, so no data address and no cell moves.
 		s.owners = m.ReserveTop(maxThreads * mem.LineWords)
 	}
-	// The gate is sound as a raw load, since every attempt re-reads the lock
-	// under a monitor, and a free lock costs just that. A held one is re-read
-	// with a Load: the schedule's bounded lemming wait counts spins of this
-	// gate, and with spins of the cheaper raw load alone Part-HTM fell back to
-	// the global lock more often under contention
-	// (TestShapeFig3bPartHTMWinsBigReads).
-	s.run = exec.New(pol, &s.stats, func() bool { return m.RawLoad(s.glock) == 0 || m.Load(s.glock) == 0 })
+	// The gate is HTM-GL's: advisory, since every attempt re-reads the lock
+	// under a monitor, and the lock word is only ever written
+	// non-transactionally, so a raw load.
+	s.run = exec.New(pol, &s.stats, func() bool { return m.RawLoad(s.glock) == 0 })
 	s.threads = make([]*thread, maxThreads)
 	for i := range s.threads {
 		t := newThread(i)
@@ -510,11 +505,10 @@ const (
 // Atomic implements tm.System: fast path, then partitioned path, then slow
 // path, with the retry policy of the paper's evaluation (5 attempts per
 // level; resource aborts skip straight to partitioning) hardened by the
-// contention manager: a per-transaction hardware-abort budget, eldest
-// priority for starving transactions and bounded lemming-waits. All of that
-// schedule lives in the exec kernel; this method only decides whether the
-// self-tuned fast path applies to this transaction and hands the level
-// closures over.
+// contention manager: a per-transaction hardware-abort budget and the slow
+// path for starving transactions. All of that schedule lives in the exec
+// kernel; this method only decides whether the self-tuned fast path applies
+// to this transaction and hands the level closures over.
 func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t := s.threads[threadID]
 	t.body = body
@@ -793,20 +787,18 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 			}
 			return
 		}
-		if _, ok := r.(globalAbortPanic); ok {
-			if t.ht != nil {
-				t.ht.Cancel()
-				t.ht = nil
-			}
-			s.truncateSegment(t)
-			out = outAbortGlobal
-			return
-		}
-		// A workload panic: tear down and re-raise.
 		if t.ht != nil {
 			t.ht.Cancel()
 			t.ht = nil
 		}
+		s.truncateSegment(t)
+		if _, ok := r.(globalAbortPanic); ok {
+			out = outAbortGlobal
+			return
+		}
+		// A workload panic: leave the partitioned path as a global abort
+		// does, and re-raise.
+		s.globalAbort(t)
 		panic(r)
 	}()
 
@@ -1368,6 +1360,8 @@ func (s *System) decActive() {
 // ---------------------------------------------------------------------------
 // Slow path (Figure 1 lines 61-65)
 
+// slowAttempt runs the body under the global lock once no partitioned
+// transaction is active, and releases the lock even when the body panics.
 func (s *System) slowAttempt(t *thread, body func(tm.Tx)) {
 	for !s.m.CAS(s.glock, 0, 1) {
 		runtime.Gosched()
@@ -1376,9 +1370,11 @@ func (s *System) slowAttempt(t *thread, body func(tm.Tx)) {
 		runtime.Gosched()
 	}
 	start := time.Now()
+	defer func() {
+		s.m.Store(s.glock, 0)
+		t.sh.AddSerial(time.Since(start))
+	}()
 	body(&t.slow)
-	s.m.Store(s.glock, 0)
-	t.sh.AddSerial(time.Since(start))
 }
 
 // ---------------------------------------------------------------------------

@@ -578,11 +578,20 @@ func TestNoFastPathSkipsHardwareFastAttempts(t *testing.T) {
 }
 
 // TestWorkloadPanicPropagates: a panic in the body must escape Atomic (on
-// any path) without corrupting the system for later transactions.
+// any path) without corrupting the system for later transactions. A body
+// that panics on the partitioned path after a committed segment leaves that
+// path as a global abort does: the segment's write is undone and activeTx is
+// 0 again, so the slow path, which waits for it, can run.
 func TestWorkloadPanicPropagates(t *testing.T) {
-	for _, noFast := range []bool{false, true} {
-		s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = noFast })
-		a := s.Memory().Alloc(1)
+	for _, tc := range []struct{ noFast, opaque, segment bool }{
+		{false, false, false},
+		{true, false, false},
+		{true, false, true},
+		{true, true, true},
+	} {
+		s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath, c.Opaque = tc.noFast, tc.opaque })
+		m := s.Memory()
+		a := m.Alloc(1)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -590,14 +599,26 @@ func TestWorkloadPanicPropagates(t *testing.T) {
 				}
 			}()
 			s.Atomic(0, func(x tm.Tx) {
-				x.Read(a)
+				if tc.segment {
+					x.Write(a, 8)
+					x.Pause()
+				} else {
+					x.Read(a)
+				}
 				panic("workload bug")
 			})
 		}()
+		if n := m.Load(s.activeTx); n != 0 {
+			t.Fatalf("%s %+v: activeTx = %d after the panic, want 0", s.Name(), tc, n)
+		}
+		if got := m.Load(a); got != 0 {
+			t.Fatalf("%s %+v: a = %d after the panic, want 0 restored", s.Name(), tc, got)
+		}
+		s.slowAttempt(s.threads[0], func(x tm.Tx) { x.Write(a, 2) })
 		// The system must still work afterwards.
-		s.Atomic(0, func(x tm.Tx) { x.Write(a, 3) })
-		if got := s.Memory().Load(a); got != 3 {
-			t.Fatalf("a = %d after recovery", got)
+		s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+		if got := m.Load(a); got != 3 {
+			t.Fatalf("%s %+v: a = %d after recovery, want 3", s.Name(), tc, got)
 		}
 	}
 }

@@ -69,9 +69,8 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 		t.Fatal("FaultsInjected = 0 under a total storm")
 	}
 
-	// The seed's bare retry schedule: unbounded budget, no priority,
-	// unbounded lemming-wait.
-	pol.RetryBudget, pol.StarveThreshold, pol.LemmingWaitSpins = 0, 0, 0
+	// The seed's bare retry schedule: no budget, no starvation escalation.
+	pol.RetryBudget, pol.StarveThreshold = 0, 0
 	seed := newFaultSystem(1, storm(), true, pol)
 	seedAborts := run(seed)
 
@@ -95,8 +94,8 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 // TestMutualInvalidationNoLivelock scripts two partitioned transactions to
 // invalidate each other's every sub-HTM commit (the injected explicit abort
 // carries codeLockConflict, so each commit attempt becomes a global abort —
-// the Alistarh-style mutual-kill pattern). Both must commit, with the
-// eldest transaction winning the priority bid and escalating first.
+// the Alistarh-style mutual-kill pattern). Both must commit, each escalating
+// on its own starvation score.
 func TestMutualInvalidationNoLivelock(t *testing.T) {
 	fcfg := &fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
 		0: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
@@ -108,21 +107,20 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 	s := newFaultSystem(2, fcfg, true, pol)
 	m := s.Memory()
 	a, b := m.AllocLines(1), m.AllocLines(1)
-	elder := s.Stats().Shard(0)
+	first := s.Stats().Shard(0)
 
 	done := make(chan int, 2)
 	go func() {
 		s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(b)+1) })
 		done <- 0
 	}()
-	// The elder transaction (ticket 1) runs alone until it has bid for
-	// priority and escalated; only then is the younger one released, so the
-	// elder escalates first by construction.
+	// The first transaction runs alone until it has escalated; only then
+	// is the second one released.
 	deadline := time.After(30 * time.Second)
-	for elder.EscalationsStarve.Load() == 0 {
+	for first.EscalationsStarve.Load() == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("elder transaction never escalated (livelock?)")
+			t.Fatal("first transaction never escalated (livelock?)")
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -146,8 +144,43 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 	if st.EscalationsStarve < 2 {
 		t.Fatalf("EscalationsStarve = %d, want both transactions to escalate", st.EscalationsStarve)
 	}
-	if s.Kernel().PriorityTicket() != 0 {
-		t.Fatalf("priority ticket %d still held after both commits", s.Kernel().PriorityTicket())
+}
+
+// TestSlowPathPanicReleasesLock: a body that panics on the slow path leaves
+// the global lock free for later transactions. A scripted abort at the fast
+// attempt's first access spends a retry budget of 1, so the body first runs
+// on the slow path.
+func TestSlowPathPanicReleasesLock(t *testing.T) {
+	fcfg := &fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
+		0: {{Site: fault.SiteHTMBegin, Reason: fault.Conflict, Count: 1}},
+	}}
+	pol := schedule
+	pol.RetryBudget = 1
+	s := newFaultSystem(1, fcfg, false, pol)
+	m := s.Memory()
+	a := m.Alloc(1)
+	func() {
+		defer func() {
+			if r := recover(); r != "bug" {
+				t.Fatalf("want the body's panic, got %v", r)
+			}
+		}()
+		s.Atomic(0, func(x tm.Tx) {
+			x.Write(a, 9)
+			panic("bug")
+		})
+	}()
+	if st := s.Stats().Snapshot(); st.EscalationsBudget != 1 || st.Commits() != 0 {
+		t.Fatalf("want one budget escalation and no commit, got %+v", st)
+	}
+	if g := m.Load(s.glock); g != 0 {
+		t.Fatalf("global lock = %d after the slow path's panic, want 0", g)
+	}
+	// The slow path writes in place: what it wrote before the panic stays.
+	before := m.Load(a)
+	s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	if got := m.Load(a); got != before+1 {
+		t.Fatalf("a = %d after the next transaction, want %d", got, before+1)
 	}
 }
 
@@ -180,15 +213,16 @@ func TestCountersZeroWithoutInjector(t *testing.T) {
 // time the kernel under a field-by-field copy of Part-HTM's schedule
 // (benchmark/ledger.go, addExec). The copy is repeated here so that a change
 // to the schedule fails until the ledger prices the same policy again. The
-// ledger still sets the deprecated, ignored DegradeThreshold, so the
-// comparison zeroes it.
+// ledger still sets the deprecated, ignored DegradeThreshold and
+// LemmingWaitSpins, which the schedule leaves zero, so the comparison zeroes
+// them.
 func TestScheduleIsTheLedgers(t *testing.T) {
 	ledger := exec.Policy{
 		FastAttempts: 5, StopFastOnResource: true, MidAttempts: 5, GateMid: true,
 		Backoff: true, MaxBackoff: 100 * time.Microsecond, RetryBudget: 24,
 		StarveThreshold: 3, LemmingWaitSpins: 4096, DegradeThreshold: 12,
 	}
-	ledger.DegradeThreshold = 0
+	ledger.DegradeThreshold, ledger.LemmingWaitSpins = 0, 0
 	if schedule != ledger {
 		t.Fatalf("Part-HTM's schedule %+v is not the one the ledger times, %+v", schedule, ledger)
 	}

@@ -4,9 +4,9 @@
 // levels as a Policy (how many attempts per level, which gates apply) and
 // each transaction as a Txn (the fast hardware attempt, the mid-level
 // software attempt, the always-succeeds slow path); the Runner drives the
-// levels, charges the hardware-abort budget, bids eldest priority for
-// starving transactions, applies jittered exponential backoff, and records
-// every commit and abort into the per-thread tm.Stats shards.
+// levels, charges the hardware-abort budget, sends starving transactions to
+// the slow path, applies jittered exponential backoff, and records every
+// commit and abort into the per-thread tm.Stats shards.
 //
 // The level structure mirrors the paper's Part-HTM schedule (fast →
 // partitioned → global lock) but degenerates cleanly: HTM-GL uses only
@@ -17,7 +17,6 @@ package exec
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/governor"
@@ -57,13 +56,13 @@ type Policy struct {
 	// before it escalates straight to the slow path. Zero disables the
 	// budget.
 	RetryBudget int
-	// StarveThreshold is how many mid-level aborts in a row make a
-	// transaction bid for eldest priority (see Runner.bidPriority). Zero
-	// disables priority bidding — and age-ticket issuance entirely.
+	// StarveThreshold is the starvation score (mid-level aborts, halved at
+	// each commit) at which a transaction escalates to the slow path. Zero
+	// disables starvation escalation.
 	StarveThreshold int
-	// LemmingWaitSpins bounds the pre-attempt wait on the gate; a waiter
-	// that exceeds the (jittered) bound escalates to the slow path instead
-	// of feeding the lemming convoy. Zero means wait unbounded.
+	// LemmingWaitSpins is ignored: the gate wait is unbounded.
+	//
+	// Deprecated: kept only until the benchmark's ledger stops setting it.
 	LemmingWaitSpins int
 	// DegradeThreshold is ignored: the degraded serialized mode it tuned
 	// is gone.
@@ -96,7 +95,7 @@ type Txn struct {
 }
 
 // Thread is one thread's kernel-side state: its stats shard, contention
-// budget, age ticket, and backoff PRNG. Obtain via Runner.Thread and use
+// budget, starvation score, and backoff PRNG. Obtain via Runner.Thread and use
 // from one goroutine at a time.
 type Thread struct {
 	r  *Runner
@@ -105,13 +104,10 @@ type Thread struct {
 
 	rngState uint64
 
-	// Per-transaction contention-manager state: the age ticket, the
-	// remaining hardware-abort budget, the consecutive-mid-abort score
-	// (decayed on commit), and whether an escalation was already recorded.
-	ticket    uint64
-	budget    int
-	starve    int
-	escalated bool
+	// Contention-manager state: the transaction's remaining hardware-abort
+	// budget and the thread's mid-abort score (halved at each commit).
+	budget int
+	starve int
 
 	// Tracing state (nil buf = tracing disabled; the hot path pays one
 	// branch). txID identifies the current transaction across retries;
@@ -236,12 +232,6 @@ type Runner struct {
 	sink    *trace.Sink
 	gov     *governor.Governor
 	prof    *prof.Profile
-
-	// ticketCtr issues age tickets (smaller = elder); prio holds the
-	// ticket of the transaction currently granted eldest priority (0 =
-	// none).
-	ticketCtr atomic.Uint64
-	prio      atomic.Uint64
 }
 
 // New creates a Runner over the system's stats. gateFree may be nil when
@@ -341,7 +331,6 @@ type escalation uint8
 const (
 	escBudget escalation = iota
 	escStarve
-	escLemming
 )
 
 // Run executes one transaction for thread id through the policy's levels.
@@ -349,7 +338,7 @@ const (
 // the transaction's effects are durable.
 func (r *Runner) Run(id int, txn *Txn) {
 	t := r.Thread(id)
-	r.cmBegin(t)
+	t.budget = r.pol.RetryBudget
 	t.traceBegin()
 	defer r.cmFinish(t)
 
@@ -378,11 +367,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 		for attempt := 0; attempt < r.pol.FastAttempts; attempt++ {
 			// Lemming-effect avoidance: do not even start while the gate
 			// (global lock) is held.
-			if !r.awaitGate(t) {
-				r.escalate(t, escLemming)
-				r.runSlow(t, txn)
-				return
-			}
+			r.awaitGate(t)
 			res := txn.Fast()
 			if res.Committed {
 				t.sh.CommitsHTM.Inc()
@@ -414,10 +399,8 @@ func (r *Runner) Run(id int, txn *Txn) {
 	if txn.Mid != nil {
 		t.TraceEvent(trace.EvPathPart, 0)
 		for attempt := 0; r.pol.MidAttempts == 0 || attempt < r.pol.MidAttempts; attempt++ {
-			if r.pol.GateMid && !r.awaitGate(t) {
-				r.escalate(t, escLemming)
-				r.runSlow(t, txn)
-				return
+			if r.pol.GateMid {
+				r.awaitGate(t)
 			}
 			if txn.Mid() {
 				t.sh.CommitsSW.Inc()
@@ -439,11 +422,9 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.runSlow(t, txn)
 				return
 			}
-			if r.pol.StarveThreshold > 0 && t.starve >= r.pol.StarveThreshold && r.bidPriority(t) {
-				// The eldest starving transaction serializes: it cannot
-				// lose another conflict on the slow path, and younger
-				// starvers keep retrying until the ticket frees (or they
-				// become eldest).
+			if r.pol.StarveThreshold > 0 && t.starve >= r.pol.StarveThreshold {
+				// A starving transaction serializes: it cannot lose
+				// another conflict on the slow path.
 				r.escalate(t, escStarve)
 				r.runSlow(t, txn)
 				return
@@ -466,19 +447,8 @@ func (r *Runner) runSlow(t *Thread, txn *Txn) {
 	t.traceCommit(trace.PathGL)
 }
 
-// cmBegin opens one transaction's contention-manager scope: a fresh age
-// ticket (only when priority bidding is on — tickets are meaningless
-// otherwise) and a full hardware-abort budget.
-func (r *Runner) cmBegin(t *Thread) {
-	if r.pol.StarveThreshold > 0 {
-		t.ticket = r.ticketCtr.Add(1)
-	}
-	t.budget = r.pol.RetryBudget
-	t.escalated = false
-}
-
-// cmFinish closes the scope after the commit (every Run commits): the
-// priority ticket is released and the starvation score decays.
+// cmFinish closes the transaction's contention-manager scope after the
+// commit (every Run commits): the starvation score decays.
 func (r *Runner) cmFinish(t *Thread) {
 	if t.gv != nil {
 		// Breaker feedback on the final path: a hardware commit closes an
@@ -492,87 +462,34 @@ func (r *Runner) cmFinish(t *Thread) {
 			t.TraceEvent(trace.EvBreakerClose, 0)
 		}
 	}
-	if r.pol.StarveThreshold > 0 && r.prio.Load() == t.ticket {
-		r.prio.CompareAndSwap(t.ticket, 0)
-	}
 	t.starve >>= 1
 }
 
-// escalate records one slow-path escalation (once per transaction).
+// escalate records one slow-path escalation; the caller then runs the slow
+// path, so a transaction escalates at most once.
 func (r *Runner) escalate(t *Thread, kind escalation) {
-	if t.escalated {
-		return
-	}
-	t.escalated = true
-	switch kind {
-	case escBudget:
+	if kind == escBudget {
 		t.sh.EscalationsBudget.Inc()
-	case escStarve:
+	} else {
 		t.sh.EscalationsStarve.Inc()
-	case escLemming:
-		t.sh.EscalationsLemming.Inc()
 	}
 	t.TraceEvent(trace.EvEscalate, uint64(kind))
 }
 
-// bidPriority tries to acquire the eldest-priority ticket. The smallest
-// (oldest) ticket wins: a younger holder is displaced, a younger bidder is
-// refused. The total order on tickets makes the outcome acyclic, so exactly
-// one of two mutually-aborting transactions escalates first — no livelock.
-func (r *Runner) bidPriority(t *Thread) bool {
-	for {
-		cur := r.prio.Load()
-		switch {
-		case cur == t.ticket:
-			return true
-		case cur != 0 && cur < t.ticket:
-			return false // an elder transaction already holds priority
-		}
-		if r.prio.CompareAndSwap(cur, t.ticket) {
-			return true
-		}
-	}
-}
-
-// awaitGate waits for the gate to open before an optimistic attempt. It
-// returns false when the bounded (jittered) wait expired — the caller
-// escalates instead of feeding the lemming convoy. With LemmingWaitSpins
-// zero the wait is unbounded. A nil gate is always open. The lemming
-// enter/exit events are recorded only when the gate actually blocks, so
-// the gate-open common case stays one function call.
-func (r *Runner) awaitGate(t *Thread) bool {
+// awaitGate waits for the gate to open before an optimistic attempt. A nil
+// gate is always open. The lemming enter/exit events are recorded only when
+// the gate actually blocks, so the gate-open common case stays one function
+// call.
+func (r *Runner) awaitGate(t *Thread) {
 	if r.gateFree == nil || r.gateFree() {
-		return true
+		return
 	}
 	t.TraceEvent(trace.EvLemmingEnter, 0)
-	ok := true
-	spins := r.pol.LemmingWaitSpins
-	if spins <= 0 {
-		for !r.gateFree() {
-			runtime.Gosched()
-		}
-	} else {
-		limit := spins + int(t.rng()%uint64(spins/4+1))
-		ok = false
-		for i := 1; i < limit; i++ {
-			runtime.Gosched()
-			if r.gateFree() {
-				ok = true
-				break
-			}
-		}
+	for !r.gateFree() {
+		runtime.Gosched()
 	}
-	var expired uint64
-	if !ok {
-		expired = 1
-	}
-	t.TraceEvent(trace.EvLemmingExit, expired)
-	return ok
+	t.TraceEvent(trace.EvLemmingExit, 0)
 }
-
-// PriorityTicket returns the age ticket currently holding eldest priority
-// (0 = none).
-func (r *Runner) PriorityTicket() uint64 { return r.prio.Load() }
 
 // maxBackoffShift caps the backoff exponent: beyond it the doubling has
 // long exceeded any sane MaxBackoff, and past 63 the shift would overflow.

@@ -108,29 +108,34 @@ func TestBudgetEscalates(t *testing.T) {
 	}
 }
 
-// TestLemmingEscalates: a permanently held gate with a bounded wait must
-// escalate instead of spinning forever.
-func TestLemmingEscalates(t *testing.T) {
+// TestLemmingWaitOutlastsGate: a gate that stays closed for k polls holds
+// the fast attempt back until it opens, however long that is; the wait
+// escalates nothing and the transaction commits in hardware.
+func TestLemmingWaitOutlastsGate(t *testing.T) {
+	const k = 10000
 	var st tm.Stats
-	r := New(Policy{FastAttempts: 1, LemmingWaitSpins: 8}, &st,
-		func() bool { return false })
-	slow := 0
+	polls := 0
+	pol := Policy{FastAttempts: 1}
+	pol.LemmingWaitSpins = 8 // deprecated and ignored
+	r := New(pol, &st, func() bool { polls++; return polls > k })
 	txn := &Txn{
-		Fast: func() htm.Result { t.Fatal("fast level ran with the gate held"); return htm.Result{} },
-		Slow: func() { slow++ },
+		Fast: func() htm.Result {
+			if polls <= k {
+				t.Fatalf("fast level ran after %d polls of a gate closed for %d", polls, k)
+			}
+			return htm.Result{Committed: true}
+		},
+		Slow: func() { t.Fatal("slow path reached behind a gate that opens") },
 	}
 	r.Run(0, txn)
-	if slow != 1 {
-		t.Fatalf("slow = %d", slow)
-	}
 	snap := st.Snapshot()
-	if snap.EscalationsLemming != 1 || snap.CommitsGL != 1 {
+	if snap.CommitsHTM != 1 || snap.Commits() != 1 || snap.Escalations() != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
-// TestStarvationEscalates: enough consecutive mid-level aborts must win the
-// priority bid and serialize; the ticket must be released after the commit.
+// TestStarvationEscalates: enough consecutive mid-level aborts must
+// serialize the transaction.
 func TestStarvationEscalates(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{MidAttempts: 100, StarveThreshold: 2}, &st, nil)
@@ -147,13 +152,10 @@ func TestStarvationEscalates(t *testing.T) {
 	if snap.EscalationsStarve != 1 || snap.CommitsGL != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if r.PriorityTicket() != 0 {
-		t.Fatalf("priority ticket %d still held after commit", r.PriorityTicket())
-	}
 }
 
 // TestZeroPolicyIsPureSTM: the zero policy must loop the mid level until it
-// commits — the pure-STM shape — with no gates and no tickets issued.
+// commits — the pure-STM shape — with no gates and no escalation.
 func TestZeroPolicyIsPureSTM(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{}, &st, nil)
@@ -167,11 +169,8 @@ func TestZeroPolicyIsPureSTM(t *testing.T) {
 		t.Fatalf("mid = %d", mid)
 	}
 	snap := st.Snapshot()
-	if snap.CommitsSW != 1 || snap.AbortsConflict != 49 {
+	if snap.CommitsSW != 1 || snap.AbortsConflict != 49 || snap.Escalations() != 0 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-	if r.ticketCtr.Load() != 0 {
-		t.Fatal("tickets issued with priority bidding disabled")
 	}
 }
 

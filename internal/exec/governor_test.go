@@ -275,10 +275,9 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	}
 }
 
-// TestEscalationRace has many threads concurrently escalate through
-// eldest-ticket priority bidding. Run with -race; the assertion is that
-// every transaction commits and the priority ticket is free once the
-// threads have quiesced.
+// TestEscalationRace has many threads concurrently escalate on their
+// starvation scores. Run with -race; the assertion is that every
+// transaction commits.
 func TestEscalationRace(t *testing.T) {
 	const threads = 8
 	const txns = 300
@@ -287,7 +286,7 @@ func TestEscalationRace(t *testing.T) {
 		FastAttempts:    1,
 		MidAttempts:     2,
 		RetryBudget:     3,
-		StarveThreshold: 1, // escalate aggressively: maximal prio churn
+		StarveThreshold: 1, // escalate at the first mid-level abort
 	}, &st, nil)
 
 	var wg sync.WaitGroup
@@ -310,8 +309,5 @@ func TestEscalationRace(t *testing.T) {
 	snap := st.Snapshot()
 	if snap.Commits() != threads*txns {
 		t.Fatalf("commits = %d, want %d", snap.Commits(), threads*txns)
-	}
-	if r.PriorityTicket() != 0 {
-		t.Fatalf("priority ticket %d still held after quiesce", r.PriorityTicket())
 	}
 }

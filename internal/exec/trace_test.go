@@ -197,17 +197,17 @@ func TestTraceDetachStopsRecording(t *testing.T) {
 	}
 }
 
-// TestTraceLemmingEvents: a blocked gate must record enter/exit; the
-// bounded wait that expires must mark the exit expired and escalate.
+// TestTraceLemmingEvents: a blocked gate must record enter/exit, the exit
+// with argument 0.
 func TestTraceLemmingEvents(t *testing.T) {
 	var st tm.Stats
-	open := false
-	r := New(Policy{FastAttempts: 1, LemmingWaitSpins: 8}, &st, nil)
-	r.gateFree = func() bool { return open }
+	open, polls := false, 0
+	r := New(Policy{FastAttempts: 1}, &st, nil)
+	r.gateFree = func() bool { polls++; return open || polls > 8 }
 	sink := trace.NewSink(64)
 	r.SetTrace(sink)
 	r.Run(0, &Txn{
-		Fast: func() htm.Result { t.Fatal("fast ran with gate closed"); return htm.Result{} },
+		Fast: func() htm.Result { return htm.Result{Committed: true} },
 		Slow: func() {},
 	})
 	evs := sink.Events()
@@ -218,8 +218,8 @@ func TestTraceLemmingEvents(t *testing.T) {
 	for _, e := range evs {
 		if e.Kind == trace.EvLemmingExit {
 			exitOK = true
-			if e.Arg != 1 {
-				t.Fatalf("lemming exit arg = %d, want 1 (expired)", e.Arg)
+			if e.Arg != 0 {
+				t.Fatalf("lemming exit arg = %d, want 0", e.Arg)
 			}
 		}
 	}

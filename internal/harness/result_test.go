@@ -63,7 +63,7 @@ func sampleResult() *Result {
 					CommitsHTM: 10, CommitsSW: 5, CommitsGL: 1,
 					AbortsConflict: 7, AbortsCapacity: 3, AbortsExplicit: 2, AbortsOther: 1,
 					SerialNanos:       12345,
-					EscalationsBudget: 1, EscalationsStarve: 2, EscalationsLemming: 3,
+					EscalationsBudget: 1, EscalationsStarve: 2,
 					FaultsInjected: 9,
 				},
 				Engine: &EngineSnapshot{

@@ -168,16 +168,19 @@ func (s *System) Atomic(thread int, body func(tm.Tx)) {
 	t.body = nil
 }
 
-// lockAttempt runs the body under the global lock.
+// lockAttempt runs the body under the global lock, and releases the lock
+// even when the body panics.
 func (s *System) lockAttempt(t *thread) {
 	for !s.m.CAS(s.glock, 0, 1) {
 		runtime.Gosched()
 	}
 	start := time.Now()
+	defer func() {
+		s.m.Store(s.glock, 0)
+		s.stats.Shard(t.x.thread).AddSerial(time.Since(start))
+	}()
 	t.x.ht = nil
 	t.body(&t.x)
-	s.m.Store(s.glock, 0)
-	s.stats.Shard(t.x.thread).AddSerial(time.Since(start))
 }
 
 // hwAttempt runs the body as one hardware transaction subscribed to the

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -196,5 +197,41 @@ func TestHLEConcurrentCounter(t *testing.T) {
 	}
 	if st := s.Stats().Snapshot(); st.CommitsHTM+st.CommitsGL != 4*per || st.CommitsSW != 0 {
 		t.Fatalf("every section is an elision or an acquisition: %+v", st)
+	}
+}
+
+// TestSlowPathPanicReleasesLock: a body that panics under the global lock
+// leaves the lock free for later transactions. A scripted abort at the one
+// hardware trial's first access sends the body's first run to the lock.
+func TestSlowPathPanicReleasesLock(t *testing.T) {
+	eng := newEngine(nil)
+	eng.SetInjector(fault.New(fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
+		0: {{Site: fault.SiteHTMBegin, Reason: fault.Conflict, Count: 1}},
+	}}))
+	s := New(eng, 1, Config{Retries: 1})
+	m := s.Memory()
+	a := m.Alloc(1)
+	func() {
+		defer func() {
+			if r := recover(); r != "bug" {
+				t.Fatalf("want the body's panic, got %v", r)
+			}
+		}()
+		s.Atomic(0, func(x tm.Tx) {
+			x.Write(a, 9)
+			panic("bug")
+		})
+	}()
+	if st := s.Stats().Snapshot(); st.AbortsConflict != 1 || st.Commits() != 0 {
+		t.Fatalf("want one conflict abort and no commit, got %+v", st)
+	}
+	if g := m.Load(s.glock); g != 0 {
+		t.Fatalf("global lock = %d after the panic under it, want 0", g)
+	}
+	// The lock path writes in place: what it wrote before the panic stays.
+	before := m.Load(a)
+	s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	if got := m.Load(a); got != before+1 {
+		t.Fatalf("a = %d after the next transaction, want %d", got, before+1)
 	}
 }

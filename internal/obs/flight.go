@@ -284,7 +284,7 @@ func (f *FlightRecorder) dumpLocked(reason, label string) (string, error) {
 const flightCSVHeader = "ts_ns,seq,system," +
 	"commits_htm,commits_sw,commits_gl," +
 	"aborts_conflict,aborts_capacity,aborts_explicit,aborts_other," +
-	"serial_nanos,escalations_budget,escalations_starve,escalations_lemming," +
+	"serial_nanos,escalations_budget,escalations_starve," +
 	"faults_injected,breaker_trips,breaker_probes,breaker_closes,breaker_slow," +
 	"watchdog_alarms,cross_domain_commits,cross_domain_aborts,domain_ring_rollovers," +
 	"inflight"
@@ -303,7 +303,7 @@ func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
 				u(t.CommitsHTM), u(t.CommitsSW), u(t.CommitsGL),
 				u(t.AbortsConflict), u(t.AbortsCapacity), u(t.AbortsExplicit), u(t.AbortsOther),
 				strconv.FormatInt(t.SerialNanos, 10),
-				u(t.EscalationsBudget), u(t.EscalationsStarve), u(t.EscalationsLemming),
+				u(t.EscalationsBudget), u(t.EscalationsStarve),
 				u(t.FaultsInjected), u(t.BreakerTrips), u(t.BreakerProbes), u(t.BreakerCloses), u(t.BreakerSlow),
 				u(t.WatchdogAlarms), u(t.CrossDomainCommits), u(t.CrossDomainAborts), u(t.DomainRingRollovers),
 				strconv.FormatInt(s.Inflight, 10),

@@ -127,12 +127,10 @@ type Shard struct {
 
 	// Contention-manager escalations: transactions forced onto the
 	// global-lock path ahead of the normal retry schedule because the
-	// hardware-abort budget ran out, because the starving transaction won
-	// eldest priority, or because the bounded lemming-wait on the global
-	// lock expired.
-	EscalationsBudget  Counter
-	EscalationsStarve  Counter
-	EscalationsLemming Counter
+	// hardware-abort budget ran out or because their starvation score
+	// reached the threshold.
+	EscalationsBudget Counter
+	EscalationsStarve Counter
 
 	// FaultsInjected counts aborts this system absorbed that were forced by
 	// the fault injector (exactly zero when no injector is installed).
@@ -161,7 +159,7 @@ type Shard struct {
 
 	// Padding to a multiple of the cache-line size so neighbouring shards
 	// never share a line even if an allocator packs them back to back.
-	_ [64 - (20*8)%64]byte
+	_ [64 - (19*8)%64]byte
 }
 
 // AddSerial records d of globally serialized execution.
@@ -193,7 +191,6 @@ func (sh *Shard) reset() {
 	sh.SerialNanos.v.Store(0)
 	sh.EscalationsBudget.v.Store(0)
 	sh.EscalationsStarve.v.Store(0)
-	sh.EscalationsLemming.v.Store(0)
 	sh.FaultsInjected.v.Store(0)
 	sh.BreakerTrips.v.Store(0)
 	sh.BreakerProbes.v.Store(0)
@@ -217,7 +214,6 @@ func (sh *Shard) add(out *Snapshot) {
 	out.SerialNanos += int64(sh.SerialNanos.Load())
 	out.EscalationsBudget += sh.EscalationsBudget.Load()
 	out.EscalationsStarve += sh.EscalationsStarve.Load()
-	out.EscalationsLemming += sh.EscalationsLemming.Load()
 	out.FaultsInjected += sh.FaultsInjected.Load()
 	out.BreakerTrips += sh.BreakerTrips.Load()
 	out.BreakerProbes += sh.BreakerProbes.Load()
@@ -280,7 +276,6 @@ type Snapshot struct {
 	SerialNanos         int64  `json:"serial_nanos"`
 	EscalationsBudget   uint64 `json:"escalations_budget"`
 	EscalationsStarve   uint64 `json:"escalations_starve"`
-	EscalationsLemming  uint64 `json:"escalations_lemming"`
 	FaultsInjected      uint64 `json:"faults_injected"`
 	BreakerTrips        uint64 `json:"breaker_trips,omitempty"`
 	BreakerProbes       uint64 `json:"breaker_probes,omitempty"`
@@ -327,7 +322,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		AbortsOther:         sub(s.AbortsOther, prev.AbortsOther),
 		EscalationsBudget:   sub(s.EscalationsBudget, prev.EscalationsBudget),
 		EscalationsStarve:   sub(s.EscalationsStarve, prev.EscalationsStarve),
-		EscalationsLemming:  sub(s.EscalationsLemming, prev.EscalationsLemming),
 		FaultsInjected:      sub(s.FaultsInjected, prev.FaultsInjected),
 		BreakerTrips:        sub(s.BreakerTrips, prev.BreakerTrips),
 		BreakerProbes:       sub(s.BreakerProbes, prev.BreakerProbes),
@@ -346,7 +340,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 
 // Escalations of the snapshot across all escalation kinds.
 func (s Snapshot) Escalations() uint64 {
-	return s.EscalationsBudget + s.EscalationsStarve + s.EscalationsLemming
+	return s.EscalationsBudget + s.EscalationsStarve
 }
 
 // Commits of the snapshot across all paths.

@@ -122,12 +122,6 @@ func (x *exporter) thread(tid int, evs []Event) {
 			tx = openTx{}
 		case EvEscalate:
 			x.instant(e.TS, tid, e.Kind.String(), map[string]string{"kind": escalateName(e.Arg)})
-		case EvLemmingExit:
-			args := map[string]string{"expired": "false"}
-			if e.Arg != 0 {
-				args["expired"] = "true"
-			}
-			x.instant(e.TS, tid, e.Kind.String(), args)
 		default:
 			x.instant(e.TS, tid, e.Kind.String(), nil)
 		}
@@ -140,8 +134,6 @@ func escalateName(arg uint64) string {
 		return "budget"
 	case 1:
 		return "starve"
-	case 2:
-		return "lemming"
 	}
 	return fmt.Sprintf("kind(%d)", arg)
 }

@@ -32,8 +32,8 @@ func scriptedSink() *Sink {
 	tx1 := uint64(1)<<32 | 1
 	b1.Record(120, EvBegin, tx1, 0, 0, 0)
 	b1.Record(130, EvLemmingEnter, tx1, 0, 0, 0)
-	b1.Record(180, EvLemmingExit, tx1, 1, 0, 0)
-	b1.Record(190, EvEscalate, tx1, 2, 0, 0)
+	b1.Record(180, EvLemmingExit, tx1, 0, 0, 0)
+	b1.Record(190, EvEscalate, tx1, 1, 0, 0)
 	b1.Record(250, EvCommit, tx1, 0, 0, PathHTM)
 
 	s.Mark("scripted-run")
@@ -135,7 +135,7 @@ func TestWriteText(t *testing.T) {
 	for _, want := range []string{
 		"t00 begin", "t00 hw-abort", "cause=conflict", "cause=capacity",
 		"t00 commit", "path=sw", "t01 commit", "path=htm",
-		"t01 lemming-exit", "kind=lemming", `mark "scripted-run"`,
+		"t01 lemming-exit", "kind=starve", `mark "scripted-run"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text dump missing %q:\n%s", want, out)

@@ -75,10 +75,10 @@ const (
 	EvRingPub
 	// EvLemmingEnter marks the start of a wait on the optimistic gate.
 	EvLemmingEnter
-	// EvLemmingExit marks the end of that wait; Arg=1 when it expired.
+	// EvLemmingExit marks the end of that wait, when the gate opened.
 	EvLemmingExit
 	// EvEscalate is a contention-manager escalation; Arg is the kind
-	// (0 budget, 1 starve, 2 lemming).
+	// (0 budget, 1 starve).
 	EvEscalate
 	// EvBreakerTrip marks a thread's HTM circuit breaker opening.
 	EvBreakerTrip
