@@ -92,8 +92,9 @@ type Config struct {
 	// (the Part-HTM-no-fast variant of Figure 3(b)).
 	NoFastPath bool
 	// Opaque selects Part-HTM-O (Figure 2): address-embedded write locks
-	// checked at encounter time plus timestamp subscription at sub-HTM
-	// begin, guaranteeing opacity.
+	// checked at encounter time (a segment's writes check theirs at its
+	// sub-commit) plus timestamp subscription at sub-HTM begin, guaranteeing
+	// opacity.
 	Opaque bool
 	// Domains shards the memory substrate into this many independent
 	// domains, each with its own ring and write-locks signature
@@ -389,12 +390,9 @@ type thread struct {
 	undoMark int
 	logMark  int
 
-	// Part-HTM-O: cells this global transaction locked in committed
-	// segments and in the live one, and the attempt's tag, which a cell it
-	// locks holds. A cell holding the tag is ours, so the self-lock test
-	// reads the cell alone.
-	locks, segLocks int
-	tag             uint64
+	// Part-HTM-O: the attempt's tag, which a cell it locks holds. A cell
+	// holding the tag is ours, so the self-lock test reads the cell alone.
+	tag uint64
 
 	// Adaptive partitioning: the budgets at which a partition point is
 	// auto-activated, compared with what the open sub-HTM transaction
@@ -449,7 +447,6 @@ func (t *thread) resetPartitioned() {
 	t.replayPos = 0
 	t.undoMark = 0
 	t.logMark = 0
-	t.locks, t.segLocks = 0, 0
 	t.ht = nil
 	t.attemptSegs = 0
 	t.attemptCycles = 0
@@ -457,10 +454,9 @@ func (t *thread) resetPartitioned() {
 }
 
 // truncateSegment discards the live segment's uncommitted effects after a
-// sub-HTM abort: its undo records (the writes were never published), its
-// log suffix, and — for Part-HTM-O — its count of locked cells (the tag
-// writes were buffered in the aborted hardware transaction, so no cell
-// holds them).
+// sub-HTM abort: its undo records (the writes were never published) and its
+// log suffix. Part-HTM-O's tag writes were buffered in the aborted hardware
+// transaction, so no cell holds them.
 //
 // In Part-HTM-O the write signature accumulates across the whole global
 // transaction (it is what gets published to the ring), so bits from the
@@ -469,7 +465,6 @@ func (t *thread) resetPartitioned() {
 func (s *System) truncateSegment(t *thread) {
 	t.undo = t.undo[:t.undoMark]
 	t.opLog = t.opLog[:t.logMark]
-	t.segLocks = 0
 	if !s.cfg.Opaque {
 		// Per-segment write signatures: drop the aborted segment's bits in
 		// every touched domain (bits of committed segments were already
@@ -486,8 +481,6 @@ func (s *System) truncateSegment(t *thread) {
 func (t *thread) markSegment() {
 	t.undoMark = len(t.undo)
 	t.logMark = len(t.opLog)
-	t.locks += t.segLocks
-	t.segLocks = 0
 }
 
 // Control-flow sentinels for the partitioned path.
@@ -1110,6 +1103,9 @@ func (s *System) subCommitIfOpen(t *thread) {
 			}
 		}
 	}
+	if s.cfg.Opaque {
+		s.checkWrittenCells(t, ht)
+	}
 	s.fillUndo(t, ht)
 	ht.Commit()
 	t.ht = nil
@@ -1117,7 +1113,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 	if ds.Wrote != 0 {
 		// The segment's write locks became visible with the commit
 		// (signature bits, or the cells written inside the window).
-		t.et.TraceEvent(trace.EvLockAcq, uint64(t.locks+t.segLocks))
+		t.et.TraceEvent(trace.EvLockAcq, 0)
 		if s.nd > 1 && ds.Count() > 1 {
 			for m := ds.Wrote; m != 0; m &= m - 1 {
 				t.et.TraceEvent(trace.EvDomainAcquire, uint64(bits.TrailingZeros64(m)))
@@ -1169,6 +1165,23 @@ func (s *System) fillUndo(t *thread, ht *htm.Txn) {
 	seg := t.undo[t.undoMark:]
 	for i := range seg {
 		seg[i].old = ht.HeldWord(seg[i].addr)
+	}
+}
+
+// checkWrittenCells aborts the open Part-HTM-O segment if another attempt
+// holds the lock cell of a word it wrote, in one pass of raw loads just
+// before its hardware commit, as fillUndo reads the words. segTx.Write
+// buffered the tag under the cell line's write monitor and loaded nothing,
+// so the lock becomes visible at Commit alone, wherever the check runs
+// before it. A cell another segment locks after our write dooms us through
+// that monitor, as a cell locked after a read dooms the reader; one held
+// from before our write is seen here, and the segment aborts before any of
+// its writes land. A cell holding our own tag is already ours.
+func (s *System) checkWrittenCells(t *thread, ht *htm.Txn) {
+	for _, r := range t.undo[t.undoMark:] {
+		if s.held(t, ht.HeldWord(s.cell(r.addr))) {
+			ht.Abort(codeLockConflict) // locked by others
+		}
 	}
 }
 
@@ -1552,23 +1565,13 @@ func (x *segTx) Write(a mem.Addr, v uint64) {
 	s, t := x.s, x.t
 	ht, d := x.live(a)
 	if s.cfg.Opaque {
-		// Acquire the address-embedded lock (Figure 2 line 34) with one
-		// access, at encounter time: the old word is loaded under the
-		// acquisition that takes the cell line's write monitor, so the line is
-		// in the write set only, and the lock becomes visible when this
-		// sub-HTM transaction commits.
-		// Rewriting our own tag is harmless; ours over a held one dies with
-		// the abort, and over a released one acquires the cell.
-		if old := ht.Exchange(s.cell(a), t.tag); s.held(t, old) {
-			ht.Abort(codeLockConflict)
-		} else if old != t.tag {
-			t.ds.Write[d].Add(uint32(a))
-			t.segLocks++
-		}
-		// Locked by us: the data is written in place (Figure 2 line 31/35).
-	} else {
-		t.ds.Write[d].Add(uint32(a))
+		// Lock the address-embedded cell (Figure 2 line 34): the tag is
+		// buffered under the cell line's write monitor and becomes visible
+		// when this sub-HTM transaction commits. Nothing is loaded here; the
+		// cell's old value is checked at the sub-commit (checkWrittenCells).
+		ht.Overwrite(s.cell(a), t.tag)
 	}
+	t.ds.Write[d].Add(uint32(a))
 	// Figure 1 lines 23-25: log the old value, write in place (buffered
 	// until the sub-HTM commit). The old value is read at the sub-commit
 	// (fillUndo), not here.

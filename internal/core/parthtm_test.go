@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,10 +274,11 @@ func TestInFlightValidationAndUndo(t *testing.T) {
 // other proceeds and serializes after it.
 //
 // B either reads x first or writes it blind. A blind writer meets the lock
-// in its Write alone (in Part-HTM-O, the Exchange on the cell), where a
-// reader's Read would have caught it first. In Part-HTM-O the cell keeps A's
-// tag throughout: B's exchanged tag dies with B's aborted sub-HTM
-// transaction. Afterwards the cell keeps B's tag, released by B's entry.
+// through its Write alone (in Part-HTM-O, the check of the cell it
+// overwrote, at its sub-commit), where a reader's Read would have caught it
+// first. In Part-HTM-O the cell keeps A's tag throughout: B's buffered tag
+// dies with B's aborted sub-HTM transaction. Afterwards the cell keeps B's
+// tag, released by B's entry.
 func TestLockedLocationBlocksOtherWriters(t *testing.T) {
 	writers := []struct {
 		name string
@@ -352,6 +354,81 @@ func TestLockedLocationBlocksOtherWriters(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestWrittenCellCheckedAtSubCommit: a Part-HTM-O segment checks the cell
+// of a word it wrote at its sub-commit, not at the write. A writes x and y
+// blind and parks inside its segment, before its Pause; B then locks both
+// cells by committing a segment that writes x and y, and parks holding them.
+// B's writes doom A's segment, and every retry of it, which writes x alone,
+// overwrites x's cell without a conflict and must meet B's tag there at its
+// sub-commit: A commits only after B releases. y, which of A's segments only
+// the doomed one wrote, keeps B's value.
+func TestWrittenCellCheckedAtSubCommit(t *testing.T) {
+	s := newSystem(2, 1<<17, nil, func(c *Config) {
+		c.NoFastPath = true
+		c.Opaque = true
+	})
+	m := s.Memory()
+	x := m.AllocLines(1)
+	y := m.AllocLines(1)
+	m.Store(x, 1)
+	m.Store(y, 1)
+
+	var aRuns atomic.Int32
+	aParked, aGo := make(chan struct{}), make(chan struct{})
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		s.Atomic(0, func(tx tm.Tx) {
+			tx.Write(x, 7)
+			if aRuns.Add(1) == 1 {
+				tx.Write(y, 9)
+				close(aParked)
+				<-aGo
+			}
+			tx.Pause()
+		})
+	}()
+	<-aParked
+
+	var once sync.Once
+	bLocked, bGo := make(chan struct{}), make(chan struct{})
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		s.Atomic(1, func(tx tm.Tx) {
+			tx.Write(x, 20)
+			tx.Write(y, 40)
+			tx.Pause()
+			once.Do(func() {
+				close(bLocked)
+				<-bGo
+			})
+		})
+	}()
+	<-bLocked
+	close(aGo)
+	for aRuns.Load() < 2 {
+		runtime.Gosched()
+	}
+	select {
+	case <-aDone:
+		t.Fatal("A committed while B held x's cell")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if c, tag := m.Load(s.cell(x)), s.threads[1].tag; c != tag {
+		t.Errorf("x's cell holds %#x while B is parked, want B's tag %#x", c, tag)
+	}
+	close(bGo)
+	<-bDone
+	<-aDone
+	if gx, gy := m.Load(x), m.Load(y); gx != 7 || gy != 40 {
+		t.Fatalf("x = %d, y = %d; want 7 (B then A) and B's 40", gx, gy)
+	}
+	if err := releasedErr(s, x, y); err != nil {
+		t.Errorf("after both commits: %v", err)
 	}
 }
 

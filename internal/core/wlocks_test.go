@@ -166,7 +166,7 @@ func TestWriteLocksEmptyAtQuiescence(t *testing.T) {
 // written unsplit; 7 and 13, then 4 and 13, split), and the cycles are fewer
 // (75 and 83, where they were 121 and 131).
 //
-// Part-HTM-O: a write locks its cell with one Exchange, so a written cell's
+// Part-HTM-O: a write locks its cell with one Overwrite, so a written cell's
 // line is in the write set only. A segment of the only partitioned
 // transaction reads the timestamp, activeTx and the three data lines, and no
 // cell (5); it writes the twenty data lines and their cells (40). A segment

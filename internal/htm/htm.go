@@ -36,16 +36,16 @@
 //     order, found through an open-addressed index whose slots carry a
 //     generation: emptying the buffer between transactions is a generation
 //     bump, and rewriting a buffered word touches no monitor.
-//   - Txn.Exchange is Read followed by Write as one access, for a caller
-//     that needs the old value at once (Part-HTM-O's lock cells), and
-//     Txn.Add is the same pair for a read-modify-write (a ring's timestamp
-//     increment). The old word is loaded once the write monitor is held, and
-//     the line enters the write set only. Txn.Overwrite is Exchange at the
-//     same price without the load, for a caller that reads the replaced
-//     words only before Commit (the partitioned path's undo log) with
-//     Txn.HeldWord: those loads, with no locked instruction between them,
-//     overlap their cache misses, where a load after each write monitor's
-//     CAS waits for the miss before the next CAS can complete.
+//   - Txn.Add is Read followed by Write as one access, for a
+//     read-modify-write (a ring's timestamp increment): the old word is
+//     loaded once the write monitor is held, and the line enters the write
+//     set only. Txn.Overwrite charges the same pair and takes the same
+//     monitor but loads nothing, for a caller that reads the replaced words
+//     only before Commit (the partitioned path's undo log and Part-HTM-O's
+//     lock cells) with Txn.HeldWord: those loads, with no locked instruction
+//     between them, overlap their cache misses, where a load after each
+//     write monitor's CAS waits for the miss before the next CAS can
+//     complete.
 //   - Commit stores each written line without the lock and then clears its
 //     write monitor with one CAS, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
@@ -723,7 +723,7 @@ func (t *Txn) Footprint() (cycles int64, readLines, writeLines int) {
 
 // Held reports what the transaction holds, for a software layer that
 // summarises it only when it must. word is called with the address of each
-// word buffered by Write, Overwrite, Exchange or Add, in first-write order;
+// word buffered by Write, Overwrite or Add, in first-write order;
 // then, unless line is nil, line is called with each line the transaction
 // monitors, its read lines and then its write lines (a line both read and
 // written comes twice). Words written with WriteLine or WriteLocal are not
@@ -936,12 +936,15 @@ func (t *Txn) admitReadLine() {
 // WriteLine.
 func (t *Txn) Write(a mem.Addr, v uint64) { t.write(a, v, t.eng.cfg.WriteCost) }
 
-// Overwrite is Exchange without the load, for a caller that wants the word
-// it replaces only at commit (the partitioned path's undo log): it charges
-// what Exchange charges, a read plus a write, and takes the line's write
-// monitor as Exchange does, but buffers v and loads nothing. HeldWord then
-// reads the replaced word, once for all such writes, just before Commit.
-// Like Write it must not touch a line written with WriteLine.
+// Overwrite is Write for a caller that wants the word it replaces, but only
+// at commit (the partitioned path's undo log, Part-HTM-O's lock cells): it
+// charges what a Read + Write pair charges and buffers v, loading nothing.
+// The line enters the write set only: a write monitor already conflicts
+// with every access a read monitor conflicts with, so the reader bit Read
+// would set is redundant. HeldWord then reads the replaced word, once for
+// all such writes, just before Commit; a load here would be the access's
+// cache miss, and the next write monitor's CAS would wait for it. Like Write
+// it must not touch a line written with WriteLine.
 func (t *Txn) Overwrite(a mem.Addr, v uint64) {
 	t.write(a, v, t.eng.cfg.ReadCost+t.eng.cfg.WriteCost)
 }
@@ -966,37 +969,12 @@ func (t *Txn) write(a mem.Addr, v uint64, cost int64) {
 	t.wbInsert(slot, a, v, first)
 }
 
-// Exchange is Read(a) followed by Write(a, v) as one access: it buffers v
-// and returns the value the transaction saw at a before. It costs what the
-// pair costs, but a word not yet buffered is loaded once the write monitor
-// is held, and the line enters the write set only: a write monitor already
-// conflicts with every access a read monitor conflicts with, so the reader
-// bit Read would set is redundant. Like Write it must not touch a line
-// written with WriteLine. A caller that needs the old word only at commit
-// uses Overwrite and HeldWord instead: the load here is the access's cache
-// miss, and the next write monitor's CAS waits for it.
-func (t *Txn) Exchange(a mem.Addr, v uint64) (old uint64) {
-	t.checkDoomed()
-	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)
-	t.wbReserve()
-	i, slot := t.wbProbe(a)
-	if i >= 0 {
-		old, t.wb[i].val = t.wb[i].val, v
-		return old
-	}
-	l := mem.LineOf(a)
-	if len(t.lineBuf) > 0 {
-		t.notLineWritten(l, "Exchange")
-	}
-	old, first := t.ensureWriteMonitor(l, a, true)
-	t.wbInsert(slot, a, v, first)
-	return old
-}
-
-// Add is Read(a) followed by Write(a, Read(a)+d) as one access, on the terms
-// of Exchange: it buffers the sum and returns it. It is Exchange's code with
-// the sum in place of v, kept apart so that Part-HTM-O's lock-cell Exchange
-// does not test which of the two it is.
+// Add is Read(a) followed by Write(a, Read(a)+d) as one access: it buffers
+// the sum and returns it. It costs what the pair costs and, like Overwrite,
+// holds the line in the write set only; a word not yet buffered is loaded
+// once the write monitor is held, and the status is checked after the load
+// as Read checks it. Like Write it must not touch a line written with
+// WriteLine.
 func (t *Txn) Add(a mem.Addr, d uint64) (new uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost + t.eng.cfg.WriteCost)

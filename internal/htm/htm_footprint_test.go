@@ -25,12 +25,12 @@ func TestFootprint(t *testing.T) {
 	}{
 		{"commit", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
 			var line [mem.LineWords]uint64
-			tx.Read(base)                      // 1 cycle, read line 0
-			tx.Read(base + 1)                  // 1 cycle, same line
-			tx.Write(base+mem.LineWords, 1)    // 2 cycles, write line 1
-			tx.WriteLocal(base+16, 1)          // 2 cycles, thread-private line 2
-			tx.ReadLine(base+24, &line)        // 1 cycle, read line 3
-			tx.Exchange(base+mem.LineWords, 2) // 3 cycles, line 1 again: write set only
+			tx.Read(base)                       // 1 cycle, read line 0
+			tx.Read(base + 1)                   // 1 cycle, same line
+			tx.Write(base+mem.LineWords, 1)     // 2 cycles, write line 1
+			tx.WriteLocal(base+16, 1)           // 2 cycles, thread-private line 2
+			tx.ReadLine(base+24, &line)         // 1 cycle, read line 3
+			tx.Overwrite(base+mem.LineWords, 2) // 3 cycles, line 1 again: write set only
 			tx.Work(5)
 		}, NoAbort, fp{15, 2, 2}},
 		{"explicit", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
@@ -106,7 +106,7 @@ func TestHeld(t *testing.T) {
 	tx.Write(line(1)+3, 1)
 	tx.Write(line(1), 1)
 	tx.Write(line(1)+3, 2) // rewritten: still one word, in its first place
-	tx.Exchange(line(2), 1)
+	tx.Overwrite(line(2), 1)
 	tx.Add(line(3), 1)
 	tx.WriteLocal(line(4), 1)
 	var vals [mem.LineWords]uint64

@@ -41,7 +41,7 @@ func TestReadLineSeesOwnWordWrites(t *testing.T) {
 	}
 	tx := e.Begin(0)
 	tx.Write(base+3, 7)
-	tx.Exchange(base+5, 9)
+	tx.Overwrite(base+5, 9)
 	var out [mem.LineWords]uint64
 	tx.ReadLine(base, &out)
 	for i, v := range out {
@@ -132,7 +132,7 @@ func TestWriteLineDiscardedOnAbort(t *testing.T) {
 }
 
 // TestWriteOnWriteLinePanics: the "not both ways" rule is checked on Write as
-// it is on Exchange, now that a framework writes signature lines whole.
+// it is on Overwrite, now that a framework writes signature lines whole.
 func TestWriteOnWriteLinePanics(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	base := e.Memory().AllocLines(1)
@@ -397,7 +397,7 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 				for {
 					res := e.Execute(slot, func(tx *Txn) {
 						tx.Write(a, tx.Read(a)+1)
-						tx.Exchange(b, tx.Exchange(b, 0)+1)
+						tx.Add(b, 1)
 					})
 					released(slot)
 					if res.Committed {
@@ -415,7 +415,7 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 							}
 							released(slot)
 						}()
-						tx.Exchange(a, tx.Read(b))
+						tx.Overwrite(a, tx.Read(b))
 						tx.Cancel()
 					}()
 				}

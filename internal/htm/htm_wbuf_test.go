@@ -19,10 +19,10 @@ func newWriteBufferEngine(words int) *Engine {
 }
 
 // driveWriteBuffer decodes data into transactions on slot 0 — three bytes
-// per step: Write, Read, Exchange, Add, commit or abort on one of addrs — and
-// checks every step against a map model: reads and exchanges return the
-// transaction's own value or else memory's, an add returns that plus its
-// operand, the buffer keeps first-write order across overwrites, a commit
+// per step: Write, Read, Overwrite, Add, commit or abort on one of addrs —
+// and checks every step against a map model: reads return the transaction's
+// own value or else memory's, an overwritten word's HeldWord returns
+// memory's, an add returns what a read would plus its operand, the buffer keeps first-write order across overwrites, a commit
 // leaves memory equal to the model and an abort leaves it untouched. It
 // returns the number of transactions finished.
 func driveWriteBuffer(t testing.TB, e *Engine, addrs []mem.Addr, data []byte) (txns int) {
@@ -88,9 +88,9 @@ func driveWriteBuffer(t testing.TB, e *Engine, addrs []mem.Addr, data []byte) (t
 				t.Fatalf("txn %d: Read(%d) = %d, model %d", txns, a, got, want)
 			}
 		case op < 14:
-			want := see(a)
-			if got := tx.Exchange(a, next); got != want {
-				t.Fatalf("txn %d: Exchange(%d) = %d, model %d", txns, a, got, want)
+			tx.Overwrite(a, next)
+			if got, want := tx.HeldWord(a), committed[a]; got != want {
+				t.Fatalf("txn %d: HeldWord(%d) after Overwrite = %d, model %d", txns, a, got, want)
 			}
 			put(a, next)
 			next++
@@ -156,7 +156,7 @@ func TestWriteBuffer(t *testing.T) {
 		tx.Write(b, 2)
 		tx.Write(c, 3)
 		tx.Write(a, 4)
-		tx.Exchange(b, 5)
+		tx.Overwrite(b, 5)
 		want := []wbEntry{{4, a, true}, {5, b, true}, {3, c, true}}
 		if !slices.Equal(tx.wb, want) {
 			t.Fatalf("buffer = %+v, want %+v", tx.wb, want)

@@ -57,6 +57,13 @@ type System interface {
 	// retrying internally until it commits. thread must be in [0, threads)
 	// and each thread value must be used by at most one goroutine at a
 	// time.
+	//
+	// A panic of the body's own is not an abort: it propagates out of
+	// Atomic once the system has released what the attempt held, and the
+	// call counts as no commit. What the body wrote before it panicked is
+	// discarded on the hardware, partitioned and STM paths, but stays in
+	// memory on a global-lock path (Part-HTM's and HTM-GL's slow path),
+	// which writes in place.
 	Atomic(thread int, body func(Tx))
 	// Stats returns the system's commit/abort counters.
 	Stats() *Stats

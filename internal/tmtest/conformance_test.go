@@ -80,7 +80,10 @@ func TestSingleThreadedSmoke(t *testing.T) {
 
 // TestWorkloadPanicPropagates: a panic of the body's own is not an abort.
 // It propagates out of Atomic on every system, counts as no commit, leaves
-// nothing the body wrote behind, and leaves the thread slot usable.
+// nothing the body wrote behind, and leaves the thread slot usable. The body
+// panics on its first attempt, before any global-lock attempt, which is why
+// it can require a == 0: a global-lock path writes in place and keeps what a
+// panicking body wrote (tm.System.Atomic).
 func TestWorkloadPanicPropagates(t *testing.T) {
 	RunAll(t, func(t *testing.T, fac Factory) {
 		sys := fac.New(1, 1<<14)
