@@ -290,3 +290,206 @@ func TestTinyResourcesKeepOffTheLock(t *testing.T) {
 		}
 	}
 }
+
+// countdownRef wraps the partitioned path's handle with a test-only
+// reference for the budget countdown: before each live operation it makes
+// the full footprint check the countdown stands in for, and after the
+// operation it requires that the segment paused exactly when that check had
+// reached a budget. Equal verdicts at every access give every committed
+// segment the footprint, and the transaction the sub-HTM commit count, that
+// a check at every access gives.
+type countdownRef struct {
+	tm.Tx
+	tb *testing.T
+	th *thread
+	n  *countdownCounts
+}
+
+// countdownCounts says what a run exercised: live operations, the checks
+// the countdown skipped, the pauses, the checked (Part-HTM-O checkCells)
+// operations, and the budgets a resource abort lowered after a segment of
+// the same attempt had committed. lim is the budgets the previous operation
+// saw.
+type countdownCounts struct {
+	ops, skipped, pauses, checked, midDrops int
+	lim                                     footprint
+}
+
+func (x countdownRef) live(op func()) {
+	th := x.th
+	want := false
+	if th.ht != nil {
+		if th.budLeft > 0 {
+			x.n.skipped++
+		}
+		f := footprintOf(th.ht)
+		for d, l := range th.bud.lim {
+			want = want || (l > 0 && f[d] >= l)
+		}
+	}
+	for d, l := range th.bud.lim {
+		if prev := x.n.lim[d]; th.attemptSegs > 0 && l > 0 && (prev == 0 || l < prev) {
+			x.n.midDrops++
+		}
+	}
+	x.n.lim = th.bud.lim
+	segs := th.attemptSegs
+	op()
+	x.n.ops++
+	if th.checkCells {
+		x.n.checked++
+	}
+	if got := th.attemptSegs != segs; got != want {
+		x.tb.Fatalf("operation %d: paused %v, a full budget check says %v", x.n.ops, got, want)
+	}
+	if want {
+		x.n.pauses++
+	}
+}
+
+func (x countdownRef) Read(a mem.Addr) (v uint64) {
+	x.live(func() { v = x.Tx.Read(a) })
+	return v
+}
+func (x countdownRef) Write(a mem.Addr, v uint64)      { x.live(func() { x.Tx.Write(a, v) }) }
+func (x countdownRef) WriteLocal(a mem.Addr, v uint64) { x.live(func() { x.Tx.WriteLocal(a, v) }) }
+func (x countdownRef) Work(c int64)                    { x.live(func() { x.Tx.Work(c) }) }
+
+// TestBudgetCountdownPausesWhereAFullCheckWould: the countdown that spares
+// most live accesses the footprint check must pause each segment at exactly
+// the access where a check at every access would. Bodies mix reads, writes,
+// thread-private writes and Work of sizes around one access's charge, with
+// a few partition points, under a small write buffer, read set and quantum,
+// so that cycle and line budgets are learned and lowered by resource aborts
+// in the middle of transactions, on both variants, Part-HTM-O with and
+// without lock-cell checks, and across two domains.
+func TestBudgetCountdownPausesWhereAFullCheckWould(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opaque  bool
+		checked bool // park a partitioned transaction so that segments check cells
+		domains int
+	}{
+		{name: "Part-HTM"},
+		{name: "Part-HTM-O", opaque: true},
+		{name: "Part-HTM-O/checkCells", opaque: true, checked: true},
+		{name: "Part-HTM/2 domains", domains: 2},
+		{name: "Part-HTM-O/2 domains", opaque: true, domains: 2},
+		{name: "Part-HTM-O/checkCells/2 domains", opaque: true, checked: true, domains: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := func(c *htm.Config) {
+				noPlacement(24)(c)
+				c.ReadLinesSoft, c.ReadLinesHard = 32, 32
+				c.Quantum = 150
+			}
+			// No slow path: it would wait for the parked transaction forever.
+			pol := schedule
+			pol.MidAttempts, pol.RetryBudget, pol.StarveThreshold = 0, 0, 0
+			s := newScheduled(2, 1<<17, eng, func(c *Config) {
+				c.NoFastPath = true
+				c.Opaque = tc.opaque
+				c.Domains = tc.domains
+			}, pol)
+			// With two domains the last eight lines are the second's, and a
+			// transaction touches them only in its last quarter, so a segment
+			// well under way subscribes to the domain at its first touch.
+			const lines, lines0, locals = 48, 40, 8
+			var data [lines]mem.Addr
+			for i := range data {
+				data[i] = s.DomainSet().AllocLinesIn(min(i/lines0, s.Domains()-1), 1)
+			}
+			local := s.DomainSet().AllocLinesIn(0, locals)
+			if tc.checked {
+				release := parkPartitioned(t, s, 1, s.DomainSet().AllocLinesIn(0, 1), 1)
+				defer func() {
+					if !release() {
+						t.Error("the parked transaction did not commit")
+					}
+				}()
+			}
+			a := s.opCycles
+			works := []int64{1, a - 1, a, a + 1, 2*a + 1}
+			type op struct {
+				kind int // 0 read, 1 write, 2 local write, 3 work, 4 pause
+				line int
+				c    int64
+			}
+			rng := rand.New(rand.NewSource(5))
+			model := map[mem.Addr]uint64{}
+			n := &countdownCounts{}
+			th := s.threads[0]
+			for txn := 0; txn < 30; txn++ {
+				// Each transaction leans on one resource, in turn: reads, writes,
+				// then Work.
+				w := [4]int{10, 10, 10, 10}
+				w[txn%3] = 40
+				ops := make([]op, 160)
+				for i := range ops {
+					line := rng.Intn(lines0)
+					if i >= 120 {
+						line = rng.Intn(lines)
+					}
+					k := rng.Intn(w[0] + w[1] + w[2] + w[3] + 2)
+					switch {
+					case k < w[0]:
+						ops[i] = op{kind: 0, line: line}
+					case k < w[0]+w[1]:
+						ops[i] = op{kind: 1, line: line}
+					case k < w[0]+w[1]+w[3]:
+						ops[i] = op{kind: 2, line: rng.Intn(locals)}
+					case k < w[0]+w[1]+w[3]+w[2]:
+						ops[i] = op{kind: 3, c: works[rng.Intn(len(works))]}
+					default:
+						ops[i] = op{kind: 4}
+					}
+				}
+				s.Atomic(0, func(x tm.Tx) {
+					r := countdownRef{Tx: x, tb: t, th: th, n: n}
+					var acc uint64
+					for i, o := range ops {
+						switch o.kind {
+						case 0:
+							acc += r.Read(data[o.line])
+						case 1:
+							r.Write(data[o.line], acc+uint64(i))
+						case 2:
+							r.WriteLocal(local+mem.Addr(o.line*mem.LineWords), uint64(i))
+						case 3:
+							r.Work(o.c)
+						case 4:
+							r.Pause()
+						}
+					}
+				})
+				var acc uint64
+				for i, o := range ops {
+					switch o.kind {
+					case 0:
+						acc += model[data[o.line]]
+					case 1:
+						model[data[o.line]] = acc + uint64(i)
+					}
+				}
+			}
+			for i, a := range data {
+				if got := s.Memory().Load(a); got != model[a] {
+					t.Fatalf("line %d = %d, want %d", i, got, model[a])
+				}
+			}
+			if st := s.Stats().Snapshot(); st.CommitsGL != 0 || st.CommitsSW != 30 {
+				t.Fatalf("want 30 partitioned commits, got %+v", st)
+			}
+			if tc.domains == 2 && th.ds.Touched != 3 {
+				t.Fatalf("the last transaction touched domains %b, want both", th.ds.Touched)
+			}
+			t.Logf("%+v", *n)
+			if n.skipped == 0 || n.pauses == 0 || n.midDrops == 0 {
+				t.Fatalf("the run did not exercise the countdown: %+v", *n)
+			}
+			if tc.checked != (n.checked > 0) {
+				t.Fatalf("%d operations ran in segments that check cells, want some: %v", n.checked, tc.checked)
+			}
+		})
+	}
+}

@@ -154,6 +154,11 @@ type System struct {
 	glock    mem.Addr // global lock word (own line)
 	activeTx mem.Addr // count of partitioned-path transactions (own line)
 
+	// opCycles is what the budget countdown charges one live access: at
+	// least the cycles it can add, and never 0, so an access counts on an
+	// engine that charges nothing for it (checkBudgets).
+	opCycles int64
+
 	// shadowBase maps a data address a to its lock cell shadowBase+a
 	// (Part-HTM-O only), the paper's address-embedded lock behind one level
 	// of indirection. A cell holds 0 or the thread.tag of the attempt that
@@ -201,6 +206,8 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 	s.nd = s.doms.N()
 	s.glock = m.AllocLines(1)
 	s.activeTx = m.AllocLines(1)
+	ecfg := eng.Config()
+	s.opCycles = max(1, 2*(ecfg.ReadCost+ecfg.WriteCost))
 	if cfg.Opaque {
 		// Shadow the entire allocatable range with lock cells.
 		words := m.Words()
@@ -400,9 +407,15 @@ type thread struct {
 	bud segBudgets
 
 	// Self-tuning fast path: consecutive transactions whose fast attempts
-	// died for resources, and a transaction counter for periodic re-probes.
+	// died for resources (a timer abort counts as a whole streak), and a
+	// transaction counter for periodic re-probes.
 	fastFailStreak int
 	txCount        uint64
+
+	// budLeft is what the open segment's operations may still charge, in
+	// cycles, before one of them could reach a budget (checkBudgets). It is
+	// zeroed whenever ht is, so a positive count means a segment is open.
+	budLeft int64
 
 	// Kernel plumbing: this thread's stats shard, its exec-kernel state,
 	// its reusable level descriptor (the closures capture the thread, the
@@ -447,7 +460,7 @@ func (t *thread) resetPartitioned() {
 	t.replayPos = 0
 	t.undoMark = 0
 	t.logMark = 0
-	t.ht = nil
+	t.ht, t.budLeft = nil, 0
 	t.attemptSegs = 0
 	t.attemptCycles = 0
 	t.attemptWLines = 0
@@ -508,10 +521,16 @@ func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t.txCount++
 	// Skip the doomed fast attempt when this thread's transactions keep
 	// exceeding the hardware budget, re-probing every 32nd transaction.
-	t.xtxn.SkipFast = s.cfg.NoFastPath || (t.fastFailStreak >= 3 && t.txCount%32 != 0)
+	t.xtxn.SkipFast = s.cfg.NoFastPath || (t.fastFailStreak >= fastSkipStreak && t.txCount%32 != 0)
 	s.run.Run(threadID, &t.xtxn)
 	t.body = nil
 }
+
+// fastSkipStreak is how many transactions in a row must lose their fast
+// attempt to the cache before Atomic skips the fast path. A timer abort
+// counts as all of them: it has burned a whole quantum, the most any fast
+// attempt can waste, where a capacity abort may come early.
+const fastSkipStreak = 3
 
 // serialSampleCap bounds one ring-publish serial-time sample. A publish is a
 // bounded pipeline wait plus a fixed store sequence (one ring entry), so a
@@ -527,9 +546,13 @@ func (s *System) fastAttempt(t *thread, body func(tm.Tx)) (res htm.Result) {
 		r := recover()
 		if ar, ok := htm.AsAbort(r); ok {
 			res = ar
-			if ar.Reason == htm.Capacity || ar.Reason == htm.Other {
-				// Self-tuning: Atomic skips a fast path that keeps dying
-				// for resources.
+			// Self-tuning: Atomic skips a fast path that keeps dying for
+			// resources, at once after the timer. An injected timer abort
+			// chose its moment, so it counts as a capacity abort does.
+			switch {
+			case ar.Reason == htm.Other && !ar.Injected:
+				t.fastFailStreak = fastSkipStreak
+			case ar.Reason == htm.Capacity || ar.Reason == htm.Other:
 				t.fastFailStreak++
 			}
 		} else if r != nil {
@@ -754,7 +777,7 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 				}
 				t.bud.failed(res.Reason, footprintOf(t.ht), commitLines)
 			}
-			t.ht = nil
+			t.ht, t.budLeft = nil, 0
 			t.et.NoteHWAbort(res)
 			s.truncateSegment(t)
 			switch {
@@ -782,7 +805,7 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 		}
 		if t.ht != nil {
 			t.ht.Cancel()
-			t.ht = nil
+			t.ht, t.budLeft = nil, 0
 		}
 		s.truncateSegment(t)
 		if _, ok := r.(globalAbortPanic); ok {
@@ -1004,20 +1027,51 @@ func (b *segBudgets) underHalf(f footprint) bool {
 	return known
 }
 
-// maybeAutoPause activates a partition point before the next operation when
-// the open sub-HTM transaction has reached a budget along any resource
-// dimension.
-func (s *System) maybeAutoPause(t *thread) {
+// liveSub returns the sub-HTM transaction a live operation that may charge
+// it up to cost cycles runs in: the open one, unless that has reached a
+// budget along any resource dimension (then the partition point is
+// auto-activated and a new one opens), or a new one if none is open. Every
+// live access comes through here, and most only count down what
+// checkBudgets proved cannot reach a budget.
+func (s *System) liveSub(t *thread, cost int64) *htm.Txn {
+	if t.budLeft > 0 {
+		t.budLeft -= cost
+		return t.ht
+	}
+	return s.checkBudgets(t, cost)
+}
+
+// checkBudgets is liveSub's full check. Unless it pauses, it sets t.budLeft
+// to what the operations from this one on may be charged before one of them
+// could reach a budget: one live access adds at most two lines to each
+// dimension (Part-HTM-O's cell and word) and at most s.opCycles cycles, and
+// is charged s.opCycles; Work(c) adds c cycles and no line, and is charged c.
+// So a check that liveSub skips could not have fired, and every auto-pause
+// falls on the access where a check at every access puts it. lim changes
+// only while no segment is open (a resource abort, a new attempt), and a
+// segment opens with the count at 0, so its first check is a full one.
+func (s *System) checkBudgets(t *thread, cost int64) *htm.Txn {
 	if t.ht == nil {
-		return
+		return s.openSub(t)
 	}
-	// Every live access comes through here: three compares, no loop.
-	c, r, w := t.ht.Footprint()
-	if lim := &t.bud.lim; (lim[dimCycles] > 0 && c >= lim[dimCycles]) ||
-		(lim[dimWriteLines] > 0 && int64(w) >= lim[dimWriteLines]) ||
-		(lim[dimReadLines] > 0 && int64(r) >= lim[dimReadLines]) {
-		s.pauseSegment(t)
+	f := footprintOf(t.ht)
+	n := int64(1) << 62
+	for d, lim := range t.bud.lim {
+		if lim == 0 {
+			continue
+		}
+		if f[d] >= lim {
+			s.pauseSegment(t)
+			return s.openSub(t)
+		}
+		room := lim - f[d] - 1
+		if d != dimCycles {
+			room = room / 2 * s.opCycles
+		}
+		n = min(n, room)
 	}
+	t.budLeft = n + 1 - cost
+	return t.ht
 }
 
 // pauseSegment is a partition point on the live path, the workload's or an
@@ -1028,11 +1082,8 @@ func (s *System) pauseSegment(t *thread) {
 	t.markSegment()
 }
 
-// ensureSub lazily opens the next sub-HTM transaction.
-func (s *System) ensureSub(t *thread) *htm.Txn {
-	if t.ht != nil {
-		return t.ht
-	}
+// openSub opens the next sub-HTM transaction.
+func (s *System) openSub(t *thread) *htm.Txn {
 	t.et.TraceEvent(trace.EvSubBegin, 0) // before Begin: outside the window
 	alone := s.cfg.Opaque && s.peekAlone(1)
 	ht := s.eng.Begin(t.id)
@@ -1108,7 +1159,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 	}
 	s.fillUndo(t, ht)
 	ht.Commit()
-	t.ht = nil
+	t.ht, t.budLeft = nil, 0
 	t.et.TraceEvent(trace.EvSubCommit, 0)
 	if ds.Wrote != 0 {
 		// The segment's write locks became visible with the commit
@@ -1479,9 +1530,9 @@ func (x *opaqueFastTx) check(a mem.Addr) {
 }
 
 // segTx is the partitioned path's view. A live access runs in the open
-// sub-HTM transaction (ensureSub), after an auto-activated partition point if
-// a budget is reached (maybeAutoPause). A replayed one is served from the
-// operation log; replay goes live mid-body, hence the one switch.
+// sub-HTM transaction, after an auto-activated partition point if a budget is
+// reached (liveSub). A replayed one is served from the operation log; replay
+// goes live mid-body, hence the one switch.
 type segTx struct {
 	s      *System
 	t      *thread
@@ -1496,13 +1547,12 @@ func (x *segTx) Thread() int { return x.t.id }
 // that triggered the touch, so validation from it covers every read the
 // transaction makes in d; the mask bit is set first so a recovery path
 // validates d too. Under opacity the start is read inside the open sub-HTM
-// transaction: the timestamp subscription that ensureSub makes for domains
+// transaction: the timestamp subscription that openSub makes for domains
 // known at segment begin. One domain is always touched, its start taken at
 // attempt begin and its subscription at segment begin.
 func (x *segTx) live(a mem.Addr) (*htm.Txn, int) {
 	s, t := x.s, x.t
-	s.maybeAutoPause(t)
-	ht := s.ensureSub(t)
+	ht := s.liveSub(t, s.opCycles)
 	if s.nd == 1 {
 		return ht, 0
 	}
@@ -1510,7 +1560,9 @@ func (x *segTx) live(a mem.Addr) (*htm.Txn, int) {
 	if bit := uint64(1) << uint(d); t.ds.Touched&bit == 0 {
 		t.ds.Touched |= bit
 		if s.cfg.Opaque {
+			// One more read line than checkBudgets allows an access.
 			t.ds.Start[d] = ht.Read(s.doms.Ring(d).TimestampAddr())
+			t.budLeft = 0
 		} else {
 			t.ds.Start[d] = s.doms.Ring(d).Timestamp()
 		}
@@ -1534,8 +1586,7 @@ func (x *segTx) Pause() {
 // Work is re-executed during replay like any other body code.
 func (x *segTx) Work(c int64) {
 	if !x.replay {
-		x.s.maybeAutoPause(x.t)
-		x.s.ensureSub(x.t).Work(c)
+		x.s.liveSub(x.t, max(c, 0)).Work(c)
 	}
 	tm.Spin(c)
 }
@@ -1584,8 +1635,7 @@ func (x *segTx) Write(a mem.Addr, v uint64) {
 // WriteLocal is not logged: the committed prefix already stored its values.
 func (x *segTx) WriteLocal(a mem.Addr, v uint64) {
 	if !x.replay {
-		x.s.maybeAutoPause(x.t)
-		x.s.ensureSub(x.t).WriteLocal(a, v)
+		x.s.liveSub(x.t, x.s.opCycles).WriteLocal(a, v)
 	}
 }
 

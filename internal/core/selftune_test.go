@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -278,21 +279,24 @@ func TestStaleForeignTagDoesNotBlock(t *testing.T) {
 func TestFastPathProbesEventually(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
 	a := s.Memory().Alloc(1)
-	big := func(x tm.Tx) {
-		v := x.Read(a)
-		for k := 0; k < 4; k++ {
-			x.Work(400)
-			x.Pause()
-		}
-		x.Write(a, v+1)
-	}
+	big := bigWork(a)
+	aborts := func() uint64 { return s.Engine().Stats().AbortsOther.Load() }
+	// formed counts the timer aborts before the first transaction that
+	// skipped its fast attempt: the aborts that formed the skip.
+	formed := uint64(0)
 	for i := 0; i < 40; i++ {
+		before := aborts()
 		s.Atomic(0, big)
+		if formed == 0 && aborts() == before {
+			formed = before
+		}
 	}
-	// At least one probe must have happened after the streak formed: the
-	// engine saw more than the initial 3 timer aborts.
-	if got := s.Engine().Stats().AbortsOther.Load(); got < 4 {
-		t.Fatalf("timer aborts = %d; probing seems disabled", got)
+	if formed == 0 {
+		t.Fatal("no transaction skipped its fast attempt")
+	}
+	// At least one probe must have happened after the skip formed.
+	if got := aborts(); got <= formed {
+		t.Fatalf("timer aborts = %d, the %d that formed the skip; probing seems disabled", got, formed)
 	}
 }
 
@@ -359,5 +363,73 @@ func TestOpaqueBudgetCountsLockCells(t *testing.T) {
 	if got := s.SegLimits()[0].WriteLines; got >= hwLines || got <= dataLines/2 {
 		t.Fatalf("learned write budget = %d lines, want hardware lines: under the %d-line buffer, over the %d a count of data lines would give",
 			got, hwLines, dataLines/2)
+	}
+}
+
+// bigWork is a transaction of four 400-cycle segments and a write: under a
+// 500-cycle quantum its fast attempt dies on the timer, and it commits
+// partitioned in five segments, so no "would have fit" reset follows.
+func bigWork(a mem.Addr) func(tm.Tx) {
+	return func(x tm.Tx) {
+		v := x.Read(a)
+		for k := 0; k < 4; k++ {
+			x.Work(400)
+			x.Pause()
+		}
+		x.Write(a, v+1)
+	}
+}
+
+// TestOneTimerAbortSkipsTheFastPath: a fast attempt that dies on the timer
+// has burned a whole quantum, so the thread's next transaction, however
+// small, skips its fast attempt.
+func TestOneTimerAbortSkipsTheFastPath(t *testing.T) {
+	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
+	a := s.Memory().Alloc(1)
+	s.Atomic(0, bigWork(a))
+	if n := s.Engine().Stats().AbortsOther.Load(); n != 1 {
+		t.Fatalf("setup: %d timer aborts, want the big fast attempt's one", n)
+	}
+	s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	if st := s.Stats().Snapshot(); st.CommitsSW != 2 || st.CommitsHTM != 0 {
+		t.Fatalf("the transaction after one timer abort tried the fast path: %+v", st)
+	}
+}
+
+// TestInjectedTimerAbortCountsAsCapacity: an abort the fault injector forced
+// with the timer's reason burned no quantum, so it counts toward the streak
+// of three as a capacity abort does, and the next transaction still tries
+// its fast attempt.
+func TestInjectedTimerAbortCountsAsCapacity(t *testing.T) {
+	s := newSystem(1, 1<<17, nil, nil)
+	s.eng.SetInjector(fault.New(fault.Config{Scripts: map[int][]fault.ScriptEvent{
+		0: {{Site: fault.SiteHTMBegin, Reason: fault.Other, Count: 1}},
+	}}))
+	a := s.Memory().Alloc(1)
+	s.Atomic(0, bigWork(a)) // the fast attempt's begin is injected; five segments follow
+	s.Atomic(0, bigWork(a)) // no timer: the fast attempt commits
+	if st := s.Stats().Snapshot(); st.CommitsSW != 1 || st.CommitsHTM != 1 {
+		t.Fatalf("want one partitioned commit and then a hardware one, got %+v", st)
+	}
+}
+
+// TestCapacityAbortsSkipTheFastPathAfterThree: a capacity abort may come
+// early in a fast attempt, so it takes three transactions in a row whose
+// fast attempts overflow before the thread skips the fast path: after two,
+// the third still tries it.
+func TestCapacityAbortsSkipTheFastPathAfterThree(t *testing.T) {
+	s := newSystem(1, 1<<17, noPlacement(8), nil)
+	base := s.Memory().AllocLines(32)
+	big := writeLines(base, 16, 4) // 16 lines: over the buffer, four segments
+	capacity := func() uint64 { return s.Engine().Stats().AbortsCapacity.Load() }
+	for i := 1; i <= 3; i++ {
+		s.Atomic(0, big)
+		if n := capacity(); n != uint64(i) {
+			t.Fatalf("after %d big transactions: %d capacity aborts, want %d (one fast attempt each)", i, n, i)
+		}
+	}
+	s.Atomic(0, func(x tm.Tx) { x.Write(base, x.Read(base)+1) })
+	if st := s.Stats().Snapshot(); st.CommitsSW != 4 || st.CommitsHTM != 0 {
+		t.Fatalf("the transaction after three capacity aborts tried the fast path: %+v", st)
 	}
 }

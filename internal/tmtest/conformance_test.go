@@ -3,6 +3,8 @@ package tmtest
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -48,6 +50,85 @@ func TestLongTxStressAllSystems(t *testing.T) {
 		sys := fac.New(4, 1<<14)
 		LongTxStress(t, sys, 4, 30, 300, 4)
 	})
+}
+
+// TestBlindWriteStress runs blindWriteStress on every system, on the HTM
+// systems over starved hardware, where a Part-HTM-O group of eight words
+// spans segments, and on Part-HTM-O with no fast path, where every write is
+// a segment's.
+func TestBlindWriteStress(t *testing.T) {
+	run := func(t *testing.T, fac Factory) {
+		blindWriteStress(t, fac.New(4, 1<<16), 4, 400, 3, 8)
+	}
+	RunAll(t, run)
+	for _, fac := range TinyHardwareFactories() {
+		t.Run("tiny/"+fac.Name, func(t *testing.T) { run(t, fac) })
+	}
+	t.Run("Part-HTM-O-no-fast", func(t *testing.T) {
+		run(t, Factory{"Part-HTM-O-no-fast", func(n, w int) tm.System {
+			return core.New(htm.New(mem.New(2*max(w, 1<<17)), testEngineConfig()), n, core.Config{Opaque: true, NoFastPath: true})
+		}})
+	})
+}
+
+// blindWriteStress checks write isolation for writes that read nothing
+// first: each transaction picks one of groups groups of words (a line
+// each) and writes one value unique to it to every word of the group, with
+// a partition point after each word, so a later segment writes blind to a
+// word whose lock another partitioned transaction may hold. Every third
+// transaction reads the group first, requires its words equal and then
+// writes, as partitioned writers do elsewhere. The invariant: a group's
+// words are equal in every committed read and at quiescence.
+func blindWriteStress(t *testing.T, sys tm.System, threads, perThread, groups, words int) {
+	t.Helper()
+	m := sys.Memory()
+	base := m.AllocLines(groups * words)
+	word := func(g, w int) mem.Addr { return base + mem.Addr((g*words+w)*mem.LineWords) }
+	var torn atomic.Bool
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for i := 0; i < perThread; i++ {
+				g := (id*7 + i*3) % groups
+				u := uint64(id+1)<<32 | uint64(i+1)
+				reads := i%3 == 2
+				var diverged bool
+				sys.Atomic(id, func(x tm.Tx) {
+					// Only the committed execution's reads count: a doomed
+					// attempt of a non-opaque system may see a torn group.
+					diverged = false
+					if reads {
+						v := x.Read(word(g, 0))
+						for w := 1; w < words; w++ {
+							if x.Read(word(g, w)) != v {
+								diverged = true
+							}
+						}
+					}
+					for w := 0; w < words; w++ {
+						x.Write(word(g, w), u)
+						x.Pause()
+					}
+				})
+				if diverged {
+					torn.Store(true)
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+	if torn.Load() {
+		t.Errorf("%s: a committed transaction read a group whose words differ", sys.Name())
+	}
+	for g := 0; g < groups; g++ {
+		for w := 1; w < words; w++ {
+			if a, b := m.Load(word(g, 0)), m.Load(word(g, w)); a != b {
+				t.Fatalf("%s: group %d word %d = %#x, word 0 = %#x", sys.Name(), g, w, b, a)
+			}
+		}
+	}
 }
 
 func TestSingleThreadedSmoke(t *testing.T) {
