@@ -73,6 +73,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -201,7 +202,12 @@ func main() {
 	}
 	if *systems != "" {
 		for _, part := range strings.Split(*systems, ",") {
-			opts.Systems = append(opts.Systems, strings.TrimSpace(part))
+			name := strings.TrimSpace(part)
+			if !validSystem(name) {
+				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -systems value %q (one of %s)\n", part, strings.Join(harness.AllSystemNames, ","))
+				os.Exit(2)
+			}
+			opts.Systems = append(opts.Systems, name)
 		}
 	}
 	if *domains != "" {
@@ -348,6 +354,11 @@ func validThreads(n int) bool { return n >= 1 && n <= htm.MaxSlots }
 // tracks a transaction's domains in one 64-bit mask, and domain.New panics
 // past domain.MaxDomains.
 func validDomains(n int) bool { return n >= 1 && n <= domain.MaxDomains }
+
+// validSystem reports whether name can be a -systems entry: an experiment
+// builds each named system on a worker goroutine, and Build panics on a name
+// it does not know.
+func validSystem(name string) bool { return slices.Contains(harness.AllSystemNames, name) }
 
 // writeFile creates path and fills it with render, exiting on any error.
 func writeFile(path string, render func(f *os.File) error) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/domain"
+	"repro/internal/harness"
 	"repro/internal/htm"
 )
 
@@ -117,6 +118,22 @@ func TestThreadsRejectsOutOfRange(t *testing.T) {
 	} {
 		if ok := validThreads(tc.in); ok != tc.ok {
 			t.Errorf("validThreads(%d) = %v, want %v", tc.in, ok, tc.ok)
+		}
+	}
+}
+
+// TestSystemsRejectsUnknownNames: -systems parthtm used to reach Build on an
+// experiment's worker goroutine, which panicked with "unknown system"; a name
+// outside harness.AllSystemNames must be rejected as -threads 65 is.
+func TestSystemsRejectsUnknownNames(t *testing.T) {
+	for _, name := range harness.AllSystemNames {
+		if !validSystem(name) {
+			t.Errorf("validSystem(%q) = false, want true", name)
+		}
+	}
+	for _, name := range []string{"parthtm", "part-htm", "", "Sequential", "Part-HTM "} {
+		if validSystem(name) {
+			t.Errorf("validSystem(%q) = true, want false", name)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/sig"
 	"repro/internal/tm"
 )
 
@@ -217,6 +218,29 @@ func TestPlacementOverflowLeavesNextTransactionOnTheGrid(t *testing.T) {
 	}
 	if got := st.Aborts(); got != 1 {
 		t.Fatalf("%d aborts in all, want 1", got)
+	}
+}
+
+// TestFailureAtTheFloorStillShrinksTheRetry: a resource abort must make the
+// retry strictly smaller. A Part-HTM segment at two domains, under a 16-line
+// write buffer, aborted for capacity holding 117 cycles, 21 read lines and 16
+// write lines against lim [116, 16, 14]. Its read lines were above all that
+// had committed, so they alone were blamed, but their lim was at its 16-line
+// floor, and the segment was retried unchanged, 15,723 times in one run. The
+// write lines, which overflowed at the sub-commit with the signature lines
+// it writes, must drop instead; the persistent write budget stays.
+func TestFailureAtTheFloorStillShrinksTheRetry(t *testing.T) {
+	b := segBudgets{
+		fit:  footprint{dimCycles: 150, dimReadLines: 16, dimWriteLines: 16},
+		base: footprint{dimCycles: 116, dimReadLines: 16, dimWriteLines: 14},
+	}
+	b.beginTxn(1)
+	b.failed(htm.Capacity, footprint{dimCycles: 117, dimReadLines: 21, dimWriteLines: 16}, 2*sig.Lines)
+	if want := (footprint{dimCycles: 116, dimReadLines: 16, dimWriteLines: 8}); b.lim != want {
+		t.Fatalf("retry budgets = %v, want %v", b.lim, want)
+	}
+	if b.base[dimWriteLines] != 14 {
+		t.Fatalf("a retry-only shrink moved the persistent write budget to %d", b.base[dimWriteLines])
 	}
 }
 

@@ -877,7 +877,9 @@ func probeStep(v int64) int64 { return max(1, v/probeDiv) }
 //     above fit that base was already under is treated the same way.
 //   - A dimension in which the failed segment stayed within what has
 //     committed is not blamed while another exceeded it, and one it did not
-//     use at all is never blamed.
+//     use at all is never blamed. But when no blamed lim drops (each is
+//     at its floor, say), every other dimension the segment used is blamed
+//     too, so that the retry is still smaller.
 //   - base grows only by a probe: one step, never more than one step past
 //     fit, after probeEvery clean commits. A resource abort while the probe
 //     is unconfirmed takes it back and doubles probeEvery.
@@ -949,14 +951,12 @@ func (b *segBudgets) failed(reason htm.AbortReason, f footprint, commitLines int
 	if above != 0 {
 		blamed = above
 	}
-	converged := false
+	converged, shrunk := false, false
 	for d := 0; d < nDims; d++ {
 		if blamed&(1<<d) == 0 {
 			continue
 		}
-		if n := max(f[d]/2, budgetFloor[d]); b.lim[d] == 0 || n < b.lim[d] {
-			b.lim[d] = n
-		}
+		shrunk = b.shrink(d, f[d]) || shrunk
 		if above == 0 {
 			continue
 		}
@@ -967,6 +967,16 @@ func (b *segBudgets) failed(reason htm.AbortReason, f footprint, commitLines int
 		if n = max(n, budgetFloor[d]); b.base[d] == 0 || n < b.base[d] {
 			b.base[d] = n
 			converged = true
+		}
+	}
+	if !shrunk {
+		// The retry would run the same segment and fail the same way: the
+		// blamed dimensions are at their floors, say, and the overflow came
+		// at the sub-commit, from the signature lines it writes.
+		for d := 0; d < nDims; d++ {
+			if dims&(1<<d) != 0 && blamed&(1<<d) == 0 && f[d] > 0 {
+				b.shrink(d, f[d])
+			}
 		}
 	}
 	if converged || !recurs {
@@ -981,6 +991,16 @@ func (b *segBudgets) failed(reason htm.AbortReason, f footprint, commitLines int
 			b.base[d] = max(top-probeStep(top), budgetFloor[d])
 		}
 	}
+}
+
+// shrink drops dimension d's lim to half the failed footprint v, not below
+// the floor, and reports whether it dropped.
+func (b *segBudgets) shrink(d int, v int64) bool {
+	if n := max(v/2, budgetFloor[d]); b.lim[d] == 0 || n < b.lim[d] {
+		b.lim[d] = n
+		return true
+	}
+	return false
 }
 
 // txnCommitted counts a partitioned commit and, every probeEvery clean

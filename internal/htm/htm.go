@@ -46,7 +46,11 @@
 //     between them, overlap their cache misses, where a load after each
 //     write monitor's CAS waits for the miss before the next CAS can
 //     complete.
-//   - Commit stores each written line without the lock and then clears its
+//   - A buffered word's line is loaded before Commit stores it: Add loads it
+//     at the access, the caller loads an Overwrite's with HeldWord, and
+//     Commit loads a Write's, in one pass of plain loads before its first
+//     locked instruction, so that those misses overlap too.
+//   - Commit then stores each written line without the lock and clears its
 //     write monitor with one CAS, before the transaction as a whole is
 //     committed; the comment at that loop says why no reader can see a mix.
 //     The same CAS clears the transaction's reader bit on a line it also
@@ -375,6 +379,13 @@ type Txn struct {
 
 	// ap is what an abort of this transaction panics with.
 	ap abortPanic
+
+	// cold says a Write buffered a word, so Commit loads the written lines
+	// (loadCold); coldSum keeps what that pass loaded, so that the loads
+	// stay. They come last so that no field above moves: a field's offset
+	// sets its instructions' length on the access path.
+	cold    bool
+	coldSum uint64
 }
 
 // lineEntry is one line buffered by WriteLine.
@@ -490,6 +501,7 @@ func (e *Engine) Begin(slot int) *Txn {
 	}
 	t.quantum = e.cfg.Quantum
 	t.injPending = false
+	t.cold = false
 	t.class = prof.ClassFast
 	if e.prof != nil {
 		t.ps = e.prof.Shard(slot)
@@ -932,9 +944,12 @@ func (t *Txn) admitReadLine() {
 }
 
 // Write performs a transactional write: buffered locally, monitored
-// eagerly, published at commit. It must not touch a line written with
-// WriteLine.
-func (t *Txn) Write(a mem.Addr, v uint64) { t.write(a, v, t.eng.cfg.WriteCost) }
+// eagerly, published at commit, where Commit loads its line first
+// (loadCold). It must not touch a line written with WriteLine.
+func (t *Txn) Write(a mem.Addr, v uint64) {
+	t.cold = true
+	t.write(a, v, t.eng.cfg.WriteCost)
+}
 
 // Overwrite is Write for a caller that wants the word it replaces, but only
 // at commit (the partitioned path's undo log, Part-HTM-O's lock cells): it
@@ -1217,6 +1232,9 @@ func (t *Txn) Commit() {
 			t.abortInjected(fromFault(r), code)
 		}
 	}
+	if t.cold {
+		t.loadCold()
+	}
 	if !t.status.CompareAndSwap(stActive, stCommitting) {
 		t.abort(Conflict, 0)
 	}
@@ -1268,6 +1286,24 @@ func (t *Txn) Commit() {
 	t.finish(true)
 	e.stats.Commits.Add(1)
 	t.profFinish(prof.OutcomeCommit)
+}
+
+// loadCold loads each line of the write buffer once, in one pass of plain
+// loads before Commit's first locked instruction, so that their cache misses
+// overlap; the store and monitor CAS that Commit then runs per line hit in
+// cache, where each store would otherwise miss in turn behind the previous
+// line's CAS. Commit runs it only after a Write: a transaction that wrote
+// through Overwrite and Add alone has loaded every line already (HeldWord,
+// Add's own load), and a pass over them would be pure cost.
+func (t *Txn) loadCold() {
+	m := t.eng.mem
+	var sum uint64
+	for i := range t.wb {
+		if t.wb[i].first {
+			sum += m.RawLoad(t.wb[i].addr)
+		}
+	}
+	t.coldSum = sum
 }
 
 // releaseMonitors removes this transaction's read monitor registrations

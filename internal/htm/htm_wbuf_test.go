@@ -164,6 +164,31 @@ func TestWriteBuffer(t *testing.T) {
 		tx.Commit()
 	})
 
+	t.Run("only a Write makes Commit load", func(t *testing.T) {
+		// Overwrite's caller loads its lines (HeldWord) and Add loads its
+		// own, so a transaction that wrote through them alone has nothing
+		// for Commit's pass to load, and a partitioned segment pays nothing
+		// for it.
+		e := newWriteBufferEngine(1024)
+		a := e.Memory().AllocLines(2)
+		tx := e.Begin(0)
+		tx.Overwrite(a, 1)
+		tx.Add(a+mem.LineWords, 2)
+		if tx.cold {
+			t.Fatal("Overwrite and Add made the transaction cold")
+		}
+		tx.Write(a+1, 3)
+		if !tx.cold {
+			t.Fatal("Write left the transaction not cold")
+		}
+		tx.Commit()
+		tx = e.Begin(0)
+		if tx.cold {
+			t.Fatal("the slot's next transaction kept the last one's cold flag")
+		}
+		tx.Cancel()
+	})
+
 	t.Run("random sequences across recycles", func(t *testing.T) {
 		// One slot, so one Txn object and one index, reused by every
 		// transaction: stale generations must read as empty each time.
