@@ -39,14 +39,14 @@ func writeLines(base mem.Addr, n, pauseEvery int) func(tm.Tx) {
 func TestWriteCapacityAbortLeavesReadBudget(t *testing.T) {
 	s := newSystem(1, 1<<17, noPlacement(8), func(c *Config) { c.NoFastPath = true })
 	base := s.Memory().AllocLines(64)
-	before := s.SegLimits()[0].ReadLines
+	before := s.threads[0].learn.base[dimReadLines]
 	s.Atomic(0, writeLines(base, 24, 0))
-	lim := s.SegLimits()[0]
-	if lim.WriteLines == 0 {
+	lim := s.threads[0].learn.base
+	if lim[dimWriteLines] == 0 {
 		t.Fatal("the write-buffer overflow taught no write budget")
 	}
-	if lim.ReadLines != before {
-		t.Fatalf("a write-only segment's capacity abort moved the read budget %d -> %d", before, lim.ReadLines)
+	if lim[dimReadLines] != before {
+		t.Fatalf("a write-only segment's capacity abort moved the read budget %d -> %d", before, lim[dimReadLines])
 	}
 	commits := s.eng.Stats().Commits.Load()
 	s.Atomic(0, func(x tm.Tx) {
@@ -74,7 +74,7 @@ func TestInjectedCapacityAbortTeachesNoBudget(t *testing.T) {
 	}}))
 	base := s.Memory().AllocLines(8)
 	s.Atomic(0, writeLines(base, 8, 0))
-	if lim := s.SegLimits()[0]; lim != (SegLimit{}) {
+	if lim := s.threads[0].learn.base; lim != (footprint{}) {
 		t.Fatalf("an injected capacity abort moved the persistent budgets to %+v", lim)
 	}
 	if st := s.Stats().Snapshot(); st.FaultsInjected != 1 || st.CommitsSW != 1 {
@@ -92,7 +92,7 @@ func TestBudgetsStayWithinAProbeOfWhatFit(t *testing.T) {
 	s := newSystem(1, 1<<17, noPlacement(hwLines), func(c *Config) { c.NoFastPath = true })
 	base := s.Memory().AllocLines(40)
 	s.Atomic(0, writeLines(base, 40, 0))
-	if s.SegLimits()[0].WriteLines == 0 {
+	if s.threads[0].learn.base[dimWriteLines] == 0 {
 		t.Fatal("no write budget learned")
 	}
 	aborts := s.eng.Stats().Aborts()
@@ -103,12 +103,12 @@ func TestBudgetsStayWithinAProbeOfWhatFit(t *testing.T) {
 		t.Fatalf("%d aborts in forty transactions of two-line segments", got)
 	}
 	th := s.threads[0]
-	for d, b := range th.bud.base {
-		if b > th.bud.fit[d]+probeStep(th.bud.fit[d]) {
-			t.Errorf("dimension %d: budget %d is more than a probe step past the largest committed footprint %d", d, b, th.bud.fit[d])
+	for d, b := range th.learn.base {
+		if b > th.learn.fit[d]+probeStep(th.learn.fit[d]) {
+			t.Errorf("dimension %d: budget %d is more than a probe step past the largest committed footprint %d", d, b, th.learn.fit[d])
 		}
 	}
-	if got := s.SegLimits()[0].WriteLines; got > hwLines+hwLines/probeDiv {
+	if got := s.threads[0].learn.base[dimWriteLines]; got > hwLines+hwLines/probeDiv {
 		t.Fatalf("write budget %d after forty clean commits on a %d-line buffer", got, hwLines)
 	}
 }
@@ -208,7 +208,7 @@ func TestPlacementOverflowLeavesNextTransactionOnTheGrid(t *testing.T) {
 	if got := st.AbortsCapacity.Load(); got != 1 {
 		t.Fatalf("unlucky transaction: %d capacity aborts, want 1", got)
 	}
-	if lim := s.SegLimits()[0]; lim != (SegLimit{}) {
+	if lim := s.threads[0].learn.base; lim != (footprint{}) {
 		t.Fatalf("one placement overflow moved the persistent budgets to %+v", lim)
 	}
 	commits := st.Commits.Load()
@@ -230,17 +230,56 @@ func TestPlacementOverflowLeavesNextTransactionOnTheGrid(t *testing.T) {
 // write lines, which overflowed at the sub-commit with the signature lines
 // it writes, must drop instead; the persistent write budget stays.
 func TestFailureAtTheFloorStillShrinksTheRetry(t *testing.T) {
-	b := segBudgets{
-		fit:  footprint{dimCycles: 150, dimReadLines: 16, dimWriteLines: 16},
-		base: footprint{dimCycles: 116, dimReadLines: 16, dimWriteLines: 14},
+	b := newLearner()
+	b.fit = footprint{dimCycles: 150, dimReadLines: 16, dimWriteLines: 16}
+	b.base = footprint{dimCycles: 116, dimReadLines: 16, dimWriteLines: 14}
+	b.begin()
+	b.attempt(false)
+	if !b.failed(capacityDims, footprint{dimCycles: 117, dimReadLines: 21, dimWriteLines: 16}, 2*sig.Lines, false) {
+		t.Fatal("the learner says a segment whose write lines can still drop cannot shrink")
 	}
-	b.beginTxn(1)
-	b.failed(htm.Capacity, footprint{dimCycles: 117, dimReadLines: 21, dimWriteLines: 16}, 2*sig.Lines)
 	if want := (footprint{dimCycles: 116, dimReadLines: 16, dimWriteLines: 8}); b.lim != want {
 		t.Fatalf("retry budgets = %v, want %v", b.lim, want)
 	}
 	if b.base[dimWriteLines] != 14 {
 		t.Fatalf("a retry-only shrink moved the persistent write budget to %d", b.base[dimWriteLines])
+	}
+}
+
+// TestFailureAtEveryFloorCannotShrink: a segment that fails for capacity
+// with every line dimension it used at its floor would be retried as it is
+// and fail the same way. The learner says it cannot shrink, every time, and
+// the partitioned attempt ends at its first such abort instead of spending
+// its sub-retries on the same segment.
+func TestFailureAtEveryFloorCannotShrink(t *testing.T) {
+	b := newLearner()
+	b.base = footprint{dimCycles: 64, dimReadLines: 16, dimWriteLines: 2}
+	b.begin()
+	b.attempt(false)
+	for i := 0; i < 3; i++ {
+		if b.failed(capacityDims, footprint{dimCycles: 70, dimReadLines: 20, dimWriteLines: 3}, 0, false) {
+			t.Fatalf("failure %d at every floor: the learner says the retry is smaller, at lim %v", i+1, b.lim)
+		}
+	}
+
+	// In a system: a Part-HTM-O write holds a data line and a lock cell, two
+	// lines, so under a one-line write buffer no segment that writes can
+	// commit. The first abort drops the write limit to its floor; each abort
+	// after it ends its partitioned attempt at once, where a retry of the
+	// same segment would spend the attempt's sub-retries failing the same
+	// way, and the contention manager sends the starving transaction to the
+	// global lock.
+	s := newSystem(1, 1<<17, noPlacement(1), func(c *Config) {
+		c.Opaque = true
+		c.NoFastPath = true
+	})
+	a := s.Memory().AllocLines(1)
+	s.Atomic(0, func(x tm.Tx) { x.Write(a, 1) })
+	if st := s.Stats().Snapshot(); st.CommitsGL != 1 {
+		t.Fatalf("want one global-lock commit, got %+v", st)
+	}
+	if got, want := s.Engine().Stats().AbortsCapacity.Load(), uint64(1+schedule.StarveThreshold); got != want {
+		t.Fatalf("%d capacity aborts, want %d: one to reach the floor, then one per partitioned attempt", got, want)
 	}
 }
 
@@ -252,7 +291,7 @@ func TestPauseUnderHalfBudgetRunsOn(t *testing.T) {
 	s := newSystem(1, 1<<17, noPlacement(32), func(c *Config) { c.NoFastPath = true })
 	base := s.Memory().AllocLines(120)
 	s.Atomic(0, writeLines(base, 120, 0)) // overflows at 32: the budget is 32-1-4
-	lim := s.SegLimits()[0].WriteLines
+	lim := s.threads[0].learn.base[dimWriteLines]
 	if lim != 27 {
 		t.Fatalf("write budget = %d, want 27", lim)
 	}
@@ -347,23 +386,23 @@ func (x countdownRef) live(op func()) {
 			x.n.skipped++
 		}
 		f := footprintOf(th.ht)
-		for d, l := range th.bud.lim {
+		for d, l := range th.learn.lim {
 			want = want || (l > 0 && f[d] >= l)
 		}
 	}
-	for d, l := range th.bud.lim {
-		if prev := x.n.lim[d]; th.attemptSegs > 0 && l > 0 && (prev == 0 || l < prev) {
+	for d, l := range th.learn.lim {
+		if prev := x.n.lim[d]; th.learn.segs > 0 && l > 0 && (prev == 0 || l < prev) {
 			x.n.midDrops++
 		}
 	}
-	x.n.lim = th.bud.lim
-	segs := th.attemptSegs
+	x.n.lim = th.learn.lim
+	segs := th.learn.segs
 	op()
 	x.n.ops++
 	if th.checkCells {
 		x.n.checked++
 	}
-	if got := th.attemptSegs != segs; got != want {
+	if got := th.learn.segs != segs; got != want {
 		x.tb.Fatalf("operation %d: paused %v, a full budget check says %v", x.n.ops, got, want)
 	}
 	if want {

@@ -21,13 +21,14 @@
 //
 // Partition points come from tm.Tx.Pause calls placed in the workload — the
 // equivalent of the paper's statically profiled breaking points — and from
-// per-thread segment budgets, activated at run time. What a sub-HTM
+// per-thread segment limits, activated at run time. What a sub-HTM
 // transaction holds is known in one place, the hardware transaction itself:
-// this package keeps no estimate beside it and asks htm.Txn.Footprint. What
-// fits is remembered rather than re-learned by aborting (segBudgets): the
-// largest footprint that has committed, the budget a fresh transaction starts
-// from, and the budget of the running one, which a resource abort halves for
-// the retry and the end of the transaction restores.
+// this package keeps no estimate beside it and asks htm.Txn.Footprint. One
+// learner per thread (learner, learn.go) decides how big a hardware
+// transaction may be, from footprints and abort reasons alone: the fast
+// attempt is the segment with no limit, a resource abort makes the retry
+// strictly smaller or ends the partitioned attempt, and what fits is
+// remembered rather than re-learned by aborting.
 //
 // A sub-HTM commit pays for the shared write-locks signature by the cache
 // line, as the paper lays it out to (four lines): four ReadLines fetch it and
@@ -239,10 +240,13 @@ func newWith(eng *htm.Engine, maxThreads int, cfg Config, pol exec.Policy) *Syst
 		t.xtxn = exec.Txn{
 			// Kernel dispatch: each level runs whatever body the caller handed
 			// Atomic; an oversized one capacity-aborts into the
-			// partitioned/slow paths by design.
-			Fast: func() htm.Result { return s.fastAttempt(t, t.body) },
+			// partitioned/slow paths by design. Part-HTM-no-fast has no fast
+			// level, so not even a breaker probe runs one.
 			Mid:  func() bool { return s.partitionedAttempt(t, t.body) },
 			Slow: func() { s.slowAttempt(t, t.body) },
+		}
+		if !cfg.NoFastPath {
+			t.xtxn.Fast = func() htm.Result { return s.fastAttempt(t, t.body) }
 		}
 		if s.nd > 1 {
 			// The kernel reads no count as one domain.
@@ -320,24 +324,6 @@ func (s *System) held(t *thread, c uint64) bool {
 	return c&1 != 0 && c != t.tag && s.m.RawLoad(s.ownerEntry(int(c>>1&tagOwnerMask)-1)) == c
 }
 
-// SegLimit describes one thread's learned adaptive segment budgets
-// (0 = unlimited), in the units of htm.Txn.Footprint.
-type SegLimit struct {
-	Cycles                int64
-	ReadLines, WriteLines int
-}
-
-// SegLimits reports the segment budgets each thread's next transaction
-// starts from; exposed for observability and tests.
-func (s *System) SegLimits() []SegLimit {
-	out := make([]SegLimit, len(s.threads))
-	for i, t := range s.threads {
-		b := &t.bud.base
-		out[i] = SegLimit{Cycles: b[dimCycles], ReadLines: int(b[dimReadLines]), WriteLines: int(b[dimWriteLines])}
-	}
-	return out
-}
-
 // opKind tags operation-log records.
 type opKind uint8
 
@@ -401,16 +387,11 @@ type thread struct {
 	// holding the tag is ours, so the self-lock test reads the cell alone.
 	tag uint64
 
-	// Adaptive partitioning: the budgets at which a partition point is
-	// auto-activated, compared with what the open sub-HTM transaction
-	// reports it holds.
-	bud segBudgets
-
-	// Self-tuning fast path: consecutive transactions whose fast attempts
-	// died for resources (a timer abort counts as a whole streak), and a
-	// transaction counter for periodic re-probes.
-	fastFailStreak int
-	txCount        uint64
+	// learn decides how big the thread's hardware transactions may be: whether
+	// a transaction tries the fast attempt, and the limits at which a
+	// partition point is auto-activated, compared with what the open sub-HTM
+	// transaction reports it holds.
+	learn learner
 
 	// budLeft is what the open segment's operations may still charge, in
 	// cycles, before one of them could reach a budget (checkBudgets). It is
@@ -432,21 +413,13 @@ type thread struct {
 	fastX tm.Tx
 	seg   segTx
 	slow  slowTx
-
-	// Whole-attempt footprint (accumulated per committed sub-HTM
-	// transaction): used to detect that a partitioned transaction would
-	// actually have fit in hardware, so a mixed workload's small
-	// transactions return to the fast path quickly.
-	attemptSegs   int
-	attemptCycles int64
-	attemptWLines int
 }
 
 func newThread(id int) *thread {
 	return &thread{
-		id:  id,
-		tag: uint64(id+1)<<1 | 1,
-		bud: segBudgets{probeEvery: probeEveryMin},
+		id:    id,
+		tag:   uint64(id+1)<<1 | 1,
+		learn: newLearner(),
 	}
 }
 
@@ -461,9 +434,6 @@ func (t *thread) resetPartitioned() {
 	t.undoMark = 0
 	t.logMark = 0
 	t.ht, t.budLeft = nil, 0
-	t.attemptSegs = 0
-	t.attemptCycles = 0
-	t.attemptWLines = 0
 }
 
 // truncateSegment discards the live segment's uncommitted effects after a
@@ -513,24 +483,15 @@ const (
 // level; resource aborts skip straight to partitioning) hardened by the
 // contention manager: a per-transaction hardware-abort budget and the slow
 // path for starving transactions. All of that schedule lives in the exec
-// kernel; this method only decides whether the self-tuned fast path applies
-// to this transaction and hands the level closures over.
+// kernel; this method only asks the thread's learner whether this
+// transaction tries the fast attempt and hands the level closures over.
 func (s *System) Atomic(threadID int, body func(tm.Tx)) {
 	t := s.threads[threadID]
 	t.body = body
-	t.txCount++
-	// Skip the doomed fast attempt when this thread's transactions keep
-	// exceeding the hardware budget, re-probing every 32nd transaction.
-	t.xtxn.SkipFast = s.cfg.NoFastPath || (t.fastFailStreak >= fastSkipStreak && t.txCount%32 != 0)
+	t.xtxn.SkipFast = !t.learn.begin()
 	s.run.Run(threadID, &t.xtxn)
 	t.body = nil
 }
-
-// fastSkipStreak is how many transactions in a row must lose their fast
-// attempt to the cache before Atomic skips the fast path. A timer abort
-// counts as all of them: it has burned a whole quantum, the most any fast
-// attempt can waste, where a capacity abort may come early.
-const fastSkipStreak = 3
 
 // serialSampleCap bounds one ring-publish serial-time sample. A publish is a
 // bounded pipeline wait plus a fixed store sequence (one ring entry), so a
@@ -546,15 +507,7 @@ func (s *System) fastAttempt(t *thread, body func(tm.Tx)) (res htm.Result) {
 		r := recover()
 		if ar, ok := htm.AsAbort(r); ok {
 			res = ar
-			// Self-tuning: Atomic skips a fast path that keeps dying for
-			// resources, at once after the timer. An injected timer abort
-			// chose its moment, so it counts as a capacity abort does.
-			switch {
-			case ar.Reason == htm.Other && !ar.Injected:
-				t.fastFailStreak = fastSkipStreak
-			case ar.Reason == htm.Capacity || ar.Reason == htm.Other:
-				t.fastFailStreak++
-			}
+			t.learn.failed(resourceDims(ar.Reason), footprintOf(t.ht), 0, ar.Injected)
 		} else if r != nil {
 			// Workload panic: tear the open hardware transaction down and
 			// re-raise.
@@ -566,6 +519,7 @@ func (s *System) fastAttempt(t *thread, body func(tm.Tx)) (res htm.Result) {
 		}
 		t.ht = nil
 	}()
+	t.learn.attempt(true)
 	alone := s.peekAlone(0)
 	ht := s.eng.Begin(t.id)
 	t.ht = ht
@@ -658,7 +612,7 @@ func (s *System) fastAttempt(t *thread, body func(tm.Tx)) (res htm.Result) {
 		// now that the window is closed.
 		t.et.TraceEvent(trace.EvRingPub, 0)
 	}
-	t.fastFailStreak = 0
+	t.learn.done()
 	return htm.Result{Committed: true}
 }
 
@@ -714,7 +668,7 @@ func (s *System) partitionedAttempt(t *thread, body func(tm.Tx)) bool {
 		s.m.Store(s.ownerEntry(t.id), t.tag)
 	}
 	t.resetPartitioned()
-	t.bud.beginTxn(t.txCount)
+	t.learn.attempt(false)
 	s.doms.SnapshotTimestamps(t.ds.Start)
 
 	subAttempts := 0
@@ -740,17 +694,7 @@ func (s *System) partitionedAttempt(t *thread, body func(tm.Tx)) bool {
 		s.globalAbort(t)
 		return false
 	}
-	t.bud.txnCommitted()
-	if t.attemptSegs <= 1 {
-		// The whole transaction fit one modest sub-HTM transaction: it
-		// would very likely commit on the fast path too, so resume probing
-		// it immediately (mixed short/long workloads, Table 1).
-		ecfg := s.eng.Config()
-		if (ecfg.Quantum == 0 || t.attemptCycles < ecfg.Quantum/4) &&
-			(ecfg.WriteLines == 0 || t.attemptWLines < ecfg.WriteLines/4) {
-			t.fastFailStreak = 0
-		}
-	}
+	t.learn.done()
 	return true
 }
 
@@ -765,18 +709,14 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 		}
 		if res, ok := htm.AsAbort(r); ok {
 			// The open sub-HTM transaction aborted; htm already tore it
-			// down, and still knows what it held when it failed. An abort
-			// the fault injector forced teaches no budget: it chose its
-			// reason without looking at the footprint.
-			if !res.Injected {
-				commitLines := int64(0)
-				if !s.cfg.Opaque {
-					// The sub-commit reads, and may write, every touched
-					// domain's signature lines on top of what the body holds.
-					commitLines = int64(sig.Lines * t.ds.Count())
-				}
-				t.bud.failed(res.Reason, footprintOf(t.ht), commitLines)
+			// down, and still knows what it held when it failed.
+			commitLines := int64(0)
+			if !s.cfg.Opaque {
+				// The sub-commit reads, and may write, every touched domain's
+				// signature lines on top of what the body holds.
+				commitLines = int64(sig.Lines * t.ds.Count())
 			}
+			shrinks := t.learn.failed(resourceDims(res.Reason), footprintOf(t.ht), commitLines, res.Injected)
 			t.ht, t.budLeft = nil, 0
 			t.et.NoteHWAbort(res)
 			s.truncateSegment(t)
@@ -785,10 +725,10 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 				// Conflict on a global write lock propagates to the global
 				// transaction (paper §5.3.5).
 				out = outAbortGlobal
-			case res.Reason == htm.Capacity || res.Reason == htm.Other:
-				// Resource failure of one segment: the budgets learned
-				// above make the retry partition more aggressively.
-				out = outRetrySeg
+			case !shrinks:
+				// A resource failure of a segment that cannot shrink: its
+				// retry would fail the same way.
+				out = outAbortGlobal
 			case res.Reason == htm.Explicit && res.Code == codeTsChanged:
 				// Part-HTM-O timestamp subscription (Figure 2 lines 36-39):
 				// validate; if still consistent, only the sub-transaction
@@ -824,227 +764,22 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 	return outDone
 }
 
-// Segment budgets. A resource dimension of a sub-HTM transaction is one of
-// the three numbers htm.Txn.Footprint reports; a budget of 0 is unlimited.
-const (
-	dimCycles = iota
-	dimReadLines
-	dimWriteLines
-	nDims
-)
-
-// Which dimensions an abort reason can be about: the timer knows cycles,
-// the cache knows lines.
-const (
-	timeDims     = 1 << dimCycles
-	capacityDims = 1<<dimReadLines | 1<<dimWriteLines
-)
-
-// footprint is what a sub-HTM transaction consumed, or a budget on that, per
-// dimension.
-type footprint [nDims]int64
+// resourceDims returns the dimensions an abort for reason can be about: the
+// timer knows cycles, the cache knows lines, and no other reason is about
+// resources.
+func resourceDims(reason htm.AbortReason) uint {
+	switch reason {
+	case htm.Capacity:
+		return capacityDims
+	case htm.Other:
+		return timeDims
+	}
+	return 0
+}
 
 func footprintOf(ht *htm.Txn) footprint {
 	c, r, w := ht.Footprint()
 	return footprint{dimCycles: c, dimReadLines: int64(r), dimWriteLines: int64(w)}
-}
-
-// budgetFloor keeps a budget from shrinking to nothing: below it a segment
-// is retried as it is.
-var budgetFloor = footprint{dimCycles: 64, dimReadLines: 16, dimWriteLines: 2}
-
-// A probe raises a budget by 1/probeDiv of itself, after probeEveryMin clean
-// commits; each failed probe doubles that wait, up to probeEveryMax.
-const (
-	probeDiv      = 8
-	probeEveryMin = 4
-	probeEveryMax = 1 << 10
-)
-
-func probeStep(v int64) int64 { return max(1, v/probeDiv) }
-
-// segBudgets is one thread's knowledge of what fits in a sub-HTM transaction.
-// It keeps three facts per dimension and moves them by these rules:
-//
-//   - A resource abort makes the retry strictly smaller: lim drops to half
-//     the failed footprint and stays there until the transaction ends. That
-//     is the progress rule; it never outlives the transaction.
-//   - A failure above everything that has ever committed sets base just
-//     under the failed footprint, in one step: that footprint is the bound.
-//   - A failure at or below what has committed is placement (which cache set
-//     the lines fell in), not size. base ignores it, unless the transaction
-//     before also failed: then it steps down by one probe step. A failure
-//     above fit that base was already under is treated the same way.
-//   - A dimension in which the failed segment stayed within what has
-//     committed is not blamed while another exceeded it, and one it did not
-//     use at all is never blamed. But when no blamed lim drops (each is
-//     at its floor, say), every other dimension the segment used is blamed
-//     too, so that the retry is still smaller.
-//   - base grows only by a probe: one step, never more than one step past
-//     fit, after probeEvery clean commits. A resource abort while the probe
-//     is unconfirmed takes it back and doubles probeEvery.
-type segBudgets struct {
-	fit  footprint // the largest a sub-HTM transaction has committed with
-	base footprint // what a fresh transaction starts from
-	lim  footprint // what the running transaction partitions at
-
-	txn               uint64 // the transaction lim and failedNow belong to
-	failedNow         bool   // it has had a resource abort
-	failedPrev        bool   // so had the one before
-	clean, probeEvery int    // clean commits since the last probe or failure, of how many
-	probing           bool   // base holds a probe step no commit has confirmed yet
-	preProbe          footprint
-}
-
-// beginTxn starts transaction id from the persistent budgets; further
-// attempts of the same transaction keep what its failures taught.
-func (b *segBudgets) beginTxn(id uint64) {
-	if b.txn == id {
-		return
-	}
-	b.txn = id
-	b.failedPrev, b.failedNow = b.failedNow, false
-	b.lim = b.base
-}
-
-// committed notes that a sub-HTM transaction committed holding f.
-func (b *segBudgets) committed(f footprint) {
-	for d, v := range f {
-		if v > b.fit[d] {
-			b.fit[d] = v
-		}
-	}
-}
-
-// failed learns from a sub-HTM transaction that aborted for resources
-// holding f. commitLines is what the sub-commit adds to both line counts on
-// top of the body's.
-func (b *segBudgets) failed(reason htm.AbortReason, f footprint, commitLines int64) {
-	var dims uint
-	switch reason {
-	case htm.Capacity:
-		dims = capacityDims
-	case htm.Other:
-		dims = timeDims
-	default:
-		return
-	}
-	if b.probing {
-		b.base, b.probing = b.preProbe, false
-		b.probeEvery = min(2*b.probeEvery, probeEveryMax)
-	}
-	b.clean = 0
-	recurs := b.failedPrev && !b.failedNow
-	b.failedNow = true
-
-	// Blame the dimensions in which f exceeds everything that has committed;
-	// if there is none it is placement, which every dimension f used shares.
-	var above, blamed uint
-	for d := 0; d < nDims; d++ {
-		if dims&(1<<d) != 0 && f[d] > 0 {
-			blamed |= 1 << d
-			if f[d] > b.fit[d] {
-				above |= 1 << d
-			}
-		}
-	}
-	if above != 0 {
-		blamed = above
-	}
-	converged, shrunk := false, false
-	for d := 0; d < nDims; d++ {
-		if blamed&(1<<d) == 0 {
-			continue
-		}
-		shrunk = b.shrink(d, f[d]) || shrunk
-		if above == 0 {
-			continue
-		}
-		n := f[d] - 1
-		if d != dimCycles {
-			n -= commitLines
-		}
-		if n = max(n, budgetFloor[d]); b.base[d] == 0 || n < b.base[d] {
-			b.base[d] = n
-			converged = true
-		}
-	}
-	if !shrunk {
-		// The retry would run the same segment and fail the same way: the
-		// blamed dimensions are at their floors, say, and the overflow came
-		// at the sub-commit, from the signature lines it writes.
-		for d := 0; d < nDims; d++ {
-			if dims&(1<<d) != 0 && blamed&(1<<d) == 0 && f[d] > 0 {
-				b.shrink(d, f[d])
-			}
-		}
-	}
-	if converged || !recurs {
-		return
-	}
-	for d := 0; d < nDims; d++ {
-		if blamed&(1<<d) != 0 {
-			top := b.base[d]
-			if top == 0 {
-				top = b.fit[d]
-			}
-			b.base[d] = max(top-probeStep(top), budgetFloor[d])
-		}
-	}
-}
-
-// shrink drops dimension d's lim to half the failed footprint v, not below
-// the floor, and reports whether it dropped.
-func (b *segBudgets) shrink(d int, v int64) bool {
-	if n := max(v/2, budgetFloor[d]); b.lim[d] == 0 || n < b.lim[d] {
-		b.lim[d] = n
-		return true
-	}
-	return false
-}
-
-// txnCommitted counts a partitioned commit and, every probeEvery clean
-// ones, probes: each known budget one step up, and never more than one step
-// past what has committed.
-func (b *segBudgets) txnCommitted() {
-	if b.failedNow {
-		return
-	}
-	if b.probing {
-		b.probing = false
-		b.probeEvery = probeEveryMin
-	}
-	if b.clean++; b.clean < b.probeEvery {
-		return
-	}
-	b.clean = 0
-	b.preProbe = b.base
-	for d, v := range b.base {
-		if v == 0 {
-			continue
-		}
-		n := min(v+probeStep(v), b.fit[d]+probeStep(b.fit[d]))
-		if n > v {
-			b.probing = true
-		}
-		b.base[d] = n
-	}
-}
-
-// underHalf reports whether f uses less than half of every budget the
-// running transaction knows, and it knows one.
-func (b *segBudgets) underHalf(f footprint) bool {
-	known := false
-	for d, lim := range b.lim {
-		if lim == 0 {
-			continue
-		}
-		if 2*f[d] >= lim {
-			return false
-		}
-		known = true
-	}
-	return known
 }
 
 // liveSub returns the sub-HTM transaction a live operation that may charge
@@ -1076,7 +811,7 @@ func (s *System) checkBudgets(t *thread, cost int64) *htm.Txn {
 	}
 	f := footprintOf(t.ht)
 	n := int64(1) << 62
-	for d, lim := range t.bud.lim {
+	for d, lim := range t.learn.lim {
 		if lim == 0 {
 			continue
 		}
@@ -1207,11 +942,7 @@ func (s *System) subCommitIfOpen(t *thread) {
 		}
 	}
 	t.markSegment()
-	f := footprintOf(ht)
-	t.bud.committed(f)
-	t.attemptSegs++
-	t.attemptCycles += f[dimCycles]
-	t.attemptWLines += int(f[dimWriteLines])
+	t.learn.committed(footprintOf(ht))
 
 	if !s.cfg.Opaque && !s.inFlightValidate(t) {
 		panic(globalAbortPanic{})
@@ -1595,7 +1326,7 @@ func (x *segTx) Pause() {
 	t := x.t
 	if x.replay {
 		x.replayExpect(opPause, 0, 0)
-	} else if t.ht == nil || !t.bud.underHalf(footprintOf(t.ht)) {
+	} else if t.ht == nil || !t.learn.underHalf(footprintOf(t.ht)) {
 		// "May split": a segment that has used less than half of everything
 		// the thread knows to fit runs on, so a learned budget just under the
 		// workload's grid does not alternate full segments with slivers.

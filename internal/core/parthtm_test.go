@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/governor"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -211,8 +212,8 @@ func TestAutoPartitionRescuesUnsplitTransaction(t *testing.T) {
 	if st.CommitsGL != 0 || st.CommitsSW != 3 {
 		t.Fatalf("want 3 partitioned commits and no GL, got %+v", st)
 	}
-	lim := s.SegLimits()[0]
-	if lim.WriteLines == 0 {
+	lim := s.threads[0].learn.base
+	if lim[dimWriteLines] == 0 {
 		t.Fatal("no write-line budget was learned")
 	}
 	for l := 0; l < 12; l++ {
@@ -643,7 +644,11 @@ func TestReadOnlyPartitionedCommit(t *testing.T) {
 }
 
 // TestNoFastPathSkipsHardwareFastAttempts verifies the Part-HTM-no-fast
-// variant goes straight to the partitioned path.
+// variant goes straight to the partitioned path, also when a governor is
+// attached: a breaker probe, which runs the fast level of a thread whose
+// breaker is open, finds none to run. A transaction over the quantum ends at
+// the global lock and trips the one-transaction breaker; the small ones after
+// it include its probes.
 func TestNoFastPathSkipsHardwareFastAttempts(t *testing.T) {
 	s := newSystem(1, 1<<17, nil, func(c *Config) { c.NoFastPath = true })
 	a := s.Memory().Alloc(1)
@@ -651,6 +656,24 @@ func TestNoFastPathSkipsHardwareFastAttempts(t *testing.T) {
 	st := s.Stats().Snapshot()
 	if st.CommitsHTM != 0 || st.CommitsSW != 1 {
 		t.Fatalf("want a single partitioned commit, got %+v", st)
+	}
+
+	s = newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 1000 }, func(c *Config) { c.NoFastPath = true })
+	s.Kernel().SetGovernor(governor.New(governor.Config{BreakerThreshold: 1}))
+	a = s.Memory().Alloc(1)
+	s.Atomic(0, func(x tm.Tx) {
+		x.Write(a, x.Read(a)+1)
+		x.Work(2000) // one segment's worth of work, over the quantum
+	})
+	for i := 0; i < 40; i++ {
+		s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+	}
+	st = s.Stats().Snapshot()
+	if st.BreakerTrips == 0 || st.BreakerProbes == 0 {
+		t.Fatalf("setup: the breaker never tripped or probed: %+v", st)
+	}
+	if st.CommitsHTM != 0 {
+		t.Fatalf("Part-HTM-no-fast committed %d transactions on the fast path: %+v", st.CommitsHTM, st)
 	}
 }
 

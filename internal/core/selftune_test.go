@@ -9,10 +9,10 @@ import (
 	"repro/internal/tm"
 )
 
-// TestSelfTuningSkipsDoomedFastAttempts: after a few transactions that keep
-// exceeding the timer quantum, the fast path must stop being attempted
-// (except for periodic probes), so engine-level timer aborts stop
-// accumulating one-per-transaction.
+// TestSelfTuningSkipsDoomedFastAttempts: after a transaction that exceeds
+// the timer quantum, the fast path must stop being attempted (except for the
+// learner's probes), so engine-level timer aborts stop accumulating
+// one-per-transaction.
 func TestSelfTuningSkipsDoomedFastAttempts(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
 	a := s.Memory().Alloc(1)
@@ -33,7 +33,7 @@ func TestSelfTuningSkipsDoomedFastAttempts(t *testing.T) {
 	}
 	other := s.Engine().Stats().AbortsOther.Load()
 	// Without self-tuning every transaction would burn one timer abort
-	// (64); with it only the first few plus the 1-in-32 probes do.
+	// (64); with it only the first plus the probes, ever rarer, do.
 	if other > txns/4 {
 		t.Fatalf("timer aborts = %d of %d transactions; fast path not being skipped", other, txns)
 	}
@@ -48,7 +48,7 @@ func TestSelfTuningSkipsDoomedFastAttempts(t *testing.T) {
 func TestSelfTuningRecoversForSmallTransactions(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
 	a := s.Memory().Alloc(1)
-	// Phase 1: big transactions build up a fast-fail streak.
+	// Phase 1: big transactions make the learner skip the fast attempt.
 	for i := 0; i < 8; i++ {
 		s.Atomic(0, func(x tm.Tx) {
 			v := x.Read(a)
@@ -60,8 +60,8 @@ func TestSelfTuningRecoversForSmallTransactions(t *testing.T) {
 		})
 	}
 	// Phase 2: small transactions. The first may run partitioned, but its
-	// single small segment resets the streak, so the rest commit in
-	// hardware.
+	// single small segment would have fit the fast attempt, so the rest
+	// commit in hardware.
 	before := s.Stats().Snapshot().CommitsHTM
 	for i := 0; i < 16; i++ {
 		s.Atomic(0, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
@@ -73,25 +73,33 @@ func TestSelfTuningRecoversForSmallTransactions(t *testing.T) {
 }
 
 // TestAutoPartitionLearnsCycleBudget: a Work-heavy unsplit transaction must
-// teach a cycle budget and commit partitioned.
+// commit partitioned and teach a cycle budget. Its fast attempt dies on the
+// timer, which halves the cycle limit of its partitioned retry; the next
+// one skips the fast attempt, and its first segment's timer abort teaches
+// the budget every later transaction starts from.
 func TestAutoPartitionLearnsCycleBudget(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 1000 }, nil)
 	a := s.Memory().Alloc(1)
-	s.Atomic(0, func(x tm.Tx) {
+	body := func(x tm.Tx) {
 		v := x.Read(a)
 		for i := 0; i < 40; i++ {
 			x.Work(100) // 4000 cycles total: 4x the quantum, no Pause hints
 		}
 		x.Write(a, v+1)
-	})
-	if got := s.Memory().Load(a); got != 1 {
+	}
+	s.Atomic(0, body)
+	if lim := s.threads[0].learn.lim; lim[dimCycles] == 0 {
+		t.Fatal("the fast attempt's timer abort gave its retry no cycle limit")
+	}
+	s.Atomic(0, body)
+	if got := s.Memory().Load(a); got != 2 {
 		t.Fatalf("a = %d", got)
 	}
 	st := s.Stats().Snapshot()
-	if st.CommitsSW != 1 || st.CommitsGL != 0 {
-		t.Fatalf("want partitioned commit, got %+v", st)
+	if st.CommitsSW != 2 || st.CommitsGL != 0 {
+		t.Fatalf("want partitioned commits, got %+v", st)
 	}
-	if lim := s.SegLimits()[0]; lim.Cycles == 0 {
+	if base := s.threads[0].learn.base; base[dimCycles] == 0 {
 		t.Fatal("no cycle budget learned")
 	}
 }
@@ -274,8 +282,10 @@ func TestStaleForeignTagDoesNotBlock(t *testing.T) {
 	}
 }
 
-// TestFastPathProbesEventually: with self-tuning active, the 1-in-32 probe
-// keeps trying the fast path so a workload phase change is noticed.
+// TestFastPathProbesEventually: with self-tuning active, the learner's probe
+// keeps trying the fast path so a workload phase change is noticed. After a
+// timer abort the first try comes at the eighth idle probe, 32 clean
+// commits, where the probe every 32nd transaction it replaces came.
 func TestFastPathProbesEventually(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
 	a := s.Memory().Alloc(1)
@@ -302,13 +312,12 @@ func TestFastPathProbesEventually(t *testing.T) {
 
 // TestLeadingPauseCountsOneSegment: a partition point commits and counts a
 // segment only if one is open. A small transaction that begins with Pause
-// runs as exactly one modest sub-HTM transaction, so it must end the
-// fast-fail streak and send the next small transaction back to the fast
-// path.
+// runs as exactly one modest sub-HTM transaction, so it would have fit the
+// fast attempt, and the next small transaction goes back to the fast path.
 func TestLeadingPauseCountsOneSegment(t *testing.T) {
 	s := newSystem(1, 1<<17, func(c *htm.Config) { c.Quantum = 500 }, nil)
 	a := s.Memory().Alloc(1)
-	for i := 0; i < 3; i++ { // three fast attempts die on the timer: the streak forms
+	for i := 0; i < 3; i++ { // the first fast attempt dies on the timer: the skip forms
 		s.Atomic(0, func(x tm.Tx) {
 			v := x.Read(a)
 			for k := 0; k < 4; k++ {
@@ -360,7 +369,7 @@ func TestOpaqueBudgetCountsLockCells(t *testing.T) {
 	if st := s.Stats().Snapshot(); st.CommitsSW != 1 || st.CommitsGL != 0 {
 		t.Fatalf("want one partitioned commit, got %+v", st)
 	}
-	if got := s.SegLimits()[0].WriteLines; got >= hwLines || got <= dataLines/2 {
+	if got := s.threads[0].learn.base[dimWriteLines]; got >= hwLines || got <= dataLines/2 {
 		t.Fatalf("learned write budget = %d lines, want hardware lines: under the %d-line buffer, over the %d a count of data lines would give",
 			got, hwLines, dataLines/2)
 	}
@@ -397,8 +406,8 @@ func TestOneTimerAbortSkipsTheFastPath(t *testing.T) {
 }
 
 // TestInjectedTimerAbortCountsAsCapacity: an abort the fault injector forced
-// with the timer's reason burned no quantum, so it counts toward the streak
-// of three as a capacity abort does, and the next transaction still tries
+// with the timer's reason burned no quantum, so it counts as one of the three
+// misses a capacity abort counts as, and the next transaction still tries
 // its fast attempt.
 func TestInjectedTimerAbortCountsAsCapacity(t *testing.T) {
 	s := newSystem(1, 1<<17, nil, nil)

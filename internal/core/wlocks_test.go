@@ -164,7 +164,8 @@ func TestWriteLocksEmptyAtQuiescence(t *testing.T) {
 // held. The twenty writes' bits land in all four signature lines; the lines
 // are what they were when the bits were published word by word (7 read and 24
 // written unsplit; 7 and 13, then 4 and 13, split), and the cycles are fewer
-// (75 and 83, where they were 121 and 131).
+// (75 unsplit, where they were 121). The thread's learner keeps the largest
+// footprint a segment committed with: 43 cycles of the split pair's 83.
 //
 // Part-HTM-O: a write locks its cell with one Overwrite, so a written cell's
 // line is in the write set only. A segment of the only partitioned
@@ -176,12 +177,12 @@ func TestSubCommitFootprint(t *testing.T) {
 		name                       string
 		opaque, split              bool
 		readMax, readMin, writeMax int64
-		writeSum, cycles           int64
+		cycles                     int64 // the larger segment's
 	}{
-		{name: "one segment", readMax: 7, readMin: 7, writeMax: 24, writeSum: 24, cycles: 75},
-		{name: "two segments", split: true, readMax: 7, readMin: 4, writeMax: 13, writeSum: 26, cycles: 83},
-		{name: "opaque/one segment", opaque: true, readMax: 5, readMin: 5, writeMax: 40, writeSum: 40, cycles: 125},
-		{name: "opaque/two segments", opaque: true, split: true, readMax: 5, readMin: 2, writeMax: 20, writeSum: 40, cycles: 127},
+		{name: "one segment", readMax: 7, readMin: 7, writeMax: 24, cycles: 75},
+		{name: "two segments", split: true, readMax: 7, readMin: 4, writeMax: 13, cycles: 43},
+		{name: "opaque/one segment", opaque: true, readMax: 5, readMin: 5, writeMax: 40, cycles: 125},
+		{name: "opaque/two segments", opaque: true, split: true, readMax: 5, readMin: 2, writeMax: 20, cycles: 65},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSystem(1, 1<<17, nil, func(c *Config) {
@@ -212,12 +213,8 @@ func TestSubCommitFootprint(t *testing.T) {
 				t.Errorf("sub-HTM transactions held up to %d (median %d) read and %d write lines, want %d (%d) and %d",
 					r.ReadMax, r.ReadP50, r.WriteMax, tc.readMax, tc.readMin, tc.writeMax)
 			}
-			th := s.threads[0]
-			if int64(th.attemptWLines) != tc.writeSum {
-				t.Errorf("write lines over the transaction = %d, want %d", th.attemptWLines, tc.writeSum)
-			}
-			if th.attemptCycles != tc.cycles {
-				t.Errorf("cycles over the transaction = %d, want %d", th.attemptCycles, tc.cycles)
+			if got, want := s.threads[0].learn.fit, (footprint{tc.cycles, tc.readMax, tc.writeMax}); got != want {
+				t.Errorf("the largest committed segment held %v, want %v", got, want)
 			}
 		})
 	}
