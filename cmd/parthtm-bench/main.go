@@ -139,6 +139,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	exps := harness.Experiments()
+	if *expID != "all" {
+		exps = nil
+		for _, id := range strings.Split(*expID, ",") {
+			id = strings.TrimSpace(id)
+			e, ok := harness.Find(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "parthtm-bench: unknown experiment %q (use -list)\n", id)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
+		}
+	}
 
 	opts := harness.Options{
 		Duration:  *duration,
@@ -146,6 +159,20 @@ func main() {
 		Seed:      *seed,
 		FaultRate: rate,
 		Campaign:  *campaign,
+	}
+	opts.Threads = parseList("threads", *threads, "", countIn(validThreads))
+	opts.Systems = parseList("systems", *systems, " (one of "+strings.Join(harness.AllSystemNames, ",")+")",
+		func(s string) (string, bool) {
+			name := strings.TrimSpace(s)
+			return name, validSystem(name)
+		})
+	opts.Domains = parseList("domains", *domains, "", countIn(validDomains))
+	opts.Cross = parseList("cross", *crossR, "", parseRatio)
+	// The soak reads the campaign only when it runs, after the experiments
+	// listed before it; a bad name must stop the run before any of them.
+	if _, _, err := harness.SoakFaultConfig(*campaign, *seed); err != nil {
+		fmt.Fprintf(os.Stderr, "parthtm-bench: -campaign: %v\n", err)
+		os.Exit(2)
 	}
 	if *governed {
 		gcfg := governor.DefaultConfig()
@@ -190,47 +217,6 @@ func main() {
 	if *duration >= time.Second || *flight != "" {
 		opts.Progress = os.Stderr
 	}
-	if *threads != "" {
-		for _, part := range strings.Split(*threads, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || !validThreads(n) {
-				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -threads value %q\n", part)
-				os.Exit(2)
-			}
-			opts.Threads = append(opts.Threads, n)
-		}
-	}
-	if *systems != "" {
-		for _, part := range strings.Split(*systems, ",") {
-			name := strings.TrimSpace(part)
-			if !validSystem(name) {
-				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -systems value %q (one of %s)\n", part, strings.Join(harness.AllSystemNames, ","))
-				os.Exit(2)
-			}
-			opts.Systems = append(opts.Systems, name)
-		}
-	}
-	if *domains != "" {
-		for _, part := range strings.Split(*domains, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || !validDomains(n) {
-				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -domains value %q\n", part)
-				os.Exit(2)
-			}
-			opts.Domains = append(opts.Domains, n)
-		}
-	}
-	if *crossR != "" {
-		for _, part := range strings.Split(*crossR, ",") {
-			r, ok := parseRatio(part)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "parthtm-bench: bad -cross value %q\n", part)
-				os.Exit(2)
-			}
-			opts.Cross = append(opts.Cross, r)
-		}
-	}
-
 	// Text to stdout streams as today; when the artifact is JSON or goes to
 	// a file, progress moves to stderr and the artifact is written whole.
 	streaming := !*jsonOut && *outPath == ""
@@ -254,20 +240,8 @@ func main() {
 		set.Results = append(set.Results, res)
 	}
 
-	if *expID == "all" {
-		for _, e := range harness.Experiments() {
-			run(e)
-		}
-	} else {
-		for _, id := range strings.Split(*expID, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := harness.Find(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "parthtm-bench: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
-			}
-			run(e)
-		}
+	for _, e := range exps {
+		run(e)
 	}
 	if recorder != nil {
 		recorder.Stop()
@@ -328,6 +302,34 @@ func clampFault(r float64) (float64, bool) {
 		return 1, true
 	}
 	return r, true
+}
+
+// parseList parses the comma-separated value s of flag -name with parse,
+// one element at a time; an empty s is an empty list. On the first element
+// parse rejects it prints that element as it was given, then hint, and
+// exits 2.
+func parseList[T any](name, s, hint string, parse func(string) (T, bool)) []T {
+	if s == "" {
+		return nil
+	}
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		v, ok := parse(part)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "parthtm-bench: bad -%s value %q%s\n", name, part, hint)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// countIn parses a count that valid accepts.
+func countIn(valid func(int) bool) func(string) (int, bool) {
+	return func(s string) (int, bool) {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		return n, err == nil && valid(n)
+	}
 }
 
 // parseRatio parses one -cross ratio, which must lie in [0,1]; NaN does not.

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/bench/eigen"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/htmgl"
 	"repro/internal/mem"
 	"repro/internal/norec"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -35,18 +35,12 @@ func run(name string, sys tm.System) {
 	cfg := eigen.Fig6b() // 32K hot words, 10K reads + 100 writes, 50% repeats
 	b := eigen.New(sys, threads, cfg)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id) + 1))
-			for i := 0; i < ops; i++ {
-				b.Op(id, rng)
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		rng := rand.New(rand.NewSource(int64(id) + 1))
+		for i := 0; i < ops; i++ {
+			b.Op(id, rng)
+		}
+	})
 	elapsed := time.Since(start)
 	st := sys.Stats().Snapshot()
 	fmt.Printf("%-10s %8.0f tx/sec | commits: HTM=%d SW=%d GL=%d | aborts: conflict=%d capacity=%d other=%d\n",

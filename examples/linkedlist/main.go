@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/bench/list"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/htmgl"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -44,18 +44,12 @@ func run(name string, mk func(words int) tm.System) {
 	l := list.New(sys, cfg)
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id) + 99))
-			for i := 0; i < ops; i++ {
-				l.Op(id, rng)
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		rng := rand.New(rand.NewSource(int64(id) + 99))
+		for i := 0; i < ops; i++ {
+			l.Op(id, rng)
+		}
+	})
 	elapsed := time.Since(start)
 
 	if !l.Validate() {

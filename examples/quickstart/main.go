@@ -13,11 +13,11 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -48,49 +48,43 @@ func main() {
 	}
 
 	// 4. Concurrent transfers plus periodic audits.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id) + 7))
-			for i := 0; i < transfers; i++ {
-				if i%100 == 99 {
-					// Full audit: reads all 512 account lines. Far beyond
-					// the hardware read budget, so Part-HTM partitions it.
-					// Accumulate in a body-local and publish once: the body
-					// may rerun on abort, so captured variables must be
-					// write-only result slots (enforced by parthtm-vet).
-					var total uint64
-					sys.Atomic(id, func(x tm.Tx) {
-						var t uint64
-						for k := 0; k < accounts; k++ {
-							t += x.Read(acct(k))
-							if k%64 == 63 {
-								x.Pause() // partition point
-							}
-						}
-						total = t
-					})
-					if total != accounts*initBalance {
-						panic(fmt.Sprintf("audit saw inconsistent total %d", total))
-					}
-					continue
-				}
-				from, to := rng.Intn(accounts), rng.Intn(accounts)
-				amount := uint64(rng.Intn(10))
+	perthread.Run(workers, func(id int) {
+		rng := rand.New(rand.NewSource(int64(id) + 7))
+		for i := 0; i < transfers; i++ {
+			if i%100 == 99 {
+				// Full audit: reads all 512 account lines. Far beyond
+				// the hardware read budget, so Part-HTM partitions it.
+				// Accumulate in a body-local and publish once: the body
+				// may rerun on abort, so captured variables must be
+				// write-only result slots (enforced by parthtm-vet).
+				var total uint64
 				sys.Atomic(id, func(x tm.Tx) {
-					f := x.Read(acct(from))
-					t := x.Read(acct(to))
-					if from != to && f >= amount {
-						x.Write(acct(from), f-amount)
-						x.Write(acct(to), t+amount)
+					var t uint64
+					for k := 0; k < accounts; k++ {
+						t += x.Read(acct(k))
+						if k%64 == 63 {
+							x.Pause() // partition point
+						}
 					}
+					total = t
 				})
+				if total != accounts*initBalance {
+					panic(fmt.Sprintf("audit saw inconsistent total %d", total))
+				}
+				continue
 			}
-		}(w)
-	}
-	wg.Wait()
+			from, to := rng.Intn(accounts), rng.Intn(accounts)
+			amount := uint64(rng.Intn(10))
+			sys.Atomic(id, func(x tm.Tx) {
+				f := x.Read(acct(from))
+				t := x.Read(acct(to))
+				if from != to && f >= amount {
+					x.Write(acct(from), f-amount)
+					x.Write(acct(to), t+amount)
+				}
+			})
+		}
+	})
 
 	// 5. Report.
 	var total uint64

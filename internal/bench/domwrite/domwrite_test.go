@@ -2,12 +2,12 @@ package domwrite
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -36,18 +36,12 @@ func TestConservation(t *testing.T) {
 		b := New(sys, cfg)
 
 		const opsPerThread = 300
-		var wg sync.WaitGroup
-		for th := 0; th < 4; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(th + 1)))
-				for i := 0; i < opsPerThread; i++ {
-					b.Op(th, rng)
-				}
-			}(th)
-		}
-		wg.Wait()
+		perthread.Run(4, func(th int) {
+			rng := rand.New(rand.NewSource(int64(th + 1)))
+			for i := 0; i < opsPerThread; i++ {
+				b.Op(th, rng)
+			}
+		})
 
 		// 4 threads * opsPerThread transactions, Writes increments each,
 		// plus one per cross transaction. Recompute the expected total from

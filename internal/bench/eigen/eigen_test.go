@@ -2,13 +2,13 @@ package eigen
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/htmgl"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -60,18 +60,12 @@ func TestContendedCounterStaysConsistent(t *testing.T) {
 	cfg := Config{HotWords: 8, Reads: 2, Writes: 2, Disjoint: false}
 	sys := newPartHTM(cfg.MemWords()+1<<17, 4)
 	b := New(sys, 4, cfg)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id)))
-			for i := 0; i < 100; i++ {
-				b.Op(id, rng)
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(4, func(id int) {
+		rng := rand.New(rand.NewSource(int64(id)))
+		for i := 0; i < 100; i++ {
+			b.Op(id, rng)
+		}
+	})
 	if got := sys.Stats().Commits(); got != 400 {
 		t.Fatalf("commits = %d, want 400", got)
 	}

@@ -2,7 +2,6 @@ package list
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/htmgl"
 	"repro/internal/mem"
 	"repro/internal/norec"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -119,18 +119,12 @@ func TestRemoveHead(t *testing.T) {
 func concurrentStress(t *testing.T, sys tm.System, cfg Config, threads, ops int) {
 	t.Helper()
 	l := New(sys, cfg)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + id)))
-			for i := 0; i < ops; i++ {
-				l.Op(id, rng)
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		rng := rand.New(rand.NewSource(int64(100 + id)))
+		for i := 0; i < ops; i++ {
+			l.Op(id, rng)
+		}
+	})
 	if !l.Validate() {
 		t.Fatalf("%s: list structure corrupted", sys.Name())
 	}

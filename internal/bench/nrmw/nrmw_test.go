@@ -2,13 +2,13 @@ package nrmw
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/htmgl"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -88,18 +88,12 @@ func TestDisjointThreadsNoConflictAborts(t *testing.T) {
 	cfg := Config{ArraySize: 8192, N: 10, M: 10, PartitionEvery: 0}
 	sys := newHTMGL(cfg.MemWords()+1<<16, 4)
 	b := New(sys, 4, cfg)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id)))
-			for i := 0; i < 100; i++ {
-				b.Op(id, rng)
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(4, func(id int) {
+		rng := rand.New(rand.NewSource(int64(id)))
+		for i := 0; i < 100; i++ {
+			b.Op(id, rng)
+		}
+	})
 	st := sys.Stats().Snapshot()
 	if st.Commits() != 400 {
 		t.Fatalf("commits = %d", st.Commits())

@@ -1,8 +1,9 @@
 package fault
 
 import (
-	"sync"
 	"testing"
+
+	"repro/internal/perthread"
 )
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
@@ -74,20 +75,14 @@ func TestTotalStormKillsEveryBegin(t *testing.T) {
 	cfg := Config{Seed: 1}
 	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
 	in := New(cfg)
-	var wg sync.WaitGroup
-	for th := 0; th < MaxSlots; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < perSlot; i++ {
-				if r, _, ok := in.Draw(SiteHTMBegin, th); !ok || r != Other {
-					t.Errorf("slot %d begin %d survived the total storm", th, i)
-					return
-				}
+	perthread.Run(MaxSlots, func(th int) {
+		for i := 0; i < perSlot; i++ {
+			if r, _, ok := in.Draw(SiteHTMBegin, th); !ok || r != Other {
+				t.Errorf("slot %d begin %d survived the total storm", th, i)
+				return
 			}
-		}(th)
-	}
-	wg.Wait()
+		}
+	})
 	if got := in.Stats().BySite(SiteHTMBegin); got != MaxSlots*perSlot {
 		t.Fatalf("injected %d begins, want %d", got, MaxSlots*perSlot)
 	}

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -25,17 +25,11 @@ func TestAbortStorm(t *testing.T) {
 				Fault: storm,
 			})
 			a := sys.Memory().Alloc(1)
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					for i := 0; i < txnsPerThread; i++ {
-						sys.Atomic(th, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
-					}
-				}(th)
-			}
-			wg.Wait()
+			perthread.Run(threads, func(th int) {
+				for i := 0; i < txnsPerThread; i++ {
+					sys.Atomic(th, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+				}
+			})
 			if got := sys.Memory().Load(a); got != threads*txnsPerThread {
 				t.Fatalf("counter = %d, want %d (lost commits under storm)",
 					got, threads*txnsPerThread)

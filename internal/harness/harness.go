@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/norec"
 	"repro/internal/norecrh"
 	"repro/internal/obs"
+	"repro/internal/perthread"
 	"repro/internal/prof"
 	"repro/internal/ring"
 	"repro/internal/ringstm"
@@ -256,28 +256,22 @@ func Throughput(sys tm.System, op OpFunc, threads int, duration time.Duration, s
 		// One result slot per worker, summed after the join: no mutex on
 		// the result path, no shared cache line during the run.
 		counts := make([]uint64, threads)
-		var wg sync.WaitGroup
 		deadline := time.Now().Add(d)
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(id)*6151))
-				var n uint64
-				for {
-					op(id, rng)
-					n++
-					// Checking the clock every iteration makes the timing
-					// syscall dominate short transactions; every 64 ops is
-					// accurate to well under the warm-up slack.
-					if n&63 == 0 && !time.Now().Before(deadline) {
-						break
-					}
+		perthread.Run(threads, func(id int) {
+			rng := rand.New(rand.NewSource(seed + int64(id)*6151))
+			var n uint64
+			for {
+				op(id, rng)
+				n++
+				// Checking the clock every iteration makes the timing
+				// syscall dominate short transactions; every 64 ops is
+				// accurate to well under the warm-up slack.
+				if n&63 == 0 && !time.Now().Before(deadline) {
+					break
 				}
-				counts[id] = n
-			}(t)
-		}
-		wg.Wait()
+			}
+			counts[id] = n
+		})
 		var total uint64
 		for _, n := range counts {
 			total += n

@@ -11,9 +11,9 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/prof"
 	"repro/internal/tm"
 )
@@ -75,22 +75,16 @@ func (l *heatmapLayout) lines() []uint32 {
 // runHeatmapLayout drives one (system, layout) cell: every thread runs
 // heatmapOps read-work-increment transactions on its counter.
 func runHeatmapLayout(sys tm.System, l heatmapLayout, threads int) {
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			addr := l.addrs[th]
-			for i := 0; i < heatmapOps; i++ {
-				sys.Atomic(th, func(x tm.Tx) {
-					v := x.Read(addr)
-					x.Work(heatmapWork)
-					x.Write(addr, v+1)
-				})
-			}
-		}(th)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(th int) {
+		addr := l.addrs[th]
+		for i := 0; i < heatmapOps; i++ {
+			sys.Atomic(th, func(x tm.Tx) {
+				v := x.Read(addr)
+				x.Work(heatmapWork)
+				x.Write(addr, v+1)
+			})
+		}
+	})
 }
 
 // heatmapSum totals the counters (increments are transactional, so the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/obs"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -47,17 +48,11 @@ func TestSoakStormLiveness(t *testing.T) {
 			a := sys.Memory().Alloc(1)
 			total := 0
 			runPhase := func() {
-				var wg sync.WaitGroup
-				for th := 0; th < threads; th++ {
-					wg.Add(1)
-					go func(th int) {
-						defer wg.Done()
-						for i := 0; i < txnsPerThread; i++ {
-							sys.Atomic(th, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
-						}
-					}(th)
-				}
-				wg.Wait()
+				perthread.Run(threads, func(th int) {
+					for i := 0; i < txnsPerThread; i++ {
+						sys.Atomic(th, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+					}
+				})
 				total += threads * txnsPerThread
 			}
 			nextPhase := func() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -72,19 +73,13 @@ func TestValueBasedValidationToleratesSilentRepeats(t *testing.T) {
 func TestAbortsCountedOnConflict(t *testing.T) {
 	s := newSys(2)
 	a := s.Memory().Alloc(1)
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				s.Atomic(id, func(x tm.Tx) {
-					x.Write(a, x.Read(a)+1)
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(2, func(id int) {
+		for i := 0; i < 500; i++ {
+			s.Atomic(id, func(x tm.Tx) {
+				x.Write(a, x.Read(a)+1)
+			})
+		}
+	})
 	if got := s.Memory().Load(a); got != 1000 {
 		t.Fatalf("counter = %d", got)
 	}

@@ -1,11 +1,11 @@
 package norecrh
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
@@ -132,24 +132,18 @@ func TestMixedHardwareSoftwareCounter(t *testing.T) {
 	// increments; the counter must stay exact across the hybrid boundary.
 	s := newSys(4, func(c *htm.Config) { c.Quantum = 300 })
 	a := s.Memory().Alloc(1)
-	var wg sync.WaitGroup
 	const per = 150
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				long := i%2 == 0
-				s.Atomic(id, func(x tm.Tx) {
-					if long {
-						x.NonTxWork(1000)
-					}
-					x.Write(a, x.Read(a)+1)
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(4, func(id int) {
+		for i := 0; i < per; i++ {
+			long := i%2 == 0
+			s.Atomic(id, func(x tm.Tx) {
+				if long {
+					x.NonTxWork(1000)
+				}
+				x.Write(a, x.Read(a)+1)
+			})
+		}
+	})
 	if got := s.Memory().Load(a); got != 4*per {
 		t.Fatalf("counter = %d, want %d", got, 4*per)
 	}

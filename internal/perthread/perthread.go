@@ -1,8 +1,15 @@
-// Package perthread holds the one copy-on-grow set of per-thread cells that
-// the stats shards, kernel threads, trace buffers, latency shards, profiler
-// shards and governor cells are all kept in: a thread's cell is created on
-// its first touch and never moves, so its owner caches the pointer and the
-// measured path takes no lock.
+// Package perthread holds what is kept or started once per thread.
+//
+// Set is the one copy-on-grow set of per-thread cells that the stats
+// shards, kernel threads, trace buffers, latency shards, profiler shards and
+// governor cells are all kept in: a thread's cell is created on its first
+// touch and never moves, so its owner caches the pointer and the measured
+// path takes no lock.
+//
+// Run and Chunks are the one way the workloads, experiments, stress tests
+// and examples start their worker threads: worker id is the thread id its
+// body passes to tm.System.Atomic, and both return only after every worker
+// has.
 package perthread
 
 import (
@@ -68,4 +75,30 @@ func (s *Set[T]) All() []*T {
 		return *p
 	}
 	return nil
+}
+
+// Run starts n workers, worker id running body(id) for id in [0, n), and
+// returns when all of them have returned.
+func Run(n int, body func(id int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for id := 0; id < n; id++ {
+		go func() {
+			defer wg.Done()
+			body(id)
+		}()
+	}
+	wg.Wait()
+}
+
+// Chunks splits [0, items) among n workers in runs of (items+n-1)/n: worker
+// id gets [id*chunk, (id+1)*chunk) cut at items, and runs body(id, lo, hi)
+// unless its range is empty. It returns when every worker has returned.
+func Chunks(n, items int, body func(id, lo, hi int)) {
+	chunk := (items + n - 1) / n
+	Run(n, func(id int) {
+		if lo, hi := id*chunk, min((id+1)*chunk, items); lo < hi {
+			body(id, lo, hi)
+		}
+	})
 }

@@ -2,10 +2,10 @@
 // *when* and *why* transactions abort, prof records *where* — which cache
 // lines are conflict hot spots, which associativity sets run hot, and how
 // big transactional footprints actually are at commit and abort time. It
-// is the address-level telemetry substrate the trace-driven self-tuning
-// controller consumes, and the tool that makes the Dice/Harris/Kogan/Lev
-// malloc-placement effect visible in the simulator (see the harness
-// heatmap experiment).
+// only reports: no protocol decision reads it (Part-HTM's resource-abort
+// learner sizes segments from htm.Txn.Footprint). It is the tool that makes
+// the Dice/Harris/Kogan/Lev malloc-placement effect visible in the
+// simulator (see the harness heatmap experiment).
 //
 // # Capture planes
 //

@@ -3,8 +3,9 @@ package prof
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
+
+	"repro/internal/perthread"
 )
 
 // oracle tracks exact frequencies next to a sketch.
@@ -249,19 +250,15 @@ func TestSketchObserveAllocFree(t *testing.T) {
 func TestSketchRaceHammer(t *testing.T) {
 	const workers = 8
 	shards := make([]*Sketch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range shards {
 		shards[w] = NewSketch(16)
-		wg.Add(1)
-		go func(s *Sketch, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 20_000; i++ {
-				s.Observe(uint32(rng.Intn(64)))
-			}
-		}(shards[w], int64(w))
 	}
-	wg.Wait()
+	perthread.Run(workers, func(w int) {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for i := 0; i < 20_000; i++ {
+			shards[w].Observe(uint32(rng.Intn(64)))
+		}
+	})
 	merged := NewSketch(16)
 	var want uint64
 	for _, sh := range shards {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/sig"
 	"repro/internal/tm"
 )
@@ -43,18 +44,12 @@ func TestSmallRingStillCorrect(t *testing.T) {
 	// updates.
 	s := newSys(4, 4)
 	a := s.Memory().Alloc(1)
-	var wg sync.WaitGroup
 	const per = 200
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.Atomic(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(4, func(id int) {
+		for i := 0; i < per; i++ {
+			s.Atomic(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })
+		}
+	})
 	if got := s.Memory().Load(a); got != 4*per {
 		t.Fatalf("counter = %d, want %d", got, 4*per)
 	}

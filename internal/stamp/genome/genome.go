@@ -9,10 +9,10 @@ package genome
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -134,68 +134,41 @@ func (a *App) lookup(id int, v uint64) int {
 // Run implements stamp.App.
 func (a *App) Run(threads int) {
 	// Phase 1: deduplicate all reads into the hash set.
-	var wg sync.WaitGroup
-	chunk := (len(a.reads) + threads - 1) / threads
-	for t := 0; t < threads; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > len(a.reads) {
-			hi = len(a.reads)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if a.insert(id, a.reads[i]) {
-					a.unique.Add(1)
-				}
+	perthread.Chunks(threads, len(a.reads), func(id, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if a.insert(id, a.reads[i]) {
+				a.unique.Add(1)
 			}
-		}(t, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	// Phase 2: for every table slot holding v, claim the link to v+1 if
 	// v+1 exists in the set (overlap matching).
-	slotChunk := (a.cfg.HashSlots + threads - 1) / threads
-	for t := 0; t < threads; t++ {
-		lo, hi := t*slotChunk, (t+1)*slotChunk
-		if hi > a.cfg.HashSlots {
-			hi = a.cfg.HashSlots
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			m := a.sys.Memory()
-			for s := lo; s < hi; s++ {
-				v := m.Load(a.table + mem.Addr(s)) // phase-1 output is stable now
-				if v == 0 {
-					continue
-				}
-				succ := a.lookup(id, v+1)
-				if succ < 0 {
-					continue
-				}
-				claimed := false
-				slot := a.links + mem.Addr(s)
-				a.sys.Atomic(id, func(x tm.Tx) {
-					claimed = false
-					if x.Read(slot) == 0 {
-						x.Write(slot, uint64(succ)+1)
-						claimed = true
-					}
-				})
-				if claimed {
-					a.linked.Add(1)
-				}
+	perthread.Chunks(threads, a.cfg.HashSlots, func(id, lo, hi int) {
+		m := a.sys.Memory()
+		for s := lo; s < hi; s++ {
+			v := m.Load(a.table + mem.Addr(s)) // phase-1 output is stable now
+			if v == 0 {
+				continue
 			}
-		}(t, lo, hi)
-	}
-	wg.Wait()
+			succ := a.lookup(id, v+1)
+			if succ < 0 {
+				continue
+			}
+			claimed := false
+			slot := a.links + mem.Addr(s)
+			a.sys.Atomic(id, func(x tm.Tx) {
+				claimed = false
+				if x.Read(slot) == 0 {
+					x.Write(slot, uint64(succ)+1)
+					claimed = true
+				}
+			})
+			if claimed {
+				a.linked.Add(1)
+			}
+		}
+	})
 }
 
 // Validate implements stamp.App: the set contains each distinct read

@@ -10,10 +10,10 @@ package intruder
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -88,47 +88,41 @@ func (a *App) flow(f int) mem.Addr { return a.flows + mem.Addr(f*a.blockSize) }
 
 // Run implements stamp.App.
 func (a *App) Run(threads int) {
-	var wg sync.WaitGroup
 	total := uint64(len(a.frags))
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for {
-				var have, completed bool
-				a.sys.Atomic(id, func(x tm.Tx) {
-					have, completed = false, false
-					h := x.Read(a.head)
-					if h >= total {
-						return
-					}
-					x.Write(a.head, h+1)
-					// Body-local fragment: captured variables must be
-					// write-only result slots because the body may rerun on
-					// abort (enforced by parthtm-vet).
-					f := a.frags[h]
-					have = true
-					base := a.flow(f.flow)
-					rcv := x.Read(base)
-					x.Write(base+2+mem.Addr(f.seq), uint64(f.seq)+1)
-					x.Write(base, rcv+1)
-					if rcv+1 == uint64(a.cfg.FragsPerFlow) {
-						x.Write(base+1, 1) // flow complete
-						completed = true
-					}
-				})
-				if !have {
+	perthread.Run(threads, func(id int) {
+		for {
+			var have, completed bool
+			a.sys.Atomic(id, func(x tm.Tx) {
+				have, completed = false, false
+				h := x.Read(a.head)
+				if h >= total {
 					return
 				}
-				if completed {
-					// Detection scan runs outside the transaction.
-					tm.Spin(a.cfg.DetectWork)
-					a.detected.Add(1)
+				x.Write(a.head, h+1)
+				// Body-local fragment: captured variables must be
+				// write-only result slots because the body may rerun on
+				// abort (enforced by parthtm-vet).
+				f := a.frags[h]
+				have = true
+				base := a.flow(f.flow)
+				rcv := x.Read(base)
+				x.Write(base+2+mem.Addr(f.seq), uint64(f.seq)+1)
+				x.Write(base, rcv+1)
+				if rcv+1 == uint64(a.cfg.FragsPerFlow) {
+					x.Write(base+1, 1) // flow complete
+					completed = true
 				}
+			})
+			if !have {
+				return
 			}
-		}(t)
-	}
-	wg.Wait()
+			if completed {
+				// Detection scan runs outside the transaction.
+				tm.Spin(a.cfg.DetectWork)
+				a.detected.Add(1)
+			}
+		}
+	})
 }
 
 // Validate implements stamp.App: every flow fully reassembled exactly

@@ -11,9 +11,9 @@ package kmeans
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -118,35 +118,21 @@ func (a *App) Run(threads int) {
 			}
 		}
 		// Parallel assignment + transactional accumulation.
-		var wg sync.WaitGroup
-		chunk := (cfg.Points + threads - 1) / threads
-		for t := 0; t < threads; t++ {
-			lo, hi := t*chunk, (t+1)*chunk
-			if hi > cfg.Points {
-				hi = cfg.Points
+		perthread.Chunks(threads, cfg.Points, func(id, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				p := a.points[i]
+				c := a.nearest(p) // non-transactional compute
+				a.lastAssign[i] = c
+				base := a.block(c)
+				a.sys.Atomic(id, func(x tm.Tx) {
+					x.Write(base, x.Read(base)+1)
+					for d := 0; d < cfg.Dims; d++ {
+						w := base + 1 + mem.Addr(d)
+						x.Write(w, x.Read(w)+uint64(p[d]))
+					}
+				})
 			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(id, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					p := a.points[i]
-					c := a.nearest(p) // non-transactional compute
-					a.lastAssign[i] = c
-					base := a.block(c)
-					a.sys.Atomic(id, func(x tm.Tx) {
-						x.Write(base, x.Read(base)+1)
-						for d := 0; d < cfg.Dims; d++ {
-							w := base + 1 + mem.Addr(d)
-							x.Write(w, x.Read(w)+uint64(p[d]))
-						}
-					})
-				}
-			}(t, lo, hi)
-		}
-		wg.Wait()
+		})
 		// Master: recompute centres from the accumulators.
 		for c := 0; c < cfg.Clusters; c++ {
 			n := m.Load(a.block(c))

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -143,25 +144,19 @@ func (a *App) cell(x, y int) int { return y*a.cfg.W + x }
 // Run implements stamp.App: threads pull routing requests from a shared
 // work list until it is drained.
 func (a *App) Run(threads int) {
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for {
-				i := int(a.nextPair.Add(1)) - 1
-				if i >= len(a.pairs) {
-					return
-				}
-				if a.route(id, i) {
-					a.routed.Store(i+1, a.pairs[i])
-				} else {
-					a.failed.Add(1)
-				}
+	perthread.Run(threads, func(id int) {
+		for {
+			i := int(a.nextPair.Add(1)) - 1
+			if i >= len(a.pairs) {
+				return
 			}
-		}(t)
-	}
-	wg.Wait()
+			if a.route(id, i) {
+				a.routed.Store(i+1, a.pairs[i])
+			} else {
+				a.failed.Add(1)
+			}
+		}
+	})
 }
 
 // route runs one routing transaction; the path id is the request index+1.

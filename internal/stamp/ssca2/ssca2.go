@@ -8,10 +8,10 @@ package ssca2
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -77,41 +77,27 @@ func (a *App) node(u int) mem.Addr { return a.adj + mem.Addr(u*a.blockSize) }
 // Run implements stamp.App: threads insert disjoint chunks of the edge
 // list; each insertion is one transaction on the target node's block.
 func (a *App) Run(threads int) {
-	var wg sync.WaitGroup
-	chunk := (len(a.edges) + threads - 1) / threads
-	for t := 0; t < threads; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > len(a.edges) {
-			hi = len(a.edges)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			maxDeg := uint64(a.cfg.MaxDegree)
-			for i := lo; i < hi; i++ {
-				u, v := a.edges[i][0], a.edges[i][1]
-				base := a.node(u)
-				full := false
-				a.sys.Atomic(id, func(x tm.Tx) {
-					full = false
-					deg := x.Read(base)
-					if deg >= maxDeg {
-						full = true
-						return
-					}
-					x.Write(base+1+mem.Addr(deg), uint64(v)+1)
-					x.Write(base, deg+1)
-				})
-				if full {
-					a.dropped.Add(1)
+	perthread.Chunks(threads, len(a.edges), func(id, lo, hi int) {
+		maxDeg := uint64(a.cfg.MaxDegree)
+		for i := lo; i < hi; i++ {
+			u, v := a.edges[i][0], a.edges[i][1]
+			base := a.node(u)
+			full := false
+			a.sys.Atomic(id, func(x tm.Tx) {
+				full = false
+				deg := x.Read(base)
+				if deg >= maxDeg {
+					full = true
+					return
 				}
+				x.Write(base+1+mem.Addr(deg), uint64(v)+1)
+				x.Write(base, deg+1)
+			})
+			if full {
+				a.dropped.Add(1)
 			}
-		}(t, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // Validate implements stamp.App: every inserted slot is populated, degrees

@@ -10,9 +10,9 @@ package vacation
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -157,26 +157,12 @@ func (a *App) task(id int, rng *rand.Rand) {
 
 // Run implements stamp.App.
 func (a *App) Run(threads int) {
-	var wg sync.WaitGroup
-	chunk := (a.cfg.Tasks + threads - 1) / threads
-	for t := 0; t < threads; t++ {
-		lo, hi := t*chunk, (t+1)*chunk
-		if hi > a.cfg.Tasks {
-			hi = a.cfg.Tasks
+	perthread.Chunks(threads, a.cfg.Tasks, func(id, lo, hi int) {
+		rng := rand.New(rand.NewSource(a.cfg.Seed + int64(id)*971))
+		for i := lo; i < hi; i++ {
+			a.task(id, rng)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(a.cfg.Seed + int64(id)*971))
-			for i := lo; i < hi; i++ {
-				a.task(id, rng)
-			}
-		}(t, lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // Validate implements stamp.App: conservation — reservations recorded on

@@ -13,9 +13,9 @@ package yada
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -124,16 +124,10 @@ func (a *App) elem(e int) mem.Addr { return a.elems + mem.Addr(e*mem.LineWords) 
 
 // Run implements stamp.App: threads refine until the queue drains.
 func (a *App) Run(threads int) {
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for a.refineOne(id) {
-			}
-		}(t)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		for a.refineOne(id) {
+		}
+	})
 }
 
 // refineOne pops one bad element and retriangulates its cavity. It returns

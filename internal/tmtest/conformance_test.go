@@ -3,13 +3,13 @@ package tmtest
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -85,40 +85,34 @@ func blindWriteStress(t *testing.T, sys tm.System, threads, perThread, groups, w
 	base := m.AllocLines(groups * words)
 	word := func(g, w int) mem.Addr { return base + mem.Addr((g*words+w)*mem.LineWords) }
 	var torn atomic.Bool
-	var wg sync.WaitGroup
-	for id := 0; id < threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				g := (id*7 + i*3) % groups
-				u := uint64(id+1)<<32 | uint64(i+1)
-				reads := i%3 == 2
-				var diverged bool
-				sys.Atomic(id, func(x tm.Tx) {
-					// Only the committed execution's reads count: a doomed
-					// attempt of a non-opaque system may see a torn group.
-					diverged = false
-					if reads {
-						v := x.Read(word(g, 0))
-						for w := 1; w < words; w++ {
-							if x.Read(word(g, w)) != v {
-								diverged = true
-							}
+	perthread.Run(threads, func(id int) {
+		for i := 0; i < perThread; i++ {
+			g := (id*7 + i*3) % groups
+			u := uint64(id+1)<<32 | uint64(i+1)
+			reads := i%3 == 2
+			var diverged bool
+			sys.Atomic(id, func(x tm.Tx) {
+				// Only the committed execution's reads count: a doomed
+				// attempt of a non-opaque system may see a torn group.
+				diverged = false
+				if reads {
+					v := x.Read(word(g, 0))
+					for w := 1; w < words; w++ {
+						if x.Read(word(g, w)) != v {
+							diverged = true
 						}
 					}
-					for w := 0; w < words; w++ {
-						x.Write(word(g, w), u)
-						x.Pause()
-					}
-				})
-				if diverged {
-					torn.Store(true)
 				}
+				for w := 0; w < words; w++ {
+					x.Write(word(g, w), u)
+					x.Pause()
+				}
+			})
+			if diverged {
+				torn.Store(true)
 			}
-		}(id)
-	}
-	wg.Wait()
+		}
+	})
 	if torn.Load() {
 		t.Errorf("%s: a committed transaction read a group whose words differ", sys.Name())
 	}

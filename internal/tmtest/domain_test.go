@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/perthread"
 	"repro/internal/tm"
 )
 
@@ -48,21 +49,15 @@ func TestCrossDomainLostUpdate(t *testing.T) {
 			if ds.Of(a) != 0 || ds.Of(b) != 1 {
 				t.Fatalf("routing: Of(a)=%d Of(b)=%d", ds.Of(a), ds.Of(b))
 			}
-			var wg sync.WaitGroup
-			for w := 0; w < threads; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					for i := 0; i < perThread; i++ {
-						sys.Atomic(id, func(x tm.Tx) {
-							x.Write(a, x.Read(a)+1)
-							x.Pause()
-							x.Write(b, x.Read(b)+1)
-						})
-					}
-				}(w)
-			}
-			wg.Wait()
+			perthread.Run(threads, func(id int) {
+				for i := 0; i < perThread; i++ {
+					sys.Atomic(id, func(x tm.Tx) {
+						x.Write(a, x.Read(a)+1)
+						x.Pause()
+						x.Write(b, x.Read(b)+1)
+					})
+				}
+			})
 			want := uint64(threads * perThread)
 			m := sys.Memory()
 			if got := m.Load(a); got != want {
@@ -193,30 +188,24 @@ func TestShardedMixedTraffic(t *testing.T) {
 	for d := range ctr {
 		ctr[d] = ds.AllocLinesIn(d, 1)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			home := ctr[id%4]
-			next := ctr[(id+1)%4]
-			for i := 0; i < perThread; i++ {
-				if i%3 == 0 {
-					// Cross-domain: move a unit from home to neighbour.
-					sys.Atomic(id, func(x tm.Tx) {
-						x.Write(home, x.Read(home)+1)
-						x.Pause()
-						x.Write(next, x.Read(next)+1)
-					})
-				} else {
-					sys.Atomic(id, func(x tm.Tx) {
-						x.Write(home, x.Read(home)+2)
-					})
-				}
+	perthread.Run(threads, func(id int) {
+		home := ctr[id%4]
+		next := ctr[(id+1)%4]
+		for i := 0; i < perThread; i++ {
+			if i%3 == 0 {
+				// Cross-domain: move a unit from home to neighbour.
+				sys.Atomic(id, func(x tm.Tx) {
+					x.Write(home, x.Read(home)+1)
+					x.Pause()
+					x.Write(next, x.Read(next)+1)
+				})
+			} else {
+				sys.Atomic(id, func(x tm.Tx) {
+					x.Write(home, x.Read(home)+2)
+				})
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	m := sys.Memory()
 	var total uint64
 	for _, c := range ctr {

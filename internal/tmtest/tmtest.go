@@ -15,6 +15,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/norec"
 	"repro/internal/norecrh"
+	"repro/internal/perthread"
 	"repro/internal/ringstm"
 	"repro/internal/tm"
 )
@@ -136,19 +137,13 @@ func RunAll(t *testing.T, f func(t *testing.T, fac Factory)) {
 func CounterStress(t *testing.T, sys tm.System, threads, perThread int) {
 	t.Helper()
 	a := sys.Memory().Alloc(1)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				sys.Atomic(id, func(x tm.Tx) {
-					x.Write(a, x.Read(a)+1)
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		for i := 0; i < perThread; i++ {
+			sys.Atomic(id, func(x tm.Tx) {
+				x.Write(a, x.Read(a)+1)
+			})
+		}
+	})
 	want := uint64(threads * perThread)
 	if got := sys.Memory().Load(a); got != want {
 		t.Fatalf("%s: counter = %d, want %d (lost updates)", sys.Name(), got, want)
@@ -171,64 +166,58 @@ func BankStress(t *testing.T, sys tm.System, threads, perThread, accounts int, p
 	acct := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineWords) }
 
 	var badSnapshots sync.Map
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := uint64(id)*0x9E3779B97F4A7C15 + 7
-			next := func() uint64 {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				return rng >> 33
-			}
-			for i := 0; i < perThread; i++ {
-				if i%4 == 3 {
-					// Observer transaction: sum a window of accounts twice
-					// with a partition point between; the two sums must
-					// agree (the window total is only changed by balanced
-					// transfers within it... it is not, transfers cross the
-					// window) — so instead check the global invariant over
-					// ALL accounts.
-					// Body-local accumulator, published once: captured
-					// variables must be write-only result slots because the
-					// body may rerun on abort (enforced by parthtm-vet).
-					var sum uint64
-					sys.Atomic(id, func(x tm.Tx) {
-						var s uint64
-						for k := 0; k < accounts; k++ {
-							s += x.Read(acct(k))
-							if pauses && k == accounts/2 {
-								x.Pause()
-							}
-						}
-						sum = s
-					})
-					if sum != uint64(accounts*initBalance) {
-						badSnapshots.Store(sum, true)
-					}
-					continue
-				}
-				from := int(next()) % accounts
-				to := int(next()) % accounts
-				amt := next() % 10
+	perthread.Run(threads, func(id int) {
+		rng := uint64(id)*0x9E3779B97F4A7C15 + 7
+		next := func() uint64 {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return rng >> 33
+		}
+		for i := 0; i < perThread; i++ {
+			if i%4 == 3 {
+				// Observer transaction: sum a window of accounts twice
+				// with a partition point between; the two sums must
+				// agree (the window total is only changed by balanced
+				// transfers within it... it is not, transfers cross the
+				// window) — so instead check the global invariant over
+				// ALL accounts.
+				// Body-local accumulator, published once: captured
+				// variables must be write-only result slots because the
+				// body may rerun on abort (enforced by parthtm-vet).
+				var sum uint64
 				sys.Atomic(id, func(x tm.Tx) {
-					f := x.Read(acct(from))
+					var s uint64
+					for k := 0; k < accounts; k++ {
+						s += x.Read(acct(k))
+						if pauses && k == accounts/2 {
+							x.Pause()
+						}
+					}
+					sum = s
+				})
+				if sum != uint64(accounts*initBalance) {
+					badSnapshots.Store(sum, true)
+				}
+				continue
+			}
+			from := int(next()) % accounts
+			to := int(next()) % accounts
+			amt := next() % 10
+			sys.Atomic(id, func(x tm.Tx) {
+				f := x.Read(acct(from))
+				if pauses {
+					x.Pause()
+				}
+				tv := x.Read(acct(to))
+				if from != to && f >= amt {
+					x.Write(acct(from), f-amt)
 					if pauses {
 						x.Pause()
 					}
-					tv := x.Read(acct(to))
-					if from != to && f >= amt {
-						x.Write(acct(from), f-amt)
-						if pauses {
-							x.Pause()
-						}
-						x.Write(acct(to), tv+amt)
-					}
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
+					x.Write(acct(to), tv+amt)
+				}
+			})
+		}
+	})
 
 	badSnapshots.Range(func(k, _ any) bool {
 		t.Errorf("%s: observer saw inconsistent total %v", sys.Name(), k)
@@ -258,40 +247,34 @@ func LargeTxStress(t *testing.T, sys tm.System, threads, perThread, linesPerTx i
 	}
 	var mu sync.Mutex
 	var committedDivergence bool
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				b := (id + i) % blocks // overlapping access across threads
-				var diverged bool
-				sys.Atomic(id, func(x tm.Tx) {
-					// A doomed attempt of a non-opaque system may observe a
-					// half-updated block (that is the anomaly Part-HTM-O
-					// exists to remove), so divergence only counts if the
-					// final — committed — execution of the body saw it.
-					diverged = false
-					v := x.Read(blockAddr(b, 0))
-					for l := 0; l < linesPerTx; l++ {
-						if got := x.Read(blockAddr(b, l)); got != v {
-							diverged = true
-						}
-						x.Write(blockAddr(b, l), v+1)
-						if l%8 == 7 {
-							x.Pause()
-						}
+	perthread.Run(threads, func(id int) {
+		for i := 0; i < perThread; i++ {
+			b := (id + i) % blocks // overlapping access across threads
+			var diverged bool
+			sys.Atomic(id, func(x tm.Tx) {
+				// A doomed attempt of a non-opaque system may observe a
+				// half-updated block (that is the anomaly Part-HTM-O
+				// exists to remove), so divergence only counts if the
+				// final — committed — execution of the body saw it.
+				diverged = false
+				v := x.Read(blockAddr(b, 0))
+				for l := 0; l < linesPerTx; l++ {
+					if got := x.Read(blockAddr(b, l)); got != v {
+						diverged = true
 					}
-				})
-				if diverged {
-					mu.Lock()
-					committedDivergence = true
-					mu.Unlock()
+					x.Write(blockAddr(b, l), v+1)
+					if l%8 == 7 {
+						x.Pause()
+					}
 				}
+			})
+			if diverged {
+				mu.Lock()
+				committedDivergence = true
+				mu.Unlock()
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	if committedDivergence {
 		t.Fatalf("%s: a committed transaction observed a torn block", sys.Name())
 	}
@@ -313,24 +296,18 @@ func LongTxStress(t *testing.T, sys tm.System, threads, perThread int, workPerSe
 	t.Helper()
 	m := sys.Memory()
 	a := m.AllocLines(1)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				sys.Atomic(id, func(x tm.Tx) {
-					v := x.Read(a)
-					for s := 0; s < segs; s++ {
-						x.Work(workPerSeg)
-						x.Pause()
-					}
-					x.Write(a, v+1)
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
+	perthread.Run(threads, func(id int) {
+		for i := 0; i < perThread; i++ {
+			sys.Atomic(id, func(x tm.Tx) {
+				v := x.Read(a)
+				for s := 0; s < segs; s++ {
+					x.Work(workPerSeg)
+					x.Pause()
+				}
+				x.Write(a, v+1)
+			})
+		}
+	})
 	want := uint64(threads * perThread)
 	if got := m.Load(a); got != want {
 		t.Fatalf("%s: counter = %d, want %d", sys.Name(), got, want)

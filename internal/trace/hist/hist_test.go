@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/perthread"
 )
 
 // quantileOracle returns the ceil(q*n)-th smallest element of sorted —
@@ -214,18 +216,12 @@ func TestConcurrentSingleWriter(t *testing.T) {
 		}
 	}()
 
-	var writersDone sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		writersDone.Add(1)
-		go func(h *Histogram, seed int64) {
-			defer writersDone.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for j := 0; j < perWriter; j++ {
-				h.Add(rng.Int63n(1 << 20))
-			}
-		}(shards[i], int64(i))
-	}
-	writersDone.Wait()
+	perthread.Run(writers, func(i int) {
+		rng := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < perWriter; j++ {
+			shards[i].Add(rng.Int63n(1 << 20))
+		}
+	})
 	close(stop)
 	readerDone.Wait()
 

@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"sync"
 	"testing"
+
+	"repro/internal/perthread"
 )
 
 func TestNilSinkAndBufferAreNoOps(t *testing.T) {
@@ -84,21 +85,15 @@ func TestSinkConcurrentGrowth(t *testing.T) {
 	s := NewSink(16)
 	const n = 16
 	bufs := make([]*Buffer, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			b := s.Thread(id)
-			l := s.Lat(id)
-			for j := 0; j < 100; j++ {
-				b.Record(Now(), EvBegin, uint64(j), 0, 0, 0)
-				l.Path[PathHTM].Add(int64(j))
-			}
-			bufs[id] = b
-		}(i)
-	}
-	wg.Wait()
+	perthread.Run(n, func(id int) {
+		b := s.Thread(id)
+		l := s.Lat(id)
+		for j := 0; j < 100; j++ {
+			b.Record(Now(), EvBegin, uint64(j), 0, 0, 0)
+			l.Path[PathHTM].Add(int64(j))
+		}
+		bufs[id] = b
+	})
 	for i := 0; i < n; i++ {
 		if s.Thread(i) != bufs[i] {
 			t.Fatalf("thread %d buffer identity changed after concurrent growth", i)
