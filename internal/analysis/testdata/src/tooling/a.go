@@ -4,6 +4,7 @@
 package tooling
 
 import (
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -34,6 +35,6 @@ func records(eng *htm.Engine, buf *trace.Buffer, ps *prof.Shard) {
 		buf.RecordMark(ts, trace.EvRingPub, 0)
 		ps.RecordConflict(7)
 		ps.RecordCapacity(7)
-		ps.RecordFootprint(prof.ClassFast, prof.OutcomeCommit, 2, 1, 1)
+		ps.RecordFootprint(prof.ClassFast, abort.None, 2, 1, 1)
 	})
 }

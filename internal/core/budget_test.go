@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -70,7 +71,7 @@ func TestWriteCapacityAbortLeavesReadBudget(t *testing.T) {
 func TestInjectedCapacityAbortTeachesNoBudget(t *testing.T) {
 	s := newSystem(1, 1<<17, noPlacement(16), func(c *Config) { c.NoFastPath = true })
 	s.eng.SetInjector(fault.New(fault.Config{Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteHTMCommit, Reason: fault.Capacity, Count: 1}},
+		0: {{Site: fault.SiteHTMCommit, Reason: abort.Capacity, Count: 1}},
 	}}))
 	base := s.Memory().AllocLines(8)
 	s.Atomic(0, writeLines(base, 8, 0))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -142,7 +143,7 @@ func TestFastPathReadsSignaturesWhilePartitionedActive(t *testing.T) {
 
 	f := s.threads[0]
 	res := s.fastAttempt(f, func(x tm.Tx) { x.Write(lockedAddr, 9) })
-	if res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+	if res.Committed || res.Reason != abort.Explicit || res.Code != codeLockHit {
 		t.Fatalf("fast write over a locked location: %+v, want an explicit codeLockHit abort", res)
 	}
 	if res := s.fastAttempt(f, func(x tm.Tx) { x.Write(free, 9) }); !res.Committed {
@@ -174,7 +175,7 @@ func TestOpaqueFastPathChecksCellsWhilePartitionedActive(t *testing.T) {
 		"read":  func(x tm.Tx) { x.Read(lockedAddr) },
 		"write": func(x tm.Tx) { x.Write(lockedAddr, 9) },
 	} {
-		if res := s.fastAttempt(f, body); res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+		if res := s.fastAttempt(f, body); res.Committed || res.Reason != abort.Explicit || res.Code != codeLockHit {
 			t.Fatalf("fast %s of a locked location: %+v, want an explicit codeLockHit abort", op, res)
 		}
 	}
@@ -348,7 +349,7 @@ func TestFastCommitMetadataFootprint(t *testing.T) {
 		}
 		rows := p.Footprints()
 		if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassFast) ||
-			rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) || rows[0].Count != 3 {
+			rows[0].Outcome != prof.OutcomeName(abort.None) || rows[0].Count != 3 {
 			t.Fatalf("want three fast-class commits and nothing else, got %+v", rows)
 		}
 		if r := rows[0]; r.ReadMax != 1 || r.WriteMax != 1 {
@@ -776,7 +777,7 @@ func TestAloneFastAttemptChecksLocksTakenDuringIt(t *testing.T) {
 			release := parkPartitioned(t, s, 1, x0, 7)
 			close(locked)
 			res := <-fastDone
-			if res.Committed || res.Reason != htm.Explicit || res.Code != codeLockHit {
+			if res.Committed || res.Reason != abort.Explicit || res.Code != codeLockHit {
 				t.Fatalf("a fast attempt that read x = %d, locked by a partitioned transaction that began during it: %+v, want an explicit codeLockHit abort", v, res)
 			}
 			if v != 7 {

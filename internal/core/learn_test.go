@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/htm"
+	"repro/internal/abort"
 	"repro/internal/sig"
 )
 
@@ -86,9 +86,9 @@ func FuzzLearner(f *testing.F) {
 					b.committed(fp)
 				}
 			case evAbort:
-				reason, dims := htm.Capacity, uint(capacityDims)
+				reason, dims := abort.Capacity, uint(capacityDims)
 				if e&8 != 0 {
-					reason, dims = htm.Other, timeDims
+					reason, dims = abort.Other, timeDims
 				}
 				prev, fast := b.lim, b.fast
 				if fast {

@@ -57,6 +57,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/domain"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -721,7 +722,7 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 			t.et.NoteHWAbort(res)
 			s.truncateSegment(t)
 			switch {
-			case res.Reason == htm.Explicit && res.Code == codeLockConflict:
+			case res.Reason == abort.Explicit && res.Code == codeLockConflict:
 				// Conflict on a global write lock propagates to the global
 				// transaction (paper §5.3.5).
 				out = outAbortGlobal
@@ -729,7 +730,7 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 				// A resource failure of a segment that cannot shrink: its
 				// retry would fail the same way.
 				out = outAbortGlobal
-			case res.Reason == htm.Explicit && res.Code == codeTsChanged:
+			case res.Reason == abort.Explicit && res.Code == codeTsChanged:
 				// Part-HTM-O timestamp subscription (Figure 2 lines 36-39):
 				// validate; if still consistent, only the sub-transaction
 				// restarts.
@@ -767,11 +768,11 @@ func (s *System) tryRunBody(t *thread, body func(tm.Tx)) (out outcome) {
 // resourceDims returns the dimensions an abort for reason can be about: the
 // timer knows cycles, the cache knows lines, and no other reason is about
 // resources.
-func resourceDims(reason htm.AbortReason) uint {
+func resourceDims(reason abort.Reason) uint {
 	switch reason {
-	case htm.Capacity:
+	case abort.Capacity:
 		return capacityDims
-	case htm.Other:
+	case abort.Other:
 		return timeDims
 	}
 	return 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/htm"
@@ -38,7 +39,7 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 	const txns = 8
 	storm := func() *fault.Config {
 		cfg := &fault.Config{Seed: 1}
-		cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
+		cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: abort.Other}
 		return cfg
 	}
 	run := func(s *System) (abortsPerTxn float64) {
@@ -98,8 +99,8 @@ func TestStormRetryBudgetBoundsAborts(t *testing.T) {
 // on its own starvation score.
 func TestMutualInvalidationNoLivelock(t *testing.T) {
 	fcfg := &fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
-		1: {{Site: fault.SiteHTMCommit, Reason: fault.Explicit, Code: codeLockConflict, Count: 1000}},
+		0: {{Site: fault.SiteHTMCommit, Reason: abort.Explicit, Code: codeLockConflict, Count: 1000}},
+		1: {{Site: fault.SiteHTMCommit, Reason: abort.Explicit, Code: codeLockConflict, Count: 1000}},
 	}}
 	pol := schedule
 	pol.StarveThreshold = 2
@@ -152,7 +153,7 @@ func TestMutualInvalidationNoLivelock(t *testing.T) {
 // on the slow path.
 func TestSlowPathPanicReleasesLock(t *testing.T) {
 	fcfg := &fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteHTMBegin, Reason: fault.Conflict, Count: 1}},
+		0: {{Site: fault.SiteHTMBegin, Reason: abort.Conflict, Count: 1}},
 	}}
 	pol := schedule
 	pol.RetryBudget = 1

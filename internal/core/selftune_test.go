@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -412,7 +413,7 @@ func TestOneTimerAbortSkipsTheFastPath(t *testing.T) {
 func TestInjectedTimerAbortCountsAsCapacity(t *testing.T) {
 	s := newSystem(1, 1<<17, nil, nil)
 	s.eng.SetInjector(fault.New(fault.Config{Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteHTMBegin, Reason: fault.Other, Count: 1}},
+		0: {{Site: fault.SiteHTMBegin, Reason: abort.Other, Count: 1}},
 	}}))
 	a := s.Memory().Alloc(1)
 	s.Atomic(0, bigWork(a)) // the fast attempt's begin is injected; five segments follow

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prof"
@@ -71,7 +72,7 @@ func TestLinePublicationAgainstRelease(t *testing.T) {
 			ht.Commit()
 			return
 		}()
-		if !aborted || res.Reason != htm.Conflict {
+		if !aborted || res.Reason != abort.Conflict {
 			t.Fatalf("A committed over a release of a line it had read (aborted=%v, %+v)", aborted, res)
 		}
 		if got := wlocksWords(s, 0); !got.Empty() {
@@ -205,7 +206,7 @@ func TestSubCommitFootprint(t *testing.T) {
 				}
 			})
 			rows := p.Footprints()
-			if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassSub) || rows[0].Outcome != prof.OutcomeName(prof.OutcomeCommit) {
+			if len(rows) != 1 || rows[0].Class != prof.ClassName(prof.ClassSub) || rows[0].Outcome != prof.OutcomeName(abort.None) {
 				t.Fatalf("want sub-HTM commits only, got %+v", rows)
 			}
 			r := rows[0]

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/governor"
 	"repro/internal/htm"
 	"repro/internal/perthread"
@@ -153,10 +154,9 @@ func (t *Thread) NoteHWAbort(res htm.Result) {
 	}
 	if t.buf != nil {
 		ts := trace.Now()
-		c := uint8(res.Reason)
-		t.buf.Record(ts, trace.EvHWAbort, t.txID, 0, c, 0)
-		if int(c) < len(t.lat.Abort) {
-			t.lat.Abort[c].Add(ts - t.beginTS)
+		t.buf.Record(ts, trace.EvHWAbort, t.txID, 0, res.Reason, 0)
+		if res.Reason < abort.Count {
+			t.lat.Abort[res.Reason].Add(ts - t.beginTS)
 		}
 	}
 }
@@ -204,8 +204,8 @@ func (t *Thread) traceSWAbort() {
 		return
 	}
 	ts := trace.Now()
-	t.buf.Record(ts, trace.EvSWAbort, t.txID, 0, trace.CauseConflict, 0)
-	t.lat.Abort[trace.CauseConflict].Add(ts - t.beginTS)
+	t.buf.Record(ts, trace.EvSWAbort, t.txID, 0, abort.Conflict, 0)
+	t.lat.Abort[abort.Conflict].Add(ts - t.beginTS)
 }
 
 func (t *Thread) budgetExhausted() bool {
@@ -388,7 +388,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.runSlow(t, txn)
 				return
 			}
-			if r.pol.StopFastOnResource && (res.Reason == htm.Capacity || res.Reason == htm.Other) {
+			if r.pol.StopFastOnResource && (res.Reason == abort.Capacity || res.Reason == abort.Other) {
 				// Resource failure: the next level is the remedy; more
 				// fast retries would fail the same way.
 				break

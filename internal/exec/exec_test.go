@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/tm"
 )
@@ -32,7 +33,7 @@ func TestLevelSchedule(t *testing.T) {
 	r := New(Policy{FastAttempts: 2, MidAttempts: 5}, &st, nil)
 	fast, mid := 0, 0
 	txn := &Txn{
-		Fast: func() htm.Result { fast++; return htm.Result{Reason: htm.Conflict} },
+		Fast: func() htm.Result { fast++; return htm.Result{Reason: abort.Conflict} },
 		Mid:  func() bool { mid++; return mid == 3 },
 		Slow: func() { t.Fatal("slow path reached despite mid commit") },
 	}
@@ -53,7 +54,7 @@ func TestResourceAbortStopsFast(t *testing.T) {
 	r := New(Policy{FastAttempts: 5, StopFastOnResource: true}, &st, nil)
 	fast := 0
 	txn := &Txn{
-		Fast: func() htm.Result { fast++; return htm.Result{Reason: htm.Capacity} },
+		Fast: func() htm.Result { fast++; return htm.Result{Reason: abort.Capacity} },
 		Slow: func() {},
 	}
 	r.Run(0, txn)
@@ -90,7 +91,7 @@ func TestBudgetEscalates(t *testing.T) {
 	r := New(Policy{FastAttempts: 100, RetryBudget: 3}, &st, nil)
 	fast, slow := 0, 0
 	txn := &Txn{
-		Fast: func() htm.Result { fast++; return htm.Result{Reason: htm.Conflict} },
+		Fast: func() htm.Result { fast++; return htm.Result{Reason: abort.Conflict} },
 		Slow: func() { slow++ },
 	}
 	r.Run(0, txn)
@@ -183,7 +184,7 @@ func TestInjectedFaultCounted(t *testing.T) {
 		Fast: func() htm.Result {
 			if first {
 				first = false
-				return htm.Result{Reason: htm.Other, Injected: true}
+				return htm.Result{Reason: abort.Other, Injected: true}
 			}
 			return htm.Result{Committed: true}
 		},

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/governor"
 	"repro/internal/htm"
 	"repro/internal/tm"
@@ -18,7 +19,7 @@ func breakerTxn(broken *atomic.Bool, fastTries, slowRuns *atomic.Int64) *Txn {
 		Fast: func() htm.Result {
 			fastTries.Add(1)
 			if broken.Load() {
-				return htm.Result{Reason: htm.Other, Injected: true}
+				return htm.Result{Reason: abort.Other, Injected: true}
 			}
 			return htm.Result{Committed: true}
 		},
@@ -295,7 +296,7 @@ func TestEscalationRace(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			txn := &Txn{
-				Fast: func() htm.Result { return htm.Result{Reason: htm.Conflict} },
+				Fast: func() htm.Result { return htm.Result{Reason: abort.Conflict} },
 				Mid:  func() bool { return false },
 				Slow: func() {},
 			}

@@ -3,33 +3,11 @@ package exec
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
-
-// TestAbortCauseEnumMatchesTrace pins the cast NoteHWAbort relies on:
-// trace's cause constants must stay value-identical to htm.AbortReason.
-func TestAbortCauseEnumMatchesTrace(t *testing.T) {
-	pairs := []struct {
-		hw htm.AbortReason
-		tr uint8
-	}{
-		{htm.NoAbort, trace.CauseNone},
-		{htm.Conflict, trace.CauseConflict},
-		{htm.Capacity, trace.CauseCapacity},
-		{htm.Explicit, trace.CauseExplicit},
-		{htm.Other, trace.CauseOther},
-	}
-	for _, p := range pairs {
-		if uint8(p.hw) != p.tr {
-			t.Fatalf("htm.AbortReason %d != trace cause %d (%s)", p.hw, p.tr, trace.CauseName(p.tr))
-		}
-	}
-	if int(trace.CauseCount) != 5 {
-		t.Fatalf("trace.CauseCount = %d; extend the pin above", trace.CauseCount)
-	}
-}
 
 func kinds(evs []trace.Event) []trace.Kind {
 	out := make([]trace.Kind, len(evs))
@@ -59,7 +37,7 @@ func TestTraceLifecycle(t *testing.T) {
 	r.SetTrace(sink)
 	mid := 0
 	txn := &Txn{
-		Fast: func() htm.Result { return htm.Result{Reason: htm.Conflict} },
+		Fast: func() htm.Result { return htm.Result{Reason: abort.Conflict} },
 		Mid:  func() bool { mid++; return mid == 3 },
 		Slow: func() { t.Fatal("slow path reached") },
 	}
@@ -101,8 +79,8 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatal("no HTM/GL commits happened; their histograms must be empty")
 	}
 	// 2 HW conflict aborts + 2 SW aborts all land under the conflict cause.
-	if lat.Abort[trace.CauseConflict].Count != 4 {
-		t.Fatalf("conflict abort latency count = %d, want 4", lat.Abort[trace.CauseConflict].Count)
+	if lat.Abort[abort.Conflict].Count != 4 {
+		t.Fatalf("conflict abort latency count = %d, want 4", lat.Abort[abort.Conflict].Count)
 	}
 }
 
@@ -121,7 +99,7 @@ func TestTraceHTMAndSlowPaths(t *testing.T) {
 	// Second transaction: capacity abort ends the fast level, no mid →
 	// slow path.
 	r.Run(0, &Txn{
-		Fast: func() htm.Result { return htm.Result{Reason: htm.Capacity} },
+		Fast: func() htm.Result { return htm.Result{Reason: abort.Capacity} },
 		Slow: func() {},
 	})
 
@@ -133,8 +111,8 @@ func TestTraceHTMAndSlowPaths(t *testing.T) {
 	if lat.Path[trace.PathHTM].Count != 1 || lat.Path[trace.PathGL].Count != 1 {
 		t.Fatalf("path counts = %+v", lat.Path)
 	}
-	if lat.Abort[trace.CauseCapacity].Count != 1 {
-		t.Fatalf("capacity abort count = %d, want 1", lat.Abort[trace.CauseCapacity].Count)
+	if lat.Abort[abort.Capacity].Count != 1 {
+		t.Fatalf("capacity abort count = %d, want 1", lat.Abort[abort.Capacity].Count)
 	}
 	// The two transactions have distinct IDs on one thread.
 	var ids = map[uint64]bool{}
@@ -157,7 +135,7 @@ func TestTraceEscalation(t *testing.T) {
 
 	// Budget escalation: one fast abort exhausts the budget of 1.
 	r.Run(0, &Txn{
-		Fast: func() htm.Result { return htm.Result{Reason: htm.Conflict} },
+		Fast: func() htm.Result { return htm.Result{Reason: abort.Conflict} },
 		Slow: func() {},
 	})
 	evs := sink.Events()

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"repro/internal/abort"
+
 	"math"
 	"strings"
 	"sync"
@@ -21,7 +23,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 		{"negative rate", func(c *Config) { c.Rates[SiteRingPub].Prob = -0.5 }, "[0,1]"},
 		{"rate over one", func(c *Config) { c.Rates[SiteHTMCommit].Prob = 2 }, "[0,1]"},
 		{"rate bad reason", func(c *Config) {
-			c.Rates[SiteHTMBegin] = SiteRate{Prob: 0.5, Reason: Reason(99)}
+			c.Rates[SiteHTMBegin] = SiteRate{Prob: 0.5, Reason: abort.Reason(99)}
 		}, "reason"},
 		{"script negative thread", func(c *Config) {
 			c.Scripts = map[int][]ScriptEvent{-1: {{Site: SiteHTMBegin, Count: 1}}}
@@ -36,7 +38,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 			c.Scripts = map[int][]ScriptEvent{0: {{Site: NumSites, Count: 1}}}
 		}, "site"},
 		{"script bad reason", func(c *Config) {
-			c.Scripts = map[int][]ScriptEvent{0: {{Site: SiteHTMBegin, Reason: Reason(9), Count: 1}}}
+			c.Scripts = map[int][]ScriptEvent{0: {{Site: SiteHTMBegin, Reason: abort.Reason(9), Count: 1}}}
 		}, "reason"},
 		{"script negative count", func(c *Config) {
 			c.Scripts = map[int][]ScriptEvent{0: {{Site: SiteHTMBegin, Count: -3}}}
@@ -47,7 +49,7 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 		}, "finite"},
 		{"campaign bad storm", func(c *Config) {
 			c.Campaign = []Phase{{Name: "pre"}, {Name: "storm"}}
-			c.Campaign[1].Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Reason(7)}
+			c.Campaign[1].Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: abort.Reason(7)}
 		}, "reason"},
 	}
 	for _, tc := range cases {
@@ -67,10 +69,10 @@ func TestValidateRejectsMalformedConfigs(t *testing.T) {
 
 func TestValidateAcceptsGoodConfigs(t *testing.T) {
 	cfg := Config{Seed: 1, QuantumJitter: 0.5}
-	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Capacity}
-	cfg.Scripts = map[int][]ScriptEvent{MaxSlots - 1: {{Site: SiteLockSigRead, Reason: Explicit, Code: 1, Count: 5}}}
+	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: abort.Capacity}
+	cfg.Scripts = map[int][]ScriptEvent{MaxSlots - 1: {{Site: SiteLockSigRead, Reason: abort.Explicit, Code: 1, Count: 5}}}
 	storm := Phase{Name: "storm"}
-	storm.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
+	storm.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: abort.Other}
 	cfg.Campaign = []Phase{storm, {Name: "clear"}}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected a well-formed config: %v", err)
@@ -95,9 +97,9 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 // not the config-level ones, and that draws alone never end a phase.
 func TestCampaignPhaseRates(t *testing.T) {
 	cfg := Config{Seed: 1}
-	cfg.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: Conflict} // must be ignored
+	cfg.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: abort.Conflict} // must be ignored
 	ph := Phase{Name: "hot"}
-	ph.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: Capacity}
+	ph.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: abort.Capacity}
 	cfg.Campaign = []Phase{{Name: "quiet"}, ph, {Name: "done"}}
 	in := New(cfg)
 
@@ -114,7 +116,7 @@ func TestCampaignPhaseRates(t *testing.T) {
 	if in.PhaseName() != "hot" {
 		t.Fatalf("phase %q after one advance, want hot", in.PhaseName())
 	}
-	if r, _, ok := in.Draw(SiteHTMCommit, 0); !ok || r != Capacity {
+	if r, _, ok := in.Draw(SiteHTMCommit, 0); !ok || r != abort.Capacity {
 		t.Fatalf("hot phase commit draw: (%v,%v), want injected Capacity", r, ok)
 	}
 }
@@ -123,7 +125,7 @@ func TestCampaignPhaseRates(t *testing.T) {
 // harness sequences wall-clock soak phases.
 func TestCampaignManualAdvance(t *testing.T) {
 	storm := Phase{Name: "storm"}
-	storm.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
+	storm.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: abort.Other}
 	in := New(Config{Seed: 1, Campaign: []Phase{{Name: "pre"}, storm, {Name: "post"}}})
 	for i := 0; i < 5; i++ {
 		if _, _, ok := in.Draw(SiteHTMBegin, 0); ok {
@@ -167,9 +169,9 @@ func TestCampaignAdvanceConcurrent(t *testing.T) {
 	const phases, drawers, advancers, calls = 2000, 4, 4, 1000
 	cfg := Config{Seed: 1}
 	for i := 0; i < phases; i++ {
-		r := Reason(i % int(Other+1))
+		r := abort.Reason(i % int(abort.Count))
 		ph := Phase{Name: r.String()}
-		if r != None {
+		if r != abort.None {
 			for s := range ph.Rates {
 				ph.Rates[s] = SiteRate{Prob: 1, Reason: r}
 			}
@@ -197,7 +199,7 @@ func TestCampaignAdvanceConcurrent(t *testing.T) {
 				r, _, _ := in.Draw(Site(n%int(NumSites)), th)
 				after := in.PhaseIndex()
 				j := max(before, seen)
-				for j <= after && j%int(Other+1) != int(r) {
+				for j <= after && j%int(abort.Other+1) != int(r) {
 					j++
 				}
 				if j > after {

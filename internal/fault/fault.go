@@ -24,7 +24,7 @@
 // Two mechanisms decide whether a fault fires, checked in order:
 //
 //  1. Scripted schedules: a per-thread FIFO of events, each forcing a
-//     specific abort reason (and _xabort code) at a specific site for a
+//     specific abort.Reason (and _xabort code) at a specific site for a
 //     given number of draws. Scripts make pathological interleavings —
 //     two transactions forever invalidating each other — exactly
 //     reproducible.
@@ -49,6 +49,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"repro/internal/abort"
 )
 
 // Site names one fault-injection point in the protocol stack.
@@ -82,51 +84,15 @@ func (s Site) String() string {
 	return fmt.Sprintf("site(%d)", uint8(s))
 }
 
-// Reason classifies an injected abort. Values mirror htm.AbortReason
-// (None/Conflict/Capacity/Explicit/Other) without importing it, so this
-// package stays at the bottom of the dependency graph.
-type Reason uint8
-
-const (
-	// None means no fault (the zero value; injected faults with reason
-	// None default to Conflict).
-	None Reason = iota
-	// Conflict models a coherence invalidation by another thread.
-	Conflict
-	// Capacity models exhausted cache resources.
-	Capacity
-	// Explicit models an _xabort with a user code.
-	Explicit
-	// Other models a timer interrupt or any unclassified hardware event.
-	Other
-)
-
-// String returns the lower-case reason name.
-func (r Reason) String() string {
-	switch r {
-	case None:
-		return "none"
-	case Conflict:
-		return "conflict"
-	case Capacity:
-		return "capacity"
-	case Explicit:
-		return "explicit"
-	case Other:
-		return "other"
-	}
-	return fmt.Sprintf("reason(%d)", uint8(r))
-}
-
 // InjectedCode is the _xabort code carried by injected Explicit aborts
 // that do not specify one.
 const InjectedCode uint8 = 0xFF
 
 // SiteRate is the probabilistic model of one site: each draw fires with
-// probability Prob and aborts with Reason (Conflict if unset).
+// probability Prob and aborts with Reason (abort.Conflict if unset).
 type SiteRate struct {
 	Prob   float64
-	Reason Reason
+	Reason abort.Reason
 }
 
 // ScriptEvent forces Count draws at Site (for the scripted thread) to
@@ -135,7 +101,7 @@ type SiteRate struct {
 // through (rates still apply) until the head event's site comes up.
 type ScriptEvent struct {
 	Site   Site
-	Reason Reason
+	Reason abort.Reason
 	Code   uint8
 	Count  int
 }
@@ -201,7 +167,7 @@ func (cfg *Config) Validate() error {
 			if ev.Site >= NumSites {
 				return fmt.Errorf("fault: %s targets unknown site %d", where, ev.Site)
 			}
-			if ev.Reason > Other {
+			if ev.Reason >= abort.Count {
 				return fmt.Errorf("fault: %s has unknown reason %d", where, ev.Reason)
 			}
 			if ev.Count < 0 {
@@ -231,7 +197,7 @@ func validateRate(where string, r SiteRate) error {
 	if r.Prob < 0 || r.Prob > 1 {
 		return fmt.Errorf("fault: %s probability %v outside [0,1]", where, r.Prob)
 	}
-	if r.Reason > Other {
+	if r.Reason >= abort.Count {
 		return fmt.Errorf("fault: %s has unknown reason %d", where, r.Reason)
 	}
 	return nil
@@ -335,9 +301,9 @@ func (ts *threadState) rand01() float64 {
 	return float64(ts.rng>>11) / float64(1<<53)
 }
 
-func reasonOr(r Reason) Reason {
-	if r == None {
-		return Conflict
+func reasonOr(r abort.Reason) abort.Reason {
+	if r == abort.None {
+		return abort.Conflict
 	}
 	return r
 }
@@ -346,7 +312,7 @@ func reasonOr(r Reason) Reason {
 // abort reason and _xabort code when it does. Draw must only be called by
 // the thread owning the slot (the same discipline the HTM engine already
 // imposes).
-func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
+func (in *Injector) Draw(site Site, thread int) (abort.Reason, uint8, bool) {
 	ts := &in.threads[thread]
 
 	// 1. Scripted schedule: strict per-thread order.
@@ -358,7 +324,7 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 		ev.Count--
 		in.stats.Injected[site].Add(1)
 		code := ev.Code
-		if ev.Reason == Explicit && code == 0 {
+		if ev.Reason == abort.Explicit && code == 0 {
 			code = InjectedCode
 		}
 		return reasonOr(ev.Reason), code, true
@@ -374,7 +340,7 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 		in.stats.Injected[site].Add(1)
 		return reasonOr(r.Reason), InjectedCode, true
 	}
-	return None, 0, false
+	return abort.None, 0, false
 }
 
 // Quantum returns the jittered timer quantum for one transaction of the

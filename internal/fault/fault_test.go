@@ -3,6 +3,7 @@ package fault
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/perthread"
 )
 
@@ -26,7 +27,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 func TestRateDeterministicPerSeed(t *testing.T) {
 	draw := func(seed int64) []bool {
 		cfg := Config{Seed: seed}
-		cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 0.3, Reason: Other}
+		cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 0.3, Reason: abort.Other}
 		in := New(cfg)
 		out := make([]bool, 200)
 		for i := range out {
@@ -57,10 +58,10 @@ func TestRateDeterministicPerSeed(t *testing.T) {
 
 func TestRateReasonPropagates(t *testing.T) {
 	cfg := Config{Seed: 1}
-	cfg.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: Capacity}
+	cfg.Rates[SiteHTMCommit] = SiteRate{Prob: 1, Reason: abort.Capacity}
 	in := New(cfg)
 	r, _, ok := in.Draw(SiteHTMCommit, 0)
-	if !ok || r != Capacity {
+	if !ok || r != abort.Capacity {
 		t.Fatalf("got (%v,%v), want forced Capacity", r, ok)
 	}
 	if in.Stats().BySite(SiteHTMCommit) != 1 {
@@ -73,11 +74,11 @@ func TestRateReasonPropagates(t *testing.T) {
 func TestTotalStormKillsEveryBegin(t *testing.T) {
 	const perSlot = 100
 	cfg := Config{Seed: 1}
-	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: Other}
+	cfg.Rates[SiteHTMBegin] = SiteRate{Prob: 1, Reason: abort.Other}
 	in := New(cfg)
 	perthread.Run(MaxSlots, func(th int) {
 		for i := 0; i < perSlot; i++ {
-			if r, _, ok := in.Draw(SiteHTMBegin, th); !ok || r != Other {
+			if r, _, ok := in.Draw(SiteHTMBegin, th); !ok || r != abort.Other {
 				t.Errorf("slot %d begin %d survived the total storm", th, i)
 				return
 			}
@@ -93,8 +94,8 @@ func TestScriptOrderAndExhaustion(t *testing.T) {
 		Seed: 1,
 		Scripts: map[int][]ScriptEvent{
 			1: {
-				{Site: SiteHTMCommit, Reason: Explicit, Code: 3, Count: 2},
-				{Site: SiteHTMBegin, Reason: Capacity, Count: 1},
+				{Site: SiteHTMCommit, Reason: abort.Explicit, Code: 3, Count: 2},
+				{Site: SiteHTMBegin, Reason: abort.Capacity, Count: 1},
 			},
 		},
 	})
@@ -108,7 +109,7 @@ func TestScriptOrderAndExhaustion(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		r, code, ok := in.Draw(SiteHTMCommit, 1)
-		if !ok || r != Explicit || code != 3 {
+		if !ok || r != abort.Explicit || code != 3 {
 			t.Fatalf("commit draw %d: (%v,%d,%v)", i, r, code, ok)
 		}
 	}
@@ -116,7 +117,7 @@ func TestScriptOrderAndExhaustion(t *testing.T) {
 	if _, _, ok := in.Draw(SiteHTMCommit, 1); ok {
 		t.Fatal("commit fired past its scripted count")
 	}
-	if r, _, ok := in.Draw(SiteHTMBegin, 1); !ok || r != Capacity {
+	if r, _, ok := in.Draw(SiteHTMBegin, 1); !ok || r != abort.Capacity {
 		t.Fatalf("scripted begin: (%v,%v)", r, ok)
 	}
 	// Script fully drained.
@@ -130,7 +131,7 @@ func TestScriptOrderAndExhaustion(t *testing.T) {
 
 func TestExplicitScriptDefaultsInjectedCode(t *testing.T) {
 	in := New(Config{Seed: 1, Scripts: map[int][]ScriptEvent{
-		0: {{Site: SiteRingPub, Reason: Explicit, Count: 1}},
+		0: {{Site: SiteRingPub, Reason: abort.Explicit, Count: 1}},
 	}})
 	_, code, ok := in.Draw(SiteRingPub, 0)
 	if !ok || code != InjectedCode {

@@ -152,10 +152,8 @@ func (w *Watchdog) loop() {
 func (w *Watchdog) sample() {
 	var totalCommits uint64
 	for i := 0; i < w.threads; i++ {
-		sh := w.stats.Shard(i)
-		commits := sh.CommitsHTM.Load() + sh.CommitsSW.Load() + sh.CommitsGL.Load()
-		aborts := sh.AbortsConflict.Load() + sh.AbortsCapacity.Load() +
-			sh.AbortsExplicit.Load() + sh.AbortsOther.Load()
+		snap := w.stats.Shard(i).Snapshot()
+		commits, aborts := snap.Commits(), snap.Aborts()
 		totalCommits += commits
 		// Per-thread stall: aborts keep arriving but nothing commits. A
 		// fully idle thread (neither moves) is not stalled.

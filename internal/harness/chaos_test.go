@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/perthread"
@@ -19,7 +20,7 @@ func TestAbortStorm(t *testing.T) {
 	for _, name := range chaosSystems {
 		t.Run(name, func(t *testing.T) {
 			storm := &fault.Config{Seed: 1}
-			storm.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
+			storm.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: abort.Other}
 			sys := Build(name, BuildOptions{
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
 				Fault: storm,

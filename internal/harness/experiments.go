@@ -10,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/bench/eigen"
 	"repro/internal/bench/list"
 	"repro/internal/bench/nrmw"
@@ -365,10 +366,10 @@ func chaosFaultConfig(rate float64, seed int64) *fault.Config {
 		return nil
 	}
 	cfg := &fault.Config{Seed: seed, QuantumJitter: 0.2}
-	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: rate, Reason: fault.Other}
-	cfg.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: rate / 4, Reason: fault.Conflict}
-	cfg.Rates[fault.SiteRingPub] = fault.SiteRate{Prob: rate, Reason: fault.Conflict}
-	cfg.Rates[fault.SiteLockSigRead] = fault.SiteRate{Prob: rate / 4, Reason: fault.Conflict}
+	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: rate, Reason: abort.Other}
+	cfg.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: rate / 4, Reason: abort.Conflict}
+	cfg.Rates[fault.SiteRingPub] = fault.SiteRate{Prob: rate, Reason: abort.Conflict}
+	cfg.Rates[fault.SiteLockSigRead] = fault.SiteRate{Prob: rate / 4, Reason: abort.Conflict}
 	return cfg
 }
 

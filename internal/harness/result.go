@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/abort"
+	"repro/internal/htm"
 	"repro/internal/prof"
 	"repro/internal/tm"
 	"repro/internal/trace"
@@ -39,7 +41,7 @@ type SystemReport struct {
 	// whole-run reports like Table 1.
 	Throughput *ThroughputResult `json:"throughput,omitempty"`
 	Stats      tm.Snapshot       `json:"stats"`
-	Engine     *EngineSnapshot   `json:"engine,omitempty"`
+	Engine     *htm.Snapshot     `json:"engine,omitempty"`
 	// Latency carries the traced commit/abort latency quantiles; nil when
 	// the run was not traced.
 	Latency *LatencyReport `json:"latency,omitempty"`
@@ -127,9 +129,9 @@ func LatencyReportOf(snap trace.LatencySnapshot) *LatencyReport {
 			rep.Paths = append(rep.Paths, row(trace.PathName(p), st))
 		}
 	}
-	for c := uint8(1); c < trace.CauseCount; c++ { // cause 0 = none, never recorded
+	for c := abort.None + 1; c < abort.Count; c++ { // None is never recorded
 		if st := snap.Abort[c]; st.Count > 0 {
-			rep.Aborts = append(rep.Aborts, row(trace.CauseName(c), st))
+			rep.Aborts = append(rep.Aborts, row(c.String(), st))
 		}
 	}
 	if len(rep.Paths) == 0 && len(rep.Aborts) == 0 {
@@ -138,36 +140,15 @@ func LatencyReportOf(snap trace.LatencySnapshot) *LatencyReport {
 	return &rep
 }
 
-// EngineSnapshot is a point-in-time copy of the hardware engine's abort
-// taxonomy (htm.Stats holds live atomics; this is the serializable view).
-type EngineSnapshot struct {
-	Commits        uint64 `json:"commits"`
-	AbortsConflict uint64 `json:"aborts_conflict"`
-	AbortsCapacity uint64 `json:"aborts_capacity"`
-	AbortsExplicit uint64 `json:"aborts_explicit"`
-	AbortsOther    uint64 `json:"aborts_other"`
-}
-
-// Aborts returns the total hardware aborts across the taxonomy.
-func (e *EngineSnapshot) Aborts() uint64 {
-	return e.AbortsConflict + e.AbortsCapacity + e.AbortsExplicit + e.AbortsOther
-}
-
 // EngineSnapshotOf captures the engine taxonomy behind a system, or nil for
 // pure-software systems.
-func EngineSnapshotOf(sys tm.System) *EngineSnapshot {
+func EngineSnapshotOf(sys tm.System) *htm.Snapshot {
 	eng := EngineOf(sys)
 	if eng == nil {
 		return nil
 	}
-	es := eng.Stats()
-	return &EngineSnapshot{
-		Commits:        es.Commits.Load(),
-		AbortsConflict: es.AbortsConflict.Load(),
-		AbortsCapacity: es.AbortsCapacity.Load(),
-		AbortsExplicit: es.AbortsExplicit.Load(),
-		AbortsOther:    es.AbortsOther.Load(),
-	}
+	snap := eng.Stats().Snapshot()
+	return &snap
 }
 
 // ResultSet is the top-level JSON document: one Result per experiment run.
@@ -351,7 +332,7 @@ func (r *Result) formatTaxonomyReports(b *strings.Builder) {
 	for ri, rep := range r.Reports {
 		eng := rep.Engine
 		if eng == nil {
-			eng = &EngineSnapshot{}
+			eng = &htm.Snapshot{}
 		}
 		aborts := float64(eng.Aborts())
 		if aborts == 0 {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/abort"
+	"repro/internal/htm"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
@@ -66,7 +68,7 @@ func sampleResult() *Result {
 					EscalationsBudget: 1, EscalationsStarve: 2,
 					FaultsInjected: 9,
 				},
-				Engine: &EngineSnapshot{
+				Engine: &htm.Snapshot{
 					Commits: 11, AbortsConflict: 6, AbortsCapacity: 4,
 					AbortsExplicit: 2, AbortsOther: 1,
 				},
@@ -128,7 +130,7 @@ func TestResultTextShapes(t *testing.T) {
 		Reports: []SystemReport{{
 			System: "Part-HTM",
 			Stats:  tm.Snapshot{CommitsHTM: 3, CommitsSW: 1},
-			Engine: &EngineSnapshot{AbortsCapacity: 4},
+			Engine: &htm.Snapshot{AbortsCapacity: 4},
 		}},
 	}
 	out := taxonomy.Text()
@@ -184,8 +186,8 @@ func TestResultTextLatencyBlock(t *testing.T) {
 func TestResultTextPhasedRows(t *testing.T) {
 	lat := &LatencyReport{Paths: []LatencyRow{{Label: "htm", Count: 4, P50: 100}}}
 	res := &Result{Reports: []SystemReport{
-		{System: "Part-HTM", Phase: "packed", Engine: &EngineSnapshot{AbortsConflict: 3}, Latency: lat},
-		{System: "Part-HTM", Phase: "spread", Engine: &EngineSnapshot{AbortsConflict: 1}, Latency: lat},
+		{System: "Part-HTM", Phase: "packed", Engine: &htm.Snapshot{AbortsConflict: 3}, Latency: lat},
+		{System: "Part-HTM", Phase: "spread", Engine: &htm.Snapshot{AbortsConflict: 1}, Latency: lat},
 	}}
 	out := res.Text()
 	rows := 0
@@ -211,7 +213,7 @@ func TestLatencyReportOf(t *testing.T) {
 		t.Fatalf("empty snapshot must convert to nil, got %+v", rep)
 	}
 	snap.Path[trace.PathSW] = trace.LatencyStat{Count: 2, P50: 10, P95: 20, P99: 20, Max: 21, Mean: 12}
-	snap.Abort[trace.CauseCapacity] = trace.LatencyStat{Count: 1, P50: 5, P95: 5, P99: 5, Max: 5, Mean: 5}
+	snap.Abort[abort.Capacity] = trace.LatencyStat{Count: 1, P50: 5, P95: 5, P99: 5, Max: 5, Mean: 5}
 	rep := LatencyReportOf(snap)
 	if rep == nil || len(rep.Paths) != 1 || len(rep.Aborts) != 1 {
 		t.Fatalf("report = %+v, want one path row and one abort row", rep)

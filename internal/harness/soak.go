@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/bench/nrmw"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -30,7 +31,7 @@ func SoakFaultConfig(preset string, seed int64) (*fault.Config, []string, error)
 	cfg := &fault.Config{Seed: seed}
 	// The storm: every hardware begin fails.
 	stormPhase := fault.Phase{Name: "storm"}
-	stormPhase.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
+	stormPhase.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: abort.Other}
 	switch preset {
 	case "", "storm":
 		cfg.Campaign = []fault.Phase{{Name: "pre"}, stormPhase, {Name: "clear"}}
@@ -38,8 +39,8 @@ func SoakFaultConfig(preset string, seed int64) (*fault.Config, []string, error)
 		// The storm, then sustained degradation (the chaos sweep's 0.3 regime),
 		// then clear — the full storm → degrade → clear arc.
 		degrade := fault.Phase{Name: "degrade"}
-		degrade.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 0.3, Reason: fault.Other}
-		degrade.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: 0.05, Reason: fault.Conflict}
+		degrade.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 0.3, Reason: abort.Other}
+		degrade.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: 0.05, Reason: abort.Conflict}
 		cfg.Campaign = []fault.Phase{{Name: "pre"}, stormPhase, degrade, {Name: "clear"}}
 	default:
 		return nil, nil, fmt.Errorf("unknown soak campaign %q (have: storm, ramp)", preset)

@@ -66,7 +66,8 @@
 // A transaction body runs inside Engine.Execute; transactional operations
 // panic with an internal sentinel when the transaction aborts, and Execute
 // converts that into a Result, mirroring how control returns to _xbegin
-// with an abort code on real hardware.
+// with an abort code on real hardware. The Result's reason, and the abort
+// counters of Stats, use the one taxonomy of package abort.
 package htm
 
 import (
@@ -75,50 +76,18 @@ import (
 	"math/rand"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/abort"
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/prof"
 )
 
-// AbortReason classifies why a hardware transaction aborted, matching the
-// categories of Intel TSX status codes used throughout the paper.
-type AbortReason uint8
-
-const (
-	// NoAbort means the transaction committed.
-	NoAbort AbortReason = iota
-	// Conflict: another thread accessed a monitored cache line.
-	Conflict
-	// Capacity: the transactional footprint exceeded the cache resources.
-	Capacity
-	// Explicit: the program executed Abort (i.e. _xabort).
-	Explicit
-	// Other: any other hardware event — here, the timer-interrupt model.
-	Other
-)
-
-// String returns the lower-case name of the reason.
-func (r AbortReason) String() string {
-	switch r {
-	case NoAbort:
-		return "none"
-	case Conflict:
-		return "conflict"
-	case Capacity:
-		return "capacity"
-	case Explicit:
-		return "explicit"
-	case Other:
-		return "other"
-	}
-	return fmt.Sprintf("reason(%d)", uint8(r))
-}
-
 // Result is what Execute reports back, standing in for the _xbegin status.
 type Result struct {
 	Committed bool
-	Reason    AbortReason
+	Reason    abort.Reason
 	Code      uint8 // user code for Explicit aborts
 	Injected  bool  // the abort was forced by the fault injector
 }
@@ -146,7 +115,7 @@ type Config struct {
 	ReadFreeThreads int
 
 	// Quantum is the cycle budget before a timer interrupt aborts the
-	// transaction (AbortReason Other). Zero disables time aborts.
+	// transaction (abort.Other). Zero disables time aborts.
 	Quantum int64
 	// ReadCost/WriteCost are the cycles charged per transactional
 	// operation; Txn.Work charges arbitrary extra cycles.
@@ -187,19 +156,48 @@ func (c Config) Oversubscribed() Config {
 	return c
 }
 
+// counters is the engine's counter list, declared once: Stats holds it as
+// live atomics and Snapshot as plain values. The fields follow abort.Reason,
+// Commits at abort.None, so a counter's index in list is its reason.
+type counters[T any] struct {
+	Commits        T `json:"commits"`
+	AbortsConflict T `json:"aborts_conflict"`
+	AbortsCapacity T `json:"aborts_capacity"`
+	AbortsExplicit T `json:"aborts_explicit"`
+	AbortsOther    T `json:"aborts_other"`
+}
+
+// list views the counters as an array indexed by abort.Reason.
+func (c *counters[T]) list() *[abort.Count]T {
+	return (*[abort.Count]T)(unsafe.Pointer(c))
+}
+
 // Stats counts engine-level outcomes. Fields are updated atomically.
-type Stats struct {
-	Commits        atomic.Uint64
-	AbortsConflict atomic.Uint64
-	AbortsCapacity atomic.Uint64
-	AbortsExplicit atomic.Uint64
-	AbortsOther    atomic.Uint64
+type Stats struct{ counters[atomic.Uint64] }
+
+// Snapshot is a plain copy of Stats for reporting.
+type Snapshot counters[uint64]
+
+// Snapshot copies the counters.
+func (s *Stats) Snapshot() Snapshot {
+	var out Snapshot
+	o, c := (*counters[uint64])(&out).list(), s.list()
+	for i := range c {
+		o[i] = c[i].Load()
+	}
+	return out
 }
 
 // Aborts returns the total number of aborts recorded.
-func (s *Stats) Aborts() uint64 {
-	return s.AbortsConflict.Load() + s.AbortsCapacity.Load() +
-		s.AbortsExplicit.Load() + s.AbortsOther.Load()
+func (s *Stats) Aborts() uint64 { return s.Snapshot().Aborts() }
+
+// Aborts returns the snapshot's aborts across all reasons.
+func (s Snapshot) Aborts() uint64 {
+	var n uint64
+	for _, v := range (*counters[uint64])(&s).list()[abort.None+1:] {
+		n += v
+	}
+	return n
 }
 
 // transaction status values.
@@ -311,19 +309,6 @@ func (e *Engine) SetProfile(p *prof.Profile) { e.prof = p }
 // Profile returns the attached profiler, or nil.
 func (e *Engine) Profile() *prof.Profile { return e.prof }
 
-// fromFault maps an injected fault reason onto the engine's abort taxonomy.
-func fromFault(r fault.Reason) AbortReason {
-	switch r {
-	case fault.Capacity:
-		return Capacity
-	case fault.Explicit:
-		return Explicit
-	case fault.Other:
-		return Other
-	}
-	return Conflict
-}
-
 // abortPanic is the sentinel carried by the internal panic that unwinds an
 // aborting transaction body back to Execute, holding the Result it unwinds
 // to. Each Txn keeps its own and panics with a pointer to it: a pointer fits
@@ -361,7 +346,7 @@ type Txn struct {
 	// transactional operation — a hardware transaction aborts at some
 	// instruction after _xbegin, never "instead of" it.
 	injPending bool
-	injReason  AbortReason
+	injReason  abort.Reason
 	injCode    uint8
 
 	// Thread-private (WriteLocal) capacity accounting: a direct-mapped line
@@ -511,7 +496,7 @@ func (e *Engine) Begin(slot int) *Txn {
 	if e.inj != nil {
 		t.quantum = e.inj.Quantum(slot, e.cfg.Quantum)
 		if r, code, ok := e.inj.Draw(fault.SiteHTMBegin, slot); ok {
-			t.injReason, t.injCode, t.injPending = fromFault(r), code, true
+			t.injReason, t.injCode, t.injPending = r, code, true
 		}
 	}
 	e.slots[slot].Store(t)
@@ -599,17 +584,9 @@ func (e *Engine) Execute(slot int, body func(*Txn)) (res Result) {
 	return
 }
 
-func (e *Engine) recordAbort(r AbortReason) {
-	switch r {
-	case Conflict:
-		e.stats.AbortsConflict.Add(1)
-	case Capacity:
-		e.stats.AbortsCapacity.Add(1)
-	case Explicit:
-		e.stats.AbortsExplicit.Add(1)
-	case Other:
-		e.stats.AbortsOther.Add(1)
-	}
+// recordAbort counts one abort; r is never abort.None.
+func (e *Engine) recordAbort(r abort.Reason) {
+	e.stats.list()[r].Add(1)
 }
 
 // SetProfileClass tags the transaction's footprint records with a
@@ -620,10 +597,9 @@ func (t *Txn) SetProfileClass(c uint8) { t.class = c }
 
 // profFinish records the transaction's footprint into its profiler shard:
 // distinct read lines, write lines (monitored plus thread-private), and
-// peak set occupancy. outcome is prof.OutcomeCommit or the abort reason's
-// ordinal (the prof outcome constants mirror AbortReason value for value).
+// peak set occupancy. outcome is the abort reason, abort.None for a commit.
 // The fields are still intact here — recycle, not finish, clears them.
-func (t *Txn) profFinish(outcome uint8) {
+func (t *Txn) profFinish(outcome abort.Reason) {
 	if t.ps == nil {
 		return
 	}
@@ -635,20 +611,20 @@ func (t *Txn) profFinish(outcome uint8) {
 // keeps its body, not a call to a shared helper, so that it is not inlined:
 // an inlinable abort pushes step and abortIfDoomed, which call it, over the
 // inlining budget, and every access pays for the calls.
-func (t *Txn) abort(reason AbortReason, code uint8) {
+func (t *Txn) abort(reason abort.Reason, code uint8) {
 	t.finish(false)
 	t.eng.recordAbort(reason)
-	t.profFinish(uint8(reason))
+	t.profFinish(reason)
 	t.ap.res = Result{Reason: reason, Code: code}
 	panic(&t.ap)
 }
 
 // abortInjected is abort for injector-forced faults: the unwound Result
 // carries Injected so frameworks can account the fault separately.
-func (t *Txn) abortInjected(reason AbortReason, code uint8) {
+func (t *Txn) abortInjected(reason abort.Reason, code uint8) {
 	t.finish(false)
 	t.eng.recordAbort(reason)
-	t.profFinish(uint8(reason))
+	t.profFinish(reason)
 	t.ap.res = Result{Reason: reason, Code: code, Injected: true}
 	panic(&t.ap)
 }
@@ -663,13 +639,13 @@ func (t *Txn) InjectionPoint(site fault.Site) {
 		return
 	}
 	if r, code, ok := in.Draw(site, t.slot); ok {
-		t.abortInjected(fromFault(r), code)
+		t.abortInjected(r, code)
 	}
 }
 
 // Abort explicitly aborts the transaction with a user code (_xabort).
 func (t *Txn) Abort(code uint8) {
-	t.abort(Explicit, code)
+	t.abort(abort.Explicit, code)
 }
 
 // Cancel abandons an open transaction without unwinding: buffered writes
@@ -681,8 +657,8 @@ func (t *Txn) Cancel() {
 		return
 	}
 	t.finish(false)
-	t.eng.recordAbort(Explicit)
-	t.profFinish(uint8(Explicit))
+	t.eng.recordAbort(abort.Explicit)
+	t.profFinish(abort.Explicit)
 }
 
 // Doomed reports whether the transaction has been aborted by a conflicting
@@ -703,7 +679,7 @@ func (t *Txn) checkDoomed() {
 // abortIfDoomed unwinds the transaction if a concurrent access doomed it.
 func (t *Txn) abortIfDoomed() {
 	if t.status.Load() == stDoomed {
-		t.abort(Conflict, 0)
+		t.abort(abort.Conflict, 0)
 	}
 }
 
@@ -711,7 +687,7 @@ func (t *Txn) abortIfDoomed() {
 func (t *Txn) step(c int64) {
 	t.cycles += c
 	if q := t.quantum; q > 0 && t.cycles > q {
-		t.abort(Other, 0)
+		t.abort(abort.Other, 0)
 	}
 }
 
@@ -929,7 +905,7 @@ func (t *Txn) admitReadLine() {
 	n := len(t.readLines)
 	if cfg.ReadLinesHard > 0 && n > cfg.ReadLinesHard {
 		t.profCapacity(t.readLines[n-1])
-		t.abort(Capacity, 0)
+		t.abort(abort.Capacity, 0)
 	}
 	if cfg.ReadLinesSoft > 0 && n > cfg.ReadLinesSoft && cfg.ReadEvictProb > 0 {
 		pressure := int(t.eng.nActive.Load()) - cfg.ReadFreeThreads
@@ -937,7 +913,7 @@ func (t *Txn) admitReadLine() {
 			p := cfg.ReadEvictProb * float64(pressure)
 			if t.eng.rngOf(t.slot).Float64() < p {
 				t.profCapacity(t.readLines[n-1])
-				t.abort(Capacity, 0)
+				t.abort(abort.Capacity, 0)
 			}
 		}
 	}
@@ -1025,7 +1001,7 @@ func (t *Txn) WriteLocal(a mem.Addr, v uint64) {
 		t.localCache[i] = l
 		if !t.fitsWrite(l, len(t.writeLines)+t.localLines) {
 			t.profCapacity(l)
-			t.abort(Capacity, 0)
+			t.abort(abort.Capacity, 0)
 		}
 		t.occupySet(l)
 		t.localLines++
@@ -1119,7 +1095,7 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 	} else if en&^t.bit == 0 {
 		if !t.fitsWrite(l, len(t.writeLines)) {
 			t.profCapacity(l)
-			t.abort(Capacity, 0)
+			t.abort(abort.Capacity, 0)
 		}
 		if mon.CompareAndSwap(uint32(en), uint32(en|self<<readerBits)) {
 			t.occupySet(l)
@@ -1189,7 +1165,7 @@ func (t *Txn) ensureWriteMonitor(l mem.Line, a mem.Addr, load bool) (old uint64,
 		}
 		if overCap {
 			t.profCapacity(l)
-			t.abort(Capacity, 0)
+			t.abort(abort.Capacity, 0)
 		}
 		if acquired {
 			t.writeLines = append(t.writeLines, l)
@@ -1229,14 +1205,14 @@ func (t *Txn) Commit() {
 	t.checkDoomed()
 	if in := t.eng.inj; in != nil {
 		if r, code, ok := in.Draw(fault.SiteHTMCommit, t.slot); ok {
-			t.abortInjected(fromFault(r), code)
+			t.abortInjected(r, code)
 		}
 	}
 	if t.cold {
 		t.loadCold()
 	}
 	if !t.status.CompareAndSwap(stActive, stCommitting) {
-		t.abort(Conflict, 0)
+		t.abort(abort.Conflict, 0)
 	}
 	// Each line is stored without its lock and then its write monitor is
 	// released with one CAS, before the transaction as a whole is
@@ -1285,7 +1261,7 @@ func (t *Txn) Commit() {
 	t.status.Store(stCommitted)
 	t.finish(true)
 	e.stats.Commits.Add(1)
-	t.profFinish(prof.OutcomeCommit)
+	t.profFinish(abort.None)
 }
 
 // loadCold loads each line of the write buffer once, in one pass of plain

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 )
 
@@ -87,7 +88,7 @@ func TestAddConflictsLikeWrite(t *testing.T) {
 			t.Fatal("the adder survived a non-transactional load of its line")
 		}
 		defer func() {
-			if res, ok := AsAbort(recover()); !ok || res.Reason != Conflict {
+			if res, ok := AsAbort(recover()); !ok || res.Reason != abort.Conflict {
 				t.Fatalf("want Conflict abort, got %+v (abort=%v)", res, ok)
 			}
 			if got := m.Load(a); got != 0 {

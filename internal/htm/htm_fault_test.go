@@ -3,6 +3,7 @@ package htm
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/fault"
 	"repro/internal/mem"
 )
@@ -36,14 +37,14 @@ func TestNoInjectorIsInert(t *testing.T) {
 
 func TestBeginInjectionAbortsFirstOperation(t *testing.T) {
 	cfg := fault.Config{Seed: 1}
-	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Other}
+	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: abort.Other}
 	e := newFaultEngine(t, &cfg)
 	reached := false
 	res := e.Execute(0, func(tx *Txn) {
 		tx.Read(0) // first transactional op delivers the pending abort
 		reached = true
 	})
-	if res.Committed || res.Reason != Other || !res.Injected {
+	if res.Committed || res.Reason != abort.Other || !res.Injected {
 		t.Fatalf("res = %+v", res)
 	}
 	if reached {
@@ -66,20 +67,20 @@ func TestBeginInjectionAbortsFirstOperation(t *testing.T) {
 
 func TestBeginInjectionDeliveredAtCommitOfEmptyTxn(t *testing.T) {
 	cfg := fault.Config{Seed: 1}
-	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: fault.Capacity}
+	cfg.Rates[fault.SiteHTMBegin] = fault.SiteRate{Prob: 1, Reason: abort.Capacity}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(0, func(tx *Txn) {})
-	if res.Committed || res.Reason != Capacity || !res.Injected {
+	if res.Committed || res.Reason != abort.Capacity || !res.Injected {
 		t.Fatalf("res = %+v", res)
 	}
 }
 
 func TestCommitInjection(t *testing.T) {
 	cfg := fault.Config{Seed: 1}
-	cfg.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: 1, Reason: fault.Conflict}
+	cfg.Rates[fault.SiteHTMCommit] = fault.SiteRate{Prob: 1, Reason: abort.Conflict}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(0, func(tx *Txn) { tx.Write(8, 7) })
-	if res.Committed || res.Reason != Conflict || !res.Injected {
+	if res.Committed || res.Reason != abort.Conflict || !res.Injected {
 		t.Fatalf("res = %+v", res)
 	}
 	// The buffered write must have been discarded.
@@ -90,13 +91,13 @@ func TestCommitInjection(t *testing.T) {
 
 func TestScriptedInjectionPointCarriesCode(t *testing.T) {
 	cfg := fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteLockSigRead, Reason: fault.Explicit, Code: 3, Count: 1}},
+		0: {{Site: fault.SiteLockSigRead, Reason: abort.Explicit, Code: 3, Count: 1}},
 	}}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(0, func(tx *Txn) {
 		tx.InjectionPoint(fault.SiteLockSigRead)
 	})
-	if res.Committed || res.Reason != Explicit || res.Code != 3 || !res.Injected {
+	if res.Committed || res.Reason != abort.Explicit || res.Code != 3 || !res.Injected {
 		t.Fatalf("res = %+v", res)
 	}
 	// Script drained: next attempt commits, with Injected false.
@@ -121,7 +122,7 @@ func TestQuantumJitterVariesAbortPoint(t *testing.T) {
 		res := e.Execute(0, func(tx *Txn) { tx.Work(1100) })
 		if res.Committed {
 			committed++
-		} else if res.Reason == Other {
+		} else if res.Reason == abort.Other {
 			aborted++
 		}
 	}
@@ -143,11 +144,11 @@ func TestInjectorCoversExactlyTheEngineSlots(t *testing.T) {
 		t.Fatalf("a script for thread %d passed Validate", MaxSlots)
 	}
 	cfg := fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
-		MaxSlots - 1: {{Site: fault.SiteHTMBegin, Reason: fault.Capacity, Count: 1}},
+		MaxSlots - 1: {{Site: fault.SiteHTMBegin, Reason: abort.Capacity, Count: 1}},
 	}}
 	e := newFaultEngine(t, &cfg)
 	res := e.Execute(MaxSlots-1, func(tx *Txn) { tx.Write(8, 1) })
-	if res.Committed || !res.Injected || res.Reason != Capacity {
+	if res.Committed || !res.Injected || res.Reason != abort.Capacity {
 		t.Fatalf("top slot's scripted begin fault: %+v, want an injected capacity abort", res)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 )
 
@@ -20,7 +21,7 @@ func TestFootprint(t *testing.T) {
 		name   string
 		cfg    func(*Config)
 		body   func(tx *Txn, m *mem.Memory, base mem.Addr)
-		reason AbortReason
+		reason abort.Reason
 		want   fp
 	}{
 		{"commit", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
@@ -32,33 +33,33 @@ func TestFootprint(t *testing.T) {
 			tx.ReadLine(base+24, &line)         // 1 cycle, read line 3
 			tx.Overwrite(base+mem.LineWords, 2) // 3 cycles, line 1 again: write set only
 			tx.Work(5)
-		}, NoAbort, fp{15, 2, 2}},
+		}, abort.None, fp{15, 2, 2}},
 		{"explicit", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
 			tx.Read(base)
 			tx.Write(base+8, 1)
 			tx.Abort(7)
-		}, Explicit, fp{3, 1, 1}},
+		}, abort.Explicit, fp{3, 1, 1}},
 		{"capacity", func(c *Config) { c.WriteLines, c.WriteWays, c.WriteSets = 2, 64, 1 },
 			func(tx *Txn, m *mem.Memory, base mem.Addr) {
 				for i := 0; i < 3; i++ {
 					tx.Write(base+mem.Addr(i*mem.LineWords), 1)
 				}
-			}, Capacity, fp{6, 0, 2}}, // the third write is charged; its line is refused
+			}, abort.Capacity, fp{6, 0, 2}}, // the third write is charged; its line is refused
 		{"timer", func(c *Config) { c.Quantum = 10 }, func(tx *Txn, m *mem.Memory, base mem.Addr) {
 			tx.Work(4)
 			tx.Read(base)
 			tx.Work(6)
-		}, Other, fp{11, 1, 0}},
+		}, abort.Other, fp{11, 1, 0}},
 		{"conflict", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
 			tx.Read(base)
 			m.Store(base, 9) // strong atomicity dooms the reader
 			tx.Work(1)       // unwinds before it is charged
-		}, Conflict, fp{1, 1, 0}},
+		}, abort.Conflict, fp{1, 1, 0}},
 		{"cancel", nil, func(tx *Txn, m *mem.Memory, base mem.Addr) {
 			tx.Read(base)
 			tx.Write(base+8, 1)
 			tx.Cancel() // ends the transaction without unwinding
-		}, NoAbort, fp{3, 1, 1}},
+		}, abort.None, fp{3, 1, 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 )
 
@@ -245,7 +246,7 @@ func TestWriteLineCountsCapacity(t *testing.T) {
 			tx.WriteLine(base+mem.Addr(i*mem.LineWords), &vals)
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want capacity abort, got %+v", res)
 	}
 }
@@ -281,7 +282,7 @@ func TestWriteLocalCountsCapacity(t *testing.T) {
 			tx.WriteLocal(base+mem.Addr(i*mem.LineWords), 1)
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want capacity abort, got %+v", res)
 	}
 }

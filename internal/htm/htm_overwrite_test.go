@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 	"repro/internal/prof"
 )
@@ -131,7 +132,7 @@ func TestOverwriteConflictsLikeWrite(t *testing.T) {
 				}
 			},
 		)
-		if r1.Committed || r1.Reason != Conflict {
+		if r1.Committed || r1.Reason != abort.Conflict {
 			t.Fatalf("overwriter should be doomed by the read, got %+v", r1)
 		}
 		if !r2.Committed {
@@ -150,7 +151,7 @@ func TestOverwriteConflictsLikeWrite(t *testing.T) {
 			t.Fatal("overwriter survived a non-transactional write to its line")
 		}
 		defer func() {
-			if res, ok := AsAbort(recover()); !ok || res.Reason != Conflict {
+			if res, ok := AsAbort(recover()); !ok || res.Reason != abort.Conflict {
 				t.Fatalf("want Conflict abort, got %+v (abort=%v)", res, ok)
 			}
 			if m.Load(a) != 0 || m.Load(a+1) != 7 {
@@ -182,7 +183,7 @@ func TestOverwriteConflictsLikeWrite(t *testing.T) {
 					wrote++
 				}
 			})
-			if res.Committed || res.Reason != Capacity || wrote != 2 {
+			if res.Committed || res.Reason != abort.Capacity || wrote != 2 {
 				t.Fatalf("overwrite=%v: %+v after %d writes, want a capacity abort at the third", over, res, wrote)
 			}
 		}

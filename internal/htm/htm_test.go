@@ -2,10 +2,13 @@ package htm
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 )
 
@@ -46,7 +49,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 		tx.Write(a, 99)
 		tx.Abort(7)
 	})
-	if res.Committed || res.Reason != Explicit || res.Code != 7 {
+	if res.Committed || res.Reason != abort.Explicit || res.Code != 7 {
 		t.Fatalf("want explicit abort code 7, got %+v", res)
 	}
 	if m.Load(a) != 5 {
@@ -82,7 +85,7 @@ func TestWriteCapacityTotal(t *testing.T) {
 			tx.Write(base+mem.Addr(i*mem.LineWords), 1)
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want capacity abort, got %+v", res)
 	}
 	// Exactly at the limit it must commit.
@@ -117,7 +120,7 @@ func TestWriteCapacityAssociativity(t *testing.T) {
 			tx.Write(base+mem.Addr(i*4*mem.LineWords), 1)
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want associativity capacity abort, got %+v", res)
 	}
 }
@@ -135,7 +138,7 @@ func TestReadCapacityHard(t *testing.T) {
 			tx.Read(base + mem.Addr(i*mem.LineWords))
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want hard read-capacity abort, got %+v", res)
 	}
 }
@@ -166,7 +169,7 @@ func TestTimerQuantumAborts(t *testing.T) {
 	res := e.Execute(0, func(tx *Txn) {
 		tx.Work(101)
 	})
-	if res.Committed || res.Reason != Other {
+	if res.Committed || res.Reason != abort.Other {
 		t.Fatalf("want timer (Other) abort, got %+v", res)
 	}
 	res = e.Execute(0, func(tx *Txn) {
@@ -188,7 +191,7 @@ func TestTimerCountsMemoryOps(t *testing.T) {
 			tx.Read(base)
 		}
 	})
-	if res.Committed || res.Reason != Other {
+	if res.Committed || res.Reason != abort.Other {
 		t.Fatalf("want Other abort from accumulated read cost, got %+v", res)
 	}
 }
@@ -228,7 +231,7 @@ func TestWriteWriteConflictRequesterWins(t *testing.T) {
 			tx.Write(a, 2) // requester wins: dooms the first writer
 		},
 	)
-	if r1.Committed || r1.Reason != Conflict {
+	if r1.Committed || r1.Reason != abort.Conflict {
 		t.Fatalf("first writer should lose with Conflict, got %+v", r1)
 	}
 	if !r2.Committed {
@@ -255,7 +258,7 @@ func TestWriteDoomsReader(t *testing.T) {
 			tx.Write(a, 2)
 		},
 	)
-	if r1.Committed || r1.Reason != Conflict {
+	if r1.Committed || r1.Reason != abort.Conflict {
 		t.Fatalf("reader should be doomed, got %+v", r1)
 	}
 	if !r2.Committed {
@@ -284,7 +287,7 @@ func TestReadDoomsWriter(t *testing.T) {
 					}
 				},
 			)
-			if r1.Committed || r1.Reason != Conflict {
+			if r1.Committed || r1.Reason != abort.Conflict {
 				t.Fatalf("writer should be doomed by conflicting read, got %+v", r1)
 			}
 			if !r2.Committed {
@@ -342,7 +345,7 @@ func TestStrongAtomicityNonTxWriteDoomsReader(t *testing.T) {
 	<-started
 	m.Store(a, 1) // non-transactional write dooms the reader
 	wg.Wait()
-	if res.Committed || res.Reason != Conflict {
+	if res.Committed || res.Reason != abort.Conflict {
 		t.Fatalf("want conflict abort from strong atomicity, got %+v", res)
 	}
 }
@@ -371,7 +374,7 @@ func TestStrongAtomicityNonTxReadDoomsWriter(t *testing.T) {
 		t.Fatalf("non-tx read saw buffered value %d", got)
 	}
 	wg.Wait()
-	if res.Committed || res.Reason != Conflict {
+	if res.Committed || res.Reason != abort.Conflict {
 		t.Fatalf("want conflict abort, got %+v", res)
 	}
 }
@@ -534,6 +537,46 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestStatsListFollowsAbortReason checks the array view recordAbort and
+// Snapshot walk: the counter list has one eight-byte field per reason, at
+// offset 8*reason, Commits at abort.None and each abort counter at its
+// reason, and Snapshot copies every counter.
+func TestStatsListFollowsAbortReason(t *testing.T) {
+	typ := reflect.TypeOf(Snapshot{})
+	if typ.NumField() != int(abort.Count) {
+		t.Fatalf("Snapshot has %d fields, want one per reason (%d)", typ.NumField(), abort.Count)
+	}
+	for r := abort.None; r < abort.Count; r++ {
+		want := "Commits"
+		if r != abort.None {
+			want = "Aborts" + strings.ToUpper(r.String()[:1]) + r.String()[1:]
+		}
+		if f := typ.Field(int(r)); f.Name != want || f.Offset != 8*uintptr(r) || f.Type.Size() != 8 {
+			t.Errorf("field %d is %s at offset %d, want %s at %d", r, f.Name, f.Offset, want, 8*r)
+		}
+	}
+	e := newTestEngine(1024, nil)
+	for r := abort.Conflict; r < abort.Count; r++ {
+		for i := abort.None; i < r; i++ {
+			e.recordAbort(r)
+		}
+	}
+	e.stats.Commits.Add(9)
+	snap := e.Stats().Snapshot()
+	for r := abort.None; r < abort.Count; r++ {
+		want := uint64(r)
+		if r == abort.None {
+			want = 9
+		}
+		if got := reflect.ValueOf(snap).Field(int(r)).Uint(); got != want {
+			t.Errorf("Snapshot %s = %d, want %d", typ.Field(int(r)).Name, got, want)
+		}
+	}
+	if got := snap.Aborts(); got != 1+2+3+4 {
+		t.Errorf("Aborts = %d, want 10", got)
+	}
+}
+
 func TestNestingPanics(t *testing.T) {
 	e := newTestEngine(1024, nil)
 	defer func() {
@@ -585,18 +628,6 @@ func TestOversubscribedHalvesBudgets(t *testing.T) {
 	if o.WriteLines != c.WriteLines/2 || o.ReadLinesSoft != c.ReadLinesSoft/2 ||
 		o.WriteWays != c.WriteWays/2 || o.ReadLinesHard != c.ReadLinesHard/2 {
 		t.Fatalf("oversubscription scaling wrong: %+v", o)
-	}
-}
-
-func TestAbortReasonString(t *testing.T) {
-	want := map[AbortReason]string{
-		NoAbort: "none", Conflict: "conflict", Capacity: "capacity",
-		Explicit: "explicit", Other: "other",
-	}
-	for r, s := range want {
-		if r.String() != s {
-			t.Errorf("String(%d) = %q, want %q", r, r.String(), s)
-		}
 	}
 }
 

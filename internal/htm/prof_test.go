@@ -3,35 +3,10 @@ package htm
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/mem"
 	"repro/internal/prof"
 )
-
-// TestProfOutcomeMirrorsAbortReason pins the value-for-value mapping the
-// engine relies on when it casts an AbortReason straight into a profiler
-// outcome (profFinish(uint8(reason))).
-func TestProfOutcomeMirrorsAbortReason(t *testing.T) {
-	pairs := []struct {
-		reason  AbortReason
-		outcome uint8
-	}{
-		{NoAbort, prof.OutcomeCommit},
-		{Conflict, prof.OutcomeConflict},
-		{Capacity, prof.OutcomeCapacity},
-		{Explicit, prof.OutcomeExplicit},
-		{Other, prof.OutcomeOther},
-	}
-	for _, pr := range pairs {
-		if uint8(pr.reason) != pr.outcome {
-			t.Fatalf("AbortReason %v = %d, prof outcome = %d: taxonomies diverged",
-				pr.reason, pr.reason, pr.outcome)
-		}
-	}
-	if prof.OutcomeCount != 5 {
-		t.Fatalf("prof.OutcomeCount = %d, want 5 (new AbortReason needs a prof outcome)",
-			prof.OutcomeCount)
-	}
-}
 
 // TestProfConflictAttribution checks requester-side attribution: the
 // transaction that dooms a rival over a line records that line into its
@@ -59,7 +34,7 @@ func TestProfConflictAttribution(t *testing.T) {
 	func() {
 		defer func() {
 			res, ok := AsAbort(recover())
-			if !ok || res.Reason != Conflict {
+			if !ok || res.Reason != abort.Conflict {
 				t.Errorf("victim should unwind with Conflict, got %+v (ok=%v)", res, ok)
 			}
 		}()
@@ -120,7 +95,7 @@ func TestProfCapacityAttribution(t *testing.T) {
 			tx.Write(base+mem.Addr(i*mem.LineWords), 1)
 		}
 	})
-	if res.Committed || res.Reason != Capacity {
+	if res.Committed || res.Reason != abort.Capacity {
 		t.Fatalf("want capacity abort, got %+v", res)
 	}
 	heat := p.Heat()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/fault"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -206,7 +207,7 @@ func TestHLEConcurrentCounter(t *testing.T) {
 func TestSlowPathPanicReleasesLock(t *testing.T) {
 	eng := newEngine(nil)
 	eng.SetInjector(fault.New(fault.Config{Seed: 1, Scripts: map[int][]fault.ScriptEvent{
-		0: {{Site: fault.SiteHTMBegin, Reason: fault.Conflict, Count: 1}},
+		0: {{Site: fault.SiteHTMBegin, Reason: abort.Conflict, Count: 1}},
 	}}))
 	s := New(eng, 1, Config{Retries: 1})
 	m := s.Memory()

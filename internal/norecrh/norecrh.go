@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/exec"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -191,7 +192,7 @@ func (t *swTxn) Commit() {
 		}
 		t.et.Shard().RecordAbort(res.Reason)
 		t.et.NoteHWAbort(res)
-		if res.Reason == htm.Capacity || res.Reason == htm.Other {
+		if res.Reason == abort.Capacity || res.Reason == abort.Other {
 			// The reduced transaction itself does not fit: software
 			// write-back under the sequence lock.
 			t.Txn.Commit()

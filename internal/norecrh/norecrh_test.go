@@ -3,6 +3,7 @@ package norecrh
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/perthread"
@@ -118,11 +119,11 @@ func TestReducedCommitAbortReachesKernel(t *testing.T) {
 			onSW = append(onSW, e)
 		}
 	}
-	if len(onSW) != 3 || onSW[1].Kind != trace.EvHWAbort || onSW[1].Cause != trace.CauseCapacity ||
+	if len(onSW) != 3 || onSW[1].Kind != trace.EvHWAbort || onSW[1].Cause != abort.Capacity ||
 		onSW[2].Kind != trace.EvCommit || onSW[2].Path != trace.PathSW {
 		t.Fatalf("software path events = %+v, want [path-part, hw-abort(capacity), commit(sw)]", onSW)
 	}
-	if got := sink.Latency().Abort[trace.CauseCapacity].Count; got != 2 {
+	if got := sink.Latency().Abort[abort.Capacity].Count; got != 2 {
 		t.Fatalf("capacity abort-latency samples = %d, want 2 (full-hardware attempt + reduced commit)", got)
 	}
 }

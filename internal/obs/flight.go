@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/governor"
+	"repro/internal/tm"
 	"repro/internal/trace"
 )
 
@@ -280,35 +282,32 @@ func (f *FlightRecorder) dumpLocked(reason, label string) (string, error) {
 }
 
 // flightCSVHeader is the metrics-CSV column set: the ring sample
-// identity, every tm.Snapshot counter, and the inflight gauge.
-const flightCSVHeader = "ts_ns,seq,system," +
-	"commits_htm,commits_sw,commits_gl," +
-	"aborts_conflict,aborts_capacity,aborts_explicit,aborts_other," +
-	"serial_nanos,escalations_budget,escalations_starve," +
-	"faults_injected,breaker_trips,breaker_probes,breaker_closes,breaker_slow," +
-	"watchdog_alarms,cross_domain_commits,cross_domain_aborts,domain_ring_rollovers," +
-	"inflight"
+// identity, every tm.Snapshot counter under its json key, and the inflight
+// gauge.
+func flightCSVHeader() string {
+	cols := []string{"ts_ns", "seq", "system"}
+	st := reflect.TypeOf(tm.Snapshot{})
+	for i := 0; i < st.NumField(); i++ {
+		key, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		cols = append(cols, key)
+	}
+	return strings.Join(append(cols, "inflight"), ",")
+}
 
 // writeCSVLocked writes the ring, oldest sample first (mu held).
 func (f *FlightRecorder) writeCSVLocked(w *os.File) error {
-	if _, err := fmt.Fprintln(w, flightCSVHeader); err != nil {
+	if _, err := fmt.Fprintln(w, flightCSVHeader()); err != nil {
 		return err
 	}
 	emit := func(snap *Snapshot) error {
 		for i := range snap.Systems {
 			s := &snap.Systems[i]
-			t := &s.TM
-			row := strings.Join([]string{
-				strconv.FormatInt(snap.TS, 10), strconv.FormatUint(snap.Seq, 10), s.Name,
-				u(t.CommitsHTM), u(t.CommitsSW), u(t.CommitsGL),
-				u(t.AbortsConflict), u(t.AbortsCapacity), u(t.AbortsExplicit), u(t.AbortsOther),
-				strconv.FormatInt(t.SerialNanos, 10),
-				u(t.EscalationsBudget), u(t.EscalationsStarve),
-				u(t.FaultsInjected), u(t.BreakerTrips), u(t.BreakerProbes), u(t.BreakerCloses), u(t.BreakerSlow),
-				u(t.WatchdogAlarms), u(t.CrossDomainCommits), u(t.CrossDomainAborts), u(t.DomainRingRollovers),
-				strconv.FormatInt(s.Inflight, 10),
-			}, ",")
-			if _, err := fmt.Fprintln(w, row); err != nil {
+			row := []string{strconv.FormatInt(snap.TS, 10), strconv.FormatUint(snap.Seq, 10), s.Name}
+			for _, v := range s.TM.Counters() {
+				row = append(row, u(v))
+			}
+			row = append(row, strconv.FormatInt(s.Inflight, 10))
+			if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 				return err
 			}
 		}

@@ -19,7 +19,7 @@
 // transaction's read-line count, write-line count, and peak
 // set occupancy into log-bucketed histograms (trace/hist), split by
 // commit-path class (whole-hardware fast window vs sub-HTM window) and
-// outcome (commit, or the abort cause).
+// outcome, an abort.Reason (abort.None for a commit).
 //
 // The package owns no goroutine and no clock: abort-rate trends over a run
 // are the obs flight recorder's job, which samples every counter set
@@ -43,6 +43,7 @@ package prof
 import (
 	"sync"
 
+	"repro/internal/abort"
 	"repro/internal/perthread"
 	"repro/internal/trace/hist"
 )
@@ -69,33 +70,13 @@ func ClassName(c uint8) string {
 	return "class?"
 }
 
-// Footprint outcomes. OutcomeCommit is 0; the abort outcomes mirror the
-// htm.AbortReason taxonomy value for value (Conflict=1 .. Other=4, pinned
-// by a test) so the engine can cast the reason directly.
-const (
-	OutcomeCommit uint8 = iota
-	OutcomeConflict
-	OutcomeCapacity
-	OutcomeExplicit
-	OutcomeOther
-	OutcomeCount
-)
-
-// OutcomeName returns the stable short name of a footprint outcome.
-func OutcomeName(o uint8) string {
-	switch o {
-	case OutcomeCommit:
+// OutcomeName returns the stable short name of a footprint outcome:
+// "commit" for abort.None, the reason's name otherwise.
+func OutcomeName(o abort.Reason) string {
+	if o == abort.None {
 		return "commit"
-	case OutcomeConflict:
-		return "conflict"
-	case OutcomeCapacity:
-		return "capacity"
-	case OutcomeExplicit:
-		return "explicit"
-	case OutcomeOther:
-		return "other"
 	}
-	return "outcome?"
+	return o.String()
 }
 
 // footprint is one (class, outcome) cell's distributions.
@@ -119,7 +100,7 @@ type Shard struct {
 	domCon []uint64
 	domCap []uint64
 	domOf  func(line uint32) int
-	foot   [ClassCount][OutcomeCount]footprint
+	foot   [ClassCount][abort.Count]footprint
 	thread int32
 	_      [64]byte
 }
@@ -161,15 +142,15 @@ func (s *Shard) RecordCapacity(line uint32) {
 // only). Allocation-free and htmsafe by construction; nil receiver is a
 // no-op. Out-of-range class/outcome values are clamped rather than
 // dropped so miscounts surface as visible skew, not silence.
-func (s *Shard) RecordFootprint(class, outcome uint8, readLines, writeLines, occ int) {
+func (s *Shard) RecordFootprint(class uint8, outcome abort.Reason, readLines, writeLines, occ int) {
 	if s == nil {
 		return
 	}
 	if class >= ClassCount {
 		class = ClassCount - 1
 	}
-	if outcome >= OutcomeCount {
-		outcome = OutcomeCount - 1
+	if outcome >= abort.Count {
+		outcome = abort.Count - 1
 	}
 	f := &s.foot[class][outcome]
 	f.read.Add(int64(readLines))
@@ -436,7 +417,7 @@ func (p *Profile) Footprints() []FootprintStat {
 	var out []FootprintStat
 	var read, write, occ hist.Histogram
 	for c := uint8(0); c < ClassCount; c++ {
-		for o := uint8(0); o < OutcomeCount; o++ {
+		for o := abort.None; o < abort.Count; o++ {
 			read.Reset()
 			write.Reset()
 			occ.Reset()

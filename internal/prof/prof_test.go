@@ -1,6 +1,8 @@
 package prof
 
 import (
+	"repro/internal/abort"
+
 	"strings"
 	"testing"
 )
@@ -48,9 +50,9 @@ func TestShardRecordAndMergedQueries(t *testing.T) {
 	}
 
 	// Footprints: commits on the fast path, one sub-path conflict abort.
-	s0.RecordFootprint(ClassFast, OutcomeCommit, 4, 2, 2)
-	s1.RecordFootprint(ClassFast, OutcomeCommit, 8, 1, 1)
-	s1.RecordFootprint(ClassSub, OutcomeConflict, 3, 3, 3)
+	s0.RecordFootprint(ClassFast, abort.None, 4, 2, 2)
+	s1.RecordFootprint(ClassFast, abort.None, 8, 1, 1)
+	s1.RecordFootprint(ClassSub, abort.Conflict, 3, 3, 3)
 	fps := p.Footprints()
 	if len(fps) != 2 {
 		t.Fatalf("Footprints rows = %d, want 2: %+v", len(fps), fps)
@@ -84,7 +86,7 @@ func TestRecordFootprintClamps(t *testing.T) {
 	if len(fps) != 1 {
 		t.Fatalf("clamped record produced %d rows, want 1", len(fps))
 	}
-	if fps[0].Class != ClassName(ClassCount-1) || fps[0].Outcome != OutcomeName(OutcomeCount-1) {
+	if fps[0].Class != ClassName(ClassCount-1) || fps[0].Outcome != OutcomeName(abort.Count-1) {
 		t.Fatalf("clamp landed in %s/%s", fps[0].Class, fps[0].Outcome)
 	}
 }
@@ -122,7 +124,7 @@ func TestRecordHooksAllocFree(t *testing.T) {
 		t.Fatalf("RecordCapacity allocates %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		s.RecordFootprint(ClassFast, OutcomeCommit, 4, 2, 2)
+		s.RecordFootprint(ClassFast, abort.None, 4, 2, 2)
 	}); n != 0 {
 		t.Fatalf("RecordFootprint allocates %.1f allocs/op, want 0", n)
 	}
@@ -134,12 +136,15 @@ func TestClassAndOutcomeNames(t *testing.T) {
 			t.Fatalf("ClassName(%d) = %q", c, name)
 		}
 	}
-	for o := uint8(0); o < OutcomeCount; o++ {
-		if name := OutcomeName(o); strings.Contains(name, "?") {
+	for o := abort.None; o < abort.Count; o++ {
+		if name := OutcomeName(o); strings.Contains(name, "(") {
 			t.Fatalf("OutcomeName(%d) = %q", o, name)
 		}
 	}
-	if ClassName(ClassCount) != "class?" || OutcomeName(OutcomeCount) != "outcome?" {
+	if OutcomeName(abort.None) != "commit" || OutcomeName(abort.Capacity) != "capacity" {
+		t.Fatalf("OutcomeName(None, Capacity) = %q, %q", OutcomeName(abort.None), OutcomeName(abort.Capacity))
+	}
+	if ClassName(ClassCount) != "class?" || OutcomeName(abort.Count) != "reason(5)" {
 		t.Fatal("out-of-range names must be marked unknown")
 	}
 }

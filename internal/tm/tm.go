@@ -9,8 +9,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
-	"repro/internal/htm"
+	"repro/internal/abort"
 	"repro/internal/mem"
 	"repro/internal/perthread"
 )
@@ -110,38 +111,41 @@ func (c *Counter) Load() uint64 {
 	return c.v.Load()
 }
 
-// Shard is one thread's private cell of the Stats counters. Commit counters
-// are split by execution path so Table 1 of the paper can be regenerated;
-// abort counters follow the hardware abort taxonomy with
-// Aborted-by-validation mapped to Conflict. Field names mirror Snapshot
-// field for field (enforced by reflection in the tests).
-type Shard struct {
-	CommitsHTM Counter // committed as a single hardware transaction
-	CommitsSW  Counter // committed by the software framework / STM path
-	CommitsGL  Counter // committed under the global lock
+// counters is the list of Stats counters, declared once: Shard holds it as
+// Counter cells and Snapshot as plain values, and the json tags name the
+// report keys and the flight recorder's CSV columns. Every field is one
+// eight-byte word, so the list is also an array (list); code that treats
+// every counter alike walks that array instead of naming fields. Commit
+// counters are split by execution path so Table 1 of the paper can be
+// regenerated; abort counters follow the hardware abort taxonomy with
+// Aborted-by-validation mapped to Conflict.
+type counters[T any] struct {
+	CommitsHTM T `json:"commits_htm"` // committed as a single hardware transaction
+	CommitsSW  T `json:"commits_sw"`  // committed by the software framework / STM path
+	CommitsGL  T `json:"commits_gl"`  // committed under the global lock
 
-	AbortsConflict Counter
-	AbortsCapacity Counter
-	AbortsExplicit Counter
-	AbortsOther    Counter
+	AbortsConflict T `json:"aborts_conflict"`
+	AbortsCapacity T `json:"aborts_capacity"`
+	AbortsExplicit T `json:"aborts_explicit"`
+	AbortsOther    T `json:"aborts_other"`
 
 	// SerialNanos accumulates time spent in globally serializing critical
 	// sections — global-lock holds, STM write-back windows, ring-entry
 	// publication — during which no other transaction can commit. The
 	// harness uses it to project single-core measurements onto N cores
 	// (Amdahl): estimated wall = serial + (measured - serial)/N.
-	SerialNanos Counter
+	SerialNanos T `json:"serial_nanos"`
 
 	// Contention-manager escalations: transactions forced onto the
 	// global-lock path ahead of the normal retry schedule because the
 	// hardware-abort budget ran out or because their starvation score
 	// reached the threshold.
-	EscalationsBudget Counter
-	EscalationsStarve Counter
+	EscalationsBudget T `json:"escalations_budget"`
+	EscalationsStarve T `json:"escalations_starve"`
 
 	// FaultsInjected counts aborts this system absorbed that were forced by
 	// the fault injector (exactly zero when no injector is installed).
-	FaultsInjected Counter
+	FaultsInjected T `json:"faults_injected"`
 
 	// Resource-governor outcomes (exactly zero when no governor is
 	// attached). The breaker counters follow the per-thread HTM circuit
@@ -149,87 +153,61 @@ type Shard struct {
 	// (probe committed in hardware), and transactions routed direct-to-slow
 	// while open. WatchdogAlarms counts progress-watchdog alarms (recorded
 	// by the watchdog's own shard slot).
-	BreakerTrips   Counter
-	BreakerProbes  Counter
-	BreakerCloses  Counter
-	BreakerSlow    Counter
-	WatchdogAlarms Counter
+	BreakerTrips   T `json:"breaker_trips,omitempty"`
+	BreakerProbes  T `json:"breaker_probes,omitempty"`
+	BreakerCloses  T `json:"breaker_closes,omitempty"`
+	BreakerSlow    T `json:"breaker_slow,omitempty"`
+	WatchdogAlarms T `json:"watchdog_alarms,omitempty"`
 
 	// Sharded memory domains (exactly zero on single-domain topologies).
 	// CrossDomainCommits/CrossDomainAborts count committed and aborted
-	// attempts whose footprint touched two or more domains;
-	// DomainRingRollovers counts validations that failed because a domain's
-	// ring lapped the validator.
-	CrossDomainCommits  Counter
-	CrossDomainAborts   Counter
-	DomainRingRollovers Counter
+	// attempts whose footprint touched two or more domains; the last counts
+	// validations that failed because a domain's ring lapped the validator.
+	CrossDomainCommits  T `json:"cross_domain_commits,omitempty"`
+	CrossDomainAborts   T `json:"cross_domain_aborts,omitempty"`
+	DomainRingRollovers T `json:"domain_ring_rollovers,omitempty"`
+}
+
+// numCounters is the length of the counter list.
+const numCounters = unsafe.Sizeof(counters[uint64]{}) / 8
+
+// list views the counters as an array, in declaration order.
+func (c *counters[T]) list() *[numCounters]T {
+	return (*[numCounters]T)(unsafe.Pointer(c))
+}
+
+// Shard is one thread's private cell of the Stats counters.
+type Shard struct {
+	counters[Counter]
 
 	// Padding to a multiple of the cache-line size so neighbouring shards
 	// never share a line even if an allocator packs them back to back.
-	_ [64 - (19*8)%64]byte
+	_ [64 - (numCounters*8)%64]byte
 }
 
 // AddSerial records d of globally serialized execution.
 func (sh *Shard) AddSerial(d time.Duration) { sh.SerialNanos.Add(uint64(d)) }
 
 // RecordAbort classifies an abort result into the counters.
-func (sh *Shard) RecordAbort(r htm.AbortReason) {
+func (sh *Shard) RecordAbort(r abort.Reason) {
 	switch r {
-	case htm.Conflict:
+	case abort.Conflict:
 		sh.AbortsConflict.Inc()
-	case htm.Capacity:
+	case abort.Capacity:
 		sh.AbortsCapacity.Inc()
-	case htm.Explicit:
+	case abort.Explicit:
 		sh.AbortsExplicit.Inc()
-	case htm.Other:
+	case abort.Other:
 		sh.AbortsOther.Inc()
 	}
 }
 
-// reset zeroes every counter of the shard.
-func (sh *Shard) reset() {
-	sh.CommitsHTM.v.Store(0)
-	sh.CommitsSW.v.Store(0)
-	sh.CommitsGL.v.Store(0)
-	sh.AbortsConflict.v.Store(0)
-	sh.AbortsCapacity.v.Store(0)
-	sh.AbortsExplicit.v.Store(0)
-	sh.AbortsOther.v.Store(0)
-	sh.SerialNanos.v.Store(0)
-	sh.EscalationsBudget.v.Store(0)
-	sh.EscalationsStarve.v.Store(0)
-	sh.FaultsInjected.v.Store(0)
-	sh.BreakerTrips.v.Store(0)
-	sh.BreakerProbes.v.Store(0)
-	sh.BreakerCloses.v.Store(0)
-	sh.BreakerSlow.v.Store(0)
-	sh.WatchdogAlarms.v.Store(0)
-	sh.CrossDomainCommits.v.Store(0)
-	sh.CrossDomainAborts.v.Store(0)
-	sh.DomainRingRollovers.v.Store(0)
-}
-
-// add folds the shard into a snapshot.
-func (sh *Shard) add(out *Snapshot) {
-	out.CommitsHTM += sh.CommitsHTM.Load()
-	out.CommitsSW += sh.CommitsSW.Load()
-	out.CommitsGL += sh.CommitsGL.Load()
-	out.AbortsConflict += sh.AbortsConflict.Load()
-	out.AbortsCapacity += sh.AbortsCapacity.Load()
-	out.AbortsExplicit += sh.AbortsExplicit.Load()
-	out.AbortsOther += sh.AbortsOther.Load()
-	out.SerialNanos += int64(sh.SerialNanos.Load())
-	out.EscalationsBudget += sh.EscalationsBudget.Load()
-	out.EscalationsStarve += sh.EscalationsStarve.Load()
-	out.FaultsInjected += sh.FaultsInjected.Load()
-	out.BreakerTrips += sh.BreakerTrips.Load()
-	out.BreakerProbes += sh.BreakerProbes.Load()
-	out.BreakerCloses += sh.BreakerCloses.Load()
-	out.BreakerSlow += sh.BreakerSlow.Load()
-	out.WatchdogAlarms += sh.WatchdogAlarms.Load()
-	out.CrossDomainCommits += sh.CrossDomainCommits.Load()
-	out.CrossDomainAborts += sh.CrossDomainAborts.Load()
-	out.DomainRingRollovers += sh.DomainRingRollovers.Load()
+// Snapshot copies the shard's counters. Any thread may take it while the
+// owner runs.
+func (sh *Shard) Snapshot() Snapshot {
+	var out Snapshot
+	out.add(sh)
+	return out
 }
 
 // Stats aggregates transaction outcomes across per-thread shards. The hot
@@ -261,86 +239,55 @@ func (s *Stats) Commits() uint64 { return s.Snapshot().Commits() }
 func (s *Stats) Aborts() uint64 { return s.Snapshot().Aborts() }
 
 // SerialNanos returns the accumulated globally-serialized execution time.
-func (s *Stats) SerialNanos() int64 { return s.Snapshot().SerialNanos }
+func (s *Stats) SerialNanos() int64 { return int64(s.Snapshot().SerialNanos) }
 
 // Reset zeroes every counter (between measurement phases). Existing Shard
 // pointers remain valid: counters are cleared in place.
 func (s *Stats) Reset() {
 	for _, sh := range s.shards.All() {
-		sh.reset()
+		c := sh.list()
+		for i := range c {
+			c[i].v.Store(0)
+		}
 	}
 }
 
 // Snapshot is a plain copy of the counters for reporting.
-type Snapshot struct {
-	CommitsHTM          uint64 `json:"commits_htm"`
-	CommitsSW           uint64 `json:"commits_sw"`
-	CommitsGL           uint64 `json:"commits_gl"`
-	AbortsConflict      uint64 `json:"aborts_conflict"`
-	AbortsCapacity      uint64 `json:"aborts_capacity"`
-	AbortsExplicit      uint64 `json:"aborts_explicit"`
-	AbortsOther         uint64 `json:"aborts_other"`
-	SerialNanos         int64  `json:"serial_nanos"`
-	EscalationsBudget   uint64 `json:"escalations_budget"`
-	EscalationsStarve   uint64 `json:"escalations_starve"`
-	FaultsInjected      uint64 `json:"faults_injected"`
-	BreakerTrips        uint64 `json:"breaker_trips,omitempty"`
-	BreakerProbes       uint64 `json:"breaker_probes,omitempty"`
-	BreakerCloses       uint64 `json:"breaker_closes,omitempty"`
-	BreakerSlow         uint64 `json:"breaker_slow,omitempty"`
-	WatchdogAlarms      uint64 `json:"watchdog_alarms,omitempty"`
-	CrossDomainCommits  uint64 `json:"cross_domain_commits,omitempty"`
-	CrossDomainAborts   uint64 `json:"cross_domain_aborts,omitempty"`
-	DomainRingRollovers uint64 `json:"domain_ring_rollovers,omitempty"`
+type Snapshot counters[uint64]
+
+// Counters returns the snapshot's counters as an array, in declaration
+// order: the order of its json keys.
+func (s *Snapshot) Counters() *[numCounters]uint64 { return (*counters[uint64])(s).list() }
+
+// add folds the shard's counters into the snapshot.
+func (s *Snapshot) add(sh *Shard) {
+	o, c := s.Counters(), sh.list()
+	for i := range c {
+		o[i] += c[i].Load()
+	}
 }
 
 // Snapshot sums the per-thread shards into one coherent copy.
 func (s *Stats) Snapshot() Snapshot {
 	var out Snapshot
 	for _, sh := range s.shards.All() {
-		sh.add(&out)
+		out.add(sh)
 	}
 	return out
 }
 
-// sub returns a-b clamped at zero, so a counter that was Reset between
-// two snapshots (prev larger than cur) reads as zero progress instead of
-// wrapping around.
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// Delta returns the per-counter difference s - prev, each field clamped
+// Delta returns the per-counter difference s - prev, each counter clamped
 // at zero. It turns two cumulative snapshots into the activity between
 // them — the rate view the flight recorder's triggers read — and tolerates a
-// Stats.Reset between the two samples (every field of the later snapshot
+// Stats.Reset between the two samples (every counter of the later snapshot
 // is then smaller, and the delta reads zero rather than underflowing).
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		CommitsHTM:          sub(s.CommitsHTM, prev.CommitsHTM),
-		CommitsSW:           sub(s.CommitsSW, prev.CommitsSW),
-		CommitsGL:           sub(s.CommitsGL, prev.CommitsGL),
-		AbortsConflict:      sub(s.AbortsConflict, prev.AbortsConflict),
-		AbortsCapacity:      sub(s.AbortsCapacity, prev.AbortsCapacity),
-		AbortsExplicit:      sub(s.AbortsExplicit, prev.AbortsExplicit),
-		AbortsOther:         sub(s.AbortsOther, prev.AbortsOther),
-		EscalationsBudget:   sub(s.EscalationsBudget, prev.EscalationsBudget),
-		EscalationsStarve:   sub(s.EscalationsStarve, prev.EscalationsStarve),
-		FaultsInjected:      sub(s.FaultsInjected, prev.FaultsInjected),
-		BreakerTrips:        sub(s.BreakerTrips, prev.BreakerTrips),
-		BreakerProbes:       sub(s.BreakerProbes, prev.BreakerProbes),
-		BreakerCloses:       sub(s.BreakerCloses, prev.BreakerCloses),
-		BreakerSlow:         sub(s.BreakerSlow, prev.BreakerSlow),
-		WatchdogAlarms:      sub(s.WatchdogAlarms, prev.WatchdogAlarms),
-		CrossDomainCommits:  sub(s.CrossDomainCommits, prev.CrossDomainCommits),
-		CrossDomainAborts:   sub(s.CrossDomainAborts, prev.CrossDomainAborts),
-		DomainRingRollovers: sub(s.DomainRingRollovers, prev.DomainRingRollovers),
-	}
-	if s.SerialNanos > prev.SerialNanos {
-		d.SerialNanos = s.SerialNanos - prev.SerialNanos
+	var d Snapshot
+	o, a, b := d.Counters(), s.Counters(), prev.Counters()
+	for i := range o {
+		if a[i] > b[i] {
+			o[i] = a[i] - b[i]
+		}
 	}
 	return d
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/htm"
+	"repro/internal/abort"
 )
 
 func TestStatsCommitAndAbortTotals(t *testing.T) {
@@ -18,31 +18,31 @@ func TestStatsCommitAndAbortTotals(t *testing.T) {
 	if got := s.Commits(); got != 9 {
 		t.Fatalf("Commits = %d", got)
 	}
-	sh.RecordAbort(htm.Conflict)
-	sh.RecordAbort(htm.Capacity)
-	s.Shard(1).RecordAbort(htm.Capacity)
-	sh.RecordAbort(htm.Explicit)
-	sh.RecordAbort(htm.Other)
+	sh.RecordAbort(abort.Conflict)
+	sh.RecordAbort(abort.Capacity)
+	s.Shard(1).RecordAbort(abort.Capacity)
+	sh.RecordAbort(abort.Explicit)
+	sh.RecordAbort(abort.Other)
 	if got := s.Aborts(); got != 5 {
 		t.Fatalf("Aborts = %d", got)
 	}
 	if got := s.Snapshot().AbortsCapacity; got != 2 {
 		t.Fatalf("capacity = %d", got)
 	}
-	// NoAbort must not be counted.
-	sh.RecordAbort(htm.NoAbort)
+	// abort.None must not be counted.
+	sh.RecordAbort(abort.None)
 	if got := s.Aborts(); got != 5 {
-		t.Fatalf("Aborts after NoAbort = %d", got)
+		t.Fatalf("Aborts after abort.None = %d", got)
 	}
 }
 
 func TestStatsSnapshotAndReset(t *testing.T) {
 	var s Stats
 	s.Shard(0).CommitsHTM.Inc()
-	s.Shard(0).RecordAbort(htm.Conflict)
+	s.Shard(0).RecordAbort(abort.Conflict)
 	s.Shard(2).AddSerial(3 * time.Millisecond)
 	snap := s.Snapshot()
-	if snap.CommitsHTM != 1 || snap.AbortsConflict != 1 || snap.SerialNanos != int64(3*time.Millisecond) {
+	if snap.CommitsHTM != 1 || snap.AbortsConflict != 1 || snap.SerialNanos != uint64(3*time.Millisecond) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if snap.Commits() != 1 || snap.Aborts() != 1 {
@@ -59,85 +59,76 @@ func TestStatsSnapshotAndReset(t *testing.T) {
 	}
 }
 
-// shardCounterFields returns the names of Shard's counter fields, failing
-// the test on any field that is neither a Counter nor padding.
-func shardCounterFields(t *testing.T) []string {
-	t.Helper()
-	var names []string
-	st := reflect.TypeOf(Shard{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Name == "_" {
-			continue // cache-line padding
-		}
-		if f.Type != reflect.TypeOf(Counter{}) {
-			t.Fatalf("Shard field %s has type %s, want tm.Counter", f.Name, f.Type)
-		}
-		names = append(names, f.Name)
-	}
-	return names
-}
-
-// TestShardAndSnapshotCoverEveryCounter walks the Shard struct by
-// reflection: every counter must have a same-named Snapshot field, survive
-// aggregation across multiple shards, and be zeroed by Reset — so a counter
-// added to Shard but forgotten in Snapshot, Shard.add, Shard.reset, or the
-// Snapshot struct fails here instead of silently leaking or vanishing.
+// TestShardAndSnapshotCoverEveryCounter checks the array view that Reset,
+// Snapshot and Delta walk, and that each of them reaches every counter.
+// Both instantiations of the counter list must hold numCounters eight-byte
+// fields at offsets 8*i, so element i of the view is field i; the values
+// below are set and read by reflection, field by field, not through it.
 func TestShardAndSnapshotCoverEveryCounter(t *testing.T) {
-	names := shardCounterFields(t)
-	snapType := reflect.TypeOf(Snapshot{})
-	if got, want := snapType.NumField(), len(names); got != want {
-		t.Fatalf("Snapshot has %d fields, Shard has %d counters", got, want)
+	for _, typ := range []reflect.Type{reflect.TypeOf(counters[Counter]{}), reflect.TypeOf(Snapshot{})} {
+		if got := typ.NumField(); got != int(numCounters) {
+			t.Fatalf("%s has %d fields, numCounters is %d", typ, got, numCounters)
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Offset != uintptr(8*i) || f.Type.Size() != 8 {
+				t.Errorf("%s field %s: offset %d, size %d; want offset %d, size 8",
+					typ, f.Name, f.Offset, f.Type.Size(), 8*i)
+			}
+		}
 	}
+	if f := reflect.TypeOf(Shard{}).Field(0); !f.Anonymous || f.Offset != 0 {
+		t.Fatalf("Shard's first field is %s at offset %d, want the embedded counter list at 0", f.Name, f.Offset)
+	}
+	counter := func(sh *Shard, i int) *Counter {
+		return reflect.ValueOf(sh).Elem().Field(0).Field(i).Addr().Interface().(*Counter)
+	}
+	field := func(snap Snapshot, i int) uint64 { return reflect.ValueOf(snap).Field(i).Uint() }
 
 	var s Stats
-	// Distinct values in two shards: field i carries i+1 in shard 0 and
+	// Distinct values in two shards: counter i carries i+1 in shard 0 and
 	// 10*(i+1) in shard 3, so the snapshot must show 11*(i+1).
 	for si, scale := range map[int]uint64{0: 1, 3: 10} {
-		sv := reflect.ValueOf(s.Shard(si)).Elem()
-		for i, name := range names {
-			c := sv.FieldByName(name).Addr().Interface().(*Counter)
-			c.Add(scale * uint64(i+1))
+		for i := 0; i < int(numCounters); i++ {
+			counter(s.Shard(si), i).Add(scale * uint64(i+1))
 		}
 	}
-	snap := reflect.ValueOf(s.Snapshot())
-	for i, name := range names {
-		f := snap.FieldByName(name)
-		if !f.IsValid() {
-			t.Errorf("Snapshot has no field %s", name)
-			continue
+	snap, shard3 := s.Snapshot(), s.Shard(3).Snapshot()
+	var prev Snapshot
+	for i := 0; i < int(numCounters); i++ {
+		reflect.ValueOf(&prev).Elem().Field(i).SetUint(uint64(i + 1))
+	}
+	up, down := snap.Delta(prev), prev.Delta(snap)
+	for i := 0; i < int(numCounters); i++ {
+		name := reflect.TypeOf(snap).Field(i).Name
+		if got, want := field(snap, i), 11*uint64(i+1); got != want {
+			t.Errorf("Snapshot %s = %d, want %d", name, got, want)
 		}
-		var got uint64
-		switch v := f.Interface().(type) {
-		case uint64:
-			got = v
-		case int64:
-			got = uint64(v)
-		default:
-			t.Fatalf("Snapshot field %s has unhandled type %T", name, v)
+		if got, want := field(shard3, i), 10*uint64(i+1); got != want {
+			t.Errorf("Shard.Snapshot %s = %d, want %d", name, got, want)
 		}
-		if want := 11 * uint64(i+1); got != want {
-			t.Errorf("Snapshot field %s = %d, want %d", name, got, want)
+		if got, want := field(up, i), 10*uint64(i+1); got != want {
+			t.Errorf("Delta %s = %d, want %d", name, got, want)
+		}
+		if got := field(down, i); got != 0 {
+			t.Errorf("Delta from a larger snapshot: %s = %d, want 0", name, got)
 		}
 	}
 
 	s.Reset()
 	for _, si := range []int{0, 3} {
-		sv := reflect.ValueOf(s.Shard(si)).Elem()
-		for _, name := range names {
-			c := sv.FieldByName(name).Addr().Interface().(*Counter)
-			if got := c.Load(); got != 0 {
-				t.Errorf("Reset left shard %d field %s = %d", si, name, got)
+		for i := 0; i < int(numCounters); i++ {
+			if got := counter(s.Shard(si), i).Load(); got != 0 {
+				t.Errorf("Reset left shard %d counter %d = %d", si, i, got)
 			}
 		}
 	}
 }
 
-// TestShardPadding: a shard must span whole cache lines so two threads'
+// TestShardPadding: a shard spans three whole cache lines (192 bytes), so two threads'
 // shards never share one.
 func TestShardPadding(t *testing.T) {
-	if sz := reflect.TypeOf(Shard{}).Size(); sz%64 != 0 {
-		t.Fatalf("Shard size %d is not a multiple of the 64-byte line", sz)
+	if sz := reflect.TypeOf(Shard{}).Size(); sz%64 != 0 || sz != 192 {
+		t.Fatalf("Shard size %d, want 192: three whole 64-byte lines", sz)
 	}
 }
 
@@ -192,7 +183,7 @@ func TestStatsParallelHammer(t *testing.T) {
 				case 2:
 					sh.CommitsGL.Inc()
 				}
-				sh.RecordAbort(htm.AbortReason(1 + i%4))
+				sh.RecordAbort(abort.Reason(1 + i%4))
 				sh.AddSerial(time.Nanosecond)
 			}
 		}(th)
@@ -208,7 +199,7 @@ func TestStatsParallelHammer(t *testing.T) {
 	if got, want := snap.Aborts(), uint64(threads*perThread); got != want {
 		t.Fatalf("Aborts = %d, want %d", got, want)
 	}
-	if got, want := snap.SerialNanos, int64(threads*perThread); got != want {
+	if got, want := snap.SerialNanos, uint64(threads*perThread); got != want {
 		t.Fatalf("SerialNanos = %d, want %d", got, want)
 	}
 	// Per-shard activity must sum to the whole: no counts leaked across

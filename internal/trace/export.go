@@ -80,11 +80,11 @@ func (x *exporter) thread(tid int, evs []Event) {
 			tx = openTx{id: e.ID, beginTS: e.TS, attempTS: e.TS, open: true}
 			x.instant(e.TS, tid, "begin", map[string]string{"tx": flowID(e.ID)})
 		case EvHWAbort, EvSWAbort:
-			args := map[string]string{"cause": CauseName(e.Cause)}
+			args := map[string]string{"cause": e.Cause.String()}
 			x.instant(e.TS, tid, e.Kind.String(), args)
 			if tx.open && e.ID == tx.id {
 				x.add(ChromeEvent{
-					Name: fmt.Sprintf("attempt %d (%s:%s)", tx.attempt, e.Kind, CauseName(e.Cause)),
+					Name: fmt.Sprintf("attempt %d (%s:%s)", tx.attempt, e.Kind, e.Cause),
 					Ph:   "X", Cat: "attempt",
 					TS: usec(tx.attempTS), Dur: usec(e.TS - tx.attempTS), TID: tid,
 				})
@@ -191,7 +191,7 @@ func writeTextEvent(w io.Writer, e Event) error {
 	switch e.Kind {
 	case EvHWAbort, EvSWAbort:
 		_, err = fmt.Fprintf(w, "%12d t%02d %-16s tx=%#x cause=%s\n",
-			e.TS, e.Thread, e.Kind, e.ID, CauseName(e.Cause))
+			e.TS, e.Thread, e.Kind, e.ID, e.Cause)
 	case EvCommit:
 		_, err = fmt.Fprintf(w, "%12d t%02d %-16s tx=%#x path=%s\n",
 			e.TS, e.Thread, e.Kind, e.ID, PathName(e.Path))

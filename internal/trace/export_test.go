@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"repro/internal/abort"
+
 	"bytes"
 	"encoding/json"
 	"strconv"
@@ -18,8 +20,8 @@ func scriptedSink() *Sink {
 	tx0 := uint64(0)<<32 | 1
 	b0.Record(100, EvBegin, tx0, 0, 0, 0)
 	b0.Record(110, EvPathFast, tx0, 0, 0, 0)
-	b0.Record(200, EvHWAbort, tx0, 0, CauseConflict, 0)
-	b0.Record(300, EvHWAbort, tx0, 0, CauseCapacity, 0)
+	b0.Record(200, EvHWAbort, tx0, 0, abort.Conflict, 0)
+	b0.Record(300, EvHWAbort, tx0, 0, abort.Capacity, 0)
 	b0.Record(310, EvPathPart, tx0, 0, 0, 0)
 	b0.Record(320, EvSubBegin, tx0, 0, 0, 0)
 	b0.Record(350, EvSubCommit, tx0, 0, 0, 0)

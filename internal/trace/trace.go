@@ -1,7 +1,7 @@
 // Package trace is the transaction-lifecycle flight recorder: per-thread,
 // fixed-capacity, allocation-free event ring buffers recording every step
 // a transaction takes through a TM system — begin, hardware aborts with
-// their cause, path transitions fast→partitioned→slow, sub-HTM
+// their cause (an abort.Reason), path transitions fast→partitioned→slow, sub-HTM
 // begin/commit, lock-signature traffic, ring publication, lemming waits,
 // contention-manager escalations, and the final commit — plus per-path
 // and per-abort-cause latency histograms.
@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/abort"
 	"repro/internal/perthread"
 	"repro/internal/trace/hist"
 )
@@ -160,35 +161,6 @@ func PathName(p uint8) string {
 	return fmt.Sprintf("path(%d)", p)
 }
 
-// Abort causes, mirroring the htm.AbortReason taxonomy (trace does not
-// import htm so the hardware model stays below this layer; exec converts
-// with a plain uint8 cast, pinned by a test there).
-const (
-	CauseNone     uint8 = iota
-	CauseConflict       // another thread touched a monitored line
-	CauseCapacity       // transactional footprint exceeded the cache
-	CauseExplicit       // the program aborted (xabort)
-	CauseOther          // any other hardware event (timer interrupt)
-	CauseCount
-)
-
-// CauseName returns the stable short name of an abort cause.
-func CauseName(c uint8) string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseConflict:
-		return "conflict"
-	case CauseCapacity:
-		return "capacity"
-	case CauseExplicit:
-		return "explicit"
-	case CauseOther:
-		return "other"
-	}
-	return fmt.Sprintf("cause(%d)", c)
-}
-
 // Event is one fixed-size lifecycle record. ID ties every event of one
 // transaction together across its retries: the exporter links them with
 // flow arrows.
@@ -197,8 +169,8 @@ type Event struct {
 	ID     uint64 // thread<<32 | per-thread transaction sequence
 	Arg    uint64 // event-specific payload
 	Kind   Kind
-	Cause  uint8 // abort taxonomy (EvHWAbort/EvSWAbort)
-	Path   uint8 // execution path (EvCommit)
+	Cause  abort.Reason // abort taxonomy (EvHWAbort/EvSWAbort)
+	Path   uint8        // execution path (EvCommit)
 	Thread int32
 }
 
@@ -227,7 +199,7 @@ type Buffer struct {
 // and htmsafe by construction: a masked array store and a cursor bump.
 // All Record* methods tolerate a nil receiver as a no-op, so the disabled
 // fast path is a single branch.
-func (b *Buffer) Record(ts int64, k Kind, id, arg uint64, cause, path uint8) {
+func (b *Buffer) Record(ts int64, k Kind, id, arg uint64, cause abort.Reason, path uint8) {
 	if b == nil {
 		return
 	}
@@ -301,7 +273,7 @@ func (b *Buffer) Events(out []Event) []Event {
 // single-writer discipline as Buffer.
 type LatShard struct {
 	Path  [PathCount]hist.Histogram
-	Abort [CauseCount]hist.Histogram
+	Abort [abort.Count]hist.Histogram
 	_     [64]byte
 }
 
@@ -442,8 +414,8 @@ func statOf(h *hist.Histogram) LatencyStat {
 
 // LatencySnapshot is the merged view of every thread's latency shard.
 type LatencySnapshot struct {
-	Path  [PathCount]LatencyStat  // commit latency per execution path
-	Abort [CauseCount]LatencyStat // begin-to-abort latency per cause
+	Path  [PathCount]LatencyStat   // commit latency per execution path
+	Abort [abort.Count]LatencyStat // begin-to-abort latency per cause
 }
 
 // Latency merges the per-thread shards into one snapshot. Concurrent
@@ -459,7 +431,7 @@ func (s *Sink) Latency() LatencySnapshot {
 		}
 		snap.Path[p] = statOf(&m)
 	}
-	for c := 0; c < int(CauseCount); c++ {
+	for c := range snap.Abort {
 		var m hist.Histogram
 		for _, sh := range shards {
 			m.Merge(&sh.Abort[c])

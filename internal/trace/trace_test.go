@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/perthread"
 )
 
@@ -134,7 +135,7 @@ func TestLatencySnapshotAndReset(t *testing.T) {
 	l := s.Lat(0)
 	for i := 0; i < 100; i++ {
 		l.Path[PathHTM].Add(1000)
-		l.Abort[CauseConflict].Add(50)
+		l.Abort[abort.Conflict].Add(50)
 	}
 	l2 := s.Lat(1)
 	for i := 0; i < 100; i++ {
@@ -150,15 +151,15 @@ func TestLatencySnapshotAndReset(t *testing.T) {
 	if snap.Path[PathHTM].P99 < 2800 || snap.Path[PathHTM].P99 > 3200 {
 		t.Errorf("p99 = %d, want ~3000", snap.Path[PathHTM].P99)
 	}
-	if snap.Abort[CauseConflict].Count != 100 {
-		t.Fatalf("abort count = %d, want 100", snap.Abort[CauseConflict].Count)
+	if snap.Abort[abort.Conflict].Count != 100 {
+		t.Fatalf("abort count = %d, want 100", snap.Abort[abort.Conflict].Count)
 	}
 	if snap.Path[PathGL].Count != 0 {
 		t.Fatal("untouched path must stay empty")
 	}
 	s.ResetLatency()
 	snap = s.Latency()
-	if snap.Path[PathHTM].Count != 0 || snap.Abort[CauseConflict].Count != 0 {
+	if snap.Path[PathHTM].Count != 0 || snap.Abort[abort.Conflict].Count != 0 {
 		t.Fatal("ResetLatency must zero every shard")
 	}
 }
@@ -178,12 +179,8 @@ func TestKindAndEnumNames(t *testing.T) {
 	if PathName(PathHTM) != "htm" || PathName(PathSW) != "sw" || PathName(PathGL) != "gl" {
 		t.Error("path names changed; exporter and result tables depend on them")
 	}
-	if CauseName(CauseConflict) != "conflict" || CauseName(CauseCapacity) != "capacity" ||
-		CauseName(CauseExplicit) != "explicit" || CauseName(CauseOther) != "other" {
-		t.Error("cause names changed; exporter depends on them")
-	}
-	if PathName(9) == "" || CauseName(9) == "" {
-		t.Error("out-of-range path/cause must format numerically")
+	if PathName(9) == "" {
+		t.Error("out-of-range path must format numerically")
 	}
 }
 
