@@ -17,7 +17,7 @@
 //	parthtm-bench -exp soak -campaign storm  # multi-phase chaos campaign
 //	parthtm-bench -exp table1,chaos -governor    # several experiments, governed
 //	parthtm-bench -exp chaos -prof               # abort-attribution profile
-//	parthtm-bench -exp heatmap -prof-check       # assert the planted hotspot is found
+//	parthtm-bench -exp heatmap                   # fails unless the planted hotspot is found
 //	parthtm-bench -exp domains                   # sharded-domain sweep (N x cross-ratio)
 //	parthtm-bench -exp domains -domains 1,4 -cross 0,0.2
 //	parthtm-bench -exp soak -flight /tmp/flight  # black-box flight recorder
@@ -57,10 +57,10 @@
 // With -prof the run attaches the abort-attribution profiler to every
 // system: report rows gain the hot-conflict-line table (SpaceSaving top-K)
 // and footprint quantiles per commit-path class and outcome (the counter
-// time series of a run is -flight's metrics CSV). -prof-check makes
-// profiled experiments assert their acceptance invariants (the heatmap
-// experiment fails unless the planted hot line ranks top of the sketch and
-// the packed layout shows the conflict-abort excess); it implies -prof.
+// time series of a run is -flight's metrics CSV). The heatmap experiment,
+// the profiler's acceptance experiment, always profiles and fails unless
+// the planted hot line ranks top of the sketch and the packed layout shows
+// the conflict-abort excess.
 //
 // The command prints what one run measured on the host it ran on; it does
 // not judge a change. That is done with the benchmark module (benchmark/):
@@ -105,7 +105,6 @@ func main() {
 		governed = flag.Bool("governor", false, "attach a resource governor (per-thread HTM circuit breaker) to every system")
 		campaign = flag.String("campaign", "", "soak chaos-campaign preset: storm (default) or ramp")
 		profOn   = flag.Bool("prof", false, "attach the abort-attribution profiler: hot-line and footprint report tables")
-		profChk  = flag.Bool("prof-check", false, "fail experiments whose profile acceptance checks do not hold (heatmap); implies -prof")
 		domains  = flag.String("domains", "", "comma-separated domain counts for the domains experiment (default 1,2,4,8)")
 		crossR   = flag.String("cross", "", "comma-separated cross-domain ratios in [0,1] for the domains experiment (default 0,0.2)")
 		flight   = flag.String("flight", "", "enable the black-box flight recorder, dumping artifacts into this directory")
@@ -185,9 +184,8 @@ func main() {
 		sink = trace.NewSink(*traceCap)
 		opts.Trace = sink
 	}
-	if *profOn || *profChk {
+	if *profOn {
 		opts.Profile = prof.New(prof.Config{})
-		opts.ProfCheck = *profChk
 	}
 	if *wdIntvl > 0 || *wdStall > 0 {
 		wcfg := governor.DefaultWatchdogConfig()

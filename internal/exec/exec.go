@@ -17,6 +17,7 @@ package exec
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/abort"
@@ -85,8 +86,8 @@ type Txn struct {
 	Mid func() bool
 	// Slow runs the transaction to guaranteed completion (global lock).
 	// nil means the system has no slow path: its unbounded Mid level is the
-	// guaranteed one, and the governor's Serialize verdicts, which act by
-	// serializing, do not apply to it.
+	// guaranteed one, and an open circuit breaker, which acts by
+	// serializing, does not apply to it.
 	Slow func()
 	// Domains, when non-nil, reports how many memory domains the most
 	// recent fast or mid attempt touched (sharded-domain systems only).
@@ -96,8 +97,8 @@ type Txn struct {
 }
 
 // Thread is one thread's kernel-side state: its stats shard, contention
-// budget, starvation score, and backoff PRNG. Obtain via Runner.Thread and use
-// from one goroutine at a time.
+// budget, starvation score, circuit breaker, and backoff PRNG. Obtain via
+// Runner.Thread and use from one goroutine at a time.
 type Thread struct {
 	r  *Runner
 	id int
@@ -119,11 +120,17 @@ type Thread struct {
 	txID    uint64
 	beginTS int64
 
-	// Governor state (nil gv = no governor; the hot path pays one branch,
-	// mirroring the tracing plumbing). lastPath remembers the committing
-	// path for the breaker's Finish feedback.
-	gv       *governor.State
-	lastPath uint8
+	// Circuit-breaker state, advanced only while a governor is attached
+	// (the hot path pays one branch, mirroring the tracing plumbing).
+	// lastPath remembers the committing path for cmFinish.
+	sinceTrip uint64 // transactions begun since the breaker last tripped
+	streak    int32  // consecutive hardware-failed, lock-saved transactions
+	open      bool   // breaker open: hardware attempts suspended
+	sawHW     bool   // current transaction suffered >= 1 hardware abort
+	lastPath  uint8
+	// active is set for the length of Run. The owner only stores; any
+	// goroutine reads it through Runner.Inflight.
+	active atomic.Bool
 }
 
 // Shard returns the thread's stats shard (for system-specific counters the
@@ -146,9 +153,7 @@ func (t *Thread) NoteHWAbort(res htm.Result) {
 	if res.Injected {
 		t.sh.FaultsInjected.Inc()
 	}
-	if t.gv != nil {
-		t.gv.NoteHWAbort() // circuit-breaker evidence
-	}
+	t.sawHW = true // circuit-breaker evidence
 	if t.r.pol.RetryBudget > 0 {
 		t.budget--
 	}
@@ -185,9 +190,16 @@ func (t *Thread) traceBegin() {
 	t.buf.Record(ts, trace.EvBegin, t.txID, 0, 0, 0)
 }
 
-// traceCommit closes the scope: the commit event tagged with the final
-// execution path, and the begin-to-commit latency for that path.
-func (t *Thread) traceCommit(path uint8) {
+// commit accounts the transaction's commit on path: its counter c, the
+// cross-domain count when domains reports more than one domain (nil for the
+// slow path, which counts none), the path cmFinish reads, and the trace
+// scope's close — the commit event and the begin-to-commit latency.
+func (t *Thread) commit(c *tm.Counter, domains func() int, path uint8) {
+	c.Inc()
+	if domains != nil && domains() > 1 {
+		t.sh.CrossDomainCommits.Inc()
+	}
+	t.lastPath = path
 	if t.buf == nil {
 		return
 	}
@@ -227,7 +239,9 @@ type Runner struct {
 	// current system: the global lock) is open. nil means ungated.
 	gateFree func() bool
 
-	mu      sync.Mutex // guards the trace sink, the governor, and the profile
+	// mu guards the trace sink, the governor, and the profile. Run reads
+	// gov without it: SetGovernor is called only while no transaction runs.
+	mu      sync.Mutex
 	threads perthread.Set[Thread]
 	sink    *trace.Sink
 	gov     *governor.Governor
@@ -257,9 +271,6 @@ func (r *Runner) newThread(id int) *Thread {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t.buf, t.lat = r.sink.Thread(id), r.sink.Lat(id)
-	if r.gov != nil {
-		t.gv = r.gov.State(id)
-	}
 	return t
 }
 
@@ -283,21 +294,15 @@ func (r *Runner) TraceSink() *trace.Sink {
 	return r.sink
 }
 
-// SetGovernor attaches the resource governor (nil detaches): every existing
-// and future Thread gets its per-thread governor cell. Like SetTrace it
-// must not be flipped while transactions run — attach before starting
-// workers.
+// SetGovernor attaches the resource governor (nil detaches): while one is
+// attached every thread runs the circuit breaker its Config sets and keeps
+// the in-flight flag Inflight sums. The breaker's state is the thread's and
+// outlives a detach. Like SetTrace it must not be flipped while
+// transactions run — attach before starting workers.
 func (r *Runner) SetGovernor(g *governor.Governor) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.gov = g
-	r.mu.Unlock()
-	for _, t := range r.threads.All() {
-		if g != nil {
-			t.gv = g.State(t.id)
-		} else {
-			t.gv = nil
-		}
-	}
 }
 
 // Governor returns the attached governor (nil when none).
@@ -305,6 +310,20 @@ func (r *Runner) Governor() *governor.Governor {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.gov
+}
+
+// Inflight returns how many threads are inside Run right now; it counts
+// only while a governor is attached. Any goroutine may call it (the
+// watchdog and the obs sampler do); the count is a sum of per-thread flags,
+// not one coherent instant.
+func (r *Runner) Inflight() int64 {
+	var n int64
+	for _, t := range r.threads.All() {
+		if t.active.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // SetProfile attaches the abort-attribution profiler to the runner (nil
@@ -325,12 +344,15 @@ func (r *Runner) Profile() *prof.Profile {
 	return r.prof
 }
 
-// escalation kinds, matching the tm.Stats escalation counters.
-type escalation uint8
+// route names why a transaction goes straight to the slow path. The two
+// escalations match the tm.Stats escalation counters, and their values are
+// EvEscalate's argument.
+type route uint8
 
 const (
-	escBudget escalation = iota
-	escStarve
+	routeBudget  route = iota // the hardware-abort budget ran out
+	routeStarve               // the starvation score reached its threshold
+	routeBreaker              // the thread's circuit breaker is open
 )
 
 // Run executes one transaction for thread id through the policy's levels.
@@ -342,23 +364,26 @@ func (r *Runner) Run(id int, txn *Txn) {
 	t.traceBegin()
 	defer r.cmFinish(t)
 
-	// Governor admission: the per-thread circuit breaker acts before any
-	// work is done. A Serialize verdict needs a slow path to serialize
-	// onto — the pure STMs and NOrecRH (no Slow) run their normal schedule
-	// regardless, whose unbounded software loop is their guaranteed path.
+	// The circuit breaker acts before any work is done: while it is open a
+	// transaction serializes, except every ProbeEvery-th, which retries the
+	// hardware as a half-open probe. Serializing needs a slow path to
+	// serialize onto — the pure STMs and NOrecRH (no Slow) run their normal
+	// schedule regardless, whose unbounded software loop is their
+	// guaranteed path.
 	probe := false
-	if t.gv != nil {
-		switch r.gov.Begin(t.gv) {
-		case governor.Serialize:
-			if txn.Slow != nil {
-				t.sh.BreakerSlow.Inc()
-				r.runSlow(t, txn)
+	if r.gov != nil {
+		t.active.Store(true)
+		t.sawHW = false
+		if t.open {
+			t.sinceTrip++
+			if t.sinceTrip%governor.ProbeEvery == 0 {
+				probe = true
+				t.sh.BreakerProbes.Inc()
+				t.TraceEvent(trace.EvBreakerProbe, 0)
+			} else if txn.Slow != nil {
+				r.serialize(t, txn, routeBreaker)
 				return
 			}
-		case governor.Probe:
-			probe = true
-			t.sh.BreakerProbes.Inc()
-			t.TraceEvent(trace.EvBreakerProbe, 0)
 		}
 	}
 
@@ -370,12 +395,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 			r.awaitGate(t)
 			res := txn.Fast()
 			if res.Committed {
-				t.sh.CommitsHTM.Inc()
-				if txn.Domains != nil && txn.Domains() > 1 {
-					t.sh.CrossDomainCommits.Inc()
-				}
-				t.lastPath = trace.PathHTM
-				t.traceCommit(trace.PathHTM)
+				t.commit(&t.sh.CommitsHTM, txn.Domains, trace.PathHTM)
 				return
 			}
 			t.sh.RecordAbort(res.Reason)
@@ -384,8 +404,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 			}
 			t.NoteHWAbort(res)
 			if t.budgetExhausted() {
-				r.escalate(t, escBudget)
-				r.runSlow(t, txn)
+				r.serialize(t, txn, routeBudget)
 				return
 			}
 			if r.pol.StopFastOnResource && (res.Reason == abort.Capacity || res.Reason == abort.Other) {
@@ -403,12 +422,7 @@ func (r *Runner) Run(id int, txn *Txn) {
 				r.awaitGate(t)
 			}
 			if txn.Mid() {
-				t.sh.CommitsSW.Inc()
-				if txn.Domains != nil && txn.Domains() > 1 {
-					t.sh.CrossDomainCommits.Inc()
-				}
-				t.lastPath = trace.PathSW
-				t.traceCommit(trace.PathSW)
+				t.commit(&t.sh.CommitsSW, txn.Domains, trace.PathSW)
 				return
 			}
 			t.sh.AbortsConflict.Inc()
@@ -418,15 +432,13 @@ func (r *Runner) Run(id int, txn *Txn) {
 			t.traceSWAbort()
 			t.starve++
 			if t.budgetExhausted() {
-				r.escalate(t, escBudget)
-				r.runSlow(t, txn)
+				r.serialize(t, txn, routeBudget)
 				return
 			}
 			if r.pol.StarveThreshold > 0 && t.starve >= r.pol.StarveThreshold {
 				// A starving transaction serializes: it cannot lose
 				// another conflict on the slow path.
-				r.escalate(t, escStarve)
-				r.runSlow(t, txn)
+				r.serialize(t, txn, routeStarve)
 				return
 			}
 			if r.pol.Backoff {
@@ -438,42 +450,66 @@ func (r *Runner) Run(id int, txn *Txn) {
 	r.runSlow(t, txn)
 }
 
+// serialize records why the transaction skips the rest of its schedule and
+// runs the slow path; a transaction takes at most one route.
+func (r *Runner) serialize(t *Thread, txn *Txn, why route) {
+	switch why {
+	case routeBudget:
+		t.sh.EscalationsBudget.Inc()
+		t.TraceEvent(trace.EvEscalate, uint64(why))
+	case routeStarve:
+		t.sh.EscalationsStarve.Inc()
+		t.TraceEvent(trace.EvEscalate, uint64(why))
+	case routeBreaker:
+		t.sh.BreakerSlow.Inc()
+	}
+	r.runSlow(t, txn)
+}
+
 // runSlow runs the guaranteed level and accounts the commit.
 func (r *Runner) runSlow(t *Thread, txn *Txn) {
 	t.TraceEvent(trace.EvPathSlow, 0)
 	txn.Slow()
-	t.sh.CommitsGL.Inc()
-	t.lastPath = trace.PathGL
-	t.traceCommit(trace.PathGL)
+	t.commit(&t.sh.CommitsGL, nil, trace.PathGL)
 }
 
 // cmFinish closes the transaction's contention-manager scope after the
-// commit (every Run commits): the starvation score decays.
+// commit (every Run commits): the circuit breaker advances on the final
+// path and the starvation score decays. A whole-hardware commit resets the
+// breaker's failure streak and closes it if open; a transaction that
+// suffered hardware aborts and was saved by the global-lock path lengthens
+// the streak, tripping the breaker at the governor's threshold. Software
+// commits leave the streak unchanged — they neither prove nor disprove the
+// hardware.
 func (r *Runner) cmFinish(t *Thread) {
-	if t.gv != nil {
-		// Breaker feedback on the final path: a hardware commit closes an
-		// open breaker, a lock-saved hardware failure feeds the trip streak.
-		switch r.gov.Finish(t.gv, t.lastPath) {
-		case governor.TransTrip:
-			t.sh.BreakerTrips.Inc()
-			t.TraceEvent(trace.EvBreakerTrip, 0)
-		case governor.TransClose:
-			t.sh.BreakerCloses.Inc()
-			t.TraceEvent(trace.EvBreakerClose, 0)
+	if r.gov != nil {
+		t.active.Store(false)
+		switch threshold := r.gov.Config().BreakerThreshold; {
+		case threshold <= 0:
+			// The breaker is off.
+		case t.lastPath == trace.PathHTM:
+			t.streak = 0
+			if t.open {
+				t.open, t.sinceTrip = false, 0
+				t.sh.BreakerCloses.Inc()
+				t.TraceEvent(trace.EvBreakerClose, 0)
+			}
+		case t.open:
+			// A failed probe, or a serialized transaction, keeps the
+			// breaker open.
+		case t.sawHW && t.lastPath == trace.PathGL:
+			t.streak++
+			if int(t.streak) >= threshold {
+				t.open, t.sinceTrip, t.streak = true, 0, 0
+				t.sh.BreakerTrips.Inc()
+				t.TraceEvent(trace.EvBreakerTrip, 0)
+			}
+		default:
+			// A software commit, or a lock-path commit with no hardware
+			// abort observed (pure contention): not hardware's fault.
 		}
 	}
 	t.starve >>= 1
-}
-
-// escalate records one slow-path escalation; the caller then runs the slow
-// path, so a transaction escalates at most once.
-func (r *Runner) escalate(t *Thread, kind escalation) {
-	if kind == escBudget {
-		t.sh.EscalationsBudget.Inc()
-	} else {
-		t.sh.EscalationsStarve.Inc()
-	}
-	t.TraceEvent(trace.EvEscalate, uint64(kind))
 }
 
 // awaitGate waits for the gate to open before an optimistic attempt. A nil

@@ -33,8 +33,7 @@ func breakerTxn(broken *atomic.Bool, fastTries, slowRuns *atomic.Int64) *Txn {
 func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 3})
-	r.SetGovernor(g)
+	r.SetGovernor(governor.New(governor.Config{BreakerThreshold: 3}))
 	sink := trace.NewSink(256)
 	r.SetTrace(sink)
 
@@ -52,7 +51,7 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	if snap.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d after threshold failures, want 1", snap.BreakerTrips)
 	}
-	if !g.State(0).Open() {
+	if !r.Thread(0).open {
 		t.Fatal("breaker not open")
 	}
 	if fastTries.Load() != 3 {
@@ -76,7 +75,7 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	if got := fastTries.Load(); got != 5 { // 3 trips + 2 failed probes
 		t.Fatalf("fast attempts = %d, want 5 (only probes retry hardware)", got)
 	}
-	if snap.BreakerCloses != 0 || g.State(0).Open() != true {
+	if snap.BreakerCloses != 0 || r.Thread(0).open != true {
 		t.Fatal("failed probes must not close the breaker")
 	}
 
@@ -90,7 +89,7 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 	if snap.BreakerCloses != 1 {
 		t.Fatalf("BreakerCloses = %d, want 1", snap.BreakerCloses)
 	}
-	if g.State(0).Open() {
+	if r.Thread(0).open {
 		t.Fatal("breaker still open after hardware recovery")
 	}
 	before := fastTries.Load()
@@ -132,15 +131,14 @@ func TestGovernorBreakerCycleThroughRunner(t *testing.T) {
 func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 1})
-	r.SetGovernor(g)
+	r.SetGovernor(governor.New(governor.Config{BreakerThreshold: 1}))
 
 	var broken atomic.Bool
 	var fastTries, slowRuns atomic.Int64
 	txn := breakerTxn(&broken, &fastTries, &slowRuns)
 	broken.Store(true)
 	r.Run(0, txn) // trips immediately (threshold 1)
-	if !g.State(0).Open() {
+	if !r.Thread(0).open {
 		t.Fatal("breaker not open")
 	}
 
@@ -149,11 +147,11 @@ func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 	for i := 1; i < governor.ProbeEvery; i++ {
 		r.Run(0, txn) // serialized: the breaker stays open
 	}
-	if !g.State(0).Open() {
+	if !r.Thread(0).open {
 		t.Fatal("breaker closed before its probe")
 	}
 	r.Run(0, txn) // the probe must override SkipFast
-	if g.State(0).Open() {
+	if r.Thread(0).open {
 		t.Fatal("probe did not run the fast level under SkipFast")
 	}
 	if st.Snapshot().BreakerCloses != 1 {
@@ -163,20 +161,19 @@ func TestGovernorProbeOverridesSkipFast(t *testing.T) {
 
 // TestGovernorPureSTMUnaffected: a transaction with no slow path (the pure
 // STMs, NOrecRH) must run its normal schedule even when its thread's
-// breaker is open — there is nothing to serialize onto. (Regression: the
-// Serialize verdict once called a nil Slow.)
+// breaker is open — there is nothing to serialize onto. (Regression: an
+// open breaker once called a nil Slow.)
 func TestGovernorPureSTMUnaffected(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 1})
-	r.SetGovernor(g)
+	r.SetGovernor(governor.New(governor.Config{BreakerThreshold: 1}))
 
 	// Trip thread 0's breaker through a transaction that has a slow path.
 	var broken atomic.Bool
 	var fastTries, slowRuns atomic.Int64
 	broken.Store(true)
 	r.Run(0, breakerTxn(&broken, &fastTries, &slowRuns))
-	if !g.State(0).Open() {
+	if !r.Thread(0).open {
 		t.Fatal("breaker not open")
 	}
 
@@ -192,14 +189,13 @@ func TestGovernorPureSTMUnaffected(t *testing.T) {
 }
 
 // TestGovernorActiveWhileParkedInSlow: a worker parked inside its slow path
-// moves no stats counter; the governor's in-transaction flag is what the
-// watchdog's global-stall alarm and the obs inflight gauge see, under the
-// shipped DefaultConfig.
+// moves no stats counter; the kernel's in-transaction flag, kept while a
+// governor is attached, is what the watchdog's global-stall alarm and the
+// obs inflight gauge see, under the shipped DefaultConfig.
 func TestGovernorActiveWhileParkedInSlow(t *testing.T) {
 	var st tm.Stats
 	r := New(Policy{}, &st, nil)
-	g := governor.New(governor.DefaultConfig())
-	r.SetGovernor(g)
+	r.SetGovernor(governor.New(governor.DefaultConfig()))
 
 	parked, release := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
@@ -208,26 +204,25 @@ func TestGovernorActiveWhileParkedInSlow(t *testing.T) {
 		r.Run(1, &Txn{Slow: func() { close(parked); <-release }})
 	}()
 	<-parked
-	if got := g.Active(); got != 1 {
+	if got := r.Inflight(); got != 1 {
 		t.Errorf("active = %d with one worker parked in Slow, want 1", got)
 	}
 	close(release)
 	<-done
-	if got := g.Active(); got != 0 {
+	if got := r.Inflight(); got != 0 {
 		t.Errorf("active = %d after the transaction finished, want 0", got)
 	}
 }
 
 // TestGovernorBreakerHammer exercises the breaker cycle from many threads
-// concurrently under -race: per-thread breaker cells must stay single-
+// concurrently under -race: per-thread breaker state must stay single-
 // writer, and every in-transaction flag must end cleared.
 func TestGovernorBreakerHammer(t *testing.T) {
 	const threads = 8
 	const txns = 400
 	var st tm.Stats
 	r := New(Policy{FastAttempts: 1}, &st, nil)
-	g := governor.New(governor.Config{BreakerThreshold: 2})
-	r.SetGovernor(g)
+	r.SetGovernor(governor.New(governor.Config{BreakerThreshold: 2}))
 
 	// Phase 1: hardware broken everywhere — every thread trips. Phase 2:
 	// hardware recovered — every thread's probes must close the breaker.
@@ -254,7 +249,7 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	broken.Store(false)
 	phase()
 
-	if got := g.Active(); got != 0 {
+	if got := r.Inflight(); got != 0 {
 		t.Fatalf("active = %d after quiesce, want 0", got)
 	}
 	snap := st.Snapshot()
@@ -270,7 +265,7 @@ func TestGovernorBreakerHammer(t *testing.T) {
 	// Every thread's breaker must end closed: hardware recovered long
 	// before the run ended and probes re-enable the fast path.
 	for id := 0; id < threads; id++ {
-		if g.State(id).Open() {
+		if r.Thread(id).open {
 			t.Fatalf("thread %d breaker still open after recovery", id)
 		}
 	}

@@ -143,8 +143,8 @@ func TestTraceEscalation(t *testing.T) {
 	for _, e := range evs {
 		if e.Kind == trace.EvEscalate {
 			found = true
-			if e.Arg != uint64(escBudget) {
-				t.Fatalf("escalation arg = %d, want budget (%d)", e.Arg, escBudget)
+			if e.Arg != uint64(routeBudget) {
+				t.Fatalf("escalation arg = %d, want budget (%d)", e.Arg, routeBudget)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package governor
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/tm"
@@ -66,14 +65,13 @@ type Watchdog struct {
 	stats   *tm.Stats
 	threads int
 
-	gov     *Governor // optional: in-transaction flags for global-stall detection
+	kernel  Gauge // optional: the in-flight gauge for global-stall detection
 	onAlarm func(Alarm)
 	buf     *trace.Buffer
 	sh      *tm.Shard
 
-	alarms atomic.Uint64
-	stop   chan struct{}
-	done   chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
 	// Sampler state (watchdog goroutine only).
 	lastCommits []uint64
@@ -84,7 +82,7 @@ type Watchdog struct {
 }
 
 // NewWatchdog builds a watchdog over stats for a system running the given
-// number of worker threads. Attach options (AttachGovernor, SetTrace,
+// number of worker threads. Attach options (AttachKernel, SetTrace,
 // OnAlarm) before Start.
 func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 	if cfg.Interval <= 0 {
@@ -104,10 +102,14 @@ func NewWatchdog(cfg WatchdogConfig, stats *tm.Stats, threads int) *Watchdog {
 	}
 }
 
-// AttachGovernor lets the watchdog use the governor's per-thread
-// in-transaction flags to tell "everything is idle" from "everything is
-// stuck".
-func (w *Watchdog) AttachGovernor(g *Governor) { w.gov = g }
+// Gauge counts the threads inside a transaction right now. It is
+// exec.Runner.Inflight, which counts while a governor is attached; exec
+// imports this package, so the watchdog names the method, not the type.
+type Gauge interface{ Inflight() int64 }
+
+// AttachKernel lets the watchdog read the kernel's in-flight gauge to tell
+// "everything is idle" from "everything is stuck".
+func (w *Watchdog) AttachKernel(k Gauge) { w.kernel = k }
 
 // SetTrace attaches a sink; alarms are recorded as marks in the watchdog's
 // own buffer slot (index = worker count).
@@ -116,9 +118,6 @@ func (w *Watchdog) SetTrace(s *trace.Sink) { w.buf = s.Thread(w.threads) }
 // OnAlarm installs a callback invoked from the watchdog goroutine on every
 // alarm. Install before Start.
 func (w *Watchdog) OnAlarm(f func(Alarm)) { w.onAlarm = f }
-
-// Alarms returns the total alarms raised so far.
-func (w *Watchdog) Alarms() uint64 { return w.alarms.Load() }
 
 // Start launches the sampling goroutine. Call at most once per watchdog.
 func (w *Watchdog) Start() {
@@ -170,12 +169,12 @@ func (w *Watchdog) sample() {
 		w.lastAborts[i] = aborts
 	}
 
-	// Global stall: transactions in flight (per the governor's flags) but
+	// Global stall: transactions in flight (per the kernel's gauge) but
 	// no commit anywhere — catches workers stuck in waits that produce
 	// neither commits nor aborts (a convoy on the optimistic gate).
 	var active int64
-	if w.gov != nil && totalCommits == w.lastTotal {
-		active = w.gov.Active()
+	if w.kernel != nil && totalCommits == w.lastTotal {
+		active = w.kernel.Inflight()
 	}
 	if active > 0 {
 		w.totalStall++
@@ -192,7 +191,6 @@ func (w *Watchdog) sample() {
 // alarm records one stall finding everywhere it is observable: the
 // watchdog's stats shard slot, the trace stream and the callback.
 func (w *Watchdog) alarm(thread int) {
-	w.alarms.Add(1)
 	w.sh.WatchdogAlarms.Inc()
 	if w.buf != nil {
 		arg := uint64(AlarmStall)<<32 | uint64(uint32(int32(thread)))

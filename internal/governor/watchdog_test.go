@@ -2,6 +2,7 @@ package governor
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,14 +123,20 @@ func TestWatchdogNoAlarmWhenIdleOrProgressing(t *testing.T) {
 	}
 }
 
+// gauge stands in for the kernel's in-flight gauge (exec.Runner.Inflight,
+// which TestActiveCountsBeginToFinish pins).
+type gauge struct{ n atomic.Int64 }
+
+func (g *gauge) Inflight() int64 { return g.n.Load() }
+
 // A worker parked inside its transaction (in Slow, say) moves no counter
-// at all; under the shipped DefaultConfig the governor's in-transaction
-// flag is the only evidence. Deterministic: sample is driven by hand.
+// at all; the kernel's in-flight gauge is the only evidence.
+// Deterministic: sample is driven by hand.
 func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	stats := &tm.Stats{}
-	g := New(DefaultConfig())
+	g := &gauge{}
 	w, c := newTestWatchdog(stats, 2)
-	w.AttachGovernor(g)
+	w.AttachKernel(g)
 
 	for i := 0; i < 2*w.cfg.StallSamples; i++ {
 		w.sample()
@@ -138,8 +145,7 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 		t.Fatalf("%d stall alarms on an idle system, want 0", n)
 	}
 
-	st := g.State(1)
-	g.Begin(st) // parked: no commit, no abort
+	g.n.Store(1) // parked: no commit, no abort
 	for i := 0; i < w.cfg.StallSamples-1; i++ {
 		w.sample()
 	}
@@ -152,7 +158,7 @@ func TestWatchdogGlobalStallViaInflightGauge(t *testing.T) {
 	}
 
 	// The transaction finishing (even without a counted commit) re-arms.
-	g.Finish(st, trace.PathGL)
+	g.n.Store(0)
 	for i := 0; i < 2*w.cfg.StallSamples; i++ {
 		w.sample()
 	}
@@ -187,7 +193,7 @@ func TestWatchdogTraceAndShardSlots(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	waitFor(t, func() bool { return w.Alarms() > 0 }, "alarm")
+	waitFor(t, func() bool { return stats.Snapshot().WatchdogAlarms > 0 }, "alarm")
 	close(stop)
 	wg.Wait()
 	w.Stop()

@@ -60,11 +60,6 @@ type Options struct {
 	// Profile, when non-nil, is attached to every system the experiment
 	// builds: report rows gain hot-line and footprint tables.
 	Profile *prof.Profile
-	// ProfCheck makes profiled experiments assert their acceptance
-	// invariants — the heatmap experiment fails unless the planted hot
-	// lines rank in the sketch top-K and the packed layout shows the
-	// conflict-abort excess (the -prof-check flag).
-	ProfCheck bool
 	// Domains replaces the domains experiment's default domain-count sweep
 	// (the -domains flag); nil keeps {1, 2, 4, 8}.
 	Domains []int

@@ -165,8 +165,8 @@ func Build(name string, o BuildOptions) tm.System {
 		// Read back what is attached rather than threading it through: the
 		// registry sees exactly what the kernel runs with.
 		src := obs.Source{Stats: sys.Stats()}
-		if k != nil {
-			src.Gov = k.Governor()
+		if k != nil && k.Governor() != nil {
+			src.Kernel = k
 		}
 		o.Obs.Register(name, src)
 	}
@@ -217,15 +217,11 @@ func build(name string, o BuildOptions) tm.System {
 }
 
 // EngineOf returns the HTM engine behind a system, or nil for pure-software
-// systems.
+// systems: every engine-backed system exposes it through an Engine()
+// accessor, as every kernel-backed one does through Kernel().
 func EngineOf(sys tm.System) *htm.Engine {
-	switch s := sys.(type) {
-	case *core.System:
-		return s.Engine()
-	case *htmgl.System:
-		return s.Engine()
-	case *norecrh.System:
-		return s.Engine()
+	if e, ok := sys.(interface{ Engine() *htm.Engine }); ok {
+		return e.Engine()
 	}
 	return nil
 }

@@ -102,10 +102,10 @@ func heatmapSum(m *mem.Memory, l heatmapLayout) uint64 {
 }
 
 // runHeatmap plants the hotspot under both layouts for each system and
-// reports the profiles side by side. With Options.ProfCheck the run fails
-// unless (a) the packed line ranks in the merged sketch's top-K for every
-// system and (b) packed runs show strictly more conflict aborts than
-// spread runs — the observable form of the placement effect.
+// reports the profiles side by side. The run fails unless (a) the packed
+// line ranks in the merged sketch's top-K for every system and (b) packed
+// runs show strictly more conflict aborts than spread runs — the
+// observable form of the placement effect.
 func runHeatmap(o Options) (*Result, error) {
 	o = o.withDefaults([]int{4}, heatmapSystems)
 	threads := o.Threads[0]
@@ -154,9 +154,7 @@ func runHeatmap(o Options) (*Result, error) {
 		for _, v := range violations {
 			out.Notes = append(out.Notes, "#   "+v)
 		}
-		if o.ProfCheck {
-			return out, fmt.Errorf("heatmap: profile check failed: %s", violations[0])
-		}
+		return out, fmt.Errorf("heatmap: profile check failed: %s", violations[0])
 	}
 	return out, nil
 }

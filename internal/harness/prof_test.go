@@ -89,15 +89,15 @@ func TestProfileReportOfEmpty(t *testing.T) {
 	}
 }
 
-// TestHeatmapExperiment runs the profiler's acceptance experiment with the
-// checks armed: the planted packed line must top the sketch and the packed
+// TestHeatmapExperiment runs the profiler's acceptance experiment, whose
+// checks are always armed: the planted packed line must top the sketch and the packed
 // layout must show the conflict-abort excess, deterministically.
 func TestHeatmapExperiment(t *testing.T) {
 	exp, ok := Find("heatmap")
 	if !ok {
 		t.Fatal("heatmap experiment not registered")
 	}
-	res, err := exp.Run(Options{Threads: []int{4}, Seed: 1, ProfCheck: true})
+	res, err := exp.Run(Options{Threads: []int{4}, Seed: 1})
 	if err != nil {
 		t.Fatalf("heatmap profile check failed: %v", err)
 	}

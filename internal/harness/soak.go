@@ -139,11 +139,11 @@ func runSoak(o Options) (*Result, error) {
 }
 
 // soakWatchdog builds one phase's watchdog over the system's kernel: its
-// governor's in-transaction flags attached, and the trace sink shared with
-// the workers (the watchdog writes its own slot).
+// in-flight gauge attached, and the trace sink shared with the workers (the
+// watchdog writes its own slot).
 func soakWatchdog(cfg governor.WatchdogConfig, sys tm.System, k *exec.Runner, threads int, sink *trace.Sink) *governor.Watchdog {
 	wd := governor.NewWatchdog(cfg, sys.Stats(), threads)
-	wd.AttachGovernor(k.Governor())
+	wd.AttachKernel(k)
 	if sink != nil {
 		wd.SetTrace(sink)
 	}

@@ -39,7 +39,7 @@ func TestSoakStormLiveness(t *testing.T) {
 				DataWords: 1 << 12, Threads: threads, PhysCores: 4, Seed: 1,
 				Fault: fcfg, Governor: &gcfg,
 			})
-			gov := KernelOf(sys).Governor()
+			k := KernelOf(sys)
 			inj := (*fault.Injector)(nil)
 			if eng := EngineOf(sys); eng != nil {
 				inj = eng.Injector()
@@ -71,7 +71,7 @@ func TestSoakStormLiveness(t *testing.T) {
 					wcfg.Interval = 10 * time.Millisecond
 				}
 				wd := governor.NewWatchdog(wcfg, sys.Stats(), threads)
-				wd.AttachGovernor(gov)
+				wd.AttachKernel(k)
 				c := &collectorT{}
 				wd.OnAlarm(c.add)
 				wd.Start()
@@ -175,8 +175,8 @@ func TestSoakExperimentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The registry must see the soak's governor, whose in-transaction
-	// flags the watchdog reads.
+	// The registry must see the soak's governed kernel, whose
+	// in-transaction flags the watchdog reads.
 	var snap obs.Snapshot
 	reg.Sample(&snap)
 	if len(snap.Systems) != len(systems) {

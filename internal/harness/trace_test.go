@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
+	"repro/internal/exec"
 	"repro/internal/governor"
+	"repro/internal/htm"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/tm"
@@ -40,20 +43,25 @@ func TestBuildAttachesInstruments(t *testing.T) {
 			if eng := EngineOf(sys); eng != nil && eng.Profile() != p {
 				t.Fatal("engine half of the profiler not attached")
 			}
-			// One transaction held open on the kernel's governor must show in
-			// the registry's inflight gauge: it samples that governor.
-			st := k.Governor().State(1)
-			k.Governor().Begin(st)
+			// One transaction held open on the governed kernel must show in
+			// the registry's inflight gauge: it samples that kernel.
+			parked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				k.Run(1, &exec.Txn{Slow: func() { close(parked); <-release }})
+			}()
+			<-parked
 			var snap obs.Snapshot
 			reg.Sample(&snap)
-			k.Governor().Finish(st, trace.PathSW)
+			close(release)
+			<-done
 			if len(snap.Systems) != 1 || snap.Systems[0].Name != name {
 				t.Fatalf("registry sample = %+v", snap.Systems)
 			}
 			if s := snap.Systems[0]; !s.HasGov {
 				t.Fatal("registry sample lost the governor")
 			} else if s.Inflight != 1 {
-				t.Fatalf("registry reads inflight %d with one transaction open on the kernel's governor", s.Inflight)
+				t.Fatalf("registry reads inflight %d with one transaction open on the governed kernel", s.Inflight)
 			}
 			a := sys.Memory().Alloc(1)
 			for i := 0; i < 4; i++ {
@@ -76,8 +84,8 @@ func TestBuildAttachesInstruments(t *testing.T) {
 	}
 }
 
-// TestOpenBreakerOnEverySystem: a thread whose breaker is open gets a
-// Serialize verdict at every begin. A system with a slow path must run it
+// TestOpenBreakerOnEverySystem: a thread whose breaker is open serializes
+// every transaction but its probes. A system with a slow path must run it
 // there; one that has none (NOrec, RingSTM, NOrecRH) must run its normal
 // software schedule — never panic out of Atomic on a nil Slow, never lose
 // an update.
@@ -91,13 +99,12 @@ func TestOpenBreakerOnEverySystem(t *testing.T) {
 			})
 			// Threshold 1: one hardware-failed, lock-saved transaction opens
 			// thread 0's breaker.
-			g := KernelOf(sys).Governor()
-			st := g.State(0)
-			g.Begin(st)
-			st.NoteHWAbort()
-			if g.Finish(st, trace.PathGL) != governor.TransTrip || !st.Open() {
-				t.Fatal("breaker not open")
+			k := KernelOf(sys)
+			k.Run(0, &exec.Txn{Slow: func() { k.Thread(0).NoteHWAbort(htm.Result{Reason: abort.Other}) }})
+			if snap := sys.Stats().Snapshot(); snap.BreakerTrips != 1 || snap.BreakerCloses != 0 {
+				t.Fatalf("breaker not open: %+v", snap)
 			}
+			sys.Stats().Reset()
 			a := sys.Memory().AllocLines(1)
 			for id := 0; id < 2; id++ {
 				sys.Atomic(id, func(x tm.Tx) { x.Write(a, x.Read(a)+1) })

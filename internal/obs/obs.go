@@ -1,6 +1,6 @@
 // Package obs is the flight recorder over the repository's single-writer
 // counter substrate: a registry that takes one coherent sample of every
-// registered system's tm.Stats shards and governor gauge, and a
+// registered system's tm.Stats shards and in-flight gauge, and a
 // black-box recorder that keeps a ring of those samples and dumps it, with
 // the trace rings, when a run goes wrong.
 //
@@ -15,12 +15,13 @@
 //
 // The sampling path only reads state that is safe while workers run:
 // tm.Counter cells are atomics any thread may read concurrently, and the
-// governor's inflight gauge is an atomic. Latency histograms, footprints, the
-// profiler's sketch and heat arrays and the trace rings are read after the
-// run, by the report and the flight dump. No obs function is ever reachable
-// from a hardware window: registration is boundary-only and sampling runs on
-// the recorder's goroutine (parthtm-vet's htmregion walk would flag the
-// registry lock and the sampling allocation a window reached).
+// kernel's inflight gauge sums atomic per-thread flags. Latency histograms,
+// footprints, the profiler's sketch and heat arrays and the trace rings are
+// read after the run, by the report and the flight dump. No obs function is
+// ever reachable from a hardware window: registration is boundary-only and
+// sampling runs on the recorder's goroutine (parthtm-vet's htmregion walk
+// would flag the registry lock and the sampling allocation a window
+// reached).
 //
 // # Allocation discipline
 //
@@ -34,7 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/governor"
+	"repro/internal/exec"
 	"repro/internal/tm"
 	"repro/internal/trace"
 )
@@ -44,9 +45,9 @@ import (
 type Source struct {
 	// Stats is the system's commit/abort counter set (required).
 	Stats *tm.Stats
-	// Gov, when attached, contributes the inflight gauge (threads inside
-	// a transaction right now).
-	Gov *governor.Governor
+	// Kernel, set when a governor is attached to it, contributes the
+	// inflight gauge (threads inside a transaction right now).
+	Kernel *exec.Runner
 }
 
 // SystemSample is one system's coherent telemetry point.
@@ -127,9 +128,9 @@ func sampleOne(out *SystemSample, name string, src *Source) {
 	out.Name = name
 	out.TM = src.Stats.Snapshot()
 
-	out.HasGov = src.Gov != nil
+	out.HasGov = src.Kernel != nil
 	out.Inflight = 0
-	if src.Gov != nil {
-		out.Inflight = src.Gov.Active()
+	if src.Kernel != nil {
+		out.Inflight = src.Kernel.Inflight()
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/governor"
+	"repro/internal/htm"
 	"repro/internal/tm"
-	"repro/internal/trace"
 )
 
 // fullSource builds a source with every optional surface attached and a
@@ -22,9 +23,18 @@ func fullSource(t testing.TB) Source {
 	sh.WatchdogAlarms.Add(1)
 	sh.AddSerial(1500 * time.Millisecond)
 
-	gov := governor.New(governor.DefaultConfig())
-	gov.Begin(gov.State(0)) // one worker inside a transaction
-	return Source{Stats: stats, Gov: gov}
+	// A governed kernel with one worker parked inside a transaction until
+	// the test ends.
+	k := exec.New(exec.Policy{FastAttempts: 1}, stats, nil)
+	k.SetGovernor(governor.New(governor.DefaultConfig()))
+	parked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run(1, &exec.Txn{Slow: func() { close(parked); <-release }})
+	}()
+	<-parked
+	t.Cleanup(func() { close(release); <-done })
+	return Source{Stats: stats, Kernel: k}
 }
 
 func TestRegistryRegisterReplace(t *testing.T) {
@@ -126,18 +136,19 @@ func TestConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			// Threads 2 and up: fullSource's worker holds thread 1.
+			id += 2
 			sh := src.Stats.Shard(id)
-			st := src.Gov.State(id)
+			k := src.Kernel
+			txn := &exec.Txn{Fast: func() htm.Result { return htm.Result{Committed: true} }}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				src.Gov.Begin(st)
-				sh.CommitsHTM.Inc()
+				k.Run(id, txn) // one hardware commit, flagged in flight meanwhile
 				sh.AbortsConflict.Inc()
-				src.Gov.Finish(st, trace.PathHTM)
 			}
 		}(w)
 	}

@@ -1,8 +1,8 @@
 // Package perthread holds what is kept or started once per thread.
 //
 // Set is the one copy-on-grow set of per-thread cells that the stats
-// shards, kernel threads, trace buffers, latency shards, profiler shards and
-// governor cells are all kept in: a thread's cell is created on its first
+// shards, kernel threads, trace buffers, latency shards and profiler shards
+// are all kept in: a thread's cell is created on its first
 // touch and never moves, so its owner caches the pointer and the measured
 // path takes no lock.
 //

@@ -167,10 +167,10 @@ func (a *App) route(id, idx int) bool {
 	src := a.cell(p.sx, p.sy)
 	dst := a.cell(p.dx, p.dy)
 	// Expansion bounding box.
-	x0, x1 := minInt(p.sx, p.dx)-cfg.Margin, maxInt(p.sx, p.dx)+cfg.Margin
-	y0, y1 := minInt(p.sy, p.dy)-cfg.Margin, maxInt(p.sy, p.dy)+cfg.Margin
-	x0, y0 = maxInt(x0, 0), maxInt(y0, 0)
-	x1, y1 = minInt(x1, cfg.W-1), minInt(y1, cfg.H-1)
+	x0, x1 := min(p.sx, p.dx)-cfg.Margin, max(p.sx, p.dx)+cfg.Margin
+	y0, y1 := min(p.sy, p.dy)-cfg.Margin, max(p.sy, p.dy)+cfg.Margin
+	x0, y0 = max(x0, 0), max(y0, 0)
+	x1, y1 = min(x1, cfg.W-1), min(y1, cfg.H-1)
 
 	workPer := cfg.WorkPer
 	if p.heavy {
@@ -313,18 +313,4 @@ func (a *App) Validate() error {
 		}
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
